@@ -33,9 +33,10 @@ from common import (
 #: Per-job volume of the cold grid (single-core accesses and warm-up,
 #: accesses per core of each mix job).
 ACCESSES, WARMUP, MIX_ACCESSES = 600, 200, 400
-#: Host seconds one pass takes on a 2-CPU reference host; a run makes
-#: ``round(seconds / PASS_SECONDS)`` passes (at least one).
-PASS_SECONDS = 5.0
+#: A run makes ``round(seconds / PASS_SECONDS)`` passes (at least one);
+#: one pass takes 4-7 s on a 2-CPU reference host, and five passes keep
+#: the median away from any one burst of host noise.
+PASS_SECONDS = 4.0
 #: Start-up probes per run; ``setup_s`` is their median.
 SETUP_PROBES = 3
 
