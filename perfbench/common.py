@@ -41,7 +41,7 @@ def require_sources() -> None:
             f"full checkout of the repository")
 
 
-def clean_environment() -> Dict[str, str]:
+def clean_environment() -> None:
     """Drop every ``REPRO_*`` knob so the caller's shell cannot change
     what is measured, and point child interpreters at ``src``."""
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
@@ -50,15 +50,13 @@ def clean_environment() -> Dict[str, str]:
     # The process-local trace cache resolves its spill directory from the
     # environment; an empty value disables spilling for in-process work.
     os.environ["REPRO_TRACE_DIR"] = ""
-    return child_environment()
 
 
-def child_environment(**extra: str) -> Dict[str, str]:
+def child_environment() -> Dict[str, str]:
     """Environment for daemon subprocesses: no REPRO_* knobs at all."""
     env = {name: value for name, value in os.environ.items()
            if not name.startswith("REPRO_")}
     env["PYTHONPATH"] = str(SRC)
-    env.update(extra)
     return env
 
 
@@ -79,9 +77,12 @@ def source_digest() -> str:
 
 
 def make_run_dir(workload: str) -> Path:
+    """A fresh per-run directory, also made the temporary directory of
+    this process and its children (the fleet launcher makes one)."""
     path = CACHE / "runs" / f"{workload}-{os.getpid()}"
     shutil.rmtree(path, ignore_errors=True)
-    path.mkdir(parents=True)
+    (path / "tmp").mkdir(parents=True)
+    os.environ["TMPDIR"] = str(path / "tmp")
     return path
 
 
@@ -185,10 +186,6 @@ def peak_rss_mb(pid: int) -> float:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024.0
     raise BenchmarkError(f"no VmHWM for pid {pid}")
-
-
-def self_peak_rss_mb() -> float:
-    return peak_rss_mb(os.getpid())
 
 
 def pid_running(pid: int) -> bool:

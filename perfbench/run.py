@@ -196,12 +196,11 @@ def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(argv)
     try:
-        common.require_sources()
+        common.import_repro()
     except BenchmarkError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2
     common.clean_environment()
-    common.import_repro()
     began = time.perf_counter()
     trace = bool(args.trace)
     try:
@@ -214,9 +213,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     full = common.metadata(args.workload, args.seed, args.seconds, trace,
                            report["repeats"])
     full.update({key: value for key, value in report.items()
-                 if key not in ("tracer", "metrics")})
-    if not trace:
-        full["metrics"] = report["metrics"]
+                 if key != "tracer"})
     full["failed_ratio"] = result["failed"] / result["attempted"]
     full["wall_s"] = time.perf_counter() - began
     print("perfbench-report: " + json.dumps(full, sort_keys=True,

@@ -217,14 +217,12 @@ class Host:
     def _start_fleet(self, run_dir: Path, index: int, members: int,
                      jobs: int) -> List[str]:
         ready = run_dir / f"fleet-{index}.addr"
-        tmp = run_dir / "tmp"
-        tmp.mkdir(exist_ok=True)
         log = open(run_dir / f"fleet-{index}.log", "wb")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "fleet", "--members",
              str(members), "--jobs", str(jobs), "--ready-file", str(ready),
              "--store", str(self.store)],
-            env=child_environment(TMPDIR=str(tmp)), stdout=log, stderr=log)
+            env=child_environment(), stdout=log, stderr=log)
         log.close()
         self.processes.append(process)
         return wait_for_file(ready, process).split(",")

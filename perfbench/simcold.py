@@ -11,6 +11,7 @@ the identical pass and reports medians over passes.
 from __future__ import annotations
 
 import dataclasses
+import os
 import shutil
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from common import (
     child_environment,
     fingerprint,
     percentile,
-    self_peak_rss_mb,
+    peak_rss_mb,
     source_digest,
     summary,
 )
@@ -237,7 +238,7 @@ def _untraced(jobs: List[Any], accesses: int, passes: int, run_dir: Path,
         samples["req_p50_ms"].append(percentile(latencies, 0.5) * 1000.0)
         samples["req_p90_ms"].append(percentile(latencies, 0.9) * 1000.0)
         prints.add(pass_fingerprint(jobs, results))
-    rss = self_peak_rss_mb()
+    rss = peak_rss_mb(os.getpid())
     print_value = _check_drift(jobs, prints, failures)
     counters = model_counters(jobs, results)
     # Every metric is a median over passes; the latency percentiles are
