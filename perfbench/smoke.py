@@ -5,7 +5,8 @@ Run from the repository root::
     python3 perfbench/smoke.py
 
 For each workload and for ``--trace 0`` and ``--trace 1`` it checks that
-the result line has exactly the contract's keys, that every metric named
+the result line has exactly the keys ``correct``, ``attempted``,
+``failed`` and ``metrics``, that every metric named
 in ``BENCHMARK.json`` is emitted with its unit, that the outputs were
 correct, that traced spans nest (children inside their parents, self time
 never negative), and that after teardown no daemon, fleet member or pool

@@ -60,7 +60,8 @@ class Tracer:
     def __init__(self) -> None:
         self._local = threading.local()
         self._ids = itertools.count()
-        #: span id -> [name, start, end, parent id, thread id, argument]
+        #: span id -> [name, start, end, parent id, thread id, accesses]
+        #: (accesses: the buffer length of a ``run_buffer`` call, else None)
         self.spans: Dict[int, List[Any]] = {}
         self._restore: List[Tuple[Any, str, Any]] = []
 
