@@ -103,6 +103,7 @@ persisted cell from the store and take over the dead member's claims.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -139,10 +140,8 @@ from .sim.engine import (
 from .sim.options import EngineOptions
 from .sim.store import (
     ResultStore,
-    UncacheableJobError,
     job_spec,
     serialize_result,
-    spec_key,
     try_job_key,
 )
 
@@ -172,6 +171,11 @@ REPRO_FLEET_ENV = "REPRO_FLEET"
 #: Longest the server blocks one handler thread on ``result wait=true``
 #: before answering with the current snapshot (clients poll in chunks).
 MAX_RESULT_WAIT = 60.0
+
+#: Figure grids (experiment x scale) whose job keys one process memoises:
+#: the 13 registry grids at a few scales, so a long-lived daemon's memory
+#: stays bounded whatever scales its clients send.
+GRID_MEMO_SIZE = 32
 
 #: Machine-readable error codes (the values of ``ServiceError.code``).
 ERROR_CODES = (
@@ -544,6 +548,11 @@ class SimulationService:
         #: unwritable (every put retry exhausted); sticky until restart.
         self.degraded = False
         self.degraded_reason: Optional[str] = None
+        #: ``(experiment, scale) -> (jobs, keys)``, filled on the first
+        #: request for each grid: a warm request costs store lookups and
+        #: decoding, not SHA-256 over canonicalised configs.
+        self._grid = functools.lru_cache(maxsize=GRID_MEMO_SIZE)(
+            self._build_grid)
 
     # ------------------------------------------------------------------
     # Worker pool
@@ -629,20 +638,18 @@ class SimulationService:
                     f"unknown experiment {experiment!r}; known: "
                     f"{', '.join(EXPERIMENTS)}",
                     code="unknown_experiment")
-            job_list = EXPERIMENTS[experiment].jobs(resolved_scale)
+            job_list, keys = self._grid(experiment, resolved_scale)
             name, explicit = experiment, False
         else:
             if not jobs:
                 raise ServiceError("empty job list")
-            job_list = [job_from_wire(spec) for spec in jobs]
+            job_list = self._with_hierarchy(
+                [job_from_wire(spec) for spec in jobs])
+            keys = self._job_keys(job_list)
             name, explicit = "adhoc", True
-        if self.hierarchy_spec is not None:
-            from .sim.engine import apply_hierarchy
-            job_list = apply_hierarchy(job_list, self.hierarchy_spec,
-                                       self.hierarchy_name)
         reserved = self._admit(len(job_list))
         try:
-            self._refuse_if_degraded(job_list, force)
+            self._refuse_if_degraded(keys, force)
             with self._lock:
                 self._next_request += 1
                 request_id = f"req-{self._next_request}-{name}"
@@ -653,12 +660,13 @@ class SimulationService:
                 self.counters["submissions"] += 1
                 self.counters["jobs"] += len(job_list)
             if wait:
-                self._run_request(state, job_list, resolved_scale, force,
-                                  reserved)
+                self._run_request(state, job_list, keys, resolved_scale,
+                                  force, reserved)
                 return state.snapshot(include_payload=True)
             thread = threading.Thread(
                 target=self._run_request,
-                args=(state, job_list, resolved_scale, force, reserved),
+                args=(state, job_list, keys, resolved_scale, force,
+                      reserved),
                 name=f"repro-service-{request_id}", daemon=True)
             # Prune threads that already finished: a long-lived daemon
             # must not pin one Thread object per request it ever served.
@@ -673,6 +681,40 @@ class SimulationService:
             self._release_reservation(reserved)
             raise
         return state.snapshot()
+
+    def _with_hierarchy(self, job_list: Sequence[Job]) -> Sequence[Job]:
+        """``job_list`` on this daemon's hierarchy override, if any."""
+        if self.hierarchy_spec is None:
+            return job_list
+        from .sim.engine import apply_hierarchy
+        return apply_hierarchy(job_list, self.hierarchy_spec,
+                               self.hierarchy_name)
+
+    def _job_keys(self, job_list: Sequence[Job]) -> List[Optional[str]]:
+        """Each job's store key; ``None`` for jobs the store cannot hold.
+
+        Approx-sharded results are deterministic but not bit-identical to
+        the exact replay, so in that mode no job is keyed: none is served
+        from, deduplicated against, or persisted into the exact-only store.
+        """
+        if self.sharding == "approx" and self.shards > 1:
+            return [None] * len(job_list)
+        return [try_job_key(job) for job in job_list]
+
+    def _build_grid(self, experiment: str, scale: Scale
+                    ) -> Tuple[Tuple[Job, ...], Tuple[Optional[str], ...]]:
+        """One figure grid's job list and job keys (see ``self._grid``).
+
+        The memo is exact: the registry and the suite do not change within
+        a process, the hierarchy override and sharding mode are fixed for
+        the life of the service, and :func:`scale_from_wire` coerces every
+        scale field to ``int``.  It holds key strings, never results, so
+        every request still asks the store — a store cleared, compacted or
+        written by a sibling daemon is served correctly.
+        """
+        job_list = tuple(self._with_hierarchy(
+            EXPERIMENTS[experiment].jobs(scale)))
+        return job_list, tuple(self._job_keys(job_list))
 
     def _admit(self, incoming: int) -> int:
         """Load-shed when the job backlog exceeds the bound, atomically.
@@ -710,7 +752,7 @@ class SimulationService:
         with self._admission_lock:
             self._reserved_jobs -= reserved
 
-    def _refuse_if_degraded(self, job_list: List[Job],
+    def _refuse_if_degraded(self, keys: Sequence[Optional[str]],
                             force: bool) -> None:
         """In degraded mode, admit only grids that need no store write.
 
@@ -728,8 +770,7 @@ class SimulationService:
                 f"force recomputation needs a writable store",
                 code="degraded")
         with self._lock:
-            for job in job_list:
-                key = try_job_key(job)
+            for key in keys:
                 if key is not None and key not in self.store:
                     raise ServiceError(
                         f"store is in degraded read-only mode ({reason}) "
@@ -836,12 +877,13 @@ class SimulationService:
         for _, request_id in finished[:max(0, excess)]:
             del self._requests[request_id]
 
-    def _run_request(self, state: _RequestState, job_list: List[Job],
-                     scale: Scale, force: bool,
-                     reserved: int = 0) -> None:
+    def _run_request(self, state: _RequestState, job_list: Sequence[Job],
+                     keys: Sequence[Optional[str]], scale: Scale,
+                     force: bool, reserved: int = 0) -> None:
         start = time.perf_counter()
         try:
-            results = self._run_jobs(state, job_list, force, reserved)
+            results = self._run_jobs(state, job_list, keys, force,
+                                     reserved)
             state.seconds = time.perf_counter() - start
             if state.failed_jobs:
                 # Per-job isolation: the healthy cells completed (and
@@ -888,16 +930,23 @@ class SimulationService:
 
         On unwritable media the request still succeeds — the stats are in
         the response payload; only the on-disk copy is lost — and the
-        daemon flips to degraded read-only mode.
+        daemon flips to degraded read-only mode.  A file that already
+        holds these exact bytes (every warm repeat) is left alone.
         """
         stats_path = self.store.root / "stats" / f"{name}.json"
+        payload = canonical_json(stats).encode("utf-8")
+        try:
+            if stats_path.read_bytes() == payload:
+                return str(stats_path)
+        except OSError:
+            pass  # missing or unreadable: (re)write it below
         # Temp + rename: concurrent same-experiment requests (or a kill
         # mid-write) must never leave a torn stats file.
         tmp = stats_path.with_name(
             f".{stats_path.name}.{threading.get_ident()}.tmp")
         try:
             stats_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(canonical_json(stats), encoding="utf-8")
+            tmp.write_bytes(payload)
             os.replace(tmp, stats_path)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
@@ -913,28 +962,18 @@ class SimulationService:
                 self.degraded = True
                 self.degraded_reason = reason
 
-    def _run_jobs(self, state: _RequestState, job_list: List[Job],
-                  force: bool, reserved: int = 0) -> List[Any]:
-        """Claim, compute and collect one grid, persisting in job order."""
+    def _run_jobs(self, state: _RequestState, job_list: Sequence[Job],
+                  keys: Sequence[Optional[str]], force: bool,
+                  reserved: int = 0) -> List[Any]:
+        """Claim, compute and collect one grid, persisting in job order.
+
+        ``keys[i]`` is ``job_list[i]``'s store key (``None``: unkeyed).
+        """
         # Claim phase: classify every job atomically against other
         # requests.  plan[i] is ("store", key) | ("watch", future) |
         # ("own", key, exec_future, claimed) | ("direct", exec_future)
         # | ("poison", key) | ("remote", key) — "remote" only in fleet
         # mode, when another daemon holds the key's claim.
-        specs: List[Optional[Dict[str, Any]]] = []
-        keys: List[Optional[str]] = []
-        approx = self.sharding == "approx" and self.shards > 1
-        for job in job_list:
-            try:
-                # Approx-mode results are deterministic but not
-                # bit-identical to the exact replay, so they must never
-                # be served from, deduplicated against, or persisted
-                # into the exact-only store: every job runs direct.
-                spec = None if approx else job_spec(job)
-            except UncacheableJobError:
-                spec = None
-            specs.append(spec)
-            keys.append(None if spec is None else spec_key(spec))
         plan: List[Tuple[Any, ...]] = []
         owned: List[int] = []
         #: Fleet claims this request still holds (released as the collect
@@ -1027,7 +1066,8 @@ class SimulationService:
                             result = self._collect_owned(
                                 job_list[index], step[1],
                                 self._submit_job(job_list[index]))
-                            self._persist(step[1], specs[index], result)
+                            self._persist(step[1], job_list[index],
+                                          result)
                     elif step[0] == "poison":
                         raise ServiceError(
                             f"job {step[1][:12]}… is quarantined after "
@@ -1039,13 +1079,13 @@ class SimulationService:
                         result = step[1].result()
                     elif step[0] == "remote":
                         result = self._await_remote(
-                            job_list[index], step[1], specs[index], state)
+                            job_list[index], step[1], state)
                     else:
                         _, key, exec_future, claimed = step
                         try:
                             result = self._collect_owned(
                                 job_list[index], key, exec_future)
-                            self._persist(key, specs[index], result)
+                            self._persist(key, job_list[index], result)
                         finally:
                             if claimed:
                                 # Released only after the put landed (or
@@ -1116,7 +1156,6 @@ class SimulationService:
         return "lost"
 
     def _await_remote(self, job: Job, key: str,
-                      spec: Optional[Dict[str, Any]],
                       state: _RequestState) -> Any:
         """Wait for another daemon's claimed simulation of ``key``.
 
@@ -1155,7 +1194,7 @@ class SimulationService:
                     with self._lock:
                         self.counters["claims_broken"] += 1
             if take_over:
-                return self._takeover(job, key, spec, state)
+                return self._takeover(job, key, state)
             time.sleep(poll)
             poll = min(poll * 2, self.CLAIM_POLL_MAX)
 
@@ -1163,9 +1202,7 @@ class SimulationService:
         with self._lock:
             return self._claim_key(key)
 
-    def _takeover(self, job: Job, key: str,
-                  spec: Optional[Dict[str, Any]],
-                  state: _RequestState) -> Any:
+    def _takeover(self, job: Job, key: str, state: _RequestState) -> Any:
         """Simulate a key this daemon just inherited from a dead owner."""
         with self._lock:
             existing = self._inflight.get(key)
@@ -1185,7 +1222,7 @@ class SimulationService:
             return existing.result()
         try:
             result = self._collect_owned(job, key, exec_future)
-            self._persist(key, spec, result)
+            self._persist(key, job, result)
         finally:
             self.store.release_claim(key)
         with self._lock:
@@ -1233,16 +1270,18 @@ class SimulationService:
             inflight.set_exception(error)
         raise error
 
-    def _persist(self, key: str, spec: Optional[Dict[str, Any]],
-                 result: Any) -> None:
+    def _persist(self, key: str, job: Job, result: Any) -> None:
         """Store one owned result with a bounded retry; never raises.
 
-        A failed append is retried (the shard's torn tail is repaired in
-        place by the next locked append); exhausting the budget flips the
-        daemon into degraded read-only mode but does **not** fail the
-        job — the result is already computed and flows back to every
-        waiter, only the cache entry is lost.
+        The job's spec is built here, only for results that are stored:
+        warm requests never canonicalise a config.  A failed append is
+        retried (the shard's torn tail is repaired in place by the next
+        locked append); exhausting the budget flips the daemon into
+        degraded read-only mode but does **not** fail the job — the
+        result is already computed and flows back to every waiter, only
+        the cache entry is lost.
         """
+        spec = job_spec(job)
         for attempt in range(1, self.PUT_ATTEMPTS + 1):
             try:
                 with self._lock:
@@ -1270,12 +1309,11 @@ class SimulationService:
         if request_id is not None:
             return self._request_state(request_id).snapshot()
         resolved = scale_from_wire(scale)
-        # Key hashing is pure CPU over static job lists — do it outside
-        # the lock so a polling client never stalls in-flight claims and
-        # puts; only the membership checks need the store's lock.
-        grids = {name: [try_job_key(job)
-                        for job in experiment.jobs(resolved)]
-                 for name, experiment in EXPERIMENTS.items()}
+        # Memoised keys, fetched outside the lock so a polling client
+        # never stalls in-flight claims and puts; only the membership
+        # checks need the store's lock.
+        grids = {name: self._grid(name, resolved)[1]
+                 for name in EXPERIMENTS}
         coverage: Dict[str, Dict[str, int]] = {}
         with self._lock:
             entries = len(self.store)
@@ -1785,6 +1823,13 @@ class ServiceClient:
 # ======================================================================
 # The fleet client
 # ======================================================================
+def _first_job_key(experiment: str, scale: Scale) -> Optional[str]:
+    """The key of a figure grid's first job: what :class:`FleetClient`
+    routes the grid by."""
+    grid = EXPERIMENTS[experiment].jobs(scale)
+    return try_job_key(grid[0]) if grid else None
+
+
 class FleetClient:
     """Talk to a fleet of daemons sharing one store.
 
@@ -1830,6 +1875,10 @@ class FleetClient:
                                       retries=retries, backoff=backoff)
                         for addr in cleaned]
         self.address = ",".join(member.address for member in self.members)
+        #: Memoised :func:`_first_job_key` — the registry does not change
+        #: within a process — so a submit does not rebuild and hash a grid.
+        self._grid_route_key = functools.lru_cache(maxsize=GRID_MEMO_SIZE)(
+            _first_job_key)
 
     def _route(self, experiment: Optional[str],
                jobs: Optional[Sequence[Dict[str, Any]]],
@@ -1840,9 +1889,8 @@ class FleetClient:
             if jobs:
                 key = try_job_key(job_from_wire(jobs[0]))
             elif experiment in EXPERIMENTS:
-                grid = EXPERIMENTS[experiment].jobs(scale_from_wire(scale))
-                if grid:
-                    key = try_job_key(grid[0])
+                key = self._grid_route_key(experiment,
+                                           scale_from_wire(scale))
         except Exception:  # noqa: BLE001 - fall back to the name hash
             key = None
         if key is None:

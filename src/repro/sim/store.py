@@ -741,6 +741,9 @@ class ResultStore:
         #: Shards another process appended to behind us: this process's
         #: entry list has holes for them, so they must never be indexed.
         self._unindexed: set = set()
+        #: Whether ``_index_meta`` differs from the last index written (or
+        #: read back unchanged): :meth:`flush_index` writes only then.
+        self._index_dirty = False
         self.hits = 0
         self.misses = 0
         #: Lookups for ``key=None`` (uncacheable jobs) — not store misses.
@@ -813,10 +816,12 @@ class ResultStore:
             self._adopt(prefix, {"size": max(good_end, start),
                                  "entries": carried + fresh})
             dirty = True
-        if dirty:
+        # An index naming a shard that is gone is stale too: a shard
+        # re-created later at the same size would be trusted blindly.
+        self._index_dirty = dirty or not set(index) <= set(self._index_meta)
+        if self._index_dirty:
             try:
-                with _store_lock(self.lock_path):
-                    _write_index(self.shards_dir, self._index_meta)
+                self.flush_index()
             except OSError:  # pragma: no cover - read-only store dir
                 pass
 
@@ -824,6 +829,7 @@ class ResultStore:
         for key, offset, length in meta["entries"]:
             self._entries[key] = (prefix, offset, length)
         self._index_meta[prefix] = meta
+        self._index_dirty = True
 
     def _migrate_legacy(self) -> int:
         """Fold a legacy single-file ``store.jsonl`` into the shards.
@@ -1154,21 +1160,26 @@ class ResultStore:
             # the index entirely — the next open full-scans it instead.
             self._index_meta.pop(prefix, None)
             self._unindexed.add(prefix)
+            self._index_dirty = True
             return
         meta["entries"].append([key, offset, len(payload)])
         meta["size"] = offset + len(payload)
+        self._index_dirty = True
 
     def flush_index(self) -> None:
         """Persist the shard index so the next open is O(changed shards).
 
         Called by the CLI after a run; a stale (or missing) index is never
-        wrong, only slower — shard sizes validate every index entry.
+        wrong, only slower — shard sizes validate every index entry.  A
+        no-op while nothing changed since the last write, so the daemon
+        can flush after every request without rewriting the index.
         """
-        if not self._index_meta:
+        if not self._index_meta or not self._index_dirty:
             return
         self.shards_dir.mkdir(parents=True, exist_ok=True)
         with _store_lock(self.lock_path):
             _write_index(self.shards_dir, self._index_meta)
+        self._index_dirty = False
 
     def clear(self) -> None:
         """Delete every persisted shard (and any legacy file) and reset."""
@@ -1207,6 +1218,7 @@ class ResultStore:
         self._mem.clear()
         self._index_meta.clear()
         self._unindexed.clear()
+        self._index_dirty = False
         self.hits = 0
         self.misses = 0
         self.unkeyed = 0
@@ -1265,6 +1277,7 @@ class ResultStore:
         self._entries = new_entries
         self._index_meta = new_meta
         self._unindexed = set()
+        self._index_dirty = False
         return report
 
 

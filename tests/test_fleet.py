@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.service as service_module
 from repro.experiments import EXPERIMENTS, Scale
 from repro.service import (
     FleetClient,
@@ -397,6 +398,20 @@ class TestFleetClient:
         assert client.address == "127.0.0.1:7001,127.0.0.1:7002"
         with pytest.raises(ServiceError, match="empty fleet"):
             FleetClient(" , ")
+
+    def test_memoised_route_matches_the_first_job_key(self, monkeypatch):
+        client = FleetClient("7001,7002,7003")
+        for name, experiment in EXPERIMENTS.items():
+            grid = experiment.jobs(TINY)
+            expected = int(job_key(grid[0])[:8], 16) % 3
+            assert client._route(name, None, TINY_WIRE) == expected, name
+        # Memoised per (experiment, scale): a repeat hashes nothing.
+        keyed = []
+        monkeypatch.setattr(service_module, "try_job_key",
+                            lambda job: keyed.append(job))
+        for name in EXPERIMENTS:
+            client._route(name, None, TINY_WIRE)
+        assert keyed == []
 
     def test_routing_is_deterministic_and_key_based(self, fleet_pair):
         _, addresses = fleet_pair

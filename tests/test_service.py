@@ -26,9 +26,13 @@ from pathlib import Path
 
 import pytest
 
+import repro.service as service_module
+import repro.sim.store as store_module
 from repro.cli import main, run_experiment
 from repro.experiments import EXPERIMENTS, Scale
+from repro.memory.spec import load_hierarchy
 from repro.service import (
+    GRID_MEMO_SIZE,
     ServiceClient,
     ServiceError,
     SimulationService,
@@ -39,8 +43,13 @@ from repro.service import (
     scale_from_wire,
     serve_forever,
 )
-from repro.sim.engine import MixJob, SimulationJob
-from repro.sim.store import ResultStore, job_key
+from repro.sim.engine import (
+    MixJob,
+    SimulationEngine,
+    SimulationJob,
+    apply_hierarchy,
+)
+from repro.sim.store import ResultStore, job_key, try_job_key
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -268,6 +277,138 @@ class TestServiceCore:
         assert stats["store"]["puts"] == len(total)
         assert stats["workers"] == 2
         assert stats["inflight"] == 0
+
+
+# ======================================================================
+# Per-daemon grid memo (job lists and keys computed once per grid)
+# ======================================================================
+#: The scale perfbench populates and serves its figures at.
+BENCH_SCALE = Scale(accesses=300, warmup=100, mix_accesses=200)
+FOUR_LEVEL = REPO_ROOT / "examples" / "hierarchies" / "four_level.json"
+
+
+def _spy(monkeypatch, module, name: str) -> list:
+    """Count calls of ``module.name`` (the attribute callers look up)."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestGridMemo:
+    @pytest.mark.parametrize("scale", [Scale(), BENCH_SCALE],
+                             ids=["default", "bench"])
+    def test_memoised_keys_match_direct_keys(self, service, scale):
+        for name, experiment in EXPERIMENTS.items():
+            jobs, keys = service._grid(name, scale)
+            reference = experiment.jobs(scale)
+            assert list(jobs) == reference, name
+            assert list(keys) == [try_job_key(job) for job in reference], \
+                name
+            assert service._grid(name, scale) is service._grid(name, scale)
+
+    @pytest.mark.parametrize("scale", [Scale(), BENCH_SCALE],
+                             ids=["default", "bench"])
+    def test_memoised_keys_follow_the_hierarchy_override(self, tmp_path,
+                                                         scale):
+        spec = load_hierarchy(FOUR_LEVEL)
+        svc = SimulationService(tmp_path / "store", jobs=1, pool="thread",
+                                hierarchy=str(FOUR_LEVEL))
+        try:
+            for name, experiment in EXPERIMENTS.items():
+                reference = apply_hierarchy(experiment.jobs(scale), spec,
+                                            "four_level")
+                jobs, keys = svc._grid(name, scale)
+                assert list(jobs) == reference, name
+                assert list(keys) == [try_job_key(job)
+                                      for job in reference], name
+        finally:
+            svc.close(wait=True)
+
+    def test_warm_repeat_builds_no_spec(self, service, monkeypatch):
+        service_specs = _spy(monkeypatch, service_module, "job_spec")
+        store_specs = _spy(monkeypatch, store_module, "job_spec")
+        cold = service.submit(experiment="fig11", scale=TINY_WIRE,
+                              wait=True)
+        # Keys once per job; specs for the store only where one is put.
+        assert len(store_specs) == cold["total_jobs"]
+        assert len(service_specs) == cold["simulated"] == cold["total_jobs"]
+        del service_specs[:], store_specs[:]
+        warm = service.submit(experiment="fig11", scale=TINY_WIRE,
+                              wait=True)
+        assert warm["stored"] == warm["total_jobs"]
+        assert warm["stats"] == cold["stats"]
+        assert service_specs == [] and store_specs == []
+
+    def test_status_reuses_the_memo(self, service, monkeypatch):
+        first = service.status(scale=TINY_WIRE)
+        keyed = _spy(monkeypatch, service_module, "try_job_key")
+        assert service.status(scale=TINY_WIRE) == first
+        service.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        assert keyed == []
+        row = service.status(scale=TINY_WIRE)["experiments"]["fig13"]
+        assert row["stored"] == row["total"] > 0
+
+    def test_memo_fills_lazily_and_stays_bounded(self, service):
+        assert service._grid.cache_info().currsize == 0
+        for accesses in range(10, 15 + GRID_MEMO_SIZE):
+            service._grid("fig13", Scale(accesses=accesses))
+        assert service._grid.cache_info().currsize == GRID_MEMO_SIZE
+
+    def test_memo_holds_keys_not_results(self, service):
+        service.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        service.store.clear()
+        again = service.submit(experiment="fig13", scale=TINY_WIRE,
+                               wait=True)
+        assert again["simulated"] == again["total_jobs"]
+        assert again["stored"] == 0
+
+    def test_cold_grid_shards_match_a_serial_engine_run(self, service,
+                                                        tmp_path):
+        service.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        serial = SimulationEngine(jobs=1, store=tmp_path / "serial")
+        serial.run(EXPERIMENTS["fig13"].jobs(TINY))
+
+        def shards(root: Path) -> dict:
+            return {path.name: path.read_bytes()
+                    for path in (root / "shards").glob("*.jsonl")}
+
+        assert shards(service.store.root) == shards(tmp_path / "serial")
+        assert shards(service.store.root)
+
+    def test_warm_requests_rewrite_neither_index_nor_stats(self, service):
+        service.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        index = service.store.shards_dir / "index.json"
+        stats = service.store.root / "stats" / "fig13.json"
+        before = [(path.stat().st_ino, path.stat().st_mtime_ns)
+                  for path in (index, stats)]
+        for _ in range(2):
+            warm = service.submit(experiment="fig13", scale=TINY_WIRE,
+                                  wait=True)
+            assert warm["stats_path"] == str(stats)
+        assert [(path.stat().st_ino, path.stat().st_mtime_ns)
+                for path in (index, stats)] == before
+        # A cold job's put still refreshes the index.
+        service.submit(jobs=[{"workload": "gups", "predictor": "lp",
+                              "num_accesses": 60}], wait=True)
+        assert index.stat().st_ino != before[0][0]
+
+    def test_changed_stats_still_replace_the_file_atomically(self,
+                                                             service):
+        path = Path(service._write_stats("memo", {"value": 1}))
+        inode = path.stat().st_ino
+        assert service._write_stats("memo", {"value": 1}) == str(path)
+        assert path.stat().st_ino == inode
+        assert service._write_stats("memo", {"value": 2}) == str(path)
+        assert path.stat().st_ino != inode
+        assert json.loads(path.read_text()) == {"value": 2}
+        assert sorted(p.name for p in path.parent.iterdir()) == \
+            ["memo.json"]
 
 
 # ======================================================================

@@ -617,6 +617,48 @@ class TestIndex:
         assert reloaded.get(hidden) == tiny_result
         assert reloaded.get(own) == tiny_result
 
+    def test_flush_index_writes_only_after_a_change(self, tmp_path,
+                                                    tiny_result):
+        store = ResultStore(tmp_path)
+        key = hexkey("aa")
+        store.put(key, {}, tiny_result)
+        store.flush_index()
+        index = store.shards_dir / "index.json"
+        before = index.stat()
+        # Reads (warm requests) leave the index as it is.
+        for _ in range(2):
+            assert store.get(key) == tiny_result
+            store.flush_index()
+        after = index.stat()
+        assert (after.st_ino, after.st_mtime_ns) == \
+            (before.st_ino, before.st_mtime_ns)
+        # A put still rewrites it (atomically: a fresh inode).
+        store.put(hexkey("bb"), {}, tiny_result)
+        store.flush_index()
+        assert index.stat().st_ino != before.st_ino
+        assert len(ResultStore(tmp_path)) == 2
+
+    def test_open_leaves_a_current_index_alone(self, tmp_path, tiny_result):
+        writer = ResultStore(tmp_path)
+        writer.put(hexkey("aa"), {}, tiny_result)
+        writer.flush_index()
+        index = writer.shards_dir / "index.json"
+        before = index.stat().st_ino
+        reader = ResultStore(tmp_path)
+        reader.flush_index()
+        assert index.stat().st_ino == before
+
+    def test_open_rewrites_an_index_naming_a_vanished_shard(
+            self, tmp_path, tiny_result):
+        store = ResultStore(tmp_path)
+        store.put(hexkey("aa"), {}, tiny_result)
+        store.put(hexkey("bb"), {}, tiny_result)
+        store.flush_index()
+        (store.shards_dir / "bb.jsonl").unlink()
+        ResultStore(tmp_path)
+        index = json.loads((store.shards_dir / "index.json").read_text())
+        assert sorted(index["shards"]) == ["aa"]
+
     def test_runs_refresh_the_index_automatically(self, tmp_path):
         SimulationEngine(jobs=1, store=tmp_path).run(small_grid())
         # Engine puts do not flush per-append; the next open rescans the
