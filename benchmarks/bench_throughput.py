@@ -44,12 +44,6 @@ A ``fault_plane`` section records what the fault-injection hooks
 never fires, and a second faults-disabled grid pass asserted to be within
 ordinary run-to-run noise of the ``engine_serial`` measurement.
 
-A ``batch_kernel`` section compares the two trace-execution kernels
-(:mod:`repro.sim.kernels`): a fresh-simulate grid pass per kernel
-(asserted bit-identical), a fixed-size repeat-run replay microbench that
-isolates the bulk path's win, and per-app replay ratios from the
-repeat-heavy best case down to the random-access worst case.
-
 Per-system end-to-end throughput is also reported for the baseline and
 ``lp`` systems alone.  The benchmark asserts that parallel execution
 reproduces serial results bit-identically; wall-clock speedups are recorded
@@ -61,20 +55,17 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import platform
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from repro.sim.engine import SimulationEngine, SimulationJob, TRACE_CACHE, \
-    TraceCache, execute_job, expand_grid
-from repro.sim.options import EngineOptions
+from repro.sim.engine import SimulationEngine, TRACE_CACHE, TraceCache, \
+    expand_grid
 from repro.sim.store import ResultStore
 from repro.sim.system import SimulatedSystem
 from repro.sim.config import SystemConfig
-from repro.trace import KIND_LOAD, TraceBuffer
 from repro.workloads import HIGHLIGHTED_APPLICATIONS, build_workload
 
 from conftest import BENCH_ACCESSES, BENCH_WARMUP, COMPARED_SYSTEMS, save_result
@@ -82,20 +73,12 @@ from conftest import BENCH_ACCESSES, BENCH_WARMUP, COMPARED_SYSTEMS, save_result
 #: Worker processes for the parallel measurement (>= 2 so the pool is real).
 PARALLEL_JOBS = max(2, int(os.environ.get("REPRO_JOBS", "0") or 0))
 
-#: Host cores available to the parallel/sharded sections.  On a
+#: Host cores available to the parallel section.  On a
 #: single-core host every "parallel vs serial" wall-clock ratio measures
 #: pool overhead, not parallelism, so those speedup entries are annotated
 #: as not meaningful (and never asserted on) rather than recorded as if
 #: they were wins.
 CPU_COUNT = os.cpu_count() or 1
-
-#: The documented ceiling on the fast-approximate sharding mode's
-#: relative statistics delta (see README "Within-job sharding").  The
-#: delta shrinks with trace length — sub-1% on cycles at 20k accesses —
-#: but warm-up truncation effects can reach ~17% on cycle counts at the
-#: 400-access golden scale, so the documented bound is the conservative
-#: any-scale one.
-APPROX_DELTA_BOUND = 0.25
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
@@ -378,202 +361,6 @@ def _buffer_replay_report():
     }
 
 
-def _crafted_repeat_buffer(n: int, run_length: int) -> TraceBuffer:
-    """A load trace of same-block runs over a small warm working set.
-
-    This is the access shape the batch kernel exists for: every run's
-    head is serviced exactly and the tail is resolved in bulk.  Fixed
-    size (independent of the bench scale knobs) so the kernel microbench
-    is meaningful even on smoke-scale CI runs.
-    """
-    addresses = []
-    i = 0
-    while len(addresses) < n:
-        base = 0x100000 + (i % 64) * 4096 + ((i * 7) % 64) * 64
-        addresses.extend([base] * run_length)
-        i += 1
-    addresses = addresses[:n]
-    return TraceBuffer(addresses, [0x400] * n, [KIND_LOAD] * n, [8] * n,
-                       [False] * n, [0] * n, [0] * n)
-
-
-def _kernel_replay(buffer: TraceBuffer, kernel: str, warmup: int):
-    """Replay throughput of one hierarchy over ``buffer`` with ``kernel``."""
-    system = SimulatedSystem(
-        SystemConfig.paper_single_core().with_predictor("lp"))
-    system.hierarchy.run_buffer(buffer[:warmup], kernel=kernel)
-    measured = buffer[warmup:]
-    results, seconds = _timed(
-        lambda: system.hierarchy.run_buffer(measured, kernel=kernel))
-    return results, len(measured) / seconds, system
-
-
-def _batch_kernel_report():
-    """Scalar-vs-batch kernel throughput: fresh grid + replay microbench.
-
-    Numbers are reported honestly: on the paper grid the exact miss path
-    (which no kernel may approximate — results must stay bit-identical)
-    dominates wall-clock, so the end-to-end win is bounded by the L1
-    repeat-hit fraction of the workloads.  The repeat-run microbench
-    isolates what the batch kernel actually accelerates.
-    """
-    # Fresh-simulate grid, scalar vs batch.  Prime the trace cache first
-    # so neither kernel pays trace generation for the other.
-    for app in HIGHLIGHTED_APPLICATIONS:
-        TRACE_CACHE.get(app, BENCH_ACCESSES + BENCH_WARMUP, seed=0)
-
-    def grid(kernel):
-        engine = SimulationEngine(jobs=1, store=False, kernel=kernel)
-        return engine.run_grid(list(HIGHLIGHTED_APPLICATIONS),
-                               COMPARED_SYSTEMS,
-                               num_accesses=BENCH_ACCESSES,
-                               warmup_accesses=BENCH_WARMUP, seed=0)
-
-    # Best of two alternating passes per kernel: the grid comparison is a
-    # ~1.1x effect, small enough for one transiently-loaded host window to
-    # invert it.
-    scalar_grid, scalar_seconds = _timed(lambda: grid("scalar"))
-    batch_grid, batch_seconds = _timed(lambda: grid("batch"))
-    _assert_identical(scalar_grid, batch_grid)
-    _, scalar_again = _timed(lambda: grid("scalar"))
-    _, batch_again = _timed(lambda: grid("batch"))
-    scalar_seconds = min(scalar_seconds, scalar_again)
-    batch_seconds = min(batch_seconds, batch_again)
-    grid_accesses = _grid_accesses()
-
-    # Repeat-run microbench: fixed-size crafted traces where the batch
-    # kernel's bulk path covers nearly every access.
-    microbench = {}
-    for run_length in (8, 32):
-        buffer = _crafted_repeat_buffer(20000, run_length)
-        scalar_results, scalar_aps, _ = _kernel_replay(buffer, "scalar",
-                                                       2000)
-        batch_results, batch_aps, _ = _kernel_replay(buffer, "batch", 2000)
-        assert scalar_results == batch_results, run_length
-        microbench[f"run{run_length}"] = {
-            "accesses": len(buffer),
-            "scalar_accesses_per_second": scalar_aps,
-            "batch_accesses_per_second": batch_aps,
-            "speedup": batch_aps / scalar_aps,
-        }
-
-    # Per-app replay: the end-to-end effect on real access streams, from
-    # a repeat-heavy app to the adversarial random-access worst case.
-    per_app = {}
-    for app in ("602.gcc", "nas.mg", "stream", "gups"):
-        buffer = build_workload(app).generate_buffer(
-            BENCH_ACCESSES + BENCH_WARMUP, seed=0)
-        _, scalar_aps, _ = _kernel_replay(buffer, "scalar", BENCH_WARMUP)
-        _, batch_aps, _ = _kernel_replay(buffer, "batch", BENCH_WARMUP)
-        per_app[app] = {
-            "scalar_accesses_per_second": scalar_aps,
-            "batch_accesses_per_second": batch_aps,
-            "speedup": batch_aps / scalar_aps,
-        }
-
-    return {
-        "grid": {
-            "scalar": {
-                "seconds": scalar_seconds,
-                "accesses_per_second": grid_accesses / scalar_seconds,
-            },
-            "batch": {
-                "seconds": batch_seconds,
-                "accesses_per_second": grid_accesses / batch_seconds,
-            },
-            "speedup": scalar_seconds / batch_seconds,
-        },
-        "repeat_microbench": microbench,
-        "per_app_replay": per_app,
-        "identical_results": True,
-    }
-
-
-def _trace_sharding_report():
-    """Within-job trace sharding: exact equivalence and the approx delta.
-
-    Exact mode must be byte-identical to the unsharded replay at any
-    scale (asserted via pickled bytes).  The fast-approximate mode's
-    statistics delta is *measured* — one job run unsharded vs. split into
-    four independently-warmed shards and merged — and recorded against
-    the documented bound.  The delta is a property of the shard plan, not
-    of scheduling, so this measurement is CPU-independent and runs even
-    on single-core hosts; only the wall-clock speedup entry is skipped
-    there.
-    """
-    shards = 4
-    job = SimulationJob(workload="602.gcc", predictor="lp",
-                        num_accesses=BENCH_ACCESSES,
-                        warmup_accesses=BENCH_WARMUP, seed=0)
-
-    exact, exact_seconds = _timed(lambda: execute_job(job))
-    sharded, sharded_seconds = _timed(
-        lambda: execute_job(job, shards=shards))
-    assert pickle.dumps(sharded) == pickle.dumps(exact)
-
-    approx_engine = SimulationEngine(store=False, options=EngineOptions(
-        jobs=min(shards, CPU_COUNT), shards=shards, sharding="approx"))
-    approx, approx_seconds = _timed(
-        lambda: approx_engine.run([job])[0])
-    assert approx_engine.shard_merges == 1
-
-    # Row counters merge losslessly (the measured spans partition the
-    # trace); only latency-derived statistics carry a delta.
-    assert approx.execution.instructions == exact.execution.instructions
-    assert approx.execution.memory_accesses == \
-        exact.execution.memory_accesses
-    assert approx.hierarchy_stats.demand_accesses == \
-        exact.hierarchy_stats.demand_accesses
-
-    def _delta(measured: float, reference: float) -> float:
-        return abs(measured - reference) / abs(reference) if reference \
-            else 0.0
-
-    exact_amal = (exact.hierarchy_stats.total_demand_latency
-                  / exact.hierarchy_stats.demand_accesses)
-    approx_amal = (approx.hierarchy_stats.total_demand_latency
-                   / approx.hierarchy_stats.demand_accesses)
-    deltas = {
-        "cycles": _delta(approx.execution.cycles, exact.execution.cycles),
-        "ipc": _delta(approx.ipc, exact.ipc),
-        "amal": _delta(approx_amal, exact_amal),
-        "energy_nj": _delta(approx.cache_hierarchy_energy_nj,
-                            exact.cache_hierarchy_energy_nj),
-    }
-    max_delta = max(deltas.values())
-    assert max_delta <= APPROX_DELTA_BOUND, deltas
-
-    if CPU_COUNT >= 2:
-        speedup = {
-            "workers": min(shards, CPU_COUNT),
-            "approx_vs_unsharded": exact_seconds / approx_seconds,
-        }
-    else:
-        speedup = {
-            "skipped": f"single-core host (cpu_count={CPU_COUNT}): a "
-                       "concurrent-shard speedup cannot be measured here",
-        }
-
-    return {
-        "workload": job.workload,
-        "shards": shards,
-        "accesses": BENCH_ACCESSES + BENCH_WARMUP,
-        "exact": {
-            "unsharded_seconds": exact_seconds,
-            "sharded_seconds": sharded_seconds,
-            "byte_identical": True,
-        },
-        "approx": {
-            "seconds": approx_seconds,
-            "count_fields_exact": True,
-            "stats_delta": deltas,
-            "max_delta": max_delta,
-            "documented_bound": APPROX_DELTA_BOUND,
-        },
-        "speedup": speedup,
-    }
-
-
 def _fault_plane_report(engine_serial_seconds: float):
     """Cost of the fault-injection plane (:mod:`repro.faults`).
 
@@ -675,8 +462,6 @@ def test_throughput(benchmark):
     trace_report = _trace_substrate_report()
     replay_report = _buffer_replay_report()
     fault_report = _fault_plane_report(serial_seconds)
-    batch_report = _batch_kernel_report()
-    sharding_report = _trace_sharding_report()
 
     report = {
         "schema": "repro-bench-throughput/1",
@@ -717,8 +502,6 @@ def test_throughput(benchmark):
         "trace": trace_report,
         "buffer_replay": replay_report,
         "fault_plane": fault_report,
-        "batch_kernel": batch_report,
-        "trace_sharding": sharding_report,
         "speedups": {
             "engine_serial_vs_legacy": legacy_seconds / serial_seconds,
             "engine_parallel_vs_legacy": legacy_seconds / parallel_seconds,
@@ -729,8 +512,8 @@ def test_throughput(benchmark):
             "jobs": PARALLEL_JOBS,
             "speedups_meaningful": CPU_COUNT >= 2,
             "note": None if CPU_COUNT >= 2 else (
-                "single-core host: engine_parallel and sharded speedup "
-                "entries measure pool overhead, not parallelism; they are "
+                "single-core host: engine_parallel speedup entries "
+                "measure pool overhead, not parallelism; they are "
                 "recorded for the trajectory but must not be read as "
                 "wins"),
         },
@@ -786,40 +569,6 @@ def test_throughput(benchmark):
                  f"({fault_report['grid_vs_engine_serial']:.2f}x of "
                  f"engine_serial — run-to-run noise)")
     lines.append("")
-    lines.append("Batch kernel (scalar vs batch, bit-identical)")
-    kernel_grid = batch_report["grid"]
-    lines.append(f"grid scalar       : "
-                 f"{kernel_grid['scalar']['accesses_per_second']:10,.0f}/s "
-                 f"({kernel_grid['scalar']['seconds']:.2f}s)")
-    lines.append(f"grid batch        : "
-                 f"{kernel_grid['batch']['accesses_per_second']:10,.0f}/s "
-                 f"({kernel_grid['batch']['seconds']:.2f}s, "
-                 f"{kernel_grid['speedup']:.2f}x)")
-    for key, entry in batch_report["repeat_microbench"].items():
-        lines.append(f"repeat {key:11s}: "
-                     f"{entry['batch_accesses_per_second']:10,.0f}/s batch vs "
-                     f"{entry['scalar_accesses_per_second']:,.0f}/s scalar "
-                     f"({entry['speedup']:.2f}x)")
-    for app, entry in batch_report["per_app_replay"].items():
-        lines.append(f"replay {app:11s}: {entry['speedup']:.2f}x")
-    lines.append("")
-    lines.append("Trace sharding (exact byte-identical; approx delta "
-                 "measured)")
-    approx = sharding_report["approx"]
-    lines.append(f"approx max delta  : {approx['max_delta'] * 100:6.2f}% "
-                 f"(documented bound "
-                 f"{approx['documented_bound'] * 100:.0f}%)")
-    per_metric = ", ".join(f"{name} {value * 100:.2f}%" for name, value
-                           in approx["stats_delta"].items())
-    lines.append(f"per-metric deltas : {per_metric}")
-    speedup = sharding_report["speedup"]
-    if "skipped" in speedup:
-        lines.append(f"shard speedup     : skipped — {speedup['skipped']}")
-    else:
-        lines.append(f"shard speedup     : "
-                     f"{speedup['approx_vs_unsharded']:.2f}x over "
-                     f"{speedup['workers']} workers")
-    lines.append("")
     for key, value in report["speedups"].items():
         lines.append(f"{key}: {value:.2f}x")
     if report["parallel"]["note"]:
@@ -844,9 +593,3 @@ def test_throughput(benchmark):
     # noise of the engine_serial measurement taken moments earlier.
     assert fault_report["disabled_ns_per_call"] < 2000
     assert fault_report["grid_vs_engine_serial"] > 0.5
-    # The batch kernel's contract: on repeat-run traces (what the bulk
-    # path exists for) it must be decisively faster than scalar, and on
-    # the full grid — where the exact miss path dominates — it must never
-    # cost more than run-to-run noise.
-    assert batch_report["repeat_microbench"]["run8"]["speedup"] > 1.5
-    assert batch_report["grid"]["speedup"] > 0.75

@@ -18,12 +18,11 @@ old import                               blessed replacement
 ``repro.sim.store.default_store``       :func:`open_store` (no argument)
 ``repro.service.ServiceClient``         :func:`connect`
 ``repro.cli.run_experiment``            :func:`run_figure`
-``repro.sim.kernels.resolve_kernel``    ``repro.api.resolve_kernel``
 ======================================  ===============================
 
-Execution knobs travel as an :class:`EngineOptions` (or its
-``kernel``/``jobs`` shorthand arguments); environment variables are
-resolved in exactly one place, :meth:`EngineOptions.from_env`.
+Execution knobs travel as an :class:`EngineOptions` (or its ``jobs``
+shorthand argument); environment variables are resolved in exactly one
+place, :meth:`EngineOptions.from_env`.
 """
 
 from __future__ import annotations
@@ -43,12 +42,10 @@ from .memory.spec import (
 from .service import FleetClient, ServiceClient
 from .sim.engine import MixJob, SimulationEngine, SimulationJob, \
     apply_hierarchy
-from .sim.kernels import DEFAULT_KERNEL, kernel_names, resolve_kernel
 from .sim.options import EngineOptions
 from .sim.store import ResultStore, open_store
 
 __all__ = [
-    "DEFAULT_KERNEL",
     "EngineOptions",
     "FleetClient",
     "HierarchySpec",
@@ -64,10 +61,8 @@ __all__ = [
     "TLBSpec",
     "apply_hierarchy",
     "connect",
-    "kernel_names",
     "load_hierarchy",
     "open_store",
-    "resolve_kernel",
     "run_figure",
     "run_job",
 ]
@@ -75,7 +70,6 @@ __all__ = [
 
 def run_job(job: Union[SimulationJob, MixJob],
             options: Optional[EngineOptions] = None,
-            kernel: Optional[str] = None,
             store: Union[None, bool, str, Path, ResultStore] = None,
             force: bool = False) -> Any:
     """Run one simulation job and return its result object.
@@ -85,7 +79,7 @@ def run_job(job: Union[SimulationJob, MixJob],
     jobs are served from disk, fresh ones are simulated and persisted.
     Pass ``store=False`` to force a from-scratch in-process simulation.
     """
-    engine = SimulationEngine(store=store, kernel=kernel, options=options)
+    engine = SimulationEngine(store=store, options=options)
     return engine.run([job], force=force)[0]
 
 
@@ -94,9 +88,6 @@ def run_figure(name: str,
                store: Union[str, Path, ResultStore, None] = None,
                options: Optional[EngineOptions] = None,
                jobs: Optional[int] = None,
-               kernel: Optional[str] = None,
-               shards: Optional[int] = None,
-               sharding: Optional[str] = None,
                hierarchy: Union[str, Path, HierarchySpec, None] = None,
                force: bool = False):
     """Run one named figure/table experiment grid; returns its RunReport.
@@ -105,11 +96,9 @@ def run_figure(name: str,
     ``"figure2"``, ``"golden"``).  ``store`` defaults to the configured
     results store (``REPRO_STORE``) or ``./results``; stats are written
     under ``<store>/stats/<name>.json`` exactly like ``repro run``.
-    ``shards``/``sharding`` select within-job trace sharding (exact mode
-    is bit-identical; approx mode bypasses the store — see
-    :mod:`repro.sim.options`).  ``hierarchy`` substitutes a declarative
-    hierarchy spec (a :class:`HierarchySpec` or a path to its JSON file)
-    into every job of the grid, like ``repro run --hierarchy``.
+    ``hierarchy`` substitutes a declarative hierarchy spec (a
+    :class:`HierarchySpec` or a path to its JSON file) into every job of
+    the grid, like ``repro run --hierarchy``.
     """
     # Imported lazily: the CLI imports this module's siblings freely and
     # the facade must stay importable without argparse side effects.
@@ -119,11 +108,9 @@ def run_figure(name: str,
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {name!r}; known: {known}")
     if options is None:
-        options = EngineOptions.from_env(kernel=kernel, jobs=jobs,
-                                         shards=shards, sharding=sharding)
+        options = EngineOptions.from_env(jobs=jobs)
     else:
-        options = options.with_overrides(kernel=kernel, jobs=jobs,
-                                         shards=shards, sharding=sharding)
+        options = options.with_overrides(jobs=jobs)
     if hierarchy is None:
         hierarchy = options.hierarchy
     if store is None:
@@ -132,8 +119,6 @@ def run_figure(name: str,
         store = ResultStore(store)
     return run_experiment(name, store, scale or Scale(),
                           jobs=options.jobs, force=force,
-                          kernel=options.kernel, shards=options.shards,
-                          sharding=options.sharding,
                           hierarchy=hierarchy)
 
 

@@ -87,8 +87,7 @@ from .experiments import EXPERIMENTS, Scale, canonical_json
 from .faults import REPRO_FAULTS_ENV, FaultSpecError, install as install_faults
 from .service import FleetClient, ServiceClient, ServiceError, main_serve
 from .sim.engine import SimulationEngine
-from .sim.kernels import DEFAULT_KERNEL, kernel_names
-from .sim.options import POOL_KINDS, SHARDING_MODES, EngineOptions
+from .sim.options import POOL_KINDS, EngineOptions
 from .sim.store import (
     REPRO_STORE_ENV,
     REPRO_TRACE_DIR_ENV,
@@ -120,8 +119,7 @@ class RunReport:
 
     def __init__(self, name: str, total_jobs: int, stored: int,
                  simulated: int, seconds: float, stats: Dict[str, Any],
-                 stats_path: Optional[Path],
-                 kernel: Optional[str] = None) -> None:
+                 stats_path: Optional[Path]) -> None:
         self.name = name
         self.total_jobs = total_jobs
         self.stored = stored
@@ -129,23 +127,14 @@ class RunReport:
         self.seconds = seconds
         self.stats = stats
         self.stats_path = stats_path
-        #: Trace-execution kernel the engine used (``None`` for remote
-        #: runs — the daemon's own kernel applies there).
-        self.kernel = kernel
 
 
 def run_experiment(name: str, store: ResultStore, scale: Scale,
                    jobs: Optional[int] = None,
                    force: bool = False,
-                   kernel: Optional[str] = None,
-                   shards: Optional[int] = None,
-                   sharding: Optional[str] = None,
                    hierarchy: Optional[str] = None) -> RunReport:
     """Run one experiment through the store and persist its metrics.
 
-    ``shards``/``sharding`` select within-job trace sharding (see
-    :mod:`repro.sim.options`): exact mode stays bit-identical to the
-    unsharded run; approx mode bypasses the results store entirely.
     ``hierarchy`` names a declarative hierarchy spec file (JSON, see
     :mod:`repro.memory.spec`) — or is a :class:`HierarchySpec` passed
     programmatically via :func:`repro.api.run_figure` — applied to every
@@ -162,9 +151,7 @@ def run_experiment(name: str, store: ResultStore, scale: Scale,
         spec, spec_name, hierarchy = hierarchy, "custom", None
     elif hierarchy is not None:
         hierarchy = str(hierarchy)
-    options = EngineOptions.from_env(kernel=kernel, jobs=jobs,
-                                     shards=shards, sharding=sharding,
-                                     hierarchy=hierarchy)
+    options = EngineOptions.from_env(jobs=jobs, hierarchy=hierarchy)
     engine = SimulationEngine(store=store, options=options)
     job_list = experiment.jobs(scale)
     if spec is None and options.hierarchy:
@@ -185,7 +172,7 @@ def run_experiment(name: str, store: ResultStore, scale: Scale,
     # Keep the next open O(changed shards) instead of O(all lines).
     store.flush_index()
     return RunReport(name, len(job_list), stored, simulated, seconds,
-                     stats, stats_path, kernel=engine.kernel)
+                     stats, stats_path)
 
 
 def _check_stats(report: RunReport, reference_path: Path) -> int:
@@ -375,13 +362,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     with _faults_env(args), _trace_dir_env(args):
         for name in names:
             report = run_experiment(name, store, scale, jobs=args.jobs,
-                                    force=args.force, kernel=args.kernel,
-                                    shards=args.shards,
-                                    sharding=args.sharding,
+                                    force=args.force,
                                     hierarchy=args.hierarchy)
             print(f"{name}: {report.total_jobs} jobs — {report.stored} from "
                   f"store, {report.simulated} simulated "
-                  f"({report.seconds:.2f}s, {report.kernel} kernel) "
+                  f"({report.seconds:.2f}s) "
                   f"-> {report.stats_path}")
             exit_code |= _report_outputs(report, args)
     return exit_code
@@ -526,9 +511,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                               job_timeout=args.job_timeout,
                               max_queue=args.max_queue,
                               faults=args.faults,
-                              kernel=args.kernel,
-                              shards=args.shards,
-                              sharding=args.sharding,
                               pool=args.pool,
                               hierarchy=args.hierarchy,
                               fleet=True if args.fleet else None)
@@ -584,8 +566,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     ready_dir = Path(tempfile.mkdtemp(prefix="repro-fleet-"))
     base_cmd = [sys.executable, "-m", "repro", "serve", "--fleet",
                 "--store", args.store]
-    for flag, value in (("--jobs", args.jobs), ("--kernel", args.kernel),
-                        ("--pool", args.pool),
+    for flag, value in (("--jobs", args.jobs), ("--pool", args.pool),
                         ("--job-retries", args.job_retries),
                         ("--job-timeout", args.job_timeout),
                         ("--max-queue", args.max_queue),
@@ -747,14 +728,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         detail = f"{len(children)} children" if children else "in-process"
         if pool.get("fallback_reason"):
             detail += f"; fell back: {pool['fallback_reason']}"
+        if counters.get("pool_failovers"):
+            detail += f"; {counters['pool_failovers']:,} pool failovers"
         print(f"  pool              : {pool.get('type', '?'):>10} "
               f"({detail})")
-    if "sharding" in payload:
-        print(f"  sharding          : {payload['sharding']:>10} "
-              f"({payload.get('shards', 1)} shards/job, "
-              f"{counters.get('shards_executed', 0):,} shards run, "
-              f"{counters.get('shard_merges', 0):,} merges, "
-              f"{counters.get('pool_failovers', 0):,} pool failovers)")
     print(f"  requests          : {counters['requests']:>10,}  "
           f"({counters['submissions']:,} grids, "
           f"{counters['jobs']:,} jobs)")
@@ -908,19 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="experiment names (see 'figures'), or 'all'")
     run_parser.add_argument("--jobs", type=int, default=None,
                             help="worker processes (default: $REPRO_JOBS)")
-    run_parser.add_argument(
-        "--kernel", choices=kernel_names(), default=None,
-        help="trace-execution kernel (default: $REPRO_KERNEL or "
-             f"'{DEFAULT_KERNEL}'; results are bit-identical either way)")
-    run_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="trace shards per job (default: $REPRO_SHARDS or 1; "
-             "0 = one shard per host core)")
-    run_parser.add_argument(
-        "--sharding", choices=SHARDING_MODES, default=None,
-        help="shard mode (default: $REPRO_SHARDING or 'exact'). exact is "
-             "bit-identical to unsharded; approx runs shards concurrently "
-             "with a bounded stats delta and bypasses the results store")
     run_parser.add_argument("--force", action="store_true",
                             help="recompute jobs even when already stored")
     run_parser.add_argument("--check", nargs="?", const="", default=None,
@@ -960,23 +924,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None,
         help="workers in the simulation pool (default: $REPRO_JOBS)")
     serve_parser.add_argument(
-        "--kernel", choices=kernel_names(), default=None,
-        help="trace-execution kernel for this daemon's jobs (default: "
-             f"$REPRO_KERNEL or '{DEFAULT_KERNEL}'; results are "
-             "bit-identical either way)")
-    serve_parser.add_argument(
         "--pool", choices=POOL_KINDS, default=None,
         help="worker-pool kind (default: $REPRO_POOL or 'process'; "
              "'process' saturates a many-core host, 'thread' keeps jobs "
              "in-process)")
-    serve_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="trace shards per job in approx mode (default: $REPRO_SHARDS "
-             "or 1; 0 = one shard per host core)")
-    serve_parser.add_argument(
-        "--sharding", choices=SHARDING_MODES, default=None,
-        help="shard mode (default: $REPRO_SHARDING or 'exact'); approx "
-             "results are never persisted to the store")
     serve_parser.add_argument(
         "--ready-file", default=None, metavar="FILE",
         help="write the bound address to FILE once listening (how scripts "
@@ -1036,10 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None,
         help="workers in each member's simulation pool "
              "(default: $REPRO_JOBS)")
-    fleet_parser.add_argument(
-        "--kernel", choices=kernel_names(), default=None,
-        help="trace-execution kernel for the members' jobs (default: "
-             f"$REPRO_KERNEL or '{DEFAULT_KERNEL}')")
     fleet_parser.add_argument(
         "--pool", choices=POOL_KINDS, default=None,
         help="worker-pool kind for each member (default: $REPRO_POOL "

@@ -479,7 +479,7 @@ class HierarchySweepExperiment(Experiment):
     through the fixed paper configurations.  Every job's system carries a
     :class:`~repro.memory.spec.HierarchySpec` built by
     :func:`hierarchy_lattice_spec`, so the grid exercises the full
-    declarative path: spec -> N-level chain -> scalar/batch kernels ->
+    declarative path: spec -> N-level chain -> replay loop ->
     content-addressed store.  Job keys are pure functions of the spec, so
     the store dedups lattice points across re-runs and daemons serve the
     sweep incrementally — a re-run against a warm store recomputes

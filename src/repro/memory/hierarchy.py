@@ -9,7 +9,7 @@ on the L1 miss path.
 The hierarchy is no longer fixed to that triple: construct a
 :class:`CoreMemoryHierarchy` from a declarative
 :class:`~repro.memory.spec.HierarchySpec` and any chain of two or more
-cache levels runs through the same scalar and batch kernels.  The level
+cache levels runs through the same replay loop.  The level
 predictor's target space stays the paper's — the whole private
 intermediate group is classified as ``Level.L2`` and the shared LLC as
 ``Level.L3`` — so predictors, statistics and stored results keep their
@@ -49,14 +49,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 from typing import Deque, Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
 from ..energy.model import EnergyAccount, EnergyParameters
 from ..prefetch.base import NullPrefetcher, PrefetchAccess, Prefetcher
-from ..prefetch.nextline import TaggedNextLinePrefetcher
 from .block import (
     AccessResult,
     AccessType,
@@ -449,11 +447,11 @@ class CoreMemoryHierarchy:
 
         Record-level entry point: validates the access type, decomposes the
         address into its block/page components once, and delegates to
-        :meth:`access_decomposed` — the single exact scalar path that every
-        kernel in :mod:`repro.sim.kernels` also bottoms out in.  Because the
-        record path and the buffer replay path share that seam, they cannot
-        drift: :meth:`run_buffer` over a :class:`~repro.trace.TraceBuffer`
-        and :meth:`access` over the equivalent record list produce
+        :meth:`access_decomposed` — the single exact scalar path that
+        :meth:`run_buffer` also replays through.  Because the record path
+        and the buffer replay path share it, they cannot drift:
+        :meth:`run_buffer` over a :class:`~repro.trace.TraceBuffer` and
+        :meth:`access` over the equivalent record list produce
         bit-identical results.
         """
         atype = access.access_type
@@ -589,169 +587,41 @@ class CoreMemoryHierarchy:
             prediction.used_pld,
         )
 
-    def run_trace(self, accesses, kernel=None) -> List[AccessResult]:
+    def run_trace(self, accesses) -> List[AccessResult]:
         """Convenience helper: service a trace buffer or access iterable.
 
-        Buffers delegate to :meth:`run_buffer` (and its kernel seam);
-        legacy record iterables are serviced one :meth:`access` at a time,
-        which is the scalar path by definition — both representations
+        Buffers delegate to :meth:`run_buffer`; legacy record iterables are
+        serviced one :meth:`access` at a time — both representations
         produce bit-identical results.
         """
         from ..trace import TraceBuffer
 
         if isinstance(accesses, TraceBuffer):
-            return self.run_buffer(accesses, kernel=kernel)
+            return self.run_buffer(accesses)
         service = self.access
         return [service(access) for access in accesses]
 
-    def run_buffer(self, buffer, kernel=None) -> List[AccessResult]:
-        """Service a whole columnar trace buffer through a kernel.
+    def run_buffer(self, buffer) -> List[AccessResult]:
+        """Service a whole columnar trace buffer, one access at a time.
 
-        This is the engine's replay path and the simulator's single trace
-        execution seam: the selected kernel (see :mod:`repro.sim.kernels`)
-        owns the replay loop.  The scalar kernel services every access
-        through :meth:`access_decomposed`; the batch kernel resolves
-        repeat-block L1-hit runs in bulk via :meth:`bulk_repeat_hits` and
-        falls back to the same scalar path everywhere else, so every
-        kernel produces bit-identical results.
+        This is the simulator's replay loop: every access goes through
+        :meth:`access_decomposed`, in trace order, with its block and page
+        taken from the buffer's vectorised columns.  Returns the per-access
+        :class:`AccessResult` list the core model consumes.
 
-        Args:
-            buffer: The :class:`~repro.trace.TraceBuffer` to replay.
-            kernel: A kernel name (``"scalar"``/``"batch"``), a
-                :class:`~repro.sim.kernels.Kernel` instance, or ``None``
-                to resolve ``REPRO_KERNEL`` from the environment (default
-                ``"batch"``).
+        Raises:
+            ValueError: if the buffer contains non-demand records.
         """
-        # Imported lazily: repro.sim.kernels imports from this package.
-        from ..sim.kernels import resolve_kernel
-
-        return resolve_kernel(kernel).run(self, buffer)
-
-    def bulk_repeat_hits(self, block: int, page: int, count: int,
-                         store_count: int) -> bool:
-        """Apply the exact side effects of ``count`` repeat L1 hits at once.
-
-        The batch kernel calls this for the tail of a same-block run: the
-        head access (serviced through the exact scalar path immediately
-        before) either hit L1 or filled it on response, so the line should
-        be resident and most-recently-used and the TLB page warm.  Every
-        precondition is verified against the live model state; when one
-        fails — the L1 is not LRU-managed, the line is absent or still
-        carries its prefetched bit, the line's prefetch tag would trigger
-        on the next hit, the L1 prefetcher is not a guaranteed no-op for
-        untagged hits, or the page left the first-level TLB — this returns
-        ``False`` without touching any state and the kernel services the
-        next access through the scalar path before retrying.
-
-        On success every side effect the scalar path would perform for
-        these ``count`` accesses (``store_count`` of them stores) is
-        replayed: integer counters advance in one add, float accumulators
-        (demand latency, hierarchy energy) fold left one addition per
-        access so the rounding is bit-identical, replacement and TLB
-        recency state collapse to their final values, and the prefetch
-        window deques age element-exactly.
-        """
-        l1 = self.l1
-        lru = l1._lru_timestamps
-        if lru is None:
-            # Non-LRU replacement advances per access (and may consume
-            # RNG state); only the scalar path is exact.
-            return False
-        if l1._block_shift >= 0:
-            set_index = (block >> l1._block_shift) & l1._set_mask
-            way = l1._tag_to_way[set_index].get(block >> l1._tag_shift)
-        else:
-            set_index, way = l1._find(block)
-        if way is None:
-            return False
-        line = l1._lines[set_index][way]
-        if line.prefetched:
-            # The scalar path would clear the bit and credit the
-            # prefetcher's accuracy accounting.
-            return False
-        prefetcher = self.l1_prefetcher
-        prefetcher_type = type(prefetcher)
-        if prefetcher_type is TaggedNextLinePrefetcher:
-            if block in prefetcher._tagged:
-                # A hit on a tagged block triggers the next prefetch; one
-                # scalar access consumes the tag, then the rest can bulk.
-                return False
-        elif prefetcher_type is not NullPrefetcher:
-            # Unknown prefetchers (stride, subclasses) may train on every
-            # access; no untagged-hit no-op guarantee.
-            return False
-        tlb_l1 = self.tlb.l1
-        entries = tlb_l1._sets[page % tlb_l1._num_sets]
-        if page not in entries:
-            return False
-
-        # All preconditions hold: replay the side effects of `count`
-        # translate + L1-hit iterations of access_decomposed.
-        stats = self.stats
-        stats.demand_accesses += count
-        stats.loads += count - store_count
-        stats.stores += store_count
-        stats.l1_hits += count
-
-        entries.move_to_end(page)
-        tlb_l1.stats.hits += count
-
-        l1._clock += count
-        line.last_touch = l1._clock
-        policy = l1._policy
-        policy._clock += count
-        lru[set_index][way] = policy._clock
-        l1.stats.demand_hits += count
-        if store_count:
-            line.dirty = True
-            line.state = CoherenceState.MODIFIED
-
-        # Float accumulators fold left — one addition per access, in the
-        # scalar path's order, so the rounding is bit-identical.
-        by_category = self.energy.by_category
-        energy = by_category.get("hierarchy", 0.0)
-        step_nj = self._tlb_l1_nj
-        total_latency = stats.total_demand_latency
-        step_latency = self._l1_hit_latency
-        for _ in range(count):
-            energy += step_nj
-            total_latency += step_latency
-        by_category["hierarchy"] = energy
-        stats.total_demand_latency = total_latency
-
-        # Window bookkeeping: each hit appends False to the inflight-miss
-        # window; the first repeat access appends (and publishes) the
-        # prefetch count the head access accumulated after its own window
-        # update, every later access appends zero.  The deques age
-        # element-exactly; the running counts subtract what falls off.
-        inflight = self._inflight_misses
-        window = inflight.maxlen
-        dropped = len(inflight) + count - window
-        if dropped > 0:
-            if dropped >= len(inflight):
-                self._inflight_miss_count = 0
-            else:
-                self._inflight_miss_count -= sum(islice(inflight, dropped))
-        inflight.extend(repeat(False, count))
-
-        recent = self._recent_prefetches
-        pending = self._prefetches_this_access
-        dropped = len(recent) + count - window
-        if dropped > 0:
-            if dropped >= len(recent):
-                self._recent_prefetch_count = \
-                    pending if count <= window else 0
-            else:
-                self._recent_prefetch_count += \
-                    pending - sum(islice(recent, dropped))
-        else:
-            self._recent_prefetch_count += pending
-        recent.append(pending)
-        if count > 1:
-            recent.extend(repeat(0, count - 1))
-        if pending:
-            self._prefetches_this_access = 0
-        return True
+        addresses, blocks, pages, is_store, pcs = buffer.replay_columns(
+            self._block_size, self._l1_page_size)
+        service = self.access_decomposed
+        load = _LOAD
+        store = _STORE
+        return [
+            service(address, block, page, store if stored else load, pc)
+            for address, block, page, stored, pc in zip(
+                addresses, blocks, pages, is_store, pcs)
+        ]
 
     # ==================================================================
     # Location and classification helpers

@@ -114,12 +114,9 @@ import sys
 import threading
 import time
 from concurrent.futures import (
-    FIRST_EXCEPTION,
     Future,
-    InvalidStateError,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    wait as wait_futures,
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -133,9 +130,6 @@ from .sim.engine import (
     MixJob,
     SimulationJob,
     execute_job,
-    execute_shard,
-    merge_shard_results,
-    plan_shard_tasks,
 )
 from .sim.options import EngineOptions
 from .sim.store import (
@@ -396,21 +390,6 @@ class SimulationService:
         max_queue: Admission-control bound on active jobs; ``None`` reads
             ``REPRO_MAX_QUEUE``, 0/unset disables.  Submits beyond the
             bound are shed with a retryable ``overloaded`` error.
-        kernel: Trace-execution kernel for the jobs this daemon runs
-            (see :mod:`repro.sim.kernels`); ``None`` reads
-            ``REPRO_KERNEL``, defaulting to ``"batch"``.  Never affects
-            results — kernels are bit-identical by construction — and is
-            surfaced in the ``stats`` payload.
-        shards: Within-job trace shard count; ``None`` reads
-            ``REPRO_SHARDS``, defaulting to 1 (0 = one shard per host
-            core).  Only takes effect in ``approx`` sharding mode — the
-            daemon's store holds exact results only, so exact mode keeps
-            the unsharded per-job path.
-        sharding: ``"exact"`` (default) or ``"approx"``; ``None`` reads
-            ``REPRO_SHARDING``.  Approx mode fans each owned job's shards
-            over the worker pool and merges the per-shard statistics —
-            deterministic but *not* bit-identical, so approx results are
-            returned to the caller and **never persisted** to the store.
         pool: Worker-pool kind, ``"process"`` (default: saturates a
             many-core host; jobs must pickle) or ``"thread"`` (in-process:
             what tests that monkeypatch ``execute_job`` or install an
@@ -440,25 +419,18 @@ class SimulationService:
                  job_retries: Optional[int] = None,
                  job_timeout: Optional[float] = None,
                  max_queue: Optional[int] = None,
-                 kernel: Optional[str] = None,
-                 shards: Optional[int] = None,
-                 sharding: Optional[str] = None,
                  pool: Optional[str] = None,
                  hierarchy: Optional[str] = None,
                  fleet: Optional[bool] = None) -> None:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
-        # Worker count, kernel and the shard/pool knobs all resolve
-        # through EngineOptions — the one place REPRO_JOBS / REPRO_KERNEL /
-        # REPRO_SHARDS / REPRO_SHARDING / REPRO_POOL are parsed.
-        options = EngineOptions.from_env(kernel=kernel, jobs=jobs,
-                                         shards=shards, sharding=sharding,
-                                         pool=pool, hierarchy=hierarchy)
+        # Worker count, pool kind and hierarchy resolve through
+        # EngineOptions — the one place REPRO_JOBS / REPRO_POOL /
+        # REPRO_HIERARCHY are parsed.
+        options = EngineOptions.from_env(jobs=jobs, pool=pool,
+                                         hierarchy=hierarchy)
         self.num_workers = options.jobs
-        self.kernel = options.kernel
-        self.shards = options.shards
-        self.sharding = options.sharding
         self.pool_kind = options.pool
         # Load the hierarchy spec once at startup: a bad file must refuse
         # the daemon, not poison every submitted experiment later.
@@ -468,11 +440,6 @@ class SimulationService:
             from .memory.spec import load_hierarchy
             self.hierarchy_spec = load_hierarchy(options.hierarchy)
             self.hierarchy_name = Path(options.hierarchy).stem
-        # Forward the kernel to execute_job only when explicitly chosen:
-        # workers are threads of this process, so execute_job's own
-        # REPRO_KERNEL fallback resolves identically, and tests that
-        # substitute execute_job keep working with its old signature.
-        self._kernel_arg = kernel
         if job_retries is None:
             env_value = os.environ.get(REPRO_JOB_RETRIES_ENV, "").strip()
             job_retries = int(env_value) if env_value \
@@ -521,8 +488,6 @@ class SimulationService:
             "shed": 0,           # submits refused by admission control
             "put_retries": 0,    # store appends retried after a failure
             "put_failures": 0,   # store appends abandoned (degraded mode)
-            "shards_executed": 0,  # approx-mode shard tasks completed
-            "shard_merges": 0,   # per-job merges of shard partials
             "pool_failovers": 0,  # broken process pools rebuilt mid-run
             "claims_won": 0,     # fleet claims this daemon won outright
             "claims_lost": 0,    # claims another daemon held first
@@ -599,18 +564,6 @@ class SimulationService:
                 print("repro.service: worker pool broke; rebuilding",
                       file=sys.stderr)
                 self._pool = self._build_pool()
-
-    def _submit_raw(self, fn, *args: Any, **kwargs: Any) -> "Future[Any]":
-        """Submit a callable to the pool, surviving one broken-pool event.
-
-        ``RuntimeError`` from a shut-down pool propagates untouched (the
-        retry machinery upstream treats it like any failed attempt).
-        """
-        try:
-            return self._pool.submit(fn, *args, **kwargs)
-        except BrokenProcessPool:
-            self._rebuild_pool()
-            return self._pool.submit(fn, *args, **kwargs)
 
     # ------------------------------------------------------------------
     # Submission
@@ -691,14 +644,7 @@ class SimulationService:
                                self.hierarchy_name)
 
     def _job_keys(self, job_list: Sequence[Job]) -> List[Optional[str]]:
-        """Each job's store key; ``None`` for jobs the store cannot hold.
-
-        Approx-sharded results are deterministic but not bit-identical to
-        the exact replay, so in that mode no job is keyed: none is served
-        from, deduplicated against, or persisted into the exact-only store.
-        """
-        if self.sharding == "approx" and self.shards > 1:
-            return [None] * len(job_list)
+        """Each job's store key; ``None`` for jobs the store cannot hold."""
         return [try_job_key(job) for job in job_list]
 
     def _build_grid(self, experiment: str, scale: Scale
@@ -706,9 +652,9 @@ class SimulationService:
         """One figure grid's job list and job keys (see ``self._grid``).
 
         The memo is exact: the registry and the suite do not change within
-        a process, the hierarchy override and sharding mode are fixed for
-        the life of the service, and :func:`scale_from_wire` coerces every
-        scale field to ``int``.  It holds key strings, never results, so
+        a process, the hierarchy override is fixed for the life of the
+        service, and :func:`scale_from_wire` coerces every scale field to
+        ``int``.  It holds key strings, never results, so
         every request still asks the store — a store cleared, compacted or
         written by a sibling daemon is served correctly.
         """
@@ -780,78 +726,19 @@ class SimulationService:
     def _submit_job(self, job: Job) -> "Future[Any]":
         """Submit one job to the pool, tracked for admission control.
 
-        In ``approx`` sharding mode a job that the planner can split fans
-        out as shard tasks over the pool and comes back as one merged
-        future; everything else (exact mode, mixes, tiny traces) runs
-        the unsharded single-job path.  Either way the job counts once
-        against admission control.
+        Survives one broken-pool event by rebuilding the pool;
+        ``RuntimeError`` from a shut-down pool propagates untouched (the
+        retry machinery upstream treats it like any failed attempt).
         """
-        plan = None
-        if self.sharding == "approx" and self.shards > 1:
-            plan = plan_shard_tasks(
-                job, self.shards,
-                kernel=self.kernel if self._kernel_arg is not None
-                else None)
-        if plan is not None:
-            future = self._submit_sharded(plan)
-        elif self._kernel_arg is None:
-            future = self._submit_raw(execute_job, job)
-        else:
-            future = self._submit_raw(execute_job, job,
-                                      kernel=self.kernel)
+        try:
+            future = self._pool.submit(execute_job, job)
+        except BrokenProcessPool:
+            self._rebuild_pool()
+            future = self._pool.submit(execute_job, job)
         with self._admission_lock:
             self._active_jobs += 1
         future.add_done_callback(self._job_finished)
         return future
-
-    def _submit_sharded(self, plan: List[Any]) -> "Future[Any]":
-        """Fan one job's shard tasks over the pool; one merged future.
-
-        The returned future resolves to the merged
-        :class:`~repro.sim.system.SimulationResult` once every shard
-        lands (merge order is the plan order, so the result is
-        deterministic regardless of completion order).  A failing shard
-        cancels its queued siblings and fails the merged future, which
-        then flows through the ordinary retry/quarantine machinery.
-        """
-        shard_futures = [self._submit_raw(execute_shard, task)
-                         for task in plan]
-        merged: "Future[Any]" = Future()
-
-        def _collect() -> None:
-            try:
-                # FIRST_EXCEPTION, not plan-order result() calls: a late
-                # shard failing must surface (and cancel its queued
-                # siblings) immediately, not after every earlier shard
-                # happens to finish.
-                wait_futures(shard_futures, return_when=FIRST_EXCEPTION)
-                failed = next((future for future in shard_futures
-                               if future.done() and not future.cancelled()
-                               and future.exception() is not None), None)
-                if failed is not None:
-                    raise failed.exception()
-                partials = [future.result() for future in shard_futures]
-                result = merge_shard_results(partials)
-            except BaseException as exc:  # noqa: BLE001 - to the future
-                for future in shard_futures:
-                    future.cancel()
-                if not merged.cancelled():
-                    try:
-                        merged.set_exception(exc)
-                    except InvalidStateError:
-                        pass  # abandoned by a timed-out collect
-                return
-            with self._lock:
-                self.counters["shards_executed"] += len(partials)
-                self.counters["shard_merges"] += 1
-            if not merged.cancelled():
-                try:
-                    merged.set_result(result)
-                except InvalidStateError:
-                    pass  # abandoned by a timed-out collect
-        threading.Thread(target=_collect, name="repro-shard-merge",
-                         daemon=True).start()
-        return merged
 
     def _job_finished(self, future: "Future[Any]") -> None:
         del future
@@ -989,9 +876,8 @@ class SimulationService:
                 with self._lock:
                     for index, key in enumerate(keys):
                         if key is None:
-                            # Unkeyed jobs (uncacheable specs, approx-
-                            # sharded runs) always simulate — report them
-                            # as such.
+                            # Unkeyed (uncacheable) jobs always simulate —
+                            # report them as such.
                             plan.append(("direct",
                                          self._submit_job(job_list[index])))
                             self.counters["simulations"] += 1
@@ -1360,9 +1246,6 @@ class SimulationService:
         return {
             "uptime_seconds": time.time() - self.started_at,
             "workers": self.num_workers,
-            "kernel": self.kernel,
-            "shards": self.shards,
-            "sharding": self.sharding,
             "fleet": self.fleet,
             "pid": os.getpid(),
             "pool": {
@@ -2085,9 +1968,6 @@ def main_serve(store: Union[str, Path], port: Optional[int] = None,
                job_timeout: Optional[float] = None,
                max_queue: Optional[int] = None,
                faults: Optional[str] = None,
-               kernel: Optional[str] = None,
-               shards: Optional[int] = None,
-               sharding: Optional[str] = None,
                pool: Optional[str] = None,
                hierarchy: Optional[str] = None,
                fleet: Optional[bool] = None) -> int:
@@ -2111,10 +1991,8 @@ def main_serve(store: Union[str, Path], port: Optional[int] = None,
 
     service = SimulationService(store, jobs=jobs, job_retries=job_retries,
                                 job_timeout=job_timeout,
-                                max_queue=max_queue, kernel=kernel,
-                                shards=shards, sharding=sharding,
-                                pool=pool, hierarchy=hierarchy,
-                                fleet=fleet)
+                                max_queue=max_queue, pool=pool,
+                                hierarchy=hierarchy, fleet=fleet)
     server, address = create_server(service, port=port,
                                     socket_path=socket_path)
     print(f"repro.service: listening on {address} "

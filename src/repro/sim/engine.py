@@ -70,12 +70,11 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..faults import fault_point
-from ..trace import TraceBuffer, plan_shards
+from ..trace import TraceBuffer
 from ..workloads.base import Workload
 from ..workloads.mixes import get_mix, mix_core_plan
 from ..workloads.suite import build_workload
@@ -365,22 +364,13 @@ def mix_traces(mix_name: str, accesses_per_core: int, seed: int = 0,
     return traces, list(mix.applications)
 
 
-def execute_job(job: Job, trace_cache: Optional[TraceCache] = None,
-                kernel: Optional[str] = None, shards: int = 1):
+def execute_job(job: Job, trace_cache: Optional[TraceCache] = None):
     """Run one job to completion in the current process.
 
     This is the single entry point used by both the serial fallback and the
     pool workers; it builds a fresh system, pulls the trace(s) through
     ``trace_cache`` (the process-local :data:`TRACE_CACHE` by default), and
-    returns the picklable result.  ``kernel`` selects the trace-execution
-    kernel for single-core replay (see :mod:`repro.sim.kernels`); ``None``
-    falls back to the worker's inherited ``REPRO_KERNEL`` environment.
-    Kernels are bit-identical by construction, so the result — and
-    therefore the store key it is filed under — does not depend on the
-    choice.  ``shards > 1`` routes single-core replay through the *exact*
-    sharded path (:meth:`~repro.sim.system.SimulatedSystem.run_trace_sharded`
-    — sequential hand-off, bit-identical by construction); mix jobs
-    ignore it.
+    returns the picklable result.
     """
     # Fault site: a worker crashing (or being killed) while holding a job.
     # Sits before any system state is built, so a retried job replays from
@@ -409,173 +399,9 @@ def execute_job(job: Job, trace_cache: Optional[TraceCache] = None,
     buffer = cache.get(job.workload, total, seed=job.seed)
     if job.warmup_accesses:
         # Zero-copy split: both halves are views into the cached buffer.
-        system.hierarchy.run_buffer(buffer[:job.warmup_accesses],
-                                    kernel=kernel)
+        system.hierarchy.run_buffer(buffer[:job.warmup_accesses])
         system.reset_statistics()
-    if shards > 1:
-        return system.run_trace_sharded(buffer[job.warmup_accesses:],
-                                        workload.name, kernel=kernel,
-                                        shards=shards)
-    return system.run_trace(buffer[job.warmup_accesses:], workload.name,
-                            kernel=kernel)
-
-
-# ======================================================================
-# Within-job trace sharding (the fast-approximate mode's work units)
-# ======================================================================
-#: Warm-up overlap replayed before each non-leading approximate shard
-#: (accesses).  Sized to prime the paper hierarchy's hot state — at the
-#: committed grid scales it covers everything preceding the shard, which
-#: pins the approximation error to the core model's window boundaries.
-DEFAULT_SHARD_OVERLAP = 2048
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One picklable unit of fast-approximate sharded execution.
-
-    ``[start, end)`` is the measured span in absolute rows of the job's
-    full (warm-up + measured) trace buffer; ``warmup`` rows immediately
-    before ``start`` are replayed first and excluded from statistics.
-    The task carries its job so any worker process can rebuild the trace
-    through its own process-local cache.
-    """
-
-    job: SimulationJob
-    index: int
-    start: int
-    end: int
-    warmup: int
-    kernel: Optional[str] = None
-
-
-def plan_shard_tasks(job: Job, shards: int,
-                     overlap: int = DEFAULT_SHARD_OVERLAP,
-                     kernel: Optional[str] = None
-                     ) -> Optional[List[ShardTask]]:
-    """Shard tasks for one job, or ``None`` when sharding cannot help.
-
-    Mix jobs (per-core traces are already the parallel unit) and traces
-    too short to produce more than one span fall back to the unsharded
-    path by returning ``None``.
-    """
-    if shards <= 1 or not isinstance(job, SimulationJob):
-        return None
-    total = job.num_accesses + job.warmup_accesses
-    plan = plan_shards(total, shards, warmup_accesses=job.warmup_accesses,
-                       overlap=overlap)
-    if len(plan) <= 1:
-        return None
-    return [ShardTask(job=job, index=shard.index, start=shard.start,
-                      end=shard.end, warmup=shard.warmup, kernel=kernel)
-            for shard in plan]
-
-
-def execute_shard(task: ShardTask, trace_cache: Optional[TraceCache] = None):
-    """Run one approximate shard to completion in the current process.
-
-    A fresh system replays the shard's warm-up window (discarded from
-    statistics), then measures its span.  The result is fully determined
-    by the plan — identical whether the task runs serially, on a pool,
-    or after a mid-run failover — which keeps approximate mode
-    deterministic even though it is not bit-identical to the unsharded
-    replay.
-    """
-    # Same crash/kill fault site as whole jobs: a retried shard replays
-    # from scratch and lands on the same deterministic result.
-    fault_point("worker.job")
-    from .system import SimulatedSystem
-
-    cache = TRACE_CACHE if trace_cache is None else trace_cache
-    job = task.job
-    base_config = job.config or SystemConfig.paper_single_core()
-    system = SimulatedSystem(base_config.with_predictor(job.predictor))
-    workload = cache.resolve(job.workload)
-    total = job.num_accesses + job.warmup_accesses
-    buffer = cache.get(job.workload, total, seed=job.seed)
-    if task.warmup:
-        system.hierarchy.run_buffer(buffer[task.start - task.warmup:
-                                           task.start], kernel=task.kernel)
-        system.reset_statistics()
-    return system.run_trace(buffer[task.start:task.end], workload.name,
-                            kernel=task.kernel)
-
-
-def merge_shard_results(partials: Sequence) -> "object":
-    """Merge per-shard results into one job-level ``SimulationResult``.
-
-    Every counter is summed — the shard spans partition the measured
-    region, so pure row counts (accesses, loads, stores, instructions)
-    merge losslessly — and every derived ratio (IPC, average latencies,
-    recovery rate/fraction, misprediction ratios) is recomputed from the
-    sums.  What does *not* merge exactly is the cross-shard cache state
-    each shard approximated with its warm-up window; that bounded drift
-    is why this path backs the opt-in ``approx`` mode only.
-    """
-    from ..core.base import PredictorStats
-    from ..core.recovery import RecoverySummary
-    from ..cpu.ooo_core import ExecutionResult
-    from ..memory.hierarchy import HierarchyStats
-    from .system import SimulationResult
-
-    if not partials:
-        raise ValueError("cannot merge zero shard results")
-    first = partials[0]
-    execution = ExecutionResult(
-        cycles=sum(p.execution.cycles for p in partials),
-        instructions=sum(p.execution.instructions for p in partials),
-        memory_accesses=sum(p.execution.memory_accesses for p in partials),
-        stall_cycles=sum(p.execution.stall_cycles for p in partials))
-    hierarchy = HierarchyStats()
-    for name in HierarchyStats.__dataclass_fields__:
-        setattr(hierarchy, name,
-                sum(getattr(p.hierarchy_stats, name) for p in partials))
-    predictor = PredictorStats()
-    for p in partials:
-        stats = p.predictor_stats
-        predictor.predictions += stats.predictions
-        predictor.multi_way_predictions += stats.multi_way_predictions
-        predictor.pld_predictions += stats.pld_predictions
-        predictor.pld_mispredictions += stats.pld_mispredictions
-        predictor.metadata_hits += stats.metadata_hits
-        predictor.metadata_misses += stats.metadata_misses
-        predictor.updates += stats.updates
-        for outcome, count in stats.outcomes.items():
-            predictor.outcomes[outcome] = (
-                predictor.outcomes.get(outcome, 0) + count)
-        for levels, count in stats.level_histogram.items():
-            predictor.level_histogram[levels] = (
-                predictor.level_histogram.get(levels, 0) + count)
-    energy_breakdown: Dict[str, float] = {}
-    for p in partials:
-        for category, nanojoules in p.energy_breakdown.items():
-            energy_breakdown[category] = (
-                energy_breakdown.get(category, 0.0) + nanojoules)
-    hierarchy_energy = sum(p.cache_hierarchy_energy_nj for p in partials)
-    recovery_energy = sum(p.recovery.recovery_energy_nj for p in partials)
-    recovery = RecoverySummary(
-        predictions=hierarchy.predictions,
-        recoveries=hierarchy.recoveries,
-        recovery_rate=(hierarchy.recoveries / hierarchy.predictions
-                       if hierarchy.predictions else 0.0),
-        recovery_energy_nj=recovery_energy,
-        recovery_energy_fraction=(recovery_energy / hierarchy_energy
-                                  if hierarchy_energy else 0.0),
-        forced_mshr_deallocations=sum(
-            p.recovery.forced_mshr_deallocations for p in partials))
-    return SimulationResult(
-        workload=first.workload,
-        system=first.system,
-        predictor=first.predictor,
-        execution=execution,
-        hierarchy_stats=hierarchy,
-        predictor_stats=predictor,
-        energy_breakdown=energy_breakdown,
-        cache_hierarchy_energy_nj=hierarchy_energy,
-        recovery=recovery,
-        metadata_miss_ratio=predictor.metadata_miss_ratio,
-        pld_misprediction_ratio=predictor.pld_misprediction_ratio,
-    )
+    return system.run_trace(buffer[job.warmup_accesses:], workload.name)
 
 
 # ======================================================================
@@ -599,32 +425,23 @@ class SimulationEngine:
             :class:`~repro.sim.store.ResultStore` at that directory.  With a store attached, :meth:`run` serves
             previously computed jobs from disk and persists fresh ones —
             simulations only happen for jobs the store has never seen.
-        kernel: Trace-execution kernel name (``"scalar"``/``"batch"``,
-            see :mod:`repro.sim.kernels`).  ``None`` reads
-            ``REPRO_KERNEL``, defaulting to ``"batch"``; the choice is
-            threaded through to worker processes and never affects
-            results (kernels are bit-identical by construction).
         options: A pre-built :class:`~repro.sim.options.EngineOptions`;
-            when given, the environment is not consulted again and the
-            explicit ``jobs``/``kernel`` arguments act as overrides.
+            when given, the environment is not consulted again and an
+            explicit ``jobs`` argument acts as an override.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  trace_cache: Optional[TraceCache] = None,
                  store: Union[None, bool, str, Path, ResultStore] = None,
-                 kernel: Optional[str] = None,
                  options: Optional[EngineOptions] = None) -> None:
-        # All environment resolution (REPRO_JOBS, REPRO_KERNEL,
-        # REPRO_STORE) happens in EngineOptions — explicit arguments win.
+        # All environment resolution (REPRO_JOBS, REPRO_STORE) happens in
+        # EngineOptions — explicit arguments win.
         if options is None:
-            options = EngineOptions.from_env(kernel=kernel, jobs=jobs)
+            options = EngineOptions.from_env(jobs=jobs)
         else:
-            options = options.with_overrides(kernel=kernel, jobs=jobs)
+            options = options.with_overrides(jobs=jobs)
         self.options = options
-        self.kernel = options.kernel
         self.num_workers = options.jobs
-        self.shards = options.shards
-        self.sharding = options.sharding
         # Explicit None check: an empty TraceCache has len() == 0, is falsy.
         self.trace_cache = TRACE_CACHE if trace_cache is None else trace_cache
         if store is None or store is True:
@@ -641,9 +458,6 @@ class SimulationEngine:
         self.put_failures = 0
         #: Times a broken worker pool forced the serial fallback mid-run.
         self.pool_failovers = 0
-        #: Approximate-mode shard tasks executed / merges performed.
-        self.shards_executed = 0
-        self.shard_merges = 0
 
     #: Bounded store-append retry: attempts and base backoff (seconds,
     #: doubled per attempt).  Transient EIO heals; persistent ENOSPC gives
@@ -679,11 +493,6 @@ class SimulationEngine:
         jobs = list(jobs)
         if not jobs:
             return []
-        if self.sharding == "approx" and self.shards > 1:
-            # Approximate results are *not* bit-identical to the exact
-            # replay, so they must never be served from — or persisted
-            # into — the exact-only store.  The store stays untouched.
-            return list(self._iter_execute(jobs, chunk_align))
         if self.store is None:
             return list(self._iter_execute(jobs, chunk_align))
 
@@ -747,19 +556,10 @@ class SimulationEngine:
 
     def _iter_execute(self, jobs: List[Job], chunk_align: int = 1):
         """Yield results for ``jobs`` in order: serial path or process pool."""
-        if self.sharding == "approx" and self.shards > 1:
-            yield from self._iter_execute_approx(jobs)
-            return
-        kernel = self.kernel
-        # Exact sharding rides along with each job (sequential hand-off
-        # inside the worker, bit-identical).  The kwarg is only passed when
-        # sharding is actually requested, so tests that monkeypatch
-        # ``execute_job`` with the historical signature keep working.
-        extra = {"shards": self.shards} if self.shards > 1 else {}
         if self.num_workers <= 1 or len(jobs) == 1:
             cache = self.trace_cache
             for job in jobs:
-                yield execute_job(job, cache, kernel=kernel, **extra)
+                yield execute_job(job, cache)
             return
         workers = min(self.num_workers, len(jobs))
         chunksize = max(1, len(jobs) // (workers * 4))
@@ -776,16 +576,13 @@ class SimulationEngine:
             pool.shutdown(wait=False)
             cache = self.trace_cache
             for job in jobs:
-                yield execute_job(job, cache, kernel=kernel, **extra)
+                yield execute_job(job, cache)
             return
         completed = 0
         try:
             with pool:
-                # The engine's explicit kernel choice travels with each
-                # job, overriding whatever REPRO_KERNEL the workers
-                # inherited from the environment.
-                worker = partial(execute_job, kernel=kernel, **extra)
-                for result in pool.map(worker, jobs, chunksize=chunksize):
+                for result in pool.map(execute_job, jobs,
+                                       chunksize=chunksize):
                     completed += 1
                     yield result
         except BrokenProcessPool:
@@ -799,64 +596,7 @@ class SimulationEngine:
                   file=sys.stderr)
             cache = self.trace_cache
             for job in jobs[completed:]:
-                yield execute_job(job, cache, kernel=kernel, **extra)
-
-    def _iter_execute_approx(self, jobs: List[Job]):
-        """Yield approximate-mode results for ``jobs`` in job order.
-
-        Each job is planned into concurrent shard tasks
-        (:func:`plan_shard_tasks`); jobs the planner declines (mixes, tiny
-        traces) run unsharded.  All shard tasks of all jobs are flattened
-        into one batch so a single long-trace request still fans out over
-        every worker, then merged back per job.
-        """
-        plans = [plan_shard_tasks(job, self.shards, kernel=self.kernel)
-                 for job in jobs]
-        tasks = [task for plan in plans if plan for task in plan]
-        partials = self._execute_shard_tasks(tasks)
-        cursor = 0
-        for job, plan in zip(jobs, plans):
-            if plan is None:
-                yield execute_job(job, self.trace_cache, kernel=self.kernel)
-                continue
-            span = partials[cursor:cursor + len(plan)]
-            cursor += len(plan)
-            self.shards_executed += len(span)
-            self.shard_merges += 1
-            yield merge_shard_results(span)
-
-    def _execute_shard_tasks(self, tasks: List[ShardTask]) -> List:
-        """Execute shard tasks (order-preserving), pooled when it helps.
-
-        Reuses the engine's pool discipline: probe-submit to detect hosts
-        where process spawning is unavailable, and finish serially after a
-        :class:`BrokenProcessPool` — shard tasks are deterministic, so the
-        failover path lands on the same merged result.
-        """
-        if not tasks:
-            return []
-        workers = min(max(self.num_workers, self.shards), len(tasks))
-        if workers <= 1 or len(tasks) == 1:
-            return [execute_shard(task, self.trace_cache) for task in tasks]
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            pool.submit(os.getpid).result()
-        except OSError:
-            pool.shutdown(wait=False)
-            return [execute_shard(task, self.trace_cache) for task in tasks]
-        partials: List = []
-        try:
-            with pool:
-                for result in pool.map(execute_shard, tasks):
-                    partials.append(result)
-        except BrokenProcessPool:
-            self.pool_failovers += 1
-            print(f"repro.engine: shard pool broke after {len(partials)}/"
-                  f"{len(tasks)} shards; finishing the rest serially",
-                  file=sys.stderr)
-            partials.extend(execute_shard(task, self.trace_cache)
-                            for task in tasks[len(partials):])
-        return partials
+                yield execute_job(job, cache)
 
     # ------------------------------------------------------------------
     def run_grid(self, workloads: Sequence[WorkloadSpec],

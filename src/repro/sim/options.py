@@ -16,13 +16,7 @@ The knobs and their environment variables:
 ============  ==================  ==========================================
 attribute     environment          meaning
 ============  ==================  ==========================================
-``kernel``    ``REPRO_KERNEL``    trace-execution kernel name (``batch``)
 ``jobs``      ``REPRO_JOBS``      worker process/thread count (1 = serial)
-``shards``    ``REPRO_SHARDS``    trace shards per job (1 = unsharded;
-                                  0 = one shard per host core)
-``sharding``  ``REPRO_SHARDING``  shard mode: ``exact`` (default,
-                                  bit-identical) or ``approx`` (concurrent
-                                  shards, bounded stats delta)
 ``pool``      ``REPRO_POOL``      daemon worker pool kind: ``process``
                                   (default) or ``thread``
 ``store``     ``REPRO_STORE``     results-store root, ``None`` = no store
@@ -43,22 +37,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 from ..faults import REPRO_FAULTS_ENV
-from .kernels import Kernel, resolve_kernel
 from .store import REPRO_STORE_ENV, REPRO_TRACE_DIR_ENV
 
 #: Environment variable selecting the worker count (engine processes /
 #: daemon workers).  Unset or empty means 1 (deterministic serial path).
 REPRO_JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable selecting the per-job trace shard count.  Unset
-#: or empty means 1 (unsharded); 0 means one shard per host core.
-REPRO_SHARDS_ENV = "REPRO_SHARDS"
-
-#: Environment variable selecting the sharding mode.
-REPRO_SHARDING_ENV = "REPRO_SHARDING"
 
 #: Environment variable selecting the daemon worker-pool kind.
 REPRO_POOL_ENV = "REPRO_POOL"
@@ -66,12 +52,6 @@ REPRO_POOL_ENV = "REPRO_POOL"
 #: Environment variable naming a declarative hierarchy spec file applied
 #: to every job (``run --hierarchy`` / ``serve --hierarchy``).
 REPRO_HIERARCHY_ENV = "REPRO_HIERARCHY"
-
-#: Sharding modes: ``exact`` keeps stored bytes bit-identical by
-#: construction (sequential hand-off through one system); ``approx`` runs
-#: shards concurrently with overlapping warm-up windows and a bounded,
-#: measured stats delta (opt-in, never the default).
-SHARDING_MODES = ("exact", "approx")
 
 #: Daemon worker-pool kinds.  ``process`` saturates a many-core host;
 #: ``thread`` keeps jobs in-process (what tests that monkeypatch
@@ -94,40 +74,6 @@ def _resolve_jobs(jobs: Optional[int]) -> int:
             f"{env_value!r}") from exc
 
 
-def _resolve_shards(shards: Optional[int]) -> int:
-    """Explicit shard count, else ``REPRO_SHARDS``, else 1 (unsharded).
-
-    A count of 0 means "auto": one shard per host core — the knob scripts
-    set without caring how many cores the runner has.
-    """
-    if shards is None:
-        env_value = os.environ.get(REPRO_SHARDS_ENV, "").strip()
-        if not env_value:
-            return 1
-        try:
-            shards = int(env_value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{REPRO_SHARDS_ENV} must be an integer, got "
-                f"{env_value!r}") from exc
-    shards = int(shards)
-    if shards == 0:
-        return os.cpu_count() or 1
-    return max(1, shards)
-
-
-def _resolve_sharding(sharding: Optional[str]) -> str:
-    """Explicit mode, else ``REPRO_SHARDING``, else ``exact``."""
-    if sharding is None:
-        sharding = os.environ.get(REPRO_SHARDING_ENV, "").strip() or "exact"
-    sharding = str(sharding).strip().lower()
-    if sharding not in SHARDING_MODES:
-        raise ValueError(
-            f"sharding mode must be one of {', '.join(SHARDING_MODES)}, "
-            f"got {sharding!r}")
-    return sharding
-
-
 def _resolve_pool(pool: Optional[str]) -> str:
     """Explicit pool kind, else ``REPRO_POOL``, else ``process``."""
     if pool is None:
@@ -140,19 +86,10 @@ def _resolve_pool(pool: Optional[str]) -> str:
     return pool
 
 
-def _resolve_kernel_name(kernel: Union[None, str, Kernel]) -> str:
-    """Explicit kernel (name or instance), else ``REPRO_KERNEL``/default.
-
-    Always validates through :func:`~repro.sim.kernels.resolve_kernel`, so
-    a typo in ``--kernel``/``REPRO_KERNEL`` fails loudly at option-building
-    time, not deep inside a worker process.
-    """
-    return resolve_kernel(kernel).name
-
-
 @dataclass(frozen=True)
 class EngineOptions:
-    """Resolved execution knobs (kernel, workers, store, traces, faults).
+    """Resolved execution knobs (workers, pool, store, traces, faults,
+    hierarchy).
 
     Instances are immutable; build one with :meth:`from_env` (the normal
     path — applies the explicit-over-environment-over-default precedence)
@@ -161,10 +98,7 @@ class EngineOptions:
     the options must stay cheap to construct and pickle.
     """
 
-    kernel: str = "batch"
     jobs: int = 1
-    shards: int = 1
-    sharding: str = "exact"
     pool: str = "process"
     store: Optional[str] = None
     trace_dir: Optional[str] = None
@@ -172,10 +106,7 @@ class EngineOptions:
     hierarchy: Optional[str] = None
 
     @classmethod
-    def from_env(cls, kernel: Union[None, str, Kernel] = None,
-                 jobs: Optional[int] = None,
-                 shards: Optional[int] = None,
-                 sharding: Optional[str] = None,
+    def from_env(cls, jobs: Optional[int] = None,
                  pool: Optional[str] = None,
                  store: Optional[str] = None,
                  trace_dir: Optional[str] = None,
@@ -187,8 +118,7 @@ class EngineOptions:
         ``store`` and ``faults`` treat an empty string like ``None``
         (disabled).  ``trace_dir`` preserves the empty string — an empty
         ``REPRO_TRACE_DIR`` explicitly disables trace spilling, while
-        ``None`` means "derive from the store location".  ``shards=0``
-        (or ``REPRO_SHARDS=0``) resolves to one shard per host core.
+        ``None`` means "derive from the store location".
         """
         if store is None:
             store = os.environ.get(REPRO_STORE_ENV, "").strip() or None
@@ -209,33 +139,17 @@ class EngineOptions:
             hierarchy = None
         else:
             hierarchy = str(hierarchy)
-        return cls(kernel=_resolve_kernel_name(kernel),
-                   jobs=max(1, _resolve_jobs(jobs)),
-                   shards=_resolve_shards(shards),
-                   sharding=_resolve_sharding(sharding),
+        return cls(jobs=max(1, _resolve_jobs(jobs)),
                    pool=_resolve_pool(pool),
                    store=store, trace_dir=trace_dir, faults=faults,
                    hierarchy=hierarchy)
 
-    def with_overrides(self, kernel: Union[None, str, Kernel] = None,
-                       jobs: Optional[int] = None,
-                       shards: Optional[int] = None,
-                       sharding: Optional[str] = None,
+    def with_overrides(self, jobs: Optional[int] = None,
                        pool: Optional[str] = None) -> "EngineOptions":
-        """A copy with non-``None`` overrides applied (no env consulted).
-
-        ``shards=0`` resolves to one shard per host core, mirroring
-        :meth:`from_env`.
-        """
+        """A copy with non-``None`` overrides applied (no env consulted)."""
         updated = self
-        if kernel is not None:
-            updated = replace(updated, kernel=_resolve_kernel_name(kernel))
         if jobs is not None:
             updated = replace(updated, jobs=max(1, int(jobs)))
-        if shards is not None:
-            updated = replace(updated, shards=_resolve_shards(shards))
-        if sharding is not None:
-            updated = replace(updated, sharding=_resolve_sharding(sharding))
         if pool is not None:
             updated = replace(updated, pool=_resolve_pool(pool))
         return updated

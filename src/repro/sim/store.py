@@ -47,8 +47,8 @@ layout automatically on open (and explicitly via ``python -m repro store
 migrate``); the original is kept as ``store.jsonl.migrated``.
 
 Fleets of daemons sharing one store coordinate through per-job-key
-*claim records* (``<root>/claims/<key>.json``, created with
-``O_CREAT | O_EXCL`` so the filesystem arbitrates races) plus
+*claim records* (``<root>/claims/<key>.json``, published complete with
+``os.link`` so the filesystem arbitrates races) plus
 :meth:`ResultStore.refresh`, which re-checks the disk for a key another
 process may have appended.  See :meth:`ResultStore.claim`.
 
@@ -74,6 +74,7 @@ import json
 import os
 import socket
 import sys
+import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -1032,36 +1033,47 @@ class ResultStore:
     def claim(self, key: str, owner: Optional[str] = None) -> bool:
         """Atomically claim ``key`` for simulation; ``True`` if we won.
 
-        A claim is a ``claims/<key>.json`` record created with
-        ``O_CREAT | O_EXCL``, so the filesystem arbitrates concurrent
-        claimers.  A loser polls the store (:meth:`refresh`) instead of
-        recomputing; the winner must :meth:`release_claim` once the
-        result is persisted (or its attempt failed) so losers can take
-        over.  Claims are a work-dedup optimisation, never a correctness
-        gate: the locked shard appends stay safe without them.
+        A claim is a ``claims/<key>.json`` record.  The record is written
+        to a unique ``*.tmp`` file first and published with ``os.link``,
+        which fails with ``FileExistsError`` if the claim exists — so the
+        filesystem arbitrates concurrent claimers, and a sibling never
+        observes a claim file without its complete record.  A loser polls
+        the store (:meth:`refresh`) instead of recomputing; the winner
+        must :meth:`release_claim` once the result is persisted (or its
+        attempt failed) so losers can take over.  Claims are a work-dedup
+        optimisation, never a correctness gate: the locked shard appends
+        stay safe without them.
         """
         self.claims_dir.mkdir(parents=True, exist_ok=True)
         record = json.dumps(
             {"key": key, "pid": os.getpid(), "host": _CLAIM_HOST,
              "time": time.time(), "owner": owner or ""},
             sort_keys=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp",
+                                   dir=self.claims_dir)
         try:
-            fd = os.open(self._claim_path(key),
-                         os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            try:
+                # mkstemp creates 0600; siblings may run as other users.
+                os.fchmod(fd, 0o644)
+                os.write(fd, record.encode("utf-8"))
+            finally:
+                os.close(fd)
+            os.link(tmp, self._claim_path(key))
         except FileExistsError:
             return False
-        try:
-            os.write(fd, record.encode("utf-8"))
         finally:
-            os.close(fd)
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         return True
 
     def read_claim(self, key: str) -> Optional[Dict[str, Any]]:
         """The claim record for ``key``.
 
         ``None`` when no claim exists; ``{}`` when a record exists but is
-        unreadable (a claimer killed mid-create) — which
-        :meth:`claim_is_stale` treats as stale.
+        unreadable (a damaged file — :meth:`claim` only ever publishes
+        complete records) — which :meth:`claim_is_stale` treats as stale.
         """
         try:
             raw = self._claim_path(key).read_text(encoding="utf-8")
@@ -1130,6 +1142,8 @@ class ResultStore:
         """Keys currently claimed — for ``store info`` and diagnostics."""
         if not self.claims_dir.is_dir():
             return []
+        # Only published records count: ``*.tmp`` files are claims still
+        # being written (or left by a claimer killed mid-publication).
         return sorted(path.stem for path in self.claims_dir.glob("*.json"))
 
     # ------------------------------------------------------------------
@@ -1200,7 +1214,7 @@ class ResultStore:
             except OSError:  # pragma: no cover - foreign files left behind
                 pass
         if self.claims_dir.is_dir():
-            for path in self.claims_dir.glob("*.json"):
+            for path in self.claims_dir.iterdir():
                 try:
                     path.unlink()
                 except OSError:  # pragma: no cover - racing release

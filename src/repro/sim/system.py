@@ -30,7 +30,7 @@ from ..prefetch.base import NullPrefetcher, Prefetcher
 from ..prefetch.dcpt import DCPTPrefetcher
 from ..prefetch.nextline import TaggedNextLinePrefetcher
 from ..prefetch.throttle import ThrottledPrefetcher
-from ..trace import TraceBuffer, as_trace_buffer, shard_spans
+from ..trace import TraceBuffer
 from ..workloads.base import Workload
 from .config import SystemConfig
 
@@ -137,49 +137,21 @@ class SimulatedSystem:
     # Running
     # ------------------------------------------------------------------
     def run_trace(self, trace: Trace,
-                  workload_name: str = "trace",
-                  kernel: Optional[str] = None) -> SimulationResult:
+                  workload_name: str = "trace") -> SimulationResult:
         """Run a pre-generated trace through the hierarchy and core model.
 
         Accepts a columnar :class:`~repro.trace.TraceBuffer` (the engine's
-        representation — replayed through the kernel seam, see
-        :mod:`repro.sim.kernels`) or a legacy record sequence; both produce
-        bit-identical results for the same access stream, whatever
-        ``kernel`` selects.
+        representation, replayed by
+        :meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.run_buffer`) or
+        a legacy record sequence; both produce bit-identical results for
+        the same access stream.
         """
         if isinstance(trace, TraceBuffer):
-            results = self.hierarchy.run_buffer(trace, kernel=kernel)
+            results = self.hierarchy.run_buffer(trace)
         else:
             results: List[AccessResult] = [self.hierarchy.access(a)
                                            for a in trace]
         execution = self.core.execute(trace, results)
-        return self._collect(workload_name, execution)
-
-    def run_trace_sharded(self, trace: Trace,
-                          workload_name: str = "trace",
-                          kernel: Optional[str] = None,
-                          shards: int = 1) -> SimulationResult:
-        """Exact sharded replay: sequential hand-off through one system.
-
-        The trace is split into at most ``shards`` contiguous column
-        slices (zero-copy views, see :func:`repro.trace.shard_spans`) and
-        replayed span by span through *this* hierarchy — each span starts
-        from the cache/predictor/prefetcher state the previous span left
-        behind, exactly like the unsharded replay.  Kernels resolve each
-        buffer independently (a span boundary simply starts a new run for
-        the batch kernel's segmenter, which takes the exact scalar path),
-        so the access results — and therefore the stored bytes — are
-        bit-identical to :meth:`run_trace` by construction.  This is the
-        default ``exact`` sharding mode: it proves the shard plumbing
-        with zero statistical drift; the concurrent speedup lives in the
-        opt-in ``approx`` mode (see :mod:`repro.sim.engine`).
-        """
-        buffer = as_trace_buffer(trace)
-        results: List[AccessResult] = []
-        for start, end in shard_spans(len(buffer), max(1, shards)):
-            results.extend(self.hierarchy.run_buffer(buffer[start:end],
-                                                     kernel=kernel))
-        execution = self.core.execute(buffer, results)
         return self._collect(workload_name, execution)
 
     def run_workload(self, workload: Workload, num_accesses: int,

@@ -43,7 +43,6 @@ import errno
 import itertools
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
@@ -230,27 +229,6 @@ class TraceBuffer:
         ]
 
     # ------------------------------------------------------------------
-    # Shard views
-    # ------------------------------------------------------------------
-    def shard_views(self, shard: "TraceShard"
-                    ) -> Tuple["TraceBuffer", "TraceBuffer"]:
-        """Zero-copy ``(warm_up, measured)`` views for one planned shard.
-
-        The warm-up view covers the ``shard.warmup`` rows immediately
-        before ``shard.start`` (empty for an unwarmed shard), the measured
-        view covers ``[shard.start, shard.end)``.  Both are numpy views
-        into this buffer's columns — no rows are copied, whatever the
-        shard count — so sharding a cached trace costs nothing beyond the
-        plan itself.
-        """
-        if shard.end > len(self):
-            raise ValueError(
-                f"shard {shard.index} spans [{shard.start}, {shard.end}) "
-                f"but the buffer has only {len(self)} rows")
-        return (self[shard.start - shard.warmup:shard.start],
-                self[shard.start:shard.end])
-
-    # ------------------------------------------------------------------
     # Derived columns
     # ------------------------------------------------------------------
     def block_column(self, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
@@ -424,92 +402,6 @@ class TraceBuffer:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"TraceBuffer(len={len(self)}, "
                 f"nbytes={self.nbytes})")
-
-
-# ======================================================================
-# Shard planning (within-job trace sharding)
-# ======================================================================
-def shard_spans(length: int, shards: int) -> List[Tuple[int, int]]:
-    """Split ``length`` rows into at most ``shards`` contiguous spans.
-
-    The spans are non-empty, cover ``[0, length)`` exactly and differ in
-    size by at most one row (earlier spans absorb the remainder).  A trace
-    shorter than the shard count yields fewer spans — never an empty
-    one — and a zero-length trace yields no spans at all.
-    """
-    if shards <= 0:
-        raise ValueError(f"shards must be positive, got {shards}")
-    if length <= 0:
-        return []
-    effective = min(shards, length)
-    base, extra = divmod(length, effective)
-    spans: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(effective):
-        size = base + (1 if index < extra else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans
-
-
-@dataclass(frozen=True)
-class TraceShard:
-    """One planned shard of a trace buffer, in absolute row coordinates.
-
-    ``[start, end)`` is the shard's measured span.  ``warmup`` rows
-    immediately before ``start`` are replayed first (and discarded from
-    statistics) to approximate the cache/predictor/prefetcher state the
-    span would have inherited in an unsharded replay — the overlapping
-    warm-up window of the fast-approximate sharding mode.  Shard 0's
-    warm-up is exactly the job's own warm-up prefix, so the leading shard
-    measures from the same state as the unsharded run.
-    """
-
-    index: int
-    start: int
-    end: int
-    warmup: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"shard index must be >= 0, got {self.index}")
-        if self.end <= self.start:
-            raise ValueError(f"shard {self.index} has an empty span "
-                             f"[{self.start}, {self.end})")
-        if not 0 <= self.warmup <= self.start:
-            raise ValueError(
-                f"shard {self.index} warm-up {self.warmup} does not fit "
-                f"before start {self.start}")
-
-
-def plan_shards(length: int, shards: int, warmup_accesses: int = 0,
-                overlap: int = 0) -> List[TraceShard]:
-    """Plan overlap-window shards over a buffer's measured region.
-
-    The measured region ``[warmup_accesses, length)`` is split by
-    :func:`shard_spans`; spans therefore partition the measured rows
-    exactly (counters that simply count rows merge losslessly).  Shard 0
-    warms up on the job's full warm-up prefix; every later shard warms up
-    on the ``min(overlap, start)`` rows preceding its span — a bounded
-    window, which is what makes the shards independently executable (and
-    the statistics approximate).
-    """
-    if warmup_accesses < 0:
-        raise ValueError(
-            f"warmup_accesses must be >= 0, got {warmup_accesses}")
-    if warmup_accesses >= length:
-        return []
-    if overlap < 0:
-        raise ValueError(f"overlap must be >= 0, got {overlap}")
-    plan: List[TraceShard] = []
-    for index, (start, end) in enumerate(
-            shard_spans(length - warmup_accesses, shards)):
-        start += warmup_accesses
-        end += warmup_accesses
-        warmup = warmup_accesses if index == 0 else min(overlap, start)
-        plan.append(TraceShard(index=index, start=start, end=end,
-                               warmup=warmup))
-    return plan
 
 
 def as_trace_buffer(trace: Union[TraceBuffer, Sequence[MemoryAccess]]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.sim.config import SystemConfig
@@ -13,14 +11,9 @@ from repro.sim.engine import (
     SimulationJob,
     TraceCache,
     execute_job,
-    execute_shard,
     expand_grid,
-    merge_shard_results,
     mix_traces,
-    plan_shard_tasks,
 )
-from repro.sim.options import EngineOptions
-from repro.sim.store import ResultStore, job_spec, spec_key
 from repro.sim.system import SimulatedSystem, run_predictor_comparison
 from repro.trace import TraceBuffer
 from repro.workloads import build_workload
@@ -161,86 +154,6 @@ class TestSerialParallelEquivalence:
             workload="gapbs.bfs", predictor="lp", num_accesses=400,
             warmup_accesses=100, seed=0))
         assert_results_identical(direct, via_engine)
-
-
-class TestTraceSharding:
-    """Within-job trace sharding: exact hand-off and approx merge."""
-
-    JOB = SimulationJob(workload="gapbs.bfs", predictor="lp",
-                        num_accesses=400, warmup_accesses=100, seed=0)
-
-    def test_exact_sharded_job_is_byte_identical(self):
-        unsharded = execute_job(self.JOB)
-        for shards in (2, 4, 7):
-            sharded = execute_job(self.JOB, shards=shards)
-            assert pickle.dumps(sharded) == pickle.dumps(unsharded)
-
-    def test_exact_sharded_engine_grid_is_byte_identical(self):
-        jobs = expand_grid(APPS, ("baseline", "lp"), num_accesses=300,
-                           warmup_accesses=60)
-        baseline = SimulationEngine(jobs=1).run(jobs)
-        sharded = SimulationEngine(
-            options=EngineOptions(shards=4)).run(jobs)
-        for first, second in zip(baseline, sharded):
-            assert pickle.dumps(first) == pickle.dumps(second)
-
-    def test_approx_mode_is_deterministic_across_schedules(self):
-        jobs = expand_grid(APPS[:2], ("lp",), num_accesses=400,
-                           warmup_accesses=100)
-        serial = SimulationEngine(options=EngineOptions(
-            shards=4, sharding="approx")).run(jobs)
-        pooled = SimulationEngine(options=EngineOptions(
-            jobs=2, shards=4, sharding="approx")).run(jobs)
-        for first, second in zip(serial, pooled):
-            assert_results_identical(first, second)
-
-    def test_approx_merge_preserves_count_fields(self):
-        exact = execute_job(self.JOB)
-        engine = SimulationEngine(options=EngineOptions(
-            shards=4, sharding="approx"))
-        merged = engine.run([self.JOB])[0]
-        # Row counters merge losslessly (the spans partition the trace);
-        # latency-derived metrics carry the documented bounded delta.
-        assert merged.execution.instructions == exact.execution.instructions
-        assert merged.execution.memory_accesses == \
-            exact.execution.memory_accesses
-        assert merged.hierarchy_stats.demand_accesses == \
-            exact.hierarchy_stats.demand_accesses
-        assert merged.hierarchy_stats.loads == exact.hierarchy_stats.loads
-        assert engine.shards_executed == 4
-        assert engine.shard_merges == 1
-
-    def test_approx_mode_never_touches_the_store(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        engine = SimulationEngine(store=store, options=EngineOptions(
-            shards=4, sharding="approx"))
-        results = engine.run([self.JOB])
-        assert len(results) == 1
-        # Not even a read-through: the run left every counter at zero.
-        assert store.puts == 0 and store.misses == 0 and store.unkeyed == 0
-        assert store.get(spec_key(job_spec(self.JOB))) is None
-
-    def test_plan_shard_tasks_degenerate_cases(self):
-        assert plan_shard_tasks(self.JOB, 1) is None
-        mix = MixJob(mix="mix1", predictor="lp", accesses_per_core=200)
-        assert plan_shard_tasks(mix, 4) is None
-        tiny = SimulationJob(workload="stream", predictor="lp",
-                             num_accesses=1, warmup_accesses=100)
-        assert plan_shard_tasks(tiny, 4) is None  # one measured row
-
-    def test_execute_shard_matches_plan_geometry(self):
-        tasks = plan_shard_tasks(self.JOB, 3)
-        assert [t.index for t in tasks] == [0, 1, 2]
-        assert tasks[0].warmup == self.JOB.warmup_accesses
-        partials = [execute_shard(task) for task in tasks]
-        merged = merge_shard_results(partials)
-        total = sum(p.hierarchy_stats.demand_accesses for p in partials)
-        # The measured spans partition the job's 400 measured accesses.
-        assert merged.hierarchy_stats.demand_accesses == total == 400
-
-    def test_merge_rejects_empty_input(self):
-        with pytest.raises(ValueError):
-            merge_shard_results([])
 
 
 class TestGridHelpers:

@@ -366,11 +366,12 @@ class TestServiceRecovery:
 
         real_execute = service_module.execute_job
         hung_once = threading.Event()
+        release = threading.Event()
 
         def sleepy(job, trace_cache=None):
             if not hung_once.is_set():
                 hung_once.set()
-                time.sleep(30.0)
+                release.wait(30.0)
             return real_execute(job, trace_cache)
 
         monkeypatch.setattr(service_module, "execute_job", sleepy)
@@ -382,7 +383,7 @@ class TestServiceRecovery:
             payload = service.submit(jobs=[spec], wait=True)
             seconds = time.monotonic() - start
         finally:
-            service.close(wait=False)
+            _release_and_close(service, release)
         assert payload["state"] == "done"
         assert seconds < 20.0  # did not wait out the hung attempt
         assert service.counters["retries"] >= 1
@@ -453,6 +454,30 @@ class TestServiceRecovery:
 # ======================================================================
 # Client: deadlines, reconnect, no hangs
 # ======================================================================
+def _blocked_until(release: threading.Event):
+    """An ``execute_job`` stand-in that holds its worker until released.
+
+    Released attempts fail instead of returning, so nothing is persisted
+    after the test: a worker that outlives its test would otherwise store
+    its job while a later test is running.
+    """
+    def blocked(job, trace_cache=None):
+        release.wait(60.0)
+        raise RuntimeError("released by the test")
+    return blocked
+
+
+def _release_and_close(service: SimulationService,
+                       release: threading.Event) -> None:
+    """Unblock the stub workers, then join every thread of ``service``."""
+    release.set()
+    service.close(wait=True)
+    leftovers = [thread.name for thread in threading.enumerate()
+                 if thread.name.startswith("repro-service-")
+                 and thread.is_alive()]
+    assert leftovers == []
+
+
 class TestClientResilience:
     def test_dead_daemon_raises_retryable_connection_error(self):
         sock = socket.socket()
@@ -504,42 +529,43 @@ class TestClientResilience:
         when the daemon dies mid-request."""
         import repro.service as service_module
 
-        def forever(job, trace_cache=None):
-            time.sleep(60.0)
-
-        monkeypatch.setattr(service_module, "execute_job", forever)
+        release = threading.Event()
+        monkeypatch.setattr(service_module, "execute_job",
+                            _blocked_until(release))
         monkeypatch.setattr(ServiceClient, "WAIT_CHUNK", 0.2)
         service = SimulationService(tmp_path / "store", jobs=1,
                                     pool="thread")
-        server, address = create_server(service, port=0)
-        thread = threading.Thread(target=serve_forever,
-                                  args=(service, server), daemon=True)
-        thread.start()
-        client = ServiceClient(address, timeout=5.0, retries=2,
-                               backoff=0.01)
-        client.wait_healthy()
-        spec = {"workload": "gups", "predictor": "lp", "num_accesses": 40}
-        submitted = client.submit(jobs=[spec])
-        killer = threading.Timer(0.5, server.request_shutdown)
-        killer.start()
-        start = time.monotonic()
-        with pytest.raises(ServiceError) as excinfo:
-            client.result(submitted["id"], wait=True, timeout=30.0)
-        assert time.monotonic() - start < 25.0
-        assert excinfo.value.retryable
-        assert excinfo.value.code in ("connection", "timeout")
-        killer.cancel()
-        thread.join(timeout=10.0)
-        service.close(wait=False)
+        try:
+            server, address = create_server(service, port=0)
+            thread = threading.Thread(target=serve_forever,
+                                      args=(service, server), daemon=True)
+            thread.start()
+            client = ServiceClient(address, timeout=5.0, retries=2,
+                                   backoff=0.01)
+            client.wait_healthy()
+            spec = {"workload": "gups", "predictor": "lp",
+                    "num_accesses": 40}
+            submitted = client.submit(jobs=[spec])
+            killer = threading.Timer(0.5, server.request_shutdown)
+            killer.start()
+            start = time.monotonic()
+            with pytest.raises(ServiceError) as excinfo:
+                client.result(submitted["id"], wait=True, timeout=30.0)
+            assert time.monotonic() - start < 25.0
+            assert excinfo.value.retryable
+            assert excinfo.value.code in ("connection", "timeout")
+            killer.cancel()
+            thread.join(timeout=10.0)
+        finally:
+            _release_and_close(service, release)
 
     def test_result_wait_honors_the_overall_timeout(
             self, tmp_path, monkeypatch):
         import repro.service as service_module
 
-        def forever(job, trace_cache=None):
-            time.sleep(60.0)
-
-        monkeypatch.setattr(service_module, "execute_job", forever)
+        release = threading.Event()
+        monkeypatch.setattr(service_module, "execute_job",
+                            _blocked_until(release))
         monkeypatch.setattr(ServiceClient, "WAIT_CHUNK", 0.2)
         service = SimulationService(tmp_path / "store", jobs=1,
                                     pool="thread")
@@ -561,7 +587,7 @@ class TestClientResilience:
             server.request_shutdown()
             thread.join(timeout=10.0)
         finally:
-            service.close(wait=False)
+            _release_and_close(service, release)
 
     def test_dropped_responses_are_retried_transparently(self, tmp_path):
         faults.install("service.response:drop@times=1")

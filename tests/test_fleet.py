@@ -167,6 +167,87 @@ class TestClaims:
         store.clear()
         assert store.active_claims() == []
 
+    def test_sibling_never_sees_a_partial_claim(self, tmp_path, monkeypatch):
+        # A claim file must never be visible without its record: a
+        # sibling reading an empty file gets {} — "stale" — and would
+        # break a live member's claim.  Observe the claim from a second
+        # store around every write and around the publishing link.
+        store = ResultStore(tmp_path)
+        sibling = ResultStore(tmp_path)
+        key = "a1" * 32
+        seen = []
+        real_write, real_link = os.write, os.link
+
+        def observe():
+            entry = sibling.read_claim(key)
+            seen.append(entry)
+            if entry is not None:
+                assert entry["key"] == key
+                assert sibling.claim_is_stale(entry) is False
+
+        def write(fd, data):
+            observe()
+            written = real_write(fd, data)
+            observe()
+            return written
+
+        def link(src, dst, *args, **kwargs):
+            observe()
+            real_link(src, dst, *args, **kwargs)
+            observe()
+
+        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(os, "link", link)
+        assert store.claim(key) is True
+        monkeypatch.undo()
+        assert seen[0] is None and seen[-1]["pid"] == os.getpid()
+        assert sibling.steal_claim(key) is False
+        # The temp file is gone once the claim is published.
+        assert [path.name for path in store.claims_dir.iterdir()] \
+            == [f"{key}.json"]
+
+    def test_concurrent_claimers_see_only_complete_claims(self, tmp_path):
+        key = "b2" * 32
+        readers_done = threading.Event()
+        bad = []
+
+        def reader():
+            sibling = ResultStore(tmp_path)
+            while not readers_done.is_set():
+                entry = sibling.read_claim(key)
+                if entry is not None and sibling.claim_is_stale(entry):
+                    bad.append(entry)
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            store = ResultStore(tmp_path)
+            for _ in range(300):
+                assert store.claim(key) is True
+                store.release_claim(key)
+        finally:
+            readers_done.set()
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
+
+    def test_leftover_temp_claim_is_not_active_and_clear_removes_it(
+            self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.claim("33" * 32)
+        # A claimer killed between writing its record and publishing it.
+        (store.claims_dir / f"{'44' * 32}.x1y2.tmp").write_text(
+            "{}", encoding="utf-8")
+        assert store.active_claims() == ["33" * 32]
+        assert store.read_claim("44" * 32) is None
+        store.clear()
+        assert not store.claims_dir.exists()
+
 
 # ======================================================================
 # Cross-process refresh (store layer)

@@ -624,53 +624,6 @@ class TestAdmissionControl:
 
 
 # ======================================================================
-# Sharded merges: fail fast, not in plan order
-# ======================================================================
-class TestShardedFailFast:
-    def test_failing_shard_fails_the_merge_promptly(
-            self, tmp_path, monkeypatch):
-        """A late-plan shard failure must surface immediately and cancel
-        queued siblings — not wait for every earlier shard to finish."""
-        import repro.service as service_module
-
-        release = threading.Event()
-        executed = []
-
-        def fake_shard(task):
-            if task == "fail":
-                raise RuntimeError("shard exploded")
-            executed.append(task)
-            release.wait(15.0)
-            return task
-
-        monkeypatch.setattr(service_module, "execute_shard", fake_shard)
-        svc = SimulationService(tmp_path / "store", jobs=2, pool="thread")
-        try:
-            # Two workers: "slow-a" occupies one, "fail" hits the other
-            # immediately, "slow-b"/"slow-c" are still queued behind them.
-            merged = svc._submit_sharded(["slow-a", "fail", "slow-b",
-                                          "slow-c"])
-            start = time.perf_counter()
-            with pytest.raises(RuntimeError, match="shard exploded"):
-                merged.result(timeout=15.0)
-            elapsed = time.perf_counter() - start
-            # Plan-order collection would block ~15s on the held shard
-            # before ever observing the failure.
-            assert elapsed < 5.0
-            release.set()
-            svc._pool.shutdown(wait=True)
-            # At least one queued sibling was cancelled before a worker
-            # could reach it ("slow-b" may race the cancel onto the
-            # worker the failing shard just freed; "slow-c" cannot —
-            # both workers are held until the cancels have landed).
-            assert "slow-a" in executed
-            assert "slow-c" not in executed
-        finally:
-            release.set()
-            svc.close(wait=True)
-
-
-# ======================================================================
 # The socket layer
 # ======================================================================
 class TestSocketServer:
@@ -977,7 +930,7 @@ class TestDaemonRestart:
 
 
 # ======================================================================
-# Process-pool workers (the daemon default) and within-job sharding
+# Process-pool workers (the daemon default)
 # ======================================================================
 def _assert_pids_exit(pids, timeout: float = 15.0) -> None:
     """Every pid must disappear (or be reaped) within the deadline."""
@@ -1046,42 +999,14 @@ class TestProcessPool:
         _assert_pids_exit(children)
         svc.close(wait=True)  # idempotent after the pool is gone
 
-    def test_approx_sharded_daemon_counters_and_store_bypass(
-            self, tmp_path):
-        # Thread pool keeps the sharded path fast and in-process here;
-        # the process-pool path is covered by the tests above.  fig07 is
-        # all SimulationJobs — the plannable kind (mixes never shard).
-        svc = SimulationService(tmp_path / "store", jobs=2, shards=4,
-                                sharding="approx", pool="thread")
-        try:
-            payload = svc.submit(experiment="fig07", scale=TINY_WIRE,
-                                 wait=True)
-            assert payload["state"] == "done"
-            assert payload["simulated"] == payload["total_jobs"] == 21
-            assert svc.counters["shard_merges"] == 21
-            assert svc.counters["shards_executed"] == 21 * 4
-            # Approximate results never touch the exact-only store...
-            assert svc.store.puts == 0
-            # ...so a repeat request simulates from scratch.
-            again = svc.submit(experiment="fig07", scale=TINY_WIRE,
-                               wait=True)
-            assert again["stored"] == 0
-            assert again["simulated"] == again["total_jobs"]
-            stats = svc.stats()
-            assert stats["sharding"] == "approx"
-            assert stats["shards"] == 4
-        finally:
-            svc.close(wait=True)
-
     def test_stats_payload_shape_for_exact_thread_pool(self, service):
         stats = service.stats()
-        assert stats["sharding"] == "exact"
-        assert stats["shards"] == 1
+        # Jobs replay through the one exact loop: no execution knobs.
+        for knob in ("kernel", "shards", "sharding"):
+            assert knob not in stats
         assert stats["pool"]["type"] == "thread"
         assert stats["pool"]["children"] == []
-        for counter in ("shards_executed", "shard_merges",
-                        "pool_failovers"):
-            assert stats["counters"][counter] == 0
+        assert stats["counters"]["pool_failovers"] == 0
 
 
 @pytest.mark.slow

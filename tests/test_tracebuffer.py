@@ -9,23 +9,19 @@ reproduce the per-record path's results exactly.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.memory.block import AccessType, MemoryAccess
+from repro.memory.spec import load_hierarchy
 from repro.sim.config import SystemConfig
 from repro.sim.engine import TraceCache
 from repro.sim.multicore import MultiCoreSystem
-from repro.sim.store import trace_key, try_trace_key
+from repro.sim.store import serialize_result, trace_key, try_trace_key
 from repro.sim.system import SimulatedSystem
-from repro.trace import (
-    KIND_CODES,
-    TraceBuffer,
-    TraceShard,
-    as_trace_buffer,
-    plan_shards,
-    shard_spans,
-)
+from repro.trace import KIND_CODES, TraceBuffer, as_trace_buffer
 from repro.workloads import (
     APPLICATIONS,
     MIXES,
@@ -36,6 +32,10 @@ from repro.workloads import (
 
 #: A spread of behaviours for the heavier (simulation-driving) tests.
 SAMPLE_APPS = ("gapbs.bfs", "605.mcf", "stream", "gups", "602.gcc")
+
+#: The committed declarative hierarchy examples.
+HIERARCHIES = Path(__file__).resolve().parent.parent / "examples" \
+    / "hierarchies"
 
 
 def assert_buffer_matches_records(buffer: TraceBuffer, records) -> None:
@@ -147,103 +147,6 @@ class TestBufferSemantics:
         assert clone._derived == {}
 
 
-class TestShardPlanning:
-    """Shard-boundary slicing: spans, overlap windows, view semantics."""
-
-    def test_spans_cover_exactly_and_stay_balanced(self):
-        for length in (1, 2, 7, 100, 101, 4096):
-            for shards in (1, 2, 3, 8):
-                spans = shard_spans(length, shards)
-                assert spans[0][0] == 0
-                assert spans[-1][1] == length
-                # Contiguous, non-empty, sizes differ by at most one.
-                for (_, end), (start, _) in zip(spans, spans[1:]):
-                    assert end == start
-                sizes = [end - start for start, end in spans]
-                assert all(size > 0 for size in sizes)
-                assert max(sizes) - min(sizes) <= 1
-
-    def test_spans_on_short_traces_never_go_empty(self):
-        # Fewer rows than shards: one single-row span per row, no empties.
-        assert shard_spans(3, 8) == [(0, 1), (1, 2), (2, 3)]
-        assert shard_spans(1, 4) == [(0, 1)]
-        assert shard_spans(0, 4) == []
-
-    def test_spans_reject_non_positive_shard_counts(self):
-        with pytest.raises(ValueError):
-            shard_spans(100, 0)
-        with pytest.raises(ValueError):
-            shard_spans(100, -1)
-
-    def test_plan_warmup_semantics(self):
-        plan = plan_shards(1000, 4, warmup_accesses=100, overlap=64)
-        assert len(plan) == 4
-        # Shard 0 warms up on the job's own prefix; later shards on a
-        # bounded overlap window immediately before their span.
-        assert plan[0].start == 100 and plan[0].warmup == 100
-        for shard in plan[1:]:
-            assert shard.warmup == 64
-        assert plan[-1].end == 1000
-        # Measured spans partition [warmup, length) exactly.
-        for left, right in zip(plan, plan[1:]):
-            assert left.end == right.start
-
-    def test_plan_overlap_clamps_to_available_prefix(self):
-        plan = plan_shards(40, 4, warmup_accesses=0, overlap=1 << 20)
-        assert plan[0].warmup == 0
-        for shard in plan[1:]:
-            assert shard.warmup == shard.start  # clamped, never past row 0
-
-    def test_plan_degenerate_inputs(self):
-        # Warm-up swallowing the whole trace leaves nothing to measure.
-        assert plan_shards(100, 4, warmup_accesses=100) == []
-        assert plan_shards(100, 4, warmup_accesses=200) == []
-        # More shards than measured rows: one shard per row.
-        short = plan_shards(13, 8, warmup_accesses=10, overlap=2)
-        assert len(short) == 3
-        assert [(s.start, s.end) for s in short] == \
-            [(10, 11), (11, 12), (12, 13)]
-        with pytest.raises(ValueError):
-            plan_shards(100, 4, warmup_accesses=-1)
-        with pytest.raises(ValueError):
-            plan_shards(100, 4, overlap=-1)
-
-    def test_shard_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            TraceShard(index=-1, start=0, end=10, warmup=0)
-        with pytest.raises(ValueError):
-            TraceShard(index=0, start=10, end=10, warmup=0)  # empty span
-        with pytest.raises(ValueError):
-            TraceShard(index=1, start=5, end=10, warmup=6)  # before row 0
-
-    def test_shard_views_are_views_not_copies(self):
-        buffer = build_workload("gapbs.pr").generate_buffer(600, seed=3)
-        for shard in plan_shards(len(buffer), 4, warmup_accesses=120,
-                                 overlap=32):
-            warm, measured = buffer.shard_views(shard)
-            assert len(warm) == shard.warmup
-            assert len(measured) == shard.end - shard.start
-            assert np.shares_memory(measured.address, buffer.address)
-            if len(warm):
-                assert np.shares_memory(warm.address, buffer.address)
-            assert measured.address.tolist() == \
-                buffer.address.tolist()[shard.start:shard.end]
-
-    def test_shard_views_concatenation_recovers_measured_region(self):
-        buffer = build_workload("stream").generate_buffer(257, seed=1)
-        rows = []
-        for shard in plan_shards(len(buffer), 8, warmup_accesses=7):
-            _, measured = buffer.shard_views(shard)
-            rows.extend(measured.address.tolist())
-        assert rows == buffer.address.tolist()[7:]
-
-    def test_shard_views_reject_out_of_range_spans(self):
-        buffer = build_workload("gups").generate_buffer(50, seed=0)
-        with pytest.raises(ValueError):
-            buffer.shard_views(TraceShard(index=0, start=0, end=51,
-                                          warmup=0))
-
-
 class TestPersistence:
     def test_npz_round_trip_is_exact(self, tmp_path):
         for name in SAMPLE_APPS:
@@ -258,33 +161,32 @@ class TestPersistence:
             TraceBuffer.load(path)
 
 
+def _replay_cases():
+    """(system config, application) pairs the replay test covers.
+
+    The paper hierarchy under two predictors on the sample apps, plus the
+    committed 2- and 4-level example specs, which take the chain walkers.
+    """
+    cases = [pytest.param(SystemConfig.paper_single_core(predictor), name,
+                          id=f"{predictor}-{name}")
+             for predictor in ("baseline", "lp") for name in SAMPLE_APPS]
+    for depth, stem in ((2, "two_level"), (4, "four_level")):
+        spec = load_hierarchy(HIERARCHIES / f"{stem}.json")
+        config = SystemConfig(name=stem, hierarchy=spec, predictor="lp")
+        cases.append(pytest.param(config, "gapbs.pr",
+                                  id=f"chain{depth}-gapbs.pr"))
+    return cases
+
+
 class TestReplayEquivalence:
-    @pytest.mark.parametrize("name", SAMPLE_APPS)
-    @pytest.mark.parametrize("predictor", ("baseline", "lp"))
-    def test_buffer_replay_matches_per_record_path(self, name, predictor):
-        workload = build_workload(name)
-        legacy = workload.generate(400, seed=0)
-        buffer = workload.generate_buffer(400, seed=0)
-
-        via_records = SimulatedSystem(
-            SystemConfig.paper_single_core(predictor)).run_trace(
-            legacy, name)
-        via_buffer = SimulatedSystem(
-            SystemConfig.paper_single_core(predictor)).run_trace(
-            buffer, name)
-
-        assert via_buffer.execution.cycles == via_records.execution.cycles
-        assert via_buffer.execution.instructions == \
-            via_records.execution.instructions
-        assert via_buffer.cache_hierarchy_energy_nj == \
-            via_records.cache_hierarchy_energy_nj
-        assert via_buffer.energy_breakdown == via_records.energy_breakdown
-        for field in ("demand_accesses", "loads", "stores", "l1_hits",
-                      "l2_hits", "l3_hits", "memory_accesses",
-                      "total_demand_latency", "miss_latency", "predictions",
-                      "recoveries"):
-            assert getattr(via_buffer.hierarchy_stats, field) == \
-                getattr(via_records.hierarchy_stats, field), field
+    @pytest.mark.parametrize("config,name", _replay_cases())
+    def test_buffer_replay_matches_per_record_path(self, config, name):
+        """``run_buffer`` equals ``access()`` over the buffer's records."""
+        buffer = build_workload(name).generate_buffer(400, seed=0)
+        via_records = SimulatedSystem(config).run_trace(
+            buffer.to_accesses(), name)
+        via_buffer = SimulatedSystem(config).run_trace(buffer, name)
+        assert serialize_result(via_buffer) == serialize_result(via_records)
 
     def test_multicore_buffer_replay_matches_per_record_path(self):
         legacy = generate_mix_traces("mix1", accesses_per_core=200, seed=0)
