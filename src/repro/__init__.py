@@ -48,7 +48,6 @@ from .core import (
 )
 from .memory import (
     CoreMemoryHierarchy,
-    HierarchyConfig,
     Level,
     MemoryAccess,
     SharedMemorySystem,
@@ -77,7 +76,6 @@ __all__ = [
     "FaultRule",
     "FaultSpecError",
     "HIGHLIGHTED_APPLICATIONS",
-    "HierarchyConfig",
     "Level",
     "LevelPredictor",
     "LevelPredictorConfig",

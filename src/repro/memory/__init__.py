@@ -16,7 +16,6 @@ from .directory import Directory, DirectoryEntry
 from .dram import DRAMConfig, DRAMModel
 from .hierarchy import (
     CoreMemoryHierarchy,
-    HierarchyConfig,
     HierarchyStats,
     SharedMemorySystem,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "DRAMConfig",
     "DRAMModel",
     "EvictionInfo",
-    "HierarchyConfig",
     "HierarchyStats",
     "Interconnect",
     "InterconnectConfig",

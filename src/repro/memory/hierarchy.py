@@ -6,19 +6,17 @@ L3 with a collocated directory, a DDR4 channel, per-level prefetchers with
 throttling, TLBs — plus the *level-predicted* lookup path that the paper adds
 on the L1 miss path.
 
-The hierarchy is no longer fixed to that triple: construct a
-:class:`CoreMemoryHierarchy` from a declarative
-:class:`~repro.memory.spec.HierarchySpec` and any chain of two or more
-cache levels runs through the same replay loop.  The level
-predictor's target space stays the paper's — the whole private
-intermediate group is classified as ``Level.L2`` and the shared LLC as
-``Level.L3`` — so predictors, statistics and stored results keep their
-exact shapes at any depth.  Three-level hierarchies (legacy
-:class:`HierarchyConfig` or an equivalent spec) run the original
-specialised path bit-for-bit; other depths take the generalised chain
-walkers (``_locate_chain`` / ``_timed_path_chain`` /
-``_fill_on_response_chain``), which are selected by one flag test on the
-miss path only — the L1-hit fast path is depth-agnostic.
+A :class:`CoreMemoryHierarchy` is built from a declarative
+:class:`~repro.memory.spec.HierarchySpec`: an L1, any number of private
+intermediate levels and a shared LLC.  One walker serves every depth.  The
+L1 miss path (:meth:`~CoreMemoryHierarchy._locate`,
+:meth:`~CoreMemoryHierarchy._timed_path`,
+:meth:`~CoreMemoryHierarchy._fill_on_response`) traverses the private
+intermediates in order, and the paper's three-level chain is simply the case
+with one intermediate.  The level predictor's target space stays the
+paper's — the whole private intermediate group is classified as
+``Level.L2`` and the shared LLC as ``Level.L3`` — so predictors, statistics
+and stored results keep their exact shapes at any depth.
 
 The model is trace driven: :meth:`CoreMemoryHierarchy.access` services one
 memory reference, returning an :class:`AccessResult` with the load latency,
@@ -48,7 +46,7 @@ For a block found at level ``A`` with prediction set ``P``:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
@@ -63,12 +61,11 @@ from .block import (
     MemoryAccess,
     block_address,
 )
-from .cache import Cache, CacheConfig, EvictionInfo
+from .cache import Cache, EvictionInfo
 from .directory import Directory
-from .dram import DRAMConfig, DRAMModel
-from .interconnect import Interconnect, InterconnectConfig
+from .dram import DRAMModel
+from .interconnect import Interconnect
 from .spec import HierarchySpec
-from .tlb import TLBHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from ..core.base import LevelPredictor, Prediction
@@ -79,6 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 # every access() call, which showed up in profiles.
 _Prediction = None
 _HARMFUL = None
+_SequentialPredictor = None
 #: Per-level singletons for the Ideal system's oracle predictions.
 _IDEAL_PREDICTIONS: Dict[Level, "Prediction"] = {}
 
@@ -86,6 +84,10 @@ _IDEAL_PREDICTIONS: Dict[Level, "Prediction"] = {}
 #: than the two-step attribute chain in the per-access paths).
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
+_PREFETCH = AccessType.PREFETCH
+_WRITEBACK = AccessType.WRITEBACK
+_MODIFIED = CoherenceState.MODIFIED
+_EXCLUSIVE = CoherenceState.EXCLUSIVE
 _L1 = Level.L1
 _L2 = Level.L2
 _L3 = Level.L3
@@ -107,73 +109,20 @@ _PATH_RECOVERY = (Level.L3, Level.L2)
 
 
 def _bind_core_types() -> None:
-    global _Prediction, _HARMFUL
+    global _Prediction, _HARMFUL, _SequentialPredictor
     if _Prediction is None:
-        from ..core.base import Prediction, PredictionOutcome
+        from ..core.base import (
+            Prediction,
+            PredictionOutcome,
+            SequentialPredictor,
+        )
 
         _Prediction = Prediction
         _HARMFUL = PredictionOutcome.HARMFUL
+        _SequentialPredictor = SequentialPredictor
         for level in (Level.L2, Level.L3, Level.MEM):
             _IDEAL_PREDICTIONS[level] = Prediction(levels=(level,),
                                                    source="ideal")
-
-
-@dataclass
-class HierarchyConfig:
-    """Configuration of the full hierarchy (Table I defaults).
-
-    Attributes:
-        l1 / l2 / l3: Per-level cache geometries and latencies.
-        dram: DRAM channel configuration.
-        interconnect: Hop latencies between levels.
-        memory_speculative_launch: When True, a prediction that includes MEM
-            launches the DRAM access in parallel with the LLC tag/directory
-            check (the paper's design); when False the directory check is
-            serialised before memory (conservative ablation).
-        parallel_port_penalty: Extra cycles charged when a multi-way
-            prediction probes more than one on-chip cache in parallel,
-            modelling tag-port pressure (the nas.is effect in Section V.C).
-        prefetch_inflight_window: Number of recent demand accesses used to
-            approximate MSHR occupancy for prefetch throttling.
-        ideal_miss_latency: The paper's "Ideal" system: every L1 miss gets a
-            perfect, zero-cost level prediction, so no cycle is ever spent on
-            a lookup that does not hold the block (Section IV.C).  Data
-            movement, energy and statistics behave exactly like the baseline.
-    """
-
-    l1: CacheConfig = field(default_factory=lambda: CacheConfig(
-        level=Level.L1, size_bytes=32 * 1024, associativity=4,
-        tag_latency=4, data_latency=0, sequential_tag_data=False,
-        mshr_entries=16, mshr_demand_reserve=0.25))
-    l2: CacheConfig = field(default_factory=lambda: CacheConfig(
-        level=Level.L2, size_bytes=256 * 1024, associativity=8,
-        tag_latency=12, data_latency=0, sequential_tag_data=False,
-        mshr_entries=32, mshr_demand_reserve=0.25))
-    l3: CacheConfig = field(default_factory=lambda: CacheConfig(
-        level=Level.L3, size_bytes=2 * 1024 * 1024, associativity=16,
-        tag_latency=20, data_latency=35, sequential_tag_data=True,
-        mshr_entries=64, mshr_demand_reserve=0.25))
-    dram: DRAMConfig = field(default_factory=DRAMConfig)
-    interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
-    memory_speculative_launch: bool = True
-    parallel_port_penalty: float = 2.0
-    prefetch_inflight_window: int = 32
-    ideal_miss_latency: bool = False
-
-    @staticmethod
-    def paper_single_core() -> "HierarchyConfig":
-        """The single-core configuration of Table I (2 MB LLC)."""
-        return HierarchyConfig()
-
-    @staticmethod
-    def paper_multi_core() -> "HierarchyConfig":
-        """The quad-core configuration of Table I (8 MB shared LLC)."""
-        config = HierarchyConfig()
-        config.l3 = CacheConfig(
-            level=Level.L3, size_bytes=8 * 1024 * 1024, associativity=16,
-            tag_latency=20, data_latency=35, sequential_tag_data=True,
-            mshr_entries=64, mshr_demand_reserve=0.25)
-        return config
 
 
 @dataclass(slots=True)
@@ -231,20 +180,14 @@ class SharedMemorySystem:
     """Resources shared by every core: the LLC, directory, DRAM and the
     LLC prefetcher."""
 
-    def __init__(self, config, num_cores: int = 1,
+    def __init__(self, config: HierarchySpec, num_cores: int = 1,
                  llc_prefetcher: Optional[Prefetcher] = None,
                  energy_params: Optional[EnergyParameters] = None) -> None:
         self.config = config
         self.num_cores = num_cores
-        if isinstance(config, HierarchySpec):
-            self.spec: Optional[HierarchySpec] = config
-            self.l3 = Cache(config.llc.cache_config(Level.L3),
-                            name=config.llc.name)
-            self.dram = DRAMModel(config.memory.dram_config())
-        else:
-            self.spec = None
-            self.l3 = Cache(config.l3, name="L3")
-            self.dram = DRAMModel(config.dram)
+        llc = config.levels[-1]
+        self.l3 = Cache(llc.cache_config(Level.L3), name=llc.name)
+        self.dram = DRAMModel(config.memory.dram_config())
         self.directory = Directory(num_cores=num_cores)
         self.llc_prefetcher = llc_prefetcher or NullPrefetcher()
         self.energy_params = energy_params or EnergyParameters()
@@ -265,11 +208,10 @@ class CoreMemoryHierarchy:
     """The per-core view of the memory system (private levels + shared LLC).
 
     Args:
-        config: Hierarchy configuration — a legacy 3-level
-            :class:`HierarchyConfig` or a declarative
-            :class:`~repro.memory.spec.HierarchySpec` of any depth ≥ 2.
+        config: The :class:`~repro.memory.spec.HierarchySpec` to build, of
+            any depth ≥ 2 (default: the paper's single-core Table I chain).
         shared: The shared LLC/directory/DRAM; construct one
-            :class:`SharedMemorySystem` (from the same config) and pass it
+            :class:`SharedMemorySystem` (from the same spec) and pass it
             to every core.
         predictor: The level predictor on the L1 miss path.  Defaults to the
             :class:`SequentialPredictor`, which reproduces the baseline.
@@ -281,17 +223,18 @@ class CoreMemoryHierarchy:
     """
 
     __slots__ = (
-        "config", "spec", "shared", "predictor", "l1", "l2", "tlb",
+        "config", "shared", "predictor", "l1", "l2", "tlb",
         "l1_prefetcher", "l2_prefetcher", "interconnect", "energy", "stats",
         "core_id", "_block_size", "_block_mask", "_page_shift",
         "_l1_page_size",
-        "_general", "_intermediates",
+        "_intermediates", "_probe_order", "_fill_order", "_above",
+        "_deepest", "_bypass_hops", "_deposit_mshrs",
         "_chain_hit_latency", "_chain_miss_detect", "_chain_nj",
-        "_l1_hit_latency", "_l1_miss_detect", "_l2_hit_latency",
-        "_l2_miss_detect", "_l3_hit_latency", "_l3_tag_latency",
+        "_l1_hit_latency", "_l1_miss_detect", "_l3_hit_latency",
+        "_l3_tag_latency",
         "_port_penalty", "_memory_speculative", "_ideal_miss_latency",
         "_ic_l1_l2", "_ic_l2_llc", "_ic_llc_mem",
-        "_tlb_nj", "_l1_nj", "_tlb_l1_nj", "_l2_nj", "_l3_nj", "_l3_tag_nj",
+        "_tlb_nj", "_l1_nj", "_tlb_l1_nj", "_l3_nj", "_l3_tag_nj",
         "_l3_wb_nj",
         "_dram_nj", "_bus_nj", "_directory_nj", "_prefetch_budget",
         "_l1_hit_result", "_pf_access",
@@ -301,7 +244,7 @@ class CoreMemoryHierarchy:
 
     def __init__(
         self,
-        config=None,
+        config: Optional[HierarchySpec] = None,
         shared: Optional[SharedMemorySystem] = None,
         predictor: Optional[LevelPredictor] = None,
         l1_prefetcher: Optional[Prefetcher] = None,
@@ -309,46 +252,49 @@ class CoreMemoryHierarchy:
         core_id: int = 0,
         active_cores: int = 1,
     ) -> None:
-        # Imported here (not at module scope) to avoid a circular import:
-        # the predictor interface needs Level from this package.
-        from ..core.base import SequentialPredictor
-
-        _bind_core_types()
-        self.config = config or HierarchyConfig.paper_single_core()
-        cfg = self.config
-        spec = cfg if isinstance(cfg, HierarchySpec) else None
-        self.spec = spec
-        self.shared = shared or SharedMemorySystem(cfg, num_cores=1)
-        self.predictor = predictor or SequentialPredictor()
-        if spec is None:
-            level_names = ("L1", "L2", "L3")
-            l1_cfg = cfg.l1
-            inter_cfgs: Tuple[CacheConfig, ...] = (cfg.l2,)
-            llc_cfg = cfg.l3
-            self.tlb = TLBHierarchy()
-        else:
-            level_names = tuple(level.name for level in spec.levels)
-            l1_cfg = spec.l1.cache_config(Level.L1)
-            inter_cfgs = tuple(level.cache_config(Level.L2)
-                               for level in spec.intermediates)
-            llc_cfg = spec.llc.cache_config(Level.L3)
-            self.tlb = spec.tlb.build()
-        self.l1 = Cache(l1_cfg, name=f"{level_names[0]}.{core_id}")
-        self._intermediates = tuple(
-            Cache(inter_cfg, name=f"{level_names[1 + index]}.{core_id}")
-            for index, inter_cfg in enumerate(inter_cfgs))
+        if _Prediction is None:
+            _bind_core_types()
+        self.config = spec = config or HierarchySpec.paper_single_core()
+        self.shared = shared or SharedMemorySystem(spec, num_cores=1)
+        self.predictor = predictor or _SequentialPredictor()
+        self.tlb = spec.tlb.build()
+        levels = spec.levels
+        l1_spec, inter_specs, llc_spec = levels[0], levels[1:-1], levels[-1]
+        l1_cfg = l1_spec.cache_config(Level.L1)
+        # The LLC is the shared cache; time it from its runtime config.
+        llc_cfg = self.shared.l3.config
+        self.l1 = Cache(l1_cfg, name=f"{l1_spec.name}.{core_id}")
+        intermediates = tuple([
+            Cache(level.cache_config(Level.L2), name=f"{level.name}.{core_id}")
+            for level in inter_specs])
+        self._intermediates = intermediates
         # Compat alias: the first private intermediate (the paper's L2), or
         # None in a 2-level hierarchy.
-        self.l2 = self._intermediates[0] if self._intermediates else None
-        # Three-level chains — legacy configs and equivalent specs — run the
-        # original specialised path; other depths take the chain walkers.
-        self._general = len(inter_cfgs) != 1
+        self.l2 = intermediates[0] if intermediates else None
+        # The walker's traversal orders, fixed per instance so the miss
+        # path never computes a length or a range: probes run L1-side
+        # first, fills deepest-first, and ``_above[i]`` lists the
+        # intermediates closer to L1 than ``i`` (deepest-first) — the
+        # levels a hit at ``i`` also fills and an eviction at ``i``
+        # invalidates.
+        probe_order = tuple(enumerate(intermediates))
+        self._probe_order = probe_order
+        self._fill_order = probe_order[::-1]
+        self._above = tuple([probe_order[:index][::-1]
+                             for index, _ in probe_order])
+        self._deepest = len(intermediates) - 1
+        # Extra private-bus hops a bypassed request crosses on its way to
+        # the LLC: one per intermediate beyond the first.
+        self._bypass_hops = intermediates[1:]
+        # The return path's MSHR entry lives at the deepest private
+        # intermediate — the fill deposit point.
+        self._deposit_mshrs = intermediates[-1].mshrs if intermediates \
+            else None
         self.l1_prefetcher = l1_prefetcher or NullPrefetcher()
         self.l2_prefetcher = l2_prefetcher or NullPrefetcher()
-        ic_config = cfg.interconnect if spec is None \
-            else spec.interconnect.interconnect_config()
-        self.interconnect = Interconnect(ic_config,
-                                         active_cores=active_cores)
+        self.interconnect = Interconnect(
+            spec.interconnect.interconnect_config(),
+            active_cores=active_cores)
         self.energy = EnergyAccount(params=self.shared.energy_params)
         self.stats = HierarchyStats()
         self.core_id = core_id
@@ -364,19 +310,15 @@ class CoreMemoryHierarchy:
         self._page_shift = self.tlb.l1._page_shift
         self._l1_hit_latency = float(l1_cfg.hit_latency)
         self._l1_miss_detect = float(l1_cfg.miss_detect_latency)
-        self._chain_hit_latency = tuple(float(c.hit_latency)
-                                        for c in inter_cfgs)
-        self._chain_miss_detect = tuple(float(c.miss_detect_latency)
-                                        for c in inter_cfgs)
-        self._l2_hit_latency = self._chain_hit_latency[0] \
-            if inter_cfgs else 0.0
-        self._l2_miss_detect = self._chain_miss_detect[0] \
-            if inter_cfgs else 0.0
+        self._chain_hit_latency = tuple([float(c.config.hit_latency)
+                                         for c in intermediates])
+        self._chain_miss_detect = tuple([float(c.config.miss_detect_latency)
+                                         for c in intermediates])
         self._l3_hit_latency = float(llc_cfg.hit_latency)
         self._l3_tag_latency = float(llc_cfg.tag_latency)
-        self._port_penalty = cfg.parallel_port_penalty
-        self._memory_speculative = cfg.memory_speculative_launch
-        self._ideal_miss_latency = cfg.ideal_miss_latency
+        self._port_penalty = spec.parallel_port_penalty
+        self._memory_speculative = spec.memory_speculative_launch
+        self._ideal_miss_latency = spec.ideal_miss_latency
         # Interconnect hop latencies are constant per instance (contention
         # depends only on active_cores); precompute them and bump the
         # transfer counters inline instead of calling per hop.
@@ -392,19 +334,14 @@ class CoreMemoryHierarchy:
         # for the full per-access energy of that level (for the LLC it also
         # stands in for the tag-only probe — a documented simplification);
         # write_energy_nj prices the dirty-writeback deposit into the LLC.
-        l1_read = spec.l1.read_energy_nj if spec is not None else None
+        l1_read = l1_spec.read_energy_nj
         self._l1_nj = params.l1_access_nj if l1_read is None else l1_read
         self._tlb_l1_nj = params.tlb_access_nj + self._l1_nj
-        if spec is None:
-            self._chain_nj = (params.l2_access_nj,)
-        else:
-            self._chain_nj = tuple(
-                params.l2_access_nj if level.read_energy_nj is None
-                else level.read_energy_nj
-                for level in spec.intermediates)
-        self._l2_nj = self._chain_nj[0] if self._chain_nj \
-            else params.l2_access_nj
-        llc_read = spec.llc.read_energy_nj if spec is not None else None
+        self._chain_nj = tuple([
+            params.l2_access_nj if level.read_energy_nj is None
+            else level.read_energy_nj
+            for level in inter_specs])
+        llc_read = llc_spec.read_energy_nj
         if llc_read is None:
             self._l3_nj = params.llc_tag_access_nj \
                 + params.llc_data_access_nj
@@ -412,12 +349,12 @@ class CoreMemoryHierarchy:
         else:
             self._l3_nj = llc_read
             self._l3_tag_nj = llc_read
-        llc_write = spec.llc.write_energy_nj if spec is not None else None
+        llc_write = llc_spec.write_energy_nj
         self._l3_wb_nj = self._l3_nj if llc_write is None else llc_write
         self._dram_nj = params.dram_access_nj
         self._bus_nj = params.bus_transfer_nj
         self._directory_nj = params.directory_access_nj
-        budget_cfg = inter_cfgs[-1] if inter_cfgs else l1_cfg
+        budget_cfg = intermediates[-1].config if intermediates else l1_cfg
         self._prefetch_budget = (1.0 - budget_cfg.mshr_demand_reserve) \
             * budget_cfg.mshr_entries
         # Shared result object for the overwhelmingly common outcome: an L1
@@ -429,12 +366,12 @@ class CoreMemoryHierarchy:
         # observation; no prefetcher retains the record past _generate().
         self._pf_access = PrefetchAccess(0, 0, False, True)
         self._inflight_misses: Deque[bool] = deque(
-            maxlen=self.config.prefetch_inflight_window)
+            maxlen=spec.prefetch_inflight_window)
         self._inflight_miss_count = 0
         # Prefetches issued per recent demand access (same sliding window),
         # used to bound the prefetch issue rate to the non-reserved MSHR share.
         self._recent_prefetches: Deque[int] = deque(
-            maxlen=self.config.prefetch_inflight_window)
+            maxlen=spec.prefetch_inflight_window)
         self._recent_prefetch_count = 0
         self._prefetches_this_access = 0
 
@@ -529,11 +466,7 @@ class CoreMemoryHierarchy:
         l1.mshrs.allocate(block, atype)
 
         predictor = self.predictor
-        general = self._general
-        if general:
-            actual, remote_core, holder = self._locate_chain(block)
-        else:
-            actual, remote_core = self._locate(block)
+        actual, remote_core, holder = self._locate(block)
         if self._ideal_miss_latency:
             # The paper's Ideal system: a perfect, zero-cost level prediction
             # on every L1 miss — the request goes straight to the level that
@@ -549,13 +482,9 @@ class CoreMemoryHierarchy:
         outcome = predictor.train(block, pc, prediction, actual)
         predictor.on_hit(actual)
 
-        if general:
-            path_latency, looked_up, recovered = self._timed_path_chain(
-                prediction, actual, address, pc, atype, remote_core, block,
-                holder)
-        else:
-            path_latency, looked_up, recovered = self._timed_path(
-                prediction, actual, address, pc, atype, remote_core, block)
+        path_latency, looked_up, recovered = self._timed_path(
+            prediction, actual, address, pc, atype, remote_core, block,
+            holder)
         latency += path_latency
         if recovered:
             stats.recoveries += 1
@@ -569,10 +498,7 @@ class CoreMemoryHierarchy:
                 stats.remote_cache_hits += 1
         else:
             stats.memory_accesses += 1
-        if general:
-            self._fill_on_response_chain(block, atype, actual, holder)
-        else:
-            self._fill_on_response(block, atype, actual)
+        self._fill_on_response(block, atype, actual, holder)
         l1.mshrs.release(block)
 
         stats.total_demand_latency += latency
@@ -626,34 +552,23 @@ class CoreMemoryHierarchy:
     # ==================================================================
     # Location and classification helpers
     # ==================================================================
-    def _locate(self, block: int) -> Tuple[Level, Optional[int]]:
-        """Find where the block currently resides (after the L1 miss)."""
-        if self.l2.contains_block(block):
-            return Level.L2, None
-        if self.shared.l3.contains_block(block):
-            return Level.L3, None
-        remote = self.shared.directory.remote_holder(block, self.core_id)
-        if remote is not None:
-            # Supplied by another core's private cache through the directory;
-            # classified as an LLC-level hit for prediction purposes.
-            return Level.L3, remote
-        return Level.MEM, None
-
-    def _locate_chain(self, block: int
-                      ) -> Tuple[Level, Optional[int], Optional[int]]:
-        """Chain-walking :meth:`_locate` for depths other than three.
+    def _locate(self, block: int
+                ) -> Tuple[Level, Optional[int], Optional[int]]:
+        """Find where the block currently resides (after the L1 miss).
 
         Returns ``(level, remote_core, holder)`` where ``holder`` is the
         index of the private intermediate that holds the block (``None``
         unless ``level`` is the private group ``Level.L2``).
         """
-        for index, cache in enumerate(self._intermediates):
+        for index, cache in self._probe_order:
             if cache.contains_block(block):
                 return _L2, None, index
         if self.shared.l3.contains_block(block):
             return _L3, None, None
         remote = self.shared.directory.remote_holder(block, self.core_id)
         if remote is not None:
+            # Supplied by another core's private cache through the directory;
+            # classified as an LLC-level hit for prediction purposes.
             return _L3, remote, None
         return _MEM, None, None
 
@@ -680,22 +595,31 @@ class CoreMemoryHierarchy:
         atype: AccessType,
         remote_core: Optional[int],
         block: int,
+        holder: Optional[int],
     ) -> Tuple[float, Tuple[Level, ...], bool]:
-        """Latency of the L2-and-beyond path, levels probed, recovery flag.
+        """Latency of the post-L1 path, levels probed, recovery flag.
 
-        The probed-level sequence is one of six fixed shapes, so shared
-        tuples are returned instead of building a list per miss.
+        A ``Level.L2`` prediction probes the whole private intermediate
+        group in order; the private-only sequential fallback serialises
+        each level's miss detection before forwarding.  Hop latencies:
+        ``l1_to_l2`` per hop between private levels, ``l2_to_llc`` into
+        the shared LLC (a 2-level hierarchy pays only the LLC hop).  The
+        MSHR entry for the return path is allocated at the deepest
+        private intermediate — the fill deposit point — even when the
+        group is bypassed (Section III.E).  The probed-level sequence is
+        one of six fixed shapes, so shared tuples are returned instead of
+        building a list per miss.
         """
         levels = prediction.levels or _BYPASSED_L2
-        probe_l2 = Level.L2 in levels
-        probe_l3 = Level.L3 in levels
-        probe_mem = Level.MEM in levels
+        probe_l2 = _L2 in levels
+        probe_l3 = _L3 in levels
+        probe_mem = _MEM in levels
         charge = self.energy.charge
         is_load = atype is _LOAD
 
         # Port-pressure penalty when more than one on-chip cache is probed in
         # parallel (multi-way predictions, Section V.A / V.C).
-        cache_probes = probe_l2 + probe_l3 + (Level.L1 in levels)
+        cache_probes = probe_l2 + probe_l3 + (_L1 in levels)
         if cache_probes > 1:
             port_penalty = self._port_penalty * (cache_probes - 1)
             self.stats.parallel_cache_probes += 1
@@ -705,50 +629,67 @@ class CoreMemoryHierarchy:
         # "hierarchy"-category energy is accumulated locally and charged once
         # per path (one dict update instead of four-six).
         interconnect = self.interconnect
-        interconnect.transfers += 1
-        latency = self._ic_l1_l2
-        hierarchy_nj = self._bus_nj
-        # An MSHR entry is allocated at L2 even when it is bypassed, so the
-        # fill path can deposit the block on the way back (Section III.E).
-        l2_mshrs = self.l2.mshrs
-        l2_mshrs.allocate(block, atype)
-
-        # ---------------- L2 stage ----------------
-        if probe_l2:
-            self.l2.access_block(block, atype)
-            hierarchy_nj += self._l2_nj
-            if actual is Level.L2:
-                latency += self._l2_hit_latency + port_penalty
-                charge("hierarchy", hierarchy_nj)
-                self._train_l2_prefetcher(address, pc, is_load, hit=True)
-                l2_mshrs.release(block)
-                return latency, _PATH_L2, False
-            if not (probe_l3 or probe_mem):
-                # Sequential fallback: wait for the L2 miss before forwarding.
-                latency += self._l2_miss_detect
+        deposit_mshrs = self._deposit_mshrs
+        if deposit_mshrs is None:
+            latency = 0.0
+            hierarchy_nj = 0.0
         else:
-            if actual is Level.L2:
-                # Harmful misprediction: L2 held the block but was bypassed.
+            deposit_mshrs.allocate(block, atype)
+            interconnect.transfers += 1
+            latency = self._ic_l1_l2
+            hierarchy_nj = self._bus_nj
+
+            # ---------------- Private intermediate stage ----------------
+            if probe_l2:
+                sequential = not (probe_l3 or probe_mem)
+                for index, cache in self._probe_order:
+                    if index:
+                        interconnect.transfers += 1
+                        latency += self._ic_l1_l2
+                        hierarchy_nj += self._bus_nj
+                    cache.access_block(block, atype)
+                    hierarchy_nj += self._chain_nj[index]
+                    if index == holder:
+                        latency += self._chain_hit_latency[index] \
+                            + port_penalty
+                        charge("hierarchy", hierarchy_nj)
+                        self._train_l2_prefetcher(address, pc, is_load,
+                                                  hit=True)
+                        deposit_mshrs.release(block)
+                        return latency, _PATH_L2, False
+                    if sequential:
+                        # Wait for this level's miss before forwarding.
+                        latency += self._chain_miss_detect[index]
+            elif actual is _L2:
+                # Harmful misprediction: a private level held the block
+                # but the whole group was bypassed.
                 charge("hierarchy", hierarchy_nj)
-                latency += self._recover_to_l2(atype, block)
+                latency += self._recover(atype, block, holder)
                 latency += port_penalty
                 self._train_l2_prefetcher(address, pc, is_load, hit=True)
-                l2_mshrs.release(block)
+                deposit_mshrs.release(block)
                 return latency, _PATH_RECOVERY, True
+            else:
+                # Bypassed but absent: the request still traverses the
+                # private chain's bus on the way to the LLC.
+                for _ in self._bypass_hops:
+                    interconnect.transfers += 1
+                    latency += self._ic_l1_l2
+                    hierarchy_nj += self._bus_nj
 
         # ---------------- LLC / directory stage ----------------
         interconnect.transfers += 1
         latency += self._ic_l2_llc
         hierarchy_nj += self._bus_nj + self._directory_nj
 
-        if actual is Level.L3:
+        if actual is _L3:
             self.shared.l3.access_block(block, atype)
             hierarchy_nj += self._l3_nj
             llc_latency = self._l3_hit_latency
             if remote_core is not None:
                 # Data forwarded from another core's private cache.
                 llc_latency = (self._l3_tag_latency
-                               + self.interconnect.cache_to_cache_latency())
+                               + interconnect.cache_to_cache_latency())
             if probe_mem and self._memory_speculative:
                 # A speculative DRAM access was launched and must be cancelled
                 # by the return-path address-matching logic: energy, no time.
@@ -757,7 +698,8 @@ class CoreMemoryHierarchy:
             latency += llc_latency + port_penalty
             charge("hierarchy", hierarchy_nj)
             self._train_llc_prefetcher(address, pc, is_load, hit=True)
-            l2_mshrs.release(block)
+            if deposit_mshrs is not None:
+                deposit_mshrs.release(block)
             return latency, (_PATH_L2_L3 if probe_l2 else _PATH_L3), False
 
         # Block is in main memory.
@@ -780,11 +722,13 @@ class CoreMemoryHierarchy:
         else:
             latency += self._l3_tag_latency + hop_to_memory + dram_latency
         latency += port_penalty
-        l2_mshrs.release(block)
+        if deposit_mshrs is not None:
+            deposit_mshrs.release(block)
         return latency, (_PATH_L2_L3_MEM if probe_l2 else _PATH_L3_MEM), False
 
-    def _recover_to_l2(self, atype: AccessType, block: int) -> float:
-        """Misprediction recovery: directory re-issues the request to L2."""
+    def _recover(self, atype: AccessType, block: int, holder: int) -> float:
+        """Misprediction recovery: the directory re-issues the request to
+        the private intermediate that holds the block."""
         charge = self.energy.charge
         latency = self.interconnect.l2_to_llc_latency()
         charge("hierarchy", self._bus_nj)
@@ -793,161 +737,13 @@ class CoreMemoryHierarchy:
         charge("hierarchy", self._l3_tag_nj)
         charge("hierarchy", self._directory_nj)
         self.shared.directory.detect_bypass_misprediction(block, self.core_id)
-        # Recovery transaction back to L2, then the L2 access itself.
+        # Recovery transaction back to the holder, then its access itself.
         latency += self.interconnect.recovery_latency()
         self.energy.charge_recovery(self._bus_nj + self._directory_nj)
-        self.l2.access_block(block, atype)
-        charge("hierarchy", self._l2_nj)
-        latency += self._l2_hit_latency
-        # Deallocate MSHR entries allocated past the actual level.
-        self.shared.l3.mshrs.force_release(block)
-        return latency
-
-    def _timed_path_chain(
-        self,
-        prediction: Prediction,
-        actual: Level,
-        address: int,
-        pc: int,
-        atype: AccessType,
-        remote_core: Optional[int],
-        block: int,
-        holder: Optional[int],
-    ) -> Tuple[float, Tuple[Level, ...], bool]:
-        """:meth:`_timed_path` generalised to an arbitrary private chain.
-
-        A ``Level.L2`` prediction probes the whole private intermediate
-        group in order; the private-only sequential fallback serialises
-        each level's miss detection before forwarding.  Hop latencies:
-        ``l1_to_l2`` per hop between private levels, ``l2_to_llc`` into
-        the shared LLC (a 2-level hierarchy pays only the LLC hop).  The
-        MSHR entry for the return path is allocated at the deepest
-        private intermediate — the fill deposit point — even when the
-        group is bypassed.
-        """
-        levels = prediction.levels or _BYPASSED_L2
-        probe_l2 = Level.L2 in levels
-        probe_l3 = Level.L3 in levels
-        probe_mem = Level.MEM in levels
-        charge = self.energy.charge
-        is_load = atype is _LOAD
-        intermediates = self._intermediates
-
-        cache_probes = probe_l2 + probe_l3 + (Level.L1 in levels)
-        if cache_probes > 1:
-            port_penalty = self._port_penalty * (cache_probes - 1)
-            self.stats.parallel_cache_probes += 1
-        else:
-            port_penalty = 0.0
-
-        interconnect = self.interconnect
-        latency = 0.0
-        hierarchy_nj = 0.0
-        deposit_mshrs = intermediates[-1].mshrs if intermediates else None
-        if deposit_mshrs is not None:
-            deposit_mshrs.allocate(block, atype)
-        if intermediates:
-            interconnect.transfers += 1
-            latency += self._ic_l1_l2
-            hierarchy_nj += self._bus_nj
-
-        # ---------------- Private intermediate stage ----------------
-        if intermediates:
-            if probe_l2:
-                sequential = not (probe_l3 or probe_mem)
-                for index, cache in enumerate(intermediates):
-                    if index:
-                        interconnect.transfers += 1
-                        latency += self._ic_l1_l2
-                        hierarchy_nj += self._bus_nj
-                    cache.access_block(block, atype)
-                    hierarchy_nj += self._chain_nj[index]
-                    if index == holder:
-                        latency += self._chain_hit_latency[index] \
-                            + port_penalty
-                        charge("hierarchy", hierarchy_nj)
-                        self._train_l2_prefetcher(address, pc, is_load,
-                                                  hit=True)
-                        deposit_mshrs.release(block)
-                        return latency, _PATH_L2, False
-                    if sequential:
-                        latency += self._chain_miss_detect[index]
-            elif actual is Level.L2:
-                # Harmful misprediction: a private level held the block
-                # but the whole group was bypassed.
-                charge("hierarchy", hierarchy_nj)
-                latency += self._recover_to_chain(atype, block, holder)
-                latency += port_penalty
-                self._train_l2_prefetcher(address, pc, is_load, hit=True)
-                deposit_mshrs.release(block)
-                return latency, _PATH_RECOVERY, True
-            else:
-                # Bypassed but absent: the request still traverses the
-                # private chain's bus on the way to the LLC.
-                for _ in range(len(intermediates) - 1):
-                    interconnect.transfers += 1
-                    latency += self._ic_l1_l2
-                    hierarchy_nj += self._bus_nj
-
-        # ---------------- LLC / directory stage ----------------
-        interconnect.transfers += 1
-        latency += self._ic_l2_llc
-        hierarchy_nj += self._bus_nj + self._directory_nj
-
-        if actual is Level.L3:
-            self.shared.l3.access_block(block, atype)
-            hierarchy_nj += self._l3_nj
-            llc_latency = self._l3_hit_latency
-            if remote_core is not None:
-                llc_latency = (self._l3_tag_latency
-                               + self.interconnect.cache_to_cache_latency())
-            if probe_mem and self._memory_speculative:
-                charge("dram", self._dram_nj)
-                self.stats.cancelled_dram_launches += 1
-            latency += llc_latency + port_penalty
-            charge("hierarchy", hierarchy_nj)
-            self._train_llc_prefetcher(address, pc, is_load, hit=True)
-            if deposit_mshrs is not None:
-                deposit_mshrs.release(block)
-            return latency, (_PATH_L2_L3 if probe_l2 else _PATH_L3), False
-
-        # Block is in main memory.
-        self.shared.l3.access_block(block, atype)
-        hierarchy_nj += self._l3_tag_nj
-        charge("hierarchy", hierarchy_nj)
-        self._train_llc_prefetcher(address, pc, is_load, hit=False)
-        dram_latency = self.shared.dram.access(address)
-        charge("dram", self._dram_nj)
-        interconnect.transfers += 1
-        hop_to_memory = self._ic_llc_mem
-
-        if probe_mem and self._memory_speculative:
-            self.stats.speculative_dram_launches += 1
-            latency += max(self._l3_tag_latency,
-                           hop_to_memory + dram_latency)
-        else:
-            latency += self._l3_tag_latency + hop_to_memory + dram_latency
-        latency += port_penalty
-        if deposit_mshrs is not None:
-            deposit_mshrs.release(block)
-        return latency, (_PATH_L2_L3_MEM if probe_l2 else _PATH_L3_MEM), False
-
-    def _recover_to_chain(self, atype: AccessType, block: int,
-                          holder: int) -> float:
-        """:meth:`_recover_to_l2` aimed at the holding intermediate."""
-        charge = self.energy.charge
-        latency = self.interconnect.l2_to_llc_latency()
-        charge("hierarchy", self._bus_nj)
-        latency += self._l3_tag_latency
-        charge("hierarchy", self._l3_tag_nj)
-        charge("hierarchy", self._directory_nj)
-        self.shared.directory.detect_bypass_misprediction(block, self.core_id)
-        latency += self.interconnect.recovery_latency()
-        self.energy.charge_recovery(self._bus_nj + self._directory_nj)
-        cache = self._intermediates[holder]
-        cache.access_block(block, atype)
+        self._intermediates[holder].access_block(block, atype)
         charge("hierarchy", self._chain_nj[holder])
         latency += self._chain_hit_latency[holder]
+        # Deallocate MSHR entries allocated past the actual level.
         self.shared.l3.mshrs.force_release(block)
         return latency
 
@@ -955,81 +751,8 @@ class CoreMemoryHierarchy:
     # Data movement (fills, evictions, writebacks)
     # ==================================================================
     def _fill_on_response(self, block: int, atype: AccessType,
-                          actual: Level) -> None:
-        """Move the block up the hierarchy after the response returns."""
-        dirty = atype is AccessType.STORE
-        state = CoherenceState.MODIFIED if dirty else CoherenceState.EXCLUSIVE
-        predictor = self.predictor
-
-        if actual is Level.MEM:
-            # Memory fills also populate the (non-inclusive) LLC.
-            l3_eviction = self.shared.l3.fill_block(block, atype,
-                                                    dirty=False, state=state)
-            if l3_eviction is not None:
-                self._handle_l3_eviction(l3_eviction)
-            predictor.on_fill(block, Level.L3)
-
-        if actual is Level.MEM or actual is Level.L3:
-            l2_eviction = self.l2.fill_block(block, atype,
-                                             dirty=dirty, state=state)
-            if l2_eviction is not None:
-                self._handle_l2_eviction(l2_eviction)
-            predictor.on_fill(block, Level.L2)
-            self.shared.directory.record_private_fill(block, self.core_id,
-                                                      dirty=dirty)
-        elif actual is Level.L2:
-            # The L1 fill from L2 is a demand fill observed on the L2 bus, so
-            # the predictor's location metadata is refreshed with the truth
-            # (this is what repairs stale LocMap entries left by unrecorded
-            # prefetch fills).
-            predictor.on_fill(block, Level.L2)
-            if dirty:
-                self.l2.mark_dirty(block)
-
-        l1_eviction = self.l1.fill_block(block, atype,
-                                         dirty=dirty, state=state)
-        if l1_eviction is not None:
-            self._handle_l1_eviction(l1_eviction)
-
-    def _handle_l1_eviction(self, eviction: Optional[EvictionInfo]) -> None:
-        if eviction is None:
-            return
-        if eviction.prefetched_unused:
-            self.l1_prefetcher.record_useless()
-        if eviction.dirty:
-            # L2 is inclusive of L1, so a dirty L1 victim merges into L2.
-            self.l2.mark_dirty(eviction.block_addr)
-
-    def _handle_l2_eviction(self, eviction: Optional[EvictionInfo]) -> None:
-        if eviction is None:
-            return
-        if eviction.prefetched_unused:
-            self.l2_prefetcher.record_useless()
-        # Inclusion: a block leaving L2 must leave L1 as well.
-        self.l1.invalidate(eviction.block_addr)
-        self.shared.directory.record_private_eviction(eviction.block_addr,
-                                                      self.core_id)
-        self.predictor.on_eviction(eviction.block_addr, Level.L2,
-                                   dirty=eviction.dirty)
-        if eviction.dirty:
-            # Dirty victims are written back into the non-inclusive LLC.
-            l3_eviction = self.shared.l3.fill_block(
-                eviction.block_addr, AccessType.WRITEBACK, dirty=True,
-                state=CoherenceState.MODIFIED)
-            self.energy.charge("hierarchy", self._l3_wb_nj)
-            self._handle_l3_eviction(l3_eviction)
-
-    def _handle_l3_eviction(self, eviction: Optional[EvictionInfo]) -> None:
-        if eviction is None:
-            return
-        self.shared.l3_eviction_to_memory(eviction, self.energy)
-        self.predictor.on_eviction(eviction.block_addr, Level.L3,
-                                   dirty=eviction.dirty)
-
-    def _fill_on_response_chain(self, block: int, atype: AccessType,
-                                actual: Level,
-                                holder: Optional[int]) -> None:
-        """:meth:`_fill_on_response` generalised to the private chain.
+                          actual: Level, holder: Optional[int]) -> None:
+        """Move the block up the hierarchy after the response returns.
 
         Fills propagate deepest-first through every private intermediate
         (each is inclusive of the levels above it), then into L1.  In a
@@ -1038,45 +761,50 @@ class CoreMemoryHierarchy:
         (``Level.L2``) predictor notifications are skipped — the group is
         empty.
         """
-        dirty = atype is AccessType.STORE
-        state = CoherenceState.MODIFIED if dirty else CoherenceState.EXCLUSIVE
+        dirty = atype is _STORE
+        state = _MODIFIED if dirty else _EXCLUSIVE
         predictor = self.predictor
-        intermediates = self._intermediates
 
-        if actual is Level.MEM:
+        if actual is _MEM:
+            # Memory fills also populate the (non-inclusive) LLC.
             l3_eviction = self.shared.l3.fill_block(block, atype,
                                                     dirty=False, state=state)
             if l3_eviction is not None:
                 self._handle_l3_eviction(l3_eviction)
-            predictor.on_fill(block, Level.L3)
+            predictor.on_fill(block, _L3)
 
-        if actual is Level.MEM or actual is Level.L3:
-            if intermediates:
-                for index in range(len(intermediates) - 1, -1, -1):
-                    eviction = intermediates[index].fill_block(
-                        block, atype, dirty=dirty, state=state)
+        if actual is _MEM or actual is _L3:
+            fill_order = self._fill_order
+            if fill_order:
+                for index, cache in fill_order:
+                    eviction = cache.fill_block(block, atype,
+                                                dirty=dirty, state=state)
                     if eviction is not None:
-                        self._handle_chain_eviction(eviction, index)
-                predictor.on_fill(block, Level.L2)
+                        self._handle_intermediate_eviction(eviction, index)
+                predictor.on_fill(block, _L2)
             self.shared.directory.record_private_fill(block, self.core_id,
                                                       dirty=dirty)
-        elif actual is Level.L2:
-            predictor.on_fill(block, Level.L2)
+        elif actual is _L2:
+            # The L1 fill from the holder is a demand fill observed on the
+            # private bus, so the predictor's location metadata is refreshed
+            # with the truth (this is what repairs stale LocMap entries left
+            # by unrecorded prefetch fills).
+            predictor.on_fill(block, _L2)
             if dirty:
-                intermediates[holder].mark_dirty(block)
+                self._intermediates[holder].mark_dirty(block)
             # Inclusion upward: levels between the holder and L1 also fill.
-            for index in range(holder - 1, -1, -1):
-                eviction = intermediates[index].fill_block(
-                    block, atype, dirty=dirty, state=state)
+            for index, cache in self._above[holder]:
+                eviction = cache.fill_block(block, atype,
+                                            dirty=dirty, state=state)
                 if eviction is not None:
-                    self._handle_chain_eviction(eviction, index)
+                    self._handle_intermediate_eviction(eviction, index)
 
         l1_eviction = self.l1.fill_block(block, atype,
                                          dirty=dirty, state=state)
         if l1_eviction is not None:
-            self._handle_l1_eviction_chain(l1_eviction)
+            self._handle_l1_eviction(l1_eviction)
 
-    def _handle_l1_eviction_chain(self, eviction: EvictionInfo) -> None:
+    def _handle_l1_eviction(self, eviction: EvictionInfo) -> None:
         if eviction.prefetched_unused:
             self.l1_prefetcher.record_useless()
         intermediates = self._intermediates
@@ -1092,38 +820,43 @@ class CoreMemoryHierarchy:
                                                       self.core_id)
         if eviction.dirty:
             l3_eviction = self.shared.l3.fill_block(
-                eviction.block_addr, AccessType.WRITEBACK, dirty=True,
-                state=CoherenceState.MODIFIED)
+                eviction.block_addr, _WRITEBACK, dirty=True, state=_MODIFIED)
             self.energy.charge("hierarchy", self._l3_wb_nj)
             self._handle_l3_eviction(l3_eviction)
 
-    def _handle_chain_eviction(self, eviction: EvictionInfo,
-                               index: int) -> None:
+    def _handle_intermediate_eviction(self, eviction: EvictionInfo,
+                                      index: int) -> None:
         """Eviction from the private intermediate at ``index``."""
         if eviction.prefetched_unused and index == 0:
             self.l2_prefetcher.record_useless()
         block_addr = eviction.block_addr
         # Inclusion: a block leaving this level leaves every closer level.
         self.l1.invalidate(block_addr)
-        intermediates = self._intermediates
-        for closer in range(index):
-            intermediates[closer].invalidate(block_addr)
-        if index == len(intermediates) - 1:
+        for _, cache in self._above[index]:
+            cache.invalidate(block_addr)
+        if index == self._deepest:
             # Leaving the deepest private level: the block leaves this
             # core's private group entirely.
             self.shared.directory.record_private_eviction(block_addr,
                                                           self.core_id)
-            self.predictor.on_eviction(block_addr, Level.L2,
+            self.predictor.on_eviction(block_addr, _L2,
                                        dirty=eviction.dirty)
             if eviction.dirty:
+                # Dirty victims are written back into the non-inclusive LLC.
                 l3_eviction = self.shared.l3.fill_block(
-                    block_addr, AccessType.WRITEBACK, dirty=True,
-                    state=CoherenceState.MODIFIED)
+                    block_addr, _WRITEBACK, dirty=True, state=_MODIFIED)
                 self.energy.charge("hierarchy", self._l3_wb_nj)
                 self._handle_l3_eviction(l3_eviction)
         elif eviction.dirty:
             # Dirty victims merge into the next-deeper private level.
-            intermediates[index + 1].mark_dirty(block_addr)
+            self._intermediates[index + 1].mark_dirty(block_addr)
+
+    def _handle_l3_eviction(self, eviction: Optional[EvictionInfo]) -> None:
+        if eviction is None:
+            return
+        self.shared.l3_eviction_to_memory(eviction, self.energy)
+        self.predictor.on_eviction(eviction.block_addr, _L3,
+                                   dirty=eviction.dirty)
 
     # ==================================================================
     # Prefetching
@@ -1173,8 +906,15 @@ class CoreMemoryHierarchy:
         next begins, so true MSHR occupancy is not observable; instead the
         prefetch *issue rate* over the last ``prefetch_inflight_window``
         demand accesses (tracked by the inlined window bookkeeping in
-        :meth:`access`) is bounded by the non-reserved share of the L2 MSHR
-        entries — the behaviour the reservation produces under load.
+        :meth:`access`) is bounded by the non-reserved share of the MSHR
+        entries of the deepest private level — the behaviour the
+        reservation produces under load.
+
+        A private-level prefetch keeps inclusion by filling every private
+        intermediate deepest-first; an L1-targeted prefetch additionally
+        fills L1.  In a 2-level hierarchy both private targets collapse to
+        an L1 install (L1 is the only private level), recorded with the
+        directory.
         """
         if (self._recent_prefetch_count + self._prefetches_this_access
                 >= self._prefetch_budget):
@@ -1185,65 +925,32 @@ class CoreMemoryHierarchy:
             else block_address(address, self._block_size)
         self.stats.prefetches_issued += 1
         self._prefetches_this_access += 1
-        if self._general and level is not Level.L3:
-            self._issue_chain_prefetch(block, level)
-        elif level is Level.L1:
-            if self.l1.contains_block(block):
-                return
-            # L1/L2 are inclusive: the prefetched block is installed in both.
-            l2_eviction = self.l2.fill_block(block, AccessType.PREFETCH)
-            if l2_eviction is not None:
-                self._handle_l2_eviction(l2_eviction)
-            l1_eviction = self.l1.fill_block(block, AccessType.PREFETCH)
-            if l1_eviction is not None:
-                self._handle_l1_eviction(l1_eviction)
-            self.predictor.on_fill(block, Level.L2, from_prefetch=True)
-            self.shared.directory.record_private_fill(block, self.core_id)
-            self.energy.charge("hierarchy", self._l1_nj)
-        elif level is Level.L2:
-            installed, l2_eviction = self.l2.prefetch_install(block)
-            if not installed:
-                return
-            if l2_eviction is not None:
-                self._handle_l2_eviction(l2_eviction)
-            self.predictor.on_fill(block, Level.L2, from_prefetch=True)
-            self.shared.directory.record_private_fill(block, self.core_id)
-            self.energy.charge("hierarchy", self._l2_nj)
-        else:
+        if level is _L3:
             installed, l3_eviction = self.shared.l3.prefetch_install(block)
             if not installed:
                 return
             if l3_eviction is not None:
                 self._handle_l3_eviction(l3_eviction)
-            self.predictor.on_fill(block, Level.L3, from_prefetch=True)
+            self.predictor.on_fill(block, _L3, from_prefetch=True)
             self.energy.charge("hierarchy", self._l3_nj)
-
-    def _issue_chain_prefetch(self, block: int, level: Level) -> None:
-        """Install a private-level prefetch in a general chain.
-
-        Inclusion holds by filling every private intermediate
-        deepest-first; an L1-targeted prefetch additionally fills L1.  In
-        a 2-level hierarchy both targets collapse to an L1 install (L1 is
-        the only private level), recorded with the directory.
-        """
+            return
         intermediates = self._intermediates
-        target_l1 = level is Level.L1 or not intermediates
+        target_l1 = level is _L1 or not intermediates
         if target_l1:
             if self.l1.contains_block(block):
                 return
         elif intermediates[0].contains_block(block):
             return
-        for index in range(len(intermediates) - 1, -1, -1):
-            eviction = intermediates[index].fill_block(
-                block, AccessType.PREFETCH)
+        for index, cache in self._fill_order:
+            eviction = cache.fill_block(block, _PREFETCH)
             if eviction is not None:
-                self._handle_chain_eviction(eviction, index)
+                self._handle_intermediate_eviction(eviction, index)
         if target_l1:
-            l1_eviction = self.l1.fill_block(block, AccessType.PREFETCH)
+            l1_eviction = self.l1.fill_block(block, _PREFETCH)
             if l1_eviction is not None:
-                self._handle_l1_eviction_chain(l1_eviction)
+                self._handle_l1_eviction(l1_eviction)
         if intermediates:
-            self.predictor.on_fill(block, Level.L2, from_prefetch=True)
+            self.predictor.on_fill(block, _L2, from_prefetch=True)
         self.shared.directory.record_private_fill(block, self.core_id)
         self.energy.charge("hierarchy",
                            self._l1_nj if target_l1 else self._chain_nj[0])

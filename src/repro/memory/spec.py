@@ -1,14 +1,13 @@
 """Declarative hierarchy specifications: the memory system as data.
 
-The reproduction originally hard-coded the paper's Table I topology —
-private L1/L2, a shared L3, one DDR4 channel — as attributes of
-:class:`~repro.memory.hierarchy.HierarchyConfig`.  This module makes an
-arbitrary hierarchy a *declarative spec* in the zigzag idiom: each cache
-level is a frozen :class:`LevelSpec` (geometry, latencies, MSHR shape,
-ports, optional per-access energy and area), and a :class:`HierarchySpec`
-composes an ordered chain of levels plus a memory backend
-(:class:`MemorySpec`), an interconnect (:class:`InterconnectSpec`) and a
-TLB (:class:`TLBSpec`).
+:class:`HierarchySpec` is the one hierarchy configuration type.  It is a
+*declarative spec* in the zigzag idiom: each cache level is a frozen
+:class:`LevelSpec` (geometry, latencies, MSHR shape, ports, optional
+per-access energy and area), and a :class:`HierarchySpec` composes an
+ordered chain of levels plus a memory backend (:class:`MemorySpec`), an
+interconnect (:class:`InterconnectSpec`) and a TLB (:class:`TLBSpec`).
+The paper's Table I topology is :meth:`HierarchySpec.paper_single_core`
+(and :meth:`~HierarchySpec.paper_multi_core` for the 8 MB quad-core LLC).
 
 Specs are validated at construction — zero ways, non-power-of-two blocks,
 shrinking capacities, non-monotone latencies, duplicate level names and
@@ -31,18 +30,21 @@ LLC may be non-inclusive (the paper's configuration).
 Key stability
 =============
 
-``HierarchySpec.paper_single_core()`` / ``paper_multi_core()`` describe
-exactly the legacy :class:`HierarchyConfig` defaults, and any spec that
-is *legacy-exact* (a faithful image of a 3-level ``HierarchyConfig``:
-default names, default TLB, no energy/area/port extras) canonicalises as
-that legacy config via the ``__canonical__`` hook the store honours — so
-the SHA-256 job keys of the paper systems are bit-identical whether the
-hierarchy travels as legacy config or as spec, and the golden store
-never moves.
+Results stores address every job by the SHA-256 of its canonical
+config, and the golden store was keyed before specs existed, when the
+paper hierarchy was a fixed three-level dataclass.  That dataclass's
+canonical form is frozen as a key format: a *legacy-exact* spec (three
+levels named ``L1``/``L2``/``L3`` with a non-inclusive LLC, the default
+TLB, and no energy/area/port extras — everything the old dataclass could
+express) canonicalises in it via the ``__canonical__`` hook the store
+honours.  So the job keys of the paper systems, and with them the golden
+store, never move.  Every other spec takes the generic dataclass
+canonical form.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -52,12 +54,16 @@ from .block import DEFAULT_BLOCK_SIZE, Level
 from .cache import CacheConfig
 from .dram import DRAMConfig
 from .interconnect import InterconnectConfig
+from .tlb import TLBConfig, TLBHierarchy
 
 #: Schema tag embedded in every serialized hierarchy spec.
 HIERARCHY_SCHEMA = "repro-hierarchy/1"
 
 #: The default level names of the paper's 3-level chain (legacy-exact).
 _LEGACY_NAMES = ("L1", "L2", "L3")
+
+#: The class name the pre-spec store key format recorded for a hierarchy.
+_LEGACY_KEY_CLASS = "HierarchyConfig"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -154,19 +160,6 @@ class LevelSpec:
             mshr_entries=self.mshr_entries,
             mshr_demand_reserve=self.mshr_demand_reserve)
 
-    @staticmethod
-    def from_cache_config(name: str, config: CacheConfig,
-                          inclusive: bool = True) -> "LevelSpec":
-        return LevelSpec(
-            name=name, size_bytes=config.size_bytes,
-            associativity=config.associativity,
-            block_size=config.block_size, tag_latency=config.tag_latency,
-            data_latency=config.data_latency,
-            sequential_tag_data=config.sequential_tag_data,
-            mshr_entries=config.mshr_entries,
-            mshr_demand_reserve=config.mshr_demand_reserve,
-            inclusive=inclusive)
-
 
 @dataclass(frozen=True)
 class TLBSpec:
@@ -205,10 +198,8 @@ class TLBSpec:
         _require(self.page_walk_latency >= 0,
                  "TLB: page_walk_latency must be non-negative")
 
-    def build(self):
+    def build(self) -> TLBHierarchy:
         """Construct the runtime :class:`~repro.memory.tlb.TLBHierarchy`."""
-        from .tlb import TLBConfig, TLBHierarchy
-
         return TLBHierarchy(
             l1_config=TLBConfig(entries=self.l1_entries,
                                 associativity=self.l1_associativity,
@@ -250,13 +241,8 @@ class MemorySpec:
                  "memory: row_size_bytes must be positive")
 
     def dram_config(self) -> DRAMConfig:
-        return DRAMConfig(**{f.name: getattr(self, f.name)
-                             for f in fields(self)})
-
-    @staticmethod
-    def from_dram_config(config: DRAMConfig) -> "MemorySpec":
-        return MemorySpec(**{f.name: getattr(config, f.name)
-                             for f in fields(MemorySpec)})
+        # The field names mirror DRAMConfig one to one.
+        return DRAMConfig(**self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -284,14 +270,8 @@ class InterconnectSpec:
                  "non-negative")
 
     def interconnect_config(self) -> InterconnectConfig:
-        return InterconnectConfig(**{f.name: getattr(self, f.name)
-                                     for f in fields(self)})
-
-    @staticmethod
-    def from_interconnect_config(config: InterconnectConfig
-                                 ) -> "InterconnectSpec":
-        return InterconnectSpec(**{f.name: getattr(config, f.name)
-                                   for f in fields(InterconnectSpec)})
+        # The field names mirror InterconnectConfig one to one.
+        return InterconnectConfig(**self.__dict__)
 
 
 def _paper_levels(llc_size_bytes: int) -> Tuple[LevelSpec, ...]:
@@ -384,6 +364,18 @@ class HierarchySpec:
         return self.levels[-1]
 
     @property
+    def l2(self) -> Optional[LevelSpec]:
+        """The first private intermediate, or ``None`` in a 2-level chain
+        (like :attr:`CoreMemoryHierarchy.l2
+        <repro.memory.hierarchy.CoreMemoryHierarchy>`)."""
+        return self.levels[1] if len(self.levels) > 2 else None
+
+    @property
+    def l3(self) -> LevelSpec:
+        """Alias of :attr:`llc`, for readers of the Table I level names."""
+        return self.levels[-1]
+
+    @property
     def intermediates(self) -> Tuple[LevelSpec, ...]:
         """The private levels between L1 and the LLC (possibly empty)."""
         return self.levels[1:-1]
@@ -394,84 +386,57 @@ class HierarchySpec:
     @staticmethod
     def paper_single_core() -> "HierarchySpec":
         """The single-core Table I topology (2 MB LLC) as a spec."""
-        return HierarchySpec(levels=_paper_levels(2 * 1024 * 1024))
+        return _paper_spec(2 * 1024 * 1024)
 
     @staticmethod
     def paper_multi_core() -> "HierarchySpec":
         """The quad-core Table I topology (8 MB shared LLC) as a spec."""
-        return HierarchySpec(levels=_paper_levels(8 * 1024 * 1024))
+        return _paper_spec(8 * 1024 * 1024)
 
     # ------------------------------------------------------------------
-    # Legacy interop
+    # Store keys
     # ------------------------------------------------------------------
-    @staticmethod
-    def from_legacy(config) -> "HierarchySpec":
-        """Lift a legacy 3-level :class:`HierarchyConfig` into a spec."""
-        return HierarchySpec(
-            levels=(
-                LevelSpec.from_cache_config("L1", config.l1),
-                LevelSpec.from_cache_config("L2", config.l2),
-                LevelSpec.from_cache_config("L3", config.l3,
-                                            inclusive=False),
-            ),
-            memory=MemorySpec.from_dram_config(config.dram),
-            interconnect=InterconnectSpec.from_interconnect_config(
-                config.interconnect),
-            memory_speculative_launch=config.memory_speculative_launch,
-            parallel_port_penalty=config.parallel_port_penalty,
-            prefetch_inflight_window=config.prefetch_inflight_window,
-            ideal_miss_latency=config.ideal_miss_latency)
-
-    def to_legacy(self):
-        """Lower a 3-level spec to a legacy :class:`HierarchyConfig`.
-
-        Only exact 3-level chains lower; extras the legacy config cannot
-        express (custom TLBs, per-level energies...) are dropped — use
-        :meth:`is_legacy_exact` to know whether the lowering is lossless.
-        """
-        from .hierarchy import HierarchyConfig
-
-        _require(self.depth == 3,
-                 f"only 3-level hierarchies lower to the legacy config, "
-                 f"this one has {self.depth} levels")
-        return HierarchyConfig(
-            l1=self.levels[0].cache_config(Level.L1),
-            l2=self.levels[1].cache_config(Level.L2),
-            l3=self.levels[2].cache_config(Level.L3),
-            dram=self.memory.dram_config(),
-            interconnect=self.interconnect.interconnect_config(),
-            memory_speculative_launch=self.memory_speculative_launch,
-            parallel_port_penalty=self.parallel_port_penalty,
-            prefetch_inflight_window=self.prefetch_inflight_window,
-            ideal_miss_latency=self.ideal_miss_latency)
-
     def is_legacy_exact(self) -> bool:
-        """True when this spec is a faithful image of a legacy config.
+        """True when the pre-spec key format can express this spec.
 
-        Holds exactly when lowering to :class:`HierarchyConfig` and
-        lifting back reproduces this spec — 3 levels with the default
-        names and inclusivity pattern, the default TLB, and no
-        energy/area/port extras.
+        That is: 3 levels with the default names, a non-inclusive LLC,
+        the default TLB, and no energy/area/port extras.  Such specs keep
+        their historical store keys (see :meth:`__canonical__`).
         """
-        if self.depth != 3:
-            return False
-        if tuple(level.name for level in self.levels) != _LEGACY_NAMES:
-            return False
-        return HierarchySpec.from_legacy(self.to_legacy()) == self
+        return (tuple(level.name for level in self.levels) == _LEGACY_NAMES
+                and not self.llc.inclusive
+                and self.tlb == TLBSpec()
+                and all(level.ports == 1 and level.read_energy_nj is None
+                        and level.write_energy_nj is None
+                        and level.area_mm2 is None
+                        for level in self.levels))
 
     def __canonical__(self, canonicalize):
         """Store-canonicalisation hook (see ``repro.sim.store``).
 
-        Legacy-exact specs canonicalise as the :class:`HierarchyConfig`
-        they describe, so the SHA-256 job key of a paper system is
-        bit-identical whether its hierarchy travels as legacy config or
-        as spec — the golden store never moves.  Anything the legacy
-        config cannot express falls through to the generic dataclass
-        canonical form.
+        Legacy-exact specs canonicalise in the frozen pre-spec key
+        format, so the SHA-256 job keys of the paper systems — and the
+        golden store — never move.  Anything that format cannot express
+        falls through to the generic dataclass canonical form.
         """
-        if self.is_legacy_exact():
-            return canonicalize(self.to_legacy())
-        return NotImplemented
+        if not self.is_legacy_exact():
+            return NotImplemented
+        l1, l2, l3 = self.levels
+        return {
+            "__dataclass__": _LEGACY_KEY_CLASS,
+            "fields": {
+                "l1": canonicalize(l1.cache_config(Level.L1)),
+                "l2": canonicalize(l2.cache_config(Level.L2)),
+                "l3": canonicalize(l3.cache_config(Level.L3)),
+                "dram": canonicalize(self.memory.dram_config()),
+                "interconnect": canonicalize(
+                    self.interconnect.interconnect_config()),
+                "memory_speculative_launch": self.memory_speculative_launch,
+                "parallel_port_penalty": self.parallel_port_penalty,
+                "prefetch_inflight_window": self.prefetch_inflight_window,
+                "ideal_miss_latency": self.ideal_miss_latency,
+            },
+        }
 
     # ------------------------------------------------------------------
     # JSON round trip
@@ -549,6 +514,13 @@ class HierarchySpec:
             f"{level.name}:{level.size_bytes // 1024}KB"
             for level in self.levels)
         return f"{self.depth}-level [{chain}] + DRAM"
+
+
+@functools.lru_cache(maxsize=None)
+def _paper_spec(llc_size_bytes: int) -> HierarchySpec:
+    """Specs are immutable, so each paper topology is built and validated
+    once and shared by every configuration that uses it."""
+    return HierarchySpec(levels=_paper_levels(llc_size_bytes))
 
 
 def _parse_section(spec_type, data: Any, where: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 from ..cpu.ooo_core import CoreConfig
-from ..memory.hierarchy import HierarchyConfig
+from ..memory.spec import HierarchySpec, derive_llc
 
 #: Names of the systems compared in Figures 10-12 (plus the baseline).
 PREDICTOR_NAMES: List[str] = [
@@ -27,7 +27,8 @@ class SystemConfig:
 
     Attributes:
         name: Human-readable configuration name.
-        hierarchy: Cache/DRAM/interconnect configuration.
+        hierarchy: Cache/DRAM/interconnect configuration (a declarative
+            :class:`~repro.memory.spec.HierarchySpec` of any depth).
         core: Out-of-order core configuration.
         predictor: Which level-prediction scheme to attach; one of
             :data:`PREDICTOR_NAMES`.
@@ -40,8 +41,8 @@ class SystemConfig:
     """
 
     name: str = "paper-single-core"
-    hierarchy: HierarchyConfig = field(
-        default_factory=HierarchyConfig.paper_single_core)
+    hierarchy: HierarchySpec = field(
+        default_factory=HierarchySpec.paper_single_core)
     core: CoreConfig = field(default_factory=CoreConfig.paper_baseline)
     predictor: str = "lp"
     prefetch_scheme: str = "paper"
@@ -67,7 +68,7 @@ class SystemConfig:
                          num_cores: int = 4) -> "SystemConfig":
         """Table I, quad core, 8 MB shared LLC."""
         return SystemConfig(name="paper-multi-core",
-                            hierarchy=HierarchyConfig.paper_multi_core(),
+                            hierarchy=HierarchySpec.paper_multi_core(),
                             predictor=predictor, num_cores=num_cores)
 
     @staticmethod
@@ -81,34 +82,28 @@ class SystemConfig:
         5. a very aggressive core (ROB 224, LSQ 96) plus a parallel LLC.
         """
         base = SystemConfig.paper_single_core(predictor)
-
-        def with_llc(tag: int, data: int, sequential: bool) -> HierarchyConfig:
-            # Spec-style derivation: every field not named here carries
-            # over from the paper LLC, so a new CacheConfig field can
-            # never be silently dropped from the Figure 15 variants.
-            hierarchy = HierarchyConfig.paper_single_core()
-            hierarchy.l3 = replace(hierarchy.l3, tag_latency=tag,
-                                   data_latency=data,
-                                   sequential_tag_data=sequential)
-            return hierarchy
-
-        # The "parallel" LLC of the paper delivers hit data after 40 cycles
-        # while still resolving hit/miss from the tag comparison after 20, so
-        # it is modelled as tag=20 + data=20.
+        # derive_llc carries every LLC field not named here over from the
+        # paper LLC (a sequential 20-cycle tag stage), so a new LevelSpec
+        # field can never be silently dropped from the variants.  The
+        # "parallel" LLC of the paper delivers hit data after 40 cycles
+        # while still resolving hit/miss from the tag comparison after 20,
+        # so it is modelled as tag=20 + data=20.
+        fast_seq_llc = derive_llc(base.hierarchy, data_latency=25)
+        parallel_llc = derive_llc(base.hierarchy, data_latency=20)
         variants = {
             "default": base,
             "fast-seq-llc": replace(base, name="fast-seq-llc",
-                                    hierarchy=with_llc(20, 25, True)),
+                                    hierarchy=fast_seq_llc),
             "parallel-llc": replace(base, name="parallel-llc",
-                                    hierarchy=with_llc(20, 20, True)),
+                                    hierarchy=parallel_llc),
             "parallel-llc-lsq96": replace(
                 base, name="parallel-llc-lsq96",
-                hierarchy=with_llc(20, 20, True),
+                hierarchy=parallel_llc,
                 core=CoreConfig(rob_entries=192, load_queue_entries=96,
                                 store_queue_entries=96)),
             "aggressive-core": replace(
                 base, name="aggressive-core",
-                hierarchy=with_llc(20, 20, True),
+                hierarchy=parallel_llc,
                 core=CoreConfig.aggressive(rob_entries=224,
                                            load_queue_entries=96)),
         }
@@ -148,13 +143,10 @@ def table1_description(config: "SystemConfig" = None) -> Dict[str, str]:
     the table stays truthful for any declarative hierarchy, not just the
     paper's three-level one.
     """
-    from ..memory.spec import HierarchySpec
     from .system import _make_private_prefetchers, make_llc_prefetcher
 
     config = config or SystemConfig.paper_single_core()
-    hierarchy = config.hierarchy
-    spec = hierarchy if isinstance(hierarchy, HierarchySpec) \
-        else HierarchySpec.from_legacy(hierarchy)
+    spec = config.hierarchy
     l1_pf, mid_pf = _make_private_prefetchers(config)
     llc_pf = make_llc_prefetcher(config)
 

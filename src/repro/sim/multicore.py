@@ -24,7 +24,7 @@ from ..memory.hierarchy import CoreMemoryHierarchy, SharedMemorySystem
 from ..trace import TraceBuffer
 from .config import SystemConfig
 from .system import Trace, make_llc_prefetcher, make_predictor, \
-    _make_private_prefetchers
+    _make_private_prefetchers, _with_ideal_latency
 
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
@@ -78,8 +78,7 @@ class MultiCoreSystem:
         self.config = config or SystemConfig.paper_multi_core()
         hierarchy_config = self.config.hierarchy
         if self.config.predictor == "ideal":
-            from dataclasses import replace
-            hierarchy_config = replace(hierarchy_config, ideal_miss_latency=True)
+            hierarchy_config = _with_ideal_latency(hierarchy_config)
         self.shared = SharedMemorySystem(
             hierarchy_config, num_cores=self.config.num_cores,
             llc_prefetcher=make_llc_prefetcher(self.config))

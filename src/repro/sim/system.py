@@ -10,7 +10,8 @@ workload trace through the hierarchy and the core model and returns a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.base import LevelPredictor, PredictorStats, SequentialPredictor
@@ -22,10 +23,10 @@ from ..cpu.ooo_core import ExecutionResult, OutOfOrderCore
 from ..memory.block import AccessResult, MemoryAccess
 from ..memory.hierarchy import (
     CoreMemoryHierarchy,
-    HierarchyConfig,
     HierarchyStats,
     SharedMemorySystem,
 )
+from ..memory.spec import HierarchySpec
 from ..prefetch.base import NullPrefetcher, Prefetcher
 from ..prefetch.dcpt import DCPTPrefetcher
 from ..prefetch.nextline import TaggedNextLinePrefetcher
@@ -203,9 +204,10 @@ class SimulatedSystem:
         )
 
 
-def _with_ideal_latency(hierarchy):
-    """Flip ideal_miss_latency on a HierarchyConfig or HierarchySpec."""
-    from dataclasses import replace
+@functools.lru_cache(maxsize=64)
+def _with_ideal_latency(hierarchy: HierarchySpec) -> HierarchySpec:
+    """Flip ideal_miss_latency on a hierarchy spec (memoised: specs are
+    immutable, and every Ideal job would otherwise re-validate one)."""
     return replace(hierarchy, ideal_miss_latency=True)
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.block import Level
-from repro.memory.hierarchy import CoreMemoryHierarchy, HierarchyConfig
+from repro.memory.hierarchy import CoreMemoryHierarchy
+from repro.memory.spec import HierarchySpec, LevelSpec
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimulatedSystem
 
@@ -23,17 +25,17 @@ def small_cache() -> Cache:
 
 
 @pytest.fixture
-def small_hierarchy_config() -> HierarchyConfig:
+def small_hierarchy_config() -> HierarchySpec:
     """A scaled-down hierarchy so working sets overflow quickly in tests."""
-    config = HierarchyConfig.paper_single_core()
-    config.l1 = CacheConfig(level=Level.L1, size_bytes=4 * 1024,
-                            associativity=4, tag_latency=4)
-    config.l2 = CacheConfig(level=Level.L2, size_bytes=16 * 1024,
-                            associativity=8, tag_latency=12)
-    config.l3 = CacheConfig(level=Level.L3, size_bytes=64 * 1024,
-                            associativity=16, tag_latency=20, data_latency=35,
-                            sequential_tag_data=True)
-    return config
+    return dataclasses.replace(HierarchySpec.paper_single_core(), levels=(
+        LevelSpec(name="L1", size_bytes=4 * 1024, associativity=4,
+                  tag_latency=4),
+        LevelSpec(name="L2", size_bytes=16 * 1024, associativity=8,
+                  tag_latency=12),
+        LevelSpec(name="L3", size_bytes=64 * 1024, associativity=16,
+                  tag_latency=20, data_latency=35, sequential_tag_data=True,
+                  inclusive=False),
+    ))
 
 
 @pytest.fixture

@@ -1,25 +1,30 @@
-"""Integration tests for the memory hierarchy (baseline and level-predicted)."""
+"""Integration tests for the memory hierarchy (baseline and level-predicted),
+plus randomised invariants of the one hierarchy walker at depths 2-5."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.base import SequentialPredictor
 from repro.core.d2d import DirectToDataPredictor
 from repro.core.level_predictor import CacheLevelPredictor
 from repro.memory.block import AccessType, Level, MemoryAccess
-from repro.memory.hierarchy import (
-    CoreMemoryHierarchy,
-    HierarchyConfig,
-    SharedMemorySystem,
-)
+from repro.memory.hierarchy import CoreMemoryHierarchy, SharedMemorySystem
+from repro.memory.spec import HierarchySpec, LevelSpec
 from repro.prefetch.nextline import TaggedNextLinePrefetcher
+from repro.sim.config import SystemConfig
+from repro.sim.system import SimulatedSystem
+from repro.trace import KIND_LOAD, KIND_STORE, TraceBuffer
 
 from trace_helpers import make_load, make_store
 
 
 def build_hierarchy(config=None, predictor=None, **kwargs) -> CoreMemoryHierarchy:
-    config = config or HierarchyConfig.paper_single_core()
+    config = config or HierarchySpec.paper_single_core()
     shared = SharedMemorySystem(config, num_cores=1)
     return CoreMemoryHierarchy(config=config, shared=shared,
                                predictor=predictor, **kwargs)
@@ -42,7 +47,7 @@ class TestBaselineLatencies:
         assert result.latency == pytest.approx(hierarchy.config.l1.hit_latency)
 
     def test_l2_hit_after_l1_eviction(self):
-        config = HierarchyConfig.paper_single_core()
+        config = HierarchySpec.paper_single_core()
         hierarchy = build_hierarchy(config)
         hierarchy.access(make_load(0x10000))
         # Evict 0x10000 from the (4 KiB-per-set... ) L1 by filling its set.
@@ -95,10 +100,10 @@ class TestDataMovement:
         assert hierarchy.shared.directory.is_cached_privately(0x9000 & ~63)
 
     def test_dirty_l3_eviction_writes_back_to_dram(self):
-        config = HierarchyConfig.paper_single_core()
+        config = HierarchySpec.paper_single_core()
         hierarchy = build_hierarchy(config)
         # Write far more dirty blocks than the LLC can hold.
-        blocks = (config.l3.size_bytes // 64) + 4096
+        blocks = (config.llc.size_bytes // 64) + 4096
         for i in range(blocks):
             hierarchy.access(make_store(i * 64))
         assert hierarchy.shared.dram.stats.writes > 0
@@ -178,9 +183,8 @@ class TestLevelPredictedPath:
         assert hierarchy.stats.predictions > 0
 
     def test_ideal_configuration_never_slower_than_baseline(self):
-        config = HierarchyConfig.paper_single_core()
-        ideal_config = HierarchyConfig.paper_single_core()
-        ideal_config.ideal_miss_latency = True
+        config = HierarchySpec.paper_single_core()
+        ideal_config = dataclasses.replace(config, ideal_miss_latency=True)
         baseline = build_hierarchy(config)
         ideal = build_hierarchy(ideal_config)
         total_base = total_ideal = 0.0
@@ -217,3 +221,114 @@ class TestPrefetcherIntegration:
         for i in range(100):
             hierarchy.access(make_load(i * 64))
         assert hierarchy.stats.prefetches_issued > 0
+
+
+# ======================================================================
+# Randomised invariants of the one walker (depths 2-5)
+# ======================================================================
+_BLOCK = 64
+
+
+@st.composite
+def hierarchy_specs(draw):
+    """Random valid specs: 2-5 levels, power-of-two set counts, capacities
+    and hit latencies non-decreasing down the chain, any LLC inclusivity."""
+    depth = draw(st.integers(min_value=2, max_value=5))
+    ways = draw(st.lists(st.sampled_from((1, 2, 4, 8)),
+                         min_size=depth, max_size=depth))
+    sets = draw(st.lists(st.sampled_from((4, 8, 16, 32, 64)),
+                         min_size=depth, max_size=depth))
+    sizes = sorted(_BLOCK * w * s for w, s in zip(ways, sets))
+    latencies = sorted(draw(st.lists(st.integers(min_value=1, max_value=30),
+                                     min_size=depth, max_size=depth)))
+    mshrs = draw(st.lists(st.integers(min_value=2, max_value=32),
+                          min_size=depth, max_size=depth))
+    levels = []
+    for index, (size, latency, entries) in enumerate(
+            zip(sizes, latencies, mshrs)):
+        # Pick a way count that divides this level's capacity.
+        assoc = next(w for w in (8, 4, 2, 1) if size % (_BLOCK * w) == 0)
+        levels.append(LevelSpec(name=f"C{index}", size_bytes=size,
+                                associativity=assoc, tag_latency=latency,
+                                mshr_entries=entries))
+    llc = dataclasses.replace(
+        levels[-1], inclusive=draw(st.booleans()),
+        sequential_tag_data=True,
+        data_latency=draw(st.integers(min_value=0, max_value=40)))
+    return HierarchySpec(levels=tuple(levels[:-1]) + (llc,))
+
+
+@st.composite
+def traffic(draw):
+    """A trace of linear, random and stride segments (in the style of a
+    traffic generator's state machine), each with its own store mix."""
+    footprint = draw(st.sampled_from((16, 256, 4096))) * _BLOCK
+    addresses, kinds = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        mode = draw(st.sampled_from(("linear", "random", "stride")))
+        count = draw(st.integers(min_value=1, max_value=60))
+        if mode == "random":
+            segment = draw(st.lists(
+                st.integers(min_value=0, max_value=footprint - 1),
+                min_size=count, max_size=count))
+        else:
+            start = draw(st.integers(min_value=0, max_value=footprint - 1))
+            step = 8 if mode == "linear" else _BLOCK * draw(
+                st.integers(min_value=1, max_value=64))
+            segment = [(start + i * step) % footprint for i in range(count)]
+        store_share = draw(st.sampled_from((0.0, 0.3, 1.0)))
+        stores = draw(st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                         exclude_max=True),
+                               min_size=count, max_size=count))
+        addresses.extend(segment)
+        kinds.extend(KIND_STORE if u < store_share else KIND_LOAD
+                     for u in stores)
+    n = len(addresses)
+    return TraceBuffer(addresses, [0x400 + 4 * (i % 16) for i in range(n)],
+                       kinds, [8] * n, [False] * n, [0] * n, [0] * n)
+
+
+def _walker(spec: HierarchySpec, predictor: str) -> CoreMemoryHierarchy:
+    return SimulatedSystem(SystemConfig(name="walker-test", hierarchy=spec,
+                                        predictor=predictor)).hierarchy
+
+
+class TestWalkerInvariants:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(spec=hierarchy_specs(), buffer=traffic(),
+           predictor=st.sampled_from(("baseline", "lp", "d2d", "ideal")))
+    def test_random_hierarchies_and_traffic(self, spec, buffer, predictor):
+        hierarchy = _walker(spec, predictor)
+        results = hierarchy.run_buffer(buffer)
+
+        # Every demand access is served by exactly one level.
+        stats = hierarchy.stats
+        assert (stats.l1_hits + stats.l2_hits + stats.l3_hits
+                + stats.memory_accesses) == stats.demand_accesses \
+            == len(buffer)
+
+        # Every private level is inclusive of the levels above it: an
+        # L1-resident block sits in every intermediate, and a block in
+        # one intermediate sits in every deeper one.
+        private = (hierarchy.l1,) + hierarchy._intermediates
+        for index, closer in enumerate(private):
+            for block in closer.resident_blocks():
+                for deeper in private[index + 1:]:
+                    assert deeper.contains_block(block), (deeper.name, block)
+
+        # No access is faster than an L1 hit.
+        l1_hit = spec.l1.hit_latency
+        assert all(result.latency >= l1_hit for result in results)
+
+        # The record path replays identically.
+        records = _walker(spec, predictor)
+        assert [records.access(a) for a in buffer.to_accesses()] == results
+        assert records.stats == stats
+        assert records.energy.breakdown() == hierarchy.energy.breakdown()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(spec=hierarchy_specs())
+    def test_spec_json_is_a_fixed_point(self, spec):
+        text = spec.to_json()
+        assert HierarchySpec.from_json(text) == spec
+        assert HierarchySpec.from_json(text).to_json() == text

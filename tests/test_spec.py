@@ -9,11 +9,10 @@ Three properties anchor this module:
    against committed fixture strings (``tests/fixtures/job_keys.json``):
    the golden store must never move, whatever the config layer looks
    like internally.
-3. Non-paper chain depths (2 and 4 levels) run through the same replay
-   loop with every predictor, and a spec describing exactly the paper
-   hierarchy is indistinguishable — results *and* store keys — from the
-   legacy ``HierarchyConfig`` it replaces.  (Buffer-vs-record replay
-   equivalence at 2 and 4 levels lives in ``test_tracebuffer.py``.)
+3. Non-paper chain depths (2 and 4 levels) run through the same walker
+   as the paper hierarchy, with every predictor.  (Buffer-vs-record
+   replay equivalence at 2 and 4 levels lives in ``test_tracebuffer.py``;
+   randomised invariants over depths 2-5 in ``test_hierarchy.py``.)
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.memory.hierarchy import HierarchyConfig
 from repro.memory.spec import (
     HierarchySpec,
     LevelSpec,
@@ -154,15 +152,6 @@ class TestRoundTrip:
         spec = load_hierarchy(path)
         assert spec.to_json() == text
 
-    def test_legacy_round_trip(self):
-        legacy = HierarchyConfig.paper_single_core()
-        spec = HierarchySpec.from_legacy(legacy)
-        assert spec.is_legacy_exact()
-        back = spec.to_legacy()
-        assert back.l1 == legacy.l1
-        assert back.l2 == legacy.l2
-        assert back.l3 == legacy.l3
-
     def test_derive_llc_replaces_fields(self):
         spec = HierarchySpec.paper_single_core()
         derived = derive_llc(spec, tag_latency=20, data_latency=20)
@@ -210,18 +199,31 @@ class TestKeyStability:
         assert json.dumps(spec, sort_keys=True) == pinned["canonical"]
         assert spec_key(spec) == pinned["key"]
 
-    def test_paper_spec_config_key_matches_legacy(self):
-        """A legacy-exact spec canonicalizes to the legacy key."""
-        legacy_job = SimulationJob(workload="gapbs.pr", predictor="lp",
-                                   num_accesses=400, warmup_accesses=120,
-                                   seed=0,
-                                   config=SystemConfig.paper_single_core())
-        spec_config = dataclasses.replace(
-            SystemConfig.paper_single_core(),
-            hierarchy=HierarchySpec.paper_single_core())
-        spec_job = dataclasses.replace(legacy_job, config=spec_config)
-        assert spec_key(job_spec(spec_job)) \
-            == spec_key(job_spec(legacy_job))
+    @pytest.mark.parametrize("variant", [
+        lambda s: dataclasses.replace(
+            s, levels=(s.levels[0], dataclasses.replace(s.levels[1],
+                                                        ports=2),
+                       s.llc)),
+        lambda s: dataclasses.replace(
+            s, levels=(dataclasses.replace(s.levels[0], read_energy_nj=0.1),)
+            + s.levels[1:]),
+        lambda s: derive_llc(s, area_mm2=4.0),
+        lambda s: derive_llc(s, inclusive=True),
+        lambda s: derive_llc(s, name="LLC"),
+        lambda s: dataclasses.replace(s, tlb=dataclasses.replace(
+            s.tlb, page_walk_latency=80)),
+    ], ids=["ports", "energy", "area", "inclusive-llc", "llc-name", "tlb"])
+    def test_inexpressible_extras_leave_the_legacy_key_format(self,
+                                                             variant):
+        paper = HierarchySpec.paper_single_core()
+        assert paper.is_legacy_exact()
+        spec = variant(paper)
+        assert not spec.is_legacy_exact()
+        base = SimulationJob(workload="gapbs.pr", predictor="lp",
+                             num_accesses=400, warmup_accesses=120, seed=0)
+        custom = apply_hierarchy([base], spec, "paper-variant")[0]
+        renamed = apply_hierarchy([base], paper, "paper-variant")[0]
+        assert spec_key(job_spec(custom)) != spec_key(job_spec(renamed))
 
     def test_customized_spec_gets_distinct_key(self):
         base = SimulationJob(workload="gapbs.pr", predictor="lp",
@@ -234,23 +236,7 @@ class TestKeyStability:
 # ======================================================================
 # N-level execution
 # ======================================================================
-def _run(spec_or_config, accesses: int = 600):
-    config = SystemConfig(name="chain-test", hierarchy=spec_or_config,
-                          predictor="lp")
-    system = SimulatedSystem(config)
-    workload = build_workload("gapbs.pr")
-    buffer = workload.generate_buffer(accesses, seed=0)
-    return system.run_trace(buffer)
-
-
 class TestChainExecution:
-    def test_paper_spec_matches_legacy_bit_for_bit(self):
-        legacy = _run(HierarchyConfig.paper_single_core())
-        spec = _run(HierarchySpec.paper_single_core())
-        assert spec.hierarchy_stats == legacy.hierarchy_stats
-        assert spec.energy_breakdown == legacy.energy_breakdown
-        assert spec.ipc == legacy.ipc
-
     @pytest.mark.parametrize("depth,predictor", [(2, "baseline"),
                                                  (2, "ideal"),
                                                  (4, "baseline"),

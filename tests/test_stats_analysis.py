@@ -12,7 +12,8 @@ from repro.analysis import (
 )
 from repro.core.recovery import summarize_recovery
 from repro.memory.block import AccessResult, Level, MemoryAccess
-from repro.memory.hierarchy import CoreMemoryHierarchy, HierarchyConfig
+from repro.memory.hierarchy import CoreMemoryHierarchy
+from repro.memory.spec import HierarchySpec
 from repro.sim.stats import (
     MissFilteringRatios,
     WindowedMissTracker,
@@ -41,7 +42,7 @@ class TestMissFilteringRatios:
         assert middle.classify() in ("modest", "high")
 
     def test_extraction_from_hierarchy(self):
-        hierarchy = CoreMemoryHierarchy(HierarchyConfig.paper_single_core())
+        hierarchy = CoreMemoryHierarchy(HierarchySpec.paper_single_core())
         for i in range(500):
             hierarchy.access(MemoryAccess(address=i * 64))
         ratios = miss_filtering_ratios(hierarchy)
@@ -66,7 +67,7 @@ class TestWindowedTracker:
             WindowedMissTracker(window_size=0)
 
     def test_run_with_windows_on_real_workload(self):
-        hierarchy = CoreMemoryHierarchy(HierarchyConfig.paper_single_core())
+        hierarchy = CoreMemoryHierarchy(HierarchySpec.paper_single_core())
         trace = build_workload("gups").generate(2000, seed=0)
         windows = run_with_windows(hierarchy, trace, window_size=500)
         assert len(windows) == 4
@@ -88,7 +89,7 @@ class TestClassification:
 
 class TestRecoverySummary:
     def test_summary_fields(self):
-        hierarchy = CoreMemoryHierarchy(HierarchyConfig.paper_single_core())
+        hierarchy = CoreMemoryHierarchy(HierarchySpec.paper_single_core())
         for i in range(200):
             hierarchy.access(MemoryAccess(address=i * 64))
         summary = summarize_recovery(hierarchy)

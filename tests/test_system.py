@@ -52,8 +52,8 @@ class TestSystemConfig:
     def test_single_and_multi_core_llc_sizes(self):
         single = SystemConfig.paper_single_core()
         multi = SystemConfig.paper_multi_core()
-        assert single.hierarchy.l3.size_bytes == 2 * 1024 * 1024
-        assert multi.hierarchy.l3.size_bytes == 8 * 1024 * 1024
+        assert single.hierarchy.llc.size_bytes == 2 * 1024 * 1024
+        assert multi.hierarchy.llc.size_bytes == 8 * 1024 * 1024
         assert multi.num_cores == 4
 
     def test_with_predictor_copies(self):
@@ -67,7 +67,7 @@ class TestSystemConfig:
         assert set(variants) == {"default", "fast-seq-llc", "parallel-llc",
                                  "parallel-llc-lsq96", "aggressive-core"}
         assert variants["aggressive-core"].core.rob_entries == 224
-        parallel_llc = variants["parallel-llc"].hierarchy.l3
+        parallel_llc = variants["parallel-llc"].hierarchy.llc
         assert parallel_llc.tag_latency + parallel_llc.data_latency == 40
 
     def test_table1_description_mentions_key_parameters(self):
