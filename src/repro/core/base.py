@@ -47,6 +47,11 @@ class PredictionOutcome(enum.Enum):
     LOST_OPPORTUNITY = "lost_opportunity"
     HARMFUL = "harmful"
 
+    # Members are singletons, so the identity hash is exact and runs in C;
+    # Enum's own __hash__ is a Python-level call on every
+    # PredictorStats.record.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Prediction:

@@ -149,9 +149,13 @@ class CoherenceState(enum.Enum):
         return self in (CoherenceState.MODIFIED, CoherenceState.EXCLUSIVE)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CacheLine:
     """One cache line (block) stored in a set-associative cache.
+
+    A line is a slot of the cache that the cache recycles in place, so it
+    compares by identity: a free-way scan (``list.index(None)``) then runs
+    without a Python-level ``__eq__`` call per occupied way.
 
     Attributes:
         tag: Tag bits of the block address.
@@ -162,8 +166,6 @@ class CacheLine:
         prefetched: True when the line was brought in by a prefetcher and has
             not yet been referenced by a demand access.  Used for prefetcher
             accuracy accounting.
-        last_touch: Logical timestamp of the last access (LRU bookkeeping).
-        inserted_at: Logical timestamp when the line was filled.
     """
 
     tag: int
@@ -171,8 +173,6 @@ class CacheLine:
     state: CoherenceState = CoherenceState.EXCLUSIVE
     dirty: bool = False
     prefetched: bool = False
-    last_touch: int = 0
-    inserted_at: int = 0
 
     @property
     def valid(self) -> bool:

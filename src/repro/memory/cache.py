@@ -14,12 +14,20 @@ Features modelled, matching Table I of the paper:
 * write-back, write-allocate;
 * a prefetched bit per line so prefetcher accuracy can be measured;
 * an MSHR file per cache with demand reservation for prefetch throttling.
+
+Sets are allocated on first fill.  Every job builds fresh caches and the
+traces touch a few dozen kilobytes, so almost every set of a megabyte-class
+LLC is never used: an untouched set shares one read-only empty tag index
+(probes, invalidations and ``mark_dirty`` need nothing more), and its way
+list, tag index and LRU stamps are created by the first fill that lands in
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Tuple
 
 from .block import (
     AccessType,
@@ -30,7 +38,11 @@ from .block import (
     block_address,
 )
 from .mshr import MSHRFile
-from .replacement import ReplacementPolicy, make_replacement_policy
+from .replacement import LRUPolicy, ReplacementPolicy, make_replacement_policy
+
+#: The tag index of every never-filled set: read-only, so a stray write
+#: fails loudly instead of leaking state into every untouched set.
+_EMPTY_SET: Mapping[int, int] = MappingProxyType({})
 
 
 @dataclass
@@ -147,22 +159,22 @@ class Cache:
     __slots__ = ("config", "name", "_num_sets", "_associativity", "_lines",
                  "_tag_to_way", "_all_valid", "_block_shift", "_set_mask",
                  "_tag_shift", "_addr_mask", "_policy", "_lru_timestamps",
-                 "mshrs", "stats", "_clock")
+                 "mshrs", "stats")
 
     def __init__(self, config: CacheConfig, name: Optional[str] = None) -> None:
         self.config = config
         self.name = name or config.level.name
         self._num_sets = config.num_sets
         self._associativity = config.associativity
-        self._lines: List[List[Optional[CacheLine]]] = [
-            [None] * config.associativity for _ in range(self._num_sets)
-        ]
+        # Per-set way lists, ``None`` until the set's first fill.
+        self._lines: List[Optional[List[Optional[CacheLine]]]] = \
+            [None] * self._num_sets
         # Per-set index from tag to way for O(1) lookups; kept in sync by
         # fill() and invalidate().  Purely an implementation accelerator —
-        # real hardware compares all tags in parallel.
-        self._tag_to_way: List[Dict[int, int]] = [
-            {} for _ in range(self._num_sets)
-        ]
+        # real hardware compares all tags in parallel.  Never-filled sets
+        # share the read-only empty index.
+        self._tag_to_way: List[Mapping[int, int]] = \
+            [_EMPTY_SET] * self._num_sets
         # Shared all-valid flag list used on the common fast path where every
         # way in the set already holds a valid line.
         self._all_valid = [True] * config.associativity
@@ -187,14 +199,12 @@ class Cache:
         # LRU (the paper's policy everywhere) is special-cased on the hot
         # paths: its timestamp update is two list indexings, far cheaper
         # inlined than as a method call per touch.
-        from .replacement import LRUPolicy
         self._lru_timestamps = (self._policy._timestamps
                                 if type(self._policy) is LRUPolicy else None)
         self.mshrs = MSHRFile(
             config.mshr_entries, demand_reserve_fraction=config.mshr_demand_reserve
         )
         self.stats = CacheStats()
-        self._clock = 0
 
     # ------------------------------------------------------------------
     # Address decomposition
@@ -272,7 +282,6 @@ class Cache:
         it — the signal the hierarchy feeds back to the prefetcher's accuracy
         accounting.
         """
-        self._clock += 1
         stats = self.stats
         if self._block_shift >= 0:
             set_index = (block_addr >> self._block_shift) & self._set_mask
@@ -282,7 +291,6 @@ class Cache:
         was_prefetched = False
         if way is not None:
             line = self._lines[set_index][way]
-            line.last_touch = self._clock
             lru = self._lru_timestamps
             if lru is not None:
                 policy = self._policy
@@ -336,10 +344,10 @@ class Cache:
 
         Evicted :class:`CacheLine` objects are recycled in place for the new
         block — per-access allocation on the fill path is limited to the
-        :class:`EvictionInfo` snapshot of the victim.
+        :class:`EvictionInfo` snapshot of the victim.  The first fill of a
+        set allocates the set.  ``state`` must be a valid coherence state:
+        a resident line never holds ``CoherenceState.INVALID``.
         """
-        self._clock += 1
-        clock = self._clock
         if self._block_shift >= 0:
             set_index = (block_addr >> self._block_shift) & self._set_mask
             tag = block_addr >> self._tag_shift
@@ -347,14 +355,12 @@ class Cache:
             set_index = self.set_index(block_addr)
             tag = self.tag_of(block_addr)
         tag_to_way = self._tag_to_way[set_index]
-        lines = self._lines[set_index]
         way = tag_to_way.get(tag)
         lru = self._lru_timestamps
         if way is not None:
             # Already resident (e.g. a prefetch raced a demand fill); refresh.
-            line = lines[way]
+            line = self._lines[set_index][way]
             line.dirty = line.dirty or dirty
-            line.last_touch = clock
             if lru is not None:
                 policy = self._policy
                 policy._clock += 1
@@ -364,53 +370,44 @@ class Cache:
             return None
 
         stats = self.stats
-        if len(tag_to_way) == self._associativity:
+        lines = self._lines[set_index]
+        prefetched = access_type is AccessType.PREFETCH
+        eviction: Optional[EvictionInfo] = None
+        if lines is None:
+            # First fill of this set: allocate it.
+            lines = self._lines[set_index] = [None] * self._associativity
+            tag_to_way = self._tag_to_way[set_index] = {}
+            if lru is not None:
+                lru[set_index] = [0] * self._associativity
+            victim_way = 0
+            lines[0] = CacheLine(tag, block_addr, state, dirty, prefetched)
+        elif len(tag_to_way) == self._associativity:
             if lru is not None:
                 stamps = lru[set_index]
                 victim_way = stamps.index(min(stamps))
             else:
                 victim_way = self._policy.victim(set_index, self._all_valid)
-        else:
-            # At least one way is invalid and every policy prefers the first
-            # invalid way, so skip the policy (and the flag-list allocation).
-            victim_way = 0
-            for way, line in enumerate(lines):
-                if line is None or line.state is CoherenceState.INVALID:
-                    victim_way = way
-                    break
-        victim = lines[victim_way]
-        eviction: Optional[EvictionInfo] = None
-        if victim is not None and victim.state is not CoherenceState.INVALID:
-            eviction = EvictionInfo(
-                block_addr=victim.block_addr,
-                dirty=victim.dirty,
-                prefetched_unused=victim.prefetched,
-                state=victim.state,
-            )
+            victim = lines[victim_way]
+            eviction = EvictionInfo(victim.block_addr, victim.dirty,
+                                    victim.prefetched, victim.state)
             stats.evictions += 1
             if victim.dirty:
                 stats.dirty_evictions += 1
             if victim.prefetched:
                 stats.prefetched_lines_evicted_unused += 1
-            tag_to_way.pop(victim.tag, None)
+            del tag_to_way[victim.tag]
             # Recycle the victim line object for the incoming block.
             victim.tag = tag
             victim.block_addr = block_addr
             victim.state = state
             victim.dirty = dirty
-            victim.prefetched = access_type is AccessType.PREFETCH
-            victim.last_touch = clock
-            victim.inserted_at = clock
+            victim.prefetched = prefetched
         else:
-            lines[victim_way] = CacheLine(
-                tag=tag,
-                block_addr=block_addr,
-                state=state,
-                dirty=dirty,
-                prefetched=access_type is AccessType.PREFETCH,
-                last_touch=clock,
-                inserted_at=clock,
-            )
+            # A free way exists and every policy prefers the first free
+            # way, so skip the policy (and the flag-list allocation).
+            victim_way = lines.index(None)
+            lines[victim_way] = CacheLine(tag, block_addr, state, dirty,
+                                          prefetched)
         tag_to_way[tag] = victim_way
         if lru is not None:
             policy = self._policy
@@ -419,7 +416,7 @@ class Cache:
         else:
             self._policy.on_fill(set_index, victim_way)
         stats.fills += 1
-        if access_type is AccessType.PREFETCH:
+        if prefetched:
             stats.prefetch_fills += 1
         return eviction
 
@@ -456,16 +453,21 @@ class Cache:
             state=line.state,
         )
         self._lines[set_index][way] = None
-        self._tag_to_way[set_index].pop(line.tag, None)
+        del self._tag_to_way[set_index][line.tag]
         self._policy.on_invalidate(set_index, way)
         self.stats.invalidations += 1
         return info
 
     def mark_dirty(self, address: int) -> bool:
         """Mark a resident block dirty (used when a store hits)."""
-        line = self.get_line(address)
-        if line is None:
+        if self._block_shift >= 0:
+            set_index = (address >> self._block_shift) & self._set_mask
+            way = self._tag_to_way[set_index].get(address >> self._tag_shift)
+        else:
+            set_index, way = self._find(self.block_of(address))
+        if way is None:
             return False
+        line = self._lines[set_index][way]
         line.dirty = True
         line.state = CoherenceState.MODIFIED
         return True
@@ -475,16 +477,13 @@ class Cache:
     # ------------------------------------------------------------------
     def resident_blocks(self) -> List[int]:
         """Block addresses of every valid line (used by tests and D2D)."""
-        blocks = []
-        for cache_set in self._lines:
-            for line in cache_set:
-                if line is not None and line.valid:
-                    blocks.append(line.block_addr)
-        return blocks
+        return [line.block_addr for cache_set in self._lines
+                if cache_set is not None
+                for line in cache_set if line is not None]
 
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return len(self.resident_blocks())
+        return sum([len(index) for index in self._tag_to_way])
 
     @property
     def capacity_blocks(self) -> int:

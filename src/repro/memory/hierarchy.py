@@ -234,7 +234,7 @@ class CoreMemoryHierarchy:
         "_l3_tag_latency",
         "_port_penalty", "_memory_speculative", "_ideal_miss_latency",
         "_ic_l1_l2", "_ic_l2_llc", "_ic_llc_mem",
-        "_tlb_nj", "_l1_nj", "_tlb_l1_nj", "_l3_nj", "_l3_tag_nj",
+        "_l1_nj", "_tlb_l1_nj", "_l3_nj", "_l3_tag_nj",
         "_l3_wb_nj",
         "_dram_nj", "_bus_nj", "_directory_nj", "_prefetch_budget",
         "_l1_hit_result", "_pf_access",
@@ -329,7 +329,6 @@ class CoreMemoryHierarchy:
         self._ic_l2_llc = ic_cfg.l2_to_llc + contention
         self._ic_llc_mem = ic_cfg.llc_to_memory + contention
         params = self.shared.energy_params
-        self._tlb_nj = params.tlb_access_nj
         # Spec-level read_energy_nj overrides replace the role-based default
         # for the full per-access energy of that level (for the LLC it also
         # stands in for the tag-only probe — a documented simplification);
@@ -354,6 +353,13 @@ class CoreMemoryHierarchy:
         self._dram_nj = params.dram_access_nj
         self._bus_nj = params.bus_transfer_nj
         self._directory_nj = params.directory_access_nj
+        # The walker adds these constants straight into the energy
+        # account's categories, so they are checked once here instead of
+        # by EnergyAccount.charge on every access.
+        if min((self._tlb_l1_nj, self._l1_nj, self._l3_nj, self._l3_tag_nj,
+                self._l3_wb_nj, self._dram_nj, self._bus_nj,
+                self._directory_nj) + self._chain_nj) < 0:
+            raise ValueError("cannot charge negative energy")
         budget_cfg = intermediates[-1].config if intermediates else l1_cfg
         self._prefetch_budget = (1.0 - budget_cfg.mshr_demand_reserve) \
             * budget_cfg.mshr_entries
@@ -429,8 +435,14 @@ class CoreMemoryHierarchy:
         # ------------------------------------------------------------------
         l1 = self.l1
         l1_hit, l1_was_prefetched = l1.access_block(block, atype)
-        self.energy.charge("hierarchy", self._tlb_l1_nj)
-        self._train_l1_prefetcher(address, pc, atype is _LOAD, l1_hit)
+        # The walker charges energy by adding into the account's categories
+        # directly, in EnergyAccount.charge's order and arithmetic.  This
+        # first charge creates the "hierarchy" category, so the rest of the
+        # access may add to it with ``+=``.
+        energy = self.energy.by_category
+        energy["hierarchy"] = energy.get("hierarchy", 0.0) + self._tlb_l1_nj
+        self._train_prefetcher(self.l1_prefetcher, _L1, address, pc,
+                               atype is _LOAD, l1_hit)
 
         # Inlined _note_inflight (once per access, both branches).
         inflight = self._inflight_misses
@@ -475,8 +487,10 @@ class CoreMemoryHierarchy:
         else:
             prediction = predictor.predict(block, pc)
             latency += predictor.prediction_latency
-            self.energy.charge_predictor(
-                predictor.energy_per_prediction_nj())
+            predictor_nj = predictor.energy_per_prediction_nj()
+            if predictor_nj < 0:
+                raise ValueError("cannot charge negative energy")
+            energy["predictor"] = energy.get("predictor", 0.0) + predictor_nj
         stats.predictions += 1
 
         outcome = predictor.train(block, pc, prediction, actual)
@@ -614,7 +628,7 @@ class CoreMemoryHierarchy:
         probe_l2 = _L2 in levels
         probe_l3 = _L3 in levels
         probe_mem = _MEM in levels
-        charge = self.energy.charge
+        energy = self.energy.by_category
         is_load = atype is _LOAD
 
         # Port-pressure penalty when more than one on-chip cache is probed in
@@ -652,9 +666,9 @@ class CoreMemoryHierarchy:
                     if index == holder:
                         latency += self._chain_hit_latency[index] \
                             + port_penalty
-                        charge("hierarchy", hierarchy_nj)
-                        self._train_l2_prefetcher(address, pc, is_load,
-                                                  hit=True)
+                        energy["hierarchy"] += hierarchy_nj
+                        self._train_prefetcher(self.l2_prefetcher, _L2,
+                                               address, pc, is_load, True)
                         deposit_mshrs.release(block)
                         return latency, _PATH_L2, False
                     if sequential:
@@ -663,10 +677,11 @@ class CoreMemoryHierarchy:
             elif actual is _L2:
                 # Harmful misprediction: a private level held the block
                 # but the whole group was bypassed.
-                charge("hierarchy", hierarchy_nj)
+                energy["hierarchy"] += hierarchy_nj
                 latency += self._recover(atype, block, holder)
                 latency += port_penalty
-                self._train_l2_prefetcher(address, pc, is_load, hit=True)
+                self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
+                                       is_load, True)
                 deposit_mshrs.release(block)
                 return latency, _PATH_RECOVERY, True
             else:
@@ -682,6 +697,9 @@ class CoreMemoryHierarchy:
         latency += self._ic_l2_llc
         hierarchy_nj += self._bus_nj + self._directory_nj
 
+        # An access that reaches the LLC missed the private levels: the L2
+        # prefetcher trains on it as a miss, the LLC prefetcher on the LLC
+        # outcome.
         if actual is _L3:
             self.shared.l3.access_block(block, atype)
             hierarchy_nj += self._l3_nj
@@ -693,11 +711,14 @@ class CoreMemoryHierarchy:
             if probe_mem and self._memory_speculative:
                 # A speculative DRAM access was launched and must be cancelled
                 # by the return-path address-matching logic: energy, no time.
-                charge("dram", self._dram_nj)
+                energy["dram"] = energy.get("dram", 0.0) + self._dram_nj
                 self.stats.cancelled_dram_launches += 1
             latency += llc_latency + port_penalty
-            charge("hierarchy", hierarchy_nj)
-            self._train_llc_prefetcher(address, pc, is_load, hit=True)
+            energy["hierarchy"] += hierarchy_nj
+            self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
+                                   is_load, False)
+            self._train_prefetcher(self.shared.llc_prefetcher, _L3, address,
+                                   pc, is_load, True)
             if deposit_mshrs is not None:
                 deposit_mshrs.release(block)
             return latency, (_PATH_L2_L3 if probe_l2 else _PATH_L3), False
@@ -705,10 +726,13 @@ class CoreMemoryHierarchy:
         # Block is in main memory.
         self.shared.l3.access_block(block, atype)
         hierarchy_nj += self._l3_tag_nj
-        charge("hierarchy", hierarchy_nj)
-        self._train_llc_prefetcher(address, pc, is_load, hit=False)
+        energy["hierarchy"] += hierarchy_nj
+        self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
+                               is_load, False)
+        self._train_prefetcher(self.shared.llc_prefetcher, _L3, address, pc,
+                               is_load, False)
         dram_latency = self.shared.dram.access(address)
-        charge("dram", self._dram_nj)
+        energy["dram"] = energy.get("dram", 0.0) + self._dram_nj
         interconnect.transfers += 1
         hop_to_memory = self._ic_llc_mem
 
@@ -729,19 +753,20 @@ class CoreMemoryHierarchy:
     def _recover(self, atype: AccessType, block: int, holder: int) -> float:
         """Misprediction recovery: the directory re-issues the request to
         the private intermediate that holds the block."""
-        charge = self.energy.charge
+        energy = self.energy.by_category
         latency = self.interconnect.l2_to_llc_latency()
-        charge("hierarchy", self._bus_nj)
+        energy["hierarchy"] += self._bus_nj
         # The collocated directory is consulted during the LLC tag access.
         latency += self._l3_tag_latency
-        charge("hierarchy", self._l3_tag_nj)
-        charge("hierarchy", self._directory_nj)
+        energy["hierarchy"] += self._l3_tag_nj
+        energy["hierarchy"] += self._directory_nj
         self.shared.directory.detect_bypass_misprediction(block, self.core_id)
         # Recovery transaction back to the holder, then its access itself.
         latency += self.interconnect.recovery_latency()
-        self.energy.charge_recovery(self._bus_nj + self._directory_nj)
+        energy["recovery"] = energy.get("recovery", 0.0) \
+            + (self._bus_nj + self._directory_nj)
         self._intermediates[holder].access_block(block, atype)
-        charge("hierarchy", self._chain_nj[holder])
+        energy["hierarchy"] += self._chain_nj[holder]
         latency += self._chain_hit_latency[holder]
         # Deallocate MSHR entries allocated past the actual level.
         self.shared.l3.mshrs.force_release(block)
@@ -821,7 +846,7 @@ class CoreMemoryHierarchy:
         if eviction.dirty:
             l3_eviction = self.shared.l3.fill_block(
                 eviction.block_addr, _WRITEBACK, dirty=True, state=_MODIFIED)
-            self.energy.charge("hierarchy", self._l3_wb_nj)
+            self.energy.by_category["hierarchy"] += self._l3_wb_nj
             self._handle_l3_eviction(l3_eviction)
 
     def _handle_intermediate_eviction(self, eviction: EvictionInfo,
@@ -845,7 +870,7 @@ class CoreMemoryHierarchy:
                 # Dirty victims are written back into the non-inclusive LLC.
                 l3_eviction = self.shared.l3.fill_block(
                     block_addr, _WRITEBACK, dirty=True, state=_MODIFIED)
-                self.energy.charge("hierarchy", self._l3_wb_nj)
+                self.energy.by_category["hierarchy"] += self._l3_wb_nj
                 self._handle_l3_eviction(l3_eviction)
         elif eviction.dirty:
             # Dirty victims merge into the next-deeper private level.
@@ -861,47 +886,36 @@ class CoreMemoryHierarchy:
     # ==================================================================
     # Prefetching
     # ==================================================================
-    def _observe_record(self, address: int, pc: int, is_load: bool,
-                        hit: bool) -> PrefetchAccess:
-        """Fill the shared PrefetchAccess record for one observation."""
+    def _train_prefetcher(self, prefetcher: Prefetcher, level: Level,
+                          address: int, pc: int, is_load: bool,
+                          hit: bool) -> None:
+        """Feed one access to ``prefetcher`` and issue its candidates at
+        ``level``.
+
+        The shared PrefetchAccess record is filled in place.  Each
+        candidate then meets the MSHR budget gate (described at
+        :meth:`_issue_prefetch`) here, so a dropped prefetch is counted
+        without a call; the gate is re-checked per candidate because each
+        issued prefetch uses budget.
+        """
         record = self._pf_access
         record.address = address
         record.pc = pc
         record.hit = hit
         record.is_load = is_load
-        return record
-
-    def _train_l1_prefetcher(self, address: int, pc: int, is_load: bool,
-                             hit: bool) -> None:
-        candidates = self.l1_prefetcher.observe(
-            self._observe_record(address, pc, is_load, hit))
-        for candidate in candidates:
-            self._issue_prefetch(candidate, _L1)
-
-    def _train_l2_prefetcher(self, address: int, pc: int, is_load: bool,
-                             hit: bool) -> None:
-        candidates = self.l2_prefetcher.observe(
-            self._observe_record(address, pc, is_load, hit))
-        for candidate in candidates:
-            self._issue_prefetch(candidate, _L2)
-
-    def _train_llc_prefetcher(self, address: int, pc: int, is_load: bool,
-                              hit: bool) -> None:
-        # The L2 prefetcher trains on L1 misses (accesses that reach L2) and
-        # the LLC prefetcher on L2 misses; an access that gets here missed L2.
-        record = self._observe_record(address, pc, is_load, False)
-        candidates = self.l2_prefetcher.observe(record)
-        for candidate in candidates:
-            self._issue_prefetch(candidate, _L2)
-        record = self._observe_record(address, pc, is_load, hit)
-        candidates = self.shared.llc_prefetcher.observe(record)
-        for candidate in candidates:
-            self._issue_prefetch(candidate, _L3)
+        for candidate in prefetcher.observe(record):
+            if (self._recent_prefetch_count + self._prefetches_this_access
+                    >= self._prefetch_budget):
+                self.stats.prefetches_dropped_mshr += 1
+            else:
+                self._issue_prefetch(candidate, level)
 
     def _issue_prefetch(self, address: int, level: Level) -> None:
         """Install a prefetched block at ``level`` (and maintain inclusion).
 
-        The gate below approximates the 25 %-MSHR-reservation throttle
+        The caller, :meth:`_train_prefetcher`, checks the MSHR budget before
+        each call and counts a dropped prefetch itself.  The budget
+        approximates the 25 %-MSHR-reservation throttle
         (Section IV.A): the functional model retires each access before the
         next begins, so true MSHR occupancy is not observable; instead the
         prefetch *issue rate* over the last ``prefetch_inflight_window``
@@ -916,10 +930,6 @@ class CoreMemoryHierarchy:
         an L1 install (L1 is the only private level), recorded with the
         directory.
         """
-        if (self._recent_prefetch_count + self._prefetches_this_access
-                >= self._prefetch_budget):
-            self.stats.prefetches_dropped_mshr += 1
-            return
         mask = self._block_mask
         block = (address & mask) if mask is not None \
             else block_address(address, self._block_size)
@@ -932,7 +942,7 @@ class CoreMemoryHierarchy:
             if l3_eviction is not None:
                 self._handle_l3_eviction(l3_eviction)
             self.predictor.on_fill(block, _L3, from_prefetch=True)
-            self.energy.charge("hierarchy", self._l3_nj)
+            self.energy.by_category["hierarchy"] += self._l3_nj
             return
         intermediates = self._intermediates
         target_l1 = level is _L1 or not intermediates
@@ -952,8 +962,8 @@ class CoreMemoryHierarchy:
         if intermediates:
             self.predictor.on_fill(block, _L2, from_prefetch=True)
         self.shared.directory.record_private_fill(block, self.core_id)
-        self.energy.charge("hierarchy",
-                           self._l1_nj if target_l1 else self._chain_nj[0])
+        self.energy.by_category["hierarchy"] += \
+            self._l1_nj if target_l1 else self._chain_nj[0]
 
     # ==================================================================
     # Reporting

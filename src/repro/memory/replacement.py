@@ -62,7 +62,9 @@ class LRUPolicy(ReplacementPolicy):
     """True least-recently-used replacement.
 
     Recency is tracked with a monotonically increasing logical clock; the
-    victim is the valid way with the smallest timestamp.
+    victim is the valid way with the smallest timestamp.  A set's stamps
+    are allocated on its first touch (``None`` until then), so a large,
+    sparsely used cache pays only for the sets it uses.
     """
 
     __slots__ = ("_clock", "_timestamps")
@@ -70,29 +72,29 @@ class LRUPolicy(ReplacementPolicy):
     def __init__(self, num_sets: int, associativity: int) -> None:
         super().__init__(num_sets, associativity)
         self._clock = 0
-        self._timestamps: List[List[int]] = [
-            [0] * associativity for _ in range(num_sets)
-        ]
+        self._timestamps: List[Optional[List[int]]] = [None] * num_sets
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
+    def _stamps(self, set_index: int) -> List[int]:
+        stamps = self._timestamps[set_index]
+        if stamps is None:
+            stamps = self._timestamps[set_index] = [0] * self.associativity
+        return stamps
 
     def on_access(self, set_index: int, way: int) -> None:
         self._clock += 1
-        self._timestamps[set_index][way] = self._clock
+        self._stamps(set_index)[way] = self._clock
 
     def on_fill(self, set_index: int, way: int) -> None:
         self._clock += 1
-        self._timestamps[set_index][way] = self._clock
+        self._stamps(set_index)[way] = self._clock
 
     def on_invalidate(self, set_index: int, way: int) -> None:
-        self._timestamps[set_index][way] = 0
+        self._stamps(set_index)[way] = 0
 
     def victim(self, set_index: int, valid_ways: Sequence[bool]) -> int:
         if False in valid_ways:
             return valid_ways.index(False)
-        stamps = self._timestamps[set_index]
+        stamps = self._stamps(set_index)
         # index(min(...)) keeps the original first-minimum tie-break while
         # running both passes at C speed (no per-way lambda call).
         return stamps.index(min(stamps))

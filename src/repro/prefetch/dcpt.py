@@ -59,24 +59,25 @@ class DCPTPrefetcher(Prefetcher):
     def _correlate(self, entry: _DCPTEntry, current_block: int) -> List[int]:
         """Replay deltas that historically followed the latest delta pair."""
         deltas = entry.deltas
-        if len(deltas) < 3:
+        count = len(deltas)
+        if count < 3:
             return []
         pair_first = deltas[-2]
         pair_second = deltas[-1]
         candidates: List[int] = []
         # Search the history (excluding the newest pair itself) for the same
         # consecutive delta pair; on a match replay the deltas that follow.
-        for i in range(len(deltas) - 3, -1, -1):
-            if i + 1 >= len(deltas) - 1:
-                continue
+        for i in range(count - 3, -1, -1):
             if deltas[i] == pair_first and deltas[i + 1] == pair_second:
                 address = current_block
+                block_size = self.block_size
+                degree = self.degree
                 for delta in deltas[i + 2:]:
-                    address += delta * self.block_size
+                    address += delta * block_size
                     if address <= 0:
                         break
                     candidates.append(address)
-                    if len(candidates) >= self.degree:
+                    if len(candidates) >= degree:
                         return candidates
                 break
         return candidates

@@ -130,6 +130,7 @@ from .sim.engine import (
     MixJob,
     SimulationJob,
     execute_job,
+    exit_with_parent,
 )
 from .sim.options import EngineOptions
 from .sim.store import (
@@ -532,7 +533,8 @@ class SimulationService:
         first grid.
         """
         if self.pool_kind == "process":
-            pool = ProcessPoolExecutor(max_workers=self.num_workers)
+            pool = ProcessPoolExecutor(max_workers=self.num_workers,
+                                       initializer=exit_with_parent)
             try:
                 pool.submit(os.getpid).result()
                 return pool

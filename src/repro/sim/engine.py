@@ -345,6 +345,30 @@ def expand_grid(workloads: Sequence[WorkloadSpec],
 # ======================================================================
 # Job execution (module-level so ProcessPoolExecutor can pickle it)
 # ======================================================================
+#: How often a pool worker checks that its parent process is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while True:
+        time.sleep(_PARENT_POLL_S)
+        if os.getppid() != parent:
+            os._exit(1)
+
+
+def exit_with_parent() -> None:
+    """Process-pool ``initializer``: end this worker once its parent dies.
+
+    A SIGKILLed daemon or engine never shuts its pool down, and its
+    workers would otherwise idle on forever, reparented.  A daemon thread
+    polls :func:`os.getppid` and exits the worker as soon as it changes.
+    (``PR_SET_PDEATHSIG`` is no substitute: it fires when the *thread*
+    that spawned the worker exits, not the process.)
+    """
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="repro-parent-watch", daemon=True).start()
+
+
 def mix_traces(mix_name: str, accesses_per_core: int, seed: int = 0,
                trace_cache: Optional[TraceCache] = None
                ) -> Tuple[List[TraceBuffer], List[str]]:
@@ -565,7 +589,8 @@ class SimulationEngine:
         chunksize = max(1, len(jobs) // (workers * 4))
         if chunk_align > 1:
             chunksize = -(-chunksize // chunk_align) * chunk_align
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=exit_with_parent)
         try:
             # Force a worker to spawn now: fork/spawn being unavailable
             # (sandboxes, RLIMIT_NPROC) must trigger the serial fallback,

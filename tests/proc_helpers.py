@@ -1,0 +1,32 @@
+"""Process-table helpers for tests of worker lifetimes (Linux ``/proc``)."""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import List, Optional
+
+
+def _stat_fields(pid: int) -> Optional[List[str]]:
+    """Fields after the ``(comm)`` of ``/proc/<pid>/stat``, or None."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return text.rsplit(")", 1)[1].split()
+
+
+def children(pid: int) -> List[int]:
+    """PIDs whose parent is ``pid``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat_fields(int(entry.name))
+            if fields is not None and int(fields[1]) == pid:
+                found.append(int(entry.name))
+    return found
+
+
+def alive(pid: int) -> bool:
+    """True unless ``pid`` is gone or a zombie awaiting its reaper."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"

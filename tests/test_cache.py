@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.block import AccessType, CoherenceState, Level
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import Cache, CacheConfig, CacheStats, EvictionInfo
+from repro.memory.replacement import make_replacement_policy
 
 
 def make_cache(size=1024, assoc=2, level=Level.L1, **kwargs) -> Cache:
@@ -185,3 +190,158 @@ def test_property_tag_index_consistency(addresses):
         assert cache.contains(block)
         line = cache.get_line(block)
         assert line.block_addr == block
+
+
+# ----------------------------------------------------------------------
+# Differential test: the set-on-first-fill Cache against a plain model
+# ----------------------------------------------------------------------
+class ReferenceCache:
+    """Eagerly allocated per-set ordered dicts, in recency order.
+
+    LRU victims come from the dict order, independently of the cache's
+    timestamp lists; the other policies are driven through their general
+    ``victim(set, valid_ways)`` entry point on every fill, which also
+    checks the cache's first-free-way shortcut.
+    """
+
+    def __init__(self, num_sets: int, associativity: int, policy: str):
+        self.num_sets = num_sets
+        # Per set: tag -> [way, block, state, dirty, prefetched].
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.ways = [[None] * associativity for _ in range(num_sets)]
+        self.policy = (None if policy == "lru" else
+                       make_replacement_policy(policy, num_sets,
+                                               associativity))
+        self.stats = {name: 0 for name in CacheStats.__dataclass_fields__}
+
+    def _locate(self, block):
+        number = block // 64
+        return number % self.num_sets, number // self.num_sets
+
+    def access(self, block, atype):
+        index, tag = self._locate(block)
+        line = self.sets[index].get(tag)
+        kind = "prefetch" if atype is AccessType.PREFETCH else "demand"
+        if line is None:
+            self.stats[f"{kind}_misses"] += 1
+            return False, False
+        self.stats[f"{kind}_hits"] += 1
+        self.sets[index].move_to_end(tag)
+        if self.policy is not None:
+            self.policy.on_access(index, line[0])
+        if atype is AccessType.STORE:
+            line[3] = True
+            line[2] = CoherenceState.MODIFIED
+        was_prefetched = line[4]
+        if was_prefetched and atype is not AccessType.PREFETCH:
+            line[4] = False
+            self.stats["prefetched_lines_used"] += 1
+        return True, was_prefetched
+
+    def fill(self, block, atype, dirty, state):
+        index, tag = self._locate(block)
+        lines, ways = self.sets[index], self.ways[index]
+        line = lines.get(tag)
+        if line is not None:
+            line[3] = line[3] or dirty
+            lines.move_to_end(tag)
+            if self.policy is not None:
+                self.policy.on_access(index, line[0])
+            return None
+        valid = [way is not None for way in ways]
+        if self.policy is not None:
+            way = self.policy.victim(index, valid)
+        elif False in valid:
+            way = valid.index(False)
+        else:
+            way = next(iter(lines.values()))[0]
+        eviction = None
+        if ways[way] is not None:
+            _, victim, victim_state, victim_dirty, victim_prefetched = \
+                lines.pop(ways[way])
+            eviction = EvictionInfo(victim, victim_dirty, victim_prefetched,
+                                    victim_state)
+            self.stats["evictions"] += 1
+            self.stats["dirty_evictions"] += victim_dirty
+            self.stats["prefetched_lines_evicted_unused"] += victim_prefetched
+        self.stats["fills"] += 1
+        self.stats["prefetch_fills"] += atype is AccessType.PREFETCH
+        ways[way] = tag
+        lines[tag] = [way, block, state, dirty,
+                      atype is AccessType.PREFETCH]
+        if self.policy is not None:
+            self.policy.on_fill(index, way)
+        return eviction
+
+    def invalidate(self, block):
+        index, tag = self._locate(block)
+        line = self.sets[index].pop(tag, None)
+        if line is None:
+            return None
+        self.ways[index][line[0]] = None
+        self.stats["invalidations"] += 1
+        if self.policy is not None:
+            self.policy.on_invalidate(index, line[0])
+        return EvictionInfo(line[1], line[3], line[4], line[2])
+
+    def mark_dirty(self, block):
+        index, tag = self._locate(block)
+        line = self.sets[index].get(tag)
+        if line is None:
+            return False
+        line[3] = True
+        line[2] = CoherenceState.MODIFIED
+        return True
+
+    def resident_blocks(self):
+        return [self.sets[index][tag][1]
+                for index in range(self.num_sets)
+                for tag in self.ways[index] if tag is not None]
+
+
+_ATYPES = (AccessType.LOAD, AccessType.STORE, AccessType.PREFETCH,
+           AccessType.WRITEBACK)
+_STATES = (CoherenceState.EXCLUSIVE, CoherenceState.SHARED,
+           CoherenceState.MODIFIED)
+
+
+@pytest.mark.parametrize("policy", ["lru", "plru", "random", "srrip"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(num_sets=st.sampled_from((1, 2, 8)),
+       associativity=st.sampled_from((1, 2, 4)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_lazy_cache_matches_reference(policy, num_sets, associativity, seed):
+    """300 seeded random operations on 12 blocks: sets are filled, emptied
+    and refilled, and some are probed before any fill reaches them."""
+    cache = make_cache(size=num_sets * associativity * 64,
+                       assoc=associativity, replacement=policy)
+    reference = ReferenceCache(num_sets, associativity, policy)
+    rng = random.Random(seed)
+    for _ in range(300):
+        operation = rng.choice(("access", "fill", "fill", "invalidate",
+                                "mark_dirty"))
+        block = rng.randrange(12) * 64
+        if operation == "access":
+            atype = rng.choice(_ATYPES[:3])
+            assert cache.access_block(block, atype) \
+                == reference.access(block, atype)
+        elif operation == "fill":
+            atype, dirty = rng.choice(_ATYPES), rng.random() < 0.5
+            state = rng.choice(_STATES)
+            assert cache.fill_block(block, atype, dirty=dirty, state=state) \
+                == reference.fill(block, atype, dirty, state)
+        elif operation == "invalidate":
+            assert cache.invalidate(block) == reference.invalidate(block)
+        else:
+            assert cache.mark_dirty(block) == reference.mark_dirty(block)
+        resident = cache.resident_blocks()
+        assert resident == reference.resident_blocks()
+        assert cache.occupancy() == len(resident)
+    assert dataclasses.asdict(cache.stats) == reference.stats
+    for block in cache.resident_blocks():
+        line = cache.peek_line(block)
+        assert line.state is not CoherenceState.INVALID
+        index, tag = reference._locate(block)
+        _, _, state, dirty, prefetched = reference.sets[index][tag]
+        assert (line.state, line.dirty, line.prefetched) \
+            == (state, dirty, prefetched)

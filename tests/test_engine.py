@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.sim.config import SystemConfig
@@ -17,6 +24,8 @@ from repro.sim.engine import (
 from repro.sim.system import SimulatedSystem, run_predictor_comparison
 from repro.trace import TraceBuffer
 from repro.workloads import build_workload
+
+from proc_helpers import alive
 
 APPS = ["gapbs.bfs", "605.mcf", "stream"]
 SYSTEMS = ("baseline", "lp", "ideal")
@@ -154,6 +163,40 @@ class TestSerialParallelEquivalence:
             workload="gapbs.bfs", predictor="lp", num_accesses=400,
             warmup_accesses=100, seed=0))
         assert_results_identical(direct, via_engine)
+
+
+#: Builds a one-worker pool the way the engine and the daemon do, records
+#: the worker's pid, then SIGKILLs itself so the pool is never shut down.
+_ORPHANING_PARENT = """
+import os, signal, sys
+from concurrent.futures import ProcessPoolExecutor
+from repro.sim.engine import exit_with_parent
+pool = ProcessPoolExecutor(max_workers=1, initializer=exit_with_parent)
+with open(sys.argv[1], "w") as handle:
+    handle.write(str(pool.submit(os.getpid).result()))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestPoolWorkerLifetime:
+    def test_worker_exits_when_its_parent_is_killed(self, tmp_path):
+        pid_file = tmp_path / "worker.pid"
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parent.parent / "src"))
+        parent = subprocess.run(
+            [sys.executable, "-c", _ORPHANING_PARENT, str(pid_file)],
+            env=env, stdout=subprocess.DEVNULL, timeout=60)
+        assert parent.returncode == -signal.SIGKILL
+        worker = int(pid_file.read_text())
+        try:
+            deadline = time.monotonic() + 5.0
+            while alive(worker):
+                assert time.monotonic() < deadline, \
+                    f"orphaned pool worker {worker} still alive"
+                time.sleep(0.05)
+        finally:
+            if alive(worker):
+                os.kill(worker, signal.SIGKILL)
 
 
 class TestGridHelpers:

@@ -19,6 +19,7 @@ from repro.prefetch.nextline import TaggedNextLinePrefetcher
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimulatedSystem
 from repro.trace import KIND_LOAD, KIND_STORE, TraceBuffer
+from repro.workloads.suite import build_workload
 
 from trace_helpers import make_load, make_store
 
@@ -293,7 +294,25 @@ def _walker(spec: HierarchySpec, predictor: str) -> CoreMemoryHierarchy:
                                         predictor=predictor)).hierarchy
 
 
+def _assert_prefetch_accounting(hierarchy: CoreMemoryHierarchy) -> None:
+    reported = (hierarchy.l1_prefetcher.stats.issued
+                + hierarchy.l2_prefetcher.stats.issued
+                + hierarchy.shared.llc_prefetcher.stats.issued)
+    stats = hierarchy.stats
+    assert reported == stats.prefetches_issued \
+        + stats.prefetches_dropped_mshr
+
+
 class TestWalkerInvariants:
+    @pytest.mark.parametrize("app", ["gapbs.pr", "605.mcf", "stream"])
+    @pytest.mark.parametrize("predictor", ["baseline", "lp", "ideal"])
+    def test_prefetch_accounting_on_paper_workloads(self, app, predictor):
+        hierarchy = SimulatedSystem(
+            SystemConfig.paper_single_core(predictor)).hierarchy
+        hierarchy.run_buffer(build_workload(app).generate_buffer(1500))
+        assert hierarchy.stats.prefetches_dropped_mshr > 0
+        _assert_prefetch_accounting(hierarchy)
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(spec=hierarchy_specs(), buffer=traffic(),
            predictor=st.sampled_from(("baseline", "lp", "d2d", "ideal")))
@@ -315,6 +334,10 @@ class TestWalkerInvariants:
             for block in closer.resident_blocks():
                 for deeper in private[index + 1:]:
                     assert deeper.contains_block(block), (deeper.name, block)
+
+        # Every candidate a prefetcher reports is either issued or dropped
+        # at the MSHR budget gate.
+        _assert_prefetch_accounting(hierarchy)
 
         # No access is faster than an L1 hit.
         l1_hit = spec.l1.hit_latency

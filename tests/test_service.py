@@ -51,6 +51,8 @@ from repro.sim.engine import (
 )
 from repro.sim.store import ResultStore, job_key, try_job_key
 
+from proc_helpers import alive, children
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
@@ -869,9 +871,18 @@ class TestDaemonRestart:
                     break
                 assert time.time() < deadline, "grid never started"
                 time.sleep(0.02)
+            workers = children(daemon.pid)
         finally:
             daemon.kill()
             daemon.wait(timeout=30.0)
+
+        # The SIGKILLed daemon's pool workers notice and exit on their own.
+        assert workers, "the daemon runs its jobs in pool workers"
+        deadline = time.time() + 5.0
+        while any(alive(pid) for pid in workers):
+            assert time.time() < deadline, \
+                f"orphaned pool workers still alive: {workers}"
+            time.sleep(0.05)
 
         survivors = len(ResultStore(store))
         assert survivors >= 1  # the kill landed after at least one put
