@@ -93,31 +93,6 @@ class EnergyAccount:
         self.by_category[category] = self.by_category.get(category, 0.0) + nanojoules
 
     # ------------------------------------------------------------------
-    # Convenience charging helpers used by the hierarchy
-    # ------------------------------------------------------------------
-    def charge_cache_lookup(self, level: Level, tag_only: bool = False) -> float:
-        energy = self.params.cache_access_energy(level, tag_only=tag_only)
-        category = "hierarchy" if level.is_cache else "dram"
-        self.charge(category, energy)
-        return energy
-
-    def charge_directory(self) -> float:
-        self.charge("hierarchy", self.params.directory_access_nj)
-        return self.params.directory_access_nj
-
-    def charge_predictor(self, nanojoules: float) -> float:
-        self.charge("predictor", nanojoules)
-        return nanojoules
-
-    def charge_recovery(self, nanojoules: float) -> float:
-        self.charge("recovery", nanojoules)
-        return nanojoules
-
-    def charge_bus(self) -> float:
-        self.charge("hierarchy", self.params.bus_transfer_nj)
-        return self.params.bus_transfer_nj
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     @property

@@ -44,11 +44,13 @@ line, one response line, connection closed::
 Operations: ``submit`` (figure name or an explicit job-spec grid),
 ``status`` (one request, or per-experiment store coverage), ``result``,
 ``stats`` (server counters), ``health``, ``figures`` and ``shutdown``.
-Errors come back as ``{"ok": false, "error": "...", "code": "...",
-"retryable": ...}`` — ``code`` is the machine-readable taxonomy clients
-branch on, ``retryable`` whether resubmitting the same request is safe
-and useful (it always is semantically: jobs are content-addressed and
-coalesced, so a duplicate submit costs nothing).
+A ``submit`` whose grid is already done when the response is built —
+every warm figure read — carries its payload, so clients skip the
+``result`` poll.  Errors come back as ``{"ok": false, "error": "...",
+"code": "...", "retryable": ...}`` — ``code`` is the machine-readable
+taxonomy clients branch on, ``retryable`` whether resubmitting the same
+request is safe and useful (it always is semantically: jobs are
+content-addressed and coalesced, so a duplicate submit costs nothing).
 
 Failure model
 =============
@@ -148,6 +150,8 @@ MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
 #: Finished requests retained for ``status``/``result`` polling; older
 #: ones are evicted so a long-lived daemon's memory stays bounded.
+#: Eviction runs in batches: up to ``MAX_FINISHED_REQUESTS // 8`` more
+#: may be retained between two trims.
 MAX_FINISHED_REQUESTS = 512
 
 #: Per-job retry budget (attempts, including the first) and env override.
@@ -167,9 +171,10 @@ REPRO_FLEET_ENV = "REPRO_FLEET"
 #: before answering with the current snapshot (clients poll in chunks).
 MAX_RESULT_WAIT = 60.0
 
-#: Figure grids (experiment x scale) whose job keys one process memoises:
-#: the 13 registry grids at a few scales, so a long-lived daemon's memory
-#: stays bounded whatever scales its clients send.
+#: Figure grids (experiment x scale) whose job keys and summarised stats
+#: one process memoises: the 13 registry grids at a few scales, so a
+#: long-lived daemon's memory stays bounded whatever scales its clients
+#: send.
 GRID_MEMO_SIZE = 32
 
 #: Machine-readable error codes (the values of ``ServiceError.code``).
@@ -344,10 +349,13 @@ class _RequestState:
         self.done = threading.Event()
 
     def snapshot(self, include_payload: bool = False) -> Dict[str, Any]:
+        # Read once: a request finishing on another thread mid-snapshot
+        # must not yield a payload beside a "running" state.
+        state = self.state
         data: Dict[str, Any] = {
             "id": self.id,
             "experiment": self.name if not self.explicit else None,
-            "state": self.state,
+            "state": state,
             "total_jobs": self.total,
             "completed": self.completed,
             "stored": self.stored,
@@ -359,12 +367,32 @@ class _RequestState:
             data["error"] = self.error
         if self.failed_jobs:
             data["failed_jobs"] = list(self.failed_jobs)
-        if include_payload and self.state == "done":
+        if include_payload and state == "done":
             data["stats"] = self.stats
             data["stats_path"] = self.stats_path
             if self.explicit:
                 data["results"] = self.results
         return data
+
+
+class _Grid:
+    """One grid's jobs and job keys, plus its stats once summarised.
+
+    ``summary`` is ``(stats, canonical_bytes)``: the figure's stats and
+    their stats-file encoding, set by the latest request that completed
+    the grid with no failed job.  Results are content-addressed and
+    deterministic, so once every key is stored the stats depend only on
+    the keys, and a later request whose keys are all still in the store
+    is answered from ``summary`` without reading a single result.
+    """
+
+    __slots__ = ("jobs", "keys", "summary")
+
+    def __init__(self, jobs: Tuple[Job, ...],
+                 keys: Tuple[Optional[str], ...]) -> None:
+        self.jobs = jobs
+        self.keys = keys
+        self.summary: Optional[Tuple[Dict[str, Any], bytes]] = None
 
 
 # ======================================================================
@@ -514,9 +542,10 @@ class SimulationService:
         #: unwritable (every put retry exhausted); sticky until restart.
         self.degraded = False
         self.degraded_reason: Optional[str] = None
-        #: ``(experiment, scale) -> (jobs, keys)``, filled on the first
-        #: request for each grid: a warm request costs store lookups and
-        #: decoding, not SHA-256 over canonicalised configs.
+        #: ``(experiment, scale) -> _Grid``, filled on the first request
+        #: for each grid: a warm request costs one store membership check
+        #: per cell, not SHA-256 over canonicalised configs nor decoding
+        #: and summarising stored results.
         self._grid = functools.lru_cache(maxsize=GRID_MEMO_SIZE)(
             self._build_grid)
 
@@ -578,7 +607,12 @@ class SimulationService:
 
         With ``wait`` the call returns the finished payload; otherwise it
         returns immediately with the request id to poll via ``status`` /
-        ``result``.
+        ``result``.  A figure grid whose memoised stats still hold (see
+        :meth:`_serve_summary`) is answered inline either way, with no
+        request thread.  The response carries the payload (``stats`` /
+        ``results``) whenever the request is already ``done``; a
+        memo-served ``stats`` dict is shared by every such response, so
+        in-process callers must not mutate it.
         """
         if self._closed:
             raise ServiceError("service is shutting down",
@@ -593,35 +627,35 @@ class SimulationService:
                     f"unknown experiment {experiment!r}; known: "
                     f"{', '.join(EXPERIMENTS)}",
                     code="unknown_experiment")
-            job_list, keys = self._grid(experiment, resolved_scale)
+            grid = self._grid(experiment, resolved_scale)
             name, explicit = experiment, False
         else:
             if not jobs:
                 raise ServiceError("empty job list")
-            job_list = self._with_hierarchy(
-                [job_from_wire(spec) for spec in jobs])
-            keys = self._job_keys(job_list)
+            grid = self._new_grid([job_from_wire(spec) for spec in jobs])
             name, explicit = "adhoc", True
-        reserved = self._admit(len(job_list))
+        total = len(grid.jobs)
+        reserved = self._admit(total)
         try:
-            self._refuse_if_degraded(keys, force)
+            self._refuse_if_degraded(grid.keys, force)
             with self._lock:
                 self._next_request += 1
                 request_id = f"req-{self._next_request}-{name}"
-                state = _RequestState(request_id, name, len(job_list),
-                                      explicit)
+                state = _RequestState(request_id, name, total, explicit)
                 self._requests[request_id] = state
                 self._evict_finished_requests()
                 self.counters["submissions"] += 1
-                self.counters["jobs"] += len(job_list)
+                self.counters["jobs"] += total
+            if not force and self._serve_summary(state, grid):
+                self._release_reservation(reserved)
+                return state.snapshot(include_payload=True)
             if wait:
-                self._run_request(state, job_list, keys, resolved_scale,
-                                  force, reserved)
+                self._run_request(state, grid, resolved_scale, force,
+                                  reserved)
                 return state.snapshot(include_payload=True)
             thread = threading.Thread(
                 target=self._run_request,
-                args=(state, job_list, keys, resolved_scale, force,
-                      reserved),
+                args=(state, grid, resolved_scale, force, reserved),
                 name=f"repro-service-{request_id}", daemon=True)
             # Prune threads that already finished: a long-lived daemon
             # must not pin one Thread object per request it ever served.
@@ -635,34 +669,34 @@ class SimulationService:
             # submits would count phantom backlog forever.
             self._release_reservation(reserved)
             raise
-        return state.snapshot()
+        # A grid that finished between start() and here carries its
+        # payload; one still running is polled through ``result``.
+        return state.snapshot(include_payload=True)
 
-    def _with_hierarchy(self, job_list: Sequence[Job]) -> Sequence[Job]:
-        """``job_list`` on this daemon's hierarchy override, if any."""
-        if self.hierarchy_spec is None:
-            return job_list
-        from .sim.engine import apply_hierarchy
-        return apply_hierarchy(job_list, self.hierarchy_spec,
-                               self.hierarchy_name)
+    def _new_grid(self, job_list: Sequence[Job]) -> _Grid:
+        """``job_list`` on this daemon's hierarchy override, if any, with
+        each job's store key (``None`` for jobs the store cannot hold)."""
+        if self.hierarchy_spec is not None:
+            from .sim.engine import apply_hierarchy
+            job_list = apply_hierarchy(job_list, self.hierarchy_spec,
+                                       self.hierarchy_name)
+        return _Grid(tuple(job_list),
+                     tuple(try_job_key(job) for job in job_list))
 
-    def _job_keys(self, job_list: Sequence[Job]) -> List[Optional[str]]:
-        """Each job's store key; ``None`` for jobs the store cannot hold."""
-        return [try_job_key(job) for job in job_list]
-
-    def _build_grid(self, experiment: str, scale: Scale
-                    ) -> Tuple[Tuple[Job, ...], Tuple[Optional[str], ...]]:
-        """One figure grid's job list and job keys (see ``self._grid``).
+    def _build_grid(self, experiment: str, scale: Scale) -> _Grid:
+        """One figure grid's record (see ``self._grid``): its job list,
+        its job keys and an empty ``summary`` slot.
 
         The memo is exact: the registry and the suite do not change within
         a process, the hierarchy override is fixed for the life of the
         service, and :func:`scale_from_wire` coerces every scale field to
-        ``int``.  It holds key strings, never results, so
-        every request still asks the store — a store cleared, compacted or
-        written by a sibling daemon is served correctly.
+        ``int``.  It holds key strings and, once a request has completed
+        the grid, the summarised stats — never results.  Every request
+        still asks the store whether each key is present, so a store
+        cleared or compacted under the memo is re-simulated, not served
+        from the memo.  The summary lives and is evicted with its grid.
         """
-        job_list = tuple(self._with_hierarchy(
-            EXPERIMENTS[experiment].jobs(scale)))
-        return job_list, tuple(self._job_keys(job_list))
+        return self._new_grid(EXPERIMENTS[experiment].jobs(scale))
 
     def _admit(self, incoming: int) -> int:
         """Load-shed when the job backlog exceeds the bound, atomically.
@@ -756,22 +790,55 @@ class SimulationService:
         must outlive requests that have been done (and pollable) longer.
         Running requests are never evicted; a ``status``/``result`` poll
         for an evicted id gets the same "unknown request id" as a
-        mistyped one.
+        mistyped one.  Trimming is batched: nothing is scanned or sorted
+        until the finished requests exceed the cap by more than an
+        eighth, and then they are trimmed back to the cap.
         """
-        finished = sorted(
-            ((state.finished_at or 0.0, request_id)
-             for request_id, state in self._requests.items()
-             if state.done.is_set()))
-        excess = len(finished) - MAX_FINISHED_REQUESTS
-        for _, request_id in finished[:max(0, excess)]:
+        slack = MAX_FINISHED_REQUESTS // 8
+        if len(self._requests) <= MAX_FINISHED_REQUESTS + slack:
+            return
+        finished = [(state.finished_at or 0.0, request_id)
+                    for request_id, state in self._requests.items()
+                    if state.done.is_set()]
+        if len(finished) <= MAX_FINISHED_REQUESTS + slack:
+            return
+        finished.sort()
+        for _, request_id in finished[:len(finished)
+                                      - MAX_FINISHED_REQUESTS]:
             del self._requests[request_id]
 
-    def _run_request(self, state: _RequestState, job_list: Sequence[Job],
-                     keys: Sequence[Optional[str]], scale: Scale,
-                     force: bool, reserved: int = 0) -> None:
+    def _serve_summary(self, state: _RequestState, grid: _Grid) -> bool:
+        """Answer ``state`` from ``grid.summary`` if every key is stored.
+
+        Returns ``False``, having changed nothing, when the grid has no
+        summary or any key is missing from the store (cleared, say): the
+        caller then runs the grid normally.  A served request counts as
+        a store hit per cell, exactly like a warm grid run the long way,
+        and rewrites the stats file only if its bytes differ.  The
+        caller skips this for ``force``.
+        """
+        summary = grid.summary
+        if summary is None:
+            return False
+        start = time.perf_counter()
+        with self._lock:
+            if not all(key in self.store for key in grid.keys):
+                return False
+            self.counters["store_hits"] += state.total
+        state.stored = state.completed = state.total
+        state.stats, payload = summary
+        state.stats_path = self._write_stats(state.name, payload)
+        state.seconds = time.perf_counter() - start
+        state.state = "done"
+        state.finished_at = time.monotonic()
+        state.done.set()
+        return True
+
+    def _run_request(self, state: _RequestState, grid: _Grid,
+                     scale: Scale, force: bool, reserved: int = 0) -> None:
         start = time.perf_counter()
         try:
-            results = self._run_jobs(state, job_list, keys, force,
+            results = self._run_jobs(state, grid.jobs, grid.keys, force,
                                      reserved)
             state.seconds = time.perf_counter() - start
             if state.failed_jobs:
@@ -789,8 +856,9 @@ class SimulationService:
             else:
                 experiment = EXPERIMENTS[state.name]
                 state.stats = experiment.summarize(results, scale)
-                state.stats_path = self._write_stats(state.name,
-                                                     state.stats)
+                payload = canonical_json(state.stats).encode("utf-8")
+                state.stats_path = self._write_stats(state.name, payload)
+                grid.summary = (state.stats, payload)
             try:
                 with self._lock:
                     self.store.flush_index()
@@ -813,17 +881,16 @@ class SimulationService:
             state.finished_at = time.monotonic()
             state.done.set()
 
-    def _write_stats(self, name: str,
-                     stats: Dict[str, Any]) -> Optional[str]:
-        """Atomically persist an experiment's stats JSON; None on failure.
+    def _write_stats(self, name: str, payload: bytes) -> Optional[str]:
+        """Atomically persist an experiment's stats file; None on failure.
 
-        On unwritable media the request still succeeds — the stats are in
+        ``payload`` is the stats' :func:`canonical_json` encoding.  On
+        unwritable media the request still succeeds — the stats are in
         the response payload; only the on-disk copy is lost — and the
         daemon flips to degraded read-only mode.  A file that already
         holds these exact bytes (every warm repeat) is left alone.
         """
         stats_path = self.store.root / "stats" / f"{name}.json"
-        payload = canonical_json(stats).encode("utf-8")
         try:
             if stats_path.read_bytes() == payload:
                 return str(stats_path)
@@ -1200,7 +1267,7 @@ class SimulationService:
         # Memoised keys, fetched outside the lock so a polling client
         # never stalls in-flight claims and puts; only the membership
         # checks need the store's lock.
-        grids = {name: self._grid(name, resolved)[1]
+        grids = {name: self._grid(name, resolved).keys
                  for name in EXPERIMENTS}
         coverage: Dict[str, Dict[str, int]] = {}
         with self._lock:
@@ -1506,6 +1573,16 @@ def create_server(service: SimulationService,
 # ======================================================================
 # The client
 # ======================================================================
+def _has_payload(response: Dict[str, Any]) -> bool:
+    """Whether a submit response already carries the finished payload.
+
+    Keyed on the payload itself, never on ``state``: a daemon that
+    predates inline answers reports a finished grid ``done`` without
+    its payload, and the caller must then still poll ``result``.
+    """
+    return "stats" in response or "results" in response
+
+
 class ServiceClient:
     """Talk to a running daemon: one JSON line per request.
 
@@ -1636,13 +1713,19 @@ class ServiceClient:
                jobs: Optional[Sequence[Dict[str, Any]]] = None,
                scale: Optional[Dict[str, Any]] = None,
                force: bool = False, wait: bool = False) -> Dict[str, Any]:
+        """Submit a grid; with ``wait``, return its finished payload.
+
+        A daemon answers a grid that is already done — a warm figure
+        read — with its payload in the submit response, which is then
+        the whole exchange: one round trip.  Otherwise waiting is
+        submit-then-poll rather than one long blocking call: each poll
+        is IO-bounded, so a daemon dying mid-grid surfaces as a
+        retryable error within a chunk instead of a silent hang.
+        """
         response = self.request("submit", experiment=experiment, jobs=jobs,
                                 scale=scale, force=force or None)
-        if not wait:
+        if not wait or _has_payload(response):
             return response
-        # Waiting is submit-then-poll rather than one long blocking call:
-        # each poll is IO-bounded, so a daemon dying mid-grid surfaces as
-        # a retryable error within a chunk instead of a silent hang.
         return self.result(response["id"], wait=True)
 
     def status(self, request_id: Optional[str] = None,
@@ -1802,9 +1885,11 @@ class FleetClient:
         """Submit to the routed member, failing over in ring order.
 
         The response gains a ``"member"`` field naming the address that
-        served it.  With ``wait``, a member dying mid-grid resubmits the
-        whole grid to the next member — free, because every cell the
-        dead member persisted is served from the shared store.
+        served it.  With ``wait``, a submit response that already carries
+        the payload is the answer (one round trip); otherwise the member
+        is polled, and a member dying mid-grid resubmits the whole grid
+        to the next member — free, because every cell the dead member
+        persisted is served from the shared store.
         """
         start = self._route(experiment, jobs, scale)
         last_error: Optional[ServiceError] = None
@@ -1818,7 +1903,7 @@ class FleetClient:
                     continue
                 raise
             try:
-                if wait:
+                if wait and not _has_payload(response):
                     response = member.result(response["id"], wait=True)
             except ServiceError as error:
                 # The accepting member died (or restarted and forgot the

@@ -44,19 +44,11 @@ class TestAccount:
 
     def test_cache_hierarchy_energy_excludes_dram(self):
         account = EnergyAccount()
-        account.charge_cache_lookup(Level.L2)
-        account.charge_cache_lookup(Level.MEM)
+        params = account.params
+        account.charge("hierarchy", params.cache_access_energy(Level.L2))
+        account.charge("dram", params.cache_access_energy(Level.MEM))
         assert account.cache_hierarchy_energy() < account.total
         assert "dram" in account.by_category
-
-    def test_helper_charges(self):
-        account = EnergyAccount()
-        account.charge_directory()
-        account.charge_predictor(0.01)
-        account.charge_recovery(0.02)
-        account.charge_bus()
-        breakdown = account.breakdown()
-        assert set(breakdown) == {"hierarchy", "predictor", "recovery"}
 
     def test_reset(self):
         account = EnergyAccount()

@@ -507,6 +507,45 @@ class TestFleetClient:
         assert second["member"] == first["member"]
         assert second["simulated"] == 0  # warm on the same member
 
+    def test_warm_submit_is_one_round_trip(self, fleet_pair):
+        services, addresses = fleet_pair
+        client = FleetClient(addresses, timeout=10.0)
+
+        def requests() -> int:
+            return sum(service.counters["requests"] for service in services)
+
+        before = requests()
+        cold = client.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        assert cold["simulated"] == cold["total_jobs"]
+        assert requests() - before >= 2
+        before = requests()
+        warm = client.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        assert requests() - before == 1
+        assert warm["member"] == cold["member"]
+        assert warm["stats"] == cold["stats"]
+
+    def test_done_submit_without_payload_is_still_polled(
+            self, fleet_pair, monkeypatch):
+        services, addresses = fleet_pair
+        client = FleetClient(addresses, timeout=10.0)
+        cold = client.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        for service in services:
+            original = service.submit
+
+            def bare_submit(_original=original, **params):
+                response = _original(**params)
+                for field in ("stats", "stats_path", "results"):
+                    response.pop(field, None)
+                return response
+
+            monkeypatch.setattr(service, "submit", bare_submit)
+        before = sum(service.counters["requests"] for service in services)
+        warm = client.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        after = sum(service.counters["requests"] for service in services)
+        assert after - before == 2
+        assert warm["state"] == "done"
+        assert warm["stats"] == cold["stats"]
+
     def test_failover_skips_a_dead_member(self, fleet_pair):
         services, addresses = fleet_pair
         # A fleet where one configured member is a dead port: every

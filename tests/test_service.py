@@ -29,7 +29,7 @@ import pytest
 import repro.service as service_module
 import repro.sim.store as store_module
 from repro.cli import main, run_experiment
-from repro.experiments import EXPERIMENTS, Scale
+from repro.experiments import EXPERIMENTS, Scale, canonical_json
 from repro.memory.spec import load_hierarchy
 from repro.service import (
     GRID_MEMO_SIZE,
@@ -307,11 +307,11 @@ class TestGridMemo:
                              ids=["default", "bench"])
     def test_memoised_keys_match_direct_keys(self, service, scale):
         for name, experiment in EXPERIMENTS.items():
-            jobs, keys = service._grid(name, scale)
+            grid = service._grid(name, scale)
             reference = experiment.jobs(scale)
-            assert list(jobs) == reference, name
-            assert list(keys) == [try_job_key(job) for job in reference], \
-                name
+            assert list(grid.jobs) == reference, name
+            assert list(grid.keys) == [try_job_key(job)
+                                       for job in reference], name
             assert service._grid(name, scale) is service._grid(name, scale)
 
     @pytest.mark.parametrize("scale", [Scale(), BENCH_SCALE],
@@ -325,10 +325,10 @@ class TestGridMemo:
             for name, experiment in EXPERIMENTS.items():
                 reference = apply_hierarchy(experiment.jobs(scale), spec,
                                             "four_level")
-                jobs, keys = svc._grid(name, scale)
-                assert list(jobs) == reference, name
-                assert list(keys) == [try_job_key(job)
-                                      for job in reference], name
+                grid = svc._grid(name, scale)
+                assert list(grid.jobs) == reference, name
+                assert list(grid.keys) == [try_job_key(job)
+                                           for job in reference], name
         finally:
             svc.close(wait=True)
 
@@ -363,12 +363,104 @@ class TestGridMemo:
         assert service._grid.cache_info().currsize == GRID_MEMO_SIZE
 
     def test_memo_holds_keys_not_results(self, service):
-        service.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        cold = service.submit(experiment="fig13", scale=TINY_WIRE,
+                              wait=True)
+        warm = service.submit(experiment="fig13", scale=TINY_WIRE,
+                              wait=True)
+        assert warm["stored"] == warm["total_jobs"]
+        # A store cleared under a warm memo is re-simulated, not served
+        # from the memoised stats, and yields the same bytes.
         service.store.clear()
+        simulated = service.counters["simulations"]
         again = service.submit(experiment="fig13", scale=TINY_WIRE,
                                wait=True)
         assert again["simulated"] == again["total_jobs"]
         assert again["stored"] == 0
+        assert service.counters["simulations"] - simulated == \
+            again["total_jobs"]
+        assert canonical_json(again["stats"]) == \
+            canonical_json(cold["stats"])
+
+    def test_memoised_stats_match_a_fresh_summary(self, service):
+        """Every figure's memo-served stats are byte-equal to summarising
+        the stored results afresh, and leave the stats file alone."""
+        for name, experiment in EXPERIMENTS.items():
+            service.submit(experiment=name, scale=TINY_WIRE, wait=True)
+        for name, experiment in EXPERIMENTS.items():
+            grid = service._grid(name, TINY)
+            assert grid.summary is not None, name
+            stats_file = service.store.root / "stats" / f"{name}.json"
+            before = stats_file.read_bytes()
+            hits = service.store.hits
+            memoised = service.submit(experiment=name, scale=TINY_WIRE,
+                                      wait=True)
+            # Served from the memo: no stored result was read.
+            assert service.store.hits == hits, name
+            assert memoised["state"] == "done", name
+            assert memoised["stored"] == memoised["completed"] == \
+                memoised["total_jobs"], name
+            fresh = experiment.summarize(
+                [service.store.get(key) for key in grid.keys], TINY)
+            assert canonical_json(memoised["stats"]) == \
+                canonical_json(fresh), name
+            assert stats_file.read_bytes() == before, name
+
+    def test_force_bypasses_and_refreshes_the_memo(self, service):
+        cold = service.submit(experiment="fig13", scale=TINY_WIRE,
+                              wait=True)
+        grid = service._grid("fig13", TINY)
+        summary = grid.summary
+        assert summary is not None
+        forced = service.submit(experiment="fig13", scale=TINY_WIRE,
+                                force=True, wait=True)
+        assert forced["simulated"] == forced["total_jobs"]
+        assert grid.summary is not summary
+        assert grid.summary[1] == summary[1]
+        assert forced["stats"] == cold["stats"]
+
+    def test_grid_with_a_failed_job_is_never_memoised(self, service,
+                                                      monkeypatch):
+        grid = service._grid("fig13", TINY)
+        poisoned = grid.jobs[0]
+        original = service_module.execute_job
+
+        def fail_one(job, trace_cache=None):
+            if job == poisoned:
+                raise RuntimeError("boom")
+            return original(job)
+
+        monkeypatch.setattr(service_module, "execute_job", fail_one)
+        monkeypatch.setattr(service, "RETRY_BACKOFF", 0.0)
+        failed = service.submit(experiment="fig13", scale=TINY_WIRE,
+                                wait=True)
+        assert failed["state"] == "failed"
+        assert grid.summary is None
+        # Every other cell is stored; the quarantined one still fails.
+        again = service.submit(experiment="fig13", scale=TINY_WIRE,
+                               wait=True)
+        assert again["state"] == "failed"
+        assert again["stored"] == again["total_jobs"] - 1
+        assert grid.summary is None
+        monkeypatch.setattr(service_module, "execute_job", original)
+        healed = service.submit(experiment="fig13", scale=TINY_WIRE,
+                                force=True, wait=True)
+        assert healed["state"] == "done"
+        assert grid.summary is not None
+
+    def test_memo_is_evicted_with_its_grid(self, service):
+        service.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        assert service._grid("fig13", TINY).summary is not None
+        for accesses in range(10, 10 + GRID_MEMO_SIZE):
+            service._grid("fig13", Scale(accesses=accesses))
+        grid = service._grid("fig13", TINY)
+        assert grid.summary is None
+        hits = service.store.hits
+        warm = service.submit(experiment="fig13", scale=TINY_WIRE,
+                              wait=True)
+        # Rebuilt the long way (every stored result read), then memoised.
+        assert warm["stored"] == warm["total_jobs"]
+        assert service.store.hits - hits == warm["total_jobs"]
+        assert grid.summary is not None
 
     def test_cold_grid_shards_match_a_serial_engine_run(self, service,
                                                         tmp_path):
@@ -402,11 +494,14 @@ class TestGridMemo:
 
     def test_changed_stats_still_replace_the_file_atomically(self,
                                                              service):
-        path = Path(service._write_stats("memo", {"value": 1}))
+        def encoded(value: int) -> bytes:
+            return canonical_json({"value": value}).encode("utf-8")
+
+        path = Path(service._write_stats("memo", encoded(1)))
         inode = path.stat().st_ino
-        assert service._write_stats("memo", {"value": 1}) == str(path)
+        assert service._write_stats("memo", encoded(1)) == str(path)
         assert path.stat().st_ino == inode
-        assert service._write_stats("memo", {"value": 2}) == str(path)
+        assert service._write_stats("memo", encoded(2)) == str(path)
         assert path.stat().st_ino != inode
         assert json.loads(path.read_text()) == {"value": 2}
         assert sorted(p.name for p in path.parent.iterdir()) == \
@@ -645,6 +740,41 @@ class TestSocketServer:
                               wait=True)
         assert again["simulated"] == 0
         assert again["stats"] == payload["stats"]
+
+    def test_warm_submit_is_one_round_trip(self, service, server):
+        requests = service.counters["requests"]
+        cold = server.submit(experiment="fig13", scale=TINY_WIRE,
+                             wait=True)
+        assert cold["simulated"] == cold["total_jobs"]
+        assert service.counters["requests"] - requests >= 2
+        requests = service.counters["requests"]
+        warm = server.submit(experiment="fig13", scale=TINY_WIRE,
+                             wait=True)
+        assert service.counters["requests"] - requests == 1
+        assert warm["state"] == "done"
+        assert warm["stats"] == cold["stats"]
+
+    def test_done_submit_without_payload_is_still_polled(
+            self, service, server, monkeypatch):
+        """A daemon predating inline answers reports a warm grid ``done``
+        with no payload: the client must fetch it through ``result``."""
+        cold = server.submit(experiment="fig13", scale=TINY_WIRE,
+                             wait=True)
+        original = service.submit
+
+        def bare_submit(**params):
+            response = original(**params)
+            assert response["state"] == "done"
+            for field in ("stats", "stats_path", "results"):
+                response.pop(field, None)
+            return response
+
+        monkeypatch.setattr(service, "submit", bare_submit)
+        requests = service.counters["requests"]
+        warm = server.submit(experiment="fig13", scale=TINY_WIRE,
+                             wait=True)
+        assert service.counters["requests"] - requests == 2
+        assert warm["stats"] == cold["stats"]
 
     def test_async_submit_and_result_over_the_wire(self, server):
         submitted = server.submit(experiment="fig13", scale=TINY_WIRE)
