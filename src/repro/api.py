@@ -129,7 +129,9 @@ def connect(address: Union[str, int]) -> Union[ServiceClient, FleetClient]:
     the same forms the CLI's ``--remote`` flag accepts.  A
     comma-separated list of those returns a :class:`FleetClient`
     instead: requests route across the fleet members by job-key hash
-    and fail over on connection/timeout/overloaded errors.
+    and fail over on connection/timeout/overloaded errors.  The client
+    keeps its connections open between requests; close it with
+    ``close()`` or use it in a ``with`` block.
     """
     text = str(address)
     if "," in text:

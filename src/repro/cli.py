@@ -297,34 +297,34 @@ def _remote_client(address: str):
 
 def _remote_run(args: argparse.Namespace, names: List[str]) -> int:
     """Run experiments against a daemon (``run --remote ADDR``)."""
-    client = _remote_client(args.remote)
-    exit_code = 0
-    for name in names:
-        payload = client.submit(experiment=name, scale=_scale_wire(args),
-                                force=args.force, wait=True)
-        if payload.get("state") != "done":
-            print(f"repro: remote run of {name} failed: "
-                  f"{payload.get('error', 'unknown error')}",
-                  file=sys.stderr)
-            for failure in payload.get("failed_jobs", []):
-                print(f"  job {failure.get('index')} "
-                      f"[{failure.get('code')}]: {failure.get('error')}",
+    with _remote_client(args.remote) as client:
+        exit_code = 0
+        for name in names:
+            payload = client.submit(experiment=name, scale=_scale_wire(args),
+                                    force=args.force, wait=True)
+            if payload.get("state") != "done":
+                print(f"repro: remote run of {name} failed: "
+                      f"{payload.get('error', 'unknown error')}",
                       file=sys.stderr)
-            return 1
-        # stats_path may be null: a degraded daemon (unwritable store
-        # media) still answers with the stats payload itself.
-        stats_path = payload.get("stats_path")
-        report = RunReport(name, payload["total_jobs"], payload["stored"],
-                           payload["simulated"], payload["seconds"],
-                           payload["stats"],
-                           Path(stats_path) if stats_path else None)
-        print(f"{name}: {report.total_jobs} jobs — {report.stored} from "
-              f"store, {report.simulated} simulated, "
-              f"{payload['coalesced']} coalesced "
-              f"({report.seconds:.2f}s) "
-              f"@ {payload.get('member', client.address)}")
-        exit_code |= _report_outputs(report, args)
-    return exit_code
+                for failure in payload.get("failed_jobs", []):
+                    print(f"  job {failure.get('index')} "
+                          f"[{failure.get('code')}]: {failure.get('error')}",
+                          file=sys.stderr)
+                return 1
+            # stats_path may be null: a degraded daemon (unwritable store
+            # media) still answers with the stats payload itself.
+            stats_path = payload.get("stats_path")
+            report = RunReport(name, payload["total_jobs"], payload["stored"],
+                               payload["simulated"], payload["seconds"],
+                               payload["stats"],
+                               Path(stats_path) if stats_path else None)
+            print(f"{name}: {report.total_jobs} jobs — {report.stored} from "
+                  f"store, {report.simulated} simulated, "
+                  f"{payload['coalesced']} coalesced "
+                  f"({report.seconds:.2f}s) "
+                  f"@ {payload.get('member', client.address)}")
+            exit_code |= _report_outputs(report, args)
+        return exit_code
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -442,8 +442,8 @@ def _coverage_marker(cached: int, total: int) -> str:
 def cmd_status(args: argparse.Namespace) -> int:
     if args.remote:
         try:
-            client = _remote_client(args.remote)
-            payload = client.status(scale=_scale_wire(args))
+            with _remote_client(args.remote) as client:
+                payload = client.status(scale=_scale_wire(args))
         except (OSError, ServiceError) as exc:
             print(f"repro: cannot query daemon at {args.remote}: {exc}",
                   file=sys.stderr)
@@ -475,8 +475,8 @@ def cmd_status(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     if args.remote:
         try:
-            client = _remote_client(args.remote)
-            titles = client.figures()["experiments"]
+            with _remote_client(args.remote) as client:
+                titles = client.figures()["experiments"]
         except (OSError, ServiceError) as exc:
             print(f"repro: cannot query daemon at {args.remote}: {exc}",
                   file=sys.stderr)
@@ -683,7 +683,8 @@ def _print_fleet_stats(client: FleetClient, payload: dict) -> int:
         print(line)
     print(f"  requests          : {counters.get('requests', 0):>10,} "
           f"({counters.get('submissions', 0):,} grids, "
-          f"{counters.get('jobs', 0):,} jobs)")
+          f"{counters.get('jobs', 0):,} jobs) over "
+          f"{counters.get('connections', 0):,} connections")
     print(f"  job sources       : "
           f"{counters.get('store_hits', 0):>10,} store / "
           f"{counters.get('simulations', 0):,} simulated / "
@@ -706,7 +707,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     try:
         client = FleetClient(args.remote) if fleet \
             else ServiceClient(args.remote)
-        payload = client.stats()
+        with client:
+            payload = client.stats()
     except (OSError, ServiceError) as exc:
         print(f"repro: cannot query daemon at {args.remote}: {exc}",
               file=sys.stderr)
@@ -734,7 +736,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
               f"({detail})")
     print(f"  requests          : {counters['requests']:>10,}  "
           f"({counters['submissions']:,} grids, "
-          f"{counters['jobs']:,} jobs)")
+          f"{counters['jobs']:,} jobs) over "
+          f"{counters.get('connections', 0):,} connections")
     print(f"  job sources       : {counters['store_hits']:>10,} store / "
           f"{counters['simulations']:,} simulated / "
           f"{counters['coalesced']:,} coalesced")

@@ -21,8 +21,11 @@ site                    where the hook sits
 ``trace.load``          :meth:`repro.trace.TraceBuffer.load`
 ``worker.job``          :func:`repro.sim.engine.execute_job`
 ``service.response``    the daemon's socket handler, before the response
-                        line is written
-``client.connect``      :meth:`repro.service.ServiceClient._connect`
+                        line is written; a fired fault closes the
+                        connection
+``client.connect``      :meth:`repro.service.ServiceClient._connect`, once
+                        per new connection (not per request: a client
+                        reuses its thread's open connection)
 ======================  ====================================================
 
 Fault kinds

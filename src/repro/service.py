@@ -34,7 +34,8 @@ Protocol
 
 Newline-delimited JSON over a stream socket — a localhost TCP port or a
 unix socket, both served by a threading :mod:`socketserver`.  One request
-line, one response line, connection closed::
+line, one response line, and the connection stays open for the next
+request; one handler thread serves it until the client closes it::
 
     -> {"op": "submit", "experiment": "golden", "wait": true}
     <- {"ok": true, "id": "req-1-golden", "state": "done",
@@ -51,6 +52,16 @@ every warm figure read — carries its payload, so clients skip the
 taxonomy clients branch on, ``retryable`` whether resubmitting the same
 request is safe and useful (it always is semantically: jobs are
 content-addressed and coalesced, so a duplicate submit costs nothing).
+
+The daemon closes a connection itself only after an oversized request
+line, a response it could not write, or a ``shutdown``; stopping the
+daemon closes every open connection.  :class:`ServiceClient` keeps one
+connection per calling thread.  When a kept-alive connection fails
+before any response byte arrives (EOF, reset, broken pipe), the daemon
+closed it or restarted, so the client resends once on a fresh
+connection at once; a client of a daemon that closes after every
+response therefore still works.  A one-shot client (connect, send one
+line, read one, close) works too.
 
 Failure model
 =============
@@ -108,6 +119,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import logging
 import os
 import random
 import socket
@@ -123,7 +135,7 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .experiments import EXPERIMENTS, Scale, canonical_json
 from .faults import fault_point
@@ -141,6 +153,8 @@ from .sim.store import (
     serialize_result,
     try_job_key,
 )
+
+_log = logging.getLogger(__name__)
 
 #: Wire-protocol schema tag; servers reject requests from a different one.
 PROTOCOL_SCHEMA = "repro-service/1"
@@ -505,6 +519,7 @@ class SimulationService:
         self._next_request = 0
         self.started_at = time.time()
         self.counters = {
+            "connections": 0,    # client connections accepted
             "requests": 0,       # protocol requests dispatched
             "submissions": 0,    # grids submitted
             "jobs": 0,           # grid cells across all submissions
@@ -572,8 +587,8 @@ class SimulationService:
                 self.pool_kind = "thread"
                 self._pool_fallback_reason = (
                     f"process workers unavailable ({exc})")
-                print(f"repro.service: {self._pool_fallback_reason}; "
-                      f"using thread workers", file=sys.stderr)
+                _log.warning("%s; using thread workers",
+                             self._pool_fallback_reason)
         return ThreadPoolExecutor(
             max_workers=self.num_workers,
             thread_name_prefix="repro-service-worker")
@@ -592,8 +607,7 @@ class SimulationService:
             if isinstance(self._pool, ProcessPoolExecutor):
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self.counters["pool_failovers"] += 1
-                print("repro.service: worker pool broke; rebuilding",
-                      file=sys.stderr)
+                _log.warning("worker pool broke; rebuilding")
                 self._pool = self._build_pool()
 
     # ------------------------------------------------------------------
@@ -865,8 +879,7 @@ class SimulationService:
             except OSError as exc:
                 # A stale index is never wrong, only slower — losing the
                 # flush must not fail an otherwise complete request.
-                print(f"repro.service: could not flush store index "
-                      f"({exc})", file=sys.stderr)
+                _log.warning("could not flush store index (%s)", exc)
             state.state = "done"
         except BaseException as exc:  # noqa: BLE001 - reported to client
             # BaseException on purpose: *anything* escaping the job run —
@@ -906,8 +919,8 @@ class SimulationService:
             os.replace(tmp, stats_path)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
-            print(f"repro.service: could not write {stats_path} ({exc}); "
-                  f"entering degraded read-only mode", file=sys.stderr)
+            _log.warning("could not write %s (%s); entering degraded "
+                         "read-only mode", stats_path, exc)
             self._enter_degraded(str(exc))
             return None
         return str(stats_path)
@@ -1246,9 +1259,8 @@ class SimulationService:
                 if attempt == self.PUT_ATTEMPTS:
                     with self._lock:
                         self.counters["put_failures"] += 1
-                    print(f"repro.service: giving up storing "
-                          f"{key[:12]}… ({error}); entering degraded "
-                          f"read-only mode", file=sys.stderr)
+                    _log.warning("giving up storing %s… (%s); entering "
+                                 "degraded read-only mode", key[:12], error)
                     self._enter_degraded(str(error))
                     return
                 with self._lock:
@@ -1452,46 +1464,102 @@ class SimulationService:
 # The socket layer
 # ======================================================================
 class _ServiceHandler(socketserver.StreamRequestHandler):
-    """One JSON request line in, one JSON response line out."""
+    """JSON request lines in, one JSON response line out per request.
+
+    One handler thread serves one connection for as long as the client
+    keeps it open: it answers request lines until EOF, and closes the
+    connection itself only when it cannot answer the next line sensibly
+    (an oversized line, a dropped response, a ``shutdown`` op).
+    """
+
+    def setup(self) -> None:
+        super().setup()
+        service: SimulationService = self.server.service  # type: ignore
+        with service._lock:
+            service.counters["connections"] += 1
 
     def handle(self) -> None:
-        raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
-        if not raw:
-            return
-        if len(raw) > MAX_REQUEST_BYTES:
-            self._respond({"ok": False, "error": "request too large"})
-            return
-        try:
-            request = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            self._respond({"ok": False,
-                           "error": "request is not valid JSON"})
-            return
         service: SimulationService = self.server.service  # type: ignore
-        response = service.dispatch(request)
-        self._respond(response)
-        if isinstance(request, dict) and request.get("op") == "shutdown":
-            self.server.request_shutdown()  # type: ignore[attr-defined]
+        while True:
+            try:
+                raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            except ConnectionError:
+                return  # the client reset the connection
+            if not raw:
+                return
+            if len(raw) > MAX_REQUEST_BYTES:
+                # The line's tail is still unread: the stream cannot be
+                # resynchronised, so answer and close.
+                self._respond({"ok": False, "error": "request too large"})
+                return
+            try:
+                request = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                if not self._respond({"ok": False,
+                                      "error": "request is not valid JSON"}):
+                    return
+                continue
+            responded = self._respond(service.dispatch(request))
+            if isinstance(request, dict) and request.get("op") == "shutdown":
+                self.server.request_shutdown()  # type: ignore[attr-defined]
+                return
+            if not responded:
+                return
 
-    def _respond(self, response: Dict[str, Any]) -> None:
+    def _respond(self, response: Dict[str, Any]) -> bool:
+        """Write one response line; False when the connection died."""
         payload = json.dumps(response, sort_keys=True,
                              separators=(",", ":")) + "\n"
         try:
             # Fault site: the response connection dying under the daemon.
             # An injected drop raises the same ConnectionResetError a real
-            # torn socket would; the client sees a closed connection and
-            # drives its reconnect-and-retry path.
+            # torn socket would; the handler then closes the connection,
+            # so the client sees EOF and drives its reconnect path.
             fault_point("service.response")
             self.wfile.write(payload.encode("utf-8"))
         except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing to report to
+            return False  # client went away; nothing to report to
+        return True
 
 
 class _ServerMixin:
-    """Shutdown plumbing shared by the TCP and unix variants."""
+    """Shutdown plumbing shared by the TCP and unix variants.
+
+    The server records every open connection, so :meth:`server_close`
+    can cut off kept-alive clients the way a stopped daemon refuses new
+    connects: their handler threads see EOF and exit, and the clients
+    see a closed connection instead of answers from a stopped daemon.
+    """
 
     service: SimulationService
     daemon_threads = True
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request,  # type: ignore[misc]
+                                client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)  # type: ignore[misc]
+
+    def server_close(self) -> None:
+        super().server_close()  # type: ignore[misc]
+        # Under the lock, every recorded connection is still unclosed:
+        # shutdown_request forgets a connection before closing it.
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client already hung up
 
     def request_shutdown(self) -> None:
         # shutdown() blocks until serve_forever exits, so it must be
@@ -1503,6 +1571,11 @@ class _ServerMixin:
 
 class ReproTCPServer(_ServerMixin, socketserver.ThreadingTCPServer):
     allow_reuse_address = True
+
+    def get_request(self) -> Tuple[socket.socket, Any]:
+        connection, client_address = super().get_request()
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return connection, client_address
 
 
 class ReproUnixServer(_ServerMixin,
@@ -1586,6 +1659,13 @@ def _has_payload(response: Dict[str, Any]) -> bool:
 class ServiceClient:
     """Talk to a running daemon: one JSON line per request.
 
+    Each calling thread keeps one open connection to the daemon and
+    sends its requests over it in turn, so a request costs one round
+    trip, not a connect and a teardown.  Threads that share a client
+    never share a socket.  :meth:`close` (or leaving a ``with`` block)
+    closes every connection the client opened; until then they stay
+    open.
+
     Every method raises :class:`ServiceError` when the daemon answers
     ``ok: false`` (carrying the server's machine-readable ``code`` and
     ``retryable`` flag) or when it stays unreachable after the retry
@@ -1597,7 +1677,9 @@ class ServiceClient:
     side, so a retried ``submit`` whose first response was lost costs
     nothing.  Long waits (``result(wait=True)``, ``submit(wait=True)``)
     poll in bounded chunks, so a daemon dying mid-request surfaces as a
-    retryable :class:`ServiceError` instead of a hang.
+    retryable :class:`ServiceError` instead of a hang.  A kept-alive
+    connection the daemon has closed (it restarted, or hung up after a
+    lost response) is reopened once, at once, outside the retry budget.
 
     Args:
         address: Daemon address (see :func:`parse_address`).
@@ -1628,6 +1710,12 @@ class ServiceClient:
         # a replayed incident) backs off identically every time, while
         # distinct clients still de-synchronise.
         self._jitter = random.Random(f"repro-client:{self.address}")
+        #: The calling thread's open ``(socket, reader)``: threads that
+        #: share this client never share a socket, so need no lock.
+        self._local = threading.local()
+        #: Every open connection, from any thread, for :meth:`close`.
+        self._connections: Set[Tuple[socket.socket, Any]] = set()
+        self._lock = threading.Lock()
 
     def request(self, op: str, **params: Any) -> Dict[str, Any]:
         """One op with reconnect-and-retry; see :meth:`request_once`."""
@@ -1659,32 +1747,48 @@ class ServiceClient:
 
     def request_once(self, op: str, io_timeout: Optional[float] = None,
                      **params: Any) -> Dict[str, Any]:
-        """One op, one connection, no retry (the building block).
+        """One op over the calling thread's connection, no retry.
 
         ``io_timeout`` overrides the client's socket deadline for this
         request — used by the chunked-wait polls, whose server side
         legitimately blocks for a bounded slice before answering.
+
+        A kept-alive connection that fails before any response byte
+        arrives (EOF, reset, broken pipe) was closed by the daemon or
+        its restart: the request is resent once on a fresh connection,
+        with no backoff.  Any other failure — a timeout included —
+        propagates, and every failure drops the connection.
         """
         payload = {"op": op, **{key: value for key, value in params.items()
                                 if value is not None}}
-        line = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-        with self._connect(io_timeout) as sock:
-            sock.sendall(line.encode("utf-8"))
-            with sock.makefile("rb") as stream:
-                raw = stream.readline()
+        line = (json.dumps(payload, sort_keys=True,
+                           separators=(",", ":")) + "\n").encode("utf-8")
+        timeout = self.timeout if io_timeout is None else io_timeout
+        connection = getattr(self._local, "connection", None)
+        raw = b""
+        # fileno() < 0: close() closed it from another thread.
+        if connection is not None and connection[0].fileno() >= 0:
+            try:
+                raw = self._exchange(connection, line, timeout)
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # the daemon closed it: reopen below
         if not raw:
-            raise ConnectionError(
-                f"service at {self.address} closed the connection "
-                f"without answering")
+            connection = self._connect(timeout)
+            raw = self._exchange(connection, line, timeout)
+            if not raw:
+                raise ConnectionError(
+                    f"service at {self.address} closed the connection "
+                    f"without answering")
         try:
             response = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             # The peer is not a repro daemon (an HTTP server, say).
+            self._drop(connection)
             raise ServiceError(
                 f"malformed (non-JSON) response from {self.address} — "
                 f"is a repro daemon really listening there?") from None
         if not isinstance(response, dict) or "ok" not in response:
+            self._drop(connection)
             raise ServiceError(f"malformed response from {self.address}")
         if not response["ok"]:
             raise ServiceError(response.get("error", "unknown error"),
@@ -1692,9 +1796,27 @@ class ServiceClient:
                                retryable=bool(response.get("retryable")))
         return response
 
-    def _connect(self, io_timeout: Optional[float] = None
-                 ) -> socket.socket:
-        timeout = self.timeout if io_timeout is None else io_timeout
+    def _exchange(self, connection: Tuple[socket.socket, Any], line: bytes,
+                  timeout: Optional[float]) -> bytes:
+        """Send one request line and read one response line.
+
+        A failure, or EOF (``b""``), drops the connection.
+        """
+        sock, reader = connection
+        try:
+            sock.settimeout(timeout)
+            sock.sendall(line)
+            raw = reader.readline()
+        except BaseException:
+            self._drop(connection)
+            raise
+        if not raw:
+            self._drop(connection)
+        return raw
+
+    def _connect(self, timeout: Optional[float]
+                 ) -> Tuple[socket.socket, Any]:
+        """Open the calling thread's connection and record it."""
         # Fault site: the connect handshake (refused / dropped / slow).
         fault_point("client.connect")
         if self.family == "unix":
@@ -1705,8 +1827,50 @@ class ServiceClient:
             except BaseException:
                 sock.close()
                 raise
-            return sock
-        return socket.create_connection(self.location, timeout=timeout)
+        else:
+            sock = socket.create_connection(self.location, timeout=timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        connection = (sock, sock.makefile("rb"))
+        with self._lock:
+            self._connections.add(connection)
+        self._local.connection = connection
+        return connection
+
+    def _drop(self, connection: Tuple[socket.socket, Any]) -> None:
+        """Forget and close one connection after a failure."""
+        if getattr(self._local, "connection", None) is connection:
+            self._local.connection = None
+        with self._lock:
+            self._connections.discard(connection)
+        self._close_connection(connection)
+
+    @staticmethod
+    def _close_connection(connection: Tuple[socket.socket, Any]) -> None:
+        sock, reader = connection
+        try:
+            # Wakes a thread blocked reading it, so close() from another
+            # thread does not wait out that thread's response.
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
+        reader.close()
+        sock.close()
+
+    def close(self) -> None:
+        """Close every connection this client opened, from any thread.
+
+        The client stays usable: a later request opens a new connection.
+        """
+        with self._lock:
+            connections, self._connections = self._connections, set()
+        for connection in connections:
+            self._close_connection(connection)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # Typed convenience wrappers -----------------------------------------
     def submit(self, experiment: Optional[str] = None,
@@ -1817,6 +1981,9 @@ class FleetClient:
     ``stats()`` / ``health()`` aggregate across members (summed
     counters / fleet-wide status) with the per-member payloads riding
     along under ``"members"``.
+
+    Connections are the member clients': each calling thread keeps one
+    open connection per member it has talked to, until :meth:`close`.
 
     Args:
         addresses: Comma-separated address string, or a sequence of
@@ -2028,6 +2195,17 @@ class FleetClient:
             except (OSError, ServiceError):
                 pass
         return {"stopping": True, "members": stopped}
+
+    def close(self) -> None:
+        """Close every member client's connections."""
+        for member in self.members:
+            member.close()
+
+    def __enter__(self) -> "FleetClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 def serve_forever(service: SimulationService,

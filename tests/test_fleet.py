@@ -461,11 +461,13 @@ def fleet_pair(tmp_path):
     started = [_start_server(service) for service in services]
     addresses = [address for _, _, address in started]
     for address in addresses:
-        ServiceClient(address, timeout=10.0).wait_healthy(timeout=10.0)
+        with ServiceClient(address, timeout=10.0) as client:
+            client.wait_healthy(timeout=10.0)
     yield services, addresses
     for (srv, thread, address), service in zip(started, services):
         try:
-            ServiceClient(address, timeout=5.0).shutdown()
+            with ServiceClient(address, timeout=5.0) as client:
+                client.shutdown()
         except (OSError, ServiceError):
             pass
         thread.join(timeout=10.0)
@@ -523,6 +525,26 @@ class TestFleetClient:
         assert requests() - before == 1
         assert warm["member"] == cold["member"]
         assert warm["stats"] == cold["stats"]
+
+    def test_one_connection_per_member_per_thread(self, fleet_pair):
+        services, addresses = fleet_pair
+        before = [service.counters["connections"] for service in services]
+
+        def talk() -> None:
+            for _ in range(5):
+                client.health()
+                client.stats()
+
+        with FleetClient(addresses, timeout=10.0) as client:
+            threads = [threading.Thread(target=talk) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        opened = [service.counters["connections"] - count
+                  for service, count in zip(services, before)]
+        assert opened == [2, 2]
 
     def test_done_submit_without_payload_is_still_polled(
             self, fleet_pair, monkeypatch):

@@ -93,6 +93,7 @@ def server(service):
         client.shutdown()
     except (OSError, ServiceError):
         pass
+    client.close()
     thread.join(timeout=10.0)
 
 
@@ -837,6 +838,163 @@ class TestSocketServer:
 
 
 # ======================================================================
+# Kept-alive connections
+# ======================================================================
+def _serve(service: SimulationService, **binding):
+    """Start ``service`` on a socket; returns ``(server, thread, address)``."""
+    srv, address = create_server(service, **binding)
+    thread = threading.Thread(target=serve_forever, args=(service, srv),
+                              daemon=True)
+    thread.start()
+    return srv, thread, address
+
+
+def _handler_threads() -> set:
+    return {thread for thread in threading.enumerate()
+            if "process_request_thread" in thread.name}
+
+
+class TestKeepAlive:
+    def test_sequential_requests_share_one_connection(self, service,
+                                                      server):
+        before = service.counters["connections"]
+        with ServiceClient(server.address, timeout=10.0) as client:
+            for _ in range(20):
+                assert client.health()["status"] == "ok"
+        assert service.counters["connections"] - before == 1
+
+    def test_threads_sharing_a_client_never_share_a_socket(self, service,
+                                                           server):
+        spec = {"workload": "gups", "predictor": "lp", "num_accesses": 40}
+        ids = [service.submit(jobs=[spec], wait=True)["id"]
+               for _ in range(8)]
+        assert len(set(ids)) == 8
+        before = service.counters["connections"]
+        client = ServiceClient(server.address, timeout=10.0)
+        errors = []
+
+        def poll(request_id: str) -> None:
+            try:
+                for _ in range(50):
+                    echoed = client.status(request_id)["id"]
+                    assert echoed == request_id, (echoed, request_id)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=poll, args=(request_id,))
+                       for request_id in ids]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+        assert errors == []
+        assert service.counters["connections"] - before == 8
+
+    def test_restarted_unix_daemon_is_reached_without_backoff(
+            self, tmp_path, monkeypatch):
+        sock_path = tmp_path / "repro.sock"
+        first = SimulationService(tmp_path / "store", jobs=1, pool="thread")
+        srv, thread, address = _serve(first, socket_path=sock_path)
+        client = ServiceClient(address, timeout=10.0)
+        try:
+            assert client.health()["status"] == "ok"
+            srv.shutdown()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            second = SimulationService(tmp_path / "store", jobs=1,
+                                       pool="thread")
+            srv, thread, _ = _serve(second, socket_path=sock_path)
+
+            def no_backoff(attempt: int) -> None:
+                pytest.fail("a closed kept-alive connection must be "
+                            "reopened at once, not retried with backoff")
+
+            monkeypatch.setattr(client, "_sleep_backoff", no_backoff)
+            assert client.health()["pid"] == os.getpid()
+            assert second.counters["connections"] == 1
+        finally:
+            client.close()
+            srv.request_shutdown()
+            thread.join(timeout=10.0)
+
+    def test_dropped_response_closes_the_connection(self, service, server):
+        from repro import faults
+
+        client = ServiceClient(server.address, timeout=10.0)
+        try:
+            assert client.health()["status"] == "ok"
+            faults.install("service.response:drop@times=1")
+            start = time.monotonic()
+            assert client.health()["status"] == "ok"
+            # The daemon hung up after the drop: no client-side timeout.
+            assert time.monotonic() - start < 2.0
+            fired = sum(counts["fired"]
+                        for counts in faults.counters_snapshot().values())
+            assert fired == 1
+        finally:
+            faults.uninstall()
+            client.close()
+
+    def test_close_ends_the_daemon_handler_threads(self, service, server):
+        before = _handler_threads()
+        client = ServiceClient(server.address, timeout=10.0)
+        client.health()
+        helpers = [threading.Thread(target=client.health) for _ in range(2)]
+        for helper in helpers:
+            helper.start()
+        for helper in helpers:
+            helper.join(timeout=10.0)
+        opened = _handler_threads() - before
+        assert len(opened) == 3
+        client.close()
+        deadline = time.monotonic() + 10.0
+        while any(thread.is_alive() for thread in opened):
+            assert time.monotonic() < deadline, "handler threads outlived " \
+                "the client's close()"
+            time.sleep(0.01)
+
+    def test_stopped_daemon_cuts_off_kept_alive_clients(self, tmp_path):
+        svc = SimulationService(tmp_path / "store", jobs=1, pool="thread")
+        srv, thread, address = _serve(svc, port=0)
+        client = ServiceClient(address, timeout=10.0, retries=1)
+        try:
+            assert client.health()["status"] == "ok"
+            srv.request_shutdown()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            with pytest.raises(ServiceError) as excinfo:
+                client.health()
+            assert excinfo.value.code == "connection"
+        finally:
+            client.close()
+
+    def test_shutdown_op_stops_the_daemon_even_if_its_answer_is_lost(
+            self, tmp_path):
+        from repro import faults
+
+        svc = SimulationService(tmp_path / "store", jobs=1, pool="thread")
+        srv, thread, address = _serve(svc, port=0)
+        client = ServiceClient(address, timeout=10.0, retries=1)
+        try:
+            client.wait_healthy()
+            faults.install("service.response:drop")
+            with pytest.raises(ServiceError):
+                client.shutdown()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        finally:
+            faults.uninstall()
+            client.close()
+
+
+# ======================================================================
 # Unix socket safety: never steal a live daemon's socket
 # ======================================================================
 class TestUnixSocketSafety:
@@ -1126,6 +1284,33 @@ class TestProcessPool:
         finally:
             serial.close(wait=True)
         assert pooled["stats"] == reference["stats"]
+
+    def test_fallback_to_threads_is_logged(self, tmp_path, monkeypatch,
+                                           caplog):
+        class NoProcesses:
+            def __init__(self, **kwargs):
+                del kwargs
+
+            def submit(self, fn, *args):
+                raise OSError("fork refused")
+
+            def shutdown(self, wait=True):
+                del wait
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor",
+                            NoProcesses)
+        with caplog.at_level("WARNING", logger="repro.service"):
+            svc = SimulationService(tmp_path / "store", jobs=1,
+                                    pool="process")
+        try:
+            assert svc.pool_kind == "thread"
+            [record] = [record for record in caplog.records
+                        if record.name == "repro.service"]
+            assert record.levelname == "WARNING"
+            assert "fork refused" in record.getMessage()
+            assert "using thread workers" in record.getMessage()
+        finally:
+            svc.close(wait=True)
 
     def test_close_terminates_pool_children(self, tmp_path):
         # Regression: a SIGTERM'd daemon used to leak its pool children;
