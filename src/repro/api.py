@@ -16,7 +16,8 @@ old import                               blessed replacement
 ``repro.sim.engine.MixJob``             ``repro.api.MixJob``
 ``repro.sim.store.ResultStore(path)``   :func:`open_store`
 ``repro.sim.store.default_store``       :func:`open_store` (no argument)
-``repro.service.ServiceClient``         :func:`connect`
+``repro.service.ServiceClient``         :func:`connect` (a ``FleetClient``;
+                                        one address is a fleet of one)
 ``repro.cli.run_experiment``            :func:`run_figure`
 ======================================  ===============================
 
@@ -122,18 +123,15 @@ def run_figure(name: str,
                           hierarchy=hierarchy)
 
 
-def connect(address: Union[str, int]) -> Union[ServiceClient, FleetClient]:
-    """Connect to a running simulation daemon (see ``repro serve``).
+def connect(address: Union[str, int]) -> FleetClient:
+    """Connect to running simulation daemons (see ``repro serve``).
 
     ``address`` is a TCP port, ``host:port``, or a unix socket path —
-    the same forms the CLI's ``--remote`` flag accepts.  A
-    comma-separated list of those returns a :class:`FleetClient`
-    instead: requests route across the fleet members by job-key hash
-    and fail over on connection/timeout/overloaded errors.  The client
-    keeps its connections open between requests; close it with
-    ``close()`` or use it in a ``with`` block.
+    the same forms the CLI's ``--remote`` flag accepts — or a
+    comma-separated list of those.  The :class:`FleetClient` routes
+    requests across the members by job-key hash and fails over on
+    connection/timeout/overloaded errors; one address is a fleet of
+    one.  The client keeps its connections open between requests;
+    close it with ``close()`` or use it in a ``with`` block.
     """
-    text = str(address)
-    if "," in text:
-        return FleetClient(text)
-    return ServiceClient(text)
+    return FleetClient(str(address))

@@ -32,37 +32,37 @@ Subcommands
 ``figures``
     List the available experiments.
 
-``store info|fsck|compact|migrate``
+``store info|fsck|compact``
     Maintain the sharded results store: ``info`` summarises shard/entry
     counts, ``fsck`` salvages torn/corrupt/foreign lines in place (usable
-    even when the store is too damaged to load), ``compact`` drops
-    superseded duplicate entries, and ``migrate`` upgrades a legacy
-    single-file ``store.jsonl`` into the sharded layout (also happens
-    automatically on open).
+    even when the store is too damaged to load), and ``compact`` drops
+    superseded duplicate entries.
 
-``serve [--port N | --socket PATH] [--jobs N] [--fleet]``
+``serve [--port N | --socket PATH] [--jobs N]``
     Run the persistent simulation daemon (see :mod:`repro.service`): a
     long-lived process owning the store, the trace cache and a worker
     pool, answering figure requests over a JSON socket protocol.  Warm
     requests are served with zero simulation; concurrent identical
-    requests coalesce onto one running simulation per job key.
-    ``--fleet`` coordinates with other daemons sharing the same store
-    through per-job-key claim records, so a cold key is simulated
-    exactly once fleet-wide.
+    requests coalesce onto one running simulation per job key.  Every
+    daemon claims the cold keys it simulates through per-job-key claim
+    records in the store, so daemons sharing one store simulate each
+    cold key exactly once between them.
 
 ``fleet --members N``
-    Launch N fleet daemons over one shared store (each on its own
+    Launch N ``serve`` daemons over one shared store (each on its own
     ephemeral port), print the combined comma-separated address list
     (and write it to ``--ready-file``), forward SIGTERM/SIGINT to the
     members, and stop the whole fleet if any member dies unexpectedly.
 
-``run/status/figures --remote ADDR``
+``run/status/figures/stats --remote ADDR``
     Point the experiment commands at a running daemon instead of
     simulating locally.  ``ADDR`` is ``PORT``, ``HOST:PORT`` or a unix
-    socket path (as printed by ``serve``) — or a comma-separated list
-    of those, which routes through the fleet-aware
+    socket path (as printed by ``serve``), or a comma-separated list
+    of those.  Every address goes through
     :class:`repro.service.FleetClient` (job-key-hash routing plus
-    failover on connection / timeout / overloaded errors).
+    failover on connection / timeout / overloaded errors); one address
+    is a fleet of one.  ``stats`` prints each member's pool, store and
+    fault counters and the counters summed over the members.
 
 ``clean``
     Delete the store shards and the stats directory under the store root.
@@ -85,7 +85,7 @@ from contextlib import contextmanager
 
 from .experiments import EXPERIMENTS, Scale, canonical_json
 from .faults import REPRO_FAULTS_ENV, FaultSpecError, install as install_faults
-from .service import FleetClient, ServiceClient, ServiceError, main_serve
+from .service import FleetClient, ServiceError, main_serve
 from .sim.engine import SimulationEngine
 from .sim.options import POOL_KINDS, EngineOptions
 from .sim.store import (
@@ -284,20 +284,9 @@ def _report_outputs(report: RunReport, args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _remote_client(address: str):
-    """A client for ``--remote ADDR``.
-
-    A comma-separated address list gets the fleet-aware client (job-key
-    routing + failover); a single address keeps the plain one.
-    """
-    if "," in address:
-        return FleetClient(address)
-    return ServiceClient(address)
-
-
 def _remote_run(args: argparse.Namespace, names: List[str]) -> int:
     """Run experiments against a daemon (``run --remote ADDR``)."""
-    with _remote_client(args.remote) as client:
+    with FleetClient(args.remote) as client:
         exit_code = 0
         for name in names:
             payload = client.submit(experiment=name, scale=_scale_wire(args),
@@ -442,7 +431,7 @@ def _coverage_marker(cached: int, total: int) -> str:
 def cmd_status(args: argparse.Namespace) -> int:
     if args.remote:
         try:
-            with _remote_client(args.remote) as client:
+            with FleetClient(args.remote) as client:
                 payload = client.status(scale=_scale_wire(args))
         except (OSError, ServiceError) as exc:
             print(f"repro: cannot query daemon at {args.remote}: {exc}",
@@ -475,7 +464,7 @@ def cmd_status(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     if args.remote:
         try:
-            with _remote_client(args.remote) as client:
+            with FleetClient(args.remote) as client:
                 titles = client.figures()["experiments"]
         except (OSError, ServiceError) as exc:
             print(f"repro: cannot query daemon at {args.remote}: {exc}",
@@ -512,8 +501,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                               max_queue=args.max_queue,
                               faults=args.faults,
                               pool=args.pool,
-                              hierarchy=args.hierarchy,
-                              fleet=True if args.fleet else None)
+                              hierarchy=args.hierarchy)
         except FaultSpecError as exc:
             print(f"repro: bad --faults schedule: {exc}", file=sys.stderr)
             return 2
@@ -546,14 +534,14 @@ def _stop_fleet_members(children: List[Any], grace: float = 5.0) -> None:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    """Launch N fleet daemons over one shared store and babysit them.
+    """Launch N daemons over one shared store and babysit them.
 
-    Each member is a ``serve --fleet`` subprocess on its own ephemeral
-    port (or ``--base-port + index``).  Once every member has written
-    its ready file the combined comma-separated address list is printed
-    (and written to ``--ready-file``) — paste it straight into
-    ``--remote`` / ``stats --fleet``.  SIGTERM/SIGINT are forwarded to
-    the members; an unexpected member death brings the fleet down.
+    Each member is a ``serve`` subprocess on its own ephemeral port (or
+    ``--base-port + index``).  Once every member has written its ready
+    file the combined comma-separated address list is printed (and
+    written to ``--ready-file``) — paste it straight into ``--remote``.
+    SIGTERM/SIGINT are forwarded to the members; an unexpected member
+    death brings the fleet down.
     """
     import signal
     import subprocess
@@ -564,7 +552,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print("repro: fleet needs at least one member", file=sys.stderr)
         return 2
     ready_dir = Path(tempfile.mkdtemp(prefix="repro-fleet-"))
-    base_cmd = [sys.executable, "-m", "repro", "serve", "--fleet",
+    base_cmd = [sys.executable, "-m", "repro", "serve",
                 "--store", args.store]
     for flag, value in (("--jobs", args.jobs), ("--pool", args.pool),
                         ("--job-retries", args.job_retries),
@@ -660,8 +648,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 # ======================================================================
 # stats
 # ======================================================================
-def _print_fleet_stats(client: FleetClient, payload: dict) -> int:
-    """Render the aggregate stats payload of ``stats --fleet``."""
+def _print_stats(client: FleetClient, payload: dict) -> int:
+    """Render the aggregate stats payload: one block per member, then
+    the counters summed over every reachable member."""
     info = payload["fleet"]
     counters = payload["counters"]
     print(f"fleet @ {client.address}: {info['reachable']}/{info['size']} "
@@ -673,14 +662,32 @@ def _print_fleet_stats(client: FleetClient, payload: dict) -> int:
                   f"({member['error']})")
             continue
         member_counters = member["counters"]
-        line = (f"  member {member['address']}: "
-                f"{member_counters['jobs']:,} jobs — "
-                f"{member_counters['store_hits']:,} store / "
-                f"{member_counters['simulations']:,} simulated / "
-                f"{member_counters['coalesced']:,} coalesced")
-        if member.get("degraded"):
-            line += ", DEGRADED"
-        print(line)
+        pool = member["pool"]
+        print(f"  member {member['address']}: {member['workers']} "
+              f"{pool['type']} workers, up {member['uptime_seconds']:.0f}s, "
+              f"{member_counters['jobs']:,} jobs — "
+              f"{member_counters['store_hits']:,} store / "
+              f"{member_counters['simulations']:,} simulated / "
+              f"{member_counters['coalesced']:,} coalesced"
+              + (", DEGRADED" if member["degraded"] else ""))
+        children = pool["children"]
+        detail = f"{len(children)} children" if children else "in-process"
+        if pool["fallback_reason"]:
+            detail += f"; fell back: {pool['fallback_reason']}"
+        if member_counters["pool_failovers"]:
+            detail += (f"; {member_counters['pool_failovers']:,} pool "
+                       f"failovers")
+        print(f"    pool            : {pool['type']:>10} ({detail})")
+        print(f"    store writes    : {member_counters['put_retries']:>10,} "
+              f"put retries, {member_counters['put_failures']:,} put "
+              f"failures")
+        store = member["store"]
+        print(f"    store           : {store['entries']:>10,} entries "
+              f"({store['hits']:,} hits / {store['misses']:,} misses / "
+              f"{store['puts']:,} puts)")
+        for rule, counts in member["faults"].items():
+            print(f"    fault {rule:<18}: fired {counts['fired']:,} of "
+                  f"{counts['evaluated']:,} evaluations")
     print(f"  requests          : {counters.get('requests', 0):>10,} "
           f"({counters.get('submissions', 0):,} grids, "
           f"{counters.get('jobs', 0):,} jobs) over "
@@ -689,7 +696,7 @@ def _print_fleet_stats(client: FleetClient, payload: dict) -> int:
           f"{counters.get('store_hits', 0):>10,} store / "
           f"{counters.get('simulations', 0):,} simulated / "
           f"{counters.get('coalesced', 0):,} coalesced")
-    print(f"  fleet claims      : "
+    print(f"  claims            : "
           f"{counters.get('claims_won', 0):>10,} won, "
           f"{counters.get('claims_lost', 0):,} lost, "
           f"{counters.get('claim_waits', 0):,} served after a wait, "
@@ -702,65 +709,19 @@ def _print_fleet_stats(client: FleetClient, payload: dict) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    """Query a daemon's counters (recovery, dedup, store, faults)."""
-    fleet = args.fleet or "," in args.remote
+    """Query the counters of a daemon or fleet (recovery, dedup, store,
+    faults), aggregated over every member."""
     try:
-        client = FleetClient(args.remote) if fleet \
-            else ServiceClient(args.remote)
-        with client:
+        with FleetClient(args.remote) as client:
             payload = client.stats()
     except (OSError, ServiceError) as exc:
         print(f"repro: cannot query daemon at {args.remote}: {exc}",
               file=sys.stderr)
         return 1
-    payload.pop("ok", None)
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
-    if fleet:
-        return _print_fleet_stats(client, payload)
-    counters = payload["counters"]
-    pool = payload.get("pool") or {}
-    print(f"daemon @ {client.address}: {payload['workers']} "
-          f"{pool.get('type', 'thread')} workers, "
-          f"up {payload['uptime_seconds']:.0f}s"
-          + (", DEGRADED" if payload.get("degraded") else ""))
-    if pool:
-        children = pool.get("children") or []
-        detail = f"{len(children)} children" if children else "in-process"
-        if pool.get("fallback_reason"):
-            detail += f"; fell back: {pool['fallback_reason']}"
-        if counters.get("pool_failovers"):
-            detail += f"; {counters['pool_failovers']:,} pool failovers"
-        print(f"  pool              : {pool.get('type', '?'):>10} "
-              f"({detail})")
-    print(f"  requests          : {counters['requests']:>10,}  "
-          f"({counters['submissions']:,} grids, "
-          f"{counters['jobs']:,} jobs) over "
-          f"{counters.get('connections', 0):,} connections")
-    print(f"  job sources       : {counters['store_hits']:>10,} store / "
-          f"{counters['simulations']:,} simulated / "
-          f"{counters['coalesced']:,} coalesced")
-    if payload.get("fleet"):
-        print(f"  fleet claims      : "
-              f"{counters.get('claims_won', 0):>10,} won, "
-              f"{counters.get('claims_lost', 0):,} lost, "
-              f"{counters.get('claim_waits', 0):,} served after a wait, "
-              f"{counters.get('claims_broken', 0):,} stale claims broken")
-    print(f"  recovery          : {counters['retries']:>10,} retries, "
-          f"{counters['job_failures']:,} failures, "
-          f"{counters['quarantined']:,} quarantined, "
-          f"{counters['shed']:,} shed")
-    print(f"  store writes      : {counters['put_retries']:>10,} put "
-          f"retries, {counters['put_failures']:,} put failures")
-    store = payload["store"]
-    print(f"  store             : {store['entries']:>10,} entries "
-          f"({store['hits']:,} hits / {store['misses']:,} misses / "
-          f"{store['puts']:,} puts)")
-    for rule, counts in payload.get("faults", {}).items():
-        print(f"  fault {rule:<20}: fired {counts['fired']:,} of "
-              f"{counts['evaluated']:,} evaluations")
-    return 0
+    return _print_stats(client, payload)
 
 
 def cmd_clean(args: argparse.Namespace) -> int:
@@ -783,7 +744,7 @@ def cmd_clean(args: argparse.Namespace) -> int:
 # store maintenance
 # ======================================================================
 def cmd_store(args: argparse.Namespace) -> int:
-    """Inspect/repair the sharded store: info, fsck, compact, migrate."""
+    """Inspect/repair the sharded store: info, fsck, compact."""
     root = Path(args.store)
     if args.action == "fsck":
         # fsck works at the file-system level so it can salvage stores too
@@ -791,7 +752,6 @@ def cmd_store(args: argparse.Namespace) -> int:
         report = fsck_store(root)
         dropped = report["torn"] + report["corrupt"] + report["foreign"]
         print(f"fsck {root}: {report['kept']} entries kept in place, "
-              f"{report['migrated']} migrated from the legacy store, "
               f"{report['moved']} relocated to their correct shard, "
               f"{dropped} unsalvageable lines dropped "
               f"({report['torn']} torn, {report['corrupt']} corrupt, "
@@ -800,21 +760,6 @@ def cmd_store(args: argparse.Namespace) -> int:
         changed = dropped or report["moved"] or report["rewritten_shards"]
         return 1 if changed else 0
     store = ResultStore(root)
-    if args.action == "migrate":
-        if store.migrated_entries:
-            print(f"migrated {store.migrated_entries} legacy entries into "
-                  f"{store.shards_dir}")
-            return 0
-        if store.legacy_path.is_file():
-            # Opening the store would have migrated it; the file is still
-            # there, so the store is unwritable (read-only media?).
-            print(f"could not migrate {store.legacy_path} (store "
-                  f"unwritable?); its entries are served read-only in "
-                  f"place", file=sys.stderr)
-            return 1
-        print(f"nothing to migrate: no legacy "
-              f"{ResultStore.STORE_FILENAME} under {store.root}")
-        return 0
     if args.action == "compact":
         report = store.compact()
         print(f"compacted {store.root}: {report['entries']} entries kept, "
@@ -824,9 +769,7 @@ def cmd_store(args: argparse.Namespace) -> int:
     shard_files = sorted(store.shards_dir.glob("*.jsonl")) \
         if store.shards_dir.is_dir() else []
     total_bytes = sum(path.stat().st_size for path in shard_files)
-    # Entries served from an unmigrated legacy file are not shard lines,
-    # so clamp: superseded lines only ever exist inside shards.
-    superseded = max(store.total_lines() - len(store), 0)
+    superseded = store.total_lines() - len(store)
     print(f"store: {store.root}")
     print(f"  shards            : {len(shard_files):>12,}  "
           f"('<xx>.jsonl' by leading key bytes)")
@@ -839,11 +782,8 @@ def cmd_store(args: argparse.Namespace) -> int:
           f"({store.index_path})")
     claims = store.active_claims()
     if claims:
-        print(f"  active claims     : {len(claims):>12,}  (fleet members "
+        print(f"  active claims     : {len(claims):>12,}  (daemons "
               f"mid-simulation, or stale after a crash)")
-    if store.legacy_path.is_file():
-        print(f"  legacy store      : {store.legacy_path} (unmigrated; "
-              f"served read-only)")
     return 0
 
 
@@ -872,7 +812,8 @@ def _add_remote_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--remote", default=None, metavar="ADDR",
         help="run against a daemon at ADDR (PORT, HOST:PORT, or a unix "
-             "socket path — see 'serve') instead of simulating locally")
+             "socket path — see 'serve'), or a fleet at a comma-separated "
+             "list of them, instead of simulating locally")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -961,16 +902,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="declarative hierarchy spec (JSON, see repro.memory.spec) "
              "applied to every job this daemon runs (default: "
              "$REPRO_HIERARCHY)")
-    serve_parser.add_argument(
-        "--fleet", action="store_true",
-        help="coordinate with other daemons sharing this store through "
-             "per-job-key claims, so a cold key is simulated exactly "
-             "once fleet-wide (default: $REPRO_FLEET)")
     _add_store_arg(serve_parser)
     serve_parser.set_defaults(func=cmd_serve)
 
     fleet_parser = subparsers.add_parser(
-        "fleet", help="launch N fleet daemons over one shared store")
+        "fleet", help="launch N daemons over one shared store")
     fleet_parser.add_argument(
         "--members", type=int, default=2, metavar="N",
         help="number of daemons to launch (default: 2)")
@@ -1018,15 +954,12 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser.set_defaults(func=cmd_fleet)
 
     stats_parser = subparsers.add_parser(
-        "stats", help="query a daemon's counters (recovery, dedup, store)")
+        "stats", help="query a daemon's or fleet's counters (recovery, "
+                      "dedup, store)")
     stats_parser.add_argument(
         "--remote", required=True, metavar="ADDR",
         help="daemon address (PORT, HOST:PORT, or a unix socket path), "
              "or a comma-separated list of fleet member addresses")
-    stats_parser.add_argument(
-        "--fleet", action="store_true",
-        help="aggregate counters across fleet members (implied when "
-             "--remote is a comma-separated list)")
     stats_parser.add_argument(
         "--json", action="store_true",
         help="print the raw stats payload as JSON (script-friendly)")
@@ -1059,10 +992,9 @@ def build_parser() -> argparse.ArgumentParser:
     store_parser = subparsers.add_parser(
         "store", help="inspect and maintain the sharded results store")
     store_parser.add_argument(
-        "action", choices=("info", "fsck", "compact", "migrate"),
+        "action", choices=("info", "fsck", "compact"),
         help="info: shard/entry summary; fsck: salvage corrupt lines in "
-             "place; compact: drop superseded entries; migrate: fold a "
-             "legacy store.jsonl into the sharded layout")
+             "place; compact: drop superseded entries")
     _add_store_arg(store_parser)
     store_parser.set_defaults(func=cmd_store)
 

@@ -87,31 +87,34 @@ Fleet serving
 =============
 
 Several daemons may share one store directory and serve as a *fleet*
-(``python -m repro serve --fleet``, or the ``python -m repro fleet``
-launcher).  In fleet mode the in-process dedup extends across processes
-via per-job-key claim records in the store (``<store>/claims/``,
-created with ``O_CREAT | O_EXCL`` — see
-:meth:`repro.sim.store.ResultStore.claim`): the daemon that wins a
-cold key's claim simulates it; a loser polls the shared store
+(plain ``python -m repro serve`` daemons, or the ``python -m repro
+fleet`` launcher); a lone daemon is a fleet of one.  Every daemon
+extends its in-process dedup across processes via per-job-key claim
+records in the store (``<store>/claims/``, published with ``os.link``
+— see :meth:`repro.sim.store.ResultStore.claim`): the daemon that wins
+a cold key's claim simulates it; a loser polls the shared store
 (:meth:`~repro.sim.store.ResultStore.refresh`) and serves the owner's
 result the moment its locked append lands.  A claim whose owner died
 (same-host pid probe, or a TTL for foreign hosts) is broken and taken
 over, so a SIGKILLed member never wedges its losers.  Claims are a
 work-dedup optimisation, never a correctness gate — the locked shard
 appends stay safe without them, so a claim layer failure at worst
-recomputes a deterministic job.
+recomputes a deterministic job.  A lone daemon always wins its claims,
+at a cost of well under 1% of a cold figure.
 
-:class:`FleetClient` is the client side: it takes a comma-separated
-address list, routes each submit by job-key hash so identical grids
-from many clients land on the same member (maximising in-process
-coalescing), and fails over to the next member on ``connection`` /
-``timeout`` / ``overloaded`` errors — resubmission after a member dies
-mid-grid is free, because the surviving members serve every already-
-persisted cell from the store and take over the dead member's claims.
+:class:`FleetClient` is the client side for one address or many: it
+takes an address or a comma-separated address list, routes each
+submit by job-key hash so identical grids from many clients land on
+the same member (maximising in-process coalescing), and fails over to
+the next member on ``connection`` / ``timeout`` / ``overloaded``
+errors — resubmission after a member dies mid-grid is free, because
+the surviving members serve every already-persisted cell from the
+store and take over the dead member's claims.  :class:`ServiceClient`
+is the one-member client underneath it.
 
 ``python -m repro serve`` runs the daemon; ``--remote ADDR`` on ``run`` /
-``status`` / ``figures`` points the existing experiment commands at one
-(a comma-separated ``ADDR`` list makes them fleet-aware).
+``status`` / ``figures`` / ``stats`` points the experiment commands at
+one daemon or, with a comma-separated ``ADDR`` list, at a fleet.
 """
 
 from __future__ import annotations
@@ -177,9 +180,6 @@ REPRO_JOB_TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
 
 #: Admission-control bound on active jobs (0/unset disables) and override.
 REPRO_MAX_QUEUE_ENV = "REPRO_MAX_QUEUE"
-
-#: Fleet mode toggle ("1"/"true" enables) and env override.
-REPRO_FLEET_ENV = "REPRO_FLEET"
 
 #: Longest the server blocks one handler thread on ``result wait=true``
 #: before answering with the current snapshot (clients poll in chunks).
@@ -439,12 +439,7 @@ class SimulationService:
             in-process fault plane rely on); ``None`` reads
             ``REPRO_POOL``.  If process workers cannot spawn on this host
             the daemon falls back to threads and says so in ``stats``.
-        fleet: Coordinate with other daemons sharing this store through
-            per-job-key claim records, so a cold key is simulated exactly
-            once fleet-wide; ``None`` reads ``REPRO_FLEET`` ("1"/"true"
-            enables), defaulting to off.  A single daemon with ``fleet``
-            on behaves identically to one with it off (claims are always
-            won immediately), so the flag is safe to leave enabled.
+        fleet: Ignored; kept only because ``perfbench/serve.py`` passes it.
     """
 
     #: Base per-job retry backoff in seconds (doubled per attempt).
@@ -496,10 +491,7 @@ class SimulationService:
             env_value = os.environ.get(REPRO_MAX_QUEUE_ENV, "").strip()
             max_queue = int(env_value) if env_value else 0
         self.max_queue = max(0, max_queue)
-        if fleet is None:
-            env_value = os.environ.get(REPRO_FLEET_ENV, "").strip()
-            fleet = env_value.lower() in ("1", "true", "yes", "on")
-        self.fleet = bool(fleet)
+        del fleet
         #: This daemon's claim signature (diagnostics in claim records).
         self._claim_owner = f"repro-serve-{os.getpid()}"
         #: Why a requested process pool fell back to threads (or None).
@@ -533,7 +525,7 @@ class SimulationService:
             "put_retries": 0,    # store appends retried after a failure
             "put_failures": 0,   # store appends abandoned (degraded mode)
             "pool_failovers": 0,  # broken process pools rebuilt mid-run
-            "claims_won": 0,     # fleet claims this daemon won outright
+            "claims_won": 0,     # claims this daemon won outright
             "claims_lost": 0,    # claims another daemon held first
             "claim_waits": 0,    # lost claims served from the store
             "claims_broken": 0,  # stale claims (dead owner) taken over
@@ -941,11 +933,11 @@ class SimulationService:
         # Claim phase: classify every job atomically against other
         # requests.  plan[i] is ("store", key) | ("watch", future) |
         # ("own", key, exec_future, claimed) | ("direct", exec_future)
-        # | ("poison", key) | ("remote", key) — "remote" only in fleet
-        # mode, when another daemon holds the key's claim.
+        # | ("poison", key) | ("remote", key) — "remote" when another
+        # daemon holds the key's claim.
         plan: List[Tuple[Any, ...]] = []
         owned: List[int] = []
-        #: Fleet claims this request still holds (released as the collect
+        #: Claims this request still holds (released as the collect
         #: loop persists each one; the cleanup path releases leftovers).
         held_claims: set = set()
         results: List[Any] = []
@@ -986,7 +978,7 @@ class SimulationService:
                             state.coalesced += 1
                             continue
                         claimed = False
-                        if self.fleet and not force:
+                        if not force:
                             verdict = self._claim_key(key)
                             if verdict == "stored":
                                 plan.append(("store", key))
@@ -1090,7 +1082,7 @@ class SimulationService:
                     future = self._inflight.pop(keys[index], None)
                     if future is not None and not future.done():
                         future.set_exception(exc)
-            # And surrender every fleet claim this request still holds,
+            # And surrender every claim this request still holds,
             # so sibling daemons take the work over instead of polling a
             # claim whose owner gave up.
             for key in held_claims:
@@ -1098,7 +1090,7 @@ class SimulationService:
             raise
 
     def _claim_key(self, key: str) -> str:
-        """Contend for a cold key's fleet claim.  Caller holds the lock.
+        """Contend for a cold key's claim.  Caller holds the lock.
 
         Returns ``"claimed"`` (this daemon owns the key and must release
         the claim after persisting), ``"stored"`` (another daemon
@@ -1327,7 +1319,6 @@ class SimulationService:
         return {
             "uptime_seconds": time.time() - self.started_at,
             "workers": self.num_workers,
-            "fleet": self.fleet,
             "pid": os.getpid(),
             "pool": {
                 "type": self.pool_kind,
@@ -1354,7 +1345,6 @@ class SimulationService:
                    "schema": PROTOCOL_SCHEMA,
                    "store": str(self.store.root),
                    "workers": self.num_workers,
-                   "fleet": self.fleet,
                    "uptime_seconds": time.time() - self.started_at}
         if self.degraded:
             payload["reason"] = self.degraded_reason
@@ -1662,9 +1652,10 @@ class ServiceClient:
     Each calling thread keeps one open connection to the daemon and
     sends its requests over it in turn, so a request costs one round
     trip, not a connect and a teardown.  Threads that share a client
-    never share a socket.  :meth:`close` (or leaving a ``with`` block)
-    closes every connection the client opened; until then they stay
-    open.
+    never share a socket.  A connection whose thread has exited is
+    closed when the next one opens, so the client holds at most one
+    connection per live thread; :meth:`close` (or leaving a ``with``
+    block) closes every connection the client opened.
 
     Every method raises :class:`ServiceError` when the daemon answers
     ``ok: false`` (carrying the server's machine-readable ``code`` and
@@ -1713,8 +1704,10 @@ class ServiceClient:
         #: The calling thread's open ``(socket, reader)``: threads that
         #: share this client never share a socket, so need no lock.
         self._local = threading.local()
-        #: Every open connection, from any thread, for :meth:`close`.
-        self._connections: Set[Tuple[socket.socket, Any]] = set()
+        #: Every open connection, from any thread, and the thread that
+        #: owns it: for :meth:`close` and the dead-thread sweep.
+        self._connections: Dict[Tuple[socket.socket, Any],
+                                threading.Thread] = {}
         self._lock = threading.Lock()
 
     def request(self, op: str, **params: Any) -> Dict[str, Any]:
@@ -1816,7 +1809,18 @@ class ServiceClient:
 
     def _connect(self, timeout: Optional[float]
                  ) -> Tuple[socket.socket, Any]:
-        """Open the calling thread's connection and record it."""
+        """Open the calling thread's connection and record it.
+
+        Closes the connections of threads that have exited first: no
+        thread can use them again, and each pins a daemon handler.
+        """
+        with self._lock:
+            orphans = [connection for connection, owner
+                       in self._connections.items() if not owner.is_alive()]
+            for connection in orphans:
+                del self._connections[connection]
+        for connection in orphans:
+            self._close_connection(connection)
         # Fault site: the connect handshake (refused / dropped / slow).
         fault_point("client.connect")
         if self.family == "unix":
@@ -1832,7 +1836,7 @@ class ServiceClient:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         connection = (sock, sock.makefile("rb"))
         with self._lock:
-            self._connections.add(connection)
+            self._connections[connection] = threading.current_thread()
         self._local.connection = connection
         return connection
 
@@ -1841,7 +1845,7 @@ class ServiceClient:
         if getattr(self._local, "connection", None) is connection:
             self._local.connection = None
         with self._lock:
-            self._connections.discard(connection)
+            self._connections.pop(connection, None)
         self._close_connection(connection)
 
     @staticmethod
@@ -1862,7 +1866,7 @@ class ServiceClient:
         The client stays usable: a later request opens a new connection.
         """
         with self._lock:
-            connections, self._connections = self._connections, set()
+            connections, self._connections = self._connections, {}
         for connection in connections:
             self._close_connection(connection)
 
@@ -1963,7 +1967,8 @@ def _first_job_key(experiment: str, scale: Scale) -> Optional[str]:
 
 
 class FleetClient:
-    """Talk to a fleet of daemons sharing one store.
+    """Talk to a fleet of daemons sharing one store — or to one daemon,
+    a fleet of one.
 
     Routing: each submit hashes its grid's first job key and lands on
     ``members[hash % N]`` — deterministic, so identical grids from many
@@ -1976,7 +1981,7 @@ class FleetClient:
     one daemon: jobs are content-addressed, so the next member serves
     every cell the dead member persisted straight from the shared store
     and simulates only the remainder (breaking the dead member's stale
-    claims in fleet mode).
+    claims).
 
     ``stats()`` / ``health()`` aggregate across members (summed
     counters / fleet-wide status) with the per-member payloads riding
@@ -1986,8 +1991,9 @@ class FleetClient:
     open connection per member it has talked to, until :meth:`close`.
 
     Args:
-        addresses: Comma-separated address string, or a sequence of
-            addresses (each as accepted by :func:`parse_address`).
+        addresses: One address or a comma-separated address string, or
+            a sequence of addresses (each as accepted by
+            :func:`parse_address`).
         timeout / retries / backoff: Forwarded to each member's
             :class:`ServiceClient`.
     """
@@ -2019,6 +2025,8 @@ class FleetClient:
                jobs: Optional[Sequence[Dict[str, Any]]],
                scale: Optional[Dict[str, Any]]) -> int:
         """Deterministic starting member for one submit."""
+        if len(self.members) == 1:
+            return 0  # a fleet of one: no job key to compute
         key: Optional[str] = None
         try:
             if jobs:
@@ -2234,8 +2242,7 @@ def main_serve(store: Union[str, Path], port: Optional[int] = None,
                max_queue: Optional[int] = None,
                faults: Optional[str] = None,
                pool: Optional[str] = None,
-               hierarchy: Optional[str] = None,
-               fleet: Optional[bool] = None) -> int:
+               hierarchy: Optional[str] = None) -> int:
     """Entry point behind ``python -m repro serve``.
 
     Binds, announces the address on stdout (and in ``ready_file`` when
@@ -2257,14 +2264,13 @@ def main_serve(store: Union[str, Path], port: Optional[int] = None,
     service = SimulationService(store, jobs=jobs, job_retries=job_retries,
                                 job_timeout=job_timeout,
                                 max_queue=max_queue, pool=pool,
-                                hierarchy=hierarchy, fleet=fleet)
+                                hierarchy=hierarchy)
     server, address = create_server(service, port=port,
                                     socket_path=socket_path)
     print(f"repro.service: listening on {address} "
           f"(store {service.store.root}, {service.num_workers} "
           f"{service.pool_kind} worker"
-          f"{'s' if service.num_workers != 1 else ''}"
-          f"{', fleet member' if service.fleet else ''})", flush=True)
+          f"{'s' if service.num_workers != 1 else ''})", flush=True)
     if service.hierarchy_spec is not None:
         print(f"repro.service: hierarchy override "
               f"{service.hierarchy_name!r} "

@@ -61,8 +61,8 @@ is named; an empty ``REPRO_TRACE_DIR`` disables spilling.
 
 from __future__ import annotations
 
+import logging
 import os
-import sys
 import threading
 import time
 import zipfile
@@ -90,6 +90,8 @@ from .store import (
     spec_key,
     try_trace_key,
 )
+
+_log = logging.getLogger(__name__)
 
 WorkloadSpec = Union[str, Workload]
 
@@ -212,8 +214,8 @@ class TraceCache:
                         # A stale/corrupt spill is regenerated, not fatal.
                         # Truncated files raise BadZipFile, foreign .npz
                         # archives KeyError, torn writes EOFError/OSError.
-                        print(f"repro.engine: ignoring unreadable trace "
-                              f"spill {spill_path} ({exc})", file=sys.stderr)
+                        _log.warning("ignoring unreadable trace spill %s "
+                                     "(%s)", spill_path, exc)
                         buffer = None
         if buffer is None:
             buffer = resolved.generate_buffer(num_accesses, seed=seed,
@@ -225,8 +227,8 @@ class TraceCache:
                     with self._lock:
                         self.disk_spills += 1
                 except OSError as exc:  # pragma: no cover - disk-full etc.
-                    print(f"repro.engine: could not spill trace to "
-                          f"{spill_path} ({exc})", file=sys.stderr)
+                    _log.warning("could not spill trace to %s (%s)",
+                                 spill_path, exc)
         with self._lock:
             # Another thread may have cached the same key while this one
             # generated/loaded: keep the first buffer, so every caller of a
@@ -570,9 +572,8 @@ class SimulationEngine:
             except OSError as error:
                 if attempt == self.PUT_ATTEMPTS:
                     self.put_failures += 1
-                    print(f"repro.engine: giving up storing {key[:12]}… "
-                          f"after {attempt} attempts ({error})",
-                          file=sys.stderr)
+                    _log.warning("giving up storing %s… after %d attempts "
+                                 "(%s)", key[:12], attempt, error)
                     return False
                 self.put_retries += 1
                 time.sleep(self.PUT_BACKOFF * (2 ** (attempt - 1)))
@@ -616,9 +617,8 @@ class SimulationEngine:
             # future, but the jobs themselves are deterministic, so finish
             # the remainder serially instead of discarding the run.
             self.pool_failovers += 1
-            print(f"repro.engine: worker pool broke after {completed}/"
-                  f"{len(jobs)} jobs; finishing the rest serially",
-                  file=sys.stderr)
+            _log.warning("worker pool broke after %d/%d jobs; finishing "
+                         "the rest serially", completed, len(jobs))
             cache = self.trace_cache
             for job in jobs[completed:]:
                 yield execute_job(job, cache)

@@ -42,11 +42,7 @@ invocations, ...) may write one store simultaneously.  The discipline:
   naming ``path:line`` and is salvageable with ``python -m repro store
   fsck`` (see :func:`fsck_store`).
 
-A legacy single-file ``<root>/store.jsonl`` is migrated into the sharded
-layout automatically on open (and explicitly via ``python -m repro store
-migrate``); the original is kept as ``store.jsonl.migrated``.
-
-Fleets of daemons sharing one store coordinate through per-job-key
+Daemons sharing one store coordinate through per-job-key
 *claim records* (``<root>/claims/<key>.json``, published complete with
 ``os.link`` so the filesystem arbitrates races) plus
 :meth:`ResultStore.refresh`, which re-checks the disk for a key another
@@ -71,9 +67,9 @@ import enum
 import errno
 import hashlib
 import json
+import logging
 import os
 import socket
-import sys
 import tempfile
 import time
 from contextlib import contextmanager
@@ -96,6 +92,8 @@ from ..workloads.mixes import get_mix
 from .config import SystemConfig
 from .multicore import MultiCoreResult
 from .system import SimulationResult
+
+_log = logging.getLogger(__name__)
 
 #: Environment variable naming the default store directory ("" disables).
 REPRO_STORE_ENV = "REPRO_STORE"
@@ -458,11 +456,6 @@ _CLAIM_HOST = socket.gethostname()
 #: Hex characters of the key that select a shard (2 -> up to 256 shards).
 SHARD_PREFIX_CHARS = 2
 
-#: In-memory location marker for entries served straight from an
-#: unmigrated legacy ``store.jsonl`` (read-only media); never a real
-#: shard prefix, since shard file stems are never empty.
-_LEGACY_PREFIX = ""
-
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
@@ -484,7 +477,7 @@ def shard_for_key(key: str) -> str:
 def _store_lock(lock_path: Path) -> Iterator[None]:
     """Hold the store's advisory exclusive lock.
 
-    Guards every mutation (append, torn-tail repair, migration, fsck,
+    Guards every mutation (append, torn-tail repair, fsck,
     compaction, index writes) across processes.  ``fcntl.flock`` locks are
     per open-file-description, so this must never be nested within one
     process — public methods take the lock once and call unlocked helpers.
@@ -616,7 +609,7 @@ def _classify_lines(data: bytes, start: int = 0,
 
 def _parse_shard(path: Path, data: bytes, start: int = 0
                  ) -> Tuple[List[List[Any]], int]:
-    """Strictly parse one shard (or legacy) file from ``start``.
+    """Strictly parse one shard file from ``start``.
 
     Returns ``([[key, offset, length], ...], good_end)`` where ``good_end``
     is the offset just past the last good line.  A torn trailing line is
@@ -633,9 +626,8 @@ def _parse_shard(path: Path, data: bytes, start: int = 0
             good_end = offset + length
             continue
         if kind == "torn":
-            print(f"repro.store: ignoring torn trailing line of {path} "
-                  f"(interrupted append; repaired in place on next write)",
-                  file=sys.stderr)
+            _log.warning("ignoring torn trailing line of %s (interrupted "
+                         "append; repaired in place on next write)", path)
             continue
         line_number = data.count(b"\n", 0, offset) + 1
         raise ValueError(
@@ -643,24 +635,6 @@ def _parse_shard(path: Path, data: bytes, start: int = 0
             f"({_LINE_PROBLEMS[kind]}); run 'python -m repro store fsck' "
             f"to salvage")
     return entries, good_end
-
-
-def _existing_keys(path: Path) -> frozenset:
-    """Keys of the complete entries already present in a shard file.
-
-    Migration skips legacy lines whose key the shard already holds: that
-    makes an interrupted migration resume without duplicating the lines
-    it already appended, and keeps a stale legacy entry from superseding
-    a newer shard entry under newest-wins (shard entries always postdate
-    the legacy layout).
-    """
-    if not path.is_file():
-        return frozenset()
-    data = path.read_bytes()
-    return frozenset(
-        entry["key"]
-        for kind, _, _, entry in _classify_lines(data)
-        if kind == "good")
 
 
 def _rebuild_shard(path: Path, lines: List[Tuple[str, bytes]],
@@ -709,7 +683,6 @@ class ResultStore:
         <root>/shards/<xx>.jsonl   entries whose key starts with hex "xx"
         <root>/shards/index.json   per-shard {size, [key, offset, length]}
         <root>/shards/.lock        advisory fcntl lock (append/repair/fsck)
-        <root>/store.jsonl         legacy single-file store (auto-migrated)
         <root>/stats/              per-experiment summaries (CLI-written)
 
     Entries are appended in job order, so two runs over the same job list
@@ -721,15 +694,11 @@ class ResultStore:
     large store does not parse every stored result.
     """
 
-    #: Legacy single-file layout (pre-sharding); migrated on open.
-    STORE_FILENAME = "store.jsonl"
-
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.shards_dir = self.root / SHARDS_DIRNAME
         self.index_path = self.shards_dir / INDEX_FILENAME
         self.lock_path = self.shards_dir / LOCK_FILENAME
-        self.legacy_path = self.root / self.STORE_FILENAME
         self.claims_dir = self.root / CLAIMS_DIRNAME
         #: Staleness bound for foreign-host claims; tests shrink this.
         self.claim_ttl = CLAIM_TTL
@@ -752,16 +721,12 @@ class ResultStore:
         #: Results persisted through this instance (one shard append each);
         #: the daemon's dedup tests assert exactly one put per job key.
         self.puts = 0
-        #: Entries folded in from a legacy ``store.jsonl`` on this open.
-        self.migrated_entries = self._migrate_legacy()
         self._load()
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
     def _shard_path(self, prefix: str) -> Path:
-        if prefix == _LEGACY_PREFIX:
-            return self.legacy_path
         return self.shards_dir / f"{prefix}.jsonl"
 
     def _read_index(self) -> Dict[str, Any]:
@@ -832,61 +797,6 @@ class ResultStore:
         self._index_meta[prefix] = meta
         self._index_dirty = True
 
-    def _migrate_legacy(self) -> int:
-        """Fold a legacy single-file ``store.jsonl`` into the shards.
-
-        Runs under the store lock (re-checking after acquisition, so two
-        processes opening the same legacy store race safely); the original
-        file is kept as ``store.jsonl.migrated``.  Lossless: every good
-        line's bytes are appended verbatim to its shard.
-
-        On unwritable media (``status``/``--check`` against a read-only
-        mount) migration is skipped and the legacy entries are served in
-        place instead, so read-only commands keep working.
-        """
-        if not self.legacy_path.is_file():
-            return 0
-        try:
-            with _store_lock(self.lock_path):
-                if not self.legacy_path.is_file():
-                    return 0
-                data = self.legacy_path.read_bytes()
-                entries, _ = _parse_shard(self.legacy_path, data)
-                groups: Dict[str, List[Tuple[str, bytes]]] = {}
-                for key, offset, length in entries:
-                    line = data[offset:offset + length]
-                    groups.setdefault(shard_for_key(key), []).append(
-                        (key, line))
-                for prefix, lines in sorted(groups.items()):
-                    path = self._shard_path(prefix)
-                    present = _existing_keys(path)
-                    payload = b"".join(line for key, line in lines
-                                       if key not in present)
-                    if payload:
-                        _append_payload(path, payload)
-                backup = self.legacy_path.with_name(
-                    self.legacy_path.name + ".migrated")
-                os.replace(self.legacy_path, backup)
-        except OSError as exc:
-            # Unwritable media: serve the legacy entries in place.  If
-            # even reading the legacy file fails, there is nothing to
-            # degrade to — propagate the original error.
-            try:
-                data = self.legacy_path.read_bytes()
-                entries, _ = _parse_shard(self.legacy_path, data)
-            except OSError:
-                raise exc from None
-            print(f"repro.store: cannot migrate legacy {self.legacy_path} "
-                  f"({exc}); serving its entries read-only in place",
-                  file=sys.stderr)
-            for key, offset, length in entries:
-                self._entries[key] = (_LEGACY_PREFIX, offset, length)
-            return 0
-        print(f"repro.store: migrated {len(entries)} legacy entries from "
-              f"{self.legacy_path} into {self.shards_dir} (original kept "
-              f"as {backup.name})", file=sys.stderr)
-        return len(entries)
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
@@ -925,9 +835,8 @@ class ResultStore:
                 except OSError as error:
                     # Unreadable media degrades to a miss: the engine
                     # re-simulates, which is the only honest answer.
-                    print(f"repro.store: read of {key[:12]}… failed "
-                          f"({error}); treating as a miss",
-                          file=sys.stderr)
+                    _log.warning("read of %s… failed (%s); treating as a "
+                                 "miss", key[:12], error)
                     encoded = None
         if encoded is not None:
             self.hits += 1
@@ -943,10 +852,6 @@ class ResultStore:
         entry = self._pread_entry(prefix, offset, length)
         if entry is not None and entry.get("key") == key:
             return entry["result"]
-        if prefix == _LEGACY_PREFIX:
-            # An unmigrated legacy file on read-only media never changes
-            # behind us; a failed read is simply a miss.
-            return None
         # Stale offsets (the shard was fscked/compacted behind us): rescan
         # the one shard and retry once.
         path = self._shard_path(prefix)
@@ -1196,7 +1101,7 @@ class ResultStore:
         self._index_dirty = False
 
     def clear(self) -> None:
-        """Delete every persisted shard (and any legacy file) and reset."""
+        """Delete every persisted shard and claim, and reset."""
         if self.shards_dir.is_dir():
             with _store_lock(self.lock_path):
                 for path in sorted(self.shards_dir.glob("*.jsonl")):
@@ -1223,11 +1128,6 @@ class ResultStore:
                 self.claims_dir.rmdir()
             except OSError:  # pragma: no cover - foreign files left behind
                 pass
-        backup = self.legacy_path.with_name(
-            self.legacy_path.name + ".migrated")
-        for path in (self.legacy_path, backup):
-            if path.is_file():
-                path.unlink()
         self._entries.clear()
         self._mem.clear()
         self._index_meta.clear()
@@ -1299,19 +1199,18 @@ def fsck_store(root: Union[str, Path]) -> Dict[str, int]:
     """Salvage a store directory in place (file-system level, lock held).
 
     Usable even when the store is too corrupt for :class:`ResultStore` to
-    open: every shard (and any legacy ``store.jsonl``) is scanned
-    tolerantly, good entries are kept — relocated to their correct shard
-    if misplaced, newline-terminated if a crash left a readable but
-    unterminated tail — and torn/corrupt/foreign lines are dropped.
+    open: every shard is scanned tolerantly, good entries are kept —
+    relocated to their correct shard if misplaced, newline-terminated if
+    a crash left a readable but unterminated tail — and
+    torn/corrupt/foreign lines are dropped.
     Touched shards are rewritten atomically; clean shards keep their exact
     bytes.  The index is rebuilt from scratch.
     """
     root = Path(root)
     shards_dir = root / SHARDS_DIRNAME
-    legacy = root / ResultStore.STORE_FILENAME
-    report = {"kept": 0, "migrated": 0, "moved": 0, "torn": 0,
+    report = {"kept": 0, "moved": 0, "torn": 0,
               "corrupt": 0, "foreign": 0, "rewritten_shards": 0}
-    if not shards_dir.is_dir() and not legacy.is_file():
+    if not shards_dir.is_dir():
         return report
 
     def salvage(data: bytes) -> Iterator[Tuple[str, bytes]]:
@@ -1325,15 +1224,9 @@ def fsck_store(root: Union[str, Path]) -> Dict[str, int]:
                 line += b"\n"
             yield entry["key"], line
 
-    shards_dir.mkdir(parents=True, exist_ok=True)
     with _store_lock(shards_dir / LOCK_FILENAME):
-        # Entries that must move: salvaged legacy lines and misplaced keys.
-        incoming: Dict[str, List[Tuple[str, bytes, str]]] = {}
-        if legacy.is_file():
-            for key, line in salvage(legacy.read_bytes()):
-                incoming.setdefault(shard_for_key(key), []).append(
-                    (key, line, "migrated"))
-            os.replace(legacy, legacy.with_name(legacy.name + ".migrated"))
+        # Entries that must move: misplaced keys.
+        incoming: Dict[str, List[Tuple[str, bytes]]] = {}
         contents: Dict[str, List[Tuple[str, bytes]]] = {}
         originals: Dict[str, bytes] = {}
         for path in sorted(shards_dir.glob("*.jsonl")):
@@ -1344,8 +1237,7 @@ def fsck_store(root: Union[str, Path]) -> Dict[str, int]:
             for key, line in salvage(data):
                 target = shard_for_key(key)
                 if target != prefix:
-                    incoming.setdefault(target, []).append(
-                        (key, line, "moved"))
+                    incoming.setdefault(target, []).append((key, line))
                 else:
                     kept.append((key, line))
                     report["kept"] += 1
@@ -1355,19 +1247,15 @@ def fsck_store(root: Union[str, Path]) -> Dict[str, int]:
             present = {key for key, _ in kept}
             # Within the incoming lines the last occurrence supersedes
             # earlier ones (file order == put order)...
-            chosen: Dict[str, Tuple[bytes, str]] = {}
-            for key, line, category in items:
-                chosen[key] = (line, category)
-            for key, (line, category) in chosen.items():
+            chosen = dict(items)
+            for key, line in chosen.items():
                 # ...but an entry already in its home shard wins outright:
-                # shard entries postdate the legacy layout, and a
-                # previously interrupted migration already appended these
-                # exact lines (see _existing_keys).
+                # the store only ever appends a key to its home shard.
                 if key in present:
                     continue
                 kept.append((key, line))
                 present.add(key)
-                report[category] += 1
+                report["moved"] += 1
         index_meta: Dict[str, Dict[str, Any]] = {}
         for prefix in sorted(contents):
             rewritten, meta = _rebuild_shard(

@@ -182,55 +182,6 @@ class TestStoreCmd:
         for field in ("shards", "entries", "bytes", "index"):
             assert field in out
 
-    def test_migrate_upgrades_a_legacy_store_in_place(self, tmp_path,
-                                                      capsys):
-        # Build a modern store, then refold its lines into the legacy
-        # single-file layout to simulate a pre-sharding checkout.
-        run_experiment("fig13", ResultStore(tmp_path / "seed"), TINY)
-        legacy_root = tmp_path / "legacy"
-        legacy_root.mkdir()
-        lines = b"".join(
-            path.read_bytes()
-            for path in sorted((tmp_path / "seed" / "shards")
-                               .glob("*.jsonl")))
-        (legacy_root / "store.jsonl").write_bytes(lines)
-
-        assert main(["store", "migrate", "--store", str(legacy_root)]) == 0
-        assert "migrated" in capsys.readouterr().out
-        assert not (legacy_root / "store.jsonl").exists()
-        report = run_experiment("fig13", ResultStore(legacy_root), TINY)
-        assert report.simulated == 0
-        assert report.stored == report.total_jobs
-
-        assert main(["store", "migrate", "--store", str(legacy_root)]) == 0
-        assert "nothing to migrate" in capsys.readouterr().out
-
-    def test_migrate_on_unwritable_media_reports_failure(
-            self, tmp_path, capsys, monkeypatch):
-        """migrate must not claim success when the legacy file is stuck."""
-        import repro.sim.store as store_module
-
-        run_experiment("fig13", ResultStore(tmp_path / "seed"), TINY)
-        legacy_root = tmp_path / "legacy"
-        legacy_root.mkdir()
-        lines = b"".join(
-            path.read_bytes()
-            for path in sorted((tmp_path / "seed" / "shards")
-                               .glob("*.jsonl")))
-        (legacy_root / "store.jsonl").write_bytes(lines)
-
-        def refuse(path, payload):
-            raise OSError(30, "Read-only file system")
-
-        monkeypatch.setattr(store_module, "_append_payload", refuse)
-        assert main(["store", "migrate", "--store", str(legacy_root)]) == 1
-        captured = capsys.readouterr()
-        assert "could not migrate" in captured.err
-        # info on the same store must stay coherent (no negative counts).
-        assert main(["store", "info", "--store", str(legacy_root)]) == 0
-        out = capsys.readouterr().out
-        assert "unmigrated" in out and "-" not in out.split("entries")[1][:40]
-
     def test_fsck_salvages_and_signals_damage(self, tmp_path, capsys):
         run_experiment("fig13", ResultStore(tmp_path), TINY)
         shard = next(iter(sorted((tmp_path / "shards").glob("*.jsonl"))))
@@ -272,6 +223,17 @@ class TestServe:
         out = capsys.readouterr().out
         for flag in ("--port", "--socket", "--jobs", "--ready-file"):
             assert flag in out
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--fleet"],
+        ["stats", "--fleet", "--remote", "7341"],
+        ["store", "migrate"],
+    ], ids=["serve-fleet", "stats-fleet", "store-migrate"])
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 # ======================================================================

@@ -199,14 +199,14 @@ class TestStoreFaults:
         assert report["torn"] == report["corrupt"] == 0
         assert report["kept"] == 2
 
-    def test_read_fault_degrades_to_a_miss(self, tmp_path, capsys):
+    def test_read_fault_degrades_to_a_miss(self, tmp_path, caplog):
         result = _tiny_result()
         ResultStore(tmp_path).put("cc" * 32, {"n": 2}, result)
         fresh = ResultStore(tmp_path)  # cold in-memory cache: disk read
         faults.install("store.read:eio@times=1")
         assert fresh.get("cc" * 32) is None
         assert fresh.misses == 1
-        assert "treating as a miss" in capsys.readouterr().err
+        assert "treating as a miss" in caplog.text
         # The entry is intact; the next read (no fault) serves it.
         assert fresh.get("cc" * 32) == result
 
@@ -243,22 +243,22 @@ class TestTraceFaults:
         assert TraceBuffer.load(target) == buffer
 
     def test_cache_regenerates_through_save_and_load_faults(
-            self, tmp_path, capsys):
+            self, tmp_path, caplog):
         faults.install("trace.save:torn@seed=1,times=1;"
                        "trace.load:eio@times=1")
         cache = TraceCache(spill_dir=tmp_path)
         clean = build_workload("gups").generate_buffer(80, seed=0)
         # Save fault: the spill fails, the buffer is still served.
         assert cache.get("gups", 80, seed=0) == clean
-        err = capsys.readouterr().err
-        assert "could not spill" in err
+        assert "could not spill" in caplog.text
+        caplog.clear()
         # A fresh cache spills successfully, then survives a load fault
         # by regenerating (and the buffer is still correct).
         warm = TraceCache(spill_dir=tmp_path)
         assert warm.get("gups", 80, seed=0) == clean
         colder = TraceCache(spill_dir=tmp_path)
         assert colder.get("gups", 80, seed=0) == clean
-        assert "unreadable trace spill" in capsys.readouterr().err
+        assert "unreadable trace spill" in caplog.text
 
 
 # ======================================================================

@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 import repro.service as service_module
+from repro.api import connect
 from repro.experiments import EXPERIMENTS, Scale
 from repro.service import (
     FleetClient,
@@ -58,7 +59,6 @@ SINGLE_JOB = SimulationJob(workload="gups", predictor="baseline",
 def _isolated_env(monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_FLEET", raising=False)
     monkeypatch.setenv("REPRO_TRACE_DIR", "")
 
 
@@ -301,7 +301,6 @@ class TestFleetService:
     def _service(self, store: Path, **kwargs) -> SimulationService:
         kwargs.setdefault("jobs", 2)
         kwargs.setdefault("pool", "thread")
-        kwargs.setdefault("fleet", True)
         return SimulationService(store, **kwargs)
 
     def test_cold_grid_is_simulated_once_fleet_wide(self, tmp_path):
@@ -414,29 +413,19 @@ class TestFleetService:
         finally:
             svc.close(wait=True)
 
-    def test_fleet_mode_defaults_off_and_reads_env(self, tmp_path,
-                                                   monkeypatch):
-        off = SimulationService(tmp_path / "a", jobs=1, pool="thread")
-        assert off.fleet is False
-        off.close(wait=True)
-        monkeypatch.setenv("REPRO_FLEET", "1")
-        on = SimulationService(tmp_path / "b", jobs=1, pool="thread")
-        assert on.fleet is True
-        on.close(wait=True)
-
-    def test_non_fleet_counters_do_not_move(self, tmp_path):
-        """fleet=False must not touch the claim machinery at all, so the
-        single-daemon golden paths stay byte-identical."""
-        svc = SimulationService(tmp_path / "store", jobs=2, pool="thread")
+    def test_lone_daemon_claims_every_cold_key(self, tmp_path):
+        """A lone daemon is a fleet of one: it claims each cold key it
+        simulates, always wins, and releases every claim."""
+        svc = self._service(tmp_path / "store")
         try:
             payload = svc.submit(experiment="fig13", scale=TINY_WIRE,
                                  wait=True)
             assert payload["state"] == "done"
-            for counter in ("claims_won", "claims_lost", "claim_waits",
-                            "claims_broken"):
-                assert svc.counters[counter] == 0
+            assert svc.counters["simulations"] == payload["total_jobs"]
+            assert svc.counters["claims_won"] == svc.counters["simulations"]
+            assert svc.counters["claims_lost"] == 0
             assert svc.store.active_claims() == []
-            assert not (svc.store.root / "claims").exists()
+            assert not hasattr(svc, "fleet")
         finally:
             svc.close(wait=True)
 
@@ -456,7 +445,7 @@ def _start_server(service: SimulationService):
 def fleet_pair(tmp_path):
     """Two fleet daemons (in-process) sharing one store."""
     store = tmp_path / "store"
-    services = [SimulationService(store, jobs=2, pool="thread", fleet=True)
+    services = [SimulationService(store, jobs=2, pool="thread")
                 for _ in range(2)]
     started = [_start_server(service) for service in services]
     addresses = [address for _, _, address in started]
@@ -481,6 +470,13 @@ class TestFleetClient:
         assert client.address == "127.0.0.1:7001,127.0.0.1:7002"
         with pytest.raises(ServiceError, match="empty fleet"):
             FleetClient(" , ")
+
+    def test_connect_returns_a_one_member_fleet(self):
+        client = connect("7001")
+        assert isinstance(client, FleetClient)
+        assert [member.address for member in client.members] == \
+            ["127.0.0.1:7001"]
+        assert client._route("fig13", None, TINY_WIRE) == 0
 
     def test_memoised_route_matches_the_first_job_key(self, monkeypatch):
         client = FleetClient("7001,7002,7003")
@@ -615,9 +611,8 @@ class TestFleetClient:
 
         monkeypatch.setattr(service_module, "execute_job", gated)
         # Tiny admission bound on member A only; B takes the spill.
-        a = SimulationService(store, jobs=2, pool="thread", fleet=True,
-                              max_queue=1)
-        b = SimulationService(store, jobs=2, pool="thread", fleet=True)
+        a = SimulationService(store, jobs=2, pool="thread", max_queue=1)
+        b = SimulationService(store, jobs=2, pool="thread")
         started = [_start_server(a), _start_server(b)]
         addresses = [address for _, _, address in started]
         try:
@@ -664,7 +659,7 @@ def _spawn_fleet_daemon(tmp_path: Path, store: Path,
                REPRO_TRACE_DIR="", REPRO_POOL="thread")
     env.pop("REPRO_STORE", None)
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--fleet",
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
          "--store", str(store), "--ready-file", str(ready)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     deadline = time.monotonic() + 30.0
@@ -815,8 +810,8 @@ class TestFleetDaemons:
             assert stats["fleet"] == {"size": 2, "reachable": 2}
             assert stats["counters"]["simulations"] == \
                 payload["total_jobs"]
-            assert all(member["fleet"] is True
-                       for member in stats["members"])
+            assert stats["counters"]["claims_won"] == \
+                payload["total_jobs"]
         finally:
             launcher.send_signal(signal.SIGTERM)
             try:

@@ -897,6 +897,28 @@ class TestKeepAlive:
         assert errors == []
         assert service.counters["connections"] - before == 8
 
+    def test_connections_of_exited_threads_are_closed(self, tmp_path):
+        """Thread churn on a long-lived client must not pile up idle
+        connections on either side."""
+        svc = SimulationService(tmp_path / "store", jobs=1, pool="thread")
+        srv, thread, address = _serve(svc, port=0)
+        client = ServiceClient(address, timeout=10.0)
+        try:
+            for _ in range(20):
+                caller = threading.Thread(target=client.health)
+                caller.start()
+                caller.join(timeout=10.0)
+            assert len(client._connections) <= 2
+            deadline = time.monotonic() + 10.0
+            while len(srv._connections) > 2:
+                assert time.monotonic() < deadline, \
+                    f"{len(srv._connections)} daemon connections stayed open"
+                time.sleep(0.01)
+        finally:
+            client.close()
+            srv.request_shutdown()
+            thread.join(timeout=10.0)
+
     def test_restarted_unix_daemon_is_reached_without_backoff(
             self, tmp_path, monkeypatch):
         sock_path = tmp_path / "repro.sock"
@@ -1406,6 +1428,25 @@ class TestRemoteCLI:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
+
+    def test_stats_remote_renders_one_daemon(self, server, capsys):
+        """A lone daemon is a fleet of one: ``stats`` prints its member
+        block (pool, store) and the summed counters."""
+        assert main(["run", "fig13", "--remote", server.address,
+                     "--accesses", "120", "--warmup", "40",
+                     "--mix-accesses", "80"]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--remote", server.address]) == 0
+        out = capsys.readouterr().out
+        assert "1/1 members reachable" in out
+        assert "pool            :     thread (in-process)" in out
+        assert "store           :" in out and "puts)" in out
+        assert "claims            :" in out
+        assert main(["stats", "--remote", server.address, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["members"][0]["pool"]["type"] == "thread"
+        counters = payload["counters"]
+        assert counters["claims_won"] == counters["simulations"] > 0
 
     def test_non_json_peer_is_a_service_error_not_a_crash(self, capsys):
         """A foreign server (e.g. HTTP) answering garbage must surface as

@@ -4,7 +4,7 @@ Covers the properties the CI determinism job relies on: job keys stable
 across processes, exact result round-trips, resume after a partially
 persisted grid, and the engine's read-through/force semantics — plus the
 sharded layout: key->shard routing, locked torn-tail repair that never
-clobbers concurrent appends, legacy-store migration, the on-disk index,
+clobbers concurrent appends, the on-disk index,
 fsck salvage and compaction idempotence.
 """
 
@@ -284,7 +284,7 @@ class TestResultStore:
         assert serial and serial == shard_bytes(tmp_path / "parallel")
 
     def test_partial_trailing_line_is_tolerated_then_repaired(
-            self, tmp_path, capsys, tiny_result):
+            self, tmp_path, caplog, tiny_result):
         """A run killed mid-append must not brick the store."""
         store = ResultStore(tmp_path)
         store.put(job_key(SINGLE_JOB), job_spec(SINGLE_JOB), tiny_result)
@@ -296,7 +296,8 @@ class TestResultStore:
         recovered = ResultStore(tmp_path)
         assert len(recovered) == 1
         assert recovered.get(job_key(SINGLE_JOB)) == tiny_result
-        assert "torn trailing line" in capsys.readouterr().err
+        assert "torn trailing line" in caplog.text
+        caplog.clear()
         # Loading is strictly read-only: the torn tail is still on disk.
         assert shard.read_bytes().endswith(b'{"key": "trunc')
 
@@ -306,10 +307,10 @@ class TestResultStore:
         assert b'"trunc' not in shard.read_bytes()
         reloaded = ResultStore(tmp_path)
         assert len(reloaded) == 2
-        assert capsys.readouterr().err == ""
+        assert caplog.text == ""
 
     def test_repair_never_clobbers_a_concurrent_append(
-            self, tmp_path, capsys, tiny_result):
+            self, tmp_path, caplog, tiny_result):
         """Regression: repair must only truncate the torn tail it sees.
 
         The old single-file store recorded a "good prefix" at load time and
@@ -327,7 +328,7 @@ class TestResultStore:
 
         # Writer B opens while the tail is torn...
         writer_b = ResultStore(tmp_path)
-        assert "torn trailing line" in capsys.readouterr().err
+        assert "torn trailing line" in caplog.text
         # ...then another process repairs the shard and appends an entry...
         writer_c = ResultStore(tmp_path)
         writer_c.put(second, {}, tiny_result)
@@ -369,11 +370,18 @@ class TestResultStore:
         with pytest.raises(ValueError, match=r"aa\.jsonl:2: .*fsck"):
             ResultStore(tmp_path)
 
-    def test_corrupt_legacy_store_raises_with_fsck_hint(self, tmp_path):
-        (tmp_path / "store.jsonl").write_text(
-            'not json\n{"key": "abc", "result": {}}\n')
-        with pytest.raises(ValueError, match="corrupt store line"):
-            ResultStore(tmp_path)
+    def test_leftover_store_jsonl_is_ignored(self, tmp_path, tiny_result):
+        """The pre-sharding single-file layout is no longer read."""
+        leftover = tmp_path / "store.jsonl"
+        leftover.write_bytes(b"not json\n" + entry_line(hexkey("aa"),
+                                                        tiny_result))
+        before = leftover.read_bytes()
+        store = ResultStore(tmp_path)
+        assert len(store) == 0
+        assert fsck_store(tmp_path)["kept"] == 0
+        store.put(hexkey("bb"), {}, tiny_result)
+        assert ResultStore(tmp_path).keys() == [hexkey("bb")]
+        assert leftover.read_bytes() == before
 
     def test_clear_removes_persisted_results(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -435,135 +443,6 @@ class TestSharding:
         assert set(shard_for_key("x")) <= set("0123456789abcdef")
         # Hex keys route by their own leading bytes.
         assert shard_for_key("ABCD" + "0" * 60) == "ab"
-
-
-# ======================================================================
-# Legacy single-file migration
-# ======================================================================
-class TestLegacyMigration:
-    def legacy_store(self, tmp_path, result, keys) -> Path:
-        path = tmp_path / "store.jsonl"
-        path.write_bytes(b"".join(entry_line(key, result) for key in keys))
-        return path
-
-    def test_open_migrates_legacy_store_losslessly(self, tmp_path, capsys,
-                                                   tiny_result):
-        keys = [hexkey("aa"), hexkey("bb"), hexkey("aa", "2")]
-        legacy = self.legacy_store(tmp_path, tiny_result, keys)
-        store = ResultStore(tmp_path)
-        assert store.migrated_entries == 3
-        assert sorted(store.keys()) == sorted(set(keys))
-        assert all(store.get(key) == tiny_result for key in keys)
-        assert not legacy.exists()
-        assert (tmp_path / "store.jsonl.migrated").is_file()
-        assert set(shard_bytes(tmp_path)) == {"aa.jsonl", "bb.jsonl"}
-        assert "migrated 3 legacy entries" in capsys.readouterr().err
-
-    def test_migration_happens_once(self, tmp_path, tiny_result):
-        self.legacy_store(tmp_path, tiny_result, [hexkey("aa")])
-        assert ResultStore(tmp_path).migrated_entries == 1
-        reopened = ResultStore(tmp_path)
-        assert reopened.migrated_entries == 0
-        assert len(reopened) == 1
-
-    def test_unwritable_store_serves_legacy_entries_in_place(
-            self, tmp_path, capsys, monkeypatch, tiny_result):
-        """Read-only media: status/--check must read a legacy store as-is.
-
-        Simulates EROFS by making the locked append fail; the store must
-        fall back to serving the legacy file read-only instead of raising,
-        and must leave the file untouched.
-        """
-        import repro.sim.store as store_module
-
-        keys = [hexkey("aa"), hexkey("bb")]
-        legacy = self.legacy_store(tmp_path, tiny_result, keys)
-        before = legacy.read_bytes()
-
-        def refuse(path, payload):
-            raise OSError(30, "Read-only file system")
-
-        monkeypatch.setattr(store_module, "_append_payload", refuse)
-        store = ResultStore(tmp_path)
-        assert "serving its entries read-only" in capsys.readouterr().err
-        assert store.migrated_entries == 0
-        assert sorted(store.keys()) == sorted(keys)
-        assert all(store.get(key) == tiny_result for key in keys)
-        assert legacy.read_bytes() == before
-
-    def test_stale_legacy_entry_never_supersedes_a_shard_entry(
-            self, tmp_path, capsys, tiny_result):
-        """Shard entries postdate the legacy layout, so they must win.
-
-        Both migration paths (auto-migrate on open and fsck) append to
-        shards, where the newest line wins on reload — a stale legacy
-        line for a key the shards already hold must therefore be skipped,
-        not appended after the newer entry.
-        """
-        stale_job = SimulationJob(workload="gups", predictor="baseline",
-                                  num_accesses=60, warmup_accesses=20)
-        stale = SimulationEngine(jobs=1, store=False).run([stale_job])[0]
-        assert stale != tiny_result
-        key = hexkey("aa")
-
-        for label, migrate in (("open", lambda root: ResultStore(root)),
-                               ("fsck", lambda root: fsck_store(root))):
-            root = tmp_path / label
-            shards = root / "shards"
-            shards.mkdir(parents=True)
-            (shards / "aa.jsonl").write_bytes(entry_line(key, tiny_result))
-            (root / "store.jsonl").write_bytes(entry_line(key, stale))
-            migrate(root)
-            capsys.readouterr()
-            store = ResultStore(root)
-            assert not (root / "store.jsonl").exists()
-            assert store.get(key) == tiny_result  # the newer entry won
-            assert store.total_lines() == 1
-
-    def test_interrupted_migration_resumes_without_duplicates(
-            self, tmp_path, capsys, monkeypatch, tiny_result):
-        """A migration killed mid-way (ENOSPC) must resume losslessly.
-
-        The failed attempt leaves some lines already appended to shards
-        and the legacy file in place; the next open completes the
-        migration without duplicating what already landed.
-        """
-        import repro.sim.store as store_module
-
-        keys = [hexkey("aa"), hexkey("bb")]
-        self.legacy_store(tmp_path, tiny_result, keys)
-        real_append = store_module._append_payload
-        calls = {"count": 0}
-
-        def flaky(path, payload):
-            calls["count"] += 1
-            if calls["count"] > 1:
-                raise OSError(28, "No space left on device")
-            return real_append(path, payload)
-
-        monkeypatch.setattr(store_module, "_append_payload", flaky)
-        partial = ResultStore(tmp_path)  # one shard lands, then the error
-        assert "cannot migrate" in capsys.readouterr().err
-        # Still fully readable: shard entries plus the legacy remainder.
-        assert sorted(partial.keys()) == sorted(keys)
-        assert all(partial.get(key) == tiny_result for key in keys)
-
-        monkeypatch.setattr(store_module, "_append_payload", real_append)
-        resumed = ResultStore(tmp_path)
-        assert resumed.migrated_entries == len(keys)
-        assert not (tmp_path / "store.jsonl").exists()
-        assert sorted(resumed.keys()) == sorted(keys)
-        # No duplicates: exactly one persisted line per key.
-        assert resumed.total_lines() == len(keys)
-
-    def test_torn_legacy_tail_is_dropped_with_warning(self, tmp_path,
-                                                      capsys, tiny_result):
-        legacy = self.legacy_store(tmp_path, tiny_result, [hexkey("aa")])
-        with legacy.open("ab") as handle:
-            handle.write(b'{"key": "torn')
-        store = ResultStore(tmp_path)
-        assert store.migrated_entries == 1
-        assert "torn trailing line" in capsys.readouterr().err
 
 
 # ======================================================================
@@ -709,18 +588,40 @@ class TestFsck:
         assert report["kept"] == 1 and report["torn"] == 0
         assert ResultStore(tmp_path).get(key) == tiny_result
 
-    def test_fsck_migrates_and_salvages_a_corrupt_legacy_store(
+    def test_fsck_salvages_a_shard_too_corrupt_to_open(
             self, tmp_path, tiny_result):
         key = hexkey("cc")
-        (tmp_path / "store.jsonl").write_bytes(
+        shards = tmp_path / "shards"
+        shards.mkdir(parents=True)
+        (shards / "cc.jsonl").write_bytes(
             b"not json at all\n" + entry_line(key, tiny_result))
         # Too corrupt for a normal open...
         with pytest.raises(ValueError, match="corrupt store line"):
             ResultStore(tmp_path)
-        # ...but fsck salvages the good entry and migrates it.
+        # ...but fsck salvages the good entry in place.
         report = fsck_store(tmp_path)
-        assert report["migrated"] == 1 and report["corrupt"] == 1
+        assert report["kept"] == 1 and report["corrupt"] == 1
         assert ResultStore(tmp_path).get(key) == tiny_result
+
+    def test_misplaced_copy_never_supersedes_the_home_entry(
+            self, tmp_path, tiny_result):
+        """fsck relocates a misplaced entry only when its home shard
+        lacks the key: the store only ever appends a key to its home
+        shard, so the home entry is the one ``put`` wrote."""
+        stale_job = SimulationJob(workload="gups", predictor="baseline",
+                                  num_accesses=60, warmup_accesses=20)
+        stale = SimulationEngine(jobs=1, store=False).run([stale_job])[0]
+        assert stale != tiny_result
+        key = hexkey("aa")
+        shards = tmp_path / "shards"
+        shards.mkdir(parents=True)
+        (shards / "aa.jsonl").write_bytes(entry_line(key, tiny_result))
+        (shards / "bb.jsonl").write_bytes(entry_line(key, stale))
+        report = fsck_store(tmp_path)
+        assert report["kept"] == 1 and report["moved"] == 0
+        store = ResultStore(tmp_path)
+        assert store.get(key) == tiny_result
+        assert store.total_lines() == 1
 
     def test_fsck_leaves_clean_shards_byte_identical(self, tmp_path):
         SimulationEngine(jobs=1, store=tmp_path).run(small_grid())

@@ -246,7 +246,7 @@ class TestDiskSpill:
 
     @pytest.mark.parametrize("corruption", ("garbage", "truncated-zip",
                                             "foreign-npz"))
-    def test_corrupt_spill_regenerates(self, tmp_path, capsys, corruption):
+    def test_corrupt_spill_regenerates(self, tmp_path, caplog, corruption):
         key = trace_key("stream", 120, seed=0)
         path = tmp_path / f"{key}.npz"
         if corruption == "garbage":
@@ -258,7 +258,7 @@ class TestDiskSpill:
         cache = TraceCache(spill_dir=tmp_path)
         buffer = cache.get("stream", 120, seed=0)
         assert buffer == build_workload("stream").generate(120, seed=0)
-        assert "unreadable trace spill" in capsys.readouterr().err
+        assert "unreadable trace spill" in caplog.text
 
     def test_trace_keys_stable_and_state_sensitive(self):
         assert trace_key("gapbs.pr", 100) == trace_key("gapbs.pr", 100)
