@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -1007,4 +1008,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # The library only emits logging records; name the component on
+    # stderr (``repro.sim.store: ...``) for the length of the command.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    logger = logging.getLogger("repro")
+    logger.addHandler(handler)
+    try:
+        return args.func(args)
+    finally:
+        logger.removeHandler(handler)

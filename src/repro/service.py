@@ -95,8 +95,9 @@ records in the store (``<store>/claims/``, published with ``os.link``
 a cold key's claim simulates it; a loser polls the shared store
 (:meth:`~repro.sim.store.ResultStore.refresh`) and serves the owner's
 result the moment its locked append lands.  A claim whose owner died
-(same-host pid probe, or a TTL for foreign hosts) is broken and taken
-over, so a SIGKILLed member never wedges its losers.  Claims are a
+(same-host pid, start-time and per-process token probe, or a TTL for
+foreign hosts) is broken and taken over, so a SIGKILLed member never
+wedges its losers — nor itself, restarted under the same pid.  Claims are a
 work-dedup optimisation, never a correctness gate — the locked shard
 appends stay safe without them, so a claim layer failure at worst
 recomputes a deterministic job.  A lone daemon always wins its claims,

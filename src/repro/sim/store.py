@@ -72,6 +72,7 @@ import os
 import socket
 import tempfile
 import time
+import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -452,6 +453,39 @@ CLAIMS_DIRNAME = "claims"
 CLAIM_TTL = 600.0
 
 _CLAIM_HOST = socket.gethostname()
+
+#: pid -> (token, start time) of this process; keyed by pid so a forked
+#: child mints its own identity instead of inheriting its parent's.
+_PROCESS_IDENTITY: Dict[int, Tuple[str, Optional[str]]] = {}
+
+
+def _start_time(pid: int) -> Optional[str]:
+    """Kernel start time of ``pid`` (``/proc/<pid>/stat`` field 22).
+
+    ``None`` where ``/proc`` is unavailable or the process is gone.  A
+    pid is only ever recycled by a process with a later start time, so
+    (pid, start time) names one process incarnation.
+    """
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    # The command name (field 2) may hold spaces and parentheses; the
+    # fields after its closing parenthesis start at field 3.
+    fields = data.rpartition(b")")[2].split()
+    return fields[19].decode("ascii") if len(fields) > 19 else None
+
+
+def _process_identity() -> Tuple[str, Optional[str]]:
+    """This process's claim token and start time, minted once per pid."""
+    pid = os.getpid()
+    identity = _PROCESS_IDENTITY.get(pid)
+    if identity is None:
+        identity = (uuid.uuid4().hex, _start_time(pid))
+        _PROCESS_IDENTITY[pid] = identity
+    return identity
+
 
 #: Hex characters of the key that select a shard (2 -> up to 256 shards).
 SHARD_PREFIX_CHARS = 2
@@ -950,9 +984,11 @@ class ResultStore:
         stay safe without them.
         """
         self.claims_dir.mkdir(parents=True, exist_ok=True)
+        token, start = _process_identity()
         record = json.dumps(
             {"key": key, "pid": os.getpid(), "host": _CLAIM_HOST,
-             "time": time.time(), "owner": owner or ""},
+             "start": start, "token": token, "time": time.time(),
+             "owner": owner or ""},
             sort_keys=True)
         fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp",
                                    dir=self.claims_dir)
@@ -995,28 +1031,38 @@ class ResultStore:
     def claim_is_stale(self, entry: Dict[str, Any]) -> bool:
         """Whether a claim's owner is presumed dead.
 
-        Same-host owners are probed directly (``kill(pid, 0)``): a dead
-        pid is stale immediately, a live one is never stale — a long
-        simulation must not be stolen from a healthy daemon.  Foreign
-        hosts cannot be probed, so their claims expire after
-        :attr:`claim_ttl` seconds.  Malformed records are always stale.
+        Same-host owners are probed directly: a claim recorded under
+        this process's pid is live only if it carries this process's
+        token (a restarted daemon often gets its predecessor's pid — PID
+        1 in a container), another pid is stale once ``kill(pid, 0)``
+        finds it dead or its start time no longer matches the record (a
+        recycled pid).  A live owner is never stale — a long simulation
+        must not be stolen from a healthy daemon.  Foreign hosts cannot
+        be probed, so their claims expire after :attr:`claim_ttl`
+        seconds.  Malformed records are always stale.
         """
         pid = entry.get("pid")
         created = entry.get("time")
         if not isinstance(pid, int) or isinstance(pid, bool) or \
                 not isinstance(created, (int, float)):
             return True
-        if entry.get("host") == _CLAIM_HOST:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True
-            except OSError:
-                # PermissionError and friends: the pid exists but belongs
-                # to someone else — alive as far as we can tell.
-                return False
+        if entry.get("host") != _CLAIM_HOST:
+            return (time.time() - created) > self.claim_ttl
+        if pid == os.getpid():
+            return entry.get("token") != _process_identity()[0]
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except OSError:
+            # PermissionError and friends: the pid exists but belongs to
+            # someone else — alive as far as we can tell.
+            pass
+        start = entry.get("start")
+        if start is None:
             return False
-        return (time.time() - created) > self.claim_ttl
+        current = _start_time(pid)
+        return current is not None and current != start
 
     def steal_claim(self, key: str, owner: Optional[str] = None) -> bool:
         """Break a stale claim on ``key``; ``True`` if we now own it.

@@ -194,6 +194,15 @@ class TestStoreCmd:
         report = run_experiment("fig13", ResultStore(tmp_path), TINY)
         assert report.simulated == 0
 
+    def test_library_warnings_name_their_component(self, tmp_path, capsys):
+        run_experiment("fig13", ResultStore(tmp_path), TINY)
+        shard = next(iter(sorted((tmp_path / "shards").glob("*.jsonl"))))
+        with shard.open("ab") as handle:
+            handle.write(b'{"key": "trunc')  # interrupted append
+        assert main(["store", "info", "--store", str(tmp_path)]) == 0
+        assert "repro.sim.store: ignoring torn trailing line" \
+            in capsys.readouterr().err
+
     def test_compact_drops_superseded_entries(self, tmp_path, capsys):
         store = ResultStore(tmp_path)
         run_experiment("fig13", store, TINY)

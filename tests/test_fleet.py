@@ -41,7 +41,7 @@ from repro.service import (
     serve_forever,
 )
 from repro.sim.engine import SimulationEngine, SimulationJob
-from repro.sim.store import ResultStore, job_key, job_spec
+from repro.sim.store import ResultStore, _start_time, job_key, job_spec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -127,6 +127,47 @@ class TestClaims:
         entry["pid"] = child.pid
         path.write_text(json.dumps(entry), encoding="utf-8")
         assert store.claim_is_stale(store.read_claim(key)) is True
+
+    def test_own_pid_claim_of_an_earlier_process_is_stale(self, tmp_path):
+        # A daemon restarted in the same container usually gets its
+        # predecessor's pid (PID 1): a leftover claim under our pid but
+        # another process's token belongs to the dead incarnation.
+        store = ResultStore(tmp_path)
+        key = "ab" * 32
+        store.claim(key)
+        path = store._claim_path(key)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert entry["pid"] == os.getpid()
+        entry["token"] = "0" * 32
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert store.claim_is_stale(store.read_claim(key)) is True
+        del entry["token"]  # a record written without a token
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert store.claim_is_stale(store.read_claim(key)) is True
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/stat"),
+                        reason="needs /proc for process start times")
+    def test_recycled_pid_claim_is_stale(self, tmp_path):
+        # A live process whose start time differs from the record's has
+        # reused a dead owner's pid; a matching start time is the owner.
+        child = subprocess.Popen([sys.executable, "-c",
+                                  "import time; time.sleep(60)"])
+        try:
+            store = ResultStore(tmp_path)
+            key = "cd" * 32
+            store.claim(key)
+            path = store._claim_path(key)
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry["pid"] = child.pid
+            entry["start"] = _start_time(child.pid)
+            path.write_text(json.dumps(entry), encoding="utf-8")
+            assert store.claim_is_stale(store.read_claim(key)) is False
+            entry["start"] = "1"
+            path.write_text(json.dumps(entry), encoding="utf-8")
+            assert store.claim_is_stale(store.read_claim(key)) is True
+        finally:
+            child.kill()
+            child.wait()
 
     def test_foreign_host_claim_expires_by_ttl(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -383,6 +424,31 @@ class TestFleetService:
 
             payload = svc.submit(jobs=[SINGLE_SPEC], wait=True)
             assert payload["state"] == "done"
+            assert svc.counters["claims_broken"] == 1
+            assert svc.counters["simulations"] == 1
+            assert svc.store.active_claims() == []
+        finally:
+            svc.close(wait=True)
+
+    def test_leftover_claim_of_a_previous_incarnation_is_broken(
+            self, tmp_path):
+        """A daemon killed mid-grid and restarted under the same pid (PID
+        1 in a container) must not wait forever on its own leftover
+        claim: the record's token is not this process's, so it is stale."""
+        store_dir = tmp_path / "store"
+        svc = self._service(store_dir)
+        try:
+            key = job_key(SINGLE_JOB)
+            svc.store.claim(key, owner="repro-serve-1")
+            path = svc.store._claim_path(key)
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry["token"] = "0" * 32  # written by an earlier process
+            path.write_text(json.dumps(entry), encoding="utf-8")
+
+            payload = svc.submit(jobs=[SINGLE_SPEC])
+            final = svc.result(payload["id"], wait=True, timeout=30.0)
+            assert final["state"] == "done"
+            assert svc.counters["claims_lost"] == 1
             assert svc.counters["claims_broken"] == 1
             assert svc.counters["simulations"] == 1
             assert svc.store.active_claims() == []
