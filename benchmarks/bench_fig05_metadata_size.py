@@ -41,7 +41,7 @@ def _run_size_sweep():
     """
     jobs = EXPERIMENTS["fig05"].jobs(
         Scale(accesses=BENCH_ACCESSES, warmup=BENCH_WARMUP))
-    results = iter(SimulationEngine().run(jobs, chunk_align=len(SIZES)))
+    results = iter(SimulationEngine().run(jobs))
     energies = {}
     for suite, apps in SUITE_REPRESENTATIVES.items():
         label = SUITE_LABELS[suite]

@@ -18,7 +18,8 @@ old import                               blessed replacement
 ``repro.sim.store.default_store``       :func:`open_store` (no argument)
 ``repro.service.ServiceClient``         :func:`connect` (a ``FleetClient``;
                                         one address is a fleet of one)
-``repro.cli.run_experiment``            :func:`run_figure`
+``repro.cli.run_experiment``            :func:`run_figure` (both run in
+                                        an in-process daemon core)
 ======================================  ===============================
 
 Execution knobs travel as an :class:`EngineOptions` (or its ``jobs``
@@ -98,8 +99,9 @@ def run_figure(name: str,
     results store (``REPRO_STORE``) or ``./results``; stats are written
     under ``<store>/stats/<name>.json`` exactly like ``repro run``.
     ``hierarchy`` substitutes a declarative hierarchy spec (a
-    :class:`HierarchySpec` or a path to its JSON file) into every job of
-    the grid, like ``repro run --hierarchy``.
+    :class:`HierarchySpec`, named ``"custom"``, or a path to its JSON
+    file) into every job of the grid, like ``repro run --hierarchy``;
+    the grid runs, and claims its keys, like a local ``repro run``.
     """
     # Imported lazily: the CLI imports this module's siblings freely and
     # the facade must stay importable without argparse side effects.

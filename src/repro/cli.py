@@ -12,6 +12,8 @@ Subcommands
     simulations, and an interrupted grid resumes from the jobs it already
     persisted.  ``--force`` recomputes (and refreshes) every job; ``--jobs``
     fans simulation out over worker processes (same as ``REPRO_JOBS``).
+    Grids run through the daemon core in-process, which claims cold keys:
+    runs racing on one store simulate each key once between them.
     Metrics are written to ``<store>/stats/<experiment>.json``; ``--check``
     compares them against a committed stats file (``GOLDEN_stats.json`` by
     default) and fails on any difference.
@@ -74,20 +76,21 @@ The store root defaults to ``results/`` (git-ignored) and can be moved with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from contextlib import contextmanager
 
 from .experiments import EXPERIMENTS, Scale, canonical_json
 from .faults import REPRO_FAULTS_ENV, FaultSpecError, install as install_faults
-from .service import FleetClient, ServiceError, main_serve
-from .sim.engine import SimulationEngine
+from .service import FleetClient, ServiceError, SimulationService, \
+    main_serve
 from .sim.options import POOL_KINDS, EngineOptions
 from .sim.store import (
     REPRO_STORE_ENV,
@@ -111,6 +114,7 @@ DEFAULT_SERVICE_PORT = 7341
 # ======================================================================
 # run
 # ======================================================================
+@dataclasses.dataclass
 class RunReport:
     """Outcome of one ``repro run`` experiment (also the test-facing API).
 
@@ -118,23 +122,54 @@ class RunReport:
     (a daemon on unwritable media still answers with the stats payload).
     """
 
-    def __init__(self, name: str, total_jobs: int, stored: int,
-                 simulated: int, seconds: float, stats: Dict[str, Any],
-                 stats_path: Optional[Path]) -> None:
-        self.name = name
-        self.total_jobs = total_jobs
-        self.stored = stored
-        self.simulated = simulated
-        self.seconds = seconds
-        self.stats = stats
-        self.stats_path = stats_path
+    name: str
+    total_jobs: int
+    stored: int
+    simulated: int
+    seconds: float
+    stats: Dict[str, Any]
+    stats_path: Optional[Path]
+
+    @classmethod
+    def from_payload(cls, name: str, payload: Dict[str, Any]) -> "RunReport":
+        """The report of a finished ``submit`` payload (local or remote)."""
+        stats_path = payload.get("stats_path")
+        return cls(name, payload["total_jobs"], payload["stored"],
+                   payload["simulated"], payload["seconds"],
+                   payload["stats"], Path(stats_path) if stats_path else None)
+
+
+def _submit(executor: Any, name: str, scale: Scale,
+            force: bool) -> Dict[str, Any]:
+    """Run one figure grid on a daemon client or an in-process service."""
+    return executor.submit(experiment=name, scale=dataclasses.asdict(scale),
+                           force=force, wait=True)
+
+
+def _run_local(name: str, store: ResultStore, scale: Scale,
+               jobs: Optional[int], force: bool,
+               hierarchy: Any) -> Dict[str, Any]:
+    """One figure on a fresh daemon core without a socket: one worker
+    runs in-process, more pick their pool like the daemon.  Fresh per
+    figure, because the daemon's degraded mode lasts its life: a store
+    that stops taking writes costs a local run cache entries, never the
+    figures after it."""
+    workers = EngineOptions.from_env(jobs=jobs).jobs
+    service = SimulationService(store, jobs=workers,
+                                pool=None if workers > 1 else "thread",
+                                hierarchy=hierarchy)
+    try:
+        return _submit(service, name, scale, force)
+    finally:
+        service.close()
 
 
 def run_experiment(name: str, store: ResultStore, scale: Scale,
                    jobs: Optional[int] = None,
                    force: bool = False,
-                   hierarchy: Optional[str] = None) -> RunReport:
-    """Run one experiment through the store and persist its metrics.
+                   hierarchy: Any = None) -> RunReport:
+    """Run one experiment through an in-process daemon core (see
+    :func:`_run_local`); raises :class:`ServiceError` if a job fails.
 
     ``hierarchy`` names a declarative hierarchy spec file (JSON, see
     :mod:`repro.memory.spec`) — or is a :class:`HierarchySpec` passed
@@ -143,37 +178,12 @@ def run_experiment(name: str, store: ResultStore, scale: Scale,
     ``"custom"``), so the rewritten jobs get their own store keys and
     never collide with the paper systems.
     """
-    from .memory.spec import HierarchySpec, load_hierarchy
-    from .sim.engine import apply_hierarchy
-
-    experiment = EXPERIMENTS[name]
-    spec = spec_name = None
-    if isinstance(hierarchy, HierarchySpec):
-        spec, spec_name, hierarchy = hierarchy, "custom", None
-    elif hierarchy is not None:
-        hierarchy = str(hierarchy)
-    options = EngineOptions.from_env(jobs=jobs, hierarchy=hierarchy)
-    engine = SimulationEngine(store=store, options=options)
-    job_list = experiment.jobs(scale)
-    if spec is None and options.hierarchy:
-        spec = load_hierarchy(options.hierarchy)
-        spec_name = Path(options.hierarchy).stem
-    if spec is not None:
-        job_list = apply_hierarchy(job_list, spec, spec_name)
-    hits_before, misses_before = store.hits, store.misses
-    start = time.perf_counter()
-    results = engine.run(job_list, force=force)
-    seconds = time.perf_counter() - start
-    stored = store.hits - hits_before
-    simulated = store.misses - misses_before
-    stats = experiment.summarize(results, scale)
-    stats_path = store.root / "stats" / f"{name}.json"
-    stats_path.parent.mkdir(parents=True, exist_ok=True)
-    stats_path.write_text(canonical_json(stats), encoding="utf-8")
-    # Keep the next open O(changed shards) instead of O(all lines).
-    store.flush_index()
-    return RunReport(name, len(job_list), stored, simulated, seconds,
-                     stats, stats_path)
+    payload = _run_local(name, store, scale, jobs, force, hierarchy)
+    if payload.get("state") != "done":
+        raise ServiceError(f"{name} failed: "
+                           f"{payload.get('error', 'unknown error')}",
+                           code="job_failed")
+    return RunReport.from_payload(name, payload)
 
 
 def _check_stats(report: RunReport, reference_path: Path) -> int:
@@ -238,10 +248,10 @@ def _trace_dir_env(args: argparse.Namespace):
 
 @contextmanager
 def _faults_env(args: argparse.Namespace):
-    """Arm ``--faults`` for the run's duration (and worker processes).
+    """Arm ``--faults`` for a run's or a daemon's life.
 
     The schedule is installed in-process *and* exported through
-    ``REPRO_FAULTS`` so engine worker processes inherit it; both are
+    ``REPRO_FAULTS`` so pool worker processes inherit it; both are
     undone afterwards so in-process callers (tests) see no lasting
     fault plane.
     """
@@ -253,6 +263,7 @@ def _faults_env(args: argparse.Namespace):
     previous = os.environ.get(REPRO_FAULTS_ENV)
     install_faults(spec)
     os.environ[REPRO_FAULTS_ENV] = spec
+    print(f"repro: fault injection armed: {spec}", file=sys.stderr)
     try:
         yield
     finally:
@@ -263,10 +274,9 @@ def _faults_env(args: argparse.Namespace):
             os.environ[REPRO_FAULTS_ENV] = previous
 
 
-def _scale_wire(args: argparse.Namespace) -> Dict[str, int]:
-    """The scale flags as the service protocol's ``scale`` object."""
-    return {"accesses": args.accesses, "warmup": args.warmup,
-            "mix_accesses": args.mix_accesses}
+def _scale(args: argparse.Namespace) -> Scale:
+    return Scale(accesses=args.accesses, warmup=args.warmup,
+                 mix_accesses=args.mix_accesses)
 
 
 def _report_outputs(report: RunReport, args: argparse.Namespace) -> int:
@@ -285,36 +295,31 @@ def _report_outputs(report: RunReport, args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _remote_run(args: argparse.Namespace, names: List[str]) -> int:
-    """Run experiments against a daemon (``run --remote ADDR``)."""
-    with FleetClient(args.remote) as client:
-        exit_code = 0
-        for name in names:
-            payload = client.submit(experiment=name, scale=_scale_wire(args),
-                                    force=args.force, wait=True)
-            if payload.get("state") != "done":
-                print(f"repro: remote run of {name} failed: "
-                      f"{payload.get('error', 'unknown error')}",
+def _run_all(args: argparse.Namespace, names: List[str],
+             run: Callable[[str], Dict[str, Any]]) -> int:
+    """Run each experiment with ``run(name)``, then print and check its
+    payload: one loop for a daemon and a local run."""
+    exit_code = 0
+    for name in names:
+        payload = run(name)
+        if payload.get("state") != "done":
+            print(f"repro: run of {name} failed: "
+                  f"{payload.get('error', 'unknown error')}",
+                  file=sys.stderr)
+            for failure in payload.get("failed_jobs", []):
+                print(f"  job {failure.get('index')} "
+                      f"[{failure.get('code')}]: {failure.get('error')}",
                       file=sys.stderr)
-                for failure in payload.get("failed_jobs", []):
-                    print(f"  job {failure.get('index')} "
-                          f"[{failure.get('code')}]: {failure.get('error')}",
-                          file=sys.stderr)
-                return 1
-            # stats_path may be null: a degraded daemon (unwritable store
-            # media) still answers with the stats payload itself.
-            stats_path = payload.get("stats_path")
-            report = RunReport(name, payload["total_jobs"], payload["stored"],
-                               payload["simulated"], payload["seconds"],
-                               payload["stats"],
-                               Path(stats_path) if stats_path else None)
-            print(f"{name}: {report.total_jobs} jobs — {report.stored} from "
-                  f"store, {report.simulated} simulated, "
-                  f"{payload['coalesced']} coalesced "
-                  f"({report.seconds:.2f}s) "
-                  f"@ {payload.get('member', client.address)}")
-            exit_code |= _report_outputs(report, args)
-        return exit_code
+            return 1
+        report = RunReport.from_payload(name, payload)
+        where = f"@ {payload['member']}" if "member" in payload \
+            else f"-> {report.stats_path}"
+        print(f"{name}: {report.total_jobs} jobs — {report.stored} from "
+              f"store, {report.simulated} simulated, "
+              f"{payload['coalesced']} coalesced "
+              f"({report.seconds:.2f}s) {where}")
+        exit_code |= _report_outputs(report, args)
+    return exit_code
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -339,27 +344,22 @@ def cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         try:
-            with _faults_env(args):
-                return _remote_run(args, names)
+            with _faults_env(args), FleetClient(args.remote) as client:
+                return _run_all(args, names, lambda name: _submit(
+                    client, name, _scale(args), args.force))
         except (OSError, ServiceError) as exc:
             print(f"repro: cannot run against daemon at {args.remote}: "
                   f"{exc}", file=sys.stderr)
             return 1
     store = ResultStore(args.store)
-    scale = Scale(accesses=args.accesses, warmup=args.warmup,
-                  mix_accesses=args.mix_accesses)
-    exit_code = 0
     with _faults_env(args), _trace_dir_env(args):
-        for name in names:
-            report = run_experiment(name, store, scale, jobs=args.jobs,
-                                    force=args.force,
-                                    hierarchy=args.hierarchy)
-            print(f"{name}: {report.total_jobs} jobs — {report.stored} from "
-                  f"store, {report.simulated} simulated "
-                  f"({report.seconds:.2f}s) "
-                  f"-> {report.stats_path}")
-            exit_code |= _report_outputs(report, args)
-    return exit_code
+        try:
+            return _run_all(args, names, lambda name: _run_local(
+                name, store, _scale(args), args.jobs, args.force,
+                args.hierarchy))
+        except ServiceError as exc:  # a refused submit
+            print(f"repro: {exc}", file=sys.stderr)
+            return 1
 
 
 #: Experiments excluded from the implicit "all" expansion: the sweep and
@@ -430,10 +430,11 @@ def _coverage_marker(cached: int, total: int) -> str:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
+    scale = _scale(args)
     if args.remote:
         try:
             with FleetClient(args.remote) as client:
-                payload = client.status(scale=_scale_wire(args))
+                payload = client.status(scale=dataclasses.asdict(scale))
         except (OSError, ServiceError) as exc:
             print(f"repro: cannot query daemon at {args.remote}: {exc}",
                   file=sys.stderr)
@@ -442,23 +443,19 @@ def cmd_status(args: argparse.Namespace) -> int:
         print(f"daemon @ {payload.get('member', client.address)}: "
               f"store {payload['store']} "
               f"({payload['entries']} stored results)")
-        width = max(len(name) for name in coverage)
-        for name, row in coverage.items():
-            marker = _coverage_marker(row["stored"], row["total"])
-            print(f"  {name:<{width}}  {row['stored']:>4}/"
-                  f"{row['total']:<4} jobs stored  [{marker}]")
-        return 0
-    store = ResultStore(args.store)
-    scale = Scale(accesses=args.accesses, warmup=args.warmup,
-                  mix_accesses=args.mix_accesses)
-    print(f"store: {store.shards_dir} ({len(store)} stored results)")
-    width = max(len(name) for name in EXPERIMENTS)
-    for name, experiment in EXPERIMENTS.items():
-        job_list = experiment.jobs(scale)
-        cached = sum(1 for job in job_list if try_job_key(job) in store)
-        marker = _coverage_marker(cached, len(job_list))
-        print(f"  {name:<{width}}  {cached:>4}/{len(job_list):<4} jobs "
-              f"stored  [{marker}]")
+    else:
+        store = ResultStore(args.store)
+        print(f"store: {store.shards_dir} ({len(store)} stored results)")
+        coverage = {}
+        for name, experiment in EXPERIMENTS.items():
+            job_list = experiment.jobs(scale)
+            coverage[name] = {"total": len(job_list), "stored": sum(
+                try_job_key(job) in store for job in job_list)}
+    width = max(len(name) for name in coverage)
+    for name, row in coverage.items():
+        marker = _coverage_marker(row["stored"], row["total"])
+        print(f"  {name:<{width}}  {row['stored']:>4}/"
+              f"{row['total']:<4} jobs stored  [{marker}]")
     return 0
 
 
@@ -492,27 +489,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
     port, socket_path = args.port, args.socket
     if port is None and socket_path is None:
         port = DEFAULT_SERVICE_PORT
-    with _trace_dir_env(args):
-        try:
+    try:
+        with _faults_env(args), _trace_dir_env(args):
             return main_serve(args.store, port=port,
                               socket_path=socket_path, jobs=args.jobs,
                               ready_file=args.ready_file,
                               job_retries=args.job_retries,
                               job_timeout=args.job_timeout,
                               max_queue=args.max_queue,
-                              faults=args.faults,
                               pool=args.pool,
                               hierarchy=args.hierarchy)
-        except FaultSpecError as exc:
-            print(f"repro: bad --faults schedule: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"repro: bad --hierarchy spec: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"repro: cannot start the daemon: {exc}",
-                  file=sys.stderr)
-            return 1
+    except FaultSpecError as exc:
+        print(f"repro: bad --faults schedule: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"repro: bad --hierarchy spec: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"repro: cannot start the daemon: {exc}", file=sys.stderr)
+        return 1
 
 
 # ======================================================================
@@ -675,9 +670,8 @@ def _print_stats(client: FleetClient, payload: dict) -> int:
         detail = f"{len(children)} children" if children else "in-process"
         if pool["fallback_reason"]:
             detail += f"; fell back: {pool['fallback_reason']}"
-        if member_counters["pool_failovers"]:
-            detail += (f"; {member_counters['pool_failovers']:,} pool "
-                       f"failovers")
+        if pool["failovers"]:
+            detail += f"; {pool['failovers']:,} pool failovers"
         print(f"    pool            : {pool['type']:>10} ({detail})")
         print(f"    store writes    : {member_counters['put_retries']:>10,} "
               f"put retries, {member_counters['put_failures']:,} put "

@@ -272,9 +272,7 @@ class MetadataSweepExperiment(Experiment):
     title = "Figure 5: energy vs metadata cache size (normalized to 1KB)"
 
     def jobs(self, scale: Scale) -> List[Job]:
-        # Application-major, size-minor: one trace-cache entry serves a
-        # whole aligned chunk of len(METADATA_SIZES) jobs (see
-        # SimulationEngine.run's chunk_align).
+        # Application-major, size-minor: adjacent jobs share one trace.
         base = SystemConfig.paper_single_core("lp")
         return [SimulationJob(workload=app, predictor="lp",
                               num_accesses=scale.accesses,

@@ -43,7 +43,7 @@ kind           effect at the site
 ``crash``      raise :class:`InjectedCrashError` — an exception escaping a
                worker the way a real bug would
 ``kill``       ``os._exit(86)`` — genuine process death.  Acts only in a
-               worker *child* process (an engine pool worker); in the main
+               worker *child* process (a process-pool worker); in the main
                or daemon process the rule is evaluated but inert, so a
                schedule can never take the process under test down (use
                ``crash`` for thread-pool workers)
@@ -320,13 +320,13 @@ class FaultPlane:
             raise ConnectionResetError(
                 f"injected fault at {site}: connection dropped")
         if kind == "kill":
-            # Genuine process death, but only in an engine pool *child*:
+            # Genuine process death, but only in a pool worker *child*:
             # in the daemon / main process the rule is evaluated (its
             # times budget advances identically, keeping schedules
             # deterministic across processes) yet inert, so a schedule
             # can never take the process under test down — and the
-            # post-kill serial fallback in the parent completes instead
-            # of re-dying on the same rule.  Use ``crash`` to fail
+            # pool's post-kill thread fallback completes instead of
+            # re-dying on the same rule.  Use ``crash`` to fail
             # thread-pool workers.
             if _in_worker_child():
                 os._exit(KILL_EXIT_STATUS)
@@ -362,7 +362,7 @@ class TornWrite(Exception):
 
 
 def _in_worker_child() -> bool:
-    """True in a process spawned by an engine pool (never the daemon)."""
+    """True in a process spawned by a worker pool (never the daemon)."""
     return multiprocessing.parent_process() is not None
 
 

@@ -9,6 +9,11 @@ cells are simulated exactly once no matter how many clients ask for them
 concurrently, and a killed daemon resumes an interrupted grid from the jobs
 it already persisted.
 
+A local ``python -m repro run`` (and :func:`repro.api.run_figure`) is a
+daemon of one: an in-process service with no socket, so it claims keys,
+writes stats and reports exactly like the daemon.  Jobs run on a
+:class:`~repro.sim.pool.WorkerPool`.
+
 In-flight deduplication
 =======================
 
@@ -26,8 +31,8 @@ is claimed under one lock:
 
 Owners persist their results **in job order** (compute may finish out of
 order; puts do not), so the daemon's shard files are byte-identical to a
-serial ``python -m repro run`` of the same grid — the property the CI
-service job checks with ``diff -r``.
+serial :class:`~repro.sim.engine.SimulationEngine` run of the same grid —
+the property the CI service and determinism jobs check with ``diff -r``.
 
 Protocol
 ========
@@ -74,6 +79,10 @@ The daemon assumes every layer under it can fail and bounds the damage:
   key; only that job fails, its grid completes the rest and reports a
   structured ``failed_jobs`` list, and later submits of a quarantined
   key fail fast (``force`` clears the quarantine);
+* **dying workers** — the worker pool rebuilds itself; a job that kills
+  its worker fails its attempt (so the retry budget and quarantine
+  above apply) and never runs in the daemon's process, while workers
+  that die on every job make the pool fall back to threads;
 * **admission control** — beyond ``REPRO_MAX_QUEUE`` active jobs new
   grids are shed with a retryable ``overloaded`` error instead of
   queueing unboundedly;
@@ -131,26 +140,23 @@ import socketserver
 import sys
 import threading
 import time
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .experiments import EXPERIMENTS, Scale, canonical_json
 from .faults import fault_point
+from .memory.spec import HierarchySpec, load_hierarchy
 from .sim.engine import (
     Job,
     MixJob,
     SimulationJob,
+    apply_hierarchy,
     execute_job,
-    exit_with_parent,
 )
 from .sim.options import EngineOptions
+from .sim.pool import WorkerPool
 from .sim.store import (
     ResultStore,
     job_spec,
@@ -423,7 +429,7 @@ class SimulationService:
 
     Args:
         store: Results-store root directory (or an opened store).
-        jobs: Worker-thread count; ``None`` reads ``REPRO_JOBS`` from the
+        jobs: Worker count; ``None`` reads ``REPRO_JOBS`` from the
             environment, defaulting to 1.
         job_retries: Attempts per job (including the first) before it is
             quarantined; ``None`` reads ``REPRO_JOB_RETRIES``, default 3.
@@ -438,16 +444,16 @@ class SimulationService:
             many-core host; jobs must pickle) or ``"thread"`` (in-process:
             what tests that monkeypatch ``execute_job`` or install an
             in-process fault plane rely on); ``None`` reads
-            ``REPRO_POOL``.  If process workers cannot spawn on this host
-            the daemon falls back to threads and says so in ``stats``.
+            ``REPRO_POOL``.  Falls back to threads (see ``stats``) when
+            process workers cannot spawn or keep dying.
+        hierarchy: A hierarchy spec file (jobs named after its stem) or a
+            :class:`HierarchySpec` (named ``"custom"``) applied to every
+            job; ``None`` reads ``REPRO_HIERARCHY``.
         fleet: Ignored; kept only because ``perfbench/serve.py`` passes it.
     """
 
     #: Base per-job retry backoff in seconds (doubled per attempt).
     RETRY_BACKOFF = 0.05
-    #: Bounded store-append retry inside the daemon (attempts / base s).
-    PUT_ATTEMPTS = 3
-    PUT_BACKOFF = 0.05
     #: Claim-loser store poll interval bounds in seconds (doubled per
     #: poll from base to max — cheap: the fast path is one stat()).
     CLAIM_POLL_BASE = 0.02
@@ -459,24 +465,25 @@ class SimulationService:
                  job_timeout: Optional[float] = None,
                  max_queue: Optional[int] = None,
                  pool: Optional[str] = None,
-                 hierarchy: Optional[str] = None,
+                 hierarchy: Union[str, Path, HierarchySpec, None] = None,
                  fleet: Optional[bool] = None) -> None:
         if not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
+        # Load the hierarchy spec once at startup: a bad file must refuse
+        # the daemon, not poison every submitted experiment later.
+        self.hierarchy_spec: Optional[HierarchySpec] = None
+        self.hierarchy_name: Optional[str] = None
+        if isinstance(hierarchy, HierarchySpec):
+            self.hierarchy_spec, self.hierarchy_name = hierarchy, "custom"
+            hierarchy = None
         # Worker count, pool kind and hierarchy resolve through
         # EngineOptions — the one place REPRO_JOBS / REPRO_POOL /
         # REPRO_HIERARCHY are parsed.
         options = EngineOptions.from_env(jobs=jobs, pool=pool,
                                          hierarchy=hierarchy)
         self.num_workers = options.jobs
-        self.pool_kind = options.pool
-        # Load the hierarchy spec once at startup: a bad file must refuse
-        # the daemon, not poison every submitted experiment later.
-        self.hierarchy_spec = None
-        self.hierarchy_name: Optional[str] = None
-        if options.hierarchy:
-            from .memory.spec import load_hierarchy
+        if self.hierarchy_spec is None and options.hierarchy:
             self.hierarchy_spec = load_hierarchy(options.hierarchy)
             self.hierarchy_name = Path(options.hierarchy).stem
         if job_retries is None:
@@ -495,12 +502,8 @@ class SimulationService:
         del fleet
         #: This daemon's claim signature (diagnostics in claim records).
         self._claim_owner = f"repro-serve-{os.getpid()}"
-        #: Why a requested process pool fell back to threads (or None).
-        self._pool_fallback_reason: Optional[str] = None
-        #: Guards pool replacement after a BrokenProcessPool failover.
-        self._pool_lock = threading.Lock()
         self._closed = False
-        self._pool = self._build_pool()
+        self._pool = WorkerPool(self.num_workers, options.pool)
         #: One lock for the claim phase and every store operation: a job is
         #: classified (stored / in flight / owned) atomically with respect
         #: to other requests' claims and puts.
@@ -525,7 +528,6 @@ class SimulationService:
             "shed": 0,           # submits refused by admission control
             "put_retries": 0,    # store appends retried after a failure
             "put_failures": 0,   # store appends abandoned (degraded mode)
-            "pool_failovers": 0,  # broken process pools rebuilt mid-run
             "claims_won": 0,     # claims this daemon won outright
             "claims_lost": 0,    # claims another daemon held first
             "claim_waits": 0,    # lost claims served from the store
@@ -557,51 +559,10 @@ class SimulationService:
         self._grid = functools.lru_cache(maxsize=GRID_MEMO_SIZE)(
             self._build_grid)
 
-    # ------------------------------------------------------------------
-    # Worker pool
-    # ------------------------------------------------------------------
-    def _build_pool(self):
-        """Build the worker pool of the configured kind.
-
-        A requested process pool is probed immediately (submit + result):
-        hosts where worker processes cannot spawn — sandboxes,
-        RLIMIT_NPROC — fall back to the thread pool at startup, recorded
-        in ``stats()["pool"]["fallback_reason"]``, instead of failing the
-        first grid.
-        """
-        if self.pool_kind == "process":
-            pool = ProcessPoolExecutor(max_workers=self.num_workers,
-                                       initializer=exit_with_parent)
-            try:
-                pool.submit(os.getpid).result()
-                return pool
-            except OSError as exc:
-                pool.shutdown(wait=False)
-                self.pool_kind = "thread"
-                self._pool_fallback_reason = (
-                    f"process workers unavailable ({exc})")
-                _log.warning("%s; using thread workers",
-                             self._pool_fallback_reason)
-        return ThreadPoolExecutor(
-            max_workers=self.num_workers,
-            thread_name_prefix="repro-service-worker")
-
-    def _rebuild_pool(self) -> None:
-        """Replace a broken process pool (a worker died) with a fresh one.
-
-        Mirrors the engine's ``BrokenProcessPool`` failover: the jobs are
-        deterministic, so resubmitting to a fresh pool loses nothing.
-        Thread pools never break this way.
-        """
-        with self._pool_lock:
-            if self._closed:
-                raise RuntimeError(
-                    "cannot schedule new futures after shutdown")
-            if isinstance(self._pool, ProcessPoolExecutor):
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self.counters["pool_failovers"] += 1
-                _log.warning("worker pool broke; rebuilding")
-                self._pool = self._build_pool()
+    @property
+    def pool_kind(self) -> str:
+        """``"process"`` or ``"thread"`` — after any fallback."""
+        return self._pool.kind
 
     # ------------------------------------------------------------------
     # Submission
@@ -684,7 +645,6 @@ class SimulationService:
         """``job_list`` on this daemon's hierarchy override, if any, with
         each job's store key (``None`` for jobs the store cannot hold)."""
         if self.hierarchy_spec is not None:
-            from .sim.engine import apply_hierarchy
             job_list = apply_hierarchy(job_list, self.hierarchy_spec,
                                        self.hierarchy_name)
         return _Grid(tuple(job_list),
@@ -769,15 +729,10 @@ class SimulationService:
     def _submit_job(self, job: Job) -> "Future[Any]":
         """Submit one job to the pool, tracked for admission control.
 
-        Survives one broken-pool event by rebuilding the pool;
         ``RuntimeError`` from a shut-down pool propagates untouched (the
         retry machinery upstream treats it like any failed attempt).
         """
-        try:
-            future = self._pool.submit(execute_job, job)
-        except BrokenProcessPool:
-            self._rebuild_pool()
-            future = self._pool.submit(execute_job, job)
+        future = self._pool.submit(execute_job, job)
         with self._admission_lock:
             self._active_jobs += 1
         future.add_done_callback(self._job_finished)
@@ -1235,30 +1190,19 @@ class SimulationService:
         """Store one owned result with a bounded retry; never raises.
 
         The job's spec is built here, only for results that are stored:
-        warm requests never canonicalise a config.  A failed append is
-        retried (the shard's torn tail is repaired in place by the next
-        locked append); exhausting the budget flips the daemon into
-        degraded read-only mode but does **not** fail the job — the
-        result is already computed and flows back to every waiter, only
-        the cache entry is lost.
+        warm requests never canonicalise a config.  Exhausting the retry
+        budget flips the daemon into degraded read-only mode but does
+        **not** fail the job: only the cache entry is lost.
         """
-        spec = job_spec(job)
-        for attempt in range(1, self.PUT_ATTEMPTS + 1):
-            try:
-                with self._lock:
-                    self.store.put(key, spec, result)
-                return
-            except OSError as error:
-                if attempt == self.PUT_ATTEMPTS:
-                    with self._lock:
-                        self.counters["put_failures"] += 1
-                    _log.warning("giving up storing %s… (%s); entering "
-                                 "degraded read-only mode", key[:12], error)
-                    self._enter_degraded(str(error))
-                    return
-                with self._lock:
-                    self.counters["put_retries"] += 1
-                time.sleep(self.PUT_BACKOFF * (2 ** (attempt - 1)))
+        retries, error = self.store.put_with_retry(
+            key, job_spec(job), result, lock=self._lock)
+        with self._lock:
+            self.counters["put_retries"] += retries
+            self.counters["put_failures"] += error is not None
+        if error is not None:
+            _log.warning("store unwritable; entering degraded read-only "
+                         "mode")
+            self._enter_degraded(str(error))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1314,19 +1258,14 @@ class SimulationService:
             quarantined_keys = len(self._quarantine)
             store = {"entries": len(self.store), "hits": self.store.hits,
                      "misses": self.store.misses, "puts": self.store.puts}
+        counters["pool_failovers"] = self._pool.failovers
         with self._admission_lock:
             active = self._active_jobs
-        processes = getattr(self._pool, "_processes", None)
         return {
             "uptime_seconds": time.time() - self.started_at,
             "workers": self.num_workers,
             "pid": os.getpid(),
-            "pool": {
-                "type": self.pool_kind,
-                "workers": self.num_workers,
-                "children": sorted(processes.keys()) if processes else [],
-                "fallback_reason": self._pool_fallback_reason,
-            },
+            "pool": self._pool.describe(),
             "inflight": inflight,
             "active_jobs": active,
             "quarantined_keys": quarantined_keys,
@@ -1410,45 +1349,15 @@ class SimulationService:
         Jobs already executing run to completion (their puts land, so a
         restart resumes past them); queued jobs are cancelled.  Request
         threads are given ``timeout`` seconds to finish their bookkeeping.
-
-        Process pools need more than the thread pool's drain: a SIGTERM'd
-        daemon must not leave orphaned worker children running
-        simulations nobody will collect, so after the cooperative
-        shutdown any child still alive past the deadline is terminated
-        (then killed).  Thread workers die with the process, which is why
-        the pre-process-pool daemon never needed this.
+        A SIGTERM'd daemon leaves no orphaned worker children: see
+        :meth:`repro.sim.pool.WorkerPool.shutdown`.
         """
-        with self._pool_lock:
-            self._closed = True
-            pool = self._pool
-        if isinstance(pool, ProcessPoolExecutor):
-            self._shutdown_process_pool(pool, wait, timeout)
-        else:
-            pool.shutdown(wait=wait, cancel_futures=True)
+        self._closed = True
+        self._pool.shutdown(wait=wait, timeout=timeout)
         if wait:
             deadline = time.time() + timeout
             for thread in self._request_threads:
                 thread.join(max(0.0, deadline - time.time()))
-
-    @staticmethod
-    def _shutdown_process_pool(pool: ProcessPoolExecutor, wait: bool,
-                               timeout: float) -> None:
-        """Shut a process pool down without leaving orphaned children."""
-        children = list((getattr(pool, "_processes", None) or {}).values())
-        # Cooperative first: cancel the queue and let running jobs finish
-        # within the grace period (their puts land before the restart).
-        pool.shutdown(wait=False, cancel_futures=True)
-        deadline = time.time() + (timeout if wait else 0.5)
-        for child in children:
-            child.join(max(0.0, deadline - time.time()))
-        survivors = [child for child in children if child.is_alive()]
-        for child in survivors:
-            child.terminate()
-        deadline = time.time() + 1.0
-        for child in survivors:
-            child.join(max(0.0, deadline - time.time()))
-            if child.is_alive():
-                child.kill()
 
 
 # ======================================================================
@@ -2241,7 +2150,6 @@ def main_serve(store: Union[str, Path], port: Optional[int] = None,
                job_retries: Optional[int] = None,
                job_timeout: Optional[float] = None,
                max_queue: Optional[int] = None,
-               faults: Optional[str] = None,
                pool: Optional[str] = None,
                hierarchy: Optional[str] = None) -> int:
     """Entry point behind ``python -m repro serve``.
@@ -2252,15 +2160,6 @@ def main_serve(store: Union[str, Path], port: Optional[int] = None,
     shutdown, and serves until stopped.
     """
     import signal
-
-    if faults is not None:
-        from . import faults as faults_module
-        # Install in-process *and* export, so any engine worker process
-        # this daemon's jobs spawn inherits the same schedule.
-        faults_module.install(faults)
-        os.environ[faults_module.REPRO_FAULTS_ENV] = faults
-        print(f"repro.service: fault injection armed: {faults}",
-              flush=True, file=sys.stderr)
 
     service = SimulationService(store, jobs=jobs, job_retries=job_retries,
                                 job_timeout=job_timeout,

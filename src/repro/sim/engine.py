@@ -12,20 +12,21 @@ provides the shared substrate the drivers and benchmarks run on:
 * :class:`TraceCache` — a process-local LRU cache of generated workload
   traces, so a six-system comparison generates each (workload, seed, length)
   trace **once** instead of once per system;
-* :class:`SimulationEngine` — runs a job list either serially (the
-  deterministic fallback) or fanned out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.
+* :class:`SimulationEngine` — runs a job list serially or over a worker
+  pool, reading through the results store.
 
 Parallelism
 ===========
 
 The worker count comes from, in order: the ``jobs=`` constructor argument,
-the ``REPRO_JOBS`` environment variable, and finally 1 (serial).  Results are
-returned in job order regardless of completion order, and every job builds
-its own fresh system state, so **serial and parallel execution produce
-bit-identical results**: workload traces are derived deterministically from
-(workload name, seed) — see :meth:`repro.workloads.base.Workload.generate` —
-and no mutable state is shared between jobs.
+the ``REPRO_JOBS`` environment variable, and finally 1 (serial).  More
+workers submit each job on its own to a :class:`~repro.sim.pool.WorkerPool`,
+the daemon's pool.  Results are returned in job order regardless of
+completion order, and every job builds its own fresh system state, so
+**serial and parallel execution produce bit-identical results**: workload
+traces are derived deterministically from (workload name, seed) — see
+:meth:`repro.workloads.base.Workload.generate` — and no mutable state is
+shared between jobs.
 
 Example::
 
@@ -64,11 +65,8 @@ from __future__ import annotations
 import logging
 import os
 import threading
-import time
 import zipfile
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -80,6 +78,7 @@ from ..workloads.mixes import get_mix, mix_core_plan
 from ..workloads.suite import build_workload
 from .config import SystemConfig
 from .options import EngineOptions
+from .pool import WorkerPool
 from .store import (
     REPRO_STORE_ENV,
     REPRO_TRACE_DIR_ENV,
@@ -345,32 +344,8 @@ def expand_grid(workloads: Sequence[WorkloadSpec],
 
 
 # ======================================================================
-# Job execution (module-level so ProcessPoolExecutor can pickle it)
+# Job execution (module-level so a process pool can pickle it)
 # ======================================================================
-#: How often a pool worker checks that its parent process is still alive.
-_PARENT_POLL_S = 0.5
-
-
-def _exit_when_orphaned(parent: int) -> None:
-    while True:
-        time.sleep(_PARENT_POLL_S)
-        if os.getppid() != parent:
-            os._exit(1)
-
-
-def exit_with_parent() -> None:
-    """Process-pool ``initializer``: end this worker once its parent dies.
-
-    A SIGKILLed daemon or engine never shuts its pool down, and its
-    workers would otherwise idle on forever, reparented.  A daemon thread
-    polls :func:`os.getppid` and exits the worker as soon as it changes.
-    (``PR_SET_PDEATHSIG`` is no substitute: it fires when the *thread*
-    that spawned the worker exits, not the process.)
-    """
-    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
-                     name="repro-parent-watch", daemon=True).start()
-
-
 def mix_traces(mix_name: str, accesses_per_core: int, seed: int = 0,
                trace_cache: Optional[TraceCache] = None
                ) -> Tuple[List[TraceBuffer], List[str]]:
@@ -434,15 +409,17 @@ def execute_job(job: Job, trace_cache: Optional[TraceCache] = None):
 # Engine
 # ======================================================================
 class SimulationEngine:
-    """Runs simulation jobs serially or across worker processes.
+    """Runs simulation jobs serially or across a worker pool.
 
     Args:
-        jobs: Worker-process count.  ``None`` reads ``REPRO_JOBS`` from the
+        jobs: Worker count.  ``None`` reads ``REPRO_JOBS`` from the
             environment, defaulting to 1 (serial).  Any value <= 1 selects
-            the deterministic in-process path; parallel execution produces
-            bit-identical results (see the module docstring).
-        trace_cache: Cache used by the serial path (worker processes always
-            use their own process-local :data:`TRACE_CACHE`).
+            the deterministic in-process path; more uses a worker pool of
+            the options' ``pool`` kind, with bit-identical results.  A job
+            that kills its worker process makes :meth:`run` raise (see
+            :mod:`repro.sim.pool`).
+        trace_cache: Cache used by the serial path (pool workers always
+            use their process's :data:`TRACE_CACHE`).
         store: Content-addressed results store the engine reads through
             (see :mod:`repro.sim.store`).  ``None`` or ``True`` (the
             default) consults the ``REPRO_STORE`` environment variable;
@@ -460,8 +437,8 @@ class SimulationEngine:
                  trace_cache: Optional[TraceCache] = None,
                  store: Union[None, bool, str, Path, ResultStore] = None,
                  options: Optional[EngineOptions] = None) -> None:
-        # All environment resolution (REPRO_JOBS, REPRO_STORE) happens in
-        # EngineOptions — explicit arguments win.
+        # All environment resolution (REPRO_JOBS, REPRO_POOL, REPRO_STORE)
+        # happens in EngineOptions — explicit arguments win.
         if options is None:
             options = EngineOptions.from_env(jobs=jobs)
         else:
@@ -482,22 +459,15 @@ class SimulationEngine:
         #: Store appends abandoned after the retry budget (results were
         #: still returned — the store is a cache, not the ground truth).
         self.put_failures = 0
-        #: Times a broken worker pool forced the serial fallback mid-run.
+        #: Broken worker pools replaced mid-run (see WorkerPool).
         self.pool_failovers = 0
-
-    #: Bounded store-append retry: attempts and base backoff (seconds,
-    #: doubled per attempt).  Transient EIO heals; persistent ENOSPC gives
-    #: up after ~3 tries and the run continues without persisting.
-    PUT_ATTEMPTS = 3
-    PUT_BACKOFF = 0.05
 
     @property
     def parallel(self) -> bool:
         return self.num_workers > 1
 
     # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[Job], chunk_align: int = 1,
-            force: bool = False) -> List:
+    def run(self, jobs: Sequence[Job], force: bool = False) -> List:
         """Execute every job, returning results in job order.
 
         With a store attached, jobs whose key is already stored are served
@@ -507,20 +477,12 @@ class SimulationEngine:
         interrupted grid keeps everything that finished before the
         interruption and resumes from there.  ``force=True`` recomputes
         every job and refreshes its store entry.
-
-        Args:
-            jobs: Jobs to run.
-            chunk_align: Round the pool chunk size up to a multiple of this
-                (the grid helpers pass the per-workload system count, so one
-                worker's chunk covers whole comparisons and its trace cache
-                serves every system of each workload it is handed).
-            force: Recompute (and re-store) jobs even when already stored.
         """
         jobs = list(jobs)
         if not jobs:
             return []
         if self.store is None:
-            return list(self._iter_execute(jobs, chunk_align))
+            return list(self._execute(jobs))
 
         specs: List[Optional[dict]] = []
         keys: List[Optional[str]] = []
@@ -547,81 +509,33 @@ class SimulationEngine:
                             if keys[index] is not None)
                 self.store.misses += keyed
                 self.store.unkeyed += len(missing) - keyed
-            fresh = self._iter_execute([jobs[i] for i in missing],
-                                       chunk_align)
+            fresh = self._execute([jobs[i] for i in missing])
             # Persist each fresh result as it arrives (still in job order),
             # so an interrupted grid keeps its completed jobs on disk.
             for index, result in zip(missing, fresh):
                 results[index] = result
                 if keys[index] is not None:
-                    self.store_put(keys[index], specs[index], result)
+                    retries, error = self.store.put_with_retry(
+                        keys[index], specs[index], result)
+                    self.put_retries += retries
+                    self.put_failures += error is not None
         return results
 
-    def store_put(self, key: str, spec: dict, result) -> bool:
-        """Persist one result with a bounded retry; never raises.
-
-        A torn/failed append leaves the shard repairable in place (see
-        :func:`repro.sim.store._append_payload`), so retrying is always
-        safe; after the budget the failure is reported and the run keeps
-        its in-memory result — losing a cache entry must never lose work.
-        """
-        for attempt in range(1, self.PUT_ATTEMPTS + 1):
-            try:
-                self.store.put(key, spec, result)
-                return True
-            except OSError as error:
-                if attempt == self.PUT_ATTEMPTS:
-                    self.put_failures += 1
-                    _log.warning("giving up storing %s… after %d attempts "
-                                 "(%s)", key[:12], attempt, error)
-                    return False
-                self.put_retries += 1
-                time.sleep(self.PUT_BACKOFF * (2 ** (attempt - 1)))
-        return False
-
-    def _iter_execute(self, jobs: List[Job], chunk_align: int = 1):
-        """Yield results for ``jobs`` in order: serial path or process pool."""
+    def _execute(self, jobs: List[Job]):
+        """Yield results for ``jobs`` in order: in-process, or one pool
+        submission per job."""
         if self.num_workers <= 1 or len(jobs) == 1:
-            cache = self.trace_cache
-            for job in jobs:
-                yield execute_job(job, cache)
+            yield from (execute_job(job, self.trace_cache) for job in jobs)
             return
-        workers = min(self.num_workers, len(jobs))
-        chunksize = max(1, len(jobs) // (workers * 4))
-        if chunk_align > 1:
-            chunksize = -(-chunksize // chunk_align) * chunk_align
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   initializer=exit_with_parent)
+        pool = WorkerPool(min(self.num_workers, len(jobs)),
+                          self.options.pool)
         try:
-            # Force a worker to spawn now: fork/spawn being unavailable
-            # (sandboxes, RLIMIT_NPROC) must trigger the serial fallback,
-            # while errors later, mid-run, should propagate loudly instead
-            # of silently discarding completed work.
-            pool.submit(os.getpid).result()
-        except OSError:
-            pool.shutdown(wait=False)
-            cache = self.trace_cache
-            for job in jobs:
-                yield execute_job(job, cache)
-            return
-        completed = 0
-        try:
-            with pool:
-                for result in pool.map(execute_job, jobs,
-                                       chunksize=chunksize):
-                    completed += 1
-                    yield result
-        except BrokenProcessPool:
-            # A worker died (OOM-kill, injected ``worker.job:kill``, a
-            # segfaulting native extension): the pool poisons every pending
-            # future, but the jobs themselves are deterministic, so finish
-            # the remainder serially instead of discarding the run.
-            self.pool_failovers += 1
-            _log.warning("worker pool broke after %d/%d jobs; finishing "
-                         "the rest serially", completed, len(jobs))
-            cache = self.trace_cache
-            for job in jobs[completed:]:
-                yield execute_job(job, cache)
+            futures = [pool.submit(execute_job, job) for job in jobs]
+            for future in futures:
+                yield future.result()
+        finally:
+            pool.shutdown()
+            self.pool_failovers += pool.failovers
 
     # ------------------------------------------------------------------
     def run_grid(self, workloads: Sequence[WorkloadSpec],
@@ -640,17 +554,9 @@ class SimulationEngine:
         jobs = expand_grid(workloads, predictors, num_accesses,
                            warmup_accesses=warmup_accesses, seeds=(seed,),
                            config=config)
-        results = self.run(jobs, chunk_align=len(predictors))
-        grid: Dict[str, Dict[str, object]] = {}
-        index = 0
-        for workload in workloads:
-            name = workload if isinstance(workload, str) else workload.name
-            per_system: Dict[str, object] = {}
-            for predictor in predictors:
-                per_system[predictor] = results[index]
-                index += 1
-            grid[name] = per_system
-        return grid
+        names = [workload if isinstance(workload, str) else workload.name
+                 for workload in workloads]
+        return self._nest(names, predictors, jobs)
 
     def run_mix_grid(self, mixes: Sequence[str],
                      predictors: Sequence[str],
@@ -663,13 +569,11 @@ class SimulationEngine:
                        accesses_per_core=accesses_per_core, seed=seed,
                        config=config)
                 for mix in mixes for predictor in predictors]
-        results = self.run(jobs, chunk_align=len(predictors))
-        grid: Dict[str, Dict[str, object]] = {}
-        index = 0
-        for mix in mixes:
-            per_system: Dict[str, object] = {}
-            for predictor in predictors:
-                per_system[predictor] = results[index]
-                index += 1
-            grid[mix] = per_system
-        return grid
+        return self._nest(mixes, predictors, jobs)
+
+    def _nest(self, names: Sequence[str], predictors: Sequence[str],
+              jobs: List[Job]) -> Dict[str, Dict[str, object]]:
+        """Run a name-major grid as ``{name: {predictor: result}}``."""
+        results = iter(self.run(jobs))
+        return {name: {predictor: next(results) for predictor in predictors}
+                for name in names}

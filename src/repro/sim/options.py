@@ -17,8 +17,8 @@ The knobs and their environment variables:
 attribute     environment          meaning
 ============  ==================  ==========================================
 ``jobs``      ``REPRO_JOBS``      worker process/thread count (1 = serial)
-``pool``      ``REPRO_POOL``      daemon worker pool kind: ``process``
-                                  (default) or ``thread``
+``pool``      ``REPRO_POOL``      worker pool kind (daemon, engine, local
+                                  runs): ``process`` (default) or ``thread``
 ``store``     ``REPRO_STORE``     results-store root, ``None`` = no store
 ``trace_dir`` ``REPRO_TRACE_DIR`` trace-cache spill dir (``""`` disables;
                                   ``None`` = derive from the store)
@@ -46,14 +46,14 @@ from .store import REPRO_STORE_ENV, REPRO_TRACE_DIR_ENV
 #: daemon workers).  Unset or empty means 1 (deterministic serial path).
 REPRO_JOBS_ENV = "REPRO_JOBS"
 
-#: Environment variable selecting the daemon worker-pool kind.
+#: Environment variable selecting the worker-pool kind.
 REPRO_POOL_ENV = "REPRO_POOL"
 
 #: Environment variable naming a declarative hierarchy spec file applied
 #: to every job (``run --hierarchy`` / ``serve --hierarchy``).
 REPRO_HIERARCHY_ENV = "REPRO_HIERARCHY"
 
-#: Daemon worker-pool kinds.  ``process`` saturates a many-core host;
+#: Worker-pool kinds.  ``process`` saturates a many-core host;
 #: ``thread`` keeps jobs in-process (what tests that monkeypatch
 #: ``execute_job`` or install an in-process fault plane rely on).
 POOL_KINDS = ("process", "thread")

@@ -73,7 +73,7 @@ import socket
 import tempfile
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -451,6 +451,11 @@ CLAIMS_DIRNAME = "claims"
 #: never expire while their owner is alive, so a legitimately long
 #: simulation is never stolen out from under a live daemon.
 CLAIM_TTL = 600.0
+
+#: :meth:`ResultStore.put_with_retry`: attempts, and the base backoff in
+#: seconds (doubled per attempt).
+PUT_ATTEMPTS = 3
+PUT_BACKOFF = 0.05
 
 _CLAIM_HOST = socket.gethostname()
 
@@ -1130,6 +1135,30 @@ class ResultStore:
         meta["entries"].append([key, offset, len(payload)])
         meta["size"] = offset + len(payload)
         self._index_dirty = True
+
+    def put_with_retry(self, key: str, spec: Dict[str, Any],
+                       result: Union[SimulationResult, MultiCoreResult],
+                       lock: Any = None) -> Tuple[int, Optional[OSError]]:
+        """:meth:`put` with a bounded retry, holding ``lock`` around each
+        attempt; never raises ``OSError``.
+
+        Returns ``(retries, error)``: the appends retried, and the last
+        error if every attempt failed.  A failed append leaves the shard
+        repairable in place (:func:`_append_payload`), so a retry is safe.
+        """
+        retries = 0
+        while True:
+            try:
+                with lock or nullcontext():
+                    self.put(key, spec, result)
+                return retries, None
+            except OSError as error:
+                if retries + 1 == PUT_ATTEMPTS:
+                    _log.warning("giving up storing %s… after %d attempts "
+                                 "(%s)", key[:12], PUT_ATTEMPTS, error)
+                    return retries, error
+                time.sleep(PUT_BACKOFF * (2 ** retries))
+                retries += 1
 
     def flush_index(self) -> None:
         """Persist the shard index so the next open is O(changed shards).

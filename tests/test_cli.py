@@ -77,6 +77,21 @@ class TestRun:
         assert main(args) == 0
         assert "0 simulated" in capsys.readouterr().out
 
+    def test_unwritable_store_costs_cache_entries_not_figures(
+            self, tmp_path, capsys):
+        """Every append after the first two fails: each figure still
+        finishes, prints and writes its stats; only entries are lost."""
+        code = main(["run", "fig13", "fig14", "--store", str(tmp_path),
+                     "--accesses", "120", "--warmup", "40",
+                     "--mix-accesses", "80",
+                     "--faults", "store.append:eio@after=2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        for name in ("fig13", "fig14"):
+            assert f"{name}: " in out
+            assert (tmp_path / "stats" / f"{name}.json").is_file()
+        assert len(ResultStore(tmp_path)) == 2
+
     def test_main_rejects_unknown_experiment(self, tmp_path, capsys):
         code = main(["run", "nope", "--store", str(tmp_path)])
         assert code == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import EXPERIMENTS, Scale
 from repro.sim.config import SystemConfig
 from repro.sim.engine import (
     MixJob,
@@ -21,6 +24,8 @@ from repro.sim.engine import (
     expand_grid,
     mix_traces,
 )
+from repro.sim.options import EngineOptions
+from repro.sim.store import serialize_result
 from repro.sim.system import SimulatedSystem, run_predictor_comparison
 from repro.trace import TraceBuffer
 from repro.workloads import build_workload
@@ -29,6 +34,12 @@ from proc_helpers import alive
 
 APPS = ["gapbs.bfs", "605.mcf", "stream"]
 SYSTEMS = ("baseline", "lp", "ideal")
+
+#: A tiny figure scale, so facade runs stay fast.
+TINY = Scale(accesses=120, warmup=40, mix_accesses=80)
+
+HIERARCHIES = Path(__file__).resolve().parent.parent / "examples" / \
+    "hierarchies"
 
 
 def assert_results_identical(first, second):
@@ -170,7 +181,7 @@ class TestSerialParallelEquivalence:
 _ORPHANING_PARENT = """
 import os, signal, sys
 from concurrent.futures import ProcessPoolExecutor
-from repro.sim.engine import exit_with_parent
+from repro.sim.pool import exit_with_parent
 pool = ProcessPoolExecutor(max_workers=1, initializer=exit_with_parent)
 with open(sys.argv[1], "w") as handle:
     handle.write(str(pool.submit(os.getpid).result()))
@@ -228,3 +239,128 @@ class TestGridHelpers:
         assert names == ["gapbs.bfs", "619.lbm", "nas.lu", "bmt"]
         for a, b in zip(first, second):
             assert a is b
+
+
+# ======================================================================
+# EngineOptions resolution
+# ======================================================================
+class TestEngineOptions:
+    def test_defaults(self, monkeypatch):
+        for var in ("REPRO_JOBS", "REPRO_STORE", "REPRO_TRACE_DIR",
+                    "REPRO_FAULTS", "REPRO_POOL", "REPRO_HIERARCHY"):
+            monkeypatch.delenv(var, raising=False)
+        options = EngineOptions.from_env()
+        assert options == EngineOptions(jobs=1, pool="process", store=None,
+                                        trace_dir=None, faults=None,
+                                        hierarchy=None)
+        # The six knobs, and no execution-strategy ones.
+        assert [field.name for field in dataclasses.fields(EngineOptions)] \
+            == ["jobs", "pool", "store", "trace_dir", "faults", "hierarchy"]
+
+    def test_environment_resolution(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setenv("REPRO_POOL", "thread")
+        monkeypatch.setenv("REPRO_STORE", "/tmp/s")
+        monkeypatch.setenv("REPRO_TRACE_DIR", "")
+        monkeypatch.setenv("REPRO_FAULTS", "store.append:eio@times=1")
+        monkeypatch.setenv("REPRO_HIERARCHY", "chain.json")
+        options = EngineOptions.from_env()
+        assert options.jobs == 4
+        assert options.pool == "thread"
+        assert options.store == "/tmp/s"
+        assert options.trace_dir == ""  # empty disables spilling
+        assert options.faults == "store.append:eio@times=1"
+        assert options.hierarchy == "chain.json"
+
+    def test_explicit_beats_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setenv("REPRO_POOL", "thread")
+        options = EngineOptions.from_env(jobs=2, pool="process")
+        assert options.jobs == 2
+        assert options.pool == "process"
+
+    def test_bad_jobs_message(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "many")
+        with pytest.raises(ValueError,
+                           match="REPRO_JOBS must be an integer"):
+            EngineOptions.from_env()
+        monkeypatch.delenv("REPRO_JOBS")
+        with pytest.raises(ValueError, match="pool kind"):
+            EngineOptions.from_env(pool="fibers")
+        monkeypatch.setenv("REPRO_POOL", "fibers")
+        with pytest.raises(ValueError, match="pool kind"):
+            EngineOptions.from_env()
+
+    def test_with_overrides(self):
+        options = EngineOptions(jobs=2, pool="thread")
+        updated = options.with_overrides(jobs=3)
+        assert updated.jobs == 3 and updated.pool == "thread"
+        assert options.jobs == 2  # frozen, copy-on-write
+        assert options.with_overrides(pool="process").pool == "process"
+
+
+# ======================================================================
+# The repro.api facade
+# ======================================================================
+class TestApiFacade:
+    def test_blessed_surface(self):
+        import repro.api as api
+        for name in ("run_job", "run_figure", "open_store", "connect",
+                     "EngineOptions", "SimulationJob", "MixJob",
+                     "SimulationEngine"):
+            assert hasattr(api, name), name
+            assert name in api.__all__, name
+
+    def test_run_job_matches_engine(self):
+        from repro.api import run_job
+        job = SimulationJob(workload="stream", predictor="lp",
+                            num_accesses=200, warmup_accesses=50)
+        direct = serialize_result(execute_job(job))
+        via_api = serialize_result(run_job(job, store=False))
+        assert direct == via_api
+
+    def test_open_store_memoizes(self, tmp_path, monkeypatch):
+        from repro.api import open_store
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        assert open_store() is None
+        first = open_store(tmp_path / "store")
+        assert open_store(tmp_path / "store") is first
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
+        assert open_store() is first
+
+    def test_run_figure_rejects_unknown(self):
+        from repro.api import run_figure
+        with pytest.raises(ValueError, match="unknown experiment"):
+            run_figure("figure999")
+
+    def test_run_figure_matches_a_serial_engine(self, tmp_path,
+                                                monkeypatch):
+        from repro.api import run_figure
+        monkeypatch.delenv("REPRO_HIERARCHY", raising=False)
+        monkeypatch.setenv("REPRO_TRACE_DIR", "")
+        report = run_figure("fig13", scale=TINY, store=tmp_path / "store",
+                            jobs=1)
+        experiment = EXPERIMENTS["fig13"]
+        serial = SimulationEngine(jobs=1, store=False).run(
+            experiment.jobs(TINY))
+        assert report.stats == experiment.summarize(serial, TINY)
+        assert report.simulated == report.total_jobs == len(serial)
+        assert report.stats_path == tmp_path / "store" / "stats" / \
+            "fig13.json"
+        assert json.loads(report.stats_path.read_text()) == report.stats
+
+    def test_run_figure_takes_a_hierarchy_spec_object(self, tmp_path,
+                                                      monkeypatch):
+        from repro.api import apply_hierarchy, load_hierarchy, run_figure
+        monkeypatch.setenv("REPRO_TRACE_DIR", "")
+        spec = load_hierarchy(HIERARCHIES / "four_level.json")
+        report = run_figure("fig13", scale=TINY, store=tmp_path / "store",
+                            jobs=1, hierarchy=spec)
+        experiment = EXPERIMENTS["fig13"]
+        serial = SimulationEngine(jobs=1, store=False).run(
+            apply_hierarchy(experiment.jobs(TINY), spec, "custom"))
+        assert report.stats == experiment.summarize(serial, TINY)
+        # The spec's jobs are keyed apart from the paper systems'.
+        paper = run_figure("fig13", scale=TINY, store=tmp_path / "store",
+                           jobs=1)
+        assert paper.stored == 0

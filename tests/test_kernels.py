@@ -1,4 +1,4 @@
-"""Replay-loop equivalence, execution options and the ``repro.api`` facade.
+"""Replay-loop equivalence: ``run_buffer`` against the record path.
 
 :meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.run_buffer` is the
 simulator's only replay loop.  Its reference is the record path that
@@ -10,14 +10,11 @@ and per-access result lists, never aggregates.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.sim.config import SystemConfig
 from repro.sim.engine import SimulationJob, execute_job
-from repro.sim.options import EngineOptions
 from repro.sim.store import serialize_result
 from repro.sim.system import SimulatedSystem
 from repro.trace import KIND_LOAD, KIND_STORE, TraceBuffer
@@ -135,99 +132,6 @@ class TestSegmentBoundaries:
                           else KIND_LOAD] * int(run))
         assert_replay_matches_records(_buffer(addresses, kinds=kinds),
                                       predictor=predictor)
-
-
-# ======================================================================
-# EngineOptions resolution
-# ======================================================================
-class TestEngineOptions:
-    def test_defaults(self, monkeypatch):
-        for var in ("REPRO_JOBS", "REPRO_STORE", "REPRO_TRACE_DIR",
-                    "REPRO_FAULTS", "REPRO_POOL", "REPRO_HIERARCHY"):
-            monkeypatch.delenv(var, raising=False)
-        options = EngineOptions.from_env()
-        assert options == EngineOptions(jobs=1, pool="process", store=None,
-                                        trace_dir=None, faults=None,
-                                        hierarchy=None)
-        # The six knobs, and no execution-strategy ones.
-        assert [field.name for field in dataclasses.fields(EngineOptions)] \
-            == ["jobs", "pool", "store", "trace_dir", "faults", "hierarchy"]
-
-    def test_environment_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_POOL", "thread")
-        monkeypatch.setenv("REPRO_STORE", "/tmp/s")
-        monkeypatch.setenv("REPRO_TRACE_DIR", "")
-        monkeypatch.setenv("REPRO_FAULTS", "store.append:eio@times=1")
-        monkeypatch.setenv("REPRO_HIERARCHY", "chain.json")
-        options = EngineOptions.from_env()
-        assert options.jobs == 4
-        assert options.pool == "thread"
-        assert options.store == "/tmp/s"
-        assert options.trace_dir == ""  # empty disables spilling
-        assert options.faults == "store.append:eio@times=1"
-        assert options.hierarchy == "chain.json"
-
-    def test_explicit_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_POOL", "thread")
-        options = EngineOptions.from_env(jobs=2, pool="process")
-        assert options.jobs == 2
-        assert options.pool == "process"
-
-    def test_bad_jobs_message(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ValueError,
-                           match="REPRO_JOBS must be an integer"):
-            EngineOptions.from_env()
-        monkeypatch.delenv("REPRO_JOBS")
-        with pytest.raises(ValueError, match="pool kind"):
-            EngineOptions.from_env(pool="fibers")
-        monkeypatch.setenv("REPRO_POOL", "fibers")
-        with pytest.raises(ValueError, match="pool kind"):
-            EngineOptions.from_env()
-
-    def test_with_overrides(self):
-        options = EngineOptions(jobs=2, pool="thread")
-        updated = options.with_overrides(jobs=3)
-        assert updated.jobs == 3 and updated.pool == "thread"
-        assert options.jobs == 2  # frozen, copy-on-write
-        assert options.with_overrides(pool="process").pool == "process"
-
-
-# ======================================================================
-# The repro.api facade
-# ======================================================================
-class TestApiFacade:
-    def test_blessed_surface(self):
-        import repro.api as api
-        for name in ("run_job", "run_figure", "open_store", "connect",
-                     "EngineOptions", "SimulationJob", "MixJob",
-                     "SimulationEngine"):
-            assert hasattr(api, name), name
-            assert name in api.__all__, name
-
-    def test_run_job_matches_engine(self):
-        from repro.api import run_job
-        job = SimulationJob(workload="stream", predictor="lp",
-                            num_accesses=200, warmup_accesses=50)
-        direct = serialize_result(execute_job(job))
-        via_api = serialize_result(run_job(job, store=False))
-        assert direct == via_api
-
-    def test_open_store_memoizes(self, tmp_path, monkeypatch):
-        from repro.api import open_store
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        assert open_store() is None
-        first = open_store(tmp_path / "store")
-        assert open_store(tmp_path / "store") is first
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
-        assert open_store() is first
-
-    def test_run_figure_rejects_unknown(self):
-        from repro.api import run_figure
-        with pytest.raises(ValueError, match="unknown experiment"):
-            run_figure("figure999")
 
 
 # ======================================================================

@@ -21,12 +21,12 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import repro.service as service_module
+import repro.sim.pool as pool_module
 import repro.sim.store as store_module
 from repro.cli import main, run_experiment
 from repro.experiments import EXPERIMENTS, Scale, canonical_json
@@ -49,6 +49,7 @@ from repro.sim.engine import (
     SimulationJob,
     apply_hierarchy,
 )
+from repro.sim.pool import WorkerPool
 from repro.sim.store import ResultStore, job_key, try_job_key
 
 from proc_helpers import alive, children
@@ -621,7 +622,7 @@ class TestFailureHygiene:
         assert payload["state"] == "failed"
         assert service._inflight == {}
         # A replacement pool over the same store still works.
-        service._pool = ThreadPoolExecutor(max_workers=1)
+        service._pool = WorkerPool(1, "thread")
         recovered = service.submit(experiment="fig13", scale=TINY_WIRE,
                                    wait=True)
         assert recovered["state"] == "done"
@@ -1273,7 +1274,7 @@ class TestProcessPool:
         if svc.pool_kind != "process":
             svc.close(wait=True)
             pytest.skip("process pool unavailable on this host: "
-                        f"{svc._pool_fallback_reason}")
+                        f"{svc.stats()['pool']['fallback_reason']}")
         return svc
 
     def test_jobs_run_on_pool_children(self, tmp_path):
@@ -1319,15 +1320,14 @@ class TestProcessPool:
             def shutdown(self, wait=True):
                 del wait
 
-        monkeypatch.setattr(service_module, "ProcessPoolExecutor",
-                            NoProcesses)
-        with caplog.at_level("WARNING", logger="repro.service"):
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", NoProcesses)
+        with caplog.at_level("WARNING", logger="repro.sim.pool"):
             svc = SimulationService(tmp_path / "store", jobs=1,
                                     pool="process")
         try:
             assert svc.pool_kind == "thread"
             [record] = [record for record in caplog.records
-                        if record.name == "repro.service"]
+                        if record.name == "repro.sim.pool"]
             assert record.levelname == "WARNING"
             assert "fork refused" in record.getMessage()
             assert "using thread workers" in record.getMessage()

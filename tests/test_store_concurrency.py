@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,10 +99,13 @@ def test_concurrent_writers_lose_nothing(tmp_path):
 @pytest.mark.slow
 @pytest.mark.parametrize("jobs_env", ["1", "2"])
 def test_two_simultaneous_cli_runs_share_one_store(tmp_path, jobs_env):
-    """Two `python -m repro run` processes racing on one store stay clean.
+    """Two `python -m repro run` processes racing on one store stay clean
+    and simulate each job once between them.
 
-    With REPRO_JOBS=2 each invocation also fans simulation out over worker
-    processes, so the store lock sees contention from both racing parents.
+    Local runs claim their cold keys, so the loser of a key's claim serves
+    the winner's result from the store.  With REPRO_JOBS=2 each invocation
+    also fans simulation out over worker processes, so the store lock sees
+    contention from both racing parents.
     """
     store_dir = tmp_path / "store"
     args = ["-m", "repro", "run", "fig13", "--store", str(store_dir),
@@ -112,15 +116,23 @@ def test_two_simultaneous_cli_runs_share_one_store(tmp_path, jobs_env):
                                stdout=subprocess.PIPE,
                                stderr=subprocess.PIPE)
               for _ in range(2)]
+    simulated = 0
     for process in racers:
-        _, stderr = process.communicate(timeout=300)
+        stdout, stderr = process.communicate(timeout=300)
         assert process.returncode == 0, stderr.decode()
+        match = re.search(r"fig13: (\d+) jobs — (\d+) from store, "
+                          r"(\d+) simulated", stdout.decode())
+        assert match, stdout.decode()
+        total_jobs = int(match.group(1))
+        simulated += int(match.group(3))
+    assert simulated == total_jobs
 
-    # The racing runs may have double-simulated cells (both miss, both
-    # put; newest wins) but must not have lost or corrupted any.
+    # Nothing was lost or corrupted, and no claim was left behind.
     report = fsck_store(store_dir)
     assert report["torn"] == report["corrupt"] == report["foreign"] == 0
     store = ResultStore(store_dir)
+    assert store.active_claims() == []
+    assert store.total_lines() == total_jobs
     scale = Scale(accesses=120, warmup=40, mix_accesses=80)
     rerun = run_experiment("fig13", store, scale)
     assert rerun.simulated == 0
