@@ -54,8 +54,7 @@ def test_figure1_miss_filtering_classification(benchmark):
 
     # Most measured classifications agree with the paper's expectation.  The
     # red-box boundary is qualitative and, at the default benchmark volume,
-    # cold (first-touch) misses blur it for small-footprint applications (see
-    # EXPERIMENTS.md deviation 5), so the bar is a clear majority rather than
-    # near-total agreement.
+    # cold (first-touch) misses blur it for small-footprint applications, so
+    # the bar is a clear majority rather than near-total agreement.
     matches = sum(1 for item in classifications if item.matches_expectation)
     assert matches >= int(0.6 * len(classifications))

@@ -61,6 +61,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.experiments import COMPARED_SYSTEMS, EXPERIMENTS, Scale
 from repro.sim.engine import SimulationEngine, TRACE_CACHE, TraceCache, \
     expand_grid
 from repro.sim.store import ResultStore
@@ -68,7 +69,7 @@ from repro.sim.system import SimulatedSystem
 from repro.sim.config import SystemConfig
 from repro.workloads import HIGHLIGHTED_APPLICATIONS, build_workload
 
-from conftest import BENCH_ACCESSES, BENCH_WARMUP, COMPARED_SYSTEMS, save_result
+from conftest import BENCH_ACCESSES, BENCH_WARMUP, save_result
 
 #: Worker processes for the parallel measurement (>= 2 so the pool is real).
 PARALLEL_JOBS = max(2, int(os.environ.get("REPRO_JOBS", "0") or 0))
@@ -105,10 +106,11 @@ def _run_legacy_serial():
 
 
 def _run_engine(jobs: int, store=False):
+    """The Figure 10-12 grid as ``{application: {system: result}}``."""
+    fig11 = EXPERIMENTS["fig11"]
     engine = SimulationEngine(jobs=jobs, store=store)
-    return engine.run_grid(list(HIGHLIGHTED_APPLICATIONS), COMPARED_SYSTEMS,
-                           num_accesses=BENCH_ACCESSES,
-                           warmup_accesses=BENCH_WARMUP, seed=0)
+    return fig11.grid(engine.run(fig11.jobs(
+        Scale(accesses=BENCH_ACCESSES, warmup=BENCH_WARMUP))))
 
 
 def _run_store_passes(store_dir: str):
@@ -151,8 +153,6 @@ def _sweep_store_report(store_dir: str):
     scale the sharded layout exists for.  Asserts the replay pass is pure
     store traffic and that entries actually spread across shard files.
     """
-    from repro.experiments import EXPERIMENTS, Scale
-
     jobs = EXPERIMENTS["sweep"].jobs(Scale(**SWEEP_STORE_SCALE))
     populate_store = ResultStore(store_dir)
     _, populate_seconds = _timed(
@@ -203,8 +203,6 @@ def _hierarchy_sweep_report(store_dir: str):
     replay pass recomputes nothing: spec-keyed jobs must dedup exactly
     like the fixed paper configurations.
     """
-    from repro.experiments import EXPERIMENTS, Scale
-
     jobs = EXPERIMENTS["hierarchy-sweep"].jobs(Scale(**SWEEP_STORE_SCALE))
     populate_store = ResultStore(store_dir)
     _, populate_seconds = _timed(

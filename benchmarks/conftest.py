@@ -1,49 +1,27 @@
-"""Shared fixtures and helpers for the figure/table reproduction benchmarks.
+"""Shared helpers for the table and throughput benchmarks.
 
-Every benchmark regenerates one table or figure from the paper's evaluation:
-it runs the relevant simulations, prints the same rows/series the paper plots,
-writes them to ``benchmarks/results/`` and asserts the qualitative shape
-(who wins, roughly by how much) that the reproduction is expected to preserve.
+The paper's figure grids and their claims live in the experiment registry
+(:mod:`repro.experiments`): ``python -m repro run <fig> --check`` runs a
+figure and checks the paper's claims about it.  The benchmarks here cover
+what has no registry grid (Figures 1-3, Tables I-II, the storage overhead)
+and the reproduction's own throughput.  Each prints its table, writes it
+to ``benchmarks/results/`` and asserts the qualitative shape.
 
-Simulation volume is controlled with environment variables so the suite can
-be scaled up for higher-fidelity runs:
+Simulation volume is controlled with environment variables:
 
 * ``REPRO_BENCH_ACCESSES`` — measured accesses per application (default 4000)
 * ``REPRO_BENCH_WARMUP`` — warm-up accesses per application (default 1200)
-* ``REPRO_JOBS`` — worker processes for the simulation engine (default 1);
-  the session fixtures fan the (21 application x 6 system) and (mix x
-  predictor) grids out over the :class:`repro.sim.SimulationEngine`, whose
-  parallel results are bit-identical to serial ones.
-* ``REPRO_STORE`` — optional results-store directory (see
-  :mod:`repro.sim.store`); when set, the session grids read previously
-  computed cells through the store instead of resimulating them, so a
-  repeated benchmark session (or one following ``python -m repro run``
-  over the same grid) performs zero redundant simulations.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Sequence
-
-import pytest
-
-from repro.cpu.ooo_core import geometric_mean
-# The Figures 10-12 system list comes from the experiment registry, so the
-# benchmarks and ``python -m repro`` can never drift apart on the grid.
-from repro.experiments import COMPARED_SYSTEMS
-from repro.sim.config import SystemConfig
-from repro.sim.engine import SimulationEngine
-from repro.sim.system import SimulationResult
-from repro.workloads import HIGHLIGHTED_APPLICATIONS, MIXES
 
 #: Number of measured accesses per application per system.
 BENCH_ACCESSES = int(os.environ.get("REPRO_BENCH_ACCESSES", "4000"))
 #: Number of cache/predictor warm-up accesses excluded from statistics.
 BENCH_WARMUP = int(os.environ.get("REPRO_BENCH_WARMUP", "1200"))
-#: Accesses per core for the multi-core mixes.
-BENCH_MIX_ACCESSES = int(os.environ.get("REPRO_BENCH_MIX_ACCESSES", "2500"))
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -54,32 +32,3 @@ def save_result(name: str, text: str) -> Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     return path
-
-
-def geomean(values: Sequence[float]) -> float:
-    return geometric_mean(values)
-
-
-@pytest.fixture(scope="session")
-def single_core_results() -> Dict[str, Dict[str, SimulationResult]]:
-    """Run the 21 highlighted applications on all six compared systems.
-
-    This is the data behind Figures 7, 8, 9, 10, 11 and 12; the whole
-    (21 application x 6 system) grid runs through the simulation engine once
-    per benchmark session — each application trace is generated a single
-    time and shared by all six systems, and the 126 jobs fan out over
-    ``REPRO_JOBS`` worker processes when configured.
-    """
-    engine = SimulationEngine()
-    return engine.run_grid(list(HIGHLIGHTED_APPLICATIONS), COMPARED_SYSTEMS,
-                           num_accesses=BENCH_ACCESSES,
-                           warmup_accesses=BENCH_WARMUP, seed=0)
-
-
-@pytest.fixture(scope="session")
-def multicore_results():
-    """Run the Table II mixes under the baseline, LP and Ideal systems."""
-    engine = SimulationEngine()
-    return engine.run_mix_grid(list(MIXES), ("baseline", "lp", "ideal"),
-                               accesses_per_core=BENCH_MIX_ACCESSES, seed=0,
-                               config=SystemConfig.paper_multi_core())

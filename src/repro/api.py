@@ -95,7 +95,7 @@ def run_figure(name: str,
     """Run one named figure/table experiment grid; returns its RunReport.
 
     ``name`` is a key of :data:`repro.experiments.EXPERIMENTS` (e.g.
-    ``"figure2"``, ``"golden"``).  ``store`` defaults to the configured
+    ``"fig11"``, ``"golden"``).  ``store`` defaults to the configured
     results store (``REPRO_STORE``) or ``./results``; stats are written
     under ``<store>/stats/<name>.json`` exactly like ``repro run``.
     ``hierarchy`` substitutes a declarative hierarchy spec (a
@@ -122,7 +122,7 @@ def run_figure(name: str,
         store = ResultStore(store)
     return run_experiment(name, store, scale or Scale(),
                           jobs=options.jobs, force=force,
-                          hierarchy=hierarchy)
+                          hierarchy=hierarchy, pool=options.pool)
 
 
 def connect(address: Union[str, int]) -> FleetClient:

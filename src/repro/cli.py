@@ -14,9 +14,12 @@ Subcommands
     fans simulation out over worker processes (same as ``REPRO_JOBS``).
     Grids run through the daemon core in-process, which claims cold keys:
     runs racing on one store simulate each key once between them.
-    Metrics are written to ``<store>/stats/<experiment>.json``; ``--check``
-    compares them against a committed stats file (``GOLDEN_stats.json`` by
-    default) and fails on any difference.
+    Metrics are written to ``<store>/stats/<experiment>.json``.  A bare
+    ``--check`` evaluates the paper's claims about an experiment that
+    has them (``fig05``, ``fig07``-``fig15``) and fails naming each one
+    that does not hold; otherwise ``--check [FILE]`` compares the metrics
+    against a committed stats file (``GOLDEN_stats.json`` by default) and
+    fails on any difference.
 
     Trace generation reads through the on-disk trace cache: buffers spill
     to ``<store>/traces/*.npz`` (override with ``--trace-dir`` or the
@@ -87,7 +90,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from contextlib import contextmanager
 
-from .experiments import EXPERIMENTS, Scale, canonical_json
+from .experiments import EXPERIMENTS, Scale, canonical_json, failed_claims
 from .faults import REPRO_FAULTS_ENV, FaultSpecError, install as install_faults
 from .service import FleetClient, ServiceError, SimulationService, \
     main_serve
@@ -148,15 +151,15 @@ def _submit(executor: Any, name: str, scale: Scale,
 
 def _run_local(name: str, store: ResultStore, scale: Scale,
                jobs: Optional[int], force: bool,
-               hierarchy: Any) -> Dict[str, Any]:
+               hierarchy: Any, pool: Optional[str] = None) -> Dict[str, Any]:
     """One figure on a fresh daemon core without a socket: one worker
-    runs in-process, more pick their pool like the daemon.  Fresh per
-    figure, because the daemon's degraded mode lasts its life: a store
-    that stops taking writes costs a local run cache entries, never the
-    figures after it."""
+    runs in-process, more use ``pool`` (default: the daemon's choice).
+    Fresh per figure, because the daemon's degraded mode lasts its life:
+    a store that stops taking writes costs a local run cache entries,
+    never the figures after it."""
     workers = EngineOptions.from_env(jobs=jobs).jobs
     service = SimulationService(store, jobs=workers,
-                                pool=None if workers > 1 else "thread",
+                                pool=pool if workers > 1 else "thread",
                                 hierarchy=hierarchy)
     try:
         return _submit(service, name, scale, force)
@@ -167,7 +170,8 @@ def _run_local(name: str, store: ResultStore, scale: Scale,
 def run_experiment(name: str, store: ResultStore, scale: Scale,
                    jobs: Optional[int] = None,
                    force: bool = False,
-                   hierarchy: Any = None) -> RunReport:
+                   hierarchy: Any = None,
+                   pool: Optional[str] = None) -> RunReport:
     """Run one experiment through an in-process daemon core (see
     :func:`_run_local`); raises :class:`ServiceError` if a job fails.
 
@@ -176,14 +180,29 @@ def run_experiment(name: str, store: ResultStore, scale: Scale,
     programmatically via :func:`repro.api.run_figure` — applied to every
     job of the experiment; the system name becomes the file's stem (or
     ``"custom"``), so the rewritten jobs get their own store keys and
-    never collide with the paper systems.
+    never collide with the paper systems.  ``pool`` picks the worker
+    pool kind when more than one worker runs (see
+    :class:`~repro.sim.options.EngineOptions`).
     """
-    payload = _run_local(name, store, scale, jobs, force, hierarchy)
+    payload = _run_local(name, store, scale, jobs, force, hierarchy, pool)
     if payload.get("state") != "done":
         raise ServiceError(f"{name} failed: "
                            f"{payload.get('error', 'unknown error')}",
                            code="job_failed")
     return RunReport.from_payload(name, payload)
+
+
+def _check_claims(report: RunReport) -> int:
+    """Evaluate the paper's claims about an experiment on its metrics."""
+    experiment = EXPERIMENTS[report.name]
+    failed = failed_claims(experiment, report.stats)
+    for claim in failed:
+        print(f"repro: check failed: {report.name} claim {claim} does not "
+              "hold", file=sys.stderr)
+    if not failed:
+        print(f"  check: {report.name} holds all "
+              f"{len(experiment.claims)} paper claims")
+    return 1 if failed else 0
 
 
 def _check_stats(report: RunReport, reference_path: Path) -> int:
@@ -283,9 +302,10 @@ def _report_outputs(report: RunReport, args: argparse.Namespace) -> int:
     """The ``--check`` / ``--stats-out`` tail shared by the local and
     remote run paths."""
     exit_code = 0
-    if args.check is not None:
-        reference = Path(args.check) if args.check else \
-            Path(GOLDEN_STATS_FILENAME)
+    if args.check == "" and EXPERIMENTS[report.name].claims:
+        exit_code |= _check_claims(report)
+    elif args.check is not None:
+        reference = Path(args.check or GOLDEN_STATS_FILENAME)
         exit_code |= _check_stats(report, reference)
     if args.stats_out:
         out = Path(args.stats_out)
@@ -333,9 +353,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                   "always written under <store>/stats/)", file=sys.stderr)
             return 2
         if args.check is not None:
-            print("repro: --check diffs against a single reference file; "
-                  "run the one experiment it belongs to (e.g. 'run golden "
-                  "--check')", file=sys.stderr)
+            print("repro: --check checks one experiment at a time; run "
+                  "each on its own (e.g. 'run golden --check')",
+                  file=sys.stderr)
             return 2
     if args.remote:
         if getattr(args, "hierarchy", None):
@@ -828,7 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="recompute jobs even when already stored")
     run_parser.add_argument("--check", nargs="?", const="", default=None,
                             metavar="FILE",
-                            help="diff computed stats against FILE "
+                            help="without FILE, check the paper's claims "
+                                 "about an experiment that has them; else "
+                                 "diff computed stats against FILE "
                                  f"(default {GOLDEN_STATS_FILENAME}) and "
                                  "fail on mismatch")
     run_parser.add_argument("--stats-out", default=None, metavar="FILE",

@@ -22,14 +22,14 @@ from __future__ import annotations
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .cpu.ooo_core import geometric_mean
 from .sim.config import SystemConfig
 from .sim.engine import Job, MixJob, SimulationJob
 from .sim.multicore import MultiCoreResult
 from .sim.system import SimulationResult
-from .workloads import HIGHLIGHTED_APPLICATIONS, MIXES
+from .workloads import HIGHLIGHTED_APPLICATIONS, MIXES, get_application
 
 #: The systems compared in Figures 10-12 (baseline first: normalisation).
 COMPARED_SYSTEMS: Tuple[str, ...] = ("baseline", "tage-2kb", "tage-8kb",
@@ -134,14 +134,46 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+#: One qualitative claim of the paper: a name and a predicate over the
+#: stats an experiment's :meth:`Experiment.summarize` returns.
+Claim = Tuple[str, Callable[[Dict[str, Any]], bool]]
+
+
+def failed_claims(experiment: "Experiment",
+                  stats: Mapping[str, Any]) -> List[str]:
+    """Names of the experiment's claims that ``stats`` does not satisfy.
+
+    A claim that reads a key ``stats`` lacks (a grid summarised under a
+    custom hierarchy, a hand-edited stats file) fails by name instead of
+    raising.
+    """
+    failed = []
+    for name, holds in experiment.claims:
+        try:
+            ok = bool(holds(stats))
+        except (LookupError, TypeError, ValueError, ArithmeticError):
+            ok = False
+        if not ok:
+            failed.append(name)
+    return failed
+
+
+def _mean(values) -> float:
+    values = list(values)
+    return sum(values) / len(values)
+
+
 # ======================================================================
 # Experiment kinds
 # ======================================================================
 class Experiment(ABC):
-    """One figure/table grid: a job list plus a metric reduction."""
+    """One figure/table grid: a job list, a metric reduction and the
+    paper's claims about those metrics (checked by ``run <fig> --check``).
+    """
 
     name: str
     title: str
+    claims: Tuple[Claim, ...] = ()
 
     @abstractmethod
     def jobs(self, scale: Scale) -> List[Job]:
@@ -195,9 +227,11 @@ class SingleGridExperiment(Experiment):
 class _MetricsSingleGrid(SingleGridExperiment):
     """A single-core grid whose metrics come from a plain function."""
 
-    def __init__(self, name, title, applications, predictors, metrics):
+    def __init__(self, name, title, applications, predictors, metrics,
+                 claims: Tuple[Claim, ...] = ()):
         super().__init__(name, title, applications, predictors)
         self._metrics = metrics
+        self.claims = claims
 
     def metrics(self, grid):
         return self._metrics(grid)
@@ -207,12 +241,14 @@ class MixGridExperiment(Experiment):
     """A (mix x predictor) multi-core grid."""
 
     def __init__(self, name: str, title: str, mixes: Sequence[str],
-                 predictors: Sequence[str], metrics) -> None:
+                 predictors: Sequence[str], metrics,
+                 claims: Tuple[Claim, ...] = ()) -> None:
         self.name = name
         self.title = title
         self.mixes = tuple(mixes)
         self.predictors = tuple(predictors)
         self._metrics = metrics
+        self.claims = claims
 
     def jobs(self, scale: Scale) -> List[Job]:
         return [MixJob(mix=mix, predictor=predictor,
@@ -264,6 +300,18 @@ class SensitivityExperiment(Experiment):
             speedups[variant] = geometric_mean(per_app)
         return {"lp_geomean_speedup": speedups}
 
+    #: LP helps in every configuration; the most aggressive core gains
+    #: least (paper: 7.8% shrinks to 5.6%) but still gains.
+    claims = (
+        ("lp_gains_in_every_configuration", lambda s: all(
+            value > 1.0 for value in s["lp_geomean_speedup"].values())),
+        ("aggressive_core_gains_no_more_than_default", lambda s: (
+            s["lp_geomean_speedup"]["aggressive-core"]
+            <= s["lp_geomean_speedup"]["default"] + 0.01)),
+        ("aggressive_core_still_gains", lambda s: (
+            s["lp_geomean_speedup"]["aggressive-core"] >= 1.005)),
+    )
+
 
 class MetadataSweepExperiment(Experiment):
     """Figure 5: cache-hierarchy energy vs. LocMap metadata-cache size."""
@@ -303,6 +351,15 @@ class MetadataSweepExperiment(Experiment):
             for size in METADATA_SIZES}
         return {"normalized_energy": normalized, "geomean": geo}
 
+    #: 2 KB is the sweet spot: it costs about as much energy as 1 KB, and
+    #: the largest size is never the cheapest.
+    claims = (
+        ("2kb_energy_near_1kb", lambda s: s["geomean"]["2048"] < 1.15),
+        ("8kb_not_cheapest", lambda s: (
+            s["geomean"]["8192"] >= min(s["geomean"].values()) - 1e-9)),
+        ("energy_sweep_nonzero", lambda s: max(s["geomean"].values()) > 0.0),
+    )
+
 
 # ======================================================================
 # Metric reductions for the shared single-core / mix grids
@@ -315,11 +372,47 @@ def _fig07_metrics(grid) -> Dict[str, Any]:
             "mean_harmful": sum(harmful) / len(harmful)}
 
 
+#: Prediction is accurate (harmful predictions are rare; the paper's worst
+#: cases stay around 20%) and finds many useful skips where LP pays off.
+_FIG07_CLAIMS: Tuple[Claim, ...] = (
+    ("breakdown_sums_to_one", lambda s: all(
+        abs(sum(row.values()) - 1.0) < 1e-6
+        for row in s["breakdown"].values())),
+    ("harmful_at_most_25pct_for_all_but_two_apps", lambda s: (
+        sum(row["harmful"] <= 0.25 for row in s["breakdown"].values())
+        >= len(s["breakdown"]) - 2)),
+    ("mean_harmful_below_10pct", lambda s: s["mean_harmful"] < 0.10),
+    ("graph_and_gups_mostly_skip", lambda s: all(
+        s["breakdown"][app]["skip"] > 0.5
+        for app in ("gapbs.pr", "gapbs.tc", "gups", "nas.is"))),
+)
+
+
 def _fig08_metrics(grid) -> Dict[str, Any]:
     return {app: {
         "metadata_miss_ratio": results["lp"].metadata_miss_ratio,
         "pld_misprediction_ratio": results["lp"].pld_misprediction_ratio,
     } for app, results in grid.items()}
+
+
+#: Low accuracy is not just metadata misses: graph apps and gups stress
+#: the metadata cache, and the PLD still predicts well for them.
+_FIG08_CLAIMS: Tuple[Claim, ...] = (
+    ("ratios_in_unit_interval", lambda s: all(
+        0.0 <= row["metadata_miss_ratio"] <= 1.0
+        and 0.0 <= row["pld_misprediction_ratio"] <= 1.0
+        for row in s.values())),
+    ("local_apps_keep_metadata_cache_effective", lambda s: all(
+        s[app]["metadata_miss_ratio"] < 0.5
+        for app in ("627.cam", "602.gcc"))),
+    ("gups_stresses_metadata_cache", lambda s: (
+        s["gups"]["metadata_miss_ratio"] > 0.5)),
+    ("pagerank_stresses_metadata_cache", lambda s: (
+        s["gapbs.pr"]["metadata_miss_ratio"] > 0.3)),
+    ("pld_moderate_when_metadata_stressed", lambda s: all(
+        s[app]["pld_misprediction_ratio"] < 0.5
+        for app in ("gups", "gapbs.pr", "gapbs.bc"))),
+)
 
 
 def _fig09_metrics(grid) -> Dict[str, Any]:
@@ -338,6 +431,34 @@ def _fig09_metrics(grid) -> Dict[str, Any]:
     return out
 
 
+#: The predictor's lookup targets (L2, L3, memory) and their multi-way
+#: combinations, as :func:`_fig09_metrics` names them.
+_FIG09_TARGETS: Tuple[str, ...] = ("L2", "L3", "L2+L3", "MEM", "L2+MEM",
+                                   "L3+MEM", "L2+L3+MEM")
+
+
+def _fig09_targets(levels: Mapping[str, float]) -> Dict[str, float]:
+    return {target: levels.get(target, 0.0) for target in _FIG09_TARGETS}
+
+
+#: Multi-way predictions are a minority (Section V.A); memory-bound gups
+#: is predicted off-chip and gcc keeps a visible share of L2 targets.
+_FIG09_CLAIMS: Tuple[Claim, ...] = (
+    ("targets_sum_to_one", lambda s: all(
+        abs(sum(_fig09_targets(row["levels"]).values()) - 1.0) < 1e-6
+        for row in s.values())),
+    ("multi_way_minority", lambda s: all(
+        sum(value for target, value in _fig09_targets(row["levels"]).items()
+            if "+" in target) < 0.6
+        for row in s.values())),
+    ("gups_predicted_memory_or_l3_memory", lambda s: (
+        s["gups"]["levels"].get("MEM", 0.0)
+        + s["gups"]["levels"].get("L3+MEM", 0.0) > 0.5)),
+    ("gcc_keeps_l2_targets", lambda s: (
+        s["602.gcc"]["levels"].get("L2", 0.0) > 0.1)),
+)
+
+
 def _per_system_metrics(grid, metric) -> Dict[str, Any]:
     """Per-application values of ``metric(result, baseline)`` per system."""
     per_app = {
@@ -351,13 +472,71 @@ def _per_system_metrics(grid, metric) -> Dict[str, Any]:
     return {"per_application": per_app, "geomean": geomean}
 
 
+def _per_app_mean(stats, system: str) -> float:
+    """Arithmetic mean of one system's per-application values."""
+    return _mean(row[system] for row in stats["per_application"].values())
+
+
 def _fig10_metrics(grid) -> Dict[str, Any]:
-    return _per_system_metrics(
+    metrics = _per_system_metrics(
         grid, lambda r, base: r.normalized_energy_over(base))
+    metrics["lp_recovery_fraction"] = {
+        app: results["lp"].recovery.recovery_energy_fraction
+        for app, results in grid.items()}
+    return metrics
+
+
+#: LP saves cache-hierarchy energy (paper: 16%) on almost every
+#: application; the larger 8 KB TAGE costs more than the 2 KB one, and
+#: recovery is a small share of the energy (paper: ~1%).
+_FIG10_CLAIMS: Tuple[Claim, ...] = (
+    ("lp_saves_energy_on_average", lambda s: _per_app_mean(s, "lp") < 0.95),
+    ("lp_costs_more_energy_on_at_most_5_apps", lambda s: sum(
+        row["lp"] > 1.0 for row in s["per_application"].values()) <= 5),
+    ("tage_8kb_costs_at_least_tage_2kb", lambda s: (
+        _per_app_mean(s, "tage-8kb") > _per_app_mean(s, "tage-2kb") - 0.02)),
+    ("lp_cheaper_than_tage_8kb", lambda s: (
+        _per_app_mean(s, "lp") < _per_app_mean(s, "tage-8kb"))),
+    ("recovery_energy_below_5pct", lambda s: (
+        _mean(s["lp_recovery_fraction"].values()) < 0.05)),
+)
 
 
 def _fig11_metrics(grid) -> Dict[str, Any]:
     return _per_system_metrics(grid, lambda r, base: r.speedup_over(base))
+
+
+def _high_benefit_lp_speedups(stats) -> List[float]:
+    """LP speedups of the applications the paper expects to gain most."""
+    return [row["lp"] for app, row in stats["per_application"].items()
+            if get_application(app).expected_benefit == "high"]
+
+
+#: The headline: LP's geomean speedup (paper: 7.8%), the ordering
+#: Ideal >= D2D >= LP >= TAGE-8KB, LP within a few percent of D2D and
+#: Ideal, and clear gains for the high-benefit applications.
+_FIG11_CLAIMS: Tuple[Claim, ...] = (
+    ("lp_geomean_speedup_1.03_to_1.15", lambda s: (
+        1.03 <= s["geomean"]["lp"] <= 1.15)),
+    ("ideal_at_least_d2d", lambda s: (
+        s["geomean"]["ideal"] >= s["geomean"]["d2d"] - 1e-6)),
+    ("d2d_at_least_lp", lambda s: (
+        s["geomean"]["d2d"] >= s["geomean"]["lp"] - 1e-3)),
+    ("lp_at_least_tage_8kb", lambda s: (
+        s["geomean"]["lp"] >= s["geomean"]["tage-8kb"] - 5e-3)),
+    ("ideal_gains_and_tage_2kb_breaks_even", lambda s: (
+        s["geomean"]["ideal"] > 1.0 and s["geomean"]["tage-2kb"] > 0.98)),
+    ("lp_within_3pct_of_d2d", lambda s: (
+        s["geomean"]["d2d"] - s["geomean"]["lp"] < 0.03)),
+    ("lp_within_3pct_of_ideal", lambda s: (
+        s["geomean"]["ideal"] - s["geomean"]["lp"] < 0.03)),
+    ("high_benefit_apps_geomean_above_1.05", lambda s: (
+        geometric_mean(_high_benefit_lp_speedups(s)) > 1.05)),
+    ("every_high_benefit_app_above_1.02", lambda s: (
+        min(_high_benefit_lp_speedups(s)) > 1.02)),
+    ("no_app_below_0.98_with_lp", lambda s: all(
+        row["lp"] > 0.98 for row in s["per_application"].values())),
+)
 
 
 def _fig12_metrics(grid) -> Dict[str, Any]:
@@ -366,25 +545,73 @@ def _fig12_metrics(grid) -> Dict[str, Any]:
             for app, results in grid.items()}
 
 
+def _relative_latency(row: Mapping[str, float], system: str) -> float:
+    """One system's average memory access latency over the baseline's."""
+    return row[system] / row["baseline"] if row["baseline"] else 1.0
+
+
+#: LP cuts the average memory access latency (paper: ~20%), most for
+#: the graph applications and gups; Ideal is at least as good everywhere.
+_FIG12_CLAIMS: Tuple[Claim, ...] = (
+    ("lp_cuts_mean_latency_below_0.97", lambda s: _mean(
+        _relative_latency(row, "lp") for row in s.values()) < 0.97),
+    ("ideal_latency_at_most_lp", lambda s: all(
+        _relative_latency(row, "ideal")
+        <= _relative_latency(row, "lp") + 1e-6 for row in s.values())),
+    ("graph_and_gups_latency_below_0.95", lambda s: all(
+        _relative_latency(s[app], "lp") < 0.95
+        for app in ("gapbs.pr", "gapbs.bc", "gups"))),
+)
+
+
 def _fig13_metrics(grid) -> Dict[str, Any]:
     return {mix: dict(results["lp"].accuracy_breakdown)
             for mix, results in grid.items()}
+
+
+#: Multi-core accuracy is lower than single-core (contention, untracked
+#: coherence events) but harmful predictions stay a minority.
+_FIG13_CLAIMS: Tuple[Claim, ...] = (
+    ("breakdown_sums_to_one", lambda s: all(
+        abs(sum(row.values()) - 1.0) < 1e-6 for row in s.values())),
+    ("harmful_below_35pct_per_mix", lambda s: all(
+        row["harmful"] < 0.35 for row in s.values())),
+    ("mean_harmful_below_20pct", lambda s: _mean(
+        row["harmful"] for row in s.values()) < 0.2),
+)
 
 
 def _fig14_metrics(grid) -> Dict[str, Any]:
     per_mix = {mix: {
         "lp_speedup": results["lp"].speedup_over(results["baseline"]),
         "ideal_speedup": results["ideal"].speedup_over(results["baseline"]),
+        "lp_energy_efficiency": results["lp"].energy_efficiency_over(
+            results["baseline"]),
     } for mix, results in grid.items()}
     return {
         "per_mix": per_mix,
-        "geomean": {
-            "lp_speedup": geometric_mean(
-                [row["lp_speedup"] for row in per_mix.values()]),
-            "ideal_speedup": geometric_mean(
-                [row["ideal_speedup"] for row in per_mix.values()]),
-        },
+        "geomean": {metric: geometric_mean(
+                        [row[metric] for row in per_mix.values()])
+                    for metric in ("lp_speedup", "ideal_speedup",
+                                   "lp_energy_efficiency")},
     }
+
+
+#: LP speeds up every mix (paper: ~6% of a ~7% potential) and improves
+#: energy efficiency (paper: ~8%).
+_FIG14_CLAIMS: Tuple[Claim, ...] = (
+    ("lp_speeds_up_every_mix", lambda s: all(
+        row["lp_speedup"] > 0.99 for row in s["per_mix"].values())),
+    ("lp_geomean_speedup_above_1.01", lambda s: (
+        s["geomean"]["lp_speedup"] > 1.01)),
+    ("ideal_at_least_lp", lambda s: (
+        s["geomean"]["ideal_speedup"] >= s["geomean"]["lp_speedup"] - 1e-6)),
+    ("lp_captures_half_of_ideal", lambda s: (
+        s["geomean"]["lp_speedup"]
+        > 1.0 + 0.5 * (s["geomean"]["ideal_speedup"] - 1.0))),
+    ("lp_improves_energy_efficiency", lambda s: (
+        s["geomean"]["lp_energy_efficiency"] > 1.0)),
+)
 
 
 # ======================================================================
@@ -643,29 +870,35 @@ def _build_registry() -> Dict[str, Experiment]:
     experiments: List[Experiment] = [
         _MetricsSingleGrid(
             "fig07", "Figure 7: level prediction outcome breakdown",
-            apps, ("lp",), _fig07_metrics),
+            apps, ("lp",), _fig07_metrics,
+            _FIG07_CLAIMS),
         _MetricsSingleGrid(
             "fig08", "Figure 8: metadata misses and PLD mispredictions",
-            apps, ("lp",), _fig08_metrics),
+            apps, ("lp",), _fig08_metrics,
+            _FIG08_CLAIMS),
         _MetricsSingleGrid(
             "fig09", "Figure 9: levels suggested by the predictor",
-            apps, ("lp",), _fig09_metrics),
+            apps, ("lp",), _fig09_metrics,
+            _FIG09_CLAIMS),
         _MetricsSingleGrid(
             "fig10", "Figure 10: normalized cache-hierarchy energy",
-            apps, COMPARED_SYSTEMS, _fig10_metrics),
+            apps, COMPARED_SYSTEMS, _fig10_metrics,
+            _FIG10_CLAIMS),
         _MetricsSingleGrid(
             "fig11", "Figure 11: speedup over the baseline system",
-            apps, COMPARED_SYSTEMS, _fig11_metrics),
+            apps, COMPARED_SYSTEMS, _fig11_metrics,
+            _FIG11_CLAIMS),
         _MetricsSingleGrid(
             "fig12", "Figure 12: average memory access latency",
-            apps, COMPARED_SYSTEMS, _fig12_metrics),
+            apps, COMPARED_SYSTEMS, _fig12_metrics,
+            _FIG12_CLAIMS),
         MetadataSweepExperiment(),
         MixGridExperiment(
             "fig13", "Figure 13: multi-core prediction accuracy",
-            mixes, MIX_PREDICTORS, _fig13_metrics),
+            mixes, MIX_PREDICTORS, _fig13_metrics, _FIG13_CLAIMS),
         MixGridExperiment(
             "fig14", "Figure 14: multi-core speedup",
-            mixes, MIX_PREDICTORS, _fig14_metrics),
+            mixes, MIX_PREDICTORS, _fig14_metrics, _FIG14_CLAIMS),
         SensitivityExperiment(),
         GoldenExperiment(),
         SweepExperiment(apps, mixes),

@@ -1251,7 +1251,6 @@ class SimulationService:
     def stats(self) -> Dict[str, Any]:
         """Server counters: the store/dedup traffic since startup."""
         from .faults import counters_snapshot
-        from .sim.engine import TRACE_CACHE
         with self._lock:
             counters = dict(self.counters)
             inflight = len(self._inflight)
@@ -1272,10 +1271,6 @@ class SimulationService:
             "degraded": self.degraded,
             "counters": counters,
             "store": store,
-            "trace_cache": {"hits": TRACE_CACHE.hits,
-                            "misses": TRACE_CACHE.misses,
-                            "disk_hits": TRACE_CACHE.disk_hits,
-                            "disk_spills": TRACE_CACHE.disk_spills},
             "faults": counters_snapshot(),
         }
 

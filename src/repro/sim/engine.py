@@ -536,44 +536,3 @@ class SimulationEngine:
         finally:
             pool.shutdown()
             self.pool_failovers += pool.failovers
-
-    # ------------------------------------------------------------------
-    def run_grid(self, workloads: Sequence[WorkloadSpec],
-                 predictors: Sequence[str],
-                 num_accesses: int,
-                 warmup_accesses: int = 0,
-                 seed: int = 0,
-                 config: Optional[SystemConfig] = None
-                 ) -> Dict[str, Dict[str, object]]:
-        """Run a (workload x predictor) grid, returning nested dicts.
-
-        The outer key is the workload's display name (the application name
-        for suite workloads), the inner key the predictor name — the shape
-        every figure benchmark consumes.
-        """
-        jobs = expand_grid(workloads, predictors, num_accesses,
-                           warmup_accesses=warmup_accesses, seeds=(seed,),
-                           config=config)
-        names = [workload if isinstance(workload, str) else workload.name
-                 for workload in workloads]
-        return self._nest(names, predictors, jobs)
-
-    def run_mix_grid(self, mixes: Sequence[str],
-                     predictors: Sequence[str],
-                     accesses_per_core: int,
-                     seed: int = 0,
-                     config: Optional[SystemConfig] = None
-                     ) -> Dict[str, Dict[str, object]]:
-        """Run a (mix x predictor) grid of multi-core simulations."""
-        jobs = [MixJob(mix=mix, predictor=predictor,
-                       accesses_per_core=accesses_per_core, seed=seed,
-                       config=config)
-                for mix in mixes for predictor in predictors]
-        return self._nest(mixes, predictors, jobs)
-
-    def _nest(self, names: Sequence[str], predictors: Sequence[str],
-              jobs: List[Job]) -> Dict[str, Dict[str, object]]:
-        """Run a name-major grid as ``{name: {predictor: result}}``."""
-        results = iter(self.run(jobs))
-        return {name: {predictor: next(results) for predictor in predictors}
-                for name in names}

@@ -14,13 +14,17 @@ from pathlib import Path
 import pytest
 
 from repro.cli import canonical_json, main, run_experiment
-from repro.experiments import EXPERIMENTS, GOLDEN_SCALE, Scale
+from repro.experiments import EXPERIMENTS, GOLDEN_SCALE, Scale, failed_claims
 from repro.sim.store import ResultStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: A tiny scale so CLI tests stay fast (the golden grid ignores it anyway).
 TINY = Scale(accesses=120, warmup=40, mix_accesses=80)
+
+#: The figures that carry the paper's claims (checked by a bare --check).
+CLAIMED_FIGURES = ("fig05", "fig07", "fig08", "fig09", "fig10", "fig11",
+                   "fig12", "fig13", "fig14", "fig15")
 
 
 @pytest.fixture(autouse=True)
@@ -153,6 +157,55 @@ class TestGolden:
                      "--check", str(reference)])
         assert code == 1
         assert "differ" in capsys.readouterr().err
+
+
+# ======================================================================
+# paper claims
+# ======================================================================
+class TestClaims:
+    def test_paper_figures_carry_45_named_claims(self):
+        assert sum(len(EXPERIMENTS[name].claims)
+                   for name in CLAIMED_FIGURES) == 45
+        for name, experiment in EXPERIMENTS.items():
+            names = [claim for claim, _ in experiment.claims]
+            assert len(set(names)) == len(names), name
+            assert bool(names) == (name in CLAIMED_FIGURES), name
+
+    def test_claim_missing_its_keys_fails_by_name(self):
+        fig14 = EXPERIMENTS["fig14"]
+        assert failed_claims(fig14, {"per_mix": {}}) == [
+            name for name, _ in fig14.claims
+            if name != "lp_speeds_up_every_mix"]
+
+    def test_check_fails_naming_a_perturbed_claim(self, tmp_path, capsys,
+                                                 monkeypatch):
+        args = ["run", "fig14", "--check", "--store", str(tmp_path),
+                "--accesses", "120", "--warmup", "40",
+                "--mix-accesses", "80"]
+        assert main(args) == 0
+        assert "holds all 5 paper claims" in capsys.readouterr().out
+
+        fig14 = EXPERIMENTS["fig14"]
+        real_metrics = fig14._metrics
+
+        def perturbed(grid):
+            stats = real_metrics(grid)
+            stats["geomean"]["lp_energy_efficiency"] = 0.999
+            return stats
+
+        monkeypatch.setattr(fig14, "_metrics", perturbed)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "fig14 claim lp_improves_energy_efficiency does not hold" \
+            in err
+        assert "lp_speeds_up_every_mix" not in err
+
+    @pytest.mark.slow
+    def test_paper_claims_hold_at_default_scale(self, tmp_path, capsys):
+        for name in CLAIMED_FIGURES:
+            code = main(["run", name, "--check", "--jobs", "2",
+                         "--store", str(tmp_path)])
+            assert code == 0, capsys.readouterr().err
 
 
 # ======================================================================

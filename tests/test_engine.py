@@ -211,16 +211,6 @@ class TestPoolWorkerLifetime:
 
 
 class TestGridHelpers:
-    def test_run_grid_shape(self):
-        grid = SimulationEngine(jobs=1).run_grid(
-            APPS[:2], ("baseline", "lp"), num_accesses=200)
-        assert sorted(grid) == sorted(APPS[:2])
-        for app, per_system in grid.items():
-            assert set(per_system) == {"baseline", "lp"}
-            for predictor, result in per_system.items():
-                assert result.predictor_stats.predictions >= 0
-                assert result.workload == app
-
     def test_run_predictor_comparison_uses_shared_trace(self):
         """The public comparison driver returns per-predictor results whose
         traces came from one generation (identical access streams)."""
@@ -364,3 +354,21 @@ class TestApiFacade:
         paper = run_figure("fig13", scale=TINY, store=tmp_path / "store",
                            jobs=1)
         assert paper.stored == 0
+
+    def test_run_figure_uses_the_options_pool(self, tmp_path, monkeypatch):
+        """``EngineOptions.pool`` reaches the figure's workers: a thread
+        pool runs every job through this process's ``execute_job``."""
+        import repro.service
+        from repro.api import run_figure
+        monkeypatch.delenv("REPRO_POOL", raising=False)
+        monkeypatch.setenv("REPRO_TRACE_DIR", "")
+        calls = []
+
+        def counting(job, trace_cache=None):
+            calls.append(job)
+            return execute_job(job, trace_cache)
+
+        monkeypatch.setattr(repro.service, "execute_job", counting)
+        report = run_figure("golden", store=tmp_path / "store",
+                            options=EngineOptions(jobs=2, pool="thread"))
+        assert report.simulated == len(calls) == 30
