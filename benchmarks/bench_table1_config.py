@@ -27,16 +27,17 @@ def test_table1_system_configuration(benchmark):
     assert hierarchy.l1.size_bytes == 32 * 1024
     assert hierarchy.l1.associativity == 4
     assert hierarchy.l1.tag_latency == 4
-    assert hierarchy.l2.size_bytes == 256 * 1024
-    assert hierarchy.l2.associativity == 8
-    assert hierarchy.l3.size_bytes == 2 * 1024 * 1024
-    assert hierarchy.l3.associativity == 16
-    assert hierarchy.l3.sequential_tag_data
-    assert hierarchy.l3.tag_latency + hierarchy.l3.data_latency == 55
+    l2 = hierarchy.intermediates[0]
+    assert l2.size_bytes == 256 * 1024
+    assert l2.associativity == 8
+    assert hierarchy.llc.size_bytes == 2 * 1024 * 1024
+    assert hierarchy.llc.associativity == 16
+    assert hierarchy.llc.sequential_tag_data
+    assert hierarchy.llc.tag_latency + hierarchy.llc.data_latency == 55
     # Core parameters.
     assert config.core.rob_entries == 192
     assert config.core.fetch_width == 4
     assert config.core.frequency_ghz == 4.0
     # Multi-core variant uses the 8 MB shared LLC.
     multi = SystemConfig.paper_multi_core()
-    assert multi.hierarchy.l3.size_bytes == 8 * 1024 * 1024
+    assert multi.hierarchy.llc.size_bytes == 8 * 1024 * 1024

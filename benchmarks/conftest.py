@@ -1,11 +1,12 @@
-"""Shared helpers for the table and throughput benchmarks.
+"""Shared helpers for the table benchmarks.
 
 The paper's figure grids and their claims live in the experiment registry
 (:mod:`repro.experiments`): ``python -m repro run <fig> --check`` runs a
 figure and checks the paper's claims about it.  The benchmarks here cover
-what has no registry grid (Figures 1-3, Tables I-II, the storage overhead)
-and the reproduction's own throughput.  Each prints its table, writes it
-to ``benchmarks/results/`` and asserts the qualitative shape.
+what has no registry grid (Figures 1-3, Tables I-II, the storage overhead).
+Each prints its table, writes it to ``benchmarks/results/`` and asserts
+the qualitative shape.  How fast the simulator and its serving tier run
+is measured by ``perfbench/`` alone.
 
 Simulation volume is controlled with environment variables:
 

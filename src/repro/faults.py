@@ -76,8 +76,8 @@ worker processes inherit them) or programmatically via :func:`install`.
 **Off by default with zero hot-path overhead**: the hooks sit at
 store/trace/job/connection granularity — never inside the per-access replay
 loop — and with no plane installed :func:`fault_point` is one global load
-and a ``None`` check (see the ``fault_plane`` section of
-``BENCH_throughput.json`` for the pinned numbers).
+and a ``None`` check (``tests/test_faults.py`` bounds its per-call
+cost).
 
 Faults may cost retries; they must never cost correctness.  The chaos
 harness (``tests/test_faults.py``) runs the golden grid under randomized

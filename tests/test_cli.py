@@ -335,6 +335,18 @@ class TestSweep:
         assert None not in keys
         assert len(set(keys)) == len(keys)  # every cell is distinct
 
+    def test_hierarchy_sweep_resumes_from_the_store(self, tmp_path):
+        """Spec-keyed jobs dedup like the paper configurations: the whole
+        72-cell lattice is served from the store on a re-run."""
+        scale = Scale(accesses=60, warmup=20)
+        first = run_experiment("hierarchy-sweep", ResultStore(tmp_path),
+                               scale)
+        assert first.simulated == first.total_jobs == 72
+        second = run_experiment("hierarchy-sweep", ResultStore(tmp_path),
+                                scale)
+        assert (second.stored, second.simulated) == (72, 0)
+        assert second.stats == first.stats
+
     @pytest.mark.slow
     def test_sweep_summary_reports_seed_spread(self, tmp_path):
         scale = Scale(accesses=40, warmup=10, mix_accesses=30)

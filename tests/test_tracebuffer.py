@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.experiments import COMPARED_SYSTEMS
 from repro.memory.block import AccessType, MemoryAccess
 from repro.memory.spec import load_hierarchy
 from repro.sim.config import SystemConfig
@@ -21,7 +22,13 @@ from repro.sim.engine import TraceCache
 from repro.sim.multicore import MultiCoreSystem
 from repro.sim.store import serialize_result, trace_key, try_trace_key
 from repro.sim.system import SimulatedSystem
-from repro.trace import KIND_CODES, TraceBuffer, as_trace_buffer
+from repro.trace import (
+    KIND_CODES,
+    KIND_LOAD,
+    KIND_STORE,
+    TraceBuffer,
+    as_trace_buffer,
+)
 from repro.workloads import (
     APPLICATIONS,
     MIXES,
@@ -137,6 +144,19 @@ class TestBufferSemantics:
         # gups barely reuses blocks, so the footprint is nearly maximal.
         assert summary["unique_blocks"] > 900
 
+    def test_buffer_takes_under_half_the_record_lists_memory(self):
+        """Packed columns against the record list they replace (about
+        23 against 105 bytes per access on gapbs.pr)."""
+        import sys
+
+        workload = build_workload("gapbs.pr")
+        buffer = workload.generate_buffer(1000, seed=0)
+        records = workload.generate(1000, seed=0)
+        # Every record is the same size, plus one list slot per record.
+        records_bytes = sys.getsizeof(records) + len(records) * (
+            sys.getsizeof(records[0]) + 8)
+        assert 2 * buffer.nbytes < records_bytes
+
     def test_pickle_round_trip_drops_derived_columns(self):
         import pickle
 
@@ -206,6 +226,116 @@ class TestReplayEquivalence:
                                 via_records.per_core_execution):
             assert mine.cycles == theirs.cycles
             assert mine.instructions == theirs.instructions
+
+    def test_per_access_results_match_record_path(self):
+        buffer = _crafted([0x5000] * 6 + [0x6000, 0x5000, 0x5008])
+        via_buffer = _paper_system().hierarchy.run_buffer(buffer)
+        via_records = _paper_system().hierarchy.run_trace(
+            buffer.to_accesses())
+        assert via_buffer == via_records
+
+    def test_store_access_marks_line_dirty(self):
+        hierarchy = _paper_system().hierarchy
+        kinds = [KIND_LOAD] + [KIND_STORE] * 3
+        hierarchy.run_buffer(_crafted([0x9000] * 4, kinds=kinds))
+        l1 = hierarchy.l1
+        if l1._block_shift >= 0:
+            set_index = (0x9000 >> l1._block_shift) & l1._set_mask
+            way = l1._tag_to_way[set_index].get(0x9000 >> l1._tag_shift)
+        else:
+            set_index, way = l1._find(0x9000)
+        assert way is not None
+        assert l1._lines[set_index][way].dirty
+
+
+def _crafted(addresses, kinds=None) -> TraceBuffer:
+    """A hand-written load (or ``kinds``) trace, one pc per access."""
+    n = len(addresses)
+    kinds = kinds if kinds is not None else [KIND_LOAD] * n
+    return TraceBuffer(addresses, [0x400 + 4 * i for i in range(n)], kinds,
+                       [8] * n, [False] * n, [0] * n, [0] * n)
+
+
+def _paper_system(predictor: str = "lp") -> SimulatedSystem:
+    return SimulatedSystem(SystemConfig.paper_single_core(predictor))
+
+
+def assert_replay_matches_records(buffer: TraceBuffer,
+                                  predictor: str = "lp") -> None:
+    """Full serialised results of ``run_buffer`` and the record path."""
+    def run(trace):
+        return serialize_result(
+            _paper_system(predictor).run_trace(trace, "crafted"))
+
+    assert run(buffer) == run(buffer.to_accesses())
+
+
+class TestReplayBoundaries:
+    """Degenerate and boundary traces through the one replay loop."""
+
+    def test_empty_buffer(self):
+        buffer = _crafted([64])[:0]
+        assert len(buffer) == 0
+        assert _paper_system().hierarchy.run_buffer(buffer) == []
+        assert_replay_matches_records(buffer)
+
+    def test_single_access_buffer(self):
+        assert_replay_matches_records(_crafted([0x1000]))
+
+    def test_fill_on_first_access(self):
+        assert_replay_matches_records(_crafted([0x4000] * 10))
+
+    def test_runs_with_stores(self):
+        kinds = ([KIND_LOAD, KIND_STORE, KIND_LOAD, KIND_STORE] * 5)[:18]
+        assert_replay_matches_records(_crafted([0x2000] * 18, kinds=kinds))
+
+    def test_store_only_run(self):
+        assert_replay_matches_records(
+            _crafted([0x8000] * 7, kinds=[KIND_STORE] * 7))
+
+    def test_alternating_blocks(self):
+        assert_replay_matches_records(_crafted([0x1000, 0x2000] * 20))
+
+    def test_sequential_blocks_trigger_prefetch_tags(self):
+        # A sequential sweep tags next-line blocks; repeats then hit
+        # tagged lines.
+        addresses = []
+        for i in range(8):
+            addresses.extend([0x10000 + 64 * i] * 5)
+        addresses.extend([0x10000 + 64 * 3] * 6)
+        assert_replay_matches_records(_crafted(addresses))
+
+    def test_run_longer_than_prefetch_window(self):
+        # Longer than the 32-entry prefetch-window deques.
+        assert_replay_matches_records(_crafted([0x3000] * 100))
+
+    def test_window_straddling_runs(self):
+        # Misses first (Trues in the inflight window), then a long run
+        # that ages them out.
+        addresses = [0x100000 + 4096 * i for i in range(20)]
+        addresses.extend([0x200000] * 25)
+        assert_replay_matches_records(_crafted(addresses))
+
+    def test_page_boundary_runs(self):
+        # Adjacent runs alternate pages, so TLB recency moves between runs.
+        addresses = []
+        for i in range(6):
+            addresses.extend([0x40000 + 4096 * (i % 2)] * 4)
+        assert_replay_matches_records(_crafted(addresses))
+
+    @pytest.mark.parametrize("predictor", COMPARED_SYSTEMS)
+    def test_crafted_mix_all_systems(self, predictor):
+        rng = np.random.default_rng(11)
+        pages = rng.integers(0, 64, size=120)
+        runs = rng.integers(1, 9, size=120)
+        addresses, kinds = [], []
+        for page, run in zip(pages, runs):
+            base = 0x100000 + int(page) * 4096
+            addresses.extend([base + 64 * int(run)] * int(run))
+            kinds.extend([KIND_STORE if (page + run) % 3 == 0
+                          else KIND_LOAD] * int(run))
+        assert_replay_matches_records(_crafted(addresses, kinds=kinds),
+                                      predictor=predictor)
 
 
 class TestDiskSpill:
