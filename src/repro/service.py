@@ -20,14 +20,21 @@ In-flight deduplication
 The headline semantics.  Every engine job is content-addressed by the
 SHA-256 of its canonical spec (:func:`repro.sim.store.job_key`), and the
 service keeps a *keyed future table* — ``job key -> Future`` — of the
-simulations currently running.  When a request's grid is expanded, each job
-is claimed under one lock:
+simulations currently running.  A request's grid runs in two phases.  The
+*classify* phase (``_classify``) plans every job under one lock hold:
 
 * already stored -> served from the store (a store *hit*);
 * already in flight -> the request attaches to the owner's future
   (*coalesced*: no second simulation is ever started for a key);
 * otherwise -> the request becomes the key's owner, registers a future and
   submits the job to the worker pool (a *simulation*).
+
+The *collect* phase (``_collect``) then walks the plan in job order.  An
+owner (``_own``, the one owner path, which also serves a claim taken over
+from a dead daemon and a stored entry that cannot be read) collects its
+result within the retry budget, persists it, releases its claim and
+resolves the key's future.  A stored entry that cannot be read is
+simulated again and counted as a simulation, not as a store hit.
 
 Owners persist their results **in job order** (compute may finish out of
 order; puts do not), so the daemon's shard files are byte-identical to a
@@ -212,6 +219,10 @@ ERROR_CODES = (
     "shutting_down",      # daemon is draining; resubmit elsewhere/later
     "internal",           # unexpected server-side failure
 )
+
+#: A request's job tallies and the daemon counters they add to.
+_DAEMON_COUNTER = {"stored": "store_hits", "simulated": "simulations",
+                   "coalesced": "coalesced"}
 
 
 class ServiceError(Exception):
@@ -504,9 +515,9 @@ class SimulationService:
         self._claim_owner = f"repro-serve-{os.getpid()}"
         self._closed = False
         self._pool = WorkerPool(self.num_workers, options.pool)
-        #: One lock for the claim phase and every store operation: a job is
-        #: classified (stored / in flight / owned) atomically with respect
-        #: to other requests' claims and puts.
+        #: One lock for the classify phase and every store operation: a
+        #: job is classified (stored / in flight / owned) atomically with
+        #: respect to other requests' claims and puts.
         self._lock = threading.Lock()
         #: job key -> Future resolving to the finished result object.
         self._inflight: Dict[str, "Future[Any]"] = {}
@@ -538,14 +549,10 @@ class SimulationService:
         #: same key fail fast instead of burning the budget again, until
         #: a ``force`` submit clears it.
         self._quarantine: Dict[str, str] = {}
-        #: Jobs submitted to the pool and not yet finished (admission
-        #: control).  Guarded by its own lock: the done-callback may fire
-        #: on the submitting thread while ``_lock`` is held.
-        self._active_jobs = 0
-        #: Jobs admitted but not yet classified by the claim phase: the
-        #: check-and-reserve in :meth:`_admit` counts them, so concurrent
-        #: submits cannot all pass the backlog check and overshoot
-        #: ``max_queue`` before any of them reaches the pool.
+        #: Jobs admitted but not yet classified: the check-and-reserve in
+        #: :meth:`_admit` counts them beside the pool's pending calls, so
+        #: concurrent submits cannot all pass the backlog check and
+        #: overshoot ``max_queue`` before any of them reaches the pool.
         self._reserved_jobs = 0
         self._admission_lock = threading.Lock()
         #: Degraded read-only mode: set when the store media proved
@@ -669,10 +676,10 @@ class SimulationService:
         """Load-shed when the job backlog exceeds the bound, atomically.
 
         Check-and-reserve under one lock: an admitted grid's ``incoming``
-        jobs are counted as reserved backlog until the claim phase
-        classifies them (by which point pool submissions are counted in
-        ``_active_jobs``), so concurrent submits racing the check cannot
-        all pass it and collectively overshoot ``max_queue``.  Returns
+        jobs are counted as reserved backlog until :meth:`_classify` has
+        submitted them (from then on the pool counts them as pending), so
+        concurrent submits racing the check cannot all pass it and
+        collectively overshoot ``max_queue``.  Returns
         the reservation the caller must hand to :meth:`_run_request` (or
         release itself on failure).
 
@@ -684,7 +691,7 @@ class SimulationService:
         if not self.max_queue:
             return 0
         with self._admission_lock:
-            backlog = self._active_jobs + self._reserved_jobs
+            backlog = self._pool.pending() + self._reserved_jobs
             if backlog < self.max_queue:
                 self._reserved_jobs += incoming
                 return incoming
@@ -725,23 +732,6 @@ class SimulationService:
                         f"store is in degraded read-only mode ({reason}) "
                         f"and this grid has unstored jobs; only warm "
                         f"requests are served", code="degraded")
-
-    def _submit_job(self, job: Job) -> "Future[Any]":
-        """Submit one job to the pool, tracked for admission control.
-
-        ``RuntimeError`` from a shut-down pool propagates untouched (the
-        retry machinery upstream treats it like any failed attempt).
-        """
-        future = self._pool.submit(execute_job, job)
-        with self._admission_lock:
-            self._active_jobs += 1
-        future.add_done_callback(self._job_finished)
-        return future
-
-    def _job_finished(self, future: "Future[Any]") -> None:
-        del future
-        with self._admission_lock:
-            self._active_jobs -= 1
 
     def _evict_finished_requests(self) -> None:
         """Drop the longest-finished requests beyond the retention cap.
@@ -786,8 +776,8 @@ class SimulationService:
         with self._lock:
             if not all(key in self.store for key in grid.keys):
                 return False
-            self.counters["store_hits"] += state.total
-        state.stored = state.completed = state.total
+            self._count(state, "stored", state.total)
+        state.completed = state.total
         state.stats, payload = summary
         state.stats_path = self._write_stats(state.name, payload)
         state.seconds = time.perf_counter() - start
@@ -800,8 +790,8 @@ class SimulationService:
                      scale: Scale, force: bool, reserved: int = 0) -> None:
         start = time.perf_counter()
         try:
-            results = self._run_jobs(state, grid.jobs, grid.keys, force,
-                                     reserved)
+            plan = self._classify(state, grid, force, reserved)
+            results = self._collect(state, grid, plan)
             state.seconds = time.perf_counter() - start
             if state.failed_jobs:
                 # Per-job isolation: the healthy cells completed (and
@@ -879,151 +869,120 @@ class SimulationService:
                 self.degraded = True
                 self.degraded_reason = reason
 
-    def _run_jobs(self, state: _RequestState, job_list: Sequence[Job],
-                  keys: Sequence[Optional[str]], force: bool,
-                  reserved: int = 0) -> List[Any]:
-        """Claim, compute and collect one grid, persisting in job order.
+    def _count(self, state: _RequestState, field: str, jobs: int = 1) -> None:
+        """Count ``jobs`` cells as ``"stored"``, ``"simulated"`` or
+        ``"coalesced"`` for the request and the daemon alike.  Caller
+        holds the lock."""
+        setattr(state, field, getattr(state, field) + jobs)
+        self.counters[_DAEMON_COUNTER[field]] += jobs
 
-        ``keys[i]`` is ``job_list[i]``'s store key (``None``: unkeyed).
+    def _classify(self, state: _RequestState, grid: _Grid, force: bool,
+                  reserved: int) -> List[Tuple[Any, ...]]:
+        """The grid's plan, made in one lock hold so two requests never
+        wait on each other's keys in opposite orders; releases the
+        admission ``reserved`` for the grid once every job is classified
+        (those submitted are then the pool's pending calls).
+
+        ``plan[i]`` is ``("store", key)``, ``("watch", inflight_future)``,
+        ``("own", key, claimed, exec_future)``, ``("direct", exec_future)``
+        (unkeyed), ``("poison", key)`` (quarantined) or ``("remote",
+        key)`` (another daemon holds the claim).
         """
-        # Claim phase: classify every job atomically against other
-        # requests.  plan[i] is ("store", key) | ("watch", future) |
-        # ("own", key, exec_future, claimed) | ("direct", exec_future)
-        # | ("poison", key) | ("remote", key) — "remote" when another
-        # daemon holds the key's claim.
         plan: List[Tuple[Any, ...]] = []
-        owned: List[int] = []
-        #: Claims this request still holds (released as the collect
-        #: loop persists each one; the cleanup path releases leftovers).
-        held_claims: set = set()
-        results: List[Any] = []
-        # The claim loop sits inside the same try as the collect loop: a
-        # failure after a Future is registered (pool shut down mid-claim,
-        # MemoryError, ...) must resolve the registered futures, or every
-        # request that coalesced onto them would wait forever.
         try:
-            try:
-                with self._lock:
-                    for index, key in enumerate(keys):
-                        if key is None:
-                            # Unkeyed (uncacheable) jobs always simulate —
-                            # report them as such.
-                            plan.append(("direct",
-                                         self._submit_job(job_list[index])))
-                            self.counters["simulations"] += 1
-                            state.simulated += 1
-                            continue
-                        if not force and key in self.store:
-                            plan.append(("store", key))
-                            self.counters["store_hits"] += 1
-                            state.stored += 1
-                            continue
-                        if key in self._quarantine:
-                            if force:
-                                # A force submit is the operator saying
-                                # "try again": clear the poison verdict
-                                # and re-own.
-                                del self._quarantine[key]
-                            else:
-                                plan.append(("poison", key))
-                                continue
-                        future = self._inflight.get(key)
-                        if future is not None:
-                            plan.append(("watch", future))
-                            self.counters["coalesced"] += 1
-                            state.coalesced += 1
-                            continue
-                        claimed = False
+            with self._lock:
+                for job, key in zip(grid.jobs, grid.keys):
+                    if key is None:
+                        # Unkeyed (uncacheable) jobs always simulate.
+                        plan.append(("direct", self._start(state, job, None)))
+                        continue
+                    if not force and key in self.store:
+                        plan.append(("store", key))
+                        continue
+                    if key in self._quarantine:
                         if not force:
-                            verdict = self._claim_key(key)
-                            if verdict == "stored":
-                                plan.append(("store", key))
-                                self.counters["store_hits"] += 1
-                                state.stored += 1
-                                continue
-                            if verdict == "lost":
-                                plan.append(("remote", key))
-                                self.counters["claims_lost"] += 1
-                                continue
-                            claimed = verdict == "claimed"
-                            if claimed:
-                                self.counters["claims_won"] += 1
-                                held_claims.add(key)
-                        future = Future()
-                        self._inflight[key] = future
-                        owned.append(index)
-                        plan.append(("own", key,
-                                     self._submit_job(job_list[index]),
-                                     claimed))
-                        self.counters["simulations"] += 1
-                        state.simulated += 1
-            finally:
-                # Every admitted job is now classified (pool submissions
-                # are counted in _active_jobs), so the reservation has
-                # done its job.
-                self._release_reservation(reserved)
-            # Collect phase, strictly in job order: owners persist their
-            # results as they arrive, so the shard files the daemon writes
-            # are byte-identical to a serial run of the same job list —
-            # and an interrupted grid keeps every job persisted before
-            # the kill.  Per-job isolation: a step that fails for good is
-            # recorded in ``state.failed_jobs`` and the loop moves on, so
-            # every healthy sibling still lands in the store in job order.
-            for index, step in enumerate(plan):
+                            plan.append(("poison", key))
+                            continue
+                        # A force submit is the operator saying "try
+                        # again": clear the poison verdict and re-own.
+                        del self._quarantine[key]
+                    inflight = self._inflight.get(key)
+                    if inflight is not None:
+                        plan.append(("watch", inflight))
+                        self._count(state, "coalesced")
+                        continue
+                    claimed = False
+                    if not force:
+                        verdict = self._claim_key(key)
+                        if verdict == "stored":
+                            plan.append(("store", key))
+                            continue
+                        if verdict == "lost":
+                            plan.append(("remote", key))
+                            self.counters["claims_lost"] += 1
+                            continue
+                        claimed = verdict == "claimed"
+                        self.counters["claims_won"] += claimed
+                    # Planned before the submit, so a submit that raises
+                    # leaves the claim where _abandon releases it.
+                    plan.append(("own", key, claimed, None))
+                    plan[-1] = ("own", key, claimed,
+                                self._start(state, job, key))
+        except BaseException as exc:
+            self._abandon(plan, exc)
+            raise
+        finally:
+            self._release_reservation(reserved)
+        return plan
+
+    def _collect(self, state: _RequestState, grid: _Grid,
+                 plan: List[Tuple[Any, ...]]) -> List[Any]:
+        """The collect phase, strictly in job order.
+
+        Owners persist their results as they arrive, so the shard files
+        the daemon writes are byte-identical to a serial run of the same
+        job list, and an interrupted grid keeps every job persisted
+        before the kill.  Per-job isolation: a step that fails for good is
+        recorded in ``state.failed_jobs`` and the loop moves on, so every
+        healthy sibling still lands in the store in job order.
+        """
+        results: List[Any] = []
+        index = 0
+        try:
+            for index, (job, step) in enumerate(zip(grid.jobs, plan)):
                 try:
-                    if step[0] == "store":
+                    kind = step[0]
+                    if kind == "store":
                         with self._lock:
                             result = self.store.get(step[1])
+                            if result is not None:
+                                self._count(state, "stored")
                         if result is None:
                             # The entry vanished behind us (fsck/compact)
-                            # or the read failed: the store is a cache,
-                            # so recover by recomputing — with the full
-                            # retry/persist machinery.
-                            result = self._collect_owned(
-                                job_list[index], step[1],
-                                self._submit_job(job_list[index]))
-                            self._persist(step[1], job_list[index],
-                                          result)
-                    elif step[0] == "poison":
+                            # or could not be read: the store is a cache,
+                            # so the key is simulated again.
+                            result = self._own(state, job, step[1], False)
+                    elif kind == "poison":
                         raise ServiceError(
                             f"job {step[1][:12]}… is quarantined after "
                             f"repeated failures "
                             f"({self._quarantine.get(step[1])}); "
                             f"submit with force to retry it",
                             code="quarantined")
-                    elif step[0] == "watch" or step[0] == "direct":
+                    elif kind == "watch" or kind == "direct":
                         result = step[1].result()
-                    elif step[0] == "remote":
-                        result = self._await_remote(
-                            job_list[index], step[1], state)
+                    elif kind == "remote":
+                        result = self._await_remote(job, step[1], state)
                     else:
-                        _, key, exec_future, claimed = step
-                        try:
-                            result = self._collect_owned(
-                                job_list[index], key, exec_future)
-                            self._persist(key, job_list[index], result)
-                        finally:
-                            if claimed:
-                                # Released only after the put landed (or
-                                # the job failed for good): a loser that
-                                # sees the claim gone either finds the
-                                # result or takes the work over.
-                                self.store.release_claim(key)
-                                held_claims.discard(key)
-                        with self._lock:
-                            inflight = self._inflight.pop(key, None)
-                        if inflight is not None:
-                            inflight.set_result(result)
+                        result = self._own(state, job, *step[1:])
                 except Exception as exc:  # noqa: BLE001 - isolated below
-                    code = exc.code if isinstance(exc, ServiceError) \
-                        else "job_failed"
+                    service_error = isinstance(exc, ServiceError)
                     state.failed_jobs.append({
                         "index": index,
-                        "key": keys[index],
-                        "code": code,
-                        "error": f"{type(exc).__name__}: {exc}"
-                        if not isinstance(exc, ServiceError)
-                        else str(exc),
+                        "key": grid.keys[index],
+                        "code": exc.code if service_error else "job_failed",
+                        "error": str(exc) if service_error
+                        else f"{type(exc).__name__}: {exc}",
                     })
                     results.append(None)
                     continue
@@ -1031,19 +990,83 @@ class SimulationService:
                 state.completed += 1
             return results
         except BaseException as exc:
-            # Resolve every still-registered owned future so attached
-            # requests fail loudly instead of waiting forever.
-            with self._lock:
-                for index in owned:
-                    future = self._inflight.pop(keys[index], None)
-                    if future is not None and not future.done():
-                        future.set_exception(exc)
-            # And surrender every claim this request still holds,
-            # so sibling daemons take the work over instead of polling a
-            # claim whose owner gave up.
-            for key in held_claims:
-                self.store.release_claim(key)
+            # Step ``index`` settled its own key (see _own).
+            self._abandon(plan[index + 1:], exc)
             raise
+
+    def _abandon(self, steps: Sequence[Tuple[Any, ...]],
+                 error: BaseException) -> None:
+        """Give up the unfinished ``own`` steps of a failing request:
+        release their claims, so sibling daemons take the work over, and
+        fail their in-flight futures, so the requests coalesced onto them
+        fail loudly instead of waiting forever."""
+        for step in steps:
+            if step[0] != "own":
+                continue
+            _, key, claimed, _ = step
+            if claimed:
+                self.store.release_claim(key)
+            with self._lock:
+                inflight = self._inflight.pop(key, None)
+            if inflight is not None:
+                inflight.set_exception(error)
+
+    def _start(self, state: _RequestState, job: Job,
+               key: Optional[str]) -> "Future[Any]":
+        """Submit ``job`` to the pool as one of ``state``'s simulations,
+        registering ``key``'s in-flight future (when keyed) for later
+        requests to coalesce onto.  Caller holds the lock.
+
+        ``RuntimeError`` from a shut-down pool propagates, with nothing
+        registered.
+        """
+        exec_future = self._pool.submit(execute_job, job)
+        if key is not None:
+            self._inflight[key] = Future()
+        self._count(state, "simulated")
+        return exec_future
+
+    def _own(self, state: _RequestState, job: Job, key: str, claimed: bool,
+             exec_future: Optional["Future[Any]"] = None) -> Any:
+        """The one owner path: ``key``'s result, persisted.
+
+        A grid's own step passes the ``exec_future`` :meth:`_classify`
+        started.  Without one (a claim taken over, a stored entry that
+        could not be read), the key starts here, or coalesces onto this
+        daemon's in-flight future for it, surrendering ``claimed``.  The
+        owner collects within the retry budget, persists, releases its
+        claim only then (a loser that sees it gone finds the result or
+        takes over) and resolves the key's in-flight future.
+        """
+        if exec_future is None:
+            with self._lock:
+                inflight = self._inflight.get(key)
+                if inflight is None:
+                    exec_future = self._start(state, job, key)
+                else:
+                    self._count(state, "coalesced")
+            if exec_future is None:
+                if claimed:
+                    self.store.release_claim(key)
+                return inflight.result()
+        error: Optional[BaseException] = None
+        try:
+            result = self._collect_owned(job, key, exec_future)
+            self._persist(key, job, result)
+            return result
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            if claimed:
+                self.store.release_claim(key)
+            with self._lock:
+                inflight = self._inflight.pop(key, None)
+            if inflight is not None:
+                if error is None:
+                    inflight.set_result(result)
+                else:
+                    inflight.set_exception(error)
 
     def _claim_key(self, key: str) -> str:
         """Contend for a cold key's claim.  Caller holds the lock.
@@ -1079,8 +1102,8 @@ class SimulationService:
         owner's locked append lands, then serve it as a store hit.  If
         the claim disappears without a result (the owner's attempt
         failed) or goes stale (the owner died), contend to take the work
-        over and simulate here — with the in-process future table still
-        deduplicating against this daemon's other requests.
+        over and own it here (:meth:`_own`), still deduplicated against
+        this daemon's other requests.
         """
         poll = self.CLAIM_POLL_BASE
         while True:
@@ -1089,63 +1112,28 @@ class SimulationService:
                     result = self.store.get(key)
                     if result is not None:
                         self.counters["claim_waits"] += 1
-                        self.counters["store_hits"] += 1
-                        state.stored += 1
+                        self._count(state, "stored")
                         return result
                     # Present but unreadable: fall through and poll —
                     # refresh() re-scans the shard on the next pass.
             claim = self.store.read_claim(key)
-            take_over = False
             if claim is None:
                 # Owner released without persisting (its attempt failed,
                 # or its media went read-only): contend for the claim.
-                verdict = self._claim_key_for_takeover(key)
+                with self._lock:
+                    verdict = self._claim_key(key)
                 if verdict == "stored":
                     continue  # the result just appeared; serve it above
-                take_over = verdict in ("claimed", "unclaimed")
-            elif self.store.claim_is_stale(claim):
-                take_over = self.store.steal_claim(
-                    key, owner=self._claim_owner)
-                if take_over:
-                    with self._lock:
-                        self.counters["claims_broken"] += 1
-            if take_over:
-                return self._takeover(job, key, state)
+                if verdict != "lost":
+                    return self._own(state, job, key,
+                                     claimed=verdict == "claimed")
+            elif self.store.claim_is_stale(claim) and self.store.steal_claim(
+                    key, owner=self._claim_owner):
+                with self._lock:
+                    self.counters["claims_broken"] += 1
+                return self._own(state, job, key, claimed=True)
             time.sleep(poll)
             poll = min(poll * 2, self.CLAIM_POLL_MAX)
-
-    def _claim_key_for_takeover(self, key: str) -> str:
-        with self._lock:
-            return self._claim_key(key)
-
-    def _takeover(self, job: Job, key: str, state: _RequestState) -> Any:
-        """Simulate a key this daemon just inherited from a dead owner."""
-        with self._lock:
-            existing = self._inflight.get(key)
-            if existing is None:
-                inflight: "Future[Any]" = Future()
-                self._inflight[key] = inflight
-                exec_future = self._submit_job(job)
-                self.counters["simulations"] += 1
-                state.simulated += 1
-        if existing is not None:
-            # Another of this daemon's requests inherited the key first;
-            # surrender the redundant claim and attach to its future.
-            self.store.release_claim(key)
-            with self._lock:
-                self.counters["coalesced"] += 1
-                state.coalesced += 1
-            return existing.result()
-        try:
-            result = self._collect_owned(job, key, exec_future)
-            self._persist(key, job, result)
-        finally:
-            self.store.release_claim(key)
-        with self._lock:
-            still_inflight = self._inflight.pop(key, None)
-        if still_inflight is not None:
-            still_inflight.set_result(result)
-        return result
 
     def _collect_owned(self, job: Job, key: str,
                        exec_future: "Future[Any]") -> Any:
@@ -1155,9 +1143,10 @@ class SimulationService:
         attempt deadline (a hung simulation: the attempt is abandoned —
         its thread may still finish, which is harmless because puts are
         idempotent by key — and a fresh attempt starts).  After the
-        budget the key is quarantined, the in-flight future is failed so
-        coalesced watchers unblock, and the failure propagates to the
-        per-job isolation handler in :meth:`_run_jobs`.
+        budget the key is quarantined and the failure propagates to
+        :meth:`_own`, which fails the in-flight future so coalesced
+        watchers unblock, and on to the per-job isolation in
+        :meth:`_collect`.
         """
         last_error = "unknown"
         for attempt in range(1, self.job_retries + 1):
@@ -1173,7 +1162,7 @@ class SimulationService:
                 with self._lock:
                     self.counters["retries"] += 1
                 time.sleep(self.RETRY_BACKOFF * (2 ** (attempt - 1)))
-                exec_future = self._submit_job(job)
+                exec_future = self._pool.submit(execute_job, job)
         error = ServiceError(
             f"job {key[:12]}… failed after {self.job_retries} attempts: "
             f"{last_error}", code="job_failed", retryable=True)
@@ -1181,9 +1170,6 @@ class SimulationService:
             self.counters["job_failures"] += 1
             self.counters["quarantined"] += 1
             self._quarantine[key] = last_error
-            inflight = self._inflight.pop(key, None)
-        if inflight is not None and not inflight.done():
-            inflight.set_exception(error)
         raise error
 
     def _persist(self, key: str, job: Job, result: Any) -> None:
@@ -1258,15 +1244,13 @@ class SimulationService:
             store = {"entries": len(self.store), "hits": self.store.hits,
                      "misses": self.store.misses, "puts": self.store.puts}
         counters["pool_failovers"] = self._pool.failovers
-        with self._admission_lock:
-            active = self._active_jobs
         return {
             "uptime_seconds": time.time() - self.started_at,
             "workers": self.num_workers,
             "pid": os.getpid(),
             "pool": self._pool.describe(),
             "inflight": inflight,
-            "active_jobs": active,
+            "active_jobs": self._pool.pending(),
             "quarantined_keys": quarantined_keys,
             "degraded": self.degraded,
             "counters": counters,

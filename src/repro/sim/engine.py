@@ -424,10 +424,10 @@ class SimulationEngine:
             (see :mod:`repro.sim.store`).  ``None`` or ``True`` (the
             default) consults the ``REPRO_STORE`` environment variable;
             ``False`` disables the store even when the environment names
-            one; a string/Path opens a
-            :class:`~repro.sim.store.ResultStore` at that directory.  With a store attached, :meth:`run` serves
-            previously computed jobs from disk and persists fresh ones —
-            simulations only happen for jobs the store has never seen.
+            one; a string/Path opens a :class:`~repro.sim.store.ResultStore`
+            there, and :meth:`run` then serves previously computed jobs
+            from disk and persists fresh ones: simulations happen only
+            for jobs the store has never seen.
         options: A pre-built :class:`~repro.sim.options.EngineOptions`;
             when given, the environment is not consulted again and an
             explicit ``jobs`` argument acts as an override.

@@ -274,6 +274,13 @@ class WorkerPool:
         _settle(future, error=BrokenProcessPool(
             "the job's worker process died each time it ran the job"))
 
+    def pending(self) -> int:
+        """Calls submitted and not yet settled: waiting (not cancelled),
+        running, or held for a verdict."""
+        with self._lock:
+            return (sum(not future.cancelled() for future, *_ in self._queue)
+                    + len(self._running) + (self._killer is not None))
+
     def describe(self) -> Dict[str, Any]:
         """The pool as ``stats()`` reports it."""
         processes = getattr(self._executor, "_processes", None)

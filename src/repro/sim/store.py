@@ -71,6 +71,7 @@ import logging
 import os
 import socket
 import tempfile
+import threading
 import time
 import uuid
 from contextlib import contextmanager, nullcontext
@@ -462,6 +463,9 @@ _CLAIM_HOST = socket.gethostname()
 #: pid -> (token, start time) of this process; keyed by pid so a forked
 #: child mints its own identity instead of inheriting its parent's.
 _PROCESS_IDENTITY: Dict[int, Tuple[str, Optional[str]]] = {}
+#: Two threads making a process's first claims must mint one token: a
+#: claim carrying an overwritten one looks stale to its own process.
+_IDENTITY_LOCK = threading.Lock()
 
 
 def _start_time(pid: int) -> Optional[str]:
@@ -485,10 +489,11 @@ def _start_time(pid: int) -> Optional[str]:
 def _process_identity() -> Tuple[str, Optional[str]]:
     """This process's claim token and start time, minted once per pid."""
     pid = os.getpid()
-    identity = _PROCESS_IDENTITY.get(pid)
-    if identity is None:
-        identity = (uuid.uuid4().hex, _start_time(pid))
-        _PROCESS_IDENTITY[pid] = identity
+    with _IDENTITY_LOCK:
+        identity = _PROCESS_IDENTITY.get(pid)
+        if identity is None:
+            identity = (uuid.uuid4().hex, _start_time(pid))
+            _PROCESS_IDENTITY[pid] = identity
     return identity
 
 

@@ -765,7 +765,10 @@ class TestChaosGolden:
         # The store the chaos run left behind is structurally sound.
         report = fsck_store(tmp_path / "store")
         assert report["torn"] == report["corrupt"] == 0
-        # And a clean serial engine agrees with everything persisted.
+        # And a clean serial run agrees with everything persisted.  The
+        # plane goes first: an unspent fault would make this rerun simulate
+        # (see test_unreadable_stored_entry_counts_as_a_simulation).
+        faults.uninstall()
         rerun = SimulationService(tmp_path / "store", jobs=1,
                                     pool="thread")
         try:
@@ -774,6 +777,32 @@ class TestChaosGolden:
             assert warm["simulated"] == 0
         finally:
             rerun.close()
+
+    def test_unreadable_stored_entry_counts_as_a_simulation(self, tmp_path):
+        """A stored entry whose read fails is simulated again, persisted
+        and reported as a simulation, not as a store hit."""
+        reference = json.loads(GOLDEN_STATS.read_text(encoding="utf-8"))
+        populate = SimulationService(tmp_path / "store", jobs=2,
+                                     pool="thread")
+        try:
+            assert populate.submit(experiment="golden",
+                                   wait=True)["stats"] == reference
+        finally:
+            populate.close()
+        faults.install("store.read:eio@times=1")
+        service = SimulationService(tmp_path / "store", jobs=2,
+                                    pool="thread")
+        try:
+            payload = service.submit(experiment="golden", wait=True)
+            assert payload["state"] == "done"
+            assert (payload["stored"], payload["simulated"]) == (29, 1)
+            counters = service.stats()["counters"]
+            assert (counters["store_hits"], counters["simulations"]) \
+                == (29, 1)
+            assert payload["stats"] == reference
+            assert service.store.total_lines() == 31
+        finally:
+            service.close()
 
     def test_zero_overhead_claim_is_structural(self):
         """With no plane installed, fault_point is one load + one check

@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 import repro.service as service_module
+import repro.sim.store as store_module
 from repro.api import connect
 from repro.experiments import EXPERIMENTS, Scale
 from repro.service import (
@@ -168,6 +169,31 @@ class TestClaims:
         finally:
             child.kill()
             child.wait()
+
+    def test_concurrent_first_claims_mint_one_token(self, monkeypatch):
+        # A slow start-time probe widens the window in which threads
+        # making a process's first claims could each mint a token.
+        def slow_start_time(pid):
+            time.sleep(0.05)
+            return real_start_time(pid)
+
+        real_start_time = store_module._start_time
+        monkeypatch.setattr(store_module, "_PROCESS_IDENTITY", {})
+        monkeypatch.setattr(store_module, "_start_time", slow_start_time)
+        barrier = threading.Barrier(8)
+        tokens: list = []
+
+        def first_claim() -> None:
+            barrier.wait()
+            tokens.append(store_module._process_identity()[0])
+
+        threads = [threading.Thread(target=first_claim) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(tokens) == 8
+        assert len(set(tokens)) == 1
 
     def test_foreign_host_claim_expires_by_ttl(self, tmp_path):
         store = ResultStore(tmp_path)

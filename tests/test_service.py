@@ -714,9 +714,9 @@ class TestAdmissionControl:
             # Drained: the backlog returns to zero, nothing leaks.
             assert svc._reserved_jobs == 0
             deadline = time.time() + 10.0
-            while svc._active_jobs and time.time() < deadline:
+            while svc.stats()["active_jobs"] and time.time() < deadline:
                 time.sleep(0.01)
-            assert svc._active_jobs == 0
+            assert svc.stats()["active_jobs"] == 0
         finally:
             release.set()
             svc.close(wait=True)

@@ -18,7 +18,7 @@ from repro.experiments import COMPARED_SYSTEMS
 from repro.memory.block import AccessType, MemoryAccess
 from repro.memory.spec import load_hierarchy
 from repro.sim.config import SystemConfig
-from repro.sim.engine import TraceCache
+from repro.sim.engine import SimulationJob, TraceCache, execute_job
 from repro.sim.multicore import MultiCoreSystem
 from repro.sim.store import serialize_result, trace_key, try_trace_key
 from repro.sim.system import SimulatedSystem
@@ -246,6 +246,24 @@ class TestReplayEquivalence:
             set_index, way = l1._find(0x9000)
         assert way is not None
         assert l1._lines[set_index][way].dirty
+
+    @pytest.mark.parametrize("app", APPLICATIONS)
+    def test_grid_bit_identity(self, app):
+        """The engine's buffer replay equals the record path for every
+        compared system, warm-up split included."""
+        buffer = build_workload(app).generate_buffer(550, seed=3)
+        warm = buffer[:150].to_accesses()
+        measured = buffer[150:].to_accesses()
+        for predictor in COMPARED_SYSTEMS:
+            job = SimulationJob(workload=app, predictor=predictor,
+                                num_accesses=400, warmup_accesses=150, seed=3)
+            system = SimulatedSystem(
+                SystemConfig.paper_single_core().with_predictor(predictor))
+            system.hierarchy.run_trace(warm)
+            system.reset_statistics()
+            reference = serialize_result(system.run_trace(measured, app))
+            assert serialize_result(execute_job(job)) == reference, \
+                f"{app}/{predictor} diverged"
 
 
 def _crafted(addresses, kinds=None) -> TraceBuffer:
