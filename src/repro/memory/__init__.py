@@ -11,30 +11,29 @@ from .block import (
     PREDICTABLE_LEVELS,
     block_address,
 )
-from .cache import Cache, CacheConfig, CacheStats, EvictionInfo
+from .cache import Cache, CacheStats, EvictionInfo
 from .directory import Directory, DirectoryEntry
-from .dram import DRAMConfig, DRAMModel
+from .dram import DRAMModel
 from .hierarchy import (
     CoreMemoryHierarchy,
     HierarchyStats,
     SharedMemorySystem,
 )
-from .interconnect import Interconnect, InterconnectConfig
+from .interconnect import Interconnect
 from .mshr import MSHREntry, MSHRFile
-from .replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    SRRIPPolicy,
-    TreePLRUPolicy,
-    make_replacement_policy,
+from .spec import (
+    HierarchySpec,
+    InterconnectSpec,
+    LevelSpec,
+    MemorySpec,
+    TLBSpec,
 )
-from .tlb import TLB, TLBConfig, TLBHierarchy
+from .tlb import TLB, TLBHierarchy
 
 __all__ = [
     "AccessResult",
     "AccessType",
     "Cache",
-    "CacheConfig",
     "CacheLine",
     "CacheStats",
     "CoherenceState",
@@ -42,25 +41,22 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "Directory",
     "DirectoryEntry",
-    "DRAMConfig",
     "DRAMModel",
     "EvictionInfo",
+    "HierarchySpec",
     "HierarchyStats",
     "Interconnect",
-    "InterconnectConfig",
+    "InterconnectSpec",
     "Level",
-    "LRUPolicy",
+    "LevelSpec",
     "MemoryAccess",
+    "MemorySpec",
     "MSHREntry",
     "MSHRFile",
     "PREDICTABLE_LEVELS",
-    "RandomPolicy",
     "SharedMemorySystem",
-    "SRRIPPolicy",
     "TLB",
-    "TLBConfig",
     "TLBHierarchy",
-    "TreePLRUPolicy",
+    "TLBSpec",
     "block_address",
-    "make_replacement_policy",
 ]

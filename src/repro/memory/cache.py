@@ -8,9 +8,12 @@ were performed on the way, not on bank conflicts or port arbitration.
 
 Features modelled, matching Table I of the paper:
 
-* parallel caches (tag and data accessed together, a single latency) for L1
-  and L2, and sequential caches (tag first, then data) for L3, where a tag
-  lookup costs ``tag_latency`` and a hit costs ``tag_latency + data_latency``;
+* parallel caches (tag and data accessed together, a hit costs
+  ``max(tag_latency, data_latency)``) for L1 and L2, and sequential caches
+  (tag first, then data) for L3, where a hit costs
+  ``tag_latency + data_latency``; either detects a miss after
+  ``tag_latency`` (see :attr:`~repro.memory.spec.LevelSpec.hit_latency`,
+  which the hierarchy walker charges);
 * write-back, write-allocate;
 * a prefetched bit per line so prefetcher accuracy can be measured;
 * an MSHR file per cache with demand reservation for prefetch throttling.
@@ -29,74 +32,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
 
-from .block import (
-    AccessType,
-    CacheLine,
-    CoherenceState,
-    DEFAULT_BLOCK_SIZE,
-    Level,
-    block_address,
-)
+from .block import AccessType, CacheLine, CoherenceState, block_address
 from .mshr import MSHRFile
-from .replacement import LRUPolicy, ReplacementPolicy, make_replacement_policy
+from .spec import LevelSpec
 
 #: The tag index of every never-filled set: read-only, so a stray write
 #: fails loudly instead of leaking state into every untouched set.
 _EMPTY_SET: Mapping[int, int] = MappingProxyType({})
-
-
-@dataclass
-class CacheConfig:
-    """Geometry and timing of one cache level.
-
-    Attributes:
-        level: Which hierarchy level this cache implements.
-        size_bytes: Total capacity.
-        associativity: Ways per set.
-        block_size: Line size in bytes.
-        tag_latency: Cycles to access the tag array.
-        data_latency: Additional cycles to access the data array.  For a
-            parallel cache the hit latency is ``tag_latency`` alone and
-            ``data_latency`` should be zero; for a sequential cache the hit
-            latency is ``tag_latency + data_latency``.
-        sequential_tag_data: True for a sequential (tag-then-data) cache.
-        mshr_entries: Number of MSHR entries.
-        mshr_demand_reserve: Fraction of MSHR entries reserved for demand
-            accesses (prefetch throttling, Section IV.A).
-        replacement: Replacement policy name (see ``repro.memory.replacement``).
-        writeback: True for a write-back cache (the only mode the paper uses).
-    """
-
-    level: Level
-    size_bytes: int
-    associativity: int
-    block_size: int = DEFAULT_BLOCK_SIZE
-    tag_latency: int = 1
-    data_latency: int = 0
-    sequential_tag_data: bool = False
-    mshr_entries: int = 16
-    mshr_demand_reserve: float = 0.25
-    replacement: str = "lru"
-    writeback: bool = True
-
-    @property
-    def num_sets(self) -> int:
-        sets = self.size_bytes // (self.block_size * self.associativity)
-        if sets <= 0:
-            raise ValueError("cache too small for its associativity/block size")
-        return sets
-
-    @property
-    def hit_latency(self) -> int:
-        """Latency of a hit (tag plus data for sequential caches)."""
-        if self.sequential_tag_data:
-            return self.tag_latency + self.data_latency
-        return self.tag_latency
-
-    @property
-    def miss_detect_latency(self) -> int:
-        """Latency to discover a miss (always just the tag lookup)."""
-        return self.tag_latency
 
 
 @dataclass(slots=True)
@@ -145,45 +87,49 @@ class CacheStats:
 
 
 class Cache:
-    """A single set-associative cache level.
+    """A single set-associative, write-back, LRU cache level.
 
-    The cache exposes a small functional API used by the hierarchy:
+    Built from the :class:`~repro.memory.spec.LevelSpec` it implements.
+    Every operation takes a block-aligned address; the hierarchy walker
+    aligns each access once:
 
-    * :meth:`lookup` — probe the tag array, update replacement state on a hit.
-    * :meth:`fill` — install a block, returning the eviction it caused.
+    * :meth:`access_block` — probe for a demand or prefetch access, updating
+      recency on a hit.
+    * :meth:`fill_block` / :meth:`prefetch_install` — install a block,
+      returning the eviction it caused.
     * :meth:`invalidate` — remove a block (coherence or inclusion victims).
-    * :meth:`contains` — probe without side effects (used by the directory and
-      by the oracle/ideal predictors).
+    * :meth:`contains_block` / :meth:`peek_line` — probe without side effects
+      (used by the walker's locate step and by the oracle/ideal predictors).
+
+    Replacement is true LRU (Table I): a per-cache logical clock stamps each
+    way on every touch, and the victim of a full set is its
+    smallest-stamped way.
     """
 
-    __slots__ = ("config", "name", "_num_sets", "_associativity", "_lines",
-                 "_tag_to_way", "_all_valid", "_block_shift", "_set_mask",
-                 "_tag_shift", "_addr_mask", "_policy", "_lru_timestamps",
-                 "mshrs", "stats")
+    __slots__ = ("spec", "name", "_num_sets", "_associativity", "_lines",
+                 "_tag_to_way", "_block_shift", "_set_mask", "_tag_shift",
+                 "_addr_mask", "_clock", "_stamps", "mshrs", "stats")
 
-    def __init__(self, config: CacheConfig, name: Optional[str] = None) -> None:
-        self.config = config
-        self.name = name or config.level.name
-        self._num_sets = config.num_sets
-        self._associativity = config.associativity
+    def __init__(self, spec: LevelSpec, name: Optional[str] = None) -> None:
+        self.spec = spec
+        self.name = name or spec.name
+        self._num_sets = spec.size_bytes \
+            // (spec.block_size * spec.associativity)
+        self._associativity = spec.associativity
         # Per-set way lists, ``None`` until the set's first fill.
         self._lines: List[Optional[List[Optional[CacheLine]]]] = \
             [None] * self._num_sets
         # Per-set index from tag to way for O(1) lookups; kept in sync by
-        # fill() and invalidate().  Purely an implementation accelerator —
-        # real hardware compares all tags in parallel.  Never-filled sets
-        # share the read-only empty index.
+        # fill_block() and invalidate().  Purely an implementation
+        # accelerator — real hardware compares all tags in parallel.
+        # Never-filled sets share the read-only empty index.
         self._tag_to_way: List[Mapping[int, int]] = \
             [_EMPTY_SET] * self._num_sets
-        # Shared all-valid flag list used on the common fast path where every
-        # way in the set already holds a valid line.
-        self._all_valid = [True] * config.associativity
         # Precomputed shift/mask address decomposition for the (universal in
         # practice) power-of-two geometries; ``_block_shift < 0`` selects the
         # general divide/modulo fallback.
-        block_size = config.block_size
-        if (block_size & (block_size - 1)) == 0 \
-                and (self._num_sets & (self._num_sets - 1)) == 0:
+        block_size = spec.block_size
+        if (self._num_sets & (self._num_sets - 1)) == 0:
             self._block_shift = block_size.bit_length() - 1
             self._set_mask = self._num_sets - 1
             self._tag_shift = self._block_shift + self._num_sets.bit_length() - 1
@@ -193,16 +139,12 @@ class Cache:
             self._set_mask = 0
             self._tag_shift = 0
             self._addr_mask = 0
-        self._policy: ReplacementPolicy = make_replacement_policy(
-            config.replacement, self._num_sets, config.associativity
-        )
-        # LRU (the paper's policy everywhere) is special-cased on the hot
-        # paths: its timestamp update is two list indexings, far cheaper
-        # inlined than as a method call per touch.
-        self._lru_timestamps = (self._policy._timestamps
-                                if type(self._policy) is LRUPolicy else None)
+        # LRU state: the logical clock and, per set, one stamp per way
+        # (``None`` until the set's first fill, like its way list).
+        self._clock = 0
+        self._stamps: List[Optional[List[int]]] = [None] * self._num_sets
         self.mshrs = MSHRFile(
-            config.mshr_entries, demand_reserve_fraction=config.mshr_demand_reserve
+            spec.mshr_entries, demand_reserve_fraction=spec.mshr_demand_reserve
         )
         self.stats = CacheStats()
 
@@ -212,18 +154,18 @@ class Cache:
     def set_index(self, block_addr: int) -> int:
         if self._block_shift >= 0:
             return (block_addr >> self._block_shift) & self._set_mask
-        return (block_addr // self.config.block_size) % self._num_sets
+        return (block_addr // self.spec.block_size) % self._num_sets
 
     def tag_of(self, block_addr: int) -> int:
         if self._block_shift >= 0:
             return block_addr >> self._tag_shift
-        return block_addr // (self.config.block_size * self._num_sets)
+        return block_addr // (self.spec.block_size * self._num_sets)
 
     def block_of(self, address: int) -> int:
         """Block-aligned address of ``address`` (precomputed mask)."""
         if self._block_shift >= 0:
             return address & self._addr_mask
-        return block_address(address, self.config.block_size)
+        return block_address(address, self.spec.block_size)
 
     # ------------------------------------------------------------------
     # Probing
@@ -234,24 +176,16 @@ class Cache:
         tag = self.tag_of(block_addr)
         return set_index, self._tag_to_way[set_index].get(tag)
 
-    def contains(self, address: int) -> bool:
-        """Probe for a block without updating replacement state."""
-        return self.contains_block(self.block_of(address))
-
     def contains_block(self, block_addr: int) -> bool:
-        """:meth:`contains` for a pre-aligned block address (hot path)."""
+        """Whether the block is resident (no replacement-state update)."""
         if self._block_shift >= 0:
             return (block_addr >> self._tag_shift) in self._tag_to_way[
                 (block_addr >> self._block_shift) & self._set_mask]
         set_index, way = self._find(block_addr)
         return way is not None
 
-    def get_line(self, address: int) -> Optional[CacheLine]:
-        """Return the resident line for ``address`` (no side effects)."""
-        return self.peek_line(self.block_of(address))
-
     def peek_line(self, block_addr: int) -> Optional[CacheLine]:
-        """:meth:`get_line` for a pre-aligned block address (hot path)."""
+        """The resident line of the block, or ``None`` (no side effects)."""
         set_index, way = self._find(block_addr)
         if way is None:
             return None
@@ -260,23 +194,13 @@ class Cache:
     # ------------------------------------------------------------------
     # Main operations
     # ------------------------------------------------------------------
-    def lookup(
-        self, address: int, access_type: AccessType = AccessType.LOAD
-    ) -> bool:
-        """Probe the cache for a demand or prefetch access.
-
-        Returns True on a hit.  A hit updates replacement state, marks the
-        line dirty for stores, and clears the prefetched bit (the prefetch has
-        proven useful).
-        """
-        hit, _ = self.access_block(self.block_of(address), access_type)
-        return hit
-
     def access_block(
         self, block_addr: int, access_type: AccessType = AccessType.LOAD
     ) -> Tuple[bool, bool]:
-        """:meth:`lookup` for a pre-aligned block address (hot path).
+        """Probe the cache for a demand or prefetch access.
 
+        A hit updates recency, marks the line dirty for stores, and clears
+        the prefetched bit on a demand use (the prefetch proved useful).
         Returns ``(hit, was_prefetched)`` where ``was_prefetched`` reports
         whether the line's prefetched bit was set *before* this access cleared
         it — the signal the hierarchy feeds back to the prefetcher's accuracy
@@ -291,13 +215,8 @@ class Cache:
         was_prefetched = False
         if way is not None:
             line = self._lines[set_index][way]
-            lru = self._lru_timestamps
-            if lru is not None:
-                policy = self._policy
-                policy._clock += 1
-                lru[set_index][way] = policy._clock
-            else:
-                self._policy.on_access(set_index, way)
+            self._clock += 1
+            self._stamps[set_index][way] = self._clock
             if access_type is AccessType.STORE:
                 line.dirty = True
                 line.state = CoherenceState.MODIFIED
@@ -318,21 +237,6 @@ class Cache:
             stats.demand_misses += 1
         return False, False
 
-    def fill(
-        self,
-        address: int,
-        access_type: AccessType = AccessType.LOAD,
-        dirty: bool = False,
-        state: CoherenceState = CoherenceState.EXCLUSIVE,
-    ) -> Optional[EvictionInfo]:
-        """Install a block, evicting a victim if the set is full.
-
-        Returns information about the evicted line (or ``None`` when an
-        invalid way was available or the block was already resident).
-        """
-        return self.fill_block(self.block_of(address), access_type,
-                               dirty=dirty, state=state)
-
     def fill_block(
         self,
         block_addr: int,
@@ -340,8 +244,10 @@ class Cache:
         dirty: bool = False,
         state: CoherenceState = CoherenceState.EXCLUSIVE,
     ) -> Optional[EvictionInfo]:
-        """:meth:`fill` for a pre-aligned block address (hot path).
+        """Install a block, evicting the LRU line if the set is full.
 
+        Returns the evicted line's :class:`EvictionInfo`, or ``None`` when
+        a free way was available or the block was already resident.
         Evicted :class:`CacheLine` objects are recycled in place for the new
         block — per-access allocation on the fill path is limited to the
         :class:`EvictionInfo` snapshot of the victim.  The first fill of a
@@ -356,17 +262,12 @@ class Cache:
             tag = self.tag_of(block_addr)
         tag_to_way = self._tag_to_way[set_index]
         way = tag_to_way.get(tag)
-        lru = self._lru_timestamps
         if way is not None:
             # Already resident (e.g. a prefetch raced a demand fill); refresh.
             line = self._lines[set_index][way]
             line.dirty = line.dirty or dirty
-            if lru is not None:
-                policy = self._policy
-                policy._clock += 1
-                lru[set_index][way] = policy._clock
-            else:
-                self._policy.on_access(set_index, way)
+            self._clock += 1
+            self._stamps[set_index][way] = self._clock
             return None
 
         stats = self.stats
@@ -377,16 +278,14 @@ class Cache:
             # First fill of this set: allocate it.
             lines = self._lines[set_index] = [None] * self._associativity
             tag_to_way = self._tag_to_way[set_index] = {}
-            if lru is not None:
-                lru[set_index] = [0] * self._associativity
+            self._stamps[set_index] = [0] * self._associativity
             victim_way = 0
             lines[0] = CacheLine(tag, block_addr, state, dirty, prefetched)
         elif len(tag_to_way) == self._associativity:
-            if lru is not None:
-                stamps = lru[set_index]
-                victim_way = stamps.index(min(stamps))
-            else:
-                victim_way = self._policy.victim(set_index, self._all_valid)
+            # index(min(...)) keeps the first-minimum tie-break while
+            # running both passes at C speed.
+            stamps = self._stamps[set_index]
+            victim_way = stamps.index(min(stamps))
             victim = lines[victim_way]
             eviction = EvictionInfo(victim.block_addr, victim.dirty,
                                     victim.prefetched, victim.state)
@@ -403,18 +302,13 @@ class Cache:
             victim.dirty = dirty
             victim.prefetched = prefetched
         else:
-            # A free way exists and every policy prefers the first free
-            # way, so skip the policy (and the flag-list allocation).
+            # A free way exists: fill the first one.
             victim_way = lines.index(None)
             lines[victim_way] = CacheLine(tag, block_addr, state, dirty,
                                           prefetched)
         tag_to_way[tag] = victim_way
-        if lru is not None:
-            policy = self._policy
-            policy._clock += 1
-            lru[set_index][victim_way] = policy._clock
-        else:
-            self._policy.on_fill(set_index, victim_way)
+        self._clock += 1
+        self._stamps[set_index][victim_way] = self._clock
         stats.fills += 1
         if prefetched:
             stats.prefetch_fills += 1
@@ -452,9 +346,10 @@ class Cache:
             prefetched_unused=line.prefetched,
             state=line.state,
         )
+        # The freed way's LRU stamp goes stale harmlessly: fills take the
+        # first free way and restamp it before the set can be full again.
         self._lines[set_index][way] = None
         del self._tag_to_way[set_index][line.tag]
-        self._policy.on_invalidate(set_index, way)
         self.stats.invalidations += 1
         return info
 
@@ -484,10 +379,6 @@ class Cache:
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
         return sum([len(index) for index in self._tag_to_way])
-
-    @property
-    def capacity_blocks(self) -> int:
-        return self._num_sets * self.config.associativity
 
     def reset_statistics(self) -> None:
         self.stats.reset()

@@ -21,36 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-
-@dataclass
-class DRAMConfig:
-    """Timing and geometry of the memory channel.
-
-    The defaults correspond to DDR4-2400 (tCK = 0.833 ns) with CL=17,
-    tRCD=17, tRP=17, tRAS=39 memory cycles, a 64-byte burst (BL8 on a x64
-    channel = 4 memory clocks), 16 banks, and a 4 GHz core clock.
-    """
-
-    core_frequency_ghz: float = 4.0
-    dram_frequency_mhz: float = 1200.0
-    cas_latency: int = 17
-    trcd: int = 17
-    trp: int = 17
-    tras: int = 39
-    burst_cycles: int = 4
-    num_banks: int = 16
-    num_ranks: int = 1
-    row_size_bytes: int = 8192
-    channel_capacity_gb: int = 16
-    controller_latency_core_cycles: int = 15
-    refresh_penalty_core_cycles: float = 1.0
-    #: Bank queueing delay is bounded to this fraction of one bank occupancy
-    #: (the functional front end has no issue backpressure, see access()).
-    max_queue_fraction: float = 0.5
-
-    @property
-    def core_cycles_per_dram_cycle(self) -> float:
-        return (self.core_frequency_ghz * 1000.0) / self.dram_frequency_mhz
+from .spec import MemorySpec
 
 
 @dataclass
@@ -88,13 +59,13 @@ class DRAMStats:
 class DRAMModel:
     """Open-page DRAM channel with per-bank row-buffer state."""
 
-    __slots__ = ("config", "_ratio", "_num_banks", "_open_row",
+    __slots__ = ("spec", "_ratio", "_num_banks", "_open_row",
                  "_bank_free_at", "stats", "_now")
 
-    def __init__(self, config: DRAMConfig | None = None) -> None:
-        self.config = config or DRAMConfig()
-        self._ratio = self.config.core_cycles_per_dram_cycle
-        self._num_banks = self.config.num_banks * self.config.num_ranks
+    def __init__(self, spec: MemorySpec = MemorySpec()) -> None:
+        self.spec = spec
+        self._ratio = spec.core_cycles_per_dram_cycle
+        self._num_banks = spec.num_banks * spec.num_ranks
         # Per-bank open row and the core-cycle time the bank becomes free,
         # indexed by bank id (lists beat dicts for this dense, small space).
         self._open_row: List[Optional[int]] = [None] * self._num_banks
@@ -107,10 +78,10 @@ class DRAMModel:
     # ------------------------------------------------------------------
     def map_address(self, address: int) -> Tuple[int, int]:
         """Map a physical address to (bank, row)."""
-        cfg = self.config
-        row_index = address // cfg.row_size_bytes
-        bank = row_index % (cfg.num_banks * cfg.num_ranks)
-        row = row_index // (cfg.num_banks * cfg.num_ranks)
+        spec = self.spec
+        row_index = address // spec.row_size_bytes
+        bank = row_index % (spec.num_banks * spec.num_ranks)
+        row = row_index // (spec.num_banks * spec.num_ranks)
         return bank, row
 
     # ------------------------------------------------------------------
@@ -126,18 +97,18 @@ class DRAMModel:
             current_cycle: Core-cycle timestamp of the request; when omitted an
                 internal monotonically advancing clock is used.
         """
-        cfg = self.config
+        spec = self.spec
         ratio = self._ratio
         if current_cycle is None:
             # Without an external clock, requests are assumed to arrive at the
             # channel's peak burst rate (one 64 B transfer per burst window),
             # which is the densest request stream a real core could sustain.
-            self._now += cfg.burst_cycles * ratio
+            self._now += spec.burst_cycles * ratio
             current_cycle = self._now
         else:
             self._now = max(self._now, current_cycle)
 
-        row_index = address // cfg.row_size_bytes
+        row_index = address // spec.row_size_bytes
         banks = self._num_banks
         bank = row_index % banks
         row = row_index // banks
@@ -146,14 +117,14 @@ class DRAMModel:
         open_row = self._open_row[bank]
         if open_row is None:
             # Bank closed: activate then read/write.
-            dram_cycles = cfg.trcd + cfg.cas_latency + cfg.burst_cycles
+            dram_cycles = spec.trcd + spec.cas_latency + spec.burst_cycles
             stats.row_misses += 1
         elif open_row == row:
-            dram_cycles = cfg.cas_latency + cfg.burst_cycles
+            dram_cycles = spec.cas_latency + spec.burst_cycles
             stats.row_hits += 1
         else:
             # Row conflict: precharge, activate, access.
-            dram_cycles = cfg.trp + cfg.trcd + cfg.cas_latency + cfg.burst_cycles
+            dram_cycles = spec.trp + spec.trcd + spec.cas_latency + spec.burst_cycles
             stats.row_conflicts += 1
         self._open_row[bank] = row
 
@@ -166,15 +137,15 @@ class DRAMModel:
         # delay that no real (ROB-limited) core could generate.
         free_at = self._bank_free_at[bank]
         queue_delay = min(max(0.0, free_at - current_cycle),
-                          access_core_cycles * cfg.max_queue_fraction)
+                          access_core_cycles * spec.max_queue_fraction)
         finish = current_cycle + queue_delay + access_core_cycles
         self._bank_free_at[bank] = finish
 
         latency = (
-            cfg.controller_latency_core_cycles
+            spec.controller_latency_core_cycles
             + queue_delay
             + access_core_cycles
-            + cfg.refresh_penalty_core_cycles
+            + spec.refresh_penalty_core_cycles
         )
 
         if is_write:
@@ -186,12 +157,12 @@ class DRAMModel:
 
     def idle_latency(self) -> float:
         """Latency of an access to an idle, closed bank (used for reporting)."""
-        cfg = self.config
-        dram_cycles = cfg.trcd + cfg.cas_latency + cfg.burst_cycles
+        spec = self.spec
+        dram_cycles = spec.trcd + spec.cas_latency + spec.burst_cycles
         return (
-            cfg.controller_latency_core_cycles
-            + dram_cycles * cfg.core_cycles_per_dram_cycle
-            + cfg.refresh_penalty_core_cycles
+            spec.controller_latency_core_cycles
+            + dram_cycles * spec.core_cycles_per_dram_cycle
+            + spec.refresh_penalty_core_cycles
         )
 
     def reset_statistics(self) -> None:

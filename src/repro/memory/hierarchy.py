@@ -66,6 +66,7 @@ from .directory import Directory
 from .dram import DRAMModel
 from .interconnect import Interconnect
 from .spec import HierarchySpec
+from .tlb import TLBHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from ..core.base import LevelPredictor, Prediction
@@ -185,9 +186,8 @@ class SharedMemorySystem:
                  energy_params: Optional[EnergyParameters] = None) -> None:
         self.config = config
         self.num_cores = num_cores
-        llc = config.levels[-1]
-        self.l3 = Cache(llc.cache_config(Level.L3), name=llc.name)
-        self.dram = DRAMModel(config.memory.dram_config())
+        self.l3 = Cache(config.levels[-1])
+        self.dram = DRAMModel(config.memory)
         self.directory = Directory(num_cores=num_cores)
         self.llc_prefetcher = llc_prefetcher or NullPrefetcher()
         self.energy_params = energy_params or EnergyParameters()
@@ -257,15 +257,14 @@ class CoreMemoryHierarchy:
         self.config = spec = config or HierarchySpec.paper_single_core()
         self.shared = shared or SharedMemorySystem(spec, num_cores=1)
         self.predictor = predictor or _SequentialPredictor()
-        self.tlb = spec.tlb.build()
+        self.tlb = TLBHierarchy(spec.tlb)
         levels = spec.levels
         l1_spec, inter_specs, llc_spec = levels[0], levels[1:-1], levels[-1]
-        l1_cfg = l1_spec.cache_config(Level.L1)
-        # The LLC is the shared cache; time it from its runtime config.
-        llc_cfg = self.shared.l3.config
-        self.l1 = Cache(l1_cfg, name=f"{l1_spec.name}.{core_id}")
+        # The LLC is the shared cache; time it from the shared cache's spec.
+        shared_llc = self.shared.l3.spec
+        self.l1 = Cache(l1_spec, name=f"{l1_spec.name}.{core_id}")
         intermediates = tuple([
-            Cache(level.cache_config(Level.L2), name=f"{level.name}.{core_id}")
+            Cache(level, name=f"{level.name}.{core_id}")
             for level in inter_specs])
         self._intermediates = intermediates
         # Compat alias: the first private intermediate (the paper's L2), or
@@ -292,13 +291,12 @@ class CoreMemoryHierarchy:
             else None
         self.l1_prefetcher = l1_prefetcher or NullPrefetcher()
         self.l2_prefetcher = l2_prefetcher or NullPrefetcher()
-        self.interconnect = Interconnect(
-            spec.interconnect.interconnect_config(),
-            active_cores=active_cores)
+        self.interconnect = Interconnect(spec.interconnect,
+                                         active_cores=active_cores)
         self.energy = EnergyAccount(params=self.shared.energy_params)
         self.stats = HierarchyStats()
         self.core_id = core_id
-        self._block_size = l1_cfg.block_size
+        self._block_size = l1_spec.block_size
         # Hot-path precomputation: block mask (power-of-two line sizes),
         # per-level latencies as floats and per-structure energies, so
         # access() performs no repeated config/dataclass attribute chains.
@@ -306,28 +304,27 @@ class CoreMemoryHierarchy:
         self._block_mask = ~(bs - 1) if (bs & (bs - 1)) == 0 else None
         # Page decomposition parameters of the first-level TLB, so access()
         # and the columnar replay path compute identical page numbers.
-        self._l1_page_size = self.tlb.l1.config.page_size
+        self._l1_page_size = self.tlb.l1.page_size
         self._page_shift = self.tlb.l1._page_shift
-        self._l1_hit_latency = float(l1_cfg.hit_latency)
-        self._l1_miss_detect = float(l1_cfg.miss_detect_latency)
-        self._chain_hit_latency = tuple([float(c.config.hit_latency)
-                                         for c in intermediates])
-        self._chain_miss_detect = tuple([float(c.config.miss_detect_latency)
-                                         for c in intermediates])
-        self._l3_hit_latency = float(llc_cfg.hit_latency)
-        self._l3_tag_latency = float(llc_cfg.tag_latency)
+        self._l1_hit_latency = float(l1_spec.hit_latency)
+        self._l1_miss_detect = float(l1_spec.tag_latency)
+        self._chain_hit_latency = tuple([float(level.hit_latency)
+                                         for level in inter_specs])
+        self._chain_miss_detect = tuple([float(level.tag_latency)
+                                         for level in inter_specs])
+        self._l3_hit_latency = float(shared_llc.hit_latency)
+        self._l3_tag_latency = float(shared_llc.tag_latency)
         self._port_penalty = spec.parallel_port_penalty
         self._memory_speculative = spec.memory_speculative_launch
         self._ideal_miss_latency = spec.ideal_miss_latency
         # Interconnect hop latencies are constant per instance (contention
         # depends only on active_cores); precompute them and bump the
         # transfer counters inline instead of calling per hop.
-        ic_cfg = self.interconnect.config
-        contention = (self.interconnect.active_cores - 1) \
-            * ic_cfg.contention_per_extra_core
-        self._ic_l1_l2 = float(ic_cfg.l1_to_l2)
-        self._ic_l2_llc = ic_cfg.l2_to_llc + contention
-        self._ic_llc_mem = ic_cfg.llc_to_memory + contention
+        ic_spec = spec.interconnect
+        contention = self.interconnect.contention
+        self._ic_l1_l2 = float(ic_spec.l1_to_l2)
+        self._ic_l2_llc = ic_spec.l2_to_llc + contention
+        self._ic_llc_mem = ic_spec.llc_to_memory + contention
         params = self.shared.energy_params
         # Spec-level read_energy_nj overrides replace the role-based default
         # for the full per-access energy of that level (for the LLC it also
@@ -360,9 +357,9 @@ class CoreMemoryHierarchy:
                 self._l3_wb_nj, self._dram_nj, self._bus_nj,
                 self._directory_nj) + self._chain_nj) < 0:
             raise ValueError("cannot charge negative energy")
-        budget_cfg = intermediates[-1].config if intermediates else l1_cfg
-        self._prefetch_budget = (1.0 - budget_cfg.mshr_demand_reserve) \
-            * budget_cfg.mshr_entries
+        budget = inter_specs[-1] if inter_specs else l1_spec
+        self._prefetch_budget = (1.0 - budget.mshr_demand_reserve) \
+            * budget.mshr_entries
         # Shared result object for the overwhelmingly common outcome: an L1
         # hit with a first-level TLB hit (translation latency 0).  The object
         # is read-only by every consumer (the core model reads .latency).

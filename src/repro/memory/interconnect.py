@@ -11,71 +11,46 @@ the reasons multi-core prediction accuracy and speedup differ from single-core
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class InterconnectConfig:
-    """Per-hop latencies in core cycles.
-
-    Attributes:
-        l1_to_l2: Latency from the L1 miss path to the L2 controller.
-        l2_to_llc: Latency from L2 (or the bypass path) to the shared LLC.
-        llc_to_memory: Latency from the LLC/directory to the memory controller.
-        recovery_transaction: Extra latency of the misprediction-recovery
-            transaction the directory issues to the correct level.
-        contention_per_extra_core: Additional average cycles added to every
-            shared-resource hop per active core beyond the first, a simple
-            stand-in for queueing at the LLC and bus arbitration.
-    """
-
-    l1_to_l2: int = 2
-    l2_to_llc: int = 4
-    llc_to_memory: int = 6
-    recovery_transaction: int = 8
-    contention_per_extra_core: float = 1.5
+from .spec import InterconnectSpec
 
 
 class Interconnect:
-    """Latency calculator for hops between hierarchy levels."""
+    """Latency calculator for hops between hierarchy levels.
 
-    __slots__ = ("config", "active_cores", "transfers",
+    Hop latencies come from the :class:`~repro.memory.spec.InterconnectSpec`.
+    Every shared-resource hop (into the LLC, to memory, recovery and
+    cache-to-cache transfers) also pays :attr:`contention`: the spec's
+    ``contention_per_extra_core`` for each active core beyond the first, a
+    simple stand-in for queueing at the LLC and bus arbitration.  The
+    walker reads :attr:`spec` and :attr:`contention` once and charges the
+    L1-to-L2 and LLC-to-memory hops inline.
+    """
+
+    __slots__ = ("spec", "active_cores", "contention", "transfers",
                  "recovery_transactions")
 
-    def __init__(self, config: InterconnectConfig | None = None,
+    def __init__(self, spec: InterconnectSpec = InterconnectSpec(),
                  active_cores: int = 1) -> None:
-        self.config = config or InterconnectConfig()
+        self.spec = spec
         self.active_cores = max(1, active_cores)
+        self.contention = (self.active_cores - 1) \
+            * spec.contention_per_extra_core
         self.transfers = 0
         self.recovery_transactions = 0
 
-    def _contention(self) -> float:
-        extra_cores = self.active_cores - 1
-        return extra_cores * self.config.contention_per_extra_core
-
-    def l1_to_l2_latency(self) -> float:
-        self.transfers += 1
-        return float(self.config.l1_to_l2)
-
     def l2_to_llc_latency(self) -> float:
         self.transfers += 1
-        return self.config.l2_to_llc + self._contention()
-
-    def llc_to_memory_latency(self) -> float:
-        self.transfers += 1
-        return self.config.llc_to_memory + self._contention()
+        return self.spec.l2_to_llc + self.contention
 
     def recovery_latency(self) -> float:
         """Latency of the directory-issued recovery transaction."""
         self.recovery_transactions += 1
-        return self.config.recovery_transaction + self._contention()
+        return self.spec.recovery_transaction + self.contention
 
     def cache_to_cache_latency(self) -> float:
         """Latency of a cache-to-cache forward between private caches."""
         self.transfers += 1
-        return (
-            self.config.l2_to_llc + self.config.l1_to_l2 + self._contention()
-        )
+        return self.spec.l2_to_llc + self.spec.l1_to_l2 + self.contention
 
     def reset_statistics(self) -> None:
         self.transfers = 0

@@ -1,7 +1,13 @@
 """Declarative hierarchy specifications: the memory system as data.
 
 :class:`HierarchySpec` is the one hierarchy configuration type.  It is a
-*declarative spec* in the zigzag idiom: each cache level is a frozen
+*declarative spec* in the zigzag idiom, and its parts are also the runtime
+configs: :class:`~repro.memory.cache.Cache` reads a :class:`LevelSpec`,
+:class:`~repro.memory.tlb.TLBHierarchy` a :class:`TLBSpec`,
+:class:`~repro.memory.dram.DRAMModel` a :class:`MemorySpec` and
+:class:`~repro.memory.interconnect.Interconnect` an
+:class:`InterconnectSpec`, so every config decision lives in this module
+alone.  Each cache level is a frozen
 :class:`LevelSpec` (geometry, latencies, MSHR shape, ports, optional
 per-access energy and area), and a :class:`HierarchySpec` composes an
 ordered chain of levels plus a memory backend (:class:`MemorySpec`), an
@@ -37,9 +43,11 @@ canonical form is frozen as a key format: a *legacy-exact* spec (three
 levels named ``L1``/``L2``/``L3`` with a non-inclusive LLC, the default
 TLB, and no energy/area/port extras — everything the old dataclass could
 express) canonicalises in it via the ``__canonical__`` hook the store
-honours.  So the job keys of the paper systems, and with them the golden
-store, never move.  Every other spec takes the generic dataclass
-canonical form.
+honours.  The format is frozen *data* in this module (the record names
+and the spec fields each record holds), not derived from any live type,
+so the job keys of the paper systems, and with them the golden store,
+never move.  Every other spec takes the generic dataclass canonical
+form.
 """
 
 from __future__ import annotations
@@ -50,11 +58,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from .block import DEFAULT_BLOCK_SIZE, Level
-from .cache import CacheConfig
-from .dram import DRAMConfig
-from .interconnect import InterconnectConfig
-from .tlb import TLBConfig, TLBHierarchy
+from .block import DEFAULT_BLOCK_SIZE
 
 #: Schema tag embedded in every serialized hierarchy spec.
 HIERARCHY_SCHEMA = "repro-hierarchy/1"
@@ -62,8 +66,36 @@ HIERARCHY_SCHEMA = "repro-hierarchy/1"
 #: The default level names of the paper's 3-level chain (legacy-exact).
 _LEGACY_NAMES = ("L1", "L2", "L3")
 
-#: The class name the pre-spec store key format recorded for a hierarchy.
-_LEGACY_KEY_CLASS = "HierarchyConfig"
+#: The frozen pre-spec store key format, as data: the spec fields each of
+#: its records holds.  A cache level is recorded as a ``CacheConfig`` with
+#: its level code and the (only) LRU, write-back policy, DRAM as a
+#: ``DRAMConfig``, the bus as an ``InterconnectConfig``, and the whole as a
+#: ``HierarchyConfig``.  Only these names enter a legacy key, so adding a
+#: spec field cannot move one.
+_LEGACY_CACHE_FIELDS = (
+    "size_bytes", "associativity", "block_size", "tag_latency",
+    "data_latency", "sequential_tag_data", "mshr_entries",
+    "mshr_demand_reserve")
+_LEGACY_DRAM_FIELDS = (
+    "core_frequency_ghz", "dram_frequency_mhz", "cas_latency", "trcd",
+    "trp", "tras", "burst_cycles", "num_banks", "num_ranks",
+    "row_size_bytes", "channel_capacity_gb",
+    "controller_latency_core_cycles", "refresh_penalty_core_cycles",
+    "max_queue_fraction")
+_LEGACY_INTERCONNECT_FIELDS = (
+    "l1_to_l2", "l2_to_llc", "llc_to_memory", "recovery_transaction",
+    "contention_per_extra_core")
+_LEGACY_HIERARCHY_FIELDS = (
+    "memory_speculative_launch", "parallel_port_penalty",
+    "prefetch_inflight_window", "ideal_miss_latency")
+
+
+def _legacy_record(class_name: str, spec: Any, names: Tuple[str, ...],
+                   **extra: Any) -> Dict[str, Any]:
+    """One dataclass record of the frozen pre-spec key format."""
+    record = {name: getattr(spec, name) for name in names}
+    record.update(extra)
+    return {"__dataclass__": class_name, "fields": record}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -81,7 +113,9 @@ class LevelSpec:
             size must be a power of two and identical across the chain.
         tag_latency / data_latency / sequential_tag_data: Access timing;
             a sequential level resolves tags before data
-            (``hit = tag + data``), a parallel one overlaps them.
+            (``hit = tag + data``), a parallel one overlaps them
+            (``hit = max(tag, data)``).  Either detects a miss after
+            ``tag_latency``.
         mshr_entries / mshr_demand_reserve: Miss-status-holding-register
             geometry; the reserve is the demand-only fraction.
         ports: Tag-port count (declarative, zigzag-style; the timing
@@ -145,20 +179,10 @@ class LevelSpec:
 
     @property
     def hit_latency(self) -> int:
-        """Cycles to return data on a hit."""
+        """Cycles to return data on a hit (what the walker charges)."""
         if self.sequential_tag_data:
             return self.tag_latency + self.data_latency
         return max(self.tag_latency, self.data_latency)
-
-    def cache_config(self, level: Level) -> CacheConfig:
-        """The runtime :class:`CacheConfig` this spec describes."""
-        return CacheConfig(
-            level=level, size_bytes=self.size_bytes,
-            associativity=self.associativity, block_size=self.block_size,
-            tag_latency=self.tag_latency, data_latency=self.data_latency,
-            sequential_tag_data=self.sequential_tag_data,
-            mshr_entries=self.mshr_entries,
-            mshr_demand_reserve=self.mshr_demand_reserve)
 
 
 @dataclass(frozen=True)
@@ -198,23 +222,18 @@ class TLBSpec:
         _require(self.page_walk_latency >= 0,
                  "TLB: page_walk_latency must be non-negative")
 
-    def build(self) -> TLBHierarchy:
-        """Construct the runtime :class:`~repro.memory.tlb.TLBHierarchy`."""
-        return TLBHierarchy(
-            l1_config=TLBConfig(entries=self.l1_entries,
-                                associativity=self.l1_associativity,
-                                page_size=self.page_size,
-                                access_latency=self.l1_latency),
-            l2_config=TLBConfig(entries=self.l2_entries,
-                                associativity=self.l2_associativity,
-                                page_size=self.page_size,
-                                access_latency=self.l2_latency),
-            page_walk_latency=self.page_walk_latency)
-
 
 @dataclass(frozen=True)
 class MemorySpec:
-    """The DRAM backend, mirroring :class:`~repro.memory.dram.DRAMConfig`."""
+    """The DRAM channel :class:`~repro.memory.dram.DRAMModel` times.
+
+    The defaults correspond to DDR4-2400 (tCK = 0.833 ns) with CL=17,
+    tRCD=17, tRP=17, tRAS=39 memory cycles, a 64-byte burst (BL8 on a
+    x64 channel = 4 memory clocks), 16 banks, and a 4 GHz core clock.
+    ``max_queue_fraction`` bounds bank queueing delay to that fraction of
+    one bank occupancy (the functional front end has no issue
+    backpressure).
+    """
 
     core_frequency_ghz: float = 4.0
     dram_frequency_mhz: float = 1200.0
@@ -240,18 +259,22 @@ class MemorySpec:
         _require(self.row_size_bytes > 0,
                  "memory: row_size_bytes must be positive")
 
-    def dram_config(self) -> DRAMConfig:
-        # The field names mirror DRAMConfig one to one.
-        return DRAMConfig(**self.__dict__)
+    @property
+    def core_cycles_per_dram_cycle(self) -> float:
+        return (self.core_frequency_ghz * 1000.0) / self.dram_frequency_mhz
 
 
 @dataclass(frozen=True)
 class InterconnectSpec:
-    """Hop latencies, mirroring :class:`InterconnectConfig`.
+    """Per-hop bus latencies in core cycles.
 
     ``l1_to_l2`` is charged on every hop between private levels (L1 to
     the first intermediate, and between intermediates in chains deeper
-    than three levels); ``l2_to_llc`` on the hop into the shared LLC.
+    than three levels); ``l2_to_llc`` on the hop into the shared LLC;
+    ``llc_to_memory`` from the LLC/directory to the memory controller;
+    ``recovery_transaction`` on the misprediction-recovery transaction
+    the directory issues.  Each shared-resource hop also pays
+    ``contention_per_extra_core`` per active core beyond the first.
     """
 
     l1_to_l2: int = 2
@@ -269,9 +292,6 @@ class InterconnectSpec:
                  "interconnect: contention_per_extra_core must be "
                  "non-negative")
 
-    def interconnect_config(self) -> InterconnectConfig:
-        # The field names mirror InterconnectConfig one to one.
-        return InterconnectConfig(**self.__dict__)
 
 
 def _paper_levels(llc_size_bytes: int) -> Tuple[LevelSpec, ...]:
@@ -416,27 +436,26 @@ class HierarchySpec:
 
         Legacy-exact specs canonicalise in the frozen pre-spec key
         format, so the SHA-256 job keys of the paper systems — and the
-        golden store — never move.  Anything that format cannot express
-        falls through to the generic dataclass canonical form.
+        golden store — never move.  The format's records hold only
+        primitives, so ``canonicalize`` is not needed.  Anything that
+        format cannot express falls through to the generic dataclass
+        canonical form.
         """
         if not self.is_legacy_exact():
             return NotImplemented
-        l1, l2, l3 = self.levels
-        return {
-            "__dataclass__": _LEGACY_KEY_CLASS,
-            "fields": {
-                "l1": canonicalize(l1.cache_config(Level.L1)),
-                "l2": canonicalize(l2.cache_config(Level.L2)),
-                "l3": canonicalize(l3.cache_config(Level.L3)),
-                "dram": canonicalize(self.memory.dram_config()),
-                "interconnect": canonicalize(
-                    self.interconnect.interconnect_config()),
-                "memory_speculative_launch": self.memory_speculative_launch,
-                "parallel_port_penalty": self.parallel_port_penalty,
-                "prefetch_inflight_window": self.prefetch_inflight_window,
-                "ideal_miss_latency": self.ideal_miss_latency,
-            },
-        }
+        levels = {
+            name: _legacy_record("CacheConfig", level, _LEGACY_CACHE_FIELDS,
+                                 level=code, replacement="lru",
+                                 writeback=True)
+            for code, (name, level) in enumerate(
+                zip(("l1", "l2", "l3"), self.levels), start=1)}
+        return _legacy_record(
+            "HierarchyConfig", self, _LEGACY_HIERARCHY_FIELDS, **levels,
+            dram=_legacy_record("DRAMConfig", self.memory,
+                                _LEGACY_DRAM_FIELDS),
+            interconnect=_legacy_record("InterconnectConfig",
+                                        self.interconnect,
+                                        _LEGACY_INTERCONNECT_FIELDS))
 
     # ------------------------------------------------------------------
     # JSON round trip

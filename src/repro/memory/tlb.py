@@ -16,17 +16,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
-
-@dataclass
-class TLBConfig:
-    """Configuration of a single TLB level."""
-
-    entries: int
-    associativity: int = 4
-    page_size: int = 4096
-    access_latency: int = 1
+from .spec import TLBSpec
 
 
 @dataclass
@@ -50,19 +41,20 @@ class TLBStats:
 class TLB:
     """A set-associative TLB modelled with per-set LRU ordered dicts."""
 
-    __slots__ = ("config", "name", "_num_sets", "_sets", "_page_shift",
-                 "stats")
+    __slots__ = ("associativity", "page_size", "name", "_num_sets", "_sets",
+                 "_page_shift", "stats")
 
-    def __init__(self, config: TLBConfig, name: str = "tlb") -> None:
-        if config.entries <= 0:
+    def __init__(self, entries: int, associativity: int, page_size: int,
+                 name: str = "tlb") -> None:
+        if entries <= 0:
             raise ValueError("TLB must have at least one entry")
-        if config.entries % config.associativity != 0:
+        if entries % associativity != 0:
             raise ValueError("TLB entries must be divisible by associativity")
-        self.config = config
+        self.associativity = associativity
+        self.page_size = page_size
         self.name = name
-        self._num_sets = max(config.entries // config.associativity, 1)
+        self._num_sets = entries // associativity
         self._sets = [OrderedDict() for _ in range(self._num_sets)]
-        page_size = config.page_size
         self._page_shift = (page_size.bit_length() - 1
                             if (page_size & (page_size - 1)) == 0 else -1)
         self.stats = TLBStats()
@@ -74,7 +66,7 @@ class TLB:
         """Probe the TLB for the page containing ``address``."""
         shift = self._page_shift
         page = (address >> shift) if shift >= 0 \
-            else address // self.config.page_size
+            else address // self.page_size
         entries = self._sets[page % self._num_sets]
         stats = self.stats
         if page in entries:
@@ -86,110 +78,46 @@ class TLB:
 
     def insert(self, address: int) -> None:
         """Install a translation for the page containing ``address``."""
-        page = address // self.config.page_size
+        page = address // self.page_size
         entries = self._set_for(page)
         if page in entries:
             entries.move_to_end(page)
             return
-        if len(entries) >= self.config.associativity:
+        if len(entries) >= self.associativity:
             entries.popitem(last=False)
         entries[page] = True
 
-    def flush(self) -> None:
-        for entries in self._sets:
-            entries.clear()
-        # Statistics are intentionally preserved across flushes.
-
-
-@dataclass
-class TranslationResult:
-    """Outcome of translating one address through the TLB hierarchy."""
-
-    latency: int
-    l1_hit: bool
-    l2_hit: bool
-    page_walk: bool
-
 
 class TLBHierarchy:
-    """Two-level TLB with a fixed-cost page walker.
+    """Two-level TLB with a fixed-cost page walker, built from a
+    :class:`~repro.memory.spec.TLBSpec`.
 
-    Args:
-        l1_config: First-level TLB configuration (64 entries in the paper).
-        l2_config: Second-level TLB configuration (3072 entries, 4-way,
-            4-cycle latency in the paper).
-        page_walk_latency: Cycles charged for a page walk that misses both
-            TLBs.  The paper uses 2 hardware walkers; we model their effect as
-            a fixed average walk latency since walks are rare for the
-            synthetic traces.
+    A first-level hit is free: the L1 TLB is accessed in parallel with
+    the VIPT L1 cache.  A second-level hit costs ``l2_latency``; a miss in
+    both adds ``page_walk_latency``.  The paper uses 2 hardware walkers;
+    their effect is modelled as a fixed average walk latency since walks
+    are rare for the synthetic traces.
     """
 
-    __slots__ = ("l1", "l2", "page_walk_latency", "page_walks")
+    __slots__ = ("l1", "l2", "l2_latency", "page_walk_latency", "page_walks")
 
-    def __init__(
-        self,
-        l1_config: Optional[TLBConfig] = None,
-        l2_config: Optional[TLBConfig] = None,
-        page_walk_latency: int = 50,
-    ) -> None:
-        self.l1 = TLB(l1_config or TLBConfig(entries=64, associativity=4,
-                                             access_latency=1), name="L1TLB")
-        self.l2 = TLB(l2_config or TLBConfig(entries=1536, associativity=4,
-                                             access_latency=4), name="L2TLB")
-        self.page_walk_latency = page_walk_latency
+    def __init__(self, spec: TLBSpec) -> None:
+        self.l1 = TLB(spec.l1_entries, spec.l1_associativity, spec.page_size,
+                      name="L1TLB")
+        self.l2 = TLB(spec.l2_entries, spec.l2_associativity, spec.page_size,
+                      name="L2TLB")
+        self.l2_latency = spec.l2_latency
+        self.page_walk_latency = spec.page_walk_latency
         self.page_walks = 0
 
-    def translate(self, address: int) -> TranslationResult:
-        """Translate an address, returning the latency it contributed.
-
-        The L1 TLB is accessed in parallel with the VIPT L1 cache, so its
-        latency is hidden on the L1 hit path; we still report it so callers
-        can decide how to account for it.
-        """
-        if self.l1.lookup(address):
-            return TranslationResult(
-                latency=0, l1_hit=True, l2_hit=False, page_walk=False
-            )
-        if self.l2.lookup(address):
-            self.l1.insert(address)
-            return TranslationResult(
-                latency=self.l2.config.access_latency,
-                l1_hit=False,
-                l2_hit=True,
-                page_walk=False,
-            )
-        self.page_walks += 1
-        self.l2.insert(address)
-        self.l1.insert(address)
-        return TranslationResult(
-            latency=self.l2.config.access_latency + self.page_walk_latency,
-            l1_hit=False,
-            l2_hit=False,
-            page_walk=True,
-        )
-
-    def translate_latency(self, address: int) -> int:
-        """Latency-only :meth:`translate` for the per-access hot path.
-
-        Identical side effects (lookups, insertions, page-walk count) without
-        allocating a :class:`TranslationResult` per access.
-        """
-        l1 = self.l1
-        shift = l1._page_shift
-        page = (address >> shift) if shift >= 0 \
-            else address // l1.config.page_size
-        return self.translate_latency_page(page, address)
-
     def translate_latency_page(self, page: int, address: int) -> int:
-        """:meth:`translate_latency` with the first-level page precomputed.
+        """Translate one address and return the latency it contributes.
 
-        The columnar replay path decomposes whole traces into page-number
-        columns up front (see :meth:`repro.trace.TraceBuffer.page_column`),
-        so the per-access hot path performs no shift at all.  ``page`` must
-        be the page number under the first-level TLB's page size; the
-        second-level TLB and the walker still receive the full address and
-        derive their own page numbers (their page size may differ).  The
-        first-level probe is inlined — it hits for almost every access.
+        ``page`` is the page number of ``address``: the columnar replay path
+        decomposes whole traces into page-number columns up front (see
+        :meth:`repro.trace.TraceBuffer.page_column`), so the per-access hot
+        path performs no shift at all.  The first-level probe is inlined —
+        it hits for almost every access.
         """
         l1 = self.l1
         entries = l1._sets[page % l1._num_sets]
@@ -200,11 +128,11 @@ class TLBHierarchy:
         l1.stats.misses += 1
         if self.l2.lookup(address):
             l1.insert(address)
-            return self.l2.config.access_latency
+            return self.l2_latency
         self.page_walks += 1
         self.l2.insert(address)
         l1.insert(address)
-        return self.l2.config.access_latency + self.page_walk_latency
+        return self.l2_latency + self.page_walk_latency
 
     @property
     def miss_ratio(self) -> float:

@@ -7,21 +7,12 @@ import random
 
 import pytest
 
-from repro.memory.cache import Cache, CacheConfig
-from repro.memory.block import Level
 from repro.memory.hierarchy import CoreMemoryHierarchy
 from repro.memory.spec import HierarchySpec, LevelSpec
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimulatedSystem
 
 from trace_helpers import make_load, make_store  # noqa: F401  (re-export)
-
-
-@pytest.fixture
-def small_cache() -> Cache:
-    """A tiny 8-set, 2-way cache for unit tests (1 KiB)."""
-    return Cache(CacheConfig(level=Level.L1, size_bytes=1024, associativity=2,
-                             tag_latency=4))
 
 
 @pytest.fixture

@@ -10,90 +10,90 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.block import AccessType, CoherenceState, Level
-from repro.memory.cache import Cache, CacheConfig, CacheStats, EvictionInfo
-from repro.memory.replacement import make_replacement_policy
+from repro.memory.block import AccessType, CoherenceState
+from repro.memory.cache import Cache, CacheStats, EvictionInfo
+from repro.memory.spec import LevelSpec
 
 
-def make_cache(size=1024, assoc=2, level=Level.L1, **kwargs) -> Cache:
-    return Cache(CacheConfig(level=level, size_bytes=size, associativity=assoc,
-                             **kwargs))
+def make_cache(size=1024, assoc=2, **kwargs) -> Cache:
+    return Cache(LevelSpec(name="L1", size_bytes=size, associativity=assoc,
+                           **kwargs))
 
 
 class TestGeometry:
     def test_num_sets(self):
-        config = CacheConfig(level=Level.L1, size_bytes=32 * 1024,
-                             associativity=4)
-        assert config.num_sets == 128
+        cache = make_cache(size=32 * 1024, assoc=4)
+        # 128 sets of 64 B lines: block 127 is the last set, 128 wraps.
+        assert cache.set_index(127 * 64) == 127
+        assert cache.set_index(128 * 64) == 0
 
     def test_invalid_geometry_raises(self):
-        config = CacheConfig(level=Level.L1, size_bytes=64, associativity=4)
         with pytest.raises(ValueError):
-            _ = config.num_sets
+            LevelSpec(name="L1", size_bytes=64, associativity=4)
 
     def test_hit_latency_parallel_vs_sequential(self):
-        parallel = CacheConfig(level=Level.L2, size_bytes=1024, associativity=2,
-                               tag_latency=12, data_latency=0)
-        sequential = CacheConfig(level=Level.L3, size_bytes=1024, associativity=2,
-                                 tag_latency=20, data_latency=35,
-                                 sequential_tag_data=True)
+        parallel = LevelSpec(name="L2", size_bytes=1024, associativity=2,
+                             tag_latency=12, data_latency=0)
+        sequential = LevelSpec(name="L3", size_bytes=1024, associativity=2,
+                               tag_latency=20, data_latency=35,
+                               sequential_tag_data=True)
         assert parallel.hit_latency == 12
         assert sequential.hit_latency == 55
-        assert sequential.miss_detect_latency == 20
 
     def test_set_index_and_tag_roundtrip(self):
         cache = make_cache(size=1024, assoc=2)
         for block in (0, 64, 512, 4096, 65536):
             set_index = cache.set_index(block)
-            assert 0 <= set_index < cache.config.num_sets
+            assert 0 <= set_index < 8
+            assert (cache.tag_of(block) * 8 + set_index) * 64 == block
 
 
 class TestLookupAndFill:
     def test_miss_then_hit(self):
         cache = make_cache()
-        assert not cache.lookup(0x1000)
-        cache.fill(0x1000)
-        assert cache.lookup(0x1000)
+        assert cache.access_block(0x1000) == (False, False)
+        cache.fill_block(0x1000)
+        assert cache.access_block(0x1000) == (True, False)
         assert cache.stats.demand_hits == 1
         assert cache.stats.demand_misses == 1
 
     def test_sub_block_addresses_share_a_line(self):
         cache = make_cache()
-        cache.fill(0x1000)
-        assert cache.lookup(0x1010)
-        assert cache.lookup(0x103F)
-        assert not cache.lookup(0x1040)
+        cache.fill_block(cache.block_of(0x1010))
+        assert cache.block_of(0x103F) == 0x1000
+        assert cache.contains_block(cache.block_of(0x103F))
+        assert not cache.contains_block(cache.block_of(0x1040))
 
     def test_store_hit_marks_dirty(self):
         cache = make_cache()
-        cache.fill(0x2000)
-        cache.lookup(0x2000, AccessType.STORE)
-        line = cache.get_line(0x2000)
+        cache.fill_block(0x2000)
+        cache.access_block(0x2000, AccessType.STORE)
+        line = cache.peek_line(0x2000)
         assert line.dirty
         assert line.state is CoherenceState.MODIFIED
 
     def test_fill_of_resident_block_does_not_evict(self):
         cache = make_cache()
-        cache.fill(0x40)
-        assert cache.fill(0x40) is None
+        cache.fill_block(0x40)
+        assert cache.fill_block(0x40) is None
         assert cache.occupancy() == 1
 
     def test_eviction_when_set_full(self):
         # 1 KiB, 2-way, 64 B lines -> 8 sets; addresses 0, 512, 1024 map to set 0.
         cache = make_cache(size=1024, assoc=2)
-        cache.fill(0)
-        cache.fill(512)
-        eviction = cache.fill(1024)
+        cache.fill_block(0)
+        cache.fill_block(512)
+        eviction = cache.fill_block(1024)
         assert eviction is not None
         assert eviction.block_addr == 0  # LRU victim
-        assert not cache.contains(0)
-        assert cache.contains(512) and cache.contains(1024)
+        assert not cache.contains_block(0)
+        assert cache.contains_block(512) and cache.contains_block(1024)
 
     def test_dirty_eviction_reported(self):
         cache = make_cache(size=1024, assoc=2)
-        cache.fill(0, dirty=True)
-        cache.fill(512)
-        eviction = cache.fill(1024)
+        cache.fill_block(0, dirty=True)
+        cache.fill_block(512)
+        eviction = cache.fill_block(1024)
         assert eviction.dirty
         assert cache.stats.dirty_evictions == 1
 
@@ -101,23 +101,23 @@ class TestLookupAndFill:
 class TestPrefetchTracking:
     def test_prefetched_line_marked_and_cleared_on_use(self):
         cache = make_cache()
-        cache.fill(0x80, access_type=AccessType.PREFETCH)
-        assert cache.get_line(0x80).prefetched
-        cache.lookup(0x80)
-        assert not cache.get_line(0x80).prefetched
+        cache.fill_block(0x80, access_type=AccessType.PREFETCH)
+        assert cache.peek_line(0x80).prefetched
+        assert cache.access_block(0x80) == (True, True)
+        assert not cache.peek_line(0x80).prefetched
         assert cache.stats.prefetched_lines_used == 1
 
     def test_unused_prefetch_eviction_counted(self):
         cache = make_cache(size=1024, assoc=2)
-        cache.fill(0, access_type=AccessType.PREFETCH)
-        cache.fill(512)
-        eviction = cache.fill(1024)
+        cache.fill_block(0, access_type=AccessType.PREFETCH)
+        cache.fill_block(512)
+        eviction = cache.fill_block(1024)
         assert eviction.prefetched_unused
         assert cache.stats.prefetched_lines_evicted_unused == 1
 
     def test_prefetch_lookup_counted_separately(self):
         cache = make_cache()
-        cache.lookup(0x40, AccessType.PREFETCH)
+        cache.access_block(0x40, AccessType.PREFETCH)
         assert cache.stats.prefetch_misses == 1
         assert cache.stats.demand_misses == 0
 
@@ -125,10 +125,10 @@ class TestPrefetchTracking:
 class TestInvalidate:
     def test_invalidate_removes_block(self):
         cache = make_cache()
-        cache.fill(0x100)
+        cache.fill_block(0x100)
         info = cache.invalidate(0x100)
         assert info is not None
-        assert not cache.contains(0x100)
+        assert not cache.contains_block(0x100)
         assert cache.stats.invalidations == 1
 
     def test_invalidate_absent_block_is_noop(self):
@@ -137,9 +137,9 @@ class TestInvalidate:
 
     def test_mark_dirty(self):
         cache = make_cache()
-        cache.fill(0x100)
+        cache.fill_block(0x100)
         assert cache.mark_dirty(0x100)
-        assert cache.get_line(0x100).dirty
+        assert cache.peek_line(0x100).dirty
         assert not cache.mark_dirty(0x5000)
 
 
@@ -147,18 +147,18 @@ class TestCapacityInvariants:
     def test_occupancy_never_exceeds_capacity(self):
         cache = make_cache(size=1024, assoc=2)
         for i in range(100):
-            cache.fill(i * 64)
-        assert cache.occupancy() <= cache.capacity_blocks
+            cache.fill_block(i * 64)
+        assert cache.occupancy() == 1024 // 64
 
     def test_resident_blocks_are_block_aligned(self):
         cache = make_cache()
-        cache.fill(0x1234)
+        cache.fill_block(cache.block_of(0x1234))
         assert cache.resident_blocks() == [0x1200]
 
     def test_reset_statistics(self):
         cache = make_cache()
-        cache.lookup(0)
-        cache.fill(0)
+        cache.access_block(0)
+        cache.fill_block(0)
         cache.reset_statistics()
         assert cache.stats.accesses == 0
         assert cache.stats.fills == 0
@@ -173,9 +173,10 @@ def test_property_contains_matches_fill_history(addresses):
     address always hit."""
     cache = make_cache(size=2048, assoc=4)
     for address in addresses:
-        cache.fill(address)
-        assert cache.lookup(address)  # just-filled blocks always hit
-        assert cache.occupancy() <= cache.capacity_blocks
+        block = cache.block_of(address)
+        cache.fill_block(block)
+        assert cache.access_block(block)[0]  # just-filled blocks always hit
+        assert cache.occupancy() <= 2048 // 64
 
 
 @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 16),
@@ -185,10 +186,10 @@ def test_property_tag_index_consistency(addresses):
     """The internal tag->way index always agrees with the stored lines."""
     cache = make_cache(size=1024, assoc=2)
     for address in addresses:
-        cache.fill(address)
+        cache.fill_block(cache.block_of(address))
     for block in cache.resident_blocks():
-        assert cache.contains(block)
-        line = cache.get_line(block)
+        assert cache.contains_block(block)
+        line = cache.peek_line(block)
         assert line.block_addr == block
 
 
@@ -199,19 +200,15 @@ class ReferenceCache:
     """Eagerly allocated per-set ordered dicts, in recency order.
 
     LRU victims come from the dict order, independently of the cache's
-    timestamp lists; the other policies are driven through their general
-    ``victim(set, valid_ways)`` entry point on every fill, which also
-    checks the cache's first-free-way shortcut.
+    timestamp lists; a free way is always filled before any line is
+    evicted.
     """
 
-    def __init__(self, num_sets: int, associativity: int, policy: str):
+    def __init__(self, num_sets: int, associativity: int):
         self.num_sets = num_sets
         # Per set: tag -> [way, block, state, dirty, prefetched].
         self.sets = [OrderedDict() for _ in range(num_sets)]
         self.ways = [[None] * associativity for _ in range(num_sets)]
-        self.policy = (None if policy == "lru" else
-                       make_replacement_policy(policy, num_sets,
-                                               associativity))
         self.stats = {name: 0 for name in CacheStats.__dataclass_fields__}
 
     def _locate(self, block):
@@ -227,8 +224,6 @@ class ReferenceCache:
             return False, False
         self.stats[f"{kind}_hits"] += 1
         self.sets[index].move_to_end(tag)
-        if self.policy is not None:
-            self.policy.on_access(index, line[0])
         if atype is AccessType.STORE:
             line[3] = True
             line[2] = CoherenceState.MODIFIED
@@ -245,14 +240,9 @@ class ReferenceCache:
         if line is not None:
             line[3] = line[3] or dirty
             lines.move_to_end(tag)
-            if self.policy is not None:
-                self.policy.on_access(index, line[0])
             return None
-        valid = [way is not None for way in ways]
-        if self.policy is not None:
-            way = self.policy.victim(index, valid)
-        elif False in valid:
-            way = valid.index(False)
+        if None in ways:
+            way = ways.index(None)
         else:
             way = next(iter(lines.values()))[0]
         eviction = None
@@ -269,8 +259,6 @@ class ReferenceCache:
         ways[way] = tag
         lines[tag] = [way, block, state, dirty,
                       atype is AccessType.PREFETCH]
-        if self.policy is not None:
-            self.policy.on_fill(index, way)
         return eviction
 
     def invalidate(self, block):
@@ -280,8 +268,6 @@ class ReferenceCache:
             return None
         self.ways[index][line[0]] = None
         self.stats["invalidations"] += 1
-        if self.policy is not None:
-            self.policy.on_invalidate(index, line[0])
         return EvictionInfo(line[1], line[3], line[4], line[2])
 
     def mark_dirty(self, block):
@@ -305,17 +291,16 @@ _STATES = (CoherenceState.EXCLUSIVE, CoherenceState.SHARED,
            CoherenceState.MODIFIED)
 
 
-@pytest.mark.parametrize("policy", ["lru", "plru", "random", "srrip"])
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(num_sets=st.sampled_from((1, 2, 8)),
        associativity=st.sampled_from((1, 2, 4)),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_lazy_cache_matches_reference(policy, num_sets, associativity, seed):
+def test_lazy_cache_matches_reference(num_sets, associativity, seed):
     """300 seeded random operations on 12 blocks: sets are filled, emptied
     and refilled, and some are probed before any fill reaches them."""
     cache = make_cache(size=num_sets * associativity * 64,
-                       assoc=associativity, replacement=policy)
-    reference = ReferenceCache(num_sets, associativity, policy)
+                       assoc=associativity)
+    reference = ReferenceCache(num_sets, associativity)
     rng = random.Random(seed)
     for _ in range(300):
         operation = rng.choice(("access", "fill", "fill", "invalidate",

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.memory.dram import DRAMConfig, DRAMModel
+from repro.memory.dram import DRAMModel
+from repro.memory.spec import MemorySpec
 
 
 class TestTiming:
@@ -23,10 +24,10 @@ class TestTiming:
         assert dram.stats.row_misses == 1
 
     def test_row_conflict_slowest(self):
-        config = DRAMConfig()
-        dram = DRAMModel(config)
+        spec = MemorySpec()
+        dram = DRAMModel(spec)
         dram.access(0x0)
-        conflict_addr = config.row_size_bytes * config.num_banks  # same bank, new row
+        conflict_addr = spec.row_size_bytes * spec.num_banks  # same bank, new row
         bank0, row0 = dram.map_address(0x0)
         bank1, row1 = dram.map_address(conflict_addr)
         assert bank0 == bank1 and row0 != row1
@@ -35,16 +36,16 @@ class TestTiming:
         assert latency >= dram.idle_latency()
 
     def test_core_cycle_conversion(self):
-        config = DRAMConfig(core_frequency_ghz=4.0, dram_frequency_mhz=1200.0)
-        assert config.core_cycles_per_dram_cycle == pytest.approx(10.0 / 3.0)
+        spec = MemorySpec(core_frequency_ghz=4.0, dram_frequency_mhz=1200.0)
+        assert spec.core_cycles_per_dram_cycle == pytest.approx(10.0 / 3.0)
 
 
 class TestAddressMapping:
     def test_distinct_rows_map_to_different_banks(self):
         dram = DRAMModel()
-        banks = {dram.map_address(i * dram.config.row_size_bytes)[0]
-                 for i in range(dram.config.num_banks)}
-        assert len(banks) == dram.config.num_banks
+        banks = {dram.map_address(i * dram.spec.row_size_bytes)[0]
+                 for i in range(dram.spec.num_banks)}
+        assert len(banks) == dram.spec.num_banks
 
     def test_same_row_same_mapping(self):
         dram = DRAMModel()
@@ -89,9 +90,9 @@ class TestRowBufferTransitions:
     row state, and the exact latency ordering of the three outcomes."""
 
     def test_conflict_reopens_the_new_row(self):
-        config = DRAMConfig()
-        dram = DRAMModel(config)
-        stride = config.row_size_bytes * config.num_banks  # same bank
+        spec = MemorySpec()
+        dram = DRAMModel(spec)
+        stride = spec.row_size_bytes * spec.num_banks  # same bank
         dram.access(0x0)                 # miss: opens row 0
         dram.access(stride)              # conflict: opens row 1
         dram.access(stride + 0x40)       # same new row: hit
@@ -100,9 +101,9 @@ class TestRowBufferTransitions:
         assert dram.stats.row_hits == 1
 
     def test_hit_conflict_hit_round_trip(self):
-        config = DRAMConfig()
-        dram = DRAMModel(config)
-        stride = config.row_size_bytes * config.num_banks
+        spec = MemorySpec()
+        dram = DRAMModel(spec)
+        stride = spec.row_size_bytes * spec.num_banks
         sequence = [0x0, 0x80, stride, 0x0, 0x100]
         for address in sequence:
             dram.access(address)
@@ -112,32 +113,32 @@ class TestRowBufferTransitions:
         assert dram.stats.row_conflicts == 2
 
     def test_banks_keep_independent_open_rows(self):
-        config = DRAMConfig()
-        dram = DRAMModel(config)
-        bank1 = config.row_size_bytes                    # bank 1, row 0
+        spec = MemorySpec()
+        dram = DRAMModel(spec)
+        bank1 = spec.row_size_bytes                    # bank 1, row 0
         dram.access(0x0)                                 # bank 0 opens
         dram.access(bank1)                               # bank 1 opens
-        conflict = config.row_size_bytes * config.num_banks
+        conflict = spec.row_size_bytes * spec.num_banks
         dram.access(conflict)                            # bank 0 conflicts
         dram.access(bank1 + 0x40)                        # bank 1 still open
         assert dram.stats.row_conflicts == 1
         assert dram.stats.row_hits == 1
 
     def test_first_access_to_every_bank_is_a_miss(self):
-        config = DRAMConfig()
-        dram = DRAMModel(config)
-        for bank in range(config.num_banks):
-            dram.access(bank * config.row_size_bytes)
-        assert dram.stats.row_misses == config.num_banks
+        spec = MemorySpec()
+        dram = DRAMModel(spec)
+        for bank in range(spec.num_banks):
+            dram.access(bank * spec.row_size_bytes)
+        assert dram.stats.row_misses == spec.num_banks
         assert dram.stats.row_hits == 0
         assert dram.stats.row_conflicts == 0
 
     def test_latency_ordering_hit_miss_conflict(self):
         """tCL+burst < tRCD+tCL+burst < tRP+tRCD+tCL+burst, spaced far
         apart in time so queueing never contributes."""
-        config = DRAMConfig()
-        stride = config.row_size_bytes * config.num_banks
-        dram = DRAMModel(config)
+        spec = MemorySpec()
+        stride = spec.row_size_bytes * spec.num_banks
+        dram = DRAMModel(spec)
         gap = 100_000.0
         miss = dram.access(0x0, current_cycle=gap)
         hit = dram.access(0x40, current_cycle=2 * gap)
@@ -179,12 +180,12 @@ class TestClockAndQueueing:
         assert queued > free
 
     def test_queue_delay_capped_by_max_queue_fraction(self):
-        config = DRAMConfig(max_queue_fraction=0.0)
-        dram = DRAMModel(config)
+        spec = MemorySpec(max_queue_fraction=0.0)
+        dram = DRAMModel(spec)
         dram.access(0x0, current_cycle=0.0)
         second = dram.access(0x40, current_cycle=0.0)
         # With the cap at zero, a busy bank adds no delay at all.
-        reference = DRAMModel(config)
+        reference = DRAMModel(spec)
         reference.access(0x0, current_cycle=0.0)
         assert second == reference.access(0x40,
                                           current_cycle=1_000_000.0)
@@ -196,10 +197,10 @@ class TestClockAndQueueing:
         assert dram._now >= 5_000.0
 
     def test_different_banks_never_queue_on_each_other(self):
-        config = DRAMConfig()
-        dram = DRAMModel(config)
+        spec = MemorySpec()
+        dram = DRAMModel(spec)
         dram.access(0x0, current_cycle=0.0)
-        other_bank = dram.access(config.row_size_bytes, current_cycle=0.0)
+        other_bank = dram.access(spec.row_size_bytes, current_cycle=0.0)
         assert other_bank == pytest.approx(dram.idle_latency())
 
 
@@ -216,8 +217,8 @@ class TestStatisticsEdges:
         assert dram.stats.average_latency == pytest.approx(total / 4)
 
     def test_rank_count_multiplies_the_bank_pool(self):
-        config = DRAMConfig(num_ranks=2)
-        dram = DRAMModel(config)
-        banks = {dram.map_address(i * config.row_size_bytes)[0]
-                 for i in range(config.num_banks * 2)}
-        assert len(banks) == config.num_banks * 2
+        spec = MemorySpec(num_ranks=2)
+        dram = DRAMModel(spec)
+        banks = {dram.map_address(i * spec.row_size_bytes)[0]
+                 for i in range(spec.num_banks * 2)}
+        assert len(banks) == spec.num_banks * 2

@@ -73,27 +73,43 @@ class TestBaselineLatencies:
         l1_lat = hierarchy.access(make_load(0x40000)).latency
         assert l1_lat < mem_lat
 
+    def test_parallel_level_hit_costs_max_of_tag_and_data(self):
+        """The walker charges the spec's hit latency: a parallel level
+        with a 4-cycle tag and a 14-cycle data array hits in 14 cycles."""
+        paper = HierarchySpec.paper_single_core()
+        l2 = dataclasses.replace(paper.levels[1], tag_latency=4,
+                                 data_latency=14)
+        config = dataclasses.replace(paper, levels=(paper.l1, l2, paper.llc))
+        assert l2.hit_latency == 14
+        hierarchy = build_hierarchy(config)
+        hierarchy.access(make_load(0x10000))  # warms the page's TLB entry
+        hierarchy.l2.fill_block(0x10040)
+        result = hierarchy.access(make_load(0x10040))
+        assert result.hit_level is Level.L2
+        # L1 tag + the L1-to-L2 hop + the L2 hit.
+        assert result.latency == 4 + 2 + 14
+
 
 class TestDataMovement:
     def test_fill_propagates_to_all_levels(self):
         hierarchy = build_hierarchy()
         hierarchy.access(make_load(0x12340))
         block = 0x12340 & ~63
-        assert hierarchy.l1.contains(block)
-        assert hierarchy.l2.contains(block)
-        assert hierarchy.shared.l3.contains(block)
+        assert hierarchy.l1.contains_block(block)
+        assert hierarchy.l2.contains_block(block)
+        assert hierarchy.shared.l3.contains_block(block)
 
     def test_inclusion_l1_subset_of_l2(self):
         hierarchy = build_hierarchy()
         for i in range(4000):
             hierarchy.access(make_load(i * 64))
         for block in hierarchy.l1.resident_blocks():
-            assert hierarchy.l2.contains(block)
+            assert hierarchy.l2.contains_block(block)
 
     def test_store_marks_block_dirty(self):
         hierarchy = build_hierarchy()
         hierarchy.access(make_store(0x5000))
-        assert hierarchy.l1.get_line(0x5000).dirty
+        assert hierarchy.l1.peek_line(0x5000).dirty
 
     def test_directory_tracks_private_fills(self):
         hierarchy = build_hierarchy()

@@ -1,17 +1,48 @@
-"""Unit tests for the interconnect latency/contention model."""
+"""Unit tests for the interconnect latency/contention model.
+
+The walker charges the L1-to-L2 and LLC-to-memory hops inline from the
+interconnect's spec and contention, so those hops are checked through
+:meth:`CoreMemoryHierarchy.access`.
+"""
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
 
-from repro.memory.interconnect import Interconnect, InterconnectConfig
+from repro.memory.hierarchy import CoreMemoryHierarchy, SharedMemorySystem
+from repro.memory.interconnect import Interconnect
+from repro.memory.spec import HierarchySpec, InterconnectSpec
+
+from trace_helpers import make_load
+
+
+def walker(active_cores: int = 1, **hops) -> CoreMemoryHierarchy:
+    """The paper hierarchy with the given hop latencies."""
+    spec = dataclasses.replace(HierarchySpec.paper_single_core(),
+                               interconnect=InterconnectSpec(**hops))
+    return CoreMemoryHierarchy(
+        spec, shared=SharedMemorySystem(spec, num_cores=active_cores),
+        active_cores=active_cores)
+
+
+def l2_hit_latency(hierarchy: CoreMemoryHierarchy) -> float:
+    """Latency of a sequential L2 hit on a page the TLB already holds."""
+    hierarchy.access(make_load(0x10000))
+    hierarchy.l2.fill_block(0x10040)
+    return hierarchy.access(make_load(0x10040)).latency
+
+
+def memory_latency(hierarchy: CoreMemoryHierarchy) -> float:
+    """Latency of a sequential miss to an open DRAM row, TLB warm."""
+    hierarchy.access(make_load(0x10000))
+    return hierarchy.access(make_load(0x10040)).latency
 
 
 class TestLatencies:
     def test_single_core_has_no_contention(self):
         ic = Interconnect(active_cores=1)
-        assert ic.l2_to_llc_latency() == ic.config.l2_to_llc
-        assert ic.llc_to_memory_latency() == ic.config.llc_to_memory
+        assert ic.contention == 0
+        assert ic.l2_to_llc_latency() == ic.spec.l2_to_llc
 
     def test_contention_grows_with_cores(self):
         single = Interconnect(active_cores=1)
@@ -20,17 +51,18 @@ class TestLatencies:
         assert quad.recovery_latency() > single.recovery_latency()
 
     def test_private_hop_unaffected_by_contention(self):
-        quad = Interconnect(active_cores=4)
-        assert quad.l1_to_l2_latency() == quad.config.l1_to_l2
+        # L1 tag 4 + the L1-to-L2 hop 2 + L2 hit 12, at any core count.
+        assert l2_hit_latency(walker(active_cores=4)) \
+            == l2_hit_latency(walker(active_cores=1)) == 4 + 2 + 12
 
     def test_cache_to_cache_costs_both_hops(self):
         ic = Interconnect()
-        assert ic.cache_to_cache_latency() >= (ic.config.l1_to_l2
-                                               + ic.config.l2_to_llc)
+        assert ic.cache_to_cache_latency() >= (ic.spec.l1_to_l2
+                                               + ic.spec.l2_to_llc)
 
     def test_transfer_counters(self):
         ic = Interconnect()
-        ic.l1_to_l2_latency()
+        ic.cache_to_cache_latency()
         ic.l2_to_llc_latency()
         ic.recovery_latency()
         assert ic.transfers == 2
@@ -39,22 +71,24 @@ class TestLatencies:
         assert ic.transfers == 0
 
     def test_custom_configuration(self):
-        config = InterconnectConfig(l1_to_l2=5, l2_to_llc=9, llc_to_memory=11,
-                                    recovery_transaction=13)
-        ic = Interconnect(config)
-        assert ic.l1_to_l2_latency() == 5
+        ic = Interconnect(InterconnectSpec(l1_to_l2=5, l2_to_llc=9,
+                                           llc_to_memory=11,
+                                           recovery_transaction=13))
         assert ic.l2_to_llc_latency() == 9
-        assert ic.llc_to_memory_latency() == 11
         assert ic.recovery_latency() == 13
+        assert ic.cache_to_cache_latency() == 14
+        assert l2_hit_latency(walker(l1_to_l2=5)) == 4 + 5 + 12
+        assert memory_latency(walker(llc_to_memory=11)) \
+            == memory_latency(walker()) + 11 - 6
 
 
 class TestContention:
     """Arbitration/queueing edges of the shared-bus contention model."""
 
     def test_contention_is_linear_in_extra_cores(self):
-        config = InterconnectConfig()
-        per_core = config.contention_per_extra_core
-        latencies = [Interconnect(config, active_cores=cores)
+        spec = InterconnectSpec()
+        per_core = spec.contention_per_extra_core
+        latencies = [Interconnect(spec, active_cores=cores)
                      .l2_to_llc_latency() for cores in (1, 2, 3, 4)]
         deltas = [b - a for a, b in zip(latencies, latencies[1:])]
         assert deltas == [per_core] * 3
@@ -62,32 +96,33 @@ class TestContention:
     def test_every_shared_hop_sees_the_same_contention(self):
         quad = Interconnect(active_cores=4)
         single = Interconnect(active_cores=1)
-        penalty = quad.config.contention_per_extra_core * 3
+        penalty = quad.spec.contention_per_extra_core * 3
         assert quad.l2_to_llc_latency() - single.l2_to_llc_latency() \
             == penalty
-        assert quad.llc_to_memory_latency() \
-            - single.llc_to_memory_latency() == penalty
         assert quad.recovery_latency() - single.recovery_latency() \
             == penalty
         assert quad.cache_to_cache_latency() \
             - single.cache_to_cache_latency() == penalty
+        # A miss to memory crosses two shared hops: into the LLC and on
+        # to the memory controller.
+        assert memory_latency(walker(active_cores=4)) \
+            - memory_latency(walker(active_cores=1)) == 2 * penalty
 
     def test_non_positive_core_count_clamps_to_one(self):
         for cores in (0, -3):
             ic = Interconnect(active_cores=cores)
             assert ic.active_cores == 1
-            assert ic.l2_to_llc_latency() == ic.config.l2_to_llc
+            assert ic.l2_to_llc_latency() == ic.spec.l2_to_llc
 
     def test_custom_contention_weight(self):
-        config = InterconnectConfig(l2_to_llc=4,
-                                    contention_per_extra_core=2.5)
-        ic = Interconnect(config, active_cores=3)
+        spec = InterconnectSpec(l2_to_llc=4, contention_per_extra_core=2.5)
+        ic = Interconnect(spec, active_cores=3)
         assert ic.l2_to_llc_latency() == 4 + 2 * 2.5
 
     def test_zero_contention_weight_makes_hops_core_independent(self):
-        config = InterconnectConfig(contention_per_extra_core=0.0)
-        single = Interconnect(config, active_cores=1)
-        many = Interconnect(config, active_cores=8)
+        spec = InterconnectSpec(contention_per_extra_core=0.0)
+        single = Interconnect(spec, active_cores=1)
+        many = Interconnect(spec, active_cores=8)
         assert many.l2_to_llc_latency() == single.l2_to_llc_latency()
         assert many.recovery_latency() == single.recovery_latency()
 
@@ -102,16 +137,19 @@ class TestCounters:
     def test_cache_to_cache_and_memory_hops_count_as_transfers(self):
         ic = Interconnect()
         ic.cache_to_cache_latency()
-        ic.llc_to_memory_latency()
-        assert ic.transfers == 2
+        assert ic.transfers == 1
         assert ic.recovery_transactions == 0
+        # A cold miss crosses L1->L2, L2->LLC and LLC->memory.
+        hierarchy = walker()
+        hierarchy.access(make_load(0x10000))
+        assert hierarchy.interconnect.transfers == 3
 
     def test_reset_clears_both_counters(self):
         ic = Interconnect()
-        ic.l1_to_l2_latency()
+        ic.l2_to_llc_latency()
         ic.recovery_latency()
         ic.reset_statistics()
         assert ic.transfers == 0
         assert ic.recovery_transactions == 0
         # Latencies are unaffected by the reset.
-        assert ic.l1_to_l2_latency() == ic.config.l1_to_l2
+        assert ic.l2_to_llc_latency() == ic.spec.l2_to_llc

@@ -1,144 +1,105 @@
-"""Unit and property tests for the replacement policies."""
+"""Unit and property tests for the cache's LRU replacement.
+
+LRU is the paper's policy at every level (Table I) and the only one the
+cache implements; these tests drive it through :class:`Cache` fills,
+hits and invalidations.
+"""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    SRRIPPolicy,
-    TreePLRUPolicy,
-    make_replacement_policy,
-)
+from repro.memory.cache import Cache
+from repro.memory.spec import LevelSpec
 
 
-class TestFactory:
-    @pytest.mark.parametrize("name", ["lru", "plru", "random", "srrip"])
-    def test_known_policies(self, name):
-        policy = make_replacement_policy(name, num_sets=4, associativity=4)
-        assert policy.num_sets == 4
-        assert policy.associativity == 4
+def make_cache(num_sets: int, associativity: int) -> Cache:
+    return Cache(LevelSpec(name="L1", size_bytes=num_sets * associativity * 64,
+                           associativity=associativity))
 
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError, match="unknown replacement policy"):
-            make_replacement_policy("mru", 4, 4)
 
-    def test_invalid_geometry_raises(self):
-        with pytest.raises(ValueError):
-            LRUPolicy(num_sets=0, associativity=4)
-        with pytest.raises(ValueError):
-            LRUPolicy(num_sets=4, associativity=0)
+def block(set_index: int, tag: int, num_sets: int = 1) -> int:
+    """The block address of ``tag`` in ``set_index`` (64 B lines)."""
+    return (tag * num_sets + set_index) * 64
 
 
 class TestLRU:
     def test_prefers_invalid_way(self):
-        policy = LRUPolicy(num_sets=1, associativity=4)
-        policy.on_fill(0, 0)
-        policy.on_fill(0, 1)
-        victim = policy.victim(0, [True, True, False, True])
-        assert victim == 2
+        cache = make_cache(num_sets=1, associativity=4)
+        for tag in range(4):
+            cache.fill_block(block(0, tag))
+        cache.invalidate(block(0, 2))
+        # The freed way is refilled before any live line is evicted.
+        assert cache.fill_block(block(0, 9)) is None
+        assert sorted(cache.resident_blocks()) \
+            == sorted(block(0, tag) for tag in (0, 1, 3, 9))
 
     def test_evicts_least_recently_used(self):
-        policy = LRUPolicy(num_sets=1, associativity=4)
-        for way in range(4):
-            policy.on_fill(0, way)
-        policy.on_access(0, 0)  # way 0 becomes MRU; way 1 is now LRU
-        assert policy.victim(0, [True] * 4) == 1
+        cache = make_cache(num_sets=1, associativity=4)
+        for tag in range(4):
+            cache.fill_block(block(0, tag))
+        cache.access_block(block(0, 0))  # tag 0 becomes MRU; tag 1 is now LRU
+        assert cache.fill_block(block(0, 9)).block_addr == block(0, 1)
 
     def test_access_order_fully_respected(self):
-        policy = LRUPolicy(num_sets=1, associativity=4)
-        for way in range(4):
-            policy.on_fill(0, way)
-        for way in (2, 0, 3, 1):
-            policy.on_access(0, way)
-        # Recency order is now 2 < 0 < 3 < 1, so way 2 is the victim.
-        assert policy.victim(0, [True] * 4) == 2
+        cache = make_cache(num_sets=1, associativity=4)
+        for tag in range(4):
+            cache.fill_block(block(0, tag))
+        for tag in (2, 0, 3, 1):
+            cache.access_block(block(0, tag))
+        # Recency order is now 2 < 0 < 3 < 1, so tag 2 is the victim.
+        assert cache.fill_block(block(0, 9)).block_addr == block(0, 2)
 
     def test_sets_are_independent(self):
-        policy = LRUPolicy(num_sets=2, associativity=2)
-        policy.on_fill(0, 0)
-        policy.on_fill(0, 1)
-        policy.on_fill(1, 1)
-        policy.on_fill(1, 0)
-        assert policy.victim(0, [True, True]) == 0
-        assert policy.victim(1, [True, True]) == 1
+        cache = make_cache(num_sets=2, associativity=2)
+        for set_index, tag in ((0, 0), (0, 1), (1, 1), (1, 0)):
+            cache.fill_block(block(set_index, tag, 2))
+        assert cache.fill_block(block(0, 5, 2)).block_addr == block(0, 0, 2)
+        assert cache.fill_block(block(1, 5, 2)).block_addr == block(1, 1, 2)
 
 
-class TestTreePLRU:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            TreePLRUPolicy(num_sets=1, associativity=3)
-
-    def test_victim_avoids_recently_used_half(self):
-        policy = TreePLRUPolicy(num_sets=1, associativity=4)
-        for way in range(4):
-            policy.on_fill(0, way)
-        policy.on_access(0, 3)
-        victim = policy.victim(0, [True] * 4)
-        assert victim in (0, 1)  # opposite half of the most recent access
-
-    def test_prefers_invalid_way(self):
-        policy = TreePLRUPolicy(num_sets=1, associativity=4)
-        assert policy.victim(0, [True, False, True, True]) == 1
-
-
-class TestRandom:
-    def test_deterministic_with_seed(self):
-        a = RandomPolicy(num_sets=1, associativity=8, seed=7)
-        b = RandomPolicy(num_sets=1, associativity=8, seed=7)
-        picks_a = [a.victim(0, [True] * 8) for _ in range(20)]
-        picks_b = [b.victim(0, [True] * 8) for _ in range(20)]
-        assert picks_a == picks_b
-
-    def test_victims_in_range(self):
-        policy = RandomPolicy(num_sets=1, associativity=4, seed=3)
-        for _ in range(50):
-            assert 0 <= policy.victim(0, [True] * 4) < 4
-
-
-class TestSRRIP:
-    def test_new_lines_evicted_before_reused_lines(self):
-        policy = SRRIPPolicy(num_sets=1, associativity=2)
-        policy.on_fill(0, 0)
-        policy.on_access(0, 0)   # way 0 promoted to near-immediate re-reference
-        policy.on_fill(0, 1)     # way 1 inserted with a long interval
-        assert policy.victim(0, [True, True]) == 1
-
-    def test_aging_terminates(self):
-        policy = SRRIPPolicy(num_sets=1, associativity=4)
-        for way in range(4):
-            policy.on_fill(0, way)
-            policy.on_access(0, way)
-        victim = policy.victim(0, [True] * 4)
-        assert 0 <= victim < 4
-
-
-@given(
-    accesses=st.lists(st.integers(min_value=0, max_value=7), min_size=1,
-                      max_size=200),
-    policy_name=st.sampled_from(["lru", "plru", "random", "srrip"]),
-)
+@given(touches=st.lists(st.tuples(st.integers(min_value=0, max_value=23),
+                                  st.booleans()),
+                        min_size=1, max_size=200))
 @settings(max_examples=60, deadline=None)
-def test_property_victim_always_legal(accesses, policy_name):
-    """Whatever the access pattern, the victim is always a legal way index."""
-    policy = make_replacement_policy(policy_name, num_sets=2, associativity=8)
-    for way in accesses:
-        policy.on_fill(way % 2, way)
-        policy.on_access(way % 2, way)
-    for set_index in range(2):
-        victim = policy.victim(set_index, [True] * 8)
-        assert 0 <= victim < 8
+def test_property_victim_always_legal(touches):
+    """Whatever the access pattern, every victim is the least recently
+    touched resident block of the filled block's set."""
+    cache = make_cache(num_sets=2, associativity=8)
+    recency = {0: [], 1: []}  # per set, least recently touched first
+    for number, fill in touches:
+        address = number * 64
+        order = recency[number % 2]
+        resident = address in order
+        if fill:
+            eviction = cache.fill_block(address)
+            victim = eviction.block_addr if eviction else None
+            full_miss = not resident and len(order) == 8
+            assert victim == (order.pop(0) if full_miss else None)
+        else:
+            assert cache.access_block(address)[0] == resident
+            if not resident:
+                continue
+        if resident:
+            order.remove(address)
+        order.append(address)
+    assert sorted(cache.resident_blocks()) \
+        == sorted(recency[0] + recency[1])
 
 
 @given(valid=st.lists(st.booleans(), min_size=8, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_property_invalid_ways_always_preferred(valid):
-    """Every policy must fill invalid ways before evicting live lines."""
-    for name in ("lru", "plru", "random", "srrip"):
-        policy = make_replacement_policy(name, num_sets=1, associativity=8)
-        victim = policy.victim(0, valid)
-        if not all(valid):
-            assert valid[victim] is False
+    """A full set with some ways invalidated refills every free way before
+    it evicts a live line."""
+    cache = make_cache(num_sets=1, associativity=8)
+    for tag in range(8):
+        cache.fill_block(block(0, tag))
+    for tag, keep in enumerate(valid):
+        if not keep:
+            cache.invalidate(block(0, tag))
+    for tag in range(8, 8 + valid.count(False)):
+        assert cache.fill_block(block(0, tag)) is None
+    assert cache.occupancy() == 8
+    assert cache.fill_block(block(0, 99)) is not None

@@ -162,6 +162,67 @@ class TestRoundTrip:
         assert derived.llc.mshr_entries == spec.llc.mshr_entries
 
 
+#: The canonical spec and key of one golden-scale job on ``four_level.json``.
+#: The fixture file pins only legacy-exact specs; this pins the generic
+#: dataclass form that every other spec (and its stored results) is keyed by.
+_FOUR_LEVEL_CANONICAL = (
+    '{"config": {"__dataclass__": "SystemConfig", "fields": {"core": '
+    '{"__dataclass__": "CoreConfig", "fields": {"fetch_width": 4, "fr'
+    'equency_ghz": 4.0, "load_queue_entries": 32, "min_instruction_cy'
+    'cles": 0.25, "rob_entries": 192, "store_queue_entries": 32}}, "h'
+    'ierarchy": {"__dataclass__": "HierarchySpec", "fields": {"ideal_'
+    'miss_latency": false, "interconnect": {"__dataclass__": "Interco'
+    'nnectSpec", "fields": {"contention_per_extra_core": 1.5, "l1_to_'
+    'l2": 2, "l2_to_llc": 4, "llc_to_memory": 6, "recovery_transactio'
+    'n": 8}}, "levels": [{"__dataclass__": "LevelSpec", "fields": {"a'
+    'rea_mm2": null, "associativity": 4, "block_size": 64, "data_late'
+    'ncy": 0, "inclusive": true, "mshr_demand_reserve": 0.25, "mshr_e'
+    'ntries": 16, "name": "L1", "ports": 1, "read_energy_nj": null, "'
+    'sequential_tag_data": false, "size_bytes": 32768, "tag_latency":'
+    ' 4, "write_energy_nj": null}}, {"__dataclass__": "LevelSpec", "f'
+    'ields": {"area_mm2": null, "associativity": 8, "block_size": 64,'
+    ' "data_latency": 0, "inclusive": true, "mshr_demand_reserve": 0.'
+    '25, "mshr_entries": 32, "name": "L2", "ports": 1, "read_energy_n'
+    'j": null, "sequential_tag_data": false, "size_bytes": 262144, "t'
+    'ag_latency": 12, "write_energy_nj": null}}, {"__dataclass__": "L'
+    'evelSpec", "fields": {"area_mm2": null, "associativity": 16, "bl'
+    'ock_size": 64, "data_latency": 14, "inclusive": true, "mshr_dema'
+    'nd_reserve": 0.25, "mshr_entries": 32, "name": "L3", "ports": 1,'
+    ' "read_energy_nj": null, "sequential_tag_data": false, "size_byt'
+    'es": 1048576, "tag_latency": 4, "write_energy_nj": null}}, {"__d'
+    'ataclass__": "LevelSpec", "fields": {"area_mm2": null, "associat'
+    'ivity": 16, "block_size": 64, "data_latency": 35, "inclusive": f'
+    'alse, "mshr_demand_reserve": 0.25, "mshr_entries": 64, "name": "'
+    'L4", "ports": 1, "read_energy_nj": null, "sequential_tag_data": '
+    'true, "size_bytes": 8388608, "tag_latency": 5, "write_energy_nj"'
+    ': null}}], "memory": {"__dataclass__": "MemorySpec", "fields": {'
+    '"burst_cycles": 4, "cas_latency": 17, "channel_capacity_gb": 16,'
+    ' "controller_latency_core_cycles": 15, "core_frequency_ghz": 4.0'
+    ', "dram_frequency_mhz": 1200.0, "max_queue_fraction": 0.5, "num_'
+    'banks": 16, "num_ranks": 1, "refresh_penalty_core_cycles": 1.0, '
+    '"row_size_bytes": 8192, "tras": 39, "trcd": 17, "trp": 17}}, "me'
+    'mory_speculative_launch": true, "parallel_port_penalty": 2.0, "p'
+    'refetch_inflight_window": 32, "tlb": {"__dataclass__": "TLBSpec"'
+    ', "fields": {"l1_associativity": 4, "l1_entries": 64, "l1_latenc'
+    'y": 1, "l2_associativity": 4, "l2_entries": 1536, "l2_latency": '
+    '4, "page_size": 4096, "page_walk_latency": 50}}}}, "metadata_cac'
+    'he_bytes": 2048, "name": "four_level", "num_cores": 1, "predicto'
+    'r": "lp", "prefetch_epoch_accesses": 50000, "prefetch_scheme": "'
+    'paper"}}, "kind": "single", "num_accesses": 400, "predictor": "l'
+    'p", "schema": "repro-store/1", "seed": 0, "warmup_accesses": 120'
+    ', "workload": {"__workload__": "GraphWorkload", "state": {"avera'
+    'ge_degree": 8, "block_size": 64, "intersection": false, "name": '
+    '"gapbs.pr", "non_memory_instructions": 4, "num_vertices": 104857'
+    '6, "profile": {"__dataclass__": "WorkloadProfile", "fields": {"d'
+    'escription": "PageRank vertex-property gathers", "expected_benef'
+    'it": "high", "suite": "gapbs"}}, "property_bytes": 8, "skew": 2.'
+    '0, "store_fraction": 0.2, "vertex_order": "sequential"}}}'
+)
+_FOUR_LEVEL_KEY = (
+    'e35c7435c8e3f521e41c48f7e39a6cb7'
+    'ebe6e42189667039136c361f4fe95d8b')
+
+
 # ======================================================================
 # Key stability (the golden store must never move)
 # ======================================================================
@@ -190,6 +251,16 @@ class TestKeyStability:
         pinned = fixture_data["fig15/parallel-llc"]
         assert json.dumps(spec, sort_keys=True) == pinned["canonical"]
         assert spec_key(spec) == pinned["key"]
+
+    def test_four_level_key_pinned(self):
+        spec = load_hierarchy(EXAMPLES / "four_level.json")
+        assert not spec.is_legacy_exact()
+        base = SimulationJob(workload="gapbs.pr", predictor="lp",
+                             num_accesses=400, warmup_accesses=120, seed=0)
+        job = apply_hierarchy([base], spec, "four_level")[0]
+        canonical = job_spec(job)
+        assert json.dumps(canonical, sort_keys=True) == _FOUR_LEVEL_CANONICAL
+        assert spec_key(canonical) == _FOUR_LEVEL_KEY
 
     def test_mix_key_pinned(self, fixture_data):
         job = MixJob(mix="mix1", predictor="lp", accesses_per_core=240,

@@ -630,6 +630,29 @@ class TestFsck:
         assert report["rewritten_shards"] == 0
         assert shard_bytes(tmp_path) == before
 
+    def test_truncation_at_every_byte_offset(self, tmp_path, tiny_result):
+        """A crash can cut a shard at any byte.  A plain open keeps exactly
+        the entries whose line, newline included, survived; after fsck a
+        line that lost only its newline is kept too."""
+        first, second = hexkey("aa", "1"), hexkey("aa", "2")
+        lines = [entry_line(first, tiny_result),
+                 entry_line(second, tiny_result)]
+        data = b"".join(lines)
+        ends = [len(lines[0]), len(data)]  # offset just past each newline
+        shard = tmp_path / "shards" / "aa.jsonl"
+        shard.parent.mkdir(parents=True)
+        index = shard.parent / "index.json"
+        for cut in range(len(data) + 1):
+            shard.write_bytes(data[:cut])
+            index.unlink(missing_ok=True)
+            whole = [key for key, end in zip((first, second), ends)
+                     if end <= cut]
+            assert sorted(ResultStore(tmp_path).keys()) == whole, cut
+            fsck_store(tmp_path)
+            salvaged = [key for key, end in zip((first, second), ends)
+                        if end - 1 <= cut]
+            assert sorted(ResultStore(tmp_path).keys()) == salvaged, cut
+
     def test_instance_fsck_reloads_the_view(self, tmp_path, tiny_result):
         store = ResultStore(tmp_path)
         store.put(hexkey("aa"), {}, tiny_result)
