@@ -771,7 +771,10 @@ def cmd_store(args: argparse.Namespace) -> int:
               f"{dropped} unsalvageable lines dropped "
               f"({report['torn']} torn, {report['corrupt']} corrupt, "
               f"{report['foreign']} foreign); "
-              f"{report['rewritten_shards']} shards rewritten")
+              f"{report['rewritten_shards']} shards rewritten; "
+              f"{report['claims_reaped']} claims on stored keys removed")
+        # A leftover claim is not damage to the results: it does not
+        # count as a change.
         changed = dropped or report["moved"] or report["rewritten_shards"]
         return 1 if changed else 0
     store = ResultStore(root)

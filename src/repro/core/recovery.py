@@ -2,8 +2,8 @@
 
 The mechanics of recovery live in the hierarchy and directory models: the
 collocated directory detects a bypassed private level during the LLC tag
-access, a recovery transaction re-issues the request to the correct level, and
-MSHR entries past the actual level are deallocated.  This module provides the
+access and a recovery transaction re-issues the request to the correct level.
+This module provides the
 *accounting* view of that machinery — the cost model used in the paper's
 discussion ("on average only 1 % of the cache-hierarchy energy is spent on
 recovery") and the per-run recovery summaries the benchmarks report.
@@ -29,7 +29,10 @@ class RecoverySummary:
         recovery_energy_nj: Energy charged to the recovery category.
         recovery_energy_fraction: Recovery energy as a fraction of the total
             cache-hierarchy energy (the paper reports ~1 % on average).
-        forced_mshr_deallocations: MSHR entries deallocated by recovery.
+        forced_mshr_deallocations: MSHR entries deallocated by recovery —
+            always 0: the functional model retires each access before the
+            next begins, so no entry is ever outstanding past the actual
+            level.  Kept so stored results keep their shape.
     """
 
     predictions: int
@@ -64,6 +67,5 @@ def summarize_recovery(hierarchy: CoreMemoryHierarchy) -> RecoverySummary:
         recovery_energy_nj=recovery_energy,
         recovery_energy_fraction=(recovery_energy / hierarchy_energy
                                   if hierarchy_energy else 0.0),
-        forced_mshr_deallocations=(
-            hierarchy.shared.l3.mshrs.forced_deallocations),
+        forced_mshr_deallocations=0,
     )

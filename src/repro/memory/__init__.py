@@ -1,4 +1,4 @@
-"""Memory-hierarchy substrate: caches, MSHRs, TLBs, DRAM, directory, bus."""
+"""Memory-hierarchy substrate: caches, TLBs, DRAM, directory, bus."""
 
 from .block import (
     AccessResult,
@@ -18,9 +18,9 @@ from .hierarchy import (
     CoreMemoryHierarchy,
     HierarchyStats,
     SharedMemorySystem,
+    Walk,
 )
 from .interconnect import Interconnect
-from .mshr import MSHREntry, MSHRFile
 from .spec import (
     HierarchySpec,
     InterconnectSpec,
@@ -51,12 +51,11 @@ __all__ = [
     "LevelSpec",
     "MemoryAccess",
     "MemorySpec",
-    "MSHREntry",
-    "MSHRFile",
     "PREDICTABLE_LEVELS",
     "SharedMemorySystem",
     "TLB",
     "TLBHierarchy",
     "TLBSpec",
+    "Walk",
     "block_address",
 ]

@@ -15,8 +15,7 @@ Features modelled, matching Table I of the paper:
   ``tag_latency`` (see :attr:`~repro.memory.spec.LevelSpec.hit_latency`,
   which the hierarchy walker charges);
 * write-back, write-allocate;
-* a prefetched bit per line so prefetcher accuracy can be measured;
-* an MSHR file per cache with demand reservation for prefetch throttling.
+* a prefetched bit per line so prefetcher accuracy can be measured.
 
 Sets are allocated on first fill.  Every job builds fresh caches and the
 traces touch a few dozen kilobytes, so almost every set of a megabyte-class
@@ -33,7 +32,6 @@ from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
 
 from .block import AccessType, CacheLine, CoherenceState, block_address
-from .mshr import MSHRFile
 from .spec import LevelSpec
 
 #: The tag index of every never-filled set: read-only, so a stray write
@@ -108,7 +106,7 @@ class Cache:
 
     __slots__ = ("spec", "name", "_num_sets", "_associativity", "_lines",
                  "_tag_to_way", "_block_shift", "_set_mask", "_tag_shift",
-                 "_addr_mask", "_clock", "_stamps", "mshrs", "stats")
+                 "_addr_mask", "_clock", "_stamps", "stats")
 
     def __init__(self, spec: LevelSpec, name: Optional[str] = None) -> None:
         self.spec = spec
@@ -143,9 +141,6 @@ class Cache:
         # (``None`` until the set's first fill, like its way list).
         self._clock = 0
         self._stamps: List[Optional[List[int]]] = [None] * self._num_sets
-        self.mshrs = MSHRFile(
-            spec.mshr_entries, demand_reserve_fraction=spec.mshr_demand_reserve
-        )
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -382,4 +377,3 @@ class Cache:
 
     def reset_statistics(self) -> None:
         self.stats.reset()
-        self.mshrs.reset_statistics()

@@ -10,7 +10,7 @@ A :class:`CoreMemoryHierarchy` is built from a declarative
 :class:`~repro.memory.spec.HierarchySpec`: an L1, any number of private
 intermediate levels and a shared LLC.  One walker serves every depth.  The
 L1 miss path (:meth:`~CoreMemoryHierarchy._locate`,
-:meth:`~CoreMemoryHierarchy._timed_path`,
+:meth:`~CoreMemoryHierarchy._serve`,
 :meth:`~CoreMemoryHierarchy._fill_on_response`) traverses the private
 intermediates in order, and the paper's three-level chain is simply the case
 with one intermediate.  The level predictor's target space stays the
@@ -24,6 +24,42 @@ the levels looked up (for energy), the predicted levels and the misprediction
 outcome.  The out-of-order core model (``repro.cpu``) converts these per-access
 latencies into cycles and IPC.
 
+Walk and replay
+===============
+
+The level predictor changes where an L1 miss looks and when it starts; it
+never changes which blocks end up at which level.  Every access is
+therefore serviced in two stages:
+
+* **The walk** (:meth:`CoreMemoryHierarchy.walk`) models everything that
+  does not depend on the prediction — the TLBs, L1, locating the block,
+  the private intermediates, the LLC, the directory, DRAM row state, fills
+  and evictions, prefetcher training and issue, and the prefetch-budget
+  window — and records a :class:`Walk`: per access its translation
+  latency, whether L1 hit, and for an L1 miss the level that held the
+  block, the holding intermediate, whether another core supplied it and
+  the DRAM latency; plus, in their original order, the predictor
+  notifications (``on_fill``/``on_eviction``) and the
+  prediction-independent energy charges, each stream cut at every miss's
+  predict point.
+* **The replay** (:meth:`CoreMemoryHierarchy.replay`) runs the predictor
+  (``predict``/``train``/``on_hit``), the timed-path arithmetic, the
+  prediction-dependent statistics and energy, and the recorded
+  notifications and charges in their original positions, so every float
+  sum adds the same terms in the same order whether the walk and the
+  replay run together or apart.
+
+Because the walk is the same for every predictor, the six systems a figure
+compares on one trace can share one walk: a system built with a walk source
+(the engine's :class:`~repro.sim.engine.TraceCache`) replays the cached
+walk of a cached trace instead of walking it again.  Residency is
+prediction-independent by construction — the walk never reads the
+predictor — and the shared-versus-fresh property tests in
+``tests/test_walk.py`` check the results bit for bit.  The only state that
+differs between predictors is timing, energy, predictor state and the
+per-level demand-probe counts of a level-predicted lookup, which the
+model does not keep (the intermediates count the holder access only).
+
 Timing model
 ============
 
@@ -33,8 +69,7 @@ For a block found at level ``A`` with prediction set ``P``:
   pressure) but, because predicted levels are probed in parallel, they do not
   serialise the path unless the prediction *is* the sequential fallback.
 * Levels closer than ``A`` that are *not* in ``P`` are skipped entirely: no tag
-  energy, no added latency beyond the bus hop (an MSHR entry is still
-  allocated on the way, as the paper requires for the fill path).
+  energy, no added latency beyond the bus hop.
 * Bypassing the private L2 when it actually holds the block is the *harmful*
   case: the collocated directory detects it during the LLC tag access and a
   recovery transaction re-issues the request to L2 (Section III.E).
@@ -45,9 +80,10 @@ For a block found at level ``A`` with prediction set ``P``:
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -70,14 +106,15 @@ from .tlb import TLBHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from ..core.base import LevelPredictor, Prediction
+    from ..trace import TraceBuffer
 
 # Lazily bound references to repro.core.base types (a module-scope import
 # would be circular: repro.core imports Level from this package).  Bound once
 # by the first CoreMemoryHierarchy construction instead of re-importing on
 # every access() call, which showed up in profiles.
-_Prediction = None
 _HARMFUL = None
 _SequentialPredictor = None
+_LevelPredictor = None
 #: Per-level singletons for the Ideal system's oracle predictions.
 _IDEAL_PREDICTIONS: Dict[Level, "Prediction"] = {}
 
@@ -100,7 +137,7 @@ _NO_LEVELS: tuple = ()
 _BYPASSED_L2 = (Level.L2,)
 _BYPASSED_L3 = (Level.L3,)
 _BYPASSED_L2_L3 = (Level.L2, Level.L3)
-#: The six fixed shapes of the post-L1 lookup path (see _timed_path).
+#: The six fixed shapes of the post-L1 lookup path (see _path).
 _PATH_L2 = (Level.L2,)
 _PATH_L3 = (Level.L3,)
 _PATH_L2_L3 = (Level.L2, Level.L3)
@@ -108,19 +145,34 @@ _PATH_L3_MEM = (Level.L3, Level.MEM)
 _PATH_L2_L3_MEM = (Level.L2, Level.L3, Level.MEM)
 _PATH_RECOVERY = (Level.L3, Level.L2)
 
+#: Values a :class:`Walk` marks at every access boundary (see Walk.marks).
+_MARK_FIELDS = 7
+
+#: Predictor notifications, as a walk records them: a code (an index
+#: into _NOTE_CALLS) followed by the block.
+_FILL_L2, _FILL_L3, _PREFETCH_L2, _PREFETCH_L3, _EVICT_L2, _EVICT_L2_DIRTY, \
+    _EVICT_L3, _EVICT_L3_DIRTY = range(8)
+#: Per code: (is a fill, level, third argument) — ``on_fill(block, level,
+#: from_prefetch)`` or ``on_eviction(block, level, dirty)``.
+_NOTE_CALLS = ((True, Level.L2, False), (True, Level.L3, False),
+               (True, Level.L2, True), (True, Level.L3, True),
+               (False, Level.L2, False), (False, Level.L2, True),
+               (False, Level.L3, False), (False, Level.L3, True))
+
 
 def _bind_core_types() -> None:
-    global _Prediction, _HARMFUL, _SequentialPredictor
-    if _Prediction is None:
+    global _HARMFUL, _SequentialPredictor, _LevelPredictor
+    if _HARMFUL is None:
         from ..core.base import (
+            LevelPredictor,
             Prediction,
             PredictionOutcome,
             SequentialPredictor,
         )
 
-        _Prediction = Prediction
         _HARMFUL = PredictionOutcome.HARMFUL
         _SequentialPredictor = SequentialPredictor
+        _LevelPredictor = LevelPredictor
         for level in (Level.L2, Level.L3, Level.MEM):
             _IDEAL_PREDICTIONS[level] = Prediction(levels=(level,),
                                                    source="ideal")
@@ -177,6 +229,56 @@ class HierarchyStats:
             setattr(self, name, 0.0 if isinstance(f.default, float) else 0)
 
 
+class Walk:
+    """What a run of accesses did in one core's hierarchy, independent of
+    the level prediction (the output of :meth:`CoreMemoryHierarchy.walk`).
+
+    Attributes:
+        results: Per access, its :class:`AccessResult` when it hit in L1
+            (prediction-independent), ``None`` for an L1 miss.
+        misses: Per L1 miss, ``(index, block, pc, translation_latency,
+            actual, holder, remote, dram_latency, hier_at, dram_at,
+            notes_at)`` — the last three are the stream positions at the
+            miss's predict point.
+        hier / dram: The prediction-independent ``"hierarchy"`` and
+            ``"dram"`` energy charges, in the order they were made.
+        notes: Predictor notifications in order, two items each: a code
+            naming ``on_fill(block, level, from_prefetch)`` or
+            ``on_eviction(block, level, dirty)`` with its level and flag,
+            then the block.
+        marks: At every access boundary (one more than there are
+            accesses): the ``hier``/``dram``/``notes``/``misses`` lengths
+            and the running load, prefetch-issued and prefetch-dropped
+            counts, so any contiguous range replays on its own.
+
+    A finished walk is never modified, so any number of replays (and
+    threads) may read it at once.
+    """
+
+    __slots__ = ("results", "misses", "hier", "dram", "notes", "marks",
+                 "loads", "issued", "dropped")
+
+    def __init__(self) -> None:
+        self.results: List[Optional[AccessResult]] = []
+        self.misses: List[tuple] = []
+        self.hier: List[float] = []
+        self.dram: List[float] = []
+        self.notes: List[tuple] = []
+        self.marks = array("i")
+        self.loads = 0
+        self.issued = 0
+        self.dropped = 0
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def mark(self) -> None:
+        """Record the stream positions at the current access boundary."""
+        self.marks.extend((len(self.hier), len(self.dram), len(self.notes),
+                           len(self.misses), self.loads, self.issued,
+                           self.dropped))
+
+
 class SharedMemorySystem:
     """Resources shared by every core: the LLC, directory, DRAM and the
     LLC prefetcher."""
@@ -193,15 +295,18 @@ class SharedMemorySystem:
         self.energy_params = energy_params or EnergyParameters()
         self.dram_writebacks = 0
 
-    def l3_eviction_to_memory(self, eviction: EvictionInfo,
-                              account: EnergyAccount) -> None:
-        """Handle an LLC eviction: dirty lines are written back to DRAM."""
-        if eviction.dirty:
-            self.dram.access(eviction.block_addr, is_write=True)
-            account.charge("dram", self.energy_params.dram_access_nj)
-            self.dram_writebacks += 1
+    def l3_eviction_to_memory(self, eviction: EvictionInfo) -> bool:
+        """Handle an LLC eviction: dirty lines are written back to DRAM.
+
+        Returns whether a writeback happened (the evicting core charges
+        its DRAM energy)."""
         if eviction.prefetched_unused:
             self.llc_prefetcher.record_useless()
+        if not eviction.dirty:
+            return False
+        self.dram.access(eviction.block_addr, is_write=True)
+        self.dram_writebacks += 1
+        return True
 
 
 class CoreMemoryHierarchy:
@@ -220,26 +325,35 @@ class CoreMemoryHierarchy:
             prefetcher trains for the first private intermediate; deeper
             intermediates carry no prefetcher.
         core_id: This core's index in the directory.
+
+    :attr:`walk_source`, when set, maps a root trace buffer to a shared
+    :class:`Walk` of it (or ``None``): :meth:`run_buffer` then replays that
+    walk instead of walking the trace itself, as long as this hierarchy
+    has walked nothing of its own and is handed the trace's consecutive
+    slices from its first row on.
     """
 
     __slots__ = (
         "config", "shared", "predictor", "l1", "l2", "tlb",
         "l1_prefetcher", "l2_prefetcher", "interconnect", "energy", "stats",
-        "core_id", "_block_size", "_block_mask", "_page_shift",
-        "_l1_page_size",
+        "core_id", "walk_source", "_block_size", "_block_mask",
+        "_page_shift", "_l1_page_size",
         "_intermediates", "_probe_order", "_fill_order", "_above",
-        "_deepest", "_bypass_hops", "_deposit_mshrs",
+        "_deepest", "_bypass_hops",
         "_chain_hit_latency", "_chain_miss_detect", "_chain_nj",
         "_l1_hit_latency", "_l1_miss_detect", "_l3_hit_latency",
         "_l3_tag_latency",
         "_port_penalty", "_memory_speculative", "_ideal_miss_latency",
-        "_ic_l1_l2", "_ic_l2_llc", "_ic_llc_mem",
+        "_ic_l1_l2", "_ic_l2_llc", "_ic_llc_mem", "_ic_recovery",
+        "_ic_cache_to_cache",
         "_l1_nj", "_tlb_l1_nj", "_l3_nj", "_l3_tag_nj",
         "_l3_wb_nj",
         "_dram_nj", "_bus_nj", "_directory_nj", "_prefetch_budget",
         "_l1_hit_result", "_pf_access",
-        "_inflight_misses", "_inflight_miss_count", "_recent_prefetches",
-        "_recent_prefetch_count", "_prefetches_this_access",
+        "_recent_prefetches", "_recent_prefetch_count",
+        "_prefetches_this_access",
+        "_recording", "_hier_add", "_dram_add", "_note",
+        "_paths", "_follow", "_walked",
     )
 
     def __init__(
@@ -252,7 +366,7 @@ class CoreMemoryHierarchy:
         core_id: int = 0,
         active_cores: int = 1,
     ) -> None:
-        if _Prediction is None:
+        if _HARMFUL is None:
             _bind_core_types()
         self.config = spec = config or HierarchySpec.paper_single_core()
         self.shared = shared or SharedMemorySystem(spec, num_cores=1)
@@ -285,10 +399,6 @@ class CoreMemoryHierarchy:
         # Extra private-bus hops a bypassed request crosses on its way to
         # the LLC: one per intermediate beyond the first.
         self._bypass_hops = intermediates[1:]
-        # The return path's MSHR entry lives at the deepest private
-        # intermediate — the fill deposit point.
-        self._deposit_mshrs = intermediates[-1].mshrs if intermediates \
-            else None
         self.l1_prefetcher = l1_prefetcher or NullPrefetcher()
         self.l2_prefetcher = l2_prefetcher or NullPrefetcher()
         self.interconnect = Interconnect(spec.interconnect,
@@ -296,6 +406,8 @@ class CoreMemoryHierarchy:
         self.energy = EnergyAccount(params=self.shared.energy_params)
         self.stats = HierarchyStats()
         self.core_id = core_id
+        self.walk_source: Optional[Callable[["TraceBuffer"],
+                                            Optional[Walk]]] = None
         self._block_size = l1_spec.block_size
         # Hot-path precomputation: block mask (power-of-two line sizes),
         # per-level latencies as floats and per-structure energies, so
@@ -318,13 +430,16 @@ class CoreMemoryHierarchy:
         self._memory_speculative = spec.memory_speculative_launch
         self._ideal_miss_latency = spec.ideal_miss_latency
         # Interconnect hop latencies are constant per instance (contention
-        # depends only on active_cores); precompute them and bump the
-        # transfer counters inline instead of calling per hop.
+        # depends only on active_cores); the replay precomputes them and
+        # bumps the transfer counters itself instead of calling per hop.
         ic_spec = spec.interconnect
         contention = self.interconnect.contention
         self._ic_l1_l2 = float(ic_spec.l1_to_l2)
         self._ic_l2_llc = ic_spec.l2_to_llc + contention
         self._ic_llc_mem = ic_spec.llc_to_memory + contention
+        self._ic_recovery = ic_spec.recovery_transaction + contention
+        self._ic_cache_to_cache = ic_spec.l2_to_llc + ic_spec.l1_to_l2 \
+            + contention
         params = self.shared.energy_params
         # Spec-level read_energy_nj overrides replace the role-based default
         # for the full per-access energy of that level (for the LLC it also
@@ -350,9 +465,9 @@ class CoreMemoryHierarchy:
         self._dram_nj = params.dram_access_nj
         self._bus_nj = params.bus_transfer_nj
         self._directory_nj = params.directory_access_nj
-        # The walker adds these constants straight into the energy
-        # account's categories, so they are checked once here instead of
-        # by EnergyAccount.charge on every access.
+        # The walker and the replay add these constants straight into the
+        # energy account's categories, so they are checked once here
+        # instead of by EnergyAccount.charge on every access.
         if min((self._tlb_l1_nj, self._l1_nj, self._l3_nj, self._l3_tag_nj,
                 self._l3_wb_nj, self._dram_nj, self._bus_nj,
                 self._directory_nj) + self._chain_nj) < 0:
@@ -368,31 +483,31 @@ class CoreMemoryHierarchy:
         # One mutable PrefetchAccess record reused for every prefetcher
         # observation; no prefetcher retains the record past _generate().
         self._pf_access = PrefetchAccess(0, 0, False, True)
-        self._inflight_misses: Deque[bool] = deque(
-            maxlen=spec.prefetch_inflight_window)
-        self._inflight_miss_count = 0
-        # Prefetches issued per recent demand access (same sliding window),
-        # used to bound the prefetch issue rate to the non-reserved MSHR share.
+        # Prefetches issued per recent demand access, used to bound the
+        # prefetch issue rate to the non-reserved MSHR share.
         self._recent_prefetches: Deque[int] = deque(
             maxlen=spec.prefetch_inflight_window)
         self._recent_prefetch_count = 0
         self._prefetches_this_access = 0
+        # The Walk being recorded and its bound appenders (see _record).
+        self._recording: Optional[Walk] = None
+        self._hier_add = self._dram_add = self._note = None
+        # Replay memo: one timed-path shape per (predicted levels, actual
+        # level, holder, remote) outcome.
+        self._paths: Dict[tuple, tuple] = {}
+        # (walk, trace, position) while replaying a walk made elsewhere;
+        # whether this hierarchy's own caches have walked anything.
+        self._follow: Optional[Tuple[Walk, "TraceBuffer", int]] = None
+        self._walked = False
 
     # ==================================================================
     # Public API
     # ==================================================================
     def access(self, access: MemoryAccess) -> AccessResult:
         """Service one demand :class:`MemoryAccess` record and return its
-        outcome.
-
-        Record-level entry point: validates the access type, decomposes the
-        address into its block/page components once, and delegates to
-        :meth:`access_decomposed` — the single exact scalar path that
-        :meth:`run_buffer` also replays through.  Because the record path
-        and the buffer replay path share it, they cannot drift:
-        :meth:`run_buffer` over a :class:`~repro.trace.TraceBuffer` and
-        :meth:`access` over the equivalent record list produce
-        bit-identical results.
+        outcome: a one-access walk on this hierarchy's own caches, then
+        its replay — the same two stages :meth:`run_buffer` runs, so a
+        record list and the equivalent buffer give bit-identical results.
         """
         atype = access.access_type
         if atype is not _LOAD and atype is not _STORE:
@@ -404,125 +519,9 @@ class CoreMemoryHierarchy:
         shift = self._page_shift
         page = (address >> shift) if shift >= 0 \
             else address // self._l1_page_size
-        return self.access_decomposed(address, block, page, atype, access.pc)
-
-    def access_decomposed(self, address: int, block: int, page: int,
-                          atype: AccessType, pc: int) -> AccessResult:
-        """Service one demand access from its pre-decomposed components.
-
-        Args:
-            address: Full byte address.
-            block: Block-aligned address (``address`` masked to the line).
-            page: Page number under the first-level TLB's page size.
-            atype: ``AccessType.LOAD`` or ``AccessType.STORE`` (not checked
-                here — :meth:`access` and the buffer replay validate).
-            pc: Program counter of the issuing instruction.
-        """
-        stats = self.stats
-        stats.demand_accesses += 1
-        if atype is _LOAD:
-            stats.loads += 1
-        else:
-            stats.stores += 1
-
-        translation_latency = self.tlb.translate_latency_page(page, address)
-
-        # ------------------------------------------------------------------
-        # L1 lookup (the level predictor never targets L1).
-        # ------------------------------------------------------------------
-        l1 = self.l1
-        l1_hit, l1_was_prefetched = l1.access_block(block, atype)
-        # The walker charges energy by adding into the account's categories
-        # directly, in EnergyAccount.charge's order and arithmetic.  This
-        # first charge creates the "hierarchy" category, so the rest of the
-        # access may add to it with ``+=``.
-        energy = self.energy.by_category
-        energy["hierarchy"] = energy.get("hierarchy", 0.0) + self._tlb_l1_nj
-        self._train_prefetcher(self.l1_prefetcher, _L1, address, pc,
-                               atype is _LOAD, l1_hit)
-
-        # Inlined _note_inflight (once per access, both branches).
-        inflight = self._inflight_misses
-        if len(inflight) == inflight.maxlen and inflight[0]:
-            self._inflight_miss_count -= 1
-        inflight.append(not l1_hit)
-        if not l1_hit:
-            self._inflight_miss_count += 1
-        recent = self._recent_prefetches
-        prefetches = self._prefetches_this_access
-        if len(recent) == recent.maxlen:
-            self._recent_prefetch_count -= recent[0]
-        recent.append(prefetches)
-        if prefetches:
-            self._recent_prefetch_count += prefetches
-            self._prefetches_this_access = 0
-
-        if l1_hit:
-            if l1_was_prefetched:
-                self.l1_prefetcher.record_useful()
-            stats.l1_hits += 1
-            if translation_latency == 0:
-                stats.total_demand_latency += self._l1_hit_latency
-                return self._l1_hit_result
-            latency = self._l1_hit_latency + translation_latency
-            stats.total_demand_latency += latency
-            return AccessResult(_L1, latency, _LOOKED_L1)
-
-        # ------------------------------------------------------------------
-        # L1 miss: consult the level predictor, find the block, time the path.
-        # ------------------------------------------------------------------
-        latency = self._l1_miss_detect + translation_latency
-        l1.mshrs.allocate(block, atype)
-
-        predictor = self.predictor
-        actual, remote_core, holder = self._locate(block)
-        if self._ideal_miss_latency:
-            # The paper's Ideal system: a perfect, zero-cost level prediction
-            # on every L1 miss — the request goes straight to the level that
-            # holds the block with no predictor latency and no wasted lookups.
-            prediction = _IDEAL_PREDICTIONS[actual]
-        else:
-            prediction = predictor.predict(block, pc)
-            latency += predictor.prediction_latency
-            predictor_nj = predictor.energy_per_prediction_nj()
-            if predictor_nj < 0:
-                raise ValueError("cannot charge negative energy")
-            energy["predictor"] = energy.get("predictor", 0.0) + predictor_nj
-        stats.predictions += 1
-
-        outcome = predictor.train(block, pc, prediction, actual)
-        predictor.on_hit(actual)
-
-        path_latency, looked_up, recovered = self._timed_path(
-            prediction, actual, address, pc, atype, remote_core, block,
-            holder)
-        latency += path_latency
-        if recovered:
-            stats.recoveries += 1
-
-        # Inlined _account_hit_level (once per miss).
-        if actual is _L2:
-            stats.l2_hits += 1
-        elif actual is _L3:
-            stats.l3_hits += 1
-            if remote_core is not None:
-                stats.remote_cache_hits += 1
-        else:
-            stats.memory_accesses += 1
-        self._fill_on_response(block, atype, actual, holder)
-        l1.mshrs.release(block)
-
-        stats.total_demand_latency += latency
-        stats.miss_latency += latency
-        return AccessResult(
-            actual,
-            latency,
-            looked_up,
-            self._bypassed(prediction, actual),
-            prediction.levels,
-            outcome is _HARMFUL,
-            prediction.used_pld,
-        )
+        walk = self._walk_own(((address,), (block,), (page,),
+                               (atype is _STORE,), (access.pc,)))
+        return self.replay(walk, 0, 1)[0]
 
     def run_trace(self, accesses) -> List[AccessResult]:
         """Convenience helper: service a trace buffer or access iterable.
@@ -538,31 +537,139 @@ class CoreMemoryHierarchy:
         service = self.access
         return [service(access) for access in accesses]
 
-    def run_buffer(self, buffer) -> List[AccessResult]:
-        """Service a whole columnar trace buffer, one access at a time.
+    def run_buffer(self, buffer: "TraceBuffer") -> List[AccessResult]:
+        """Service a whole columnar trace buffer: its walk, then the replay.
 
-        This is the simulator's replay loop: every access goes through
-        :meth:`access_decomposed`, in trace order, with its block and page
-        taken from the buffer's vectorised columns.  Returns the per-access
+        The walk is this hierarchy's own (:meth:`walk` on its caches), or
+        — for the consecutive slices of a trace that :attr:`walk_source`
+        has a shared walk for — that shared walk.  Returns the per-access
         :class:`AccessResult` list the core model consumes.
 
         Raises:
             ValueError: if the buffer contains non-demand records.
         """
-        addresses, blocks, pages, is_store, pcs = buffer.replay_columns(
-            self._block_size, self._l1_page_size)
-        service = self.access_decomposed
-        load = _LOAD
-        store = _STORE
-        return [
-            service(address, block, page, store if stored else load, pc)
-            for address, block, page, stored, pc in zip(
-                addresses, blocks, pages, is_store, pcs)
-        ]
+        root, offset = buffer.origin
+        stop = offset + len(buffer)
+        follow = self._follow
+        if follow is not None:
+            walk, trace, position = follow
+            if trace is root and position == offset and stop <= len(walk):
+                self._follow = (walk, trace, stop)
+                return self.replay(walk, offset, stop)
+        elif not self._walked and offset == 0 \
+                and self.walk_source is not None:
+            walk = self.walk_source(root)
+            if walk is not None:
+                self._follow = (walk, root, stop)
+                return self.replay(walk, 0, stop)
+        walk = self._walk_own(buffer.replay_columns(self._block_size,
+                                                    self._l1_page_size))
+        return self.replay(walk, 0, len(walk))
+
+    def walk(self, buffer: "TraceBuffer") -> Walk:
+        """Walk a whole buffer through this hierarchy's own caches (stage
+        one) and return the record its replays need."""
+        return self._walk_own(buffer.replay_columns(self._block_size,
+                                                    self._l1_page_size))
 
     # ==================================================================
-    # Location and classification helpers
+    # Stage one: the walk
     # ==================================================================
+    def _walk_own(self, columns: Sequence[Sequence]) -> Walk:
+        """Walk ``(addresses, blocks, pages, is_store, pcs)`` columns on
+        this hierarchy's own caches.
+
+        A hierarchy that replayed a walk made elsewhere first walks that
+        trace's replayed prefix itself, so its caches stand where the
+        replayed accesses left them."""
+        follow = self._follow
+        if follow is not None:
+            self._follow = None
+            _, trace, position = follow
+            self._walk_columns(trace[:position].replay_columns(
+                self._block_size, self._l1_page_size))
+        self._walked = True
+        return self._walk_columns(columns)
+
+    def _walk_columns(self, columns: Sequence[Sequence]) -> Walk:
+        walk = Walk()
+        self._record(walk)
+        step = self._step
+        load, store = _LOAD, _STORE
+        for address, block, page, stored, pc in zip(*columns):
+            step(address, block, page, store if stored else load, pc)
+        self._seal()
+        return walk
+
+    def _record(self, walk: Walk) -> None:
+        """Start recording this hierarchy's walk into ``walk``."""
+        self._recording = walk
+        self._hier_add = walk.hier.append
+        self._dram_add = walk.dram.append
+        self._note = walk.notes.extend
+
+    def _seal(self) -> None:
+        """Close the walk being recorded (its final boundary mark)."""
+        self._recording.mark()
+        self._recording = None
+        self._hier_add = self._dram_add = self._note = None
+
+    def _step(self, address: int, block: int, page: int,
+              atype: AccessType, pc: int) -> None:
+        """Walk one demand access (stage one of :meth:`access`).
+
+        Args:
+            address: Full byte address.
+            block: Block-aligned address (``address`` masked to the line).
+            page: Page number under the first-level TLB's page size.
+            atype: ``AccessType.LOAD`` or ``AccessType.STORE`` (validated
+                by :meth:`access` and the buffer's replay columns).
+            pc: Program counter of the issuing instruction.
+        """
+        walk = self._recording
+        walk.mark()
+        is_load = atype is _LOAD
+        if is_load:
+            walk.loads += 1
+        translation_latency = self.tlb.translate_latency_page(page, address)
+
+        # L1 lookup (the level predictor never targets L1).
+        l1_hit, l1_was_prefetched = self.l1.access_block(block, atype)
+        self._hier_add(self._tlb_l1_nj)
+        self._train_prefetcher(self.l1_prefetcher, _L1, address, pc,
+                               is_load, l1_hit)
+
+        # The prefetch-budget window (see _issue_prefetch).
+        recent = self._recent_prefetches
+        prefetches = self._prefetches_this_access
+        if len(recent) == recent.maxlen:
+            self._recent_prefetch_count -= recent[0]
+        recent.append(prefetches)
+        if prefetches:
+            self._recent_prefetch_count += prefetches
+            self._prefetches_this_access = 0
+
+        if l1_hit:
+            if l1_was_prefetched:
+                self.l1_prefetcher.record_useful()
+            walk.results.append(
+                self._l1_hit_result if translation_latency == 0
+                else AccessResult(_L1,
+                                  self._l1_hit_latency + translation_latency,
+                                  _LOOKED_L1))
+            return
+
+        # L1 miss: the predict point, then the prediction-independent rest.
+        actual, remote_core, holder = self._locate(block)
+        point = (len(walk.hier), len(walk.dram), len(walk.notes))
+        dram_latency = self._serve(address, block, atype, pc, actual, holder)
+        self._fill_on_response(block, atype, actual, holder)
+        results = walk.results
+        walk.misses.append((len(results), block, pc, translation_latency,
+                            actual, holder, remote_core is not None,
+                            dram_latency) + point)
+        results.append(None)
+
     def _locate(self, block: int
                 ) -> Tuple[Level, Optional[int], Optional[int]]:
         """Find where the block currently resides (after the L1 miss).
@@ -583,195 +690,42 @@ class CoreMemoryHierarchy:
             return _L3, remote, None
         return _MEM, None, None
 
-    @staticmethod
-    def _bypassed(prediction: Prediction, actual: Level) -> Tuple[Level, ...]:
-        levels = prediction.levels or _BYPASSED_L2
-        l2_bypassed = Level.L2 not in levels and Level.L2 < actual
-        l3_bypassed = Level.L3 not in levels and Level.L3 < actual
-        if l2_bypassed:
-            return _BYPASSED_L2_L3 if l3_bypassed else _BYPASSED_L2
-        if l3_bypassed:
-            return _BYPASSED_L3
-        return _NO_LEVELS
+    def _serve(self, address: int, block: int, atype: AccessType, pc: int,
+               actual: Level, holder: Optional[int]):
+        """The prediction-independent part of an L1 miss's path: the
+        access at the level that holds the block, the L2 and LLC
+        prefetchers' training on it, and the DRAM access of a block in
+        memory (whose latency it returns; 0 otherwise).
 
-    # ==================================================================
-    # Timing
-    # ==================================================================
-    def _timed_path(
-        self,
-        prediction: Prediction,
-        actual: Level,
-        address: int,
-        pc: int,
-        atype: AccessType,
-        remote_core: Optional[int],
-        block: int,
-        holder: Optional[int],
-    ) -> Tuple[float, Tuple[Level, ...], bool]:
-        """Latency of the post-L1 path, levels probed, recovery flag.
-
-        A ``Level.L2`` prediction probes the whole private intermediate
-        group in order; the private-only sequential fallback serialises
-        each level's miss detection before forwarding.  Hop latencies:
-        ``l1_to_l2`` per hop between private levels, ``l2_to_llc`` into
-        the shared LLC (a 2-level hierarchy pays only the LLC hop).  The
-        MSHR entry for the return path is allocated at the deepest
-        private intermediate — the fill deposit point — even when the
-        group is bypassed (Section III.E).  The probed-level sequence is
-        one of six fixed shapes, so shared tuples are returned instead of
-        building a list per miss.
+        A private-level hit trains the L2 prefetcher as a hit whether the
+        predictor probed the group or recovery re-issued the request
+        there.  An access that reaches the LLC missed the private levels:
+        the L2 prefetcher trains on it as a miss, the LLC prefetcher on
+        the LLC outcome.
         """
-        levels = prediction.levels or _BYPASSED_L2
-        probe_l2 = _L2 in levels
-        probe_l3 = _L3 in levels
-        probe_mem = _MEM in levels
-        energy = self.energy.by_category
         is_load = atype is _LOAD
-
-        # Port-pressure penalty when more than one on-chip cache is probed in
-        # parallel (multi-way predictions, Section V.A / V.C).
-        cache_probes = probe_l2 + probe_l3 + (_L1 in levels)
-        if cache_probes > 1:
-            port_penalty = self._port_penalty * (cache_probes - 1)
-            self.stats.parallel_cache_probes += 1
-        else:
-            port_penalty = 0.0
-
-        # "hierarchy"-category energy is accumulated locally and charged once
-        # per path (one dict update instead of four-six).
-        interconnect = self.interconnect
-        deposit_mshrs = self._deposit_mshrs
-        if deposit_mshrs is None:
-            latency = 0.0
-            hierarchy_nj = 0.0
-        else:
-            deposit_mshrs.allocate(block, atype)
-            interconnect.transfers += 1
-            latency = self._ic_l1_l2
-            hierarchy_nj = self._bus_nj
-
-            # ---------------- Private intermediate stage ----------------
-            if probe_l2:
-                sequential = not (probe_l3 or probe_mem)
-                for index, cache in self._probe_order:
-                    if index:
-                        interconnect.transfers += 1
-                        latency += self._ic_l1_l2
-                        hierarchy_nj += self._bus_nj
-                    cache.access_block(block, atype)
-                    hierarchy_nj += self._chain_nj[index]
-                    if index == holder:
-                        latency += self._chain_hit_latency[index] \
-                            + port_penalty
-                        energy["hierarchy"] += hierarchy_nj
-                        self._train_prefetcher(self.l2_prefetcher, _L2,
-                                               address, pc, is_load, True)
-                        deposit_mshrs.release(block)
-                        return latency, _PATH_L2, False
-                    if sequential:
-                        # Wait for this level's miss before forwarding.
-                        latency += self._chain_miss_detect[index]
-            elif actual is _L2:
-                # Harmful misprediction: a private level held the block
-                # but the whole group was bypassed.
-                energy["hierarchy"] += hierarchy_nj
-                latency += self._recover(atype, block, holder)
-                latency += port_penalty
-                self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
-                                       is_load, True)
-                deposit_mshrs.release(block)
-                return latency, _PATH_RECOVERY, True
-            else:
-                # Bypassed but absent: the request still traverses the
-                # private chain's bus on the way to the LLC.
-                for _ in self._bypass_hops:
-                    interconnect.transfers += 1
-                    latency += self._ic_l1_l2
-                    hierarchy_nj += self._bus_nj
-
-        # ---------------- LLC / directory stage ----------------
-        interconnect.transfers += 1
-        latency += self._ic_l2_llc
-        hierarchy_nj += self._bus_nj + self._directory_nj
-
-        # An access that reaches the LLC missed the private levels: the L2
-        # prefetcher trains on it as a miss, the LLC prefetcher on the LLC
-        # outcome.
-        if actual is _L3:
-            self.shared.l3.access_block(block, atype)
-            hierarchy_nj += self._l3_nj
-            llc_latency = self._l3_hit_latency
-            if remote_core is not None:
-                # Data forwarded from another core's private cache.
-                llc_latency = (self._l3_tag_latency
-                               + interconnect.cache_to_cache_latency())
-            if probe_mem and self._memory_speculative:
-                # A speculative DRAM access was launched and must be cancelled
-                # by the return-path address-matching logic: energy, no time.
-                energy["dram"] = energy.get("dram", 0.0) + self._dram_nj
-                self.stats.cancelled_dram_launches += 1
-            latency += llc_latency + port_penalty
-            energy["hierarchy"] += hierarchy_nj
+        if actual is _L2:
+            self._intermediates[holder].access_block(block, atype)
             self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
-                                   is_load, False)
-            self._train_prefetcher(self.shared.llc_prefetcher, _L3, address,
-                                   pc, is_load, True)
-            if deposit_mshrs is not None:
-                deposit_mshrs.release(block)
-            return latency, (_PATH_L2_L3 if probe_l2 else _PATH_L3), False
-
-        # Block is in main memory.
-        self.shared.l3.access_block(block, atype)
-        hierarchy_nj += self._l3_tag_nj
-        energy["hierarchy"] += hierarchy_nj
+                                   is_load, True)
+            return 0
+        shared = self.shared
+        shared.l3.access_block(block, atype)
         self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
                                is_load, False)
-        self._train_prefetcher(self.shared.llc_prefetcher, _L3, address, pc,
+        if actual is _L3:
+            self._train_prefetcher(shared.llc_prefetcher, _L3, address, pc,
+                                   is_load, True)
+            return 0
+        self._train_prefetcher(shared.llc_prefetcher, _L3, address, pc,
                                is_load, False)
-        dram_latency = self.shared.dram.access(address)
-        energy["dram"] = energy.get("dram", 0.0) + self._dram_nj
-        interconnect.transfers += 1
-        hop_to_memory = self._ic_llc_mem
+        dram_latency = shared.dram.access(address)
+        self._dram_add(self._dram_nj)
+        return dram_latency
 
-        if probe_mem and self._memory_speculative:
-            # DRAM access launched in parallel with the directory/tag check;
-            # the response is released once the check confirms the block is
-            # uncached, so the tag latency is hidden behind DRAM.
-            self.stats.speculative_dram_launches += 1
-            latency += max(self._l3_tag_latency,
-                           hop_to_memory + dram_latency)
-        else:
-            latency += self._l3_tag_latency + hop_to_memory + dram_latency
-        latency += port_penalty
-        if deposit_mshrs is not None:
-            deposit_mshrs.release(block)
-        return latency, (_PATH_L2_L3_MEM if probe_l2 else _PATH_L3_MEM), False
-
-    def _recover(self, atype: AccessType, block: int, holder: int) -> float:
-        """Misprediction recovery: the directory re-issues the request to
-        the private intermediate that holds the block."""
-        energy = self.energy.by_category
-        latency = self.interconnect.l2_to_llc_latency()
-        energy["hierarchy"] += self._bus_nj
-        # The collocated directory is consulted during the LLC tag access.
-        latency += self._l3_tag_latency
-        energy["hierarchy"] += self._l3_tag_nj
-        energy["hierarchy"] += self._directory_nj
-        self.shared.directory.detect_bypass_misprediction(block, self.core_id)
-        # Recovery transaction back to the holder, then its access itself.
-        latency += self.interconnect.recovery_latency()
-        energy["recovery"] = energy.get("recovery", 0.0) \
-            + (self._bus_nj + self._directory_nj)
-        self._intermediates[holder].access_block(block, atype)
-        energy["hierarchy"] += self._chain_nj[holder]
-        latency += self._chain_hit_latency[holder]
-        # Deallocate MSHR entries allocated past the actual level.
-        self.shared.l3.mshrs.force_release(block)
-        return latency
-
-    # ==================================================================
+    # ------------------------------------------------------------------
     # Data movement (fills, evictions, writebacks)
-    # ==================================================================
+    # ------------------------------------------------------------------
     def _fill_on_response(self, block: int, atype: AccessType,
                           actual: Level, holder: Optional[int]) -> None:
         """Move the block up the hierarchy after the response returns.
@@ -785,7 +739,7 @@ class CoreMemoryHierarchy:
         """
         dirty = atype is _STORE
         state = _MODIFIED if dirty else _EXCLUSIVE
-        predictor = self.predictor
+        note = self._note
 
         if actual is _MEM:
             # Memory fills also populate the (non-inclusive) LLC.
@@ -793,7 +747,7 @@ class CoreMemoryHierarchy:
                                                     dirty=False, state=state)
             if l3_eviction is not None:
                 self._handle_l3_eviction(l3_eviction)
-            predictor.on_fill(block, _L3)
+            note((_FILL_L3, block))
 
         if actual is _MEM or actual is _L3:
             fill_order = self._fill_order
@@ -803,7 +757,7 @@ class CoreMemoryHierarchy:
                                                 dirty=dirty, state=state)
                     if eviction is not None:
                         self._handle_intermediate_eviction(eviction, index)
-                predictor.on_fill(block, _L2)
+                note((_FILL_L2, block))
             self.shared.directory.record_private_fill(block, self.core_id,
                                                       dirty=dirty)
         elif actual is _L2:
@@ -811,7 +765,7 @@ class CoreMemoryHierarchy:
             # private bus, so the predictor's location metadata is refreshed
             # with the truth (this is what repairs stale LocMap entries left
             # by unrecorded prefetch fills).
-            predictor.on_fill(block, _L2)
+            note((_FILL_L2, block))
             if dirty:
                 self._intermediates[holder].mark_dirty(block)
             # Inclusion upward: levels between the holder and L1 also fill.
@@ -843,7 +797,7 @@ class CoreMemoryHierarchy:
         if eviction.dirty:
             l3_eviction = self.shared.l3.fill_block(
                 eviction.block_addr, _WRITEBACK, dirty=True, state=_MODIFIED)
-            self.energy.by_category["hierarchy"] += self._l3_wb_nj
+            self._hier_add(self._l3_wb_nj)
             self._handle_l3_eviction(l3_eviction)
 
     def _handle_intermediate_eviction(self, eviction: EvictionInfo,
@@ -861,13 +815,13 @@ class CoreMemoryHierarchy:
             # core's private group entirely.
             self.shared.directory.record_private_eviction(block_addr,
                                                           self.core_id)
-            self.predictor.on_eviction(block_addr, _L2,
-                                       dirty=eviction.dirty)
+            self._note((_EVICT_L2_DIRTY if eviction.dirty else _EVICT_L2,
+                        block_addr))
             if eviction.dirty:
                 # Dirty victims are written back into the non-inclusive LLC.
                 l3_eviction = self.shared.l3.fill_block(
                     block_addr, _WRITEBACK, dirty=True, state=_MODIFIED)
-                self.energy.by_category["hierarchy"] += self._l3_wb_nj
+                self._hier_add(self._l3_wb_nj)
                 self._handle_l3_eviction(l3_eviction)
         elif eviction.dirty:
             # Dirty victims merge into the next-deeper private level.
@@ -876,13 +830,14 @@ class CoreMemoryHierarchy:
     def _handle_l3_eviction(self, eviction: Optional[EvictionInfo]) -> None:
         if eviction is None:
             return
-        self.shared.l3_eviction_to_memory(eviction, self.energy)
-        self.predictor.on_eviction(eviction.block_addr, _L3,
-                                   dirty=eviction.dirty)
+        if self.shared.l3_eviction_to_memory(eviction):
+            self._dram_add(self._dram_nj)
+        self._note((_EVICT_L3_DIRTY if eviction.dirty else _EVICT_L3,
+                    eviction.block_addr))
 
-    # ==================================================================
+    # ------------------------------------------------------------------
     # Prefetching
-    # ==================================================================
+    # ------------------------------------------------------------------
     def _train_prefetcher(self, prefetcher: Prefetcher, level: Level,
                           address: int, pc: int, is_load: bool,
                           hit: bool) -> None:
@@ -903,7 +858,7 @@ class CoreMemoryHierarchy:
         for candidate in prefetcher.observe(record):
             if (self._recent_prefetch_count + self._prefetches_this_access
                     >= self._prefetch_budget):
-                self.stats.prefetches_dropped_mshr += 1
+                self._recording.dropped += 1
             else:
                 self._issue_prefetch(candidate, level)
 
@@ -916,8 +871,8 @@ class CoreMemoryHierarchy:
         (Section IV.A): the functional model retires each access before the
         next begins, so true MSHR occupancy is not observable; instead the
         prefetch *issue rate* over the last ``prefetch_inflight_window``
-        demand accesses (tracked by the inlined window bookkeeping in
-        :meth:`access`) is bounded by the non-reserved share of the MSHR
+        demand accesses (tracked by the window bookkeeping in
+        :meth:`_step`) is bounded by the non-reserved share of the MSHR
         entries of the deepest private level — the behaviour the
         reservation produces under load.
 
@@ -930,7 +885,7 @@ class CoreMemoryHierarchy:
         mask = self._block_mask
         block = (address & mask) if mask is not None \
             else block_address(address, self._block_size)
-        self.stats.prefetches_issued += 1
+        self._recording.issued += 1
         self._prefetches_this_access += 1
         if level is _L3:
             installed, l3_eviction = self.shared.l3.prefetch_install(block)
@@ -938,8 +893,8 @@ class CoreMemoryHierarchy:
                 return
             if l3_eviction is not None:
                 self._handle_l3_eviction(l3_eviction)
-            self.predictor.on_fill(block, _L3, from_prefetch=True)
-            self.energy.by_category["hierarchy"] += self._l3_nj
+            self._note((_PREFETCH_L3, block))
+            self._hier_add(self._l3_nj)
             return
         intermediates = self._intermediates
         target_l1 = level is _L1 or not intermediates
@@ -957,10 +912,329 @@ class CoreMemoryHierarchy:
             if l1_eviction is not None:
                 self._handle_l1_eviction(l1_eviction)
         if intermediates:
-            self.predictor.on_fill(block, _L2, from_prefetch=True)
+            self._note((_PREFETCH_L2, block))
         self.shared.directory.record_private_fill(block, self.core_id)
-        self.energy.by_category["hierarchy"] += \
-            self._l1_nj if target_l1 else self._chain_nj[0]
+        self._hier_add(self._l1_nj if target_l1 else self._chain_nj[0])
+
+    # ==================================================================
+    # Stage two: the replay
+    # ==================================================================
+    def replay(self, walk: Walk, start: int, stop: int
+               ) -> List[AccessResult]:
+        """Replay accesses ``[start, stop)`` of ``walk`` through this
+        hierarchy's predictor, timing, statistics and energy (stage two).
+
+        The accesses before ``start`` must have been replayed by this
+        hierarchy already (the warm-up split replays ``[0, w)``, resets
+        the statistics, then replays ``[w, n)``).
+        """
+        results = walk.results[start:stop]
+        count = stop - start
+        if not count:
+            return results
+        marks = walk.marks
+        at = start * _MARK_FIELDS
+        hier_at, dram_at, notes_at, first, loads, issued, dropped = \
+            marks[at:at + _MARK_FIELDS]
+        at = stop * _MARK_FIELDS
+        hier_end, dram_end, notes_end, last, loads_end, issued_end, \
+            dropped_end = marks[at:at + _MARK_FIELDS]
+
+        stats = self.stats
+        energy = self.energy.by_category
+        # The first access of any range charges "hierarchy" first, so the
+        # category is created here and accumulated locally.
+        hierarchy = energy.get("hierarchy", 0.0)
+        energy["hierarchy"] = hierarchy
+        hier = walk.hier
+        dram = walk.dram
+        notes = walk.notes
+        predictor = self.predictor
+        predictor_type = type(predictor)
+        notify = (predictor_type.on_fill is not _LevelPredictor.on_fill
+                  or predictor_type.on_eviction
+                  is not _LevelPredictor.on_eviction)
+        on_fill = predictor.on_fill
+        on_eviction = predictor.on_eviction
+        predict = predictor.predict
+        train = predictor.train
+        on_hit = predictor.on_hit
+        ideal = self._ideal_miss_latency
+        miss_detect = self._l1_miss_detect
+        l3_tag_latency = self._l3_tag_latency
+        paths = self._paths
+        miss_latency = stats.miss_latency
+        l2_hits = l3_hits = memory = remote_hits = 0
+        recoveries = parallel = cancelled = speculative = 0
+        transfers = recovery_transactions = 0
+
+        for (index, block, pc, translation_latency, actual, holder, remote,
+             dram_latency, hier_point, dram_point, notes_point) \
+                in walk.misses[first:last]:
+            # The prediction-independent charges and notifications since
+            # the previous miss's predict point, in their original order.
+            if hier_point != hier_at:
+                for value in hier[hier_at:hier_point]:
+                    hierarchy += value
+                hier_at = hier_point
+            if dram_point != dram_at:
+                total = energy.get("dram", 0.0)
+                for value in dram[dram_at:dram_point]:
+                    total += value
+                energy["dram"] = total
+                dram_at = dram_point
+            if notify and notes_point != notes_at:
+                run = iter(notes[notes_at:notes_point])
+                for code, note_block in zip(run, run):
+                    fill, level, flag = _NOTE_CALLS[code]
+                    if fill:
+                        on_fill(note_block, level, flag)
+                    else:
+                        on_eviction(note_block, level, flag)
+                notes_at = notes_point
+
+            latency = miss_detect + translation_latency
+            if ideal:
+                # The paper's Ideal system: a perfect, zero-cost level
+                # prediction on every L1 miss — the request goes straight
+                # to the level that holds the block with no predictor
+                # latency and no wasted lookups.
+                prediction = _IDEAL_PREDICTIONS[actual]
+            else:
+                prediction = predict(block, pc)
+                latency += predictor.prediction_latency
+                predictor_nj = predictor.energy_per_prediction_nj()
+                if predictor_nj < 0:
+                    raise ValueError("cannot charge negative energy")
+                energy["predictor"] = energy.get("predictor", 0.0) \
+                    + predictor_nj
+            outcome = train(block, pc, prediction, actual)
+            on_hit(actual)
+
+            levels = prediction.levels
+            key = (levels, actual, holder, remote)
+            path = paths.get(key)
+            if path is None:
+                path = paths[key] = self._path(*key)
+            (path_latency, memory_hop, port_penalty, looked_up, bypassed,
+             hier_adds, recovery_nj, cancel, path_transfers, probes,
+             recovered) = path
+            if memory_hop is not None:
+                # Block in main memory: the DRAM access either follows
+                # the LLC tag check or, launched speculatively, overlaps
+                # it.
+                if cancel:
+                    speculative += 1
+                    path_latency += max(l3_tag_latency,
+                                        memory_hop + dram_latency)
+                else:
+                    path_latency += l3_tag_latency + memory_hop \
+                        + dram_latency
+                path_latency += port_penalty
+            elif cancel:
+                # A speculative DRAM access was launched and must be
+                # cancelled by the return-path address-matching logic:
+                # energy, no time.
+                energy["dram"] = energy.get("dram", 0.0) + self._dram_nj
+                cancelled += 1
+            for value in hier_adds:
+                hierarchy += value
+            if recovered:
+                energy["recovery"] = energy.get("recovery", 0.0) \
+                    + recovery_nj
+                recoveries += 1
+            transfers += path_transfers
+            parallel += probes
+            latency += path_latency
+
+            if actual is _L2:
+                l2_hits += 1
+            elif actual is _L3:
+                l3_hits += 1
+                if remote:
+                    remote_hits += 1
+            else:
+                memory += 1
+            miss_latency += latency
+            results[index - start] = AccessResult(
+                actual, latency, looked_up, bypassed, levels,
+                outcome is _HARMFUL, prediction.used_pld)
+
+        # The charges and notifications after the range's last predict
+        # point.
+        for value in hier[hier_at:hier_end]:
+            hierarchy += value
+        energy["hierarchy"] = hierarchy
+        if dram_end != dram_at:
+            total = energy.get("dram", 0.0)
+            for value in dram[dram_at:dram_end]:
+                total += value
+            energy["dram"] = total
+        if notify:
+            run = iter(notes[notes_at:notes_end])
+            for code, note_block in zip(run, run):
+                fill, level, flag = _NOTE_CALLS[code]
+                if fill:
+                    on_fill(note_block, level, flag)
+                else:
+                    on_eviction(note_block, level, flag)
+
+        misses = last - first
+        stats.demand_accesses += count
+        stats.loads += loads_end - loads
+        stats.stores += count - (loads_end - loads)
+        stats.l1_hits += count - misses
+        stats.l2_hits += l2_hits
+        stats.l3_hits += l3_hits
+        stats.memory_accesses += memory
+        stats.remote_cache_hits += remote_hits
+        stats.predictions += misses
+        stats.recoveries += recoveries
+        stats.parallel_cache_probes += parallel
+        stats.speculative_dram_launches += speculative
+        stats.cancelled_dram_launches += cancelled
+        stats.prefetches_issued += issued_end - issued
+        stats.prefetches_dropped_mshr += dropped_end - dropped
+        stats.miss_latency = miss_latency
+        total_latency = stats.total_demand_latency
+        for result in results:
+            total_latency += result.latency
+        stats.total_demand_latency = total_latency
+        self.interconnect.transfers += transfers
+        if recoveries:
+            self.interconnect.recovery_transactions += recoveries
+            self.shared.directory.stats.misprediction_detections += \
+                recoveries
+        return results
+
+    def _path(self, levels: Tuple[Level, ...], actual: Level,
+              holder: Optional[int], remote: bool) -> tuple:
+        """The prediction-dependent shape of one L1 miss's post-L1 path.
+
+        Returns ``(latency, memory_hop, port_penalty, looked_up,
+        bypassed, hier_adds, recovery_nj, cancel, transfers, probes,
+        recovered)``.  For a block in memory ``latency`` stops at the LLC
+        tag and :meth:`replay` adds the DRAM part (``memory_hop`` is the
+        LLC-to-memory hop, ``cancel`` marks a speculative launch);
+        otherwise ``memory_hop`` is ``None`` and ``cancel`` marks a
+        speculative DRAM launch to cancel.
+
+        A ``Level.L2`` prediction probes the whole private intermediate
+        group in order; the private-only sequential fallback serialises
+        each level's miss detection before forwarding.  Hop latencies:
+        ``l1_to_l2`` per hop between private levels, ``l2_to_llc`` into
+        the shared LLC (a 2-level hierarchy pays only the LLC hop).  The
+        probed-level sequence is one of six fixed shapes, so shared tuples
+        are returned.  Every float is summed in the order of a single
+        pass over the path.
+        """
+        bypassed = self._bypassed(levels, actual)
+        levels = levels or _BYPASSED_L2
+        probe_l2 = _L2 in levels
+        probe_l3 = _L3 in levels
+        probe_mem = _MEM in levels
+
+        # Port-pressure penalty when more than one on-chip cache is probed in
+        # parallel (multi-way predictions, Section V.A / V.C).
+        cache_probes = probe_l2 + probe_l3 + (_L1 in levels)
+        if cache_probes > 1:
+            port_penalty = self._port_penalty * (cache_probes - 1)
+            probes = 1
+        else:
+            port_penalty = 0.0
+            probes = 0
+
+        # "hierarchy"-category energy is accumulated locally and charged once
+        # per path.
+        transfers = 0
+        if not self._intermediates:
+            latency = 0.0
+            hierarchy_nj = 0.0
+        else:
+            transfers += 1
+            latency = self._ic_l1_l2
+            hierarchy_nj = self._bus_nj
+
+            # ---------------- Private intermediate stage ----------------
+            if probe_l2:
+                sequential = not (probe_l3 or probe_mem)
+                for index, _ in self._probe_order:
+                    if index:
+                        transfers += 1
+                        latency += self._ic_l1_l2
+                        hierarchy_nj += self._bus_nj
+                    hierarchy_nj += self._chain_nj[index]
+                    if index == holder:
+                        latency += self._chain_hit_latency[index] \
+                            + port_penalty
+                        return (latency, None, port_penalty, _PATH_L2,
+                                bypassed, (hierarchy_nj,), 0.0, False,
+                                transfers, probes, False)
+                    if sequential:
+                        # Wait for this level's miss before forwarding.
+                        latency += self._chain_miss_detect[index]
+            elif actual is _L2:
+                # Harmful misprediction: a private level held the block
+                # but the whole group was bypassed.  The collocated
+                # directory detects it during the LLC tag access and a
+                # recovery transaction re-issues the request to the
+                # holder.
+                recovery = self._ic_l2_llc
+                recovery += self._l3_tag_latency
+                recovery += self._ic_recovery
+                recovery += self._chain_hit_latency[holder]
+                latency += recovery
+                latency += port_penalty
+                hier_adds = (hierarchy_nj, self._bus_nj, self._l3_tag_nj,
+                             self._directory_nj, self._chain_nj[holder])
+                return (latency, None, port_penalty, _PATH_RECOVERY,
+                        bypassed, hier_adds,
+                        self._bus_nj + self._directory_nj, False,
+                        transfers + 1, probes, True)
+            else:
+                # Bypassed but absent: the request still traverses the
+                # private chain's bus on the way to the LLC.
+                for _ in self._bypass_hops:
+                    transfers += 1
+                    latency += self._ic_l1_l2
+                    hierarchy_nj += self._bus_nj
+
+        # ---------------- LLC / directory stage ----------------
+        transfers += 1
+        latency += self._ic_l2_llc
+        hierarchy_nj += self._bus_nj + self._directory_nj
+        speculative = probe_mem and self._memory_speculative
+        if actual is _L3:
+            hierarchy_nj += self._l3_nj
+            llc_latency = self._l3_hit_latency
+            if remote:
+                # Data forwarded from another core's private cache.
+                transfers += 1
+                llc_latency = self._l3_tag_latency + self._ic_cache_to_cache
+            latency += llc_latency + port_penalty
+            return (latency, None, port_penalty,
+                    _PATH_L2_L3 if probe_l2 else _PATH_L3, bypassed,
+                    (hierarchy_nj,), 0.0, speculative, transfers, probes,
+                    False)
+
+        # Block is in main memory.
+        hierarchy_nj += self._l3_tag_nj
+        transfers += 1
+        return (latency, self._ic_llc_mem, port_penalty,
+                _PATH_L2_L3_MEM if probe_l2 else _PATH_L3_MEM, bypassed,
+                (hierarchy_nj,), 0.0, speculative, transfers, probes, False)
+
+    @staticmethod
+    def _bypassed(levels: Tuple[Level, ...], actual: Level
+                  ) -> Tuple[Level, ...]:
+        levels = levels or _BYPASSED_L2
+        l2_bypassed = Level.L2 not in levels and Level.L2 < actual
+        l3_bypassed = Level.L3 not in levels and Level.L3 < actual
+        if l2_bypassed:
+            return _BYPASSED_L2_L3 if l3_bypassed else _BYPASSED_L2
+        if l3_bypassed:
+            return _BYPASSED_L3
+        return _NO_LEVELS
 
     # ==================================================================
     # Reporting

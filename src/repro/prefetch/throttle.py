@@ -5,8 +5,11 @@ baseline because always-on aggressive prefetchers hurt some applications
 (e.g. 605.mcf):
 
 1. **MSHR reservation** — 25 % of MSHR entries are reserved for demand
-   accesses.  This is implemented inside :class:`repro.memory.mshr.MSHRFile`
-   (``demand_reserve_fraction``); nothing is needed here beyond configuring it.
+   accesses.  The hierarchy walker implements it as a prefetch budget: the
+   prefetches issued over its recent demand accesses may not exceed the
+   non-reserved share of the deepest private level's ``mshr_entries``
+   (``mshr_demand_reserve``; see
+   :meth:`repro.memory.hierarchy.CoreMemoryHierarchy._issue_prefetch`).
 2. **Accuracy-gated epochs** — in each epoch of N accesses the prefetcher runs
    for the first N/10 accesses ("sampling window"), its accuracy is measured,
    and it is disabled for the remaining 9N/10 accesses if accuracy fell below

@@ -1108,14 +1108,19 @@ class SimulationService:
         poll = self.CLAIM_POLL_BASE
         while True:
             with self._lock:
+                result = None
                 if self.store.refresh(key):
                     result = self.store.get(key)
                     if result is not None:
                         self.counters["claim_waits"] += 1
                         self._count(state, "stored")
-                        return result
                     # Present but unreadable: fall through and poll —
                     # refresh() re-scans the shard on the next pass.
+            if result is not None:
+                # An owner killed between its put and its release left
+                # the claim behind; nothing else would remove it.
+                self.store.reap_claim(key)
+                return result
             claim = self.store.read_claim(key)
             if claim is None:
                 # Owner released without persisting (its attempt failed,

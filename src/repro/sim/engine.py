@@ -11,7 +11,10 @@ provides the shared substrate the drivers and benchmarks run on:
   list;
 * :class:`TraceCache` — a process-local LRU cache of generated workload
   traces, so a six-system comparison generates each (workload, seed, length)
-  trace **once** instead of once per system;
+  trace **once** instead of once per system — and walks it through the
+  hierarchy once: the cache also holds each trace's
+  :class:`~repro.memory.hierarchy.Walk`, which the compared systems replay
+  (see :mod:`repro.memory.hierarchy`, "Walk and replay");
 * :class:`SimulationEngine` — runs a job list serially or over a worker
   pool, reading through the results store.
 
@@ -97,6 +100,12 @@ WorkloadSpec = Union[str, Workload]
 #: Sentinel: resolve the spill directory from the environment at use time.
 _SPILL_AUTO = "auto"
 
+#: Walks a :class:`TraceCache` holds at once.  A grid runs the systems of
+#: one trace back to back, so one walk in use at a time is the common case;
+#: the bound keeps a few more for interleaved grids without letting walks
+#: (a few hundred bytes per access) pile up.
+MAX_WALKS = 2
+
 
 # ======================================================================
 # Trace cache
@@ -113,6 +122,10 @@ class TraceCache:
     Repeated lookups return the **same**
     :class:`~repro.trace.TraceBuffer` object — callers must treat cached
     buffers as immutable.
+
+    Next to the traces the cache holds up to :data:`MAX_WALKS` hierarchy
+    walks of them (:meth:`walk`, least recently used out first).  A walk
+    leaves with any trace it walked, and :meth:`clear` drops them all.
 
     Args:
         max_traces: In-memory LRU capacity.
@@ -137,10 +150,16 @@ class TraceCache:
         # the LRU bookkeeping (move_to_end/popitem) and the counters must
         # be guarded; generation itself happens outside the lock.
         self._lock = threading.RLock()
+        # (trace keys, walk key) -> walk, in LRU order; id(buffer) -> key
+        # of every cached buffer (each is kept alive by its entry).
+        self._walks: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._trace_keys: Dict[int, Tuple] = {}
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
         self.disk_spills = 0
+        self.walk_hits = 0
+        self.walk_misses = 0
 
     # ------------------------------------------------------------------
     def resolve(self, workload: WorkloadSpec) -> Workload:
@@ -240,9 +259,47 @@ class TraceCache:
             # never be recycled while its trace is cached.
             self._traces[key] = (
                 None if isinstance(workload, str) else resolved, buffer)
+            self._trace_keys[id(buffer)] = key
             if len(self._traces) > self.max_traces:
-                self._traces.popitem(last=False)
+                evicted, (_, old) = self._traces.popitem(last=False)
+                del self._trace_keys[id(old)]
+                for walk_key in [walk_key for walk_key in self._walks
+                                 if evicted in walk_key[0]]:
+                    del self._walks[walk_key]
         return buffer
+
+    def walk(self, traces: Tuple[TraceBuffer, ...], key, build):
+        """The shared hierarchy walk of cached ``traces`` under ``key``.
+
+        ``key`` names everything the walk depends on besides the traces
+        (see :func:`repro.sim.system.walk_config`); ``build()`` makes the
+        walk on a miss.  Returns ``None`` when a buffer in ``traces`` is
+        not one this cache holds — its caller walks on its own.
+        """
+        with self._lock:
+            trace_keys = tuple(self._trace_keys.get(id(buffer))
+                               for buffer in traces)
+            if None in trace_keys:
+                return None
+            entry_key = (trace_keys, key)
+            walk = self._walks.get(entry_key)
+            if walk is not None:
+                self.walk_hits += 1
+                self._walks.move_to_end(entry_key)
+                return walk
+            self.walk_misses += 1
+        walk = build()
+        with self._lock:
+            if any(self._trace_keys.get(id(buffer)) != trace_key
+                   for buffer, trace_key in zip(traces, trace_keys)):
+                return walk  # a trace left the cache meanwhile
+            # Another thread may have walked the same key meanwhile: keep
+            # the first, like get() keeps the first buffer.
+            walk = self._walks.setdefault(entry_key, walk)
+            self._walks.move_to_end(entry_key)
+            if len(self._walks) > MAX_WALKS:
+                self._walks.popitem(last=False)
+        return walk
 
     def __len__(self) -> int:
         with self._lock:
@@ -251,11 +308,15 @@ class TraceCache:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
+            self._trace_keys.clear()
+            self._walks.clear()
             self._named_workloads.clear()
             self.hits = 0
             self.misses = 0
             self.disk_hits = 0
             self.disk_spills = 0
+            self.walk_hits = 0
+            self.walk_misses = 0
 
 
 #: The module-level cache shared by the drivers (one per worker process).
@@ -370,8 +431,9 @@ def execute_job(job: Job, trace_cache: Optional[TraceCache] = None):
 
     This is the single entry point used by both the serial fallback and the
     pool workers; it builds a fresh system, pulls the trace(s) through
-    ``trace_cache`` (the process-local :data:`TRACE_CACHE` by default), and
-    returns the picklable result.
+    ``trace_cache`` (the process-local :data:`TRACE_CACHE` by default),
+    replays their shared hierarchy walk from the same cache, and returns
+    the picklable result.
     """
     # Fault site: a worker crashing (or being killed) while holding a job.
     # Sits before any system state is built, so a retried job replays from
@@ -387,14 +449,16 @@ def execute_job(job: Job, trace_cache: Optional[TraceCache] = None):
     cache = TRACE_CACHE if trace_cache is None else trace_cache
     if isinstance(job, MixJob):
         base_config = job.config or SystemConfig.paper_multi_core()
-        system = MultiCoreSystem(base_config.with_predictor(job.predictor))
+        system = MultiCoreSystem(base_config.with_predictor(job.predictor),
+                                 walks=cache)
         traces, names = mix_traces(job.mix, job.accesses_per_core,
                                    seed=job.seed, trace_cache=cache)
         return system.run_traces(traces, workload_names=names,
                                  mix_name=job.mix)
 
     base_config = job.config or SystemConfig.paper_single_core()
-    system = SimulatedSystem(base_config.with_predictor(job.predictor))
+    system = SimulatedSystem(base_config.with_predictor(job.predictor),
+                             walks=cache)
     workload = cache.resolve(job.workload)
     total = job.num_accesses + job.warmup_accesses
     buffer = cache.get(job.workload, total, seed=job.seed)

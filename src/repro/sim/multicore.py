@@ -15,16 +15,20 @@ single-core runs; the figures report the geometric-mean speedup across cores
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import PredictionOutcome
 from ..cpu.ooo_core import ExecutionResult, OutOfOrderCore, geometric_mean
-from ..memory.block import AccessResult, AccessType
-from ..memory.hierarchy import CoreMemoryHierarchy, SharedMemorySystem
+from ..memory.block import AccessType
+from ..memory.hierarchy import (
+    CoreMemoryHierarchy,
+    SharedMemorySystem,
+    Walk,
+)
 from ..trace import TraceBuffer
 from .config import SystemConfig
 from .system import Trace, make_llc_prefetcher, make_predictor, \
-    _make_private_prefetchers, _with_ideal_latency
+    walk_config, _make_private_prefetchers, _with_ideal_latency
 
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
@@ -72,9 +76,16 @@ class MultiCoreResult:
 
 
 class MultiCoreSystem:
-    """A quad-core (or N-core) system sharing one LLC and DRAM channel."""
+    """A quad-core (or N-core) system sharing one LLC and DRAM channel.
 
-    def __init__(self, config: Optional[SystemConfig] = None) -> None:
+    ``walks`` (the engine's :class:`~repro.sim.engine.TraceCache`) lets
+    the system replay the shared walk of a mix of cached traces instead
+    of walking it again (see :mod:`repro.memory.hierarchy`, "Walk and
+    replay").
+    """
+
+    def __init__(self, config: Optional[SystemConfig] = None,
+                 walks=None) -> None:
         self.config = config or SystemConfig.paper_multi_core()
         hierarchy_config = self.config.hierarchy
         if self.config.predictor == "ideal":
@@ -91,6 +102,12 @@ class MultiCoreSystem:
                 l1_prefetcher=l1_prefetcher, l2_prefetcher=l2_prefetcher,
                 core_id=core_id, active_cores=self.config.num_cores))
         self.core_model = OutOfOrderCore(self.config.core)
+        self.walks = walks
+        # Traces replayed from a walk made elsewhere (their accesses are
+        # not in this system's caches yet), and whether the caches have
+        # walked anything.
+        self._borrowed: List[TraceBuffer] = []
+        self._walked = False
 
     # ------------------------------------------------------------------
     # Running
@@ -100,52 +117,74 @@ class MultiCoreSystem:
                    mix_name: str = "mix") -> MultiCoreResult:
         """Interleave per-core traces round-robin and time each core.
 
-        Traces are decomposed into block/page columns once per core up
-        front (legacy record lists are packed into columnar buffers first —
-        the streams are identical, so results are bit-identical either
-        way), and the interleaved loop services each access through
-        :meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.access_decomposed`
-        with no per-access record unpacking.
+        The round-robin interleaving is walked once (:meth:`walk`, or the
+        shared walk of these cached traces), then each core replays its
+        own accesses through its predictor and timing model.  Legacy
+        record lists are packed into columnar buffers first — the streams
+        are identical, so results are bit-identical either way.
         """
         if len(traces) > len(self.cores):
             raise ValueError("more traces than cores")
         if not traces:
             return self._collect(mix_name, [], [])
         names = list(workload_names or [f"core{i}" for i in range(len(traces))])
-        per_core_results: List[List[AccessResult]] = [[] for _ in traces]
-
-        # Decompose every trace into ready-to-service argument rows up
-        # front (legacy record lists are packed into buffers first), so the
-        # interleaved loop below does no per-access unpacking, masking or
-        # core re-lookup — just one bound-method call per access.
-        load, store = _LOAD, _STORE
-        plan = []
-        for core, trace, results in zip(self.cores, traces,
-                                        per_core_results):
-            if len(trace):
-                buffer = trace if isinstance(trace, TraceBuffer) \
-                    else TraceBuffer.from_accesses(trace)
-                addresses, blocks, pages, is_store, pcs = \
-                    buffer.replay_columns(core._block_size,
-                                          core._l1_page_size)
-                rows = list(zip(addresses, blocks, pages,
-                                (store if stored else load
-                                 for stored in is_store), pcs))
-            else:
-                rows = []
-            plan.append((core.access_decomposed, rows, results.append))
-
-        longest = max(len(trace) for trace in traces)
-        for position in range(longest):
-            for service, rows, append in plan:
-                if position < len(rows):
-                    append(service(*rows[position]))
-
+        buffers = [trace if isinstance(trace, TraceBuffer)
+                   else TraceBuffer.from_accesses(trace) for trace in traces]
+        walks = None
+        if self.walks is not None and not self._walked \
+                and not self._borrowed:
+            config, spec = walk_config(self.config)
+            key = ("mix", spec, config.prefetch_scheme,
+                   config.prefetch_epoch_accesses, config.num_cores)
+            walks = self.walks.walk(
+                tuple(buffers), key,
+                lambda: MultiCoreSystem(config).walk(buffers))
+        if walks is None:
+            walks = self.walk(buffers)
+        else:
+            self._borrowed = buffers
+        per_core_results = [core.replay(walk, 0, len(walk))
+                            for core, walk in zip(self.cores, walks)]
         executions = [
             self.core_model.execute(trace, results)
             for trace, results in zip(traces, per_core_results)
         ]
         return self._collect(mix_name, names, executions)
+
+    def walk(self, traces: Sequence[TraceBuffer]) -> Tuple[Walk, ...]:
+        """Walk the round-robin interleaving of per-core trace buffers
+        through this system's caches; one :class:`Walk` per trace."""
+        if self._borrowed:
+            # Bring the caches to where the replayed traces left them.
+            borrowed, self._borrowed = self._borrowed, []
+            self.walk(borrowed)
+        self._walked = True
+        plan = []
+        walks = []
+        load, store = _LOAD, _STORE
+        for core, trace in zip(self.cores, traces):
+            walk = Walk()
+            walks.append(walk)
+            # Each core records into its own walk.
+            core._record(walk)
+            if len(trace):
+                addresses, blocks, pages, is_store, pcs = \
+                    trace.replay_columns(core._block_size,
+                                         core._l1_page_size)
+                rows = list(zip(addresses, blocks, pages,
+                                [store if stored else load
+                                 for stored in is_store], pcs))
+            else:
+                rows = []
+            plan.append((core._step, rows))
+        longest = max(len(trace) for trace in traces)
+        for position in range(longest):
+            for step, rows in plan:
+                if position < len(rows):
+                    step(*rows[position])
+        for core in self.cores[:len(walks)]:
+            core._seal()
+        return tuple(walks)
 
     def run_mix(self, mix_name: str, accesses_per_core: int,
                 seed: int = 0) -> MultiCoreResult:

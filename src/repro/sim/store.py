@@ -1099,6 +1099,25 @@ class ResultStore:
         except OSError:
             pass
 
+    def reap_claim(self, key: str) -> bool:
+        """Drop the claim on the stored ``key`` if its owner is dead.
+
+        An owner killed between its put and its :meth:`release_claim`
+        leaves the claim behind; the key is served from the store, so
+        nothing else would ever remove it.  A live owner's claim stays
+        (it releases it itself).  Re-checked under the store lock like
+        :meth:`steal_claim`.  Returns whether a claim was removed.
+        """
+        entry = self.read_claim(key)
+        if entry is None or not self.claim_is_stale(entry):
+            return False
+        with _store_lock(self.lock_path):
+            entry = self.read_claim(key)
+            if entry is None or not self.claim_is_stale(entry):
+                return False
+            self.release_claim(key)
+        return True
+
     def active_claims(self) -> List[str]:
         """Keys currently claimed — for ``store info`` and diagnostics."""
         if not self.claims_dir.is_dir():
@@ -1284,12 +1303,14 @@ def fsck_store(root: Union[str, Path]) -> Dict[str, int]:
     a crash left a readable but unterminated tail — and
     torn/corrupt/foreign lines are dropped.
     Touched shards are rewritten atomically; clean shards keep their exact
-    bytes.  The index is rebuilt from scratch.
+    bytes.  The index is rebuilt from scratch, and every claim whose key
+    is stored is removed (``claims_reaped``).
     """
     root = Path(root)
     shards_dir = root / SHARDS_DIRNAME
     report = {"kept": 0, "moved": 0, "torn": 0,
-              "corrupt": 0, "foreign": 0, "rewritten_shards": 0}
+              "corrupt": 0, "foreign": 0, "rewritten_shards": 0,
+              "claims_reaped": 0}
     if not shards_dir.is_dir():
         return report
 
@@ -1345,6 +1366,16 @@ def fsck_store(root: Union[str, Path]) -> Dict[str, int]:
                 report["rewritten_shards"] += 1
             index_meta[prefix] = meta
         _write_index(shards_dir, index_meta)
+        # A claim on a stored key has nothing left to guard: its owner
+        # died between the put and the release, or releases it any
+        # moment now (release is idempotent).
+        stored = {key for items in contents.values() for key, _ in items}
+        claims_dir = root / CLAIMS_DIRNAME
+        if claims_dir.is_dir():
+            for path in sorted(claims_dir.glob("*.json")):
+                if path.stem in stored:
+                    path.unlink(missing_ok=True)
+                    report["claims_reaped"] += 1
     return report
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.base import LevelPredictor, PredictorStats, SequentialPredictor
 from ..core.d2d import DirectToDataPredictor, IdealPredictor
@@ -114,10 +114,18 @@ def make_llc_prefetcher(config: SystemConfig) -> Prefetcher:
 
 
 class SimulatedSystem:
-    """A single-core system: hierarchy + predictor + core timing model."""
+    """A single-core system: hierarchy + predictor + core timing model.
+
+    ``walks`` (the engine's :class:`~repro.sim.engine.TraceCache`) lets
+    the hierarchy replay the shared walk of a cached trace instead of
+    walking it again (see :mod:`repro.memory.hierarchy`, "Walk and
+    replay").  A system given its own ``llc_prefetcher`` walks on its
+    own: the walk's key cannot name an arbitrary prefetcher.
+    """
 
     def __init__(self, config: Optional[SystemConfig] = None,
-                 llc_prefetcher: Optional[Prefetcher] = None) -> None:
+                 llc_prefetcher: Optional[Prefetcher] = None,
+                 walks=None) -> None:
         self.config = config or SystemConfig.paper_single_core()
         hierarchy_config = self.config.hierarchy
         if self.config.predictor == "ideal":
@@ -133,6 +141,12 @@ class SimulatedSystem:
             predictor=self.predictor, l1_prefetcher=l1_prefetcher,
             l2_prefetcher=l2_prefetcher, core_id=0, active_cores=1)
         self.core = OutOfOrderCore(self.config.core)
+        if walks is not None and llc_prefetcher is None:
+            # Bound to the config, not to this system: the hierarchy keeps
+            # the source, and a cycle back to the system would leave every
+            # finished system to the cyclic garbage collector.
+            self.hierarchy.walk_source = functools.partial(
+                _shared_walk, walks, self.config)
 
     # ------------------------------------------------------------------
     # Running
@@ -205,10 +219,35 @@ class SimulatedSystem:
 
 
 @functools.lru_cache(maxsize=64)
-def _with_ideal_latency(hierarchy: HierarchySpec) -> HierarchySpec:
-    """Flip ideal_miss_latency on a hierarchy spec (memoised: specs are
+def _with_ideal_latency(hierarchy: HierarchySpec,
+                        ideal: bool = True) -> HierarchySpec:
+    """Set ideal_miss_latency on a hierarchy spec (memoised: specs are
     immutable, and every Ideal job would otherwise re-validate one)."""
-    return replace(hierarchy, ideal_miss_latency=True)
+    if hierarchy.ideal_miss_latency == ideal:
+        return hierarchy
+    return replace(hierarchy, ideal_miss_latency=ideal)
+
+
+def _shared_walk(walks, config: SystemConfig, root: TraceBuffer):
+    """The walk of the cached trace ``root`` shared through ``walks`` by
+    every single-core system that walks like ``config``."""
+    config, spec = walk_config(config)
+    key = ("core", spec, config.prefetch_scheme,
+           config.prefetch_epoch_accesses)
+    return walks.walk((root,), key,
+                      lambda: SimulatedSystem(config).hierarchy.walk(root))
+
+
+def walk_config(config: SystemConfig) -> Tuple[SystemConfig, HierarchySpec]:
+    """The configuration that walks exactly like ``config``, and its spec.
+
+    The walk reads neither the predictor nor ``ideal_miss_latency`` (only
+    the replay does), so every compared system of one hierarchy, Ideal
+    included, shares it; the spec, the prefetch scheme and its epoch, and
+    the core count are what a walk's key must name.
+    """
+    spec = _with_ideal_latency(config.hierarchy, False)
+    return replace(config, predictor="baseline", hierarchy=spec), spec
 
 
 def build_system(predictor: str = "lp",

@@ -44,7 +44,7 @@ import itertools
 import os
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 try:
     import numpy as np
@@ -118,7 +118,7 @@ class TraceBuffer:
     """
 
     __slots__ = ("address", "pc", "kind", "size", "dependent", "non_memory",
-                 "thread_id", "_derived")
+                 "thread_id", "_derived", "_root", "_start")
 
     def __init__(self, address, pc, kind, size, dependent, non_memory,
                  thread_id) -> None:
@@ -137,6 +137,10 @@ class TraceBuffer:
                     f"expected {length}")
         #: Cached derived columns: ("block"|"page", size) -> ndarray.
         self._derived: Dict[Tuple[str, int], np.ndarray] = {}
+        #: The buffer this one is a contiguous view of (None: itself),
+        #: and the view's first row in it (see :attr:`origin`).
+        self._root: Optional["TraceBuffer"] = None
+        self._start = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -198,8 +202,21 @@ class TraceBuffer:
             # never recomputes block/page decompositions.
             for key, column in self._derived.items():
                 view._derived[key] = column[index]
+            start, _, step = index.indices(len(self))
+            if step == 1:
+                view._root = self if self._root is None else self._root
+                view._start = self._start + start
             return view
         return self.access_at(int(index))
+
+    @property
+    def origin(self) -> Tuple["TraceBuffer", int]:
+        """``(root, start)``: the buffer this one is a contiguous slice of
+        (itself when it is not a slice) and the slice's first row there.
+        The hierarchy uses it to replay a warm-up/measure split of a
+        cached trace from that trace's one shared walk."""
+        root = self._root
+        return (self, 0) if root is None else (root, self._start)
 
     def access_at(self, index: int) -> MemoryAccess:
         """Rebuild one access record (slow path; iteration/compat only)."""
@@ -348,6 +365,8 @@ class TraceBuffer:
         for (name, _), column in zip(_COLUMNS, state):
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_derived", {})
+        object.__setattr__(self, "_root", None)
+        object.__setattr__(self, "_start", 0)
 
     # ------------------------------------------------------------------
     # Persistence

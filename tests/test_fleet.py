@@ -42,7 +42,13 @@ from repro.service import (
     serve_forever,
 )
 from repro.sim.engine import SimulationEngine, SimulationJob
-from repro.sim.store import ResultStore, _start_time, job_key, job_spec
+from repro.sim.store import (
+    ResultStore,
+    _start_time,
+    fsck_store,
+    job_key,
+    job_spec,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -68,10 +74,34 @@ def tiny_result():
     return SimulationEngine(jobs=1, store=False).run([SINGLE_JOB])[0]
 
 
+def _plant_dead_owner_claim(store: ResultStore, key: str) -> None:
+    """A claim on ``key`` whose owner (a reaped subprocess) is dead."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    assert store.claim(key)
+    path = store._claim_path(key)
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["pid"] = child.pid
+    path.write_text(json.dumps(entry), encoding="utf-8")
+
+
 # ======================================================================
 # Claim records (store layer)
 # ======================================================================
 class TestClaims:
+    def test_fsck_reaps_the_claims_of_stored_keys(self, tmp_path,
+                                                   tiny_result):
+        store = ResultStore(tmp_path)
+        key = job_key(SINGLE_JOB)
+        store.put(key, job_spec(SINGLE_JOB), tiny_result)
+        _plant_dead_owner_claim(store, key)
+        assert store.claim("ab" * 32)  # an unstored key keeps its claim
+        report = fsck_store(tmp_path)
+        assert report["claims_reaped"] == 1
+        assert report["kept"] == 1
+        assert store.active_claims() == ["ab" * 32]
+        assert fsck_store(tmp_path)["claims_reaped"] == 0
+
     def test_claim_is_exclusive(self, tmp_path):
         store = ResultStore(tmp_path)
         assert store.claim("ab" * 32) is True
@@ -410,6 +440,27 @@ class TestFleetService:
         finally:
             a.close(wait=True)
             b.close(wait=True)
+
+    def test_a_dead_owners_claim_on_a_stored_key_is_reaped(self, tmp_path):
+        """An owner killed between its put and its release leaves its
+        claim; the daemon that waits on the claim and then serves the key
+        from the store removes it."""
+        store = tmp_path / "store"
+        reader = self._service(store)  # its view predates every put
+        writer = self._service(store)
+        try:
+            writer.submit(experiment="golden", scale=TINY_WIRE, wait=True)
+            key = ResultStore(store).keys()[0]
+            _plant_dead_owner_claim(ResultStore(store), key)
+            payload = reader.submit(experiment="golden", scale=TINY_WIRE,
+                                    wait=True)
+            assert payload["state"] == "done"
+            assert reader.counters["simulations"] == 0
+            assert reader.counters["claim_waits"] == 1
+            assert ResultStore(store).active_claims() == []
+        finally:
+            reader.close(wait=True)
+            writer.close(wait=True)
 
     def test_claim_loser_serves_from_store_not_recompute(self, tmp_path):
         store = tmp_path / "store"

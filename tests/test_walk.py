@@ -1,0 +1,208 @@
+"""A shared hierarchy walk gives the same results as a fresh one.
+
+Every compared system of one trace replays the one walk the engine's
+trace cache holds for it (see ``repro.memory.hierarchy``, "Walk and
+replay").  These tests run randomised hierarchies and traffic, and a
+Table II mix, through one shared cache in grid order and in reverse, and
+compare every result with a fresh cache per job and with a system that
+walks on its own.  They also pin the cache's walk counters.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+from hypothesis import given, settings
+
+from repro.experiments import (
+    COMPARED_SYSTEMS,
+    EXPERIMENTS,
+    MIX_PREDICTORS,
+    Scale,
+)
+from repro.memory.spec import HierarchySpec
+from repro.sim.config import SystemConfig
+from repro.sim.engine import (
+    MAX_WALKS,
+    MixJob,
+    SimulationEngine,
+    SimulationJob,
+    TraceCache,
+    execute_job,
+    mix_traces,
+)
+from repro.sim.multicore import MultiCoreSystem
+from repro.sim.store import serialize_result
+from repro.sim.system import SimulatedSystem
+from repro.workloads.base import Workload
+
+from trace_helpers import hierarchy_specs, traffic
+
+
+class _Drawn(Workload):
+    """A workload whose trace is a fixed, pre-built buffer."""
+
+    def __init__(self, buffer) -> None:
+        super().__init__("drawn")
+        self.buffer = buffer
+
+    def _accesses(self, rng, base_address, thread_id):  # pragma: no cover
+        raise NotImplementedError
+
+    def generate_buffer(self, num_accesses, seed=0, base_address=0,
+                        thread_id=0):
+        assert num_accesses == len(self.buffer)
+        return self.buffer
+
+
+def _grid(workload, spec, buffer, predictors=COMPARED_SYSTEMS):
+    warmup = len(buffer) // 3
+    config = SystemConfig(name="walk-test", hierarchy=spec)
+    return [SimulationJob(workload=workload, predictor=predictor,
+                          num_accesses=len(buffer) - warmup,
+                          warmup_accesses=warmup, config=config)
+            for predictor in predictors]
+
+
+def _bytes(results):
+    return [serialize_result(result) for result in results]
+
+
+def _fresh(jobs):
+    return _bytes(execute_job(job, TraceCache(spill_dir=None))
+                  for job in jobs)
+
+
+def _shared(jobs):
+    cache = TraceCache(spill_dir=None)
+    return _bytes(execute_job(job, cache) for job in jobs), cache
+
+
+class TestSharedWalks:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(spec=hierarchy_specs(), buffer=traffic())
+    def test_shared_walk_matches_fresh_walk(self, spec, buffer):
+        jobs = _grid(_Drawn(buffer), spec, buffer)
+        fresh = _fresh(jobs)
+        forward, cache = _shared(jobs)
+        assert forward == fresh
+        assert (cache.walk_misses, cache.walk_hits) == (1, len(jobs) - 1)
+        backward, _ = _shared(jobs[::-1])
+        assert backward[::-1] == fresh
+
+        # A system without a walk source walks the trace itself.
+        for job, expected in zip(jobs, fresh):
+            system = SimulatedSystem(job.config.with_predictor(job.predictor))
+            system.hierarchy.run_buffer(buffer[:job.warmup_accesses])
+            system.reset_statistics()
+            own = system.run_trace(buffer[job.warmup_accesses:], "drawn")
+            assert serialize_result(own) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(spec=hierarchy_specs())
+    def test_shared_mix_walk_matches_fresh_walk(self, spec):
+        for config in (SystemConfig.paper_multi_core(),
+                       dataclasses.replace(SystemConfig.paper_multi_core(),
+                                           hierarchy=spec)):
+            jobs = [MixJob(mix="mix1", predictor=predictor,
+                           accesses_per_core=120, config=config)
+                    for predictor in MIX_PREDICTORS]
+            fresh = _fresh(jobs)
+            forward, cache = _shared(jobs)
+            assert forward == fresh
+            assert (cache.walk_misses, cache.walk_hits) == (1, 2)
+            backward, _ = _shared(jobs[::-1])
+            assert backward[::-1] == fresh
+
+    def test_mix_system_runs_a_second_mix_after_a_shared_walk(self):
+        config = SystemConfig.paper_multi_core("lp")
+        cache = TraceCache(spill_dir=None)
+        first, _ = mix_traces("mix1", 100, trace_cache=cache)
+        second, _ = mix_traces("mix2", 100, trace_cache=cache)
+        MultiCoreSystem(config, walks=cache).run_traces(first)
+        shared = MultiCoreSystem(config, walks=cache)
+        own = MultiCoreSystem(config)
+        for traces in (first, second):
+            assert shared.run_traces(traces) == own.run_traces(traces)
+        assert cache.walk_hits == 1
+
+    def test_hierarchy_leaving_a_shared_walk_catches_up(self):
+        """A system that replayed a shared walk and then runs another
+        buffer walks the replayed prefix first."""
+        spec = HierarchySpec.paper_single_core()
+        config = SystemConfig(name="walk-test", hierarchy=spec,
+                              predictor="lp")
+        cache = TraceCache(spill_dir=None)
+        trace = cache.get("gapbs.pr", 600)
+        other = cache.get("605.mcf", 300)
+        shared = SimulatedSystem(config, walks=cache).hierarchy
+        own = SimulatedSystem(config).hierarchy
+        for hierarchy in (shared, own):
+            hierarchy.run_buffer(trace[:200])
+            hierarchy.run_buffer(trace[200:400])
+        assert shared.run_buffer(other) == own.run_buffer(other)
+        assert shared.stats == own.stats
+        assert shared.l1.resident_blocks() == own.l1.resident_blocks()
+
+    def test_specs_that_walk_differently_never_share_a_walk(self):
+        paper = HierarchySpec.paper_single_core()
+        smaller_l2 = dataclasses.replace(
+            paper.levels[1], size_bytes=2 * paper.l1.size_bytes)
+        other = dataclasses.replace(
+            paper, levels=(paper.l1, smaller_l2, paper.llc))
+        buffer = TraceCache(spill_dir=None).get("gapbs.pr", 3000)
+        workload = _Drawn(buffer)
+        jobs = (_grid(workload, paper, buffer, ("lp",))
+                + _grid(workload, other, buffer, ("lp",)))
+        shared, cache = _shared(jobs)
+        assert (cache.walk_misses, cache.walk_hits) == (2, 0)
+        fresh = _fresh(jobs)
+        assert shared == fresh
+        # The L2 size moves the results, so a shared walk would show.
+        assert fresh[0]["hierarchy_stats"] != fresh[1]["hierarchy_stats"]
+
+
+class TestWalkCounters:
+    def test_golden_grid_walks_each_trace_once(self):
+        cache = TraceCache(spill_dir=None)
+        engine = SimulationEngine(jobs=1, trace_cache=cache, store=False)
+        engine.run(EXPERIMENTS["golden"].jobs(Scale()))
+        assert (cache.walk_misses, cache.walk_hits) == (6, 24)
+
+    def test_clear_zeroes_the_counters_and_drops_the_walks(self):
+        cache = TraceCache(spill_dir=None)
+        jobs = [SimulationJob("stream", predictor, 200, 50)
+                for predictor in ("baseline", "lp")]
+        for job in jobs:
+            execute_job(job, cache)
+        assert (cache.walk_misses, cache.walk_hits) == (1, 1)
+        cache.clear()
+        assert (cache.walk_misses, cache.walk_hits) == (0, 0)
+        execute_job(jobs[0], cache)
+        assert (cache.walk_misses, cache.walk_hits) == (1, 0)
+
+    def test_an_evicted_trace_drops_its_walks(self):
+        cache = TraceCache(max_traces=1, spill_dir=None)
+        job = SimulationJob("stream", "lp", 200, 50)
+        execute_job(job, cache)
+        execute_job(SimulationJob("gups", "lp", 200, 50), cache)
+        execute_job(job, cache)
+        assert (cache.walk_misses, cache.walk_hits) == (3, 0)
+
+    def test_the_walk_bound_holds(self):
+        cache = TraceCache(spill_dir=None)
+        jobs = [SimulationJob("stream", "lp", 100 + step, 20)
+                for step in range(MAX_WALKS + 1)]
+        for job in jobs:
+            execute_job(job, cache)
+        assert cache.walk_misses == MAX_WALKS + 1
+        execute_job(jobs[-1], cache)  # the newest walk is still held
+        assert cache.walk_hits == 1
+        execute_job(jobs[0], cache)  # the oldest one was dropped
+        assert cache.walk_misses == MAX_WALKS + 2
+
+    def test_a_buffer_the_cache_does_not_hold_is_walked_alone(self):
+        cache = TraceCache(spill_dir=None)
+        buffer = TraceCache(spill_dir=None).get("stream", 100)
+        assert cache.walk((buffer,), "key", lambda: None) is None
+        assert (cache.walk_misses, cache.walk_hits) == (0, 0)

@@ -7,7 +7,13 @@ name ``conftest``, which collides between ``tests/`` and ``benchmarks/``.
 
 from __future__ import annotations
 
+import dataclasses
+
+from hypothesis import strategies as st
+
 from repro.memory.block import AccessType, MemoryAccess
+from repro.memory.spec import HierarchySpec, LevelSpec
+from repro.trace import KIND_LOAD, KIND_STORE, TraceBuffer
 
 
 def make_load(address: int, pc: int = 0x100,
@@ -19,3 +25,68 @@ def make_load(address: int, pc: int = 0x100,
 
 def make_store(address: int, pc: int = 0x200) -> MemoryAccess:
     return MemoryAccess(address=address, access_type=AccessType.STORE, pc=pc)
+
+
+# ======================================================================
+# Randomised hierarchies and traffic (hypothesis strategies)
+# ======================================================================
+_BLOCK = 64
+
+
+@st.composite
+def hierarchy_specs(draw):
+    """Random valid specs: 2-5 levels, power-of-two set counts, capacities
+    and hit latencies non-decreasing down the chain, any LLC inclusivity."""
+    depth = draw(st.integers(min_value=2, max_value=5))
+    ways = draw(st.lists(st.sampled_from((1, 2, 4, 8)),
+                         min_size=depth, max_size=depth))
+    sets = draw(st.lists(st.sampled_from((4, 8, 16, 32, 64)),
+                         min_size=depth, max_size=depth))
+    sizes = sorted(_BLOCK * w * s for w, s in zip(ways, sets))
+    latencies = sorted(draw(st.lists(st.integers(min_value=1, max_value=30),
+                                     min_size=depth, max_size=depth)))
+    mshrs = draw(st.lists(st.integers(min_value=2, max_value=32),
+                          min_size=depth, max_size=depth))
+    levels = []
+    for index, (size, latency, entries) in enumerate(
+            zip(sizes, latencies, mshrs)):
+        # Pick a way count that divides this level's capacity.
+        assoc = next(w for w in (8, 4, 2, 1) if size % (_BLOCK * w) == 0)
+        levels.append(LevelSpec(name=f"C{index}", size_bytes=size,
+                                associativity=assoc, tag_latency=latency,
+                                mshr_entries=entries))
+    llc = dataclasses.replace(
+        levels[-1], inclusive=draw(st.booleans()),
+        sequential_tag_data=True,
+        data_latency=draw(st.integers(min_value=0, max_value=40)))
+    return HierarchySpec(levels=tuple(levels[:-1]) + (llc,))
+
+
+@st.composite
+def traffic(draw):
+    """A trace of linear, random and stride segments (in the style of a
+    traffic generator's state machine), each with its own store mix."""
+    footprint = draw(st.sampled_from((16, 256, 4096))) * _BLOCK
+    addresses, kinds = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        mode = draw(st.sampled_from(("linear", "random", "stride")))
+        count = draw(st.integers(min_value=1, max_value=60))
+        if mode == "random":
+            segment = draw(st.lists(
+                st.integers(min_value=0, max_value=footprint - 1),
+                min_size=count, max_size=count))
+        else:
+            start = draw(st.integers(min_value=0, max_value=footprint - 1))
+            step = 8 if mode == "linear" else _BLOCK * draw(
+                st.integers(min_value=1, max_value=64))
+            segment = [(start + i * step) % footprint for i in range(count)]
+        store_share = draw(st.sampled_from((0.0, 0.3, 1.0)))
+        stores = draw(st.lists(st.floats(min_value=0.0, max_value=1.0,
+                                         exclude_max=True),
+                               min_size=count, max_size=count))
+        addresses.extend(segment)
+        kinds.extend(KIND_STORE if u < store_share else KIND_LOAD
+                     for u in stores)
+    n = len(addresses)
+    return TraceBuffer(addresses, [0x400 + 4 * (i % 16) for i in range(n)],
+                       kinds, [8] * n, [False] * n, [0] * n, [0] * n)
