@@ -49,7 +49,7 @@ class PredictionOutcome(enum.Enum):
 
     # Members are singletons, so the identity hash is exact and runs in C;
     # Enum's own __hash__ is a Python-level call on every
-    # PredictorStats.record.
+    # LevelPredictor.train.
     __hash__ = object.__hash__
 
 
@@ -131,7 +131,8 @@ def classify_prediction(prediction: Prediction, actual: Level) -> PredictionOutc
 
 @dataclass
 class PredictorStats:
-    """Accuracy bookkeeping shared by all predictors.
+    """Accuracy bookkeeping shared by all predictors, updated by
+    :meth:`LevelPredictor.train`.
 
     The counters map directly onto Figures 7, 8, 9 and 13 of the paper.
     """
@@ -147,25 +148,6 @@ class PredictorStats:
     metadata_misses: int = 0
     level_histogram: Dict[Tuple[Level, ...], int] = field(default_factory=dict)
     updates: int = 0
-
-    def record(self, prediction: Prediction, outcome: PredictionOutcome,
-               actual: Level) -> None:
-        levels = prediction.levels
-        used_pld = prediction.used_pld
-        self.predictions += 1
-        self.outcomes[outcome] += 1
-        if len(levels) > 1:
-            self.multi_way_predictions += 1
-        if used_pld:
-            self.pld_predictions += 1
-            if actual not in levels:
-                self.pld_mispredictions += 1
-        if prediction.metadata_hit:
-            self.metadata_hits += 1
-        elif used_pld:
-            self.metadata_misses += 1
-        histogram = self.level_histogram
-        histogram[levels] = histogram.get(levels, 0) + 1
 
     # ------------------------------------------------------------------
     # Derived ratios (Figure 7 / 8 style)
@@ -240,24 +222,38 @@ class LevelPredictor(ABC):
 
     def train(self, block_addr: int, pc: int, prediction: Prediction,
               actual: Level) -> PredictionOutcome:
-        """Record the actual location and return the outcome classification."""
-        # Inline classify_prediction (one call per L1 miss).
+        """Record the actual location and return the outcome classification.
+
+        Predictors that learn from demand outcomes extend this method.
+        """
+        # classify_prediction and the statistics update, inlined: this runs
+        # once per L1 miss.
         if actual is Level.L1:
             raise ValueError("level prediction is only consulted on L1 misses")
-        levels = prediction.levels or _SEQUENTIAL_LEVELS
-        if Level.L2 in levels:
+        levels = prediction.levels
+        if Level.L2 in (levels or _SEQUENTIAL_LEVELS):
             outcome = (PredictionOutcome.SEQUENTIAL if actual is Level.L2
                        else PredictionOutcome.LOST_OPPORTUNITY)
         else:
             outcome = (PredictionOutcome.HARMFUL if actual is Level.L2
                        else PredictionOutcome.SKIP)
-        self.stats.record(prediction, outcome, actual)
-        self._learn(block_addr, pc, prediction, actual)
+        stats = self.stats
+        stats.predictions += 1
+        stats.outcomes[outcome] += 1
+        if len(levels) > 1:
+            stats.multi_way_predictions += 1
+        used_pld = prediction.used_pld
+        if used_pld:
+            stats.pld_predictions += 1
+            if actual not in levels:
+                stats.pld_mispredictions += 1
+        if prediction.metadata_hit:
+            stats.metadata_hits += 1
+        elif used_pld:
+            stats.metadata_misses += 1
+        histogram = stats.level_histogram
+        histogram[levels] = histogram.get(levels, 0) + 1
         return outcome
-
-    def _learn(self, block_addr: int, pc: int, prediction: Prediction,
-               actual: Level) -> None:
-        """Hook for subclasses that learn from demand outcomes."""
 
     # ------------------------------------------------------------------
     # Cache-event notifications

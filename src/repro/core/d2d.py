@@ -30,6 +30,10 @@ from ..energy.model import EnergyParameters
 from ..memory.block import Level
 from .base import LevelPredictor, Prediction
 
+#: D2D's exact predictions, one shared (frozen) instance per level.
+_D2D_PREDICTIONS = {level: Prediction(levels=(level,), source="d2d")
+                    for level in (Level.L2, Level.L3, Level.MEM)}
+
 
 @dataclass
 class D2DConfig:
@@ -82,7 +86,7 @@ class DirectToDataPredictor(LevelPredictor):
             level = Level.L3
         else:
             level = Level.MEM
-        return Prediction(levels=(level,), source="d2d")
+        return _D2D_PREDICTIONS[level]
 
     def _touch_hub(self, block_addr: int) -> None:
         """Model Hub locality: one entry per 4 KiB page of tracked blocks."""

@@ -97,12 +97,9 @@ class MetadataCache:
     def capacity_blocks(self) -> int:
         return self.num_sets * self.associativity
 
-    def _set_for(self, locmap_block: int) -> OrderedDict:
-        return self._sets[locmap_block % self.num_sets]
-
     def lookup(self, locmap_block: int) -> bool:
         """Probe for a LocMap block; True on hit (LRU updated)."""
-        entries = self._set_for(locmap_block)
+        entries = self._sets[locmap_block % self.num_sets]
         if locmap_block in entries:
             entries.move_to_end(locmap_block)
             self.stats.hits += 1
@@ -112,11 +109,11 @@ class MetadataCache:
 
     def contains(self, locmap_block: int) -> bool:
         """Probe without affecting LRU state or statistics."""
-        return locmap_block in self._set_for(locmap_block)
+        return locmap_block in self._sets[locmap_block % self.num_sets]
 
     def fill(self, locmap_block: int) -> None:
         """Install a LocMap block fetched from memory."""
-        entries = self._set_for(locmap_block)
+        entries = self._sets[locmap_block % self.num_sets]
         if locmap_block in entries:
             entries.move_to_end(locmap_block)
             return

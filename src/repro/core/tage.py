@@ -21,16 +21,23 @@ Prefetch fills can optionally update the tables ("coordinating the prefetcher
 and level predictor", Section III.A); the paper finds this still does not
 close the gap because the extra updates crowd the small tables — enabling
 ``update_on_prefetch`` reproduces that crowding.
+
+The tables are flat integer lists and the folded histories are kept
+incrementally (see :class:`TAGELevelPredictor`), because the replay calls
+``predict``, ``train`` and ``on_fill`` on every L1 miss and fill.
+``tests/test_tage_d2d.py`` drives a one-object-per-entry model with
+recomputed folds through the same random call sequences and checks that
+both agree on every prediction, outcome, counter and table entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..energy.model import EnergyParameters
 from ..memory.block import Level, PREDICTABLE_LEVELS
-from .base import LevelPredictor, Prediction
+from .base import LevelPredictor, Prediction, PredictionOutcome
 
 #: 2-bit level-outcome encoding pushed into the global history register.
 _HISTORY_CODES = {Level.L2: 0b01, Level.L3: 0b10, Level.MEM: 0b11}
@@ -89,113 +96,135 @@ class TAGEConfig:
         return lengths
 
 
-@dataclass(slots=True)
-class _TAGEEntry:
-    tag: int
-    counters: Dict[Level, int] = field(
-        default_factory=lambda: {level: 0 for level in PREDICTABLE_LEVELS})
-    useful: int = 0
+#: Prediction objects shared by every TAGE predictor, one per
+#: ``(levels, source)``: a frozen Prediction never varies, so the hot path
+#: hands out the same instance instead of building one per L1 miss.
+_PREDICTIONS: Dict[Tuple[Tuple[Level, ...], str], Prediction] = {}
+
+#: The no-information prediction of ``base_table_fallback=False``.
+_TAGE_MISS = Prediction(levels=_SEQUENTIAL_LEVELS, source="tage-miss")
 
 
-#: Memoized results of :meth:`TAGELevelPredictor._counters_to_levels`,
-#: keyed by a bitmask of the selected levels (the value space is tiny).
-_LEVEL_SETS: Dict[int, Tuple[Level, ...]] = {}
+def _prediction(levels: Tuple[Level, ...], source: str) -> Prediction:
+    prediction = _PREDICTIONS.get((levels, source))
+    if prediction is None:
+        prediction = _PREDICTIONS[levels, source] = Prediction(
+            levels=levels, source=source)
+    return prediction
 
 
-def _levels_from_mask(mask: int) -> Tuple[Level, ...]:
-    levels = _LEVEL_SETS.get(mask)
-    if levels is None:
-        levels = tuple(level for level in PREDICTABLE_LEVELS
-                       if mask & (1 << int(level)))
-        _LEVEL_SETS[mask] = levels
-    return levels
+def _nudge(counters: List[int], at: int, target: int,
+           max_counter: int) -> None:
+    """Move one entry's three counters (``counters[at:at + 3]``) toward
+    the slot ``target``: it counts up (saturating), the others down."""
+    for slot in (at, at + 1, at + 2):
+        value = counters[slot]
+        if slot == target:
+            counters[slot] = value + 1 if value < max_counter \
+                else max_counter
+        elif value > 0:
+            counters[slot] = value - 1
 
 
 class TAGELevelPredictor(LevelPredictor):
-    """Address + level-history TAGE predictor with three counters per entry."""
+    """Address + level-history TAGE predictor with three counters per entry.
+
+    The tables are flat integer lists.  Tagged table ``t`` is
+    ``_tags[t]`` (one tag per entry, ``-1`` while the entry is empty),
+    ``_counters[t]`` (three counters per entry, L2, L3 and MEM, at
+    ``3 * index``) and ``_useful[t]``; the base table is one flat counter
+    list in the same layout.  Every table hashes the block with a fold of
+    the global level-outcome history, kept incrementally: each history
+    push updates the per-table folds and their ``(index hash, tag hash)``
+    pairs once, and :meth:`predict`, :meth:`on_fill` and the allocation
+    on a misprediction reuse them.  The Popular-Levels result is memoised
+    per counter triple, so a prediction costs a few list reads.
+    """
 
     def __init__(self, config: Optional[TAGEConfig] = None,
                  energy_params: Optional[EnergyParameters] = None) -> None:
         super().__init__()
-        self.config = config or TAGEConfig()
+        self.config = config = config or TAGEConfig()
         self.prediction_latency = 1
         self._energy_params = energy_params or EnergyParameters()
         self._access_energy = self._energy_params.sram_access_energy(
-            self.config.storage_bytes)
-        entries = self.config.entries_per_table
-        self._base_table: List[Dict[Level, int]] = [
-            {level: 0 for level in PREDICTABLE_LEVELS} for _ in range(entries)
-        ]
-        self._tables: List[List[Optional[_TAGEEntry]]] = [
-            [None] * entries for _ in range(self.config.num_tagged_tables)
-        ]
-        self._history_lengths = self.config.history_lengths()
-        self._history = 0  # Global level-outcome history register.
-        self._history_bits = 2 * max(self._history_lengths)
-        # Folded-history values per length, recomputed only when the global
-        # history register changes (predict/on_fill hash with the same
-        # history many times between pushes).
-        self._folded_cache: Dict[int, int] = {}
-        self._folded_per_table: Optional[List[int]] = None
-        self._tag_mask = (1 << self.config.tag_bits) - 1
+            config.storage_bytes)
+        entries = config.entries_per_table
+        tables = config.num_tagged_tables
         self._entries = entries
-        # Bookkeeping for training: which table/index provided the prediction.
-        self._last_provider: Dict[int, Tuple[int, int]] = {}
+        self._base = [0] * (3 * entries)
+        self._tags = [[-1] * entries for _ in range(tables)]
+        self._counters = [[0] * (3 * entries) for _ in range(tables)]
+        self._useful = [[0] * entries for _ in range(tables)]
+        self._history_lengths = config.history_lengths()
+        self._history = 0  # Global level-outcome history register.
+        self._history_mask = (1 << (2 * max(self._history_lengths))) - 1
+        # Per table: the 16-bit fold of its history window (see
+        # _push_history), and what a push needs to update it: the shift of
+        # the window's top outcome, where that outcome sits in the fold,
+        # the table's tag salt and its tag and counter lists.
+        self._folded = [0] * tables
+        self._windows = [
+            (2 * length - 2, (2 * length) & 15, table * 0x5BD1,
+             self._tags[table], self._counters[table])
+            for table, length in enumerate(self._history_lengths)]
+        # Per table, for the current history: ``(table, tags, counters,
+        # index hash, tag hash)``.
+        self._probes: List[Tuple[int, List[int], List[int], int, int]] = [
+            (table, tags, counters, 0, salt)
+            for table, (_, _, salt, tags, counters)
+            in enumerate(self._windows)]
+        self._tag_mask = (1 << config.tag_bits) - 1
+        self._max_counter = (1 << config.counter_bits) - 1
+        # Bits per counter in a memo key; an allocation writes 2 even into
+        # a 1-bit counter, so a key field holds at least two bits.
+        self._counter_shift = max(config.counter_bits, 2)
+        # Counter triple -> Prediction, for tagged and for base providers.
+        self._tagged_memo: Dict[int, Prediction] = {}
+        self._base_memo: Dict[int, Prediction] = {}
+        # Bookkeeping for training: which table/index provided the
+        # prediction (table -1 is the base table).
+        self._last_provider: Dict[int, Optional[Tuple[int, int]]] = {}
         self.allocations = 0
         self.provider_hits = 0
         self.base_predictions = 0
 
     # ------------------------------------------------------------------
-    # Hashing
+    # History
     # ------------------------------------------------------------------
-    def _folded_history(self, length: int) -> int:
-        cached = self._folded_cache.get(length)
-        if cached is not None:
-            return cached
-        mask = (1 << (2 * length)) - 1
-        history = self._history & mask
-        folded = 0
-        while history:
-            folded ^= history & 0xFFFF
-            history >>= 16
-        self._folded_cache[length] = folded
-        return folded
+    def _push_history(self, actual: Level) -> None:
+        """Shift a level outcome into the history and update every fold.
 
-    def _folded_all(self) -> List[int]:
-        """Folded history per tagged table, cached until the history moves."""
-        folded = self._folded_per_table
-        if folded is None:
-            folded = [self._folded_history(length)
-                      for length in self._history_lengths]
-            self._folded_per_table = folded
-        return folded
-
-    def _index(self, block_addr: int, table: int) -> int:
-        block = block_addr >> 6
-        folded = self._folded_history(self._history_lengths[table])
-        return (block ^ (block >> 7) ^ (folded * 0x9E3779B1)) % self._entries
-
-    def _tag(self, block_addr: int, table: int) -> int:
-        block = block_addr >> 6
-        folded = self._folded_history(self._history_lengths[table])
-        value = (block >> 3) ^ (folded >> 2) ^ (table * 0x5BD1)
-        return value & ((1 << self.config.tag_bits) - 1)
-
-    def _base_index(self, block_addr: int) -> int:
-        block = block_addr >> 6
-        return (block ^ (block >> 11)) % self._entries
+        A table's fold XORs its ``2 * length``-bit history window in 16-bit
+        chunks.  Shifting the window left by two bits rotates the fold left
+        by two; the new outcome enters at bit 0 and the two bits that leave
+        the window are XORed out where they had rotated to,
+        ``2 * length mod 16``.  Each table's ``(index hash, tag hash)``
+        pair is derived here, once per push.
+        """
+        code = _HISTORY_CODES[actual]
+        history = self._history
+        folded = self._folded
+        probes = []
+        for table, (top, position, salt, tags, counters) in enumerate(
+                self._windows):
+            fold = folded[table]
+            fold = (((fold << 2) & 0xFFFF) | (fold >> 14)) ^ code \
+                ^ (((history >> top) & 3) << position)
+            folded[table] = fold
+            probes.append((table, tags, counters, fold * 0x9E3779B1,
+                           (fold >> 2) ^ salt))
+        self._probes = probes
+        self._history = ((history << 2) | code) & self._history_mask
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def _counters_to_levels(self, counters: Dict[Level, int]) -> Tuple[Level, ...]:
+    def _popular_levels(self, l2: int, l3: int, mem: int
+                        ) -> Tuple[Level, ...]:
         """The Popular-Levels heuristic applied to one entry's counters."""
         # Rank the three counters descending (level order breaks ties) using
-        # plain tuple comparison — no lambda and no second sort; the selected
-        # set is returned as a memoized tuple keyed by its level bitmask.
-        l2 = counters[Level.L2]
-        l3 = counters[Level.L3]
-        mem = counters[Level.MEM]
+        # plain tuple comparison.
         total = l2 + l3 + mem
         if total == 0:
             return _SEQUENTIAL_LEVELS
@@ -209,96 +238,95 @@ class TAGELevelPredictor(LevelPredictor):
             accumulated -= negated_count
             if accumulated >= threshold:
                 break
-        return _levels_from_mask(mask)
+        return tuple(level for level in PREDICTABLE_LEVELS
+                     if mask & (1 << level))
+
+    def _memoised(self, memo: Dict[int, Prediction], counters: List[int],
+                  at: int, source: str) -> Prediction:
+        """The prediction for the counter triple at ``counters[at]``."""
+        l2, l3, mem = counters[at], counters[at + 1], counters[at + 2]
+        shift = self._counter_shift
+        key = (((l2 << shift) | l3) << shift) | mem
+        prediction = memo.get(key)
+        if prediction is None:
+            prediction = memo[key] = _prediction(
+                self._popular_levels(l2, l3, mem), source)
+        return prediction
 
     def predict(self, block_addr: int, pc: int = 0) -> Prediction:
-        provider: Optional[Tuple[int, int]] = None
-        counters: Optional[Dict[Level, int]] = None
-        # Longest-history matching table provides the prediction.  The index
-        # and tag hashes are inlined (this loop runs on every L1 miss).
-        folded_all = self._folded_all()
-        tables = self._tables
-        entries = self._entries
-        tag_mask = self._tag_mask
+        # Longest-history matching table provides the prediction.  An empty
+        # entry's tag (-1) never equals a masked hash.
         block = block_addr >> 6
         block_hash = block ^ (block >> 7)
-        for table in range(self.config.num_tagged_tables - 1, -1, -1):
-            folded = folded_all[table]
-            index = (block_hash ^ (folded * 0x9E3779B1)) % entries
-            entry = tables[table][index]
-            if entry is not None and entry.tag == (
-                    (block >> 3) ^ (folded >> 2) ^ (table * 0x5BD1)) & tag_mask:
-                provider = (table, index)
-                counters = entry.counters
-                break
-        source = "tage"
-        if counters is None:
-            self.base_predictions += 1
-            if not self.config.base_table_fallback:
-                # No matching entry: follow the sequential level-by-level
-                # traversal, exactly as the paper's TAGE baseline does.
-                self._last_provider[block_addr] = None
-                return Prediction(levels=(Level.L2,), source="tage-miss")
-            base_index = self._base_index(block_addr)
-            counters = self._base_table[base_index]
-            provider = (-1, base_index)
-            source = "tage-base"
-        else:
-            self.provider_hits += 1
-        self._last_provider[block_addr] = provider
-        levels = self._counters_to_levels(counters)
-        return Prediction(levels=levels, source=source)
+        high = block >> 3
+        entries = self._entries
+        tag_mask = self._tag_mask
+        for table, tags, counters, index_hash, tag_hash in reversed(
+                self._probes):
+            index = (block_hash ^ index_hash) % entries
+            if tags[index] == (high ^ tag_hash) & tag_mask:
+                self.provider_hits += 1
+                self._last_provider[block_addr] = (table, index)
+                return self._memoised(self._tagged_memo, counters, 3 * index,
+                                      "tage")
+        self.base_predictions += 1
+        if not self.config.base_table_fallback:
+            # No matching entry: follow the sequential level-by-level
+            # traversal, exactly as the paper's TAGE baseline does.
+            self._last_provider[block_addr] = None
+            return _TAGE_MISS
+        index = (block ^ (block >> 11)) % entries
+        self._last_provider[block_addr] = (-1, index)
+        return self._memoised(self._base_memo, self._base, 3 * index,
+                              "tage-base")
 
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def _learn(self, block_addr: int, pc: int, prediction: Prediction,
-               actual: Level) -> None:
-        self._update_entry(block_addr, actual,
-                           correct=actual in (prediction.levels or ()))
-        self._push_history(actual)
-
-    def _push_history(self, actual: Level) -> None:
-        code = _HISTORY_CODES[actual]
-        self._history = ((self._history << 2) | code) & (
-            (1 << self._history_bits) - 1)
-        self._folded_cache.clear()
-        self._folded_per_table = None
-
-    def _update_entry(self, block_addr: int, actual: Level,
-                      correct: bool) -> None:
+    def train(self, block_addr: int, pc: int, prediction: Prediction,
+              actual: Level) -> PredictionOutcome:
+        outcome = super().train(block_addr, pc, prediction, actual)
+        correct = actual in (prediction.levels or ())
         provider = self._last_provider.pop(block_addr, None)
-        max_counter = (1 << self.config.counter_bits) - 1
+        from_table = -1
         if provider is not None:
             table, index = provider
-            counters = (self._base_table[index] if table < 0
-                        else self._tables[table][index].counters
-                        if self._tables[table][index] is not None
-                        else None)
-            if counters is not None:
-                for level in counters:
-                    if level is actual:
-                        counters[level] = min(counters[level] + 1, max_counter)
-                    elif counters[level] > 0:
-                        counters[level] -= 1
-                if table >= 0:
-                    entry = self._tables[table][index]
-                    entry.useful = min(entry.useful + (1 if correct else 0), 3)
+            target = 3 * index + actual - 2
+            if table < 0:
+                _nudge(self._base, 3 * index, target, self._max_counter)
+            else:
+                # A tagged provider matched, so its entry is allocated
+                # (entries are replaced, never emptied).
+                from_table = table
+                _nudge(self._counters[table], 3 * index, target,
+                       self._max_counter)
+                if correct:
+                    useful = self._useful[table]
+                    if useful[index] < 3:
+                        useful[index] += 1
         if not correct:
-            self._allocate(block_addr, actual,
-                           from_table=(provider[0] if provider else -1))
+            self._allocate(block_addr, actual, from_table)
+        self._push_history(actual)
+        return outcome
 
     def _allocate(self, block_addr: int, actual: Level, from_table: int) -> None:
         """Allocate a new entry in a longer-history table on a misprediction."""
-        for table in range(max(from_table + 1, 0), self.config.num_tagged_tables):
-            index = self._index(block_addr, table)
-            existing = self._tables[table][index]
-            if existing is not None and existing.useful > 0:
-                existing.useful -= 1
+        block = block_addr >> 6
+        block_hash = block ^ (block >> 7)
+        high = block >> 3
+        entries = self._entries
+        for table, tags, counters, index_hash, tag_hash in \
+                self._probes[from_table + 1:]:
+            index = (block_hash ^ index_hash) % entries
+            useful = self._useful[table]
+            if useful[index] > 0:
+                # Only an allocated entry is ever useful.
+                useful[index] -= 1
                 continue
-            entry = _TAGEEntry(tag=self._tag(block_addr, table))
-            entry.counters[actual] = 2
-            self._tables[table][index] = entry
+            tags[index] = (high ^ tag_hash) & self._tag_mask
+            at = 3 * index
+            counters[at] = counters[at + 1] = counters[at + 2] = 0
+            counters[at + actual - 2] = 2
             self.allocations += 1
             return
 
@@ -316,28 +344,18 @@ class TAGELevelPredictor(LevelPredictor):
         # evaluates; it only helps blocks that already have tagged history,
         # and for small tables the extra allocations from mispredictions that
         # follow still crowd out demand history.
-        max_counter = (1 << self.config.counter_bits) - 1
-        updated = False
-        folded_all = self._folded_all()
-        tables = self._tables
-        entries = self._entries
-        tag_mask = self._tag_mask
         block = block_addr >> 6
         block_hash = block ^ (block >> 7)
-        for table in range(self.config.num_tagged_tables):
-            folded = folded_all[table]
-            index = (block_hash ^ (folded * 0x9E3779B1)) % entries
-            entry = tables[table][index]
-            if entry is None or entry.tag != (
-                    (block >> 3) ^ (folded >> 2) ^ (table * 0x5BD1)) & tag_mask:
-                continue
-            counters = entry.counters
-            for tracked in counters:
-                if tracked is level:
-                    counters[tracked] = min(counters[tracked] + 1, max_counter)
-                elif counters[tracked] > 0:
-                    counters[tracked] -= 1
-            updated = True
+        high = block >> 3
+        entries = self._entries
+        tag_mask = self._tag_mask
+        updated = False
+        for _, tags, counters, index_hash, tag_hash in self._probes:
+            index = (block_hash ^ index_hash) % entries
+            if tags[index] == (high ^ tag_hash) & tag_mask:
+                at = 3 * index
+                _nudge(counters, at, at + level - 2, self._max_counter)
+                updated = True
         if updated:
             self.stats.updates += 1
 

@@ -701,16 +701,24 @@ class CoreMemoryHierarchy:
         predictor probed the group or recovery re-issued the request
         there.  An access that reaches the LLC missed the private levels:
         the L2 prefetcher trains on it as a miss, the LLC prefetcher on
-        the LLC outcome.
+        the LLC outcome.  A demand hit on a prefetched line counts as
+        useful for the prefetcher that brought it in: the L2 prefetcher's
+        at the first intermediate (the level it fills for), the LLC
+        prefetcher's at the LLC.
         """
         is_load = atype is _LOAD
         if actual is _L2:
-            self._intermediates[holder].access_block(block, atype)
+            _, was_prefetched = self._intermediates[holder].access_block(
+                block, atype)
+            if was_prefetched and holder == 0:
+                self.l2_prefetcher.record_useful()
             self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
                                    is_load, True)
             return 0
         shared = self.shared
-        shared.l3.access_block(block, atype)
+        _, was_prefetched = shared.l3.access_block(block, atype)
+        if was_prefetched:
+            shared.llc_prefetcher.record_useful()
         self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
                                is_load, False)
         if actual is _L3:
@@ -951,11 +959,14 @@ class CoreMemoryHierarchy:
         notes = walk.notes
         predictor = self.predictor
         predictor_type = type(predictor)
-        notify = (predictor_type.on_fill is not _LevelPredictor.on_fill
-                  or predictor_type.on_eviction
-                  is not _LevelPredictor.on_eviction)
-        on_fill = predictor.on_fill
-        on_eviction = predictor.on_eviction
+        # Per notification code, the predictor call and its two arguments;
+        # none when the predictor keeps the interface's no-op handlers.
+        calls = None
+        if (predictor_type.on_fill is not _LevelPredictor.on_fill
+                or predictor_type.on_eviction
+                is not _LevelPredictor.on_eviction):
+            calls = [(predictor.on_fill if fill else predictor.on_eviction,
+                      level, flag) for fill, level, flag in _NOTE_CALLS]
         predict = predictor.predict
         train = predictor.train
         on_hit = predictor.on_hit
@@ -983,14 +994,11 @@ class CoreMemoryHierarchy:
                     total += value
                 energy["dram"] = total
                 dram_at = dram_point
-            if notify and notes_point != notes_at:
+            if calls is not None and notes_point != notes_at:
                 run = iter(notes[notes_at:notes_point])
                 for code, note_block in zip(run, run):
-                    fill, level, flag = _NOTE_CALLS[code]
-                    if fill:
-                        on_fill(note_block, level, flag)
-                    else:
-                        on_eviction(note_block, level, flag)
+                    call, level, flag = calls[code]
+                    call(note_block, level, flag)
                 notes_at = notes_point
 
             latency = miss_detect + translation_latency
@@ -1070,14 +1078,11 @@ class CoreMemoryHierarchy:
             for value in dram[dram_at:dram_end]:
                 total += value
             energy["dram"] = total
-        if notify:
+        if calls is not None:
             run = iter(notes[notes_at:notes_end])
             for code, note_block in zip(run, run):
-                fill, level, flag = _NOTE_CALLS[code]
-                if fill:
-                    on_fill(note_block, level, flag)
-                else:
-                    on_eviction(note_block, level, flag)
+                call, level, flag = calls[code]
+                call(note_block, level, flag)
 
         misses = last - first
         stats.demand_accesses += count

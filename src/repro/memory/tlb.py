@@ -10,14 +10,26 @@ addresses; what matters to the study is the *latency and energy* of
 translation, which the TLB model provides, plus the eTLB cost hook used by the
 D2D/D2M baseline (which enlarges TLB entries and charges 10 % extra energy per
 access, Section IV.C).
+
+TLB sets are allocated on first insert, as cache sets are on first fill
+(:mod:`repro.memory.cache`).  Every job builds fresh TLBs and most of them
+never fill more than a handful of second-level sets, so an untouched set
+shares one read-only empty mapping (a probe needs nothing more) until its
+first insert gives it an ordered dict of its own.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .spec import TLBSpec
+
+#: The entries of every never-filled TLB set: read-only, so a stray write
+#: fails loudly instead of leaking into every untouched set.
+_EMPTY_SET: Mapping[int, bool] = MappingProxyType({})
 
 
 @dataclass
@@ -39,7 +51,8 @@ class TLBStats:
 
 
 class TLB:
-    """A set-associative TLB modelled with per-set LRU ordered dicts."""
+    """A set-associative TLB modelled with per-set LRU ordered dicts, each
+    built by the first insert into its set."""
 
     __slots__ = ("associativity", "page_size", "name", "_num_sets", "_sets",
                  "_page_shift", "stats")
@@ -54,13 +67,10 @@ class TLB:
         self.page_size = page_size
         self.name = name
         self._num_sets = entries // associativity
-        self._sets = [OrderedDict() for _ in range(self._num_sets)]
+        self._sets = [_EMPTY_SET] * self._num_sets
         self._page_shift = (page_size.bit_length() - 1
                             if (page_size & (page_size - 1)) == 0 else -1)
         self.stats = TLBStats()
-
-    def _set_for(self, page: int) -> OrderedDict:
-        return self._sets[page % self._num_sets]
 
     def lookup(self, address: int) -> bool:
         """Probe the TLB for the page containing ``address``."""
@@ -79,10 +89,13 @@ class TLB:
     def insert(self, address: int) -> None:
         """Install a translation for the page containing ``address``."""
         page = address // self.page_size
-        entries = self._set_for(page)
+        index = page % self._num_sets
+        entries = self._sets[index]
         if page in entries:
             entries.move_to_end(page)
             return
+        if entries is _EMPTY_SET:
+            entries = self._sets[index] = OrderedDict()
         if len(entries) >= self.associativity:
             entries.popitem(last=False)
         entries[page] = True

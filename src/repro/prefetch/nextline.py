@@ -14,7 +14,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List
 
-from .base import PrefetchAccess, Prefetcher, _NO_CANDIDATES
+from .base import PrefetchAccess, Prefetcher
 
 
 class TaggedNextLinePrefetcher(Prefetcher):
@@ -41,19 +41,24 @@ class TaggedNextLinePrefetcher(Prefetcher):
             self._tagged.popitem(last=False)
         self._tagged[block] = True
 
-    def _generate(self, access: PrefetchAccess) -> List[int]:
-        block = access.address - (access.address % self.block_size)
-        triggered = not access.hit
-        if access.hit and block in self._tagged:
-            # First demand use of a prefetched line keeps the stream going.
-            del self._tagged[block]
-            triggered = True
-        if not triggered:
-            return _NO_CANDIDATES
-        candidates = []
-        tagged = self._tagged
-        capacity = self._tag_capacity
+    def observe(self, access: PrefetchAccess) -> List[int]:
+        """Train on one demand access and return the lines to prefetch.
+
+        Overrides the base class's generate-then-dedup path: the candidates
+        are the next ``degree`` lines after the access's own, so they are
+        block-aligned and distinct by construction.
+        """
+        address = access.address
         block_size = self.block_size
+        block = address - (address % block_size)
+        tagged = self._tagged
+        if access.hit:
+            if block not in tagged:
+                return []
+            # First demand use of a prefetched line keeps the stream going.
+            del tagged[block]
+        candidates = []
+        capacity = self._tag_capacity
         for i in range(1, self.degree + 1):
             target = block + i * block_size
             candidates.append(target)
@@ -64,6 +69,16 @@ class TaggedNextLinePrefetcher(Prefetcher):
                 if len(tagged) >= capacity:
                     tagged.popitem(last=False)
                 tagged[target] = True
+        if not self.enabled:
+            return []
+        self.stats.issued += len(candidates)
+        return candidates
+
+    def _generate(self, access: PrefetchAccess) -> List[int]:
+        """:meth:`observe` for a wrapping prefetcher, which counts what it
+        issues itself."""
+        candidates = self.observe(access)
+        self.stats.issued -= len(candidates)
         return candidates
 
 

@@ -100,11 +100,14 @@ WorkloadSpec = Union[str, Workload]
 #: Sentinel: resolve the spill directory from the environment at use time.
 _SPILL_AUTO = "auto"
 
-#: Walks a :class:`TraceCache` holds at once.  A grid runs the systems of
-#: one trace back to back, so one walk in use at a time is the common case;
-#: the bound keeps a few more for interleaved grids without letting walks
-#: (a few hundred bytes per access) pile up.
-MAX_WALKS = 2
+#: Walks a :class:`TraceCache` holds at once.  Most grids run the systems
+#: of one trace back to back, so one walk in use at a time is the common
+#: case; fig15 runs its eight applications once per system variant, and
+#: the variants share one walk per application (only replay-only fields
+#: tell them apart, see :func:`repro.sim.system.walk_config`), so the
+#: bound keeps eight without letting walks (a few hundred bytes per
+#: access) pile up.
+MAX_WALKS = 8
 
 
 # ======================================================================

@@ -219,13 +219,12 @@ class SimulatedSystem:
 
 
 @functools.lru_cache(maxsize=64)
-def _with_ideal_latency(hierarchy: HierarchySpec,
-                        ideal: bool = True) -> HierarchySpec:
+def _with_ideal_latency(hierarchy: HierarchySpec) -> HierarchySpec:
     """Set ideal_miss_latency on a hierarchy spec (memoised: specs are
     immutable, and every Ideal job would otherwise re-validate one)."""
-    if hierarchy.ideal_miss_latency == ideal:
+    if hierarchy.ideal_miss_latency:
         return hierarchy
-    return replace(hierarchy, ideal_miss_latency=ideal)
+    return replace(hierarchy, ideal_miss_latency=True)
 
 
 def _shared_walk(walks, config: SystemConfig, root: TraceBuffer):
@@ -241,13 +240,36 @@ def _shared_walk(walks, config: SystemConfig, root: TraceBuffer):
 def walk_config(config: SystemConfig) -> Tuple[SystemConfig, HierarchySpec]:
     """The configuration that walks exactly like ``config``, and its spec.
 
-    The walk reads neither the predictor nor ``ideal_miss_latency`` (only
-    the replay does), so every compared system of one hierarchy, Ideal
-    included, shares it; the spec, the prefetch scheme and its epoch, and
-    the core count are what a walk's key must name.
+    The walk reads neither the predictor nor the spec's replay-only
+    fields (see :func:`_walk_spec`), so every compared system of one
+    hierarchy, Ideal and the latency variants of one chain included,
+    shares it; the normalised spec, the prefetch scheme and its epoch,
+    and the core count are what a walk's key must name.
     """
-    spec = _with_ideal_latency(config.hierarchy, False)
+    spec = _walk_spec(config.hierarchy)
     return replace(config, predictor="baseline", hierarchy=spec), spec
+
+
+@functools.lru_cache(maxsize=64)
+def _walk_spec(hierarchy: HierarchySpec) -> HierarchySpec:
+    """``hierarchy`` with the fields only the replay reads set to fixed
+    values: ``ideal_miss_latency``, ``parallel_port_penalty``,
+    ``memory_speculative_launch`` and the tag/data latencies and
+    ``sequential_tag_data`` of every level below L1 (the walk charges
+    only the L1 hit latency; the replay times the rest of the path).
+
+    Those levels take L1's timing, which keeps the chain's hit latencies
+    non-decreasing, so the result is a valid spec.  Memoised: specs are
+    immutable, and every job asks.
+    """
+    l1 = hierarchy.levels[0]
+    timing = {"tag_latency": l1.tag_latency, "data_latency": l1.data_latency,
+              "sequential_tag_data": l1.sequential_tag_data}
+    return replace(
+        hierarchy, ideal_miss_latency=False, parallel_port_penalty=0.0,
+        memory_speculative_launch=True,
+        levels=(l1,) + tuple(replace(level, **timing)
+                             for level in hierarchy.levels[1:]))
 
 
 def build_system(predictor: str = "lp",

@@ -15,6 +15,7 @@ from repro.core.level_predictor import CacheLevelPredictor
 from repro.memory.block import AccessType, Level, MemoryAccess
 from repro.memory.hierarchy import CoreMemoryHierarchy, SharedMemorySystem
 from repro.memory.spec import HierarchySpec
+from repro.prefetch.base import Prefetcher
 from repro.prefetch.nextline import TaggedNextLinePrefetcher
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimulatedSystem
@@ -237,6 +238,32 @@ class TestPrefetcherIntegration:
         for i in range(100):
             hierarchy.access(make_load(i * 64))
         assert hierarchy.stats.prefetches_issued > 0
+
+    def test_demand_hits_on_prefetched_lines_are_useful(self):
+        """An L2-prefetched and an LLC-prefetched line each take a demand
+        hit: both prefetchers are credited, not only the L1 one."""
+
+        class FarLinePrefetcher(Prefetcher):
+            """Prefetches 64 KiB past every miss, clear of the next line."""
+
+            def _generate(self, access):
+                return [] if access.hit else [access.address + 0x10000]
+
+        l2_prefetcher = TaggedNextLinePrefetcher(degree=1)
+        llc_prefetcher = FarLinePrefetcher()
+        config = HierarchySpec.paper_single_core()
+        hierarchy = CoreMemoryHierarchy(
+            config=config, l2_prefetcher=l2_prefetcher,
+            shared=SharedMemorySystem(config, num_cores=1,
+                                      llc_prefetcher=llc_prefetcher))
+        miss = hierarchy.access(make_load(0x100000))
+        assert miss.hit_level is Level.MEM
+        assert hierarchy.access(make_load(0x100040)).hit_level is Level.L2
+        assert l2_prefetcher.stats.useful == 1
+        assert llc_prefetcher.stats.useful == 0
+        assert hierarchy.access(make_load(0x110000)).hit_level is Level.L3
+        assert llc_prefetcher.stats.useful == 1
+        assert l2_prefetcher.stats.useful == 1
 
 
 # ======================================================================

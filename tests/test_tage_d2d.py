@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import dataclasses
+import random
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.base import LevelPredictor, Prediction
 from repro.core.d2d import D2DConfig, DirectToDataPredictor, IdealPredictor
 from repro.core.tage import (
     TAGEConfig,
@@ -11,7 +19,7 @@ from repro.core.tage import (
     make_tage_2kb,
     make_tage_8kb,
 )
-from repro.memory.block import Level
+from repro.memory.block import Level, PREDICTABLE_LEVELS
 
 
 class TestTAGEConfig:
@@ -145,3 +153,233 @@ class TestIdealPredictor:
         assert predictor.prediction_latency == 0
         assert predictor.predict(0x40).is_sequential
         assert predictor.energy_per_prediction_nj() == 0.0
+
+
+# ----------------------------------------------------------------------
+# Differential test: the flat-table TAGE against a plain dict model
+# ----------------------------------------------------------------------
+_HISTORY_CODES = {Level.L2: 0b01, Level.L3: 0b10, Level.MEM: 0b11}
+
+
+@dataclass
+class _ReferenceEntry:
+    tag: int
+    counters: Dict[Level, int] = field(
+        default_factory=lambda: {level: 0 for level in PREDICTABLE_LEVELS})
+    useful: int = 0
+
+
+class ReferenceTAGE(LevelPredictor):
+    """TAGE with one object per entry, a dict of counters per entry and
+    the folded history recomputed from the history register on every
+    hash — the model the flat tables must match step for step."""
+
+    def __init__(self, config: TAGEConfig):
+        super().__init__()
+        self.config = config
+        entries = config.entries_per_table
+        self.base_table = [{level: 0 for level in PREDICTABLE_LEVELS}
+                           for _ in range(entries)]
+        self.tables: List[List[Optional[_ReferenceEntry]]] = [
+            [None] * entries for _ in range(config.num_tagged_tables)]
+        self.lengths = config.history_lengths()
+        self.history = 0
+        self.history_bits = 2 * max(self.lengths)
+        self.entries = entries
+        self.last_provider: Dict[int, Optional[Tuple[int, int]]] = {}
+        self.allocations = 0
+        self.provider_hits = 0
+        self.base_predictions = 0
+
+    def folded(self, table: int) -> int:
+        history = self.history & ((1 << (2 * self.lengths[table])) - 1)
+        folded = 0
+        while history:
+            folded ^= history & 0xFFFF
+            history >>= 16
+        return folded
+
+    def index(self, block_addr: int, table: int) -> int:
+        block = block_addr >> 6
+        return (block ^ (block >> 7) ^ (self.folded(table) * 0x9E3779B1)) \
+            % self.entries
+
+    def tag(self, block_addr: int, table: int) -> int:
+        block = block_addr >> 6
+        value = (block >> 3) ^ (self.folded(table) >> 2) ^ (table * 0x5BD1)
+        return value & ((1 << self.config.tag_bits) - 1)
+
+    def levels(self, counters: Dict[Level, int]) -> Tuple[Level, ...]:
+        total = sum(counters.values())
+        if total == 0:
+            return (Level.L2,)
+        ranked = sorted(PREDICTABLE_LEVELS,
+                        key=lambda level: (-counters[level], level))
+        selected, accumulated = set(), 0
+        for level in ranked:
+            selected.add(level)
+            accumulated += counters[level]
+            if accumulated >= self.config.confidence_threshold * total:
+                break
+        return tuple(level for level in PREDICTABLE_LEVELS
+                     if level in selected)
+
+    def predict(self, block_addr: int, pc: int = 0) -> Prediction:
+        for table in range(self.config.num_tagged_tables - 1, -1, -1):
+            index = self.index(block_addr, table)
+            entry = self.tables[table][index]
+            if entry is not None and entry.tag == self.tag(block_addr, table):
+                self.provider_hits += 1
+                self.last_provider[block_addr] = (table, index)
+                return Prediction(levels=self.levels(entry.counters),
+                                  source="tage")
+        self.base_predictions += 1
+        if not self.config.base_table_fallback:
+            self.last_provider[block_addr] = None
+            return Prediction(levels=(Level.L2,), source="tage-miss")
+        block = block_addr >> 6
+        index = (block ^ (block >> 11)) % self.entries
+        self.last_provider[block_addr] = (-1, index)
+        return Prediction(levels=self.levels(self.base_table[index]),
+                          source="tage-base")
+
+    def nudge(self, counters: Dict[Level, int], level: Level) -> None:
+        maximum = (1 << self.config.counter_bits) - 1
+        for tracked in counters:
+            if tracked is level:
+                counters[tracked] = min(counters[tracked] + 1, maximum)
+            elif counters[tracked] > 0:
+                counters[tracked] -= 1
+
+    def train(self, block_addr, pc, prediction, actual):
+        outcome = super().train(block_addr, pc, prediction, actual)
+        correct = actual in (prediction.levels or ())
+        provider = self.last_provider.pop(block_addr, None)
+        if provider is not None:
+            table, index = provider
+            if table < 0:
+                self.nudge(self.base_table[index], actual)
+            elif self.tables[table][index] is not None:
+                entry = self.tables[table][index]
+                self.nudge(entry.counters, actual)
+                entry.useful = min(entry.useful + (1 if correct else 0), 3)
+        if not correct:
+            start = provider[0] + 1 if provider else 0
+            for table in range(max(start, 0), self.config.num_tagged_tables):
+                index = self.index(block_addr, table)
+                existing = self.tables[table][index]
+                if existing is not None and existing.useful > 0:
+                    existing.useful -= 1
+                    continue
+                entry = _ReferenceEntry(tag=self.tag(block_addr, table))
+                entry.counters[actual] = 2
+                self.tables[table][index] = entry
+                self.allocations += 1
+                break
+        self.history = ((self.history << 2) | _HISTORY_CODES[actual]) & (
+            (1 << self.history_bits) - 1)
+        return outcome
+
+    def on_fill(self, block_addr, level, from_prefetch=False):
+        if level is Level.L1:
+            return
+        if from_prefetch and not self.config.update_on_prefetch:
+            return
+        updated = False
+        for table in range(self.config.num_tagged_tables):
+            entry = self.tables[table][self.index(block_addr, table)]
+            if entry is not None and entry.tag == self.tag(block_addr, table):
+                self.nudge(entry.counters, level)
+                updated = True
+        if updated:
+            self.stats.updates += 1
+
+    def on_eviction(self, block_addr, level, dirty):
+        if dirty:
+            self.on_fill(block_addr,
+                         Level.L3 if level is Level.L2 else Level.MEM)
+
+
+_OUTCOMES = (Level.L2, Level.L3, Level.MEM)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(storage=st.sampled_from((2048, 8192)),
+       fallback=st.booleans(),
+       update_on_prefetch=st.booleans(),
+       blocks=st.integers(min_value=4, max_value=400),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_flat_tage_matches_reference(storage, fallback, update_on_prefetch,
+                                     blocks, seed):
+    """1,500 seeded random predict/train/on_fill/on_eviction calls: both
+    models give equal predictions, outcomes and counters throughout.
+
+    A small block pool makes tagged entries hit, mispredict and get
+    reallocated; a large one keeps them scarce.  Blocks are sometimes
+    trained without a prediction, or predicted twice before training."""
+    config = TAGEConfig(storage_bytes=storage, base_table_fallback=fallback,
+                        update_on_prefetch=update_on_prefetch)
+    flat, reference = TAGELevelPredictor(config), ReferenceTAGE(config)
+    rng = random.Random(seed)
+    pending: Dict[int, Tuple[Prediction, Prediction]] = {}
+    for _ in range(1500):
+        block = rng.randrange(blocks) * 64 + rng.randrange(64)
+        operation = rng.random()
+        if operation < 0.45:
+            predicted = flat.predict(block), reference.predict(block)
+            assert predicted[0] == predicted[1]
+            pending[block] = predicted
+        elif operation < 0.8:
+            actual = rng.choice(_OUTCOMES)
+            sequential = Prediction(levels=(Level.L2,))
+            ours, theirs = pending.pop(block, (sequential, sequential))
+            assert flat.train(block, 0, ours, actual) \
+                == reference.train(block, 0, theirs, actual)
+        elif operation < 0.93:
+            level = rng.choice((Level.L1,) + _OUTCOMES)
+            from_prefetch = rng.random() < 0.5
+            flat.on_fill(block, level, from_prefetch)
+            reference.on_fill(block, level, from_prefetch)
+        else:
+            level, dirty = rng.choice((Level.L2, Level.L3)), rng.random() < 0.7
+            flat.on_eviction(block, level, dirty)
+            reference.on_eviction(block, level, dirty)
+    for name in ("allocations", "provider_hits", "base_predictions"):
+        assert getattr(flat, name) == getattr(reference, name)
+    assert dataclasses.asdict(flat.stats) == dataclasses.asdict(
+        reference.stats)
+    assert flat.stats.predictions > 0
+    # The tables themselves agree entry for entry.
+    assert flat._base == [count for counters in reference.base_table
+                          for count in counters.values()]
+    for table, entries in enumerate(reference.tables):
+        for index, entry in enumerate(entries):
+            at = 3 * index
+            state = (flat._tags[table][index], flat._useful[table][index],
+                     flat._counters[table][at:at + 3])
+            assert state == ((-1, 0, [0, 0, 0]) if entry is None else
+                             (entry.tag, entry.useful,
+                              list(entry.counters.values())))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(lengths=st.tuples(st.integers(min_value=1, max_value=4),
+                         st.integers(min_value=1, max_value=96)),
+       outcomes=st.lists(st.sampled_from(_OUTCOMES), max_size=200))
+def test_incremental_folds_match_recomputation(lengths, outcomes):
+    """Each table's incrementally kept fold equals the fold recomputed from
+    the history register, after every push, for windows shorter than,
+    equal to and longer than the 16-bit fold."""
+    tables, longest = lengths
+    config = TAGEConfig(num_tagged_tables=tables, min_history=1,
+                        max_history=longest)
+    predictor = TAGELevelPredictor(config)
+    reference = ReferenceTAGE(config)
+    for actual in outcomes:
+        predictor._push_history(actual)
+        reference.history = ((reference.history << 2)
+                             | _HISTORY_CODES[actual]) & (
+            (1 << reference.history_bits) - 1)
+        assert predictor._history == reference.history
+        assert predictor._folded == [reference.folded(table)
+                                     for table in range(tables)]

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory.spec import TLBSpec
-from repro.memory.tlb import TLB, TLBHierarchy
+from repro.memory.tlb import TLB, TLBHierarchy, _EMPTY_SET
 
 
 def translate(tlbs: TLBHierarchy, address: int) -> int:
@@ -85,3 +89,48 @@ class TestHierarchy:
         tlbs.reset_statistics()
         assert tlbs.page_walks == 0
         assert tlbs.l1.stats.accesses == 0
+
+
+class TestSetsOnFirstInsert:
+    @staticmethod
+    def eager(spec: TLBSpec) -> TLBHierarchy:
+        """A hierarchy whose sets are all built up front."""
+        tlbs = TLBHierarchy(spec)
+        for tlb in (tlbs.l1, tlbs.l2):
+            tlb._sets = [OrderedDict() for _ in tlb._sets]
+        return tlbs
+
+    def test_unfilled_sets_share_the_read_only_empty(self):
+        tlb = TLB(16, 4, 4096)
+        assert all(entries is _EMPTY_SET for entries in tlb._sets)
+        assert not tlb.lookup(0x1000)
+        assert all(entries is _EMPTY_SET for entries in tlb._sets)
+        tlb.insert(0x1000)
+        assert tlb._sets[1] is not _EMPTY_SET
+        assert sum(entries is _EMPTY_SET for entries in tlb._sets) == 3
+        with pytest.raises(TypeError):
+            _EMPTY_SET[0] = True
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(pages=st.lists(st.integers(min_value=0, max_value=4095),
+                          max_size=400),
+           small=st.booleans())
+    def test_translation_matches_eager_sets(self, pages, small):
+        """A random translate stream: the same latencies and hit, miss and
+        page-walk counts as eagerly built sets, and every set no insert
+        reached is still the shared empty."""
+        spec = (TLBSpec(l1_entries=8, l1_associativity=2, l2_entries=32,
+                        l2_associativity=4) if small else TLBSpec())
+        lazy, eager = TLBHierarchy(spec), self.eager(spec)
+        for page in pages:
+            address = page * spec.page_size + page % 64
+            assert translate(lazy, address) == translate(eager, address)
+        assert lazy.page_walks == eager.page_walks
+        for ours, theirs in ((lazy.l1, eager.l1), (lazy.l2, eager.l2)):
+            assert (ours.stats.hits, ours.stats.misses) \
+                == (theirs.stats.hits, theirs.stats.misses)
+            touched = {page % ours._num_sets for page in pages}
+            for index, entries in enumerate(ours._sets):
+                if index not in touched:
+                    assert entries is _EMPTY_SET
+                assert list(entries) == list(theirs._sets[index])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 
 from repro.experiments import (
@@ -160,6 +161,75 @@ class TestSharedWalks:
         assert shared == fresh
         # The L2 size moves the results, so a shared walk would show.
         assert fresh[0]["hierarchy_stats"] != fresh[1]["hierarchy_stats"]
+
+
+def _perturb_llc(**fields):
+    def perturb(spec):
+        return dataclasses.replace(spec, levels=spec.levels[:-1] + (
+            dataclasses.replace(spec.llc, **fields),))
+    return perturb
+
+
+def _perturb_l2(**fields):
+    def perturb(spec):
+        l1, l2, llc = spec.levels
+        return dataclasses.replace(
+            spec, levels=(l1, dataclasses.replace(l2, **fields), llc))
+    return perturb
+
+
+#: One perturbation per replay-only field that a walk's key leaves out
+#: (see repro.sim.system.walk_config), each valid on a paper-like spec.
+_REPLAY_ONLY = {
+    "l2_tag_latency": _perturb_l2(tag_latency=14),
+    "l2_data_latency": _perturb_l2(data_latency=14),
+    "llc_tag_latency": _perturb_llc(tag_latency=24),
+    "llc_data_latency": _perturb_llc(data_latency=20),
+    "llc_sequential_tag_data": _perturb_llc(sequential_tag_data=False),
+    "parallel_port_penalty": lambda spec: dataclasses.replace(
+        spec, parallel_port_penalty=5.0),
+    "memory_speculative_launch": lambda spec: dataclasses.replace(
+        spec, memory_speculative_launch=False),
+}
+
+
+class TestReplayOnlyFields:
+    @pytest.mark.parametrize("field", sorted(_REPLAY_ONLY))
+    def test_specs_differing_in_a_replay_only_field_share_a_walk(
+            self, field):
+        """The two specs walk once between them, their results equal
+        those of a fresh walk each, and the field does move the results
+        (so a walk shared by mistake would show)."""
+        # The paper chain with a 4 KB L1 and an 8 KB L2, so that the trace
+        # hits in L2 and in the LLC, and TAGE probes both in parallel.
+        paper = HierarchySpec.paper_single_core()
+        base = dataclasses.replace(paper, levels=(
+            dataclasses.replace(paper.l1, size_bytes=4 * 1024),
+            dataclasses.replace(paper.levels[1], size_bytes=8 * 1024),
+            paper.llc))
+        other = _REPLAY_ONLY[field](base)
+        assert other != base
+        buffer = TraceCache(spill_dir=None).get("623.xalan", 1500)
+        workload = _Drawn(buffer)
+        predictors = ("baseline", "lp", "tage-2kb")
+        jobs = (_grid(workload, base, buffer, predictors)
+                + _grid(workload, other, buffer, predictors))
+        shared, cache = _shared(jobs)
+        assert (cache.walk_misses, cache.walk_hits) == (1, len(jobs) - 1)
+        fresh = _fresh(jobs)
+        assert shared == fresh
+        assert fresh[:3] != fresh[3:]
+
+    def test_fig15_variants_walk_each_application_once(self):
+        """fig15's five systems differ only in LLC timing and the core
+        model, so each application is walked once for all of them."""
+        cache = TraceCache(spill_dir=None)
+        engine = SimulationEngine(jobs=1, trace_cache=cache, store=False)
+        jobs = EXPERIMENTS["fig15"].jobs(Scale(accesses=300, warmup=100))
+        engine.run(jobs)
+        apps = {job.workload for job in jobs}
+        assert (cache.walk_misses, cache.walk_hits) \
+            == (len(apps), len(jobs) - len(apps))
 
 
 class TestWalkCounters:
