@@ -28,7 +28,7 @@ def _run_traces():
     accesses = max(BENCH_ACCESSES * 2, 30_000)
     for app in FIGURE2_APPS:
         system = SimulatedSystem(SystemConfig.paper_single_core("baseline"))
-        trace = build_workload(app).generate(accesses, seed=0)
+        trace = build_workload(app).generate_buffer(accesses, seed=0)
         windows_per_app[app] = run_with_windows(system.hierarchy, trace,
                                                 window_size=accesses // 8)
     return windows_per_app

@@ -28,7 +28,7 @@ WORKLOADS = ["stream", "gapbs.pr", "nas.cg"]
 
 def _run_prefetcher_sweep():
     accesses = max(BENCH_ACCESSES, 3000)
-    traces = {app: build_workload(app).generate(accesses, seed=0)
+    traces = {app: build_workload(app).generate_buffer(accesses, seed=0)
               for app in WORKLOADS}
 
     def llc_misses(llc_prefetcher):
@@ -38,8 +38,7 @@ def _run_prefetcher_sweep():
             config = SystemConfig.paper_single_core("baseline")
             config.prefetch_scheme = "none"   # isolate the LLC prefetcher
             system = SimulatedSystem(config, llc_prefetcher=llc_prefetcher)
-            for access in trace:
-                system.hierarchy.access(access)
+            system.hierarchy.run_buffer(trace)
             total_misses += system.hierarchy.stats.memory_accesses
         if llc_prefetcher is not None:
             useful = llc_prefetcher.stats.useful

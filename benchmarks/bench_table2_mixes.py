@@ -1,14 +1,14 @@
 """Table II: the multi-program and multi-threaded workload mixes.
 
-Regenerates the mix composition table and validates that the generated traces
-have the structural properties the multi-core evaluation relies on (disjoint
-address spaces for multi-program mixes, shared data for multi-threaded runs).
+Regenerates the mix composition table.  The placement the multi-core
+evaluation relies on (disjoint address spaces for multi-program mixes, shared
+data for multi-threaded runs) is checked in ``tests/test_workloads.py``.
 """
 
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.workloads import MIXES, generate_mix_traces
+from repro.workloads import MIXES
 
 from conftest import save_result
 
@@ -35,14 +35,3 @@ def test_table2_workload_mixes(benchmark):
     assert MIXES["mix4"].applications == ("627.cam", "nas.cg", "621.wrf",
                                           "nas.bt")
     assert MIXES["MT2"].applications == ("gapbs.pr",) * 4
-
-    # Multi-program mixes occupy disjoint address regions; threads share one.
-    program_traces = generate_mix_traces("mix3", accesses_per_core=64, seed=0)
-    regions = [{a.address >> 36 for a in trace} for trace in program_traces]
-    assert all(len(region) == 1 for region in regions)
-    assert len({next(iter(region)) for region in regions}) == 4
-
-    thread_traces = generate_mix_traces("MT1", accesses_per_core=300, seed=0)
-    shared = ({a.address // 64 for a in thread_traces[0]}
-              & {a.address // 64 for a in thread_traces[1]})
-    assert shared

@@ -21,10 +21,8 @@ Subcommands
     against a committed stats file (``GOLDEN_stats.json`` by default) and
     fails on any difference.
 
-    Trace generation reads through the on-disk trace cache: buffers spill
-    to ``<store>/traces/*.npz`` (override with ``--trace-dir`` or the
-    ``REPRO_TRACE_DIR`` environment variable; ``--trace-dir ''`` disables),
-    so a warm run loads packed columns instead of regenerating streams.
+    Traces are generated in memory by each process that needs them; a
+    run writes nothing but the store's shards, claims and stats.
 
 ``trace <workload>``
     Inspect a registered workload's generated trace: footprint, unique
@@ -97,7 +95,6 @@ from .service import FleetClient, ServiceError, SimulationService, \
 from .sim.options import POOL_KINDS, EngineOptions
 from .sim.store import (
     REPRO_STORE_ENV,
-    REPRO_TRACE_DIR_ENV,
     ResultStore,
     fsck_store,
     try_job_key,
@@ -240,32 +237,6 @@ def _print_diff(reference: Any, computed: Any, path: str = "",
 
 
 @contextmanager
-def _trace_dir_env(args: argparse.Namespace):
-    """Export the effective trace-cache directory for the run's duration.
-
-    The directory must travel through the environment (not an engine
-    argument) so ``REPRO_JOBS`` worker processes — whose process-local
-    trace caches resolve ``REPRO_TRACE_DIR`` lazily — spill to and load
-    from the same cache as the parent.  Restored afterwards so in-process
-    callers (tests) see no lasting environment mutation.
-    """
-    previous = os.environ.get(REPRO_TRACE_DIR_ENV)
-    trace_dir = args.trace_dir
-    if trace_dir is None:
-        # An ambient REPRO_TRACE_DIR wins over the <store>/traces default.
-        trace_dir = previous if previous is not None \
-            else str(Path(args.store) / "traces")
-    os.environ[REPRO_TRACE_DIR_ENV] = trace_dir
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[REPRO_TRACE_DIR_ENV]
-        else:
-            os.environ[REPRO_TRACE_DIR_ENV] = previous
-
-
-@contextmanager
 def _faults_env(args: argparse.Namespace):
     """Arm ``--faults`` for a run's or a daemon's life.
 
@@ -372,7 +343,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                   f"{exc}", file=sys.stderr)
             return 1
     store = ResultStore(args.store)
-    with _faults_env(args), _trace_dir_env(args):
+    with _faults_env(args):
         try:
             return _run_all(args, names, lambda name: _run_local(
                 name, store, _scale(args), args.jobs, args.force,
@@ -510,7 +481,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if port is None and socket_path is None:
         port = DEFAULT_SERVICE_PORT
     try:
-        with _faults_env(args), _trace_dir_env(args):
+        with _faults_env(args):
             return main_serve(args.store, port=port,
                               socket_path=socket_path, jobs=args.jobs,
                               ready_file=args.ready_file,
@@ -574,7 +545,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                         ("--job-retries", args.job_retries),
                         ("--job-timeout", args.job_timeout),
                         ("--max-queue", args.max_queue),
-                        ("--trace-dir", args.trace_dir),
                         ("--hierarchy", args.hierarchy)):
         if value is not None:
             base_cmd += [flag, str(value)]
@@ -859,10 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--stats-out", default=None, metavar="FILE",
                             help="also write the stats JSON to FILE")
     run_parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="on-disk trace cache directory (default: $REPRO_TRACE_DIR or "
-             "<store>/traces; '' disables trace spilling)")
-    run_parser.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="deterministic fault schedule, e.g. "
              "'store.append:eio@p=0.05,seed=7' (same grammar as "
@@ -896,10 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ready-file", default=None, metavar="FILE",
         help="write the bound address to FILE once listening (how scripts "
              "using --port 0 learn where the daemon landed)")
-    serve_parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="on-disk trace cache directory (default: $REPRO_TRACE_DIR or "
-             "<store>/traces; '' disables trace spilling)")
     serve_parser.add_argument(
         "--job-retries", type=int, default=None, metavar="N",
         help="attempts per job before quarantine (default: "
@@ -962,10 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-queue", type=int, default=None, metavar="N",
         help="each member sheds submits beyond N active jobs (default: "
              "$REPRO_MAX_QUEUE; 0 disables)")
-    fleet_parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="on-disk trace cache directory shared by the members "
-             "(default: $REPRO_TRACE_DIR or <store>/traces)")
     fleet_parser.add_argument(
         "--hierarchy", default=None, metavar="FILE",
         help="declarative hierarchy spec applied by every member "

@@ -176,9 +176,8 @@ class TAGELevelPredictor(LevelPredictor):
             in enumerate(self._windows)]
         self._tag_mask = (1 << config.tag_bits) - 1
         self._max_counter = (1 << config.counter_bits) - 1
-        # Bits per counter in a memo key; an allocation writes 2 even into
-        # a 1-bit counter, so a key field holds at least two bits.
-        self._counter_shift = max(config.counter_bits, 2)
+        # Bits per counter in a memo key.
+        self._counter_shift = config.counter_bits
         # Counter triple -> Prediction, for tagged and for base providers.
         self._tagged_memo: Dict[int, Prediction] = {}
         self._base_memo: Dict[int, Prediction] = {}
@@ -326,7 +325,7 @@ class TAGELevelPredictor(LevelPredictor):
             tags[index] = (high ^ tag_hash) & self._tag_mask
             at = 3 * index
             counters[at] = counters[at + 1] = counters[at + 2] = 0
-            counters[at + actual - 2] = 2
+            counters[at + actual - 2] = min(2, self._max_counter)
             self.allocations += 1
             return
 

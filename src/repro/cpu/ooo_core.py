@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Sequence, Union
+from typing import Deque, Iterable, Sequence
 
-from ..memory.block import AccessResult, MemoryAccess
+from ..memory.block import AccessResult
 from ..trace import TraceBuffer
 
 
@@ -108,15 +108,13 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def execute(self, accesses: Union[Sequence[MemoryAccess], TraceBuffer],
+    # Read by perfbench until ROADMAP item 6 (its ``cpu.execute`` span).
+    def execute(self, accesses: TraceBuffer,
                 results: Sequence[AccessResult]) -> ExecutionResult:
         """Time a trace given the hierarchy's per-access latencies.
 
-        ``accesses`` may be a legacy record sequence or a columnar
-        :class:`~repro.trace.TraceBuffer`; the timing loop only consumes the
-        two per-access fields the core model needs (non-memory instruction
-        count and the pointer-dependence flag), which buffers deliver as
-        plain columns without materialising record objects.
+        The timing loop reads two of the buffer's columns: the non-memory
+        instruction count and the pointer-dependence flag.
         """
         if len(accesses) != len(results):
             raise ValueError("accesses and results must have the same length")
@@ -124,12 +122,8 @@ class OutOfOrderCore:
             return ExecutionResult(cycles=0.0, instructions=0,
                                    memory_accesses=0, stall_cycles=0.0)
 
-        if isinstance(accesses, TraceBuffer):
-            non_memory = accesses.non_memory.tolist()
-            dependent = accesses.dependent.tolist()
-        else:
-            non_memory = [a.non_memory_instructions for a in accesses]
-            dependent = [a.depends_on_previous for a in accesses]
+        non_memory = accesses.non_memory.tolist()
+        dependent = accesses.dependent.tolist()
 
         cfg = self.config
         total_non_memory = sum(non_memory)

@@ -17,8 +17,6 @@ site                    where the hook sits
 ``store.append``        :func:`repro.sim.store._append_payload`, after the
                         torn-tail repair and before the single ``write``
 ``store.read``          :meth:`repro.sim.store.ResultStore.get`
-``trace.save``          :meth:`repro.trace.TraceBuffer.save`
-``trace.load``          :meth:`repro.trace.TraceBuffer.load`
 ``worker.job``          :func:`repro.sim.engine.execute_job`
 ``service.response``    the daemon's socket handler, before the response
                         line is written; a fired fault closes the
@@ -36,10 +34,9 @@ kind           effect at the site
 =============  ============================================================
 ``eio``        raise ``OSError(EIO)`` — a failing disk / torn socket
 ``enospc``     raise ``OSError(ENOSPC)`` — media full
-``torn``       at byte-writing sites (``store.append``, ``trace.save``):
-               write only a prefix of the payload, then raise
-               ``OSError(EIO)`` — a process killed mid-write; elsewhere
-               equivalent to ``eio``
+``torn``       at the byte-writing site ``store.append``: write only a
+               prefix of the payload, then raise ``OSError(EIO)`` — a
+               process killed mid-write; elsewhere equivalent to ``eio``
 ``crash``      raise :class:`InjectedCrashError` — an exception escaping a
                worker the way a real bug would
 ``kill``       ``os._exit(86)`` — genuine process death.  Acts only in a
@@ -74,7 +71,7 @@ Each rule is ``site:kind`` plus optional ``@key=value`` parameters:
 Schedules come from the ``REPRO_FAULTS`` environment variable (so engine
 worker processes inherit them) or programmatically via :func:`install`.
 **Off by default with zero hot-path overhead**: the hooks sit at
-store/trace/job/connection granularity — never inside the per-access replay
+store/job/connection granularity — never inside the per-access replay
 loop — and with no plane installed :func:`fault_point` is one global load
 and a ``None`` check (``tests/test_faults.py`` bounds its per-call
 cost).
@@ -102,8 +99,6 @@ REPRO_FAULTS_ENV = "REPRO_FAULTS"
 FAULT_SITES = (
     "store.append",
     "store.read",
-    "trace.save",
-    "trace.load",
     "worker.job",
     "service.response",
     "client.connect",
@@ -113,7 +108,7 @@ FAULT_SITES = (
 FAULT_KINDS = ("eio", "enospc", "torn", "crash", "kill", "latency", "drop")
 
 #: Sites that pass a payload size and honour partial-write ``torn`` faults.
-_TORN_SITES = frozenset({"store.append", "trace.save"})
+_TORN_SITES = frozenset({"store.append"})
 
 #: Exit status of an injected ``kill`` (distinctive in waitpid output).
 KILL_EXIT_STATUS = 86

@@ -506,8 +506,8 @@ class CoreMemoryHierarchy:
     def access(self, access: MemoryAccess) -> AccessResult:
         """Service one demand :class:`MemoryAccess` record and return its
         outcome: a one-access walk on this hierarchy's own caches, then
-        its replay — the same two stages :meth:`run_buffer` runs, so a
-        record list and the equivalent buffer give bit-identical results.
+        its replay — the same two stages :meth:`run_buffer` runs, so
+        servicing a buffer's rows one by one gives bit-identical results.
         """
         atype = access.access_type
         if atype is not _LOAD and atype is not _STORE:
@@ -523,20 +523,8 @@ class CoreMemoryHierarchy:
                                (atype is _STORE,), (access.pc,)))
         return self.replay(walk, 0, 1)[0]
 
-    def run_trace(self, accesses) -> List[AccessResult]:
-        """Convenience helper: service a trace buffer or access iterable.
-
-        Buffers delegate to :meth:`run_buffer`; legacy record iterables are
-        serviced one :meth:`access` at a time — both representations
-        produce bit-identical results.
-        """
-        from ..trace import TraceBuffer
-
-        if isinstance(accesses, TraceBuffer):
-            return self.run_buffer(accesses)
-        service = self.access
-        return [service(access) for access in accesses]
-
+    # Read by perfbench until ROADMAP item 6 (its ``hierarchy.run_buffer``
+    # span).
     def run_buffer(self, buffer: "TraceBuffer") -> List[AccessResult]:
         """Service a whole columnar trace buffer: its walk, then the replay.
 

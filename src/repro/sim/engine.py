@@ -28,8 +28,8 @@ the daemon's pool.  Results are returned in job order regardless of
 completion order, and every job builds its own fresh system state, so
 **serial and parallel execution produce bit-identical results**: workload
 traces are derived deterministically from (workload name, seed) — see
-:meth:`repro.workloads.base.Workload.generate` — and no mutable state is
-shared between jobs.
+:meth:`repro.workloads.base.Workload.generate_buffer` — and no mutable state
+is shared between jobs.
 
 Example::
 
@@ -42,33 +42,23 @@ Trace cache
 ===========
 
 :data:`TRACE_CACHE` is the module-level cache used by the drivers.  Traces
-are held as columnar :class:`~repro.trace.TraceBuffer` objects — an order of
-magnitude smaller than the legacy record lists, sliced zero-copy by the
-warm-up/measure split, and cheap to ship across process boundaries.
-Workloads named by their suite application name (``"gapbs.bfs"``) are cached
-under that name, so any caller asking for the same (name, accesses, seed,
-base address, thread) tuple receives the *identical* buffer.  Workload
+are held as columnar :class:`~repro.trace.TraceBuffer` objects, sliced
+zero-copy by the warm-up/measure split.  Workloads named by their suite
+application name (``"gapbs.bfs"``) are cached under that name, so any
+caller asking for the same (name, accesses, seed, base address, thread)
+tuple receives the *identical* buffer.  Workload
 objects are cached by object identity (the cache keeps the object alive
 while its traces are cached), which makes the cache safe for ad-hoc
 workloads whose parameters are not captured by their name.
 
-On top of the in-memory LRU the cache maintains an on-disk ``.npz`` spill
-directory (``<store>/traces/`` by convention) keyed exactly like the results
-store — the SHA-256 of the fully resolved generator state plus the
-generation parameters (:func:`repro.sim.store.trace_key`).  A trace is
-generated at most once per *machine*: the first worker process to need it
-spills it atomically, every later process (or run) loads the packed columns
-straight from disk.  The directory comes from the ``REPRO_TRACE_DIR``
-environment variable, falling back to ``$REPRO_STORE/traces`` when a store
-is named; an empty ``REPRO_TRACE_DIR`` disables spilling.
+Traces live only in memory.  A miss generates the trace in the process
+that needs it (about 15 ms for a default-scale trace of 5,200 accesses);
+nothing is written to disk.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import threading
-import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,22 +73,14 @@ from .config import SystemConfig
 from .options import EngineOptions
 from .pool import WorkerPool
 from .store import (
-    REPRO_STORE_ENV,
-    REPRO_TRACE_DIR_ENV,
     ResultStore,
     UncacheableJobError,
     job_spec,
     open_store,
     spec_key,
-    try_trace_key,
 )
 
-_log = logging.getLogger(__name__)
-
 WorkloadSpec = Union[str, Workload]
-
-#: Sentinel: resolve the spill directory from the environment at use time.
-_SPILL_AUTO = "auto"
 
 #: Walks a :class:`TraceCache` holds at once.  Most grids run the systems
 #: of one trace back to back, so one walk in use at a time is the common
@@ -114,7 +96,7 @@ MAX_WALKS = 8
 # Trace cache
 # ======================================================================
 class TraceCache:
-    """Process-local LRU cache of generated traces, with an on-disk spill.
+    """Process-local LRU cache of generated traces.
 
     In-memory keys are (workload identity, num_accesses, seed, base_address,
     thread_id).  Suite applications passed by name share one identity per
@@ -131,21 +113,17 @@ class TraceCache:
     leaves with any trace it walked, and :meth:`clear` drops them all.
 
     Args:
-        max_traces: In-memory LRU capacity.
-        spill_dir: On-disk ``.npz`` cache directory.  The default (the
-            string ``"auto"``) resolves it from the environment on every
-            miss — ``REPRO_TRACE_DIR`` if set (empty disables), else
-            ``$REPRO_STORE/traces`` when a store is named, else no spill.
-            Pass a path to pin it, or ``None``/``False`` to disable.
+        max_traces: LRU capacity.
+        spill_dir: Accepted and ignored.
     """
 
-    def __init__(self, max_traces: int = 128,
-                 spill_dir: Union[str, Path, None, bool] = _SPILL_AUTO
+    # ``spill_dir`` and ``disk_hits`` (always 0) are read by perfbench
+    # until ROADMAP item 6.
+    def __init__(self, max_traces: int = 128, spill_dir: object = None
                  ) -> None:
         if max_traces <= 0:
             raise ValueError("max_traces must be positive")
         self.max_traces = max_traces
-        self.spill_dir = spill_dir
         # key -> (workload-or-None, buffer); OrderedDict gives LRU order.
         self._traces: "OrderedDict[Tuple, Tuple[Optional[Workload], TraceBuffer]]" = OrderedDict()
         self._named_workloads: Dict[str, Workload] = {}
@@ -153,14 +131,13 @@ class TraceCache:
         # the LRU bookkeeping (move_to_end/popitem) and the counters must
         # be guarded; generation itself happens outside the lock.
         self._lock = threading.RLock()
-        # (trace keys, walk key) -> walk, in LRU order; id(buffer) -> key
+        # (buffer keys, walk key) -> walk, in LRU order; id(buffer) -> key
         # of every cached buffer (each is kept alive by its entry).
         self._walks: "OrderedDict[Tuple, object]" = OrderedDict()
-        self._trace_keys: Dict[int, Tuple] = {}
+        self._buffer_keys: Dict[int, Tuple] = {}
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.disk_spills = 0
         self.walk_hits = 0
         self.walk_misses = 0
 
@@ -184,28 +161,10 @@ class TraceCache:
             identity = ("obj", id(workload))
         return identity + (num_accesses, seed, base_address, thread_id)
 
-    def _resolved_spill_dir(self) -> Optional[Path]:
-        """The effective on-disk cache directory (or None)."""
-        spill = self.spill_dir
-        if spill == _SPILL_AUTO:
-            env = os.environ.get(REPRO_TRACE_DIR_ENV)
-            if env is not None:
-                env = env.strip()
-                return Path(env) if env else None
-            store_root = os.environ.get(REPRO_STORE_ENV, "").strip()
-            return Path(store_root) / "traces" if store_root else None
-        if not spill:
-            return None
-        return Path(spill)
-
     def get(self, workload: WorkloadSpec, num_accesses: int, seed: int = 0,
             base_address: int = 0, thread_id: int = 0) -> TraceBuffer:
-        """Return the (cached) trace buffer for the generation parameters.
-
-        Lookup order: in-memory LRU, then the on-disk ``.npz`` spill (keyed
-        like the results store), then generation — which also spills the
-        fresh buffer so no other process ever regenerates it.
-        """
+        """Return the (cached) trace buffer for the generation parameters,
+        generating it on a miss."""
         key = self._key(workload, num_accesses, seed, base_address, thread_id)
         with self._lock:
             entry = self._traces.get(key)
@@ -215,44 +174,12 @@ class TraceCache:
                 return entry[1]
             self.misses += 1
         resolved = self.resolve(workload)
-        buffer = None
-        spill_path = None
-        spill_dir = self._resolved_spill_dir()
-        if spill_dir is not None:
-            disk_key = try_trace_key(workload, num_accesses, seed=seed,
-                                     base_address=base_address,
-                                     thread_id=thread_id)
-            if disk_key is not None:
-                spill_path = spill_dir / f"{disk_key}.npz"
-                if spill_path.is_file():
-                    try:
-                        buffer = TraceBuffer.load(spill_path)
-                        with self._lock:
-                            self.disk_hits += 1
-                        spill_path = None  # already on disk
-                    except (OSError, ValueError, KeyError, EOFError,
-                            zipfile.BadZipFile) as exc:
-                        # A stale/corrupt spill is regenerated, not fatal.
-                        # Truncated files raise BadZipFile, foreign .npz
-                        # archives KeyError, torn writes EOFError/OSError.
-                        _log.warning("ignoring unreadable trace spill %s "
-                                     "(%s)", spill_path, exc)
-                        buffer = None
-        if buffer is None:
-            buffer = resolved.generate_buffer(num_accesses, seed=seed,
-                                              base_address=base_address,
-                                              thread_id=thread_id)
-            if spill_path is not None:
-                try:
-                    buffer.save(spill_path)
-                    with self._lock:
-                        self.disk_spills += 1
-                except OSError as exc:  # pragma: no cover - disk-full etc.
-                    _log.warning("could not spill trace to %s (%s)",
-                                 spill_path, exc)
+        buffer = resolved.generate_buffer(num_accesses, seed=seed,
+                                          base_address=base_address,
+                                          thread_id=thread_id)
         with self._lock:
             # Another thread may have cached the same key while this one
-            # generated/loaded: keep the first buffer, so every caller of a
+            # generated: keep the first buffer, so every caller of a
             # key receives the identical (immutable) object.
             entry = self._traces.get(key)
             if entry is not None:
@@ -262,10 +189,10 @@ class TraceCache:
             # never be recycled while its trace is cached.
             self._traces[key] = (
                 None if isinstance(workload, str) else resolved, buffer)
-            self._trace_keys[id(buffer)] = key
+            self._buffer_keys[id(buffer)] = key
             if len(self._traces) > self.max_traces:
                 evicted, (_, old) = self._traces.popitem(last=False)
-                del self._trace_keys[id(old)]
+                del self._buffer_keys[id(old)]
                 for walk_key in [walk_key for walk_key in self._walks
                                  if evicted in walk_key[0]]:
                     del self._walks[walk_key]
@@ -280,11 +207,11 @@ class TraceCache:
         not one this cache holds — its caller walks on its own.
         """
         with self._lock:
-            trace_keys = tuple(self._trace_keys.get(id(buffer))
-                               for buffer in traces)
-            if None in trace_keys:
+            buffer_keys = tuple(self._buffer_keys.get(id(buffer))
+                                for buffer in traces)
+            if None in buffer_keys:
                 return None
-            entry_key = (trace_keys, key)
+            entry_key = (buffer_keys, key)
             walk = self._walks.get(entry_key)
             if walk is not None:
                 self.walk_hits += 1
@@ -293,8 +220,8 @@ class TraceCache:
             self.walk_misses += 1
         walk = build()
         with self._lock:
-            if any(self._trace_keys.get(id(buffer)) != trace_key
-                   for buffer, trace_key in zip(traces, trace_keys)):
+            if any(self._buffer_keys.get(id(buffer)) != buffer_key
+                   for buffer, buffer_key in zip(traces, buffer_keys)):
                 return walk  # a trace left the cache meanwhile
             # Another thread may have walked the same key meanwhile: keep
             # the first, like get() keeps the first buffer.
@@ -311,13 +238,11 @@ class TraceCache:
     def clear(self) -> None:
         with self._lock:
             self._traces.clear()
-            self._trace_keys.clear()
+            self._buffer_keys.clear()
             self._walks.clear()
             self._named_workloads.clear()
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
-            self.disk_spills = 0
             self.walk_hits = 0
             self.walk_misses = 0
 
@@ -413,12 +338,9 @@ def expand_grid(workloads: Sequence[WorkloadSpec],
 def mix_traces(mix_name: str, accesses_per_core: int, seed: int = 0,
                trace_cache: Optional[TraceCache] = None
                ) -> Tuple[List[TraceBuffer], List[str]]:
-    """Per-core trace buffers (and workload names) for a Table II mix.
-
-    Mirrors :func:`repro.workloads.mixes.generate_mix_traces` exactly
-    (identical access streams), but serves each per-core trace as a
-    columnar buffer through the trace cache.
-    """
+    """Per-core trace buffers (and workload names) for a Table II mix,
+    served through the trace cache (placement and seeds:
+    :func:`repro.workloads.mixes.mix_core_plan`)."""
     # Explicit None check: an empty TraceCache has len() == 0 and is falsy.
     cache = TRACE_CACHE if trace_cache is None else trace_cache
     mix = get_mix(mix_name)

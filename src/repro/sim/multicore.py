@@ -27,8 +27,8 @@ from ..memory.hierarchy import (
 )
 from ..trace import TraceBuffer
 from .config import SystemConfig
-from .system import Trace, make_llc_prefetcher, make_predictor, \
-    walk_config, _make_private_prefetchers, _with_ideal_latency
+from .system import make_llc_prefetcher, make_predictor, walk_config, \
+    _make_private_prefetchers, _with_ideal_latency
 
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
@@ -112,24 +112,22 @@ class MultiCoreSystem:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run_traces(self, traces: Sequence[Trace],
+    # Read by perfbench until ROADMAP item 6 (its
+    # ``multicore.run_traces`` span).
+    def run_traces(self, traces: Sequence[TraceBuffer],
                    workload_names: Optional[Sequence[str]] = None,
                    mix_name: str = "mix") -> MultiCoreResult:
         """Interleave per-core traces round-robin and time each core.
 
         The round-robin interleaving is walked once (:meth:`walk`, or the
         shared walk of these cached traces), then each core replays its
-        own accesses through its predictor and timing model.  Legacy
-        record lists are packed into columnar buffers first — the streams
-        are identical, so results are bit-identical either way.
+        own accesses through its predictor and timing model.
         """
         if len(traces) > len(self.cores):
             raise ValueError("more traces than cores")
         if not traces:
             return self._collect(mix_name, [], [])
         names = list(workload_names or [f"core{i}" for i in range(len(traces))])
-        buffers = [trace if isinstance(trace, TraceBuffer)
-                   else TraceBuffer.from_accesses(trace) for trace in traces]
         walks = None
         if self.walks is not None and not self._walked \
                 and not self._borrowed:
@@ -137,12 +135,12 @@ class MultiCoreSystem:
             key = ("mix", spec, config.prefetch_scheme,
                    config.prefetch_epoch_accesses, config.num_cores)
             walks = self.walks.walk(
-                tuple(buffers), key,
-                lambda: MultiCoreSystem(config).walk(buffers))
+                tuple(traces), key,
+                lambda: MultiCoreSystem(config).walk(traces))
         if walks is None:
-            walks = self.walk(buffers)
+            walks = self.walk(traces)
         else:
-            self._borrowed = buffers
+            self._borrowed = list(traces)
         per_core_results = [core.replay(walk, 0, len(walk))
                             for core, walk in zip(self.cores, walks)]
         executions = [

@@ -2,10 +2,10 @@
 
 Before this module existed the execution knobs travelled three different
 ways — ``REPRO_*`` environment variables parsed ad hoc at each consumer
-(engine, daemon, trace cache), constructor kwargs, and argparse
-namespaces — and a knob like the worker count was resolved in two places
-with slightly different error behaviour.  :class:`EngineOptions` is the
-single place environment resolution happens: the CLI, the
+(engine, daemon), constructor kwargs, and argparse namespaces — and a
+knob like the worker count was resolved in two places with slightly
+different error behaviour.  :class:`EngineOptions` is the single place
+environment resolution happens: the CLI, the
 :class:`~repro.sim.engine.SimulationEngine` and the
 :class:`~repro.service.SimulationService` all build one (explicit
 arguments win over the environment, the environment wins over defaults)
@@ -20,17 +20,15 @@ attribute     environment          meaning
 ``pool``      ``REPRO_POOL``      worker pool kind (daemon, engine, local
                                   runs): ``process`` (default) or ``thread``
 ``store``     ``REPRO_STORE``     results-store root, ``None`` = no store
-``trace_dir`` ``REPRO_TRACE_DIR`` trace-cache spill dir (``""`` disables;
-                                  ``None`` = derive from the store)
 ``faults``    ``REPRO_FAULTS``    fault-injection schedule spec
 ``hierarchy`` ``REPRO_HIERARCHY`` path to a declarative hierarchy spec
                                   (JSON, see :mod:`repro.memory.spec`);
                                   ``None`` = the experiment's own configs
 ============  ==================  ==========================================
 
-``trace_dir`` and ``faults`` still *propagate* to worker processes through
-the environment (workers resolve them lazily in their own process), but
-the parsing/precedence logic lives only here.
+``faults`` still *propagates* to worker processes through the environment
+(workers resolve it lazily in their own process), but the
+parsing/precedence logic lives only here.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..faults import REPRO_FAULTS_ENV
-from .store import REPRO_STORE_ENV, REPRO_TRACE_DIR_ENV
+from .store import REPRO_STORE_ENV
 
 #: Environment variable selecting the worker count (engine processes /
 #: daemon workers).  Unset or empty means 1 (deterministic serial path).
@@ -88,20 +86,18 @@ def _resolve_pool(pool: Optional[str]) -> str:
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Resolved execution knobs (workers, pool, store, traces, faults,
-    hierarchy).
+    """Resolved execution knobs (workers, pool, store, faults, hierarchy).
 
     Instances are immutable; build one with :meth:`from_env` (the normal
     path — applies the explicit-over-environment-over-default precedence)
-    or directly when a test wants full control.  ``store``/``trace_dir``/
-    ``faults`` are kept as raw strings (paths / spec), not opened objects:
-    the options must stay cheap to construct and pickle.
+    or directly when a test wants full control.  ``store``/``faults`` are
+    kept as raw strings (paths / spec), not opened objects: the options
+    must stay cheap to construct and pickle.
     """
 
     jobs: int = 1
     pool: str = "process"
     store: Optional[str] = None
-    trace_dir: Optional[str] = None
     faults: Optional[str] = None
     hierarchy: Optional[str] = None
 
@@ -109,16 +105,13 @@ class EngineOptions:
     def from_env(cls, jobs: Optional[int] = None,
                  pool: Optional[str] = None,
                  store: Optional[str] = None,
-                 trace_dir: Optional[str] = None,
                  faults: Optional[str] = None,
                  hierarchy: Optional[str] = None) -> "EngineOptions":
         """Build options: explicit arguments win, then environment, then
         defaults.
 
         ``store`` and ``faults`` treat an empty string like ``None``
-        (disabled).  ``trace_dir`` preserves the empty string — an empty
-        ``REPRO_TRACE_DIR`` explicitly disables trace spilling, while
-        ``None`` means "derive from the store location".
+        (disabled).
         """
         if store is None:
             store = os.environ.get(REPRO_STORE_ENV, "").strip() or None
@@ -126,10 +119,6 @@ class EngineOptions:
             store = None
         else:
             store = str(store)
-        if trace_dir is None:
-            trace_dir = os.environ.get(REPRO_TRACE_DIR_ENV)
-        else:
-            trace_dir = str(trace_dir)
         if faults is None:
             faults = os.environ.get(REPRO_FAULTS_ENV, "").strip() or None
         if hierarchy is None:
@@ -141,7 +130,7 @@ class EngineOptions:
             hierarchy = str(hierarchy)
         return cls(jobs=max(1, _resolve_jobs(jobs)),
                    pool=_resolve_pool(pool),
-                   store=store, trace_dir=trace_dir, faults=faults,
+                   store=store, faults=faults,
                    hierarchy=hierarchy)
 
     def with_overrides(self, jobs: Optional[int] = None,

@@ -11,10 +11,11 @@ These helpers compute the two characterisation views of Section II:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
-from ..memory.block import AccessResult, Level, MemoryAccess
+from ..memory.block import AccessResult, Level
 from ..memory.hierarchy import CoreMemoryHierarchy
+from ..trace import TraceBuffer
 
 
 @dataclass
@@ -81,7 +82,7 @@ class MissTraceWindow:
 class WindowedMissTracker:
     """Tracks per-window miss counts while a trace is replayed.
 
-    Feed every (access, result) pair to :meth:`record`; the tracker counts,
+    Feed every access's result to :meth:`record`; the tracker counts,
     per fixed-size window of demand accesses, how many of them missed L1,
     missed L2 and went to memory — the series plotted in Figure 2.
     """
@@ -96,7 +97,7 @@ class WindowedMissTracker:
         self._l2 = 0
         self._l3 = 0
 
-    def record(self, access: MemoryAccess, result: AccessResult) -> None:
+    def record(self, result: AccessResult) -> None:
         self._accesses_in_window += 1
         if result.hit_level is not Level.L1:
             self._l1 += 1
@@ -123,12 +124,10 @@ class WindowedMissTracker:
         return list(self.windows)
 
 
-def run_with_windows(hierarchy: CoreMemoryHierarchy,
-                     trace: Sequence[MemoryAccess],
+def run_with_windows(hierarchy: CoreMemoryHierarchy, trace: TraceBuffer,
                      window_size: int = 10_000) -> List[MissTraceWindow]:
     """Replay a trace and return its windowed miss profile."""
     tracker = WindowedMissTracker(window_size=window_size)
-    for access in trace:
-        result = hierarchy.access(access)
-        tracker.record(access, result)
+    for result in hierarchy.run_buffer(trace):
+        tracker.record(result)
     return tracker.finalize()

@@ -100,18 +100,9 @@ _log = logging.getLogger(__name__)
 #: Environment variable naming the default store directory ("" disables).
 REPRO_STORE_ENV = "REPRO_STORE"
 
-#: Environment variable naming the on-disk trace-cache directory.  Unset
-#: falls back to ``<$REPRO_STORE>/traces`` when a store is named; an empty
-#: value disables trace spilling entirely.
-REPRO_TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-
 #: Bumped whenever the canonical job spec or result encoding changes shape;
 #: part of every job key, so incompatible stores never serve stale results.
 STORE_SCHEMA = "repro-store/1"
-
-#: Bumped whenever trace generation semantics or the buffer layout change;
-#: part of every trace key, so stale on-disk traces are never replayed.
-TRACE_SCHEMA = "repro-trace/1"
 
 
 class UncacheableJobError(ValueError):
@@ -249,46 +240,6 @@ def try_job_key(job: Any) -> Optional[str]:
     """:func:`job_key`, or ``None`` for jobs the store cannot address."""
     try:
         return job_key(job)
-    except UncacheableJobError:
-        return None
-
-
-def trace_spec(workload: Union[str, Workload], num_accesses: int,
-               seed: int = 0, base_address: int = 0,
-               thread_id: int = 0) -> Dict[str, Any]:
-    """Canonical description of one generated trace.
-
-    Mirrors :func:`job_spec` for the trace cache: the key covers the full
-    resolved generator state plus every generation parameter, so retuning a
-    registry application invalidates its spilled traces exactly like it
-    invalidates its stored results.
-    """
-    return {
-        "schema": TRACE_SCHEMA,
-        "workload": _workload_fingerprint(workload),
-        "num_accesses": num_accesses,
-        "seed": seed,
-        "base_address": base_address,
-        "thread_id": thread_id,
-    }
-
-
-def trace_key(workload: Union[str, Workload], num_accesses: int,
-              seed: int = 0, base_address: int = 0,
-              thread_id: int = 0) -> str:
-    """SHA-256 key of one trace (stable across processes and runs)."""
-    return spec_key(trace_spec(workload, num_accesses, seed=seed,
-                               base_address=base_address,
-                               thread_id=thread_id))
-
-
-def try_trace_key(workload: Union[str, Workload], num_accesses: int,
-                  seed: int = 0, base_address: int = 0,
-                  thread_id: int = 0) -> Optional[str]:
-    """:func:`trace_key`, or ``None`` for unfingerprintable workloads."""
-    try:
-        return trace_key(workload, num_accesses, seed=seed,
-                         base_address=base_address, thread_id=thread_id)
     except UncacheableJobError:
         return None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.base import LevelPredictor, PredictorStats, SequentialPredictor
 from ..core.d2d import DirectToDataPredictor, IdealPredictor
@@ -20,7 +20,6 @@ from ..core.level_predictor import CacheLevelPredictor, LevelPredictorConfig
 from ..core.recovery import RecoverySummary, summarize_recovery
 from ..core.tage import TAGEConfig, TAGELevelPredictor
 from ..cpu.ooo_core import ExecutionResult, OutOfOrderCore
-from ..memory.block import AccessResult, MemoryAccess
 from ..memory.hierarchy import (
     CoreMemoryHierarchy,
     HierarchyStats,
@@ -34,10 +33,6 @@ from ..prefetch.throttle import ThrottledPrefetcher
 from ..trace import TraceBuffer
 from ..workloads.base import Workload
 from .config import SystemConfig
-
-#: A runnable trace: the columnar buffer the engine ships around, or the
-#: legacy list-of-records representation.
-Trace = Union[TraceBuffer, Sequence[MemoryAccess]]
 
 
 @dataclass
@@ -151,21 +146,13 @@ class SimulatedSystem:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run_trace(self, trace: Trace,
+    # Read by perfbench until ROADMAP item 6 (its ``system.run_trace`` span).
+    def run_trace(self, trace: TraceBuffer,
                   workload_name: str = "trace") -> SimulationResult:
-        """Run a pre-generated trace through the hierarchy and core model.
-
-        Accepts a columnar :class:`~repro.trace.TraceBuffer` (the engine's
-        representation, replayed by
-        :meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.run_buffer`) or
-        a legacy record sequence; both produce bit-identical results for
-        the same access stream.
-        """
-        if isinstance(trace, TraceBuffer):
-            results = self.hierarchy.run_buffer(trace)
-        else:
-            results: List[AccessResult] = [self.hierarchy.access(a)
-                                           for a in trace]
+        """Run a pre-generated trace through the hierarchy
+        (:meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.run_buffer`)
+        and the core model."""
+        results = self.hierarchy.run_buffer(trace)
         execution = self.core.execute(trace, results)
         return self._collect(workload_name, execution)
 

@@ -1,12 +1,9 @@
 """Columnar, numpy-backed trace substrate.
 
-Every figure in the paper is trace driven: millions of memory references are
-generated by the synthetic workloads and replayed through the hierarchy.  The
-original pipeline materialised each trace as a Python list of
-:class:`~repro.memory.block.MemoryAccess` objects — convenient, but ~200
-bytes per access, slow to pickle across worker processes, and impossible to
-persist cheaply.  :class:`TraceBuffer` replaces that representation with a
-struct-of-arrays layout:
+Every figure in the paper is trace driven: the synthetic workloads generate
+their memory references from a seeded state machine, in memory, and the
+hierarchy replays them.  :class:`TraceBuffer` is the one trace form, a
+struct-of-arrays layout of about 23 bytes per access:
 
 ======================  ==========  ========================================
 column                  dtype       meaning
@@ -28,10 +25,10 @@ address column (consumed by the cache hierarchy) and the page-number column
 arithmetic — see :meth:`TraceBuffer.replay_columns`.
 
 Buffers slice without copying (``buffer[warmup:]`` is a numpy view), compare
-exactly (:meth:`TraceBuffer.__eq__` accepts another buffer *or* a legacy
-``MemoryAccess`` sequence), pickle compactly, and round-trip losslessly
-through ``.npz`` files (:meth:`save` / :meth:`load`) — the on-disk trace
-cache the simulation engine maintains under ``<store>/traces/``.
+exactly, pickle compactly, and round-trip losslessly through ``.npz`` files
+(:meth:`save` / :meth:`load`, what ``python -m repro trace --save`` writes).
+Nothing in a simulation reads or writes trace files: generating a
+default-scale trace (5,200 accesses) takes about 15 ms.
 
 The whole reproduction depends on numpy; the import error below says so
 explicitly instead of failing deep inside a simulation.
@@ -39,7 +36,6 @@ explicitly instead of failing deep inside a simulation.
 
 from __future__ import annotations
 
-import errno
 import itertools
 import os
 import threading
@@ -54,7 +50,6 @@ except ImportError as exc:  # pragma: no cover - exercised only without numpy
         "pyproject.toml). Install it with 'pip install numpy' and retry."
     ) from exc
 
-from .faults import fault_point
 from .memory.block import (
     AccessType,
     DEFAULT_BLOCK_SIZE,
@@ -69,20 +64,16 @@ KIND_STORE = 1
 KIND_PREFETCH = 2
 KIND_WRITEBACK = 3
 
-#: AccessType -> kind code, and its inverse (index == code).
+#: AccessType -> kind code.
 KIND_CODES = {
     AccessType.LOAD: KIND_LOAD,
     AccessType.STORE: KIND_STORE,
     AccessType.PREFETCH: KIND_PREFETCH,
     AccessType.WRITEBACK: KIND_WRITEBACK,
 }
-KIND_TYPES: Tuple[AccessType, ...] = (
-    AccessType.LOAD, AccessType.STORE, AccessType.PREFETCH,
-    AccessType.WRITEBACK,
-)
 
 #: Format marker written into every ``.npz`` file; bump on layout changes so
-#: stale on-disk traces are rejected instead of silently misread.
+#: stale ``.npz`` files are rejected instead of silently misread.
 NPZ_SCHEMA = "repro-trace-npz/1"
 
 #: Per-process serial for :meth:`TraceBuffer.save` temp names — combined
@@ -111,10 +102,10 @@ def _shift_for(size: int) -> int:
 class TraceBuffer:
     """A packed, columnar memory-access trace.
 
-    Construct one from arrays (internal), from a legacy access list
+    Construct one from arrays, from a hand-made access list
     (:meth:`from_accesses`), from a generator stream (:meth:`from_stream` —
     what :meth:`repro.workloads.base.Workload.generate_buffer` uses), or
-    from disk (:meth:`load`).
+    from an ``.npz`` file (:meth:`load`).
     """
 
     __slots__ = ("address", "pc", "kind", "size", "dependent", "non_memory",
@@ -148,12 +139,7 @@ class TraceBuffer:
     @classmethod
     def from_stream(cls, stream: Iterator[MemoryAccess],
                     num_accesses: int) -> "TraceBuffer":
-        """Materialise ``num_accesses`` records from a generator stream.
-
-        Consumes the stream exactly like the legacy list materialisation in
-        :meth:`~repro.workloads.base.Workload.generate`, so for the same RNG
-        state the columns are field-for-field identical to the legacy trace.
-        """
+        """Pack the next ``num_accesses`` records of a generator stream."""
         if num_accesses <= 0:
             raise ValueError("num_accesses must be positive")
         address: List[int] = [0] * num_accesses
@@ -177,13 +163,13 @@ class TraceBuffer:
 
     @classmethod
     def from_accesses(cls, accesses: Sequence[MemoryAccess]) -> "TraceBuffer":
-        """Pack a legacy list of :class:`MemoryAccess` records."""
+        """Pack a hand-made list of :class:`MemoryAccess` records."""
         if not len(accesses):
             raise ValueError("cannot build an empty TraceBuffer")
         return cls.from_stream(iter(accesses), len(accesses))
 
     # ------------------------------------------------------------------
-    # Size / indexing
+    # Size / slicing
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.address)
@@ -193,21 +179,18 @@ class TraceBuffer:
         """Bytes held by the packed columns (derived columns excluded)."""
         return sum(getattr(self, name).nbytes for name, _ in _COLUMNS)
 
-    def __getitem__(self, index: Union[int, slice]
-                    ) -> Union[MemoryAccess, "TraceBuffer"]:
-        if isinstance(index, slice):
-            view = TraceBuffer(*(getattr(self, name)[index]
-                                 for name, _ in _COLUMNS))
-            # Derived columns slice to views too, so a warmup/measure split
-            # never recomputes block/page decompositions.
-            for key, column in self._derived.items():
-                view._derived[key] = column[index]
-            start, _, step = index.indices(len(self))
-            if step == 1:
-                view._root = self if self._root is None else self._root
-                view._start = self._start + start
-            return view
-        return self.access_at(int(index))
+    def __getitem__(self, index: slice) -> "TraceBuffer":
+        view = TraceBuffer(*(getattr(self, name)[index]
+                             for name, _ in _COLUMNS))
+        # Derived columns slice to views too, so a warmup/measure split
+        # never recomputes block/page decompositions.
+        for key, column in self._derived.items():
+            view._derived[key] = column[index]
+        start, _, step = index.indices(len(self))
+        if step == 1:
+            view._root = self if self._root is None else self._root
+            view._start = self._start + start
+        return view
 
     @property
     def origin(self) -> Tuple["TraceBuffer", int]:
@@ -217,33 +200,6 @@ class TraceBuffer:
         cached trace from that trace's one shared walk."""
         root = self._root
         return (self, 0) if root is None else (root, self._start)
-
-    def access_at(self, index: int) -> MemoryAccess:
-        """Rebuild one access record (slow path; iteration/compat only)."""
-        return MemoryAccess(
-            address=int(self.address[index]),
-            access_type=KIND_TYPES[int(self.kind[index])],
-            pc=int(self.pc[index]),
-            size=int(self.size[index]),
-            depends_on_previous=bool(self.dependent[index]),
-            non_memory_instructions=int(self.non_memory[index]),
-            thread_id=int(self.thread_id[index]),
-        )
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self.to_accesses())
-
-    def to_accesses(self) -> List[MemoryAccess]:
-        """Unpack into the legacy list-of-objects representation."""
-        return [
-            MemoryAccess(address=addr, access_type=KIND_TYPES[code], pc=pc,
-                         size=size, depends_on_previous=dep,
-                         non_memory_instructions=non_mem, thread_id=tid)
-            for addr, pc, code, size, dep, non_mem, tid in zip(
-                self.address.tolist(), self.pc.tolist(), self.kind.tolist(),
-                self.size.tolist(), self.dependent.tolist(),
-                self.non_memory.tolist(), self.thread_id.tolist())
-        ]
 
     # ------------------------------------------------------------------
     # Derived columns
@@ -333,21 +289,11 @@ class TraceBuffer:
     # Equality
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
-        """Exact, field-for-field comparison.
-
-        Accepts another buffer or a legacy sequence of ``MemoryAccess``
-        records, so equivalence tests (and callers migrating incrementally)
-        can compare representations directly.
-        """
+        """Exact, field-for-field comparison with another buffer."""
         if isinstance(other, TraceBuffer):
             return all(np.array_equal(getattr(self, name),
                                       getattr(other, name))
                        for name, _ in _COLUMNS)
-        if isinstance(other, (list, tuple)):
-            if len(other) != len(self) or not all(
-                    isinstance(item, MemoryAccess) for item in other):
-                return False
-            return self == TraceBuffer.from_accesses(other) if other else True
         return NotImplemented
 
     __hash__ = None  # mutable container
@@ -375,24 +321,11 @@ class TraceBuffer:
         """Write the packed columns to ``path`` as an uncompressed ``.npz``.
 
         The write is atomic (temp file + rename) and the temp name is
-        unique per (process, thread, call): a pid alone is not enough once
-        the daemon's worker *threads* spill concurrently — two threads
-        sharing one temp path would truncate each other mid-write and
-        ``os.replace`` could promote the torn archive.  With unique temp
-        files every rename installs a complete archive; concurrent savers
-        of the same trace key simply race benignly, last rename wins.
+        unique per (process, thread, call), so concurrent savers of one
+        path never promote a torn archive: last rename wins.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Fault site: a dying disk under the trace cache.  A ``torn``
-        # fault leaves a garbage partial archive at the destination (the
-        # worst case a non-atomic writer could produce) so the cache's
-        # load-and-regenerate recovery gets exercised end to end.
-        torn = fault_point("trace.save", max(int(self.nbytes), 1))
-        if torn is not None:
-            with path.open("wb") as handle:
-                handle.write(b"\x00" * torn)
-            raise OSError(errno.EIO, f"injected torn trace write: {path}")
         tmp = path.parent / (
             f".{path.stem}.{os.getpid()}.{threading.get_ident()}."
             f"{next(_SAVE_SERIAL)}.tmp.npz")
@@ -406,10 +339,10 @@ class TraceBuffer:
             tmp.unlink(missing_ok=True)
         return path
 
+    # Read by perfbench until ROADMAP item 6 (its ``trace.load`` span).
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TraceBuffer":
         """Read a buffer written by :meth:`save` (exact round-trip)."""
-        fault_point("trace.load")
         with np.load(Path(path)) as archive:
             schema = str(archive["schema"])
             if schema != NPZ_SCHEMA:
@@ -421,11 +354,3 @@ class TraceBuffer:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"TraceBuffer(len={len(self)}, "
                 f"nbytes={self.nbytes})")
-
-
-def as_trace_buffer(trace: Union[TraceBuffer, Sequence[MemoryAccess]]
-                    ) -> TraceBuffer:
-    """Coerce a legacy access list to a buffer (no-op for buffers)."""
-    if isinstance(trace, TraceBuffer):
-        return trace
-    return TraceBuffer.from_accesses(trace)

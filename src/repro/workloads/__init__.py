@@ -13,8 +13,6 @@ from .graph import GraphWorkload, make_gapbs_workload
 from .mixes import (
     MIXES,
     MixSpec,
-    generate_mix_buffers,
-    generate_mix_traces,
     get_mix,
 )
 from .suite import (
@@ -47,8 +45,6 @@ __all__ = [
     "ZipfWorkload",
     "applications_in_suite",
     "build_workload",
-    "generate_mix_buffers",
-    "generate_mix_traces",
     "get_application",
     "get_mix",
     "high_benefit_applications",

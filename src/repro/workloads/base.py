@@ -20,7 +20,7 @@ import random
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from ..memory.block import AccessType, DEFAULT_BLOCK_SIZE, MemoryAccess
 from ..trace import TraceBuffer
@@ -51,7 +51,7 @@ class Workload(ABC):
     """A synthetic application trace generator.
 
     Subclasses implement :meth:`_accesses`, an iterator of
-    :class:`MemoryAccess` records; the public :meth:`generate` materialises a
+    :class:`MemoryAccess` records; the public :meth:`generate_buffer` packs a
     bounded trace with a deterministic seed so every experiment is repeatable.
     """
 
@@ -68,7 +68,7 @@ class Workload(ABC):
         """Yield an unbounded stream of accesses."""
 
     def _trace_rng(self, seed: int) -> random.Random:
-        """The deterministic RNG both trace materialisations derive from.
+        """The deterministic RNG a trace is generated from.
 
         crc32 (not hash()) keeps the per-workload seed stable across
         interpreter runs and worker processes: str hashing is randomized
@@ -79,13 +79,11 @@ class Workload(ABC):
         name_seed = zlib.crc32(self.name.encode("utf-8"))
         return random.Random((seed << 16) ^ name_seed)
 
-    def generate(self, num_accesses: int, seed: int = 0,
-                 base_address: int = 0, thread_id: int = 0) -> List[MemoryAccess]:
-        """Generate a bounded, reproducible trace as a list of records.
-
-        This is the legacy representation; the simulation pipeline runs on
-        :meth:`generate_buffer`, whose columns are field-for-field identical
-        to this list for the same arguments.
+    # Read by perfbench until ROADMAP item 6 (its ``trace.generate`` span).
+    def generate_buffer(self, num_accesses: int, seed: int = 0,
+                        base_address: int = 0,
+                        thread_id: int = 0) -> TraceBuffer:
+        """Generate a bounded, reproducible trace as a columnar buffer.
 
         Args:
             num_accesses: Number of memory references to produce.
@@ -93,24 +91,6 @@ class Workload(ABC):
             base_address: Offset added to every address, used to place
                 co-running workloads in disjoint address regions.
             thread_id: Thread identifier stamped on every access.
-        """
-        if num_accesses <= 0:
-            raise ValueError("num_accesses must be positive")
-        rng = self._trace_rng(seed)
-        trace: List[MemoryAccess] = []
-        stream = self._accesses(rng, base_address, thread_id)
-        for _ in range(num_accesses):
-            trace.append(next(stream))
-        return trace
-
-    def generate_buffer(self, num_accesses: int, seed: int = 0,
-                        base_address: int = 0,
-                        thread_id: int = 0) -> TraceBuffer:
-        """Generate the same trace as :meth:`generate`, packed columnar.
-
-        The buffer consumes the identical generator stream (same RNG seed,
-        same draw order), so its address/pc/type columns are bit-identical
-        to the legacy list — only the representation changes.
         """
         if num_accesses <= 0:
             raise ValueError("num_accesses must be positive")

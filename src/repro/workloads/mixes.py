@@ -24,10 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..memory.block import MemoryAccess
-from ..trace import TraceBuffer
 from .base import ADDRESS_SPACE_STRIDE
-from .suite import build_workload
 
 
 @dataclass(frozen=True)
@@ -66,15 +63,13 @@ def mix_core_plan(mix: MixSpec, seed: int = 0
                   ) -> List[Tuple[int, str, int, int]]:
     """Per-core generation parameters: (core, app_name, base, core_seed).
 
-    This is the single definition of the mix placement/seeding policy —
-    every mix-trace producer (the legacy and columnar generators below and
-    the engine's cached :func:`repro.sim.engine.mix_traces`) iterates this
-    plan, so their access streams can never diverge.  Multi-program mixes
-    place each application in a disjoint address region (one per core);
-    multi-threaded runs share a single region (and therefore data) across
-    threads, with each thread visiting the shared structure in a different
-    order (different seeds), which is how a parallel PageRank partitions
-    work.
+    This is the single definition of the mix placement/seeding policy,
+    read by the engine's cached :func:`repro.sim.engine.mix_traces`.
+    Multi-program mixes place each application in a disjoint address
+    region (one per core); multi-threaded runs share a single region (and
+    therefore data) across threads, with each thread visiting the shared
+    structure in a different order (different seeds), which is how a
+    parallel PageRank partitions work.
     """
     plan = []
     for core, app_name in enumerate(mix.applications):
@@ -87,31 +82,3 @@ def mix_core_plan(mix: MixSpec, seed: int = 0
         plan.append((core, app_name, base, core_seed))
     return plan
 
-
-def generate_mix_traces(name: str, accesses_per_core: int,
-                        seed: int = 0) -> List[List[MemoryAccess]]:
-    """Generate one trace per core for a Table II mix (see
-    :func:`mix_core_plan` for the placement/seeding policy)."""
-    traces: List[List[MemoryAccess]] = []
-    for core, app_name, base, core_seed in mix_core_plan(get_mix(name), seed):
-        workload = build_workload(app_name)
-        traces.append(workload.generate(accesses_per_core, seed=core_seed,
-                                        base_address=base, thread_id=core))
-    return traces
-
-
-def generate_mix_buffers(name: str, accesses_per_core: int,
-                         seed: int = 0) -> List[TraceBuffer]:
-    """Columnar variant of :func:`generate_mix_traces` (same access streams).
-
-    The simulation engine serves these through its trace cache
-    (:func:`repro.sim.engine.mix_traces`); this helper exists for direct
-    callers that want the buffers without a cache.
-    """
-    buffers: List[TraceBuffer] = []
-    for core, app_name, base, core_seed in mix_core_plan(get_mix(name), seed):
-        workload = build_workload(app_name)
-        buffers.append(workload.generate_buffer(
-            accesses_per_core, seed=core_seed, base_address=base,
-            thread_id=core))
-    return buffers

@@ -388,7 +388,7 @@ class TestTrace:
                      "--save", str(path)]) == 0
         assert "buffer written to" in capsys.readouterr().out
         loaded = TraceBuffer.load(path)
-        assert loaded == build_workload("stream").generate(500, seed=3)
+        assert loaded == build_workload("stream").generate_buffer(500, seed=3)
 
     def test_trace_rejects_unknown_workload(self, capsys):
         assert main(["trace", "notaworkload"]) == 2
@@ -396,12 +396,12 @@ class TestTrace:
 
 
 # ======================================================================
-# trace cache (cold vs warm runs)
+# trace cache: traces live in memory only
 # ======================================================================
 class TestTraceCacheRuns:
     @pytest.fixture(autouse=True)
     def _cold_trace_cache(self):
-        """Spilling happens on in-memory misses, so start from a cold cache
+        """Start from a cold cache, so the run generates every trace
         (earlier tests in this process may have warmed the global one)."""
         from repro.sim.engine import TRACE_CACHE
 
@@ -409,42 +409,14 @@ class TestTraceCacheRuns:
         yield
         TRACE_CACHE.clear()
 
-    def test_run_spills_traces_under_store(self, tmp_path):
-        args = ["run", "fig13", "--store", str(tmp_path),
-                "--accesses", "120", "--warmup", "40",
-                "--mix-accesses", "80"]
-        assert main(args) == 0
-        assert list((tmp_path / "traces").glob("*.npz"))
-
-    def test_warm_run_from_spilled_traces_is_byte_identical(self, tmp_path):
-        cold_store = tmp_path / "cold"
-        warm_store = tmp_path / "warm"
-        scale = ["--accesses", "120", "--warmup", "40",
-                 "--mix-accesses", "80"]
-        assert main(["run", "fig13", "--store", str(cold_store)]
-                    + scale) == 0
-        # Drop the in-memory cache so the warm run must load from disk.
-        from repro.sim.engine import TRACE_CACHE
-
-        TRACE_CACHE.clear()
-        assert main(["run", "fig13", "--store", str(warm_store),
-                     "--trace-dir", str(cold_store / "traces")] + scale) == 0
-        assert TRACE_CACHE.disk_hits > 0
-        cold_shards = {path.name: path.read_bytes()
-                       for path in sorted((cold_store / "shards")
-                                          .glob("*.jsonl"))}
-        warm_shards = {path.name: path.read_bytes()
-                       for path in sorted((warm_store / "shards")
-                                          .glob("*.jsonl"))}
-        assert cold_shards and cold_shards == warm_shards
-        # The warm run generated nothing new: no fresh spills appeared.
-        cold_traces = sorted((cold_store / "traces").glob("*.npz"))
-        assert not (warm_store / "traces").exists()
-        assert cold_traces
-
-    def test_empty_trace_dir_disables_spilling(self, tmp_path):
-        args = ["run", "fig13", "--store", str(tmp_path),
-                "--trace-dir", "", "--accesses", "120", "--warmup", "40",
-                "--mix-accesses", "80"]
-        assert main(args) == 0
-        assert not (tmp_path / "traces").exists()
+    def test_run_writes_no_trace_files(self, tmp_path, monkeypatch):
+        """A cold run generates its traces in memory: no ``traces/`` under
+        the store, and nothing in a directory ``REPRO_TRACE_DIR`` names."""
+        store = tmp_path / "store"
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(elsewhere))
+        assert main(["run", "golden", "--store", str(store)]) == 0
+        assert sorted(path.name for path in store.iterdir()) \
+            == ["claims", "shards", "stats"]
+        assert list(elsewhere.iterdir()) == []

@@ -11,11 +11,16 @@ from repro.cpu.ooo_core import (
     geometric_mean,
 )
 from repro.memory.block import AccessResult, Level, MemoryAccess
+from repro.trace import TraceBuffer
 
 
 def load(address: int, dependent: bool = False, non_mem: int = 4) -> MemoryAccess:
     return MemoryAccess(address=address, depends_on_previous=dependent,
                         non_memory_instructions=non_mem)
+
+
+def pack(accesses) -> TraceBuffer:
+    return TraceBuffer.from_accesses(accesses)
 
 
 def result(latency: float, level: Level = Level.L1) -> AccessResult:
@@ -42,19 +47,19 @@ class TestConfig:
 
 class TestExecution:
     def test_empty_trace(self):
-        execution = OutOfOrderCore().execute([], [])
+        execution = OutOfOrderCore().execute(pack([load(0)])[:0], [])
         assert execution.cycles == 0.0
         assert execution.ipc == 0.0
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            OutOfOrderCore().execute([load(0)], [])
+            OutOfOrderCore().execute(pack([load(0)]), [])
 
     def test_all_hits_bounded_by_fetch_width(self):
         core = OutOfOrderCore()
         trace = [load(i * 64, non_mem=4) for i in range(100)]
         results = [result(4.0) for _ in trace]
-        execution = core.execute(trace, results)
+        execution = core.execute(pack(trace), results)
         # 5 instructions per access at width 4 -> at least 1.25 cycles/access.
         assert execution.cycles >= 100 * 1.25 * 0.99
         assert 0 < execution.ipc <= 4.0
@@ -64,7 +69,7 @@ class TestExecution:
         core = OutOfOrderCore()
         trace = [load(i * 64, non_mem=2) for i in range(64)]
         results = [result(200.0, Level.MEM) for _ in trace]
-        execution = core.execute(trace, results)
+        execution = core.execute(pack(trace), results)
         serialized = 64 * 200.0
         assert execution.cycles < serialized / 4
 
@@ -74,8 +79,8 @@ class TestExecution:
         independent = [load(i * 64, dependent=False) for i in range(64)]
         dependent = [load(i * 64, dependent=True) for i in range(64)]
         results = [result(200.0, Level.MEM) for _ in range(64)]
-        t_indep = core.execute(independent, results).cycles
-        t_dep = core.execute(dependent, results).cycles
+        t_indep = core.execute(pack(independent), results).cycles
+        t_dep = core.execute(pack(dependent), results).cycles
         assert t_dep > 2 * t_indep
 
     def test_window_limits_overlap(self):
@@ -85,8 +90,8 @@ class TestExecution:
                                           rob_entries=512))
         trace = [load(i * 64, non_mem=1) for i in range(128)]
         results = [result(300.0, Level.MEM) for _ in trace]
-        assert small.execute(trace, results).cycles \
-            > large.execute(trace, results).cycles
+        assert small.execute(pack(trace), results).cycles \
+            > large.execute(pack(trace), results).cycles
 
     def test_lower_latency_gives_higher_ipc(self):
         """The property Figure 11 relies on: faster loads -> higher IPC."""
@@ -94,8 +99,8 @@ class TestExecution:
         trace = [load(i * 64, dependent=i % 3 == 0) for i in range(200)]
         slow = [result(250.0, Level.MEM) for _ in trace]
         fast = [result(200.0, Level.MEM) for _ in trace]
-        slow_run = core.execute(trace, slow)
-        fast_run = core.execute(trace, fast)
+        slow_run = core.execute(pack(trace), slow)
+        fast_run = core.execute(pack(trace), fast)
         assert fast_run.ipc > slow_run.ipc
         assert fast_run.speedup_over(slow_run) > 1.0
 
@@ -103,7 +108,7 @@ class TestExecution:
         core = OutOfOrderCore()
         trace = [load(i * 64, dependent=True) for i in range(32)]
         results = [result(100.0, Level.MEM) for _ in trace]
-        execution = core.execute(trace, results)
+        execution = core.execute(pack(trace), results)
         assert execution.stall_cycles > 0
         assert execution.memory_accesses == 32
 

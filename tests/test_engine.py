@@ -90,9 +90,7 @@ class TestTraceCache:
     def test_named_trace_matches_direct_generation(self):
         cache = TraceCache()
         cached = cache.get("gapbs.bfs", 250, seed=7)
-        direct = build_workload("gapbs.bfs").generate(250, seed=7)
-        # The cache serves columnar buffers whose columns equal the legacy
-        # record stream field-for-field.
+        direct = build_workload("gapbs.bfs").generate_buffer(250, seed=7)
         assert isinstance(cached, TraceBuffer)
         assert cached == direct
 
@@ -236,29 +234,26 @@ class TestGridHelpers:
 # ======================================================================
 class TestEngineOptions:
     def test_defaults(self, monkeypatch):
-        for var in ("REPRO_JOBS", "REPRO_STORE", "REPRO_TRACE_DIR",
-                    "REPRO_FAULTS", "REPRO_POOL", "REPRO_HIERARCHY"):
+        for var in ("REPRO_JOBS", "REPRO_STORE", "REPRO_FAULTS",
+                    "REPRO_POOL", "REPRO_HIERARCHY"):
             monkeypatch.delenv(var, raising=False)
         options = EngineOptions.from_env()
         assert options == EngineOptions(jobs=1, pool="process", store=None,
-                                        trace_dir=None, faults=None,
-                                        hierarchy=None)
-        # The six knobs, and no execution-strategy ones.
+                                        faults=None, hierarchy=None)
+        # The five knobs, and no execution-strategy ones.
         assert [field.name for field in dataclasses.fields(EngineOptions)] \
-            == ["jobs", "pool", "store", "trace_dir", "faults", "hierarchy"]
+            == ["jobs", "pool", "store", "faults", "hierarchy"]
 
     def test_environment_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
         monkeypatch.setenv("REPRO_POOL", "thread")
         monkeypatch.setenv("REPRO_STORE", "/tmp/s")
-        monkeypatch.setenv("REPRO_TRACE_DIR", "")
         monkeypatch.setenv("REPRO_FAULTS", "store.append:eio@times=1")
         monkeypatch.setenv("REPRO_HIERARCHY", "chain.json")
         options = EngineOptions.from_env()
         assert options.jobs == 4
         assert options.pool == "thread"
         assert options.store == "/tmp/s"
-        assert options.trace_dir == ""  # empty disables spilling
         assert options.faults == "store.append:eio@times=1"
         assert options.hierarchy == "chain.json"
 
@@ -327,7 +322,6 @@ class TestApiFacade:
                                                 monkeypatch):
         from repro.api import run_figure
         monkeypatch.delenv("REPRO_HIERARCHY", raising=False)
-        monkeypatch.setenv("REPRO_TRACE_DIR", "")
         report = run_figure("fig13", scale=TINY, store=tmp_path / "store",
                             jobs=1)
         experiment = EXPERIMENTS["fig13"]
@@ -342,7 +336,6 @@ class TestApiFacade:
     def test_run_figure_takes_a_hierarchy_spec_object(self, tmp_path,
                                                       monkeypatch):
         from repro.api import apply_hierarchy, load_hierarchy, run_figure
-        monkeypatch.setenv("REPRO_TRACE_DIR", "")
         spec = load_hierarchy(HIERARCHIES / "four_level.json")
         report = run_figure("fig13", scale=TINY, store=tmp_path / "store",
                             jobs=1, hierarchy=spec)
@@ -361,7 +354,6 @@ class TestApiFacade:
         import repro.service
         from repro.api import run_figure
         monkeypatch.delenv("REPRO_POOL", raising=False)
-        monkeypatch.setenv("REPRO_TRACE_DIR", "")
         calls = []
 
         def counting(job, trace_cache=None):

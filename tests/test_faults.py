@@ -39,10 +39,8 @@ from repro.service import (
     job_from_wire,
     serve_forever,
 )
-from repro.sim.engine import SimulationEngine, SimulationJob, TraceCache
+from repro.sim.engine import SimulationEngine, SimulationJob
 from repro.sim.store import ResultStore, fsck_store, serialize_result
-from repro.trace import TraceBuffer
-from repro.workloads import build_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_STATS = REPO_ROOT / "GOLDEN_stats.json"
@@ -74,7 +72,6 @@ def _no_ambient_faults(monkeypatch):
     monkeypatch.delenv(faults.REPRO_FAULTS_ENV, raising=False)
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.setenv("REPRO_TRACE_DIR", "")
     faults.uninstall()
     yield
     faults.uninstall()
@@ -88,13 +85,13 @@ class TestSpecParsing:
         spec = ("store.append:eio@p=0.05,seed=7;"
                 "worker.job:crash@seed=3,times=5;"
                 "service.response:drop;"
-                "trace.save:latency@ms=50.0")
+                "store.read:latency@ms=50.0")
         rules = parse_schedule(spec)
         assert [rule.spec() for rule in rules] == [
             "store.append:eio@p=0.05,seed=7",
             "worker.job:crash@seed=3,times=5",
             "service.response:drop",
-            "trace.save:latency@ms=50.0",
+            "store.read:latency@ms=50.0",
         ]
 
     def test_whitespace_and_blank_entries_are_tolerated(self):
@@ -124,12 +121,12 @@ class TestSpecParsing:
 
     def test_env_schedule_is_resolved_lazily_once(self, monkeypatch):
         monkeypatch.setenv(faults.REPRO_FAULTS_ENV,
-                           "trace.load:eio@times=1")
+                           "store.read:eio@times=1")
         faults.uninstall()
         with pytest.raises(OSError):
-            fault_point("trace.load")
+            fault_point("store.read")
         # times=1 exhausted: the same memoized plane answers quietly now.
-        assert fault_point("trace.load") is None
+        assert fault_point("store.read") is None
 
 
 class TestDeterminism:
@@ -241,42 +238,6 @@ class TestStoreFaults:
         rerun = SimulationEngine(jobs=1, store=tmp_path / "store")
         assert rerun.run([job]) == [result]
         assert rerun.store.hits == 1
-
-
-# ======================================================================
-# Trace hooks: torn saves and unreadable loads regenerate
-# ======================================================================
-class TestTraceFaults:
-    def test_torn_save_raises_and_leaves_garbage(self, tmp_path):
-        buffer = build_workload("gups").generate_buffer(64, seed=0)
-        target = tmp_path / "trace.npz"
-        faults.install("trace.save:torn@seed=1,times=1")
-        with pytest.raises(OSError):
-            buffer.save(target)
-        assert target.is_file()  # the torn artifact a real crash leaves
-        with pytest.raises(Exception):
-            TraceBuffer.load(target)
-        # Recovery: the next save simply overwrites the garbage.
-        buffer.save(target)
-        assert TraceBuffer.load(target) == buffer
-
-    def test_cache_regenerates_through_save_and_load_faults(
-            self, tmp_path, caplog):
-        faults.install("trace.save:torn@seed=1,times=1;"
-                       "trace.load:eio@times=1")
-        cache = TraceCache(spill_dir=tmp_path)
-        clean = build_workload("gups").generate_buffer(80, seed=0)
-        # Save fault: the spill fails, the buffer is still served.
-        assert cache.get("gups", 80, seed=0) == clean
-        assert "could not spill" in caplog.text
-        caplog.clear()
-        # A fresh cache spills successfully, then survives a load fault
-        # by regenerating (and the buffer is still correct).
-        warm = TraceCache(spill_dir=tmp_path)
-        assert warm.get("gups", 80, seed=0) == clean
-        colder = TraceCache(spill_dir=tmp_path)
-        assert colder.get("gups", 80, seed=0) == clean
-        assert "unreadable trace spill" in caplog.text
 
 
 # ======================================================================
@@ -718,8 +679,6 @@ CHAOS_SCHEDULE = (
     "store.append:torn@seed=5,times=1,after=4;"
     "worker.job:crash@times=2;"
     "worker.job:crash@p=0.2,seed=11,times=2,after=8;"
-    "trace.save:torn@seed=2,times=1;"
-    "trace.load:eio@times=1;"
     "store.read:eio@times=1;"
     "service.response:drop@times=2;"
     "client.connect:drop@times=1,after=2"
@@ -729,7 +688,7 @@ CHAOS_SCHEDULE = (
 class TestChaosGolden:
     def test_golden_grid_under_chaos_matches_golden_stats(self, tmp_path):
         """The acceptance criterion: injected store EIO/torn appends,
-        crashing workers, unreadable traces and dropped connections cost
+        crashing workers, unreadable entries and dropped connections cost
         retries — and the golden stats stay bit-identical."""
         reference = json.loads(GOLDEN_STATS.read_text(encoding="utf-8"))
         faults.install(CHAOS_SCHEDULE)

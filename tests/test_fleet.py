@@ -66,7 +66,6 @@ SINGLE_JOB = SimulationJob(workload="gups", predictor="baseline",
 def _isolated_env(monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.setenv("REPRO_TRACE_DIR", "")
 
 
 @pytest.fixture(scope="module")
@@ -805,7 +804,7 @@ def _spawn_fleet_daemon(tmp_path: Path, store: Path,
                         jobs: str = "2") -> "tuple[subprocess.Popen, str]":
     ready = tmp_path / f"ready-{time.monotonic_ns()}.txt"
     env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_JOBS=jobs,
-               REPRO_TRACE_DIR="", REPRO_POOL="thread")
+               REPRO_POOL="thread")
     env.pop("REPRO_STORE", None)
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -933,7 +932,7 @@ class TestFleetDaemons:
     def test_fleet_launcher_end_to_end(self, tmp_path):
         store = tmp_path / "store"
         combined = tmp_path / "fleet-ready.txt"
-        env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_TRACE_DIR="")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         env.pop("REPRO_STORE", None)
         launcher = subprocess.Popen(
             [sys.executable, "-m", "repro", "fleet", "--members", "2",

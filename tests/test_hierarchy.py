@@ -21,7 +21,8 @@ from repro.sim.config import SystemConfig
 from repro.sim.system import SimulatedSystem
 from repro.workloads.suite import build_workload
 
-from trace_helpers import hierarchy_specs, make_load, make_store, traffic
+from trace_helpers import hierarchy_specs, make_load, make_store, records, \
+    traffic
 
 
 def build_hierarchy(config=None, predictor=None, **kwargs) -> CoreMemoryHierarchy:
@@ -323,11 +324,11 @@ class TestWalkerInvariants:
         l1_hit = spec.l1.hit_latency
         assert all(result.latency >= l1_hit for result in results)
 
-        # The record path replays identically.
-        records = _walker(spec, predictor)
-        assert [records.access(a) for a in buffer.to_accesses()] == results
-        assert records.stats == stats
-        assert records.energy.breakdown() == hierarchy.energy.breakdown()
+        # One access() per row replays identically.
+        by_access = _walker(spec, predictor)
+        assert [by_access.access(a) for a in records(buffer)] == results
+        assert by_access.stats == stats
+        assert by_access.energy.breakdown() == hierarchy.energy.breakdown()
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(spec=hierarchy_specs())

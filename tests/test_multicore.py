@@ -27,7 +27,8 @@ class TestMultiCoreSystem:
     def test_run_traces_rejects_too_many_traces(self):
         system = MultiCoreSystem(SystemConfig.paper_multi_core("lp",
                                                                num_cores=2))
-        traces = [build_workload("gups").generate(10, seed=i) for i in range(3)]
+        traces = [build_workload("gups").generate_buffer(10, seed=i)
+                  for i in range(3)]
         with pytest.raises(ValueError):
             system.run_traces(traces)
 
@@ -96,20 +97,6 @@ class TestInterleaveBoundaries:
         assert result.per_core_execution == []
         assert result.aggregate_ipc == 0.0
         assert result.total_predictions == 0
-
-    def test_legacy_record_lists_replay_like_buffers(self):
-        """run_traces accepts MemoryAccess lists and buffers equivalently."""
-        workload = build_workload("gapbs.bfs")
-        records = [workload.generate(23, seed=s) for s in (0, 1)]
-        buffers = [workload.generate_buffer(23, seed=s) for s in (0, 1)]
-        from_records = self._system(2).run_traces(records)
-        from_buffers = self._system(2).run_traces(buffers)
-        assert from_records.per_core_execution \
-            == from_buffers.per_core_execution
-        assert from_records.accuracy_breakdown \
-            == from_buffers.accuracy_breakdown
-        assert from_records.cache_hierarchy_energy_nj \
-            == from_buffers.cache_hierarchy_energy_nj
 
     def test_mix_runs_are_deterministic(self):
         first = MultiCoreSystem(SystemConfig.paper_multi_core("lp")) \

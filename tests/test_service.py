@@ -64,10 +64,9 @@ TINY = Scale(accesses=120, warmup=40, mix_accesses=80)
 
 @pytest.fixture(autouse=True)
 def _isolated_env(monkeypatch):
-    """Service tests must not inherit an ambient store/trace/jobs config."""
+    """Service tests must not inherit an ambient store/jobs config."""
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.setenv("REPRO_TRACE_DIR", "")
 
 
 @pytest.fixture
@@ -1140,8 +1139,7 @@ def _spawn_daemon(tmp_path: Path, store: Path, jobs: str = "1",
                   extra: "tuple[str, ...]" = ()
                   ) -> "tuple[subprocess.Popen, str]":
     ready = tmp_path / f"ready-{time.monotonic_ns()}.txt"
-    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_JOBS=jobs,
-               REPRO_TRACE_DIR="")
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_JOBS=jobs)
     env.pop("REPRO_STORE", None)
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",

@@ -53,10 +53,9 @@ class TestWindowedTracker:
     def test_window_counts(self):
         tracker = WindowedMissTracker(window_size=10)
         for i in range(25):
-            access = MemoryAccess(address=i * 64)
             result = AccessResult(hit_level=Level.MEM if i % 2 else Level.L1,
                                   latency=10.0)
-            tracker.record(access, result)
+            tracker.record(result)
         windows = tracker.finalize()
         assert len(windows) == 3
         assert windows[0].l1_misses == 5
@@ -68,7 +67,7 @@ class TestWindowedTracker:
 
     def test_run_with_windows_on_real_workload(self):
         hierarchy = CoreMemoryHierarchy(HierarchySpec.paper_single_core())
-        trace = build_workload("gups").generate(2000, seed=0)
+        trace = build_workload("gups").generate_buffer(2000, seed=0)
         windows = run_with_windows(hierarchy, trace, window_size=500)
         assert len(windows) == 4
         for window in windows:

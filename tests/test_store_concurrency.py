@@ -110,8 +110,7 @@ def test_two_simultaneous_cli_runs_share_one_store(tmp_path, jobs_env):
     store_dir = tmp_path / "store"
     args = ["-m", "repro", "run", "fig13", "--store", str(store_dir),
             "--accesses", "120", "--warmup", "40", "--mix-accesses", "80"]
-    env = dict(_subprocess_env(), REPRO_JOBS=jobs_env,
-               REPRO_TRACE_DIR="")
+    env = dict(_subprocess_env(), REPRO_JOBS=jobs_env)
     racers = [subprocess.Popen([sys.executable, *args], env=env,
                                stdout=subprocess.PIPE,
                                stderr=subprocess.PIPE)

@@ -383,3 +383,25 @@ def test_incremental_folds_match_recomputation(lengths, outcomes):
         assert predictor._history == reference.history
         assert predictor._folded == [reference.folded(table)
                                      for table in range(tables)]
+
+
+def test_one_bit_counters_never_exceed_their_width():
+    """With ``counter_bits=1`` no counter, freshly allocated or trained,
+    holds more than 1 after any predict/train/on_fill call."""
+    predictor = TAGELevelPredictor(TAGEConfig(counter_bits=1))
+    rng = random.Random(3)
+    pending: Dict[int, Prediction] = {}
+    for _ in range(3000):
+        block = rng.randrange(64) * 64
+        operation = rng.random()
+        if operation < 0.45:
+            pending[block] = predictor.predict(block)
+        elif operation < 0.85:
+            prediction = pending.pop(block, Prediction(levels=(Level.L2,)))
+            predictor.train(block, 0, prediction, rng.choice(_OUTCOMES))
+        else:
+            predictor.on_fill(block, rng.choice(_OUTCOMES),
+                              rng.random() < 0.5)
+        assert max(predictor._base) <= 1
+        assert all(max(counters) <= 1 for counters in predictor._counters)
+    assert predictor.allocations > 0

@@ -1,10 +1,10 @@
 """Tests for the columnar trace substrate (repro.trace.TraceBuffer).
 
 The load-bearing property is exact equivalence: for every registered
-workload (and the Table II mixes) the buffer columns must match the legacy
-``generate()`` record stream field-for-field, ``.npz`` persistence must
-round-trip bit-for-bit, and replaying a buffer through a system must
-reproduce the per-record path's results exactly.
+workload the buffer columns must match the generator's record stream
+field-for-field, ``.npz`` persistence must round-trip bit-for-bit, and
+replaying a buffer through a system in one walk must reproduce the results
+of servicing its rows one ``access()`` at a time.
 """
 
 from __future__ import annotations
@@ -18,24 +18,15 @@ from repro.experiments import COMPARED_SYSTEMS
 from repro.memory.block import AccessType, MemoryAccess
 from repro.memory.spec import load_hierarchy
 from repro.sim.config import SystemConfig
-from repro.sim.engine import SimulationJob, TraceCache, execute_job
-from repro.sim.multicore import MultiCoreSystem
-from repro.sim.store import serialize_result, trace_key, try_trace_key
+from repro.sim.engine import SimulationJob, TraceCache, execute_job, \
+    mix_traces
+from repro.sim.store import serialize_result
 from repro.sim.system import SimulatedSystem
-from repro.trace import (
-    KIND_CODES,
-    KIND_LOAD,
-    KIND_STORE,
-    TraceBuffer,
-    as_trace_buffer,
-)
-from repro.workloads import (
-    APPLICATIONS,
-    MIXES,
-    build_workload,
-    generate_mix_buffers,
-    generate_mix_traces,
-)
+from repro.trace import KIND_CODES, KIND_LOAD, KIND_STORE, TraceBuffer
+from repro.workloads import APPLICATIONS, MIXES, build_workload, get_mix
+from repro.workloads.mixes import mix_core_plan
+
+from trace_helpers import records, run_by_access
 
 #: A spread of behaviours for the heavier (simulation-driving) tests.
 SAMPLE_APPS = ("gapbs.bfs", "605.mcf", "stream", "gups", "602.gcc")
@@ -45,8 +36,16 @@ HIERARCHIES = Path(__file__).resolve().parent.parent / "examples" \
     / "hierarchies"
 
 
+def generator_records(workload, count: int, seed: int = 0,
+                      base_address: int = 0, thread_id: int = 0):
+    """The first ``count`` records of a workload's seeded generator."""
+    stream = workload._accesses(workload._trace_rng(seed), base_address,
+                                thread_id)
+    return [next(stream) for _ in range(count)]
+
+
 def assert_buffer_matches_records(buffer: TraceBuffer, records) -> None:
-    """Field-for-field comparison against a legacy record list."""
+    """Field-for-field comparison against a record list."""
     assert len(buffer) == len(records)
     assert buffer.address.tolist() == [a.address for a in records]
     assert buffer.pc.tolist() == [a.pc for a in records]
@@ -63,28 +62,35 @@ def assert_buffer_matches_records(buffer: TraceBuffer, records) -> None:
 class TestGenerationEquivalence:
     @pytest.mark.parametrize("name", sorted(APPLICATIONS))
     def test_buffer_equals_legacy_stream(self, name):
-        workload = build_workload(name)
-        legacy = workload.generate(300, seed=5)
+        """The buffer packs the generator's record stream field for
+        field."""
+        expected = generator_records(build_workload(name), 300, seed=5)
         buffer = build_workload(name).generate_buffer(300, seed=5)
-        assert_buffer_matches_records(buffer, legacy)
-        assert buffer == legacy  # __eq__ accepts record sequences too
+        assert_buffer_matches_records(buffer, expected)
+        assert buffer == TraceBuffer.from_accesses(expected)
 
     def test_base_address_and_thread_id_respected(self):
         workload = build_workload("stream")
-        legacy = workload.generate(100, seed=2, base_address=1 << 36,
-                                   thread_id=3)
+        expected = generator_records(workload, 100, seed=2,
+                                     base_address=1 << 36, thread_id=3)
         buffer = workload.generate_buffer(100, seed=2, base_address=1 << 36,
                                           thread_id=3)
-        assert_buffer_matches_records(buffer, legacy)
+        assert_buffer_matches_records(buffer, expected)
         assert set(buffer.thread_id.tolist()) == {3}
 
     @pytest.mark.parametrize("mix", sorted(MIXES))
     def test_mix_buffers_equal_mix_traces(self, mix):
-        legacy = generate_mix_traces(mix, accesses_per_core=120, seed=0)
-        buffers = generate_mix_buffers(mix, accesses_per_core=120, seed=0)
-        assert len(buffers) == len(legacy)
-        for buffer, records in zip(buffers, legacy):
-            assert_buffer_matches_records(buffer, records)
+        """The engine's cached per-core buffers are the generator streams
+        :func:`mix_core_plan` names: application, base address, seed and
+        thread id."""
+        buffers, names = mix_traces(mix, 120, trace_cache=TraceCache())
+        plan = mix_core_plan(get_mix(mix), seed=0)
+        assert names == [app for _, app, _, _ in plan]
+        assert len(buffers) == len(plan)
+        for buffer, (core, app, base, core_seed) in zip(buffers, plan):
+            assert_buffer_matches_records(buffer, generator_records(
+                build_workload(app), 120, seed=core_seed, base_address=base,
+                thread_id=core))
 
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
@@ -115,18 +121,7 @@ class TestBufferSemantics:
 
     def test_round_trip_through_records(self):
         buffer = build_workload("hpcg").generate_buffer(150, seed=4)
-        records = buffer.to_accesses()
-        assert all(isinstance(r, MemoryAccess) for r in records)
-        assert TraceBuffer.from_accesses(records) == buffer
-        assert as_trace_buffer(records) == buffer
-        assert as_trace_buffer(buffer) is buffer
-
-    def test_indexing_rebuilds_records(self):
-        workload = build_workload("gups")
-        buffer = workload.generate_buffer(50, seed=9)
-        legacy = workload.generate(50, seed=9)
-        assert buffer[7] == legacy[7]
-        assert buffer[7].access_type in (AccessType.LOAD, AccessType.STORE)
+        assert TraceBuffer.from_accesses(records(buffer)) == buffer
 
     def test_replay_columns_reject_non_demand_kinds(self):
         buffer = TraceBuffer.from_accesses(
@@ -145,16 +140,15 @@ class TestBufferSemantics:
         assert summary["unique_blocks"] > 900
 
     def test_buffer_takes_under_half_the_record_lists_memory(self):
-        """Packed columns against the record list they replace (about
-        23 against 105 bytes per access on gapbs.pr)."""
+        """Packed columns against the same trace as a list of records
+        (about 23 against 105 bytes per access on gapbs.pr)."""
         import sys
 
-        workload = build_workload("gapbs.pr")
-        buffer = workload.generate_buffer(1000, seed=0)
-        records = workload.generate(1000, seed=0)
+        buffer = build_workload("gapbs.pr").generate_buffer(1000, seed=0)
+        rows = records(buffer)
         # Every record is the same size, plus one list slot per record.
-        records_bytes = sys.getsizeof(records) + len(records) * (
-            sys.getsizeof(records[0]) + 8)
+        records_bytes = sys.getsizeof(rows) + len(rows) * (
+            sys.getsizeof(rows[0]) + 8)
         assert 2 * buffer.nbytes < records_bytes
 
     def test_pickle_round_trip_drops_derived_columns(self):
@@ -201,37 +195,17 @@ def _replay_cases():
 class TestReplayEquivalence:
     @pytest.mark.parametrize("config,name", _replay_cases())
     def test_buffer_replay_matches_per_record_path(self, config, name):
-        """``run_buffer`` equals ``access()`` over the buffer's records."""
+        """``run_buffer`` equals ``access()`` over the buffer's rows."""
         buffer = build_workload(name).generate_buffer(400, seed=0)
-        via_records = SimulatedSystem(config).run_trace(
-            buffer.to_accesses(), name)
+        via_records = run_by_access(SimulatedSystem(config), buffer, name)
         via_buffer = SimulatedSystem(config).run_trace(buffer, name)
         assert serialize_result(via_buffer) == serialize_result(via_records)
-
-    def test_multicore_buffer_replay_matches_per_record_path(self):
-        legacy = generate_mix_traces("mix1", accesses_per_core=200, seed=0)
-        buffers = generate_mix_buffers("mix1", accesses_per_core=200, seed=0)
-
-        via_records = MultiCoreSystem(
-            SystemConfig.paper_multi_core("lp")).run_traces(legacy)
-        via_buffers = MultiCoreSystem(
-            SystemConfig.paper_multi_core("lp")).run_traces(buffers)
-
-        assert via_buffers.aggregate_ipc == via_records.aggregate_ipc
-        assert via_buffers.cache_hierarchy_energy_nj == \
-            via_records.cache_hierarchy_energy_nj
-        assert via_buffers.accuracy_breakdown == \
-            via_records.accuracy_breakdown
-        for mine, theirs in zip(via_buffers.per_core_execution,
-                                via_records.per_core_execution):
-            assert mine.cycles == theirs.cycles
-            assert mine.instructions == theirs.instructions
 
     def test_per_access_results_match_record_path(self):
         buffer = _crafted([0x5000] * 6 + [0x6000, 0x5000, 0x5008])
         via_buffer = _paper_system().hierarchy.run_buffer(buffer)
-        via_records = _paper_system().hierarchy.run_trace(
-            buffer.to_accesses())
+        hierarchy = _paper_system().hierarchy
+        via_records = [hierarchy.access(access) for access in records(buffer)]
         assert via_buffer == via_records
 
     def test_store_access_marks_line_dirty(self):
@@ -249,19 +223,19 @@ class TestReplayEquivalence:
 
     @pytest.mark.parametrize("app", APPLICATIONS)
     def test_grid_bit_identity(self, app):
-        """The engine's buffer replay equals the record path for every
-        compared system, warm-up split included."""
+        """The engine's shared-walk replay equals one ``access()`` per row
+        for every compared system, warm-up split included."""
         buffer = build_workload(app).generate_buffer(550, seed=3)
-        warm = buffer[:150].to_accesses()
-        measured = buffer[150:].to_accesses()
         for predictor in COMPARED_SYSTEMS:
             job = SimulationJob(workload=app, predictor=predictor,
                                 num_accesses=400, warmup_accesses=150, seed=3)
             system = SimulatedSystem(
                 SystemConfig.paper_single_core().with_predictor(predictor))
-            system.hierarchy.run_trace(warm)
+            for access in records(buffer[:150]):
+                system.hierarchy.access(access)
             system.reset_statistics()
-            reference = serialize_result(system.run_trace(measured, app))
+            reference = serialize_result(
+                run_by_access(system, buffer[150:], app))
             assert serialize_result(execute_job(job)) == reference, \
                 f"{app}/{predictor} diverged"
 
@@ -280,12 +254,11 @@ def _paper_system(predictor: str = "lp") -> SimulatedSystem:
 
 def assert_replay_matches_records(buffer: TraceBuffer,
                                   predictor: str = "lp") -> None:
-    """Full serialised results of ``run_buffer`` and the record path."""
-    def run(trace):
-        return serialize_result(
-            _paper_system(predictor).run_trace(trace, "crafted"))
-
-    assert run(buffer) == run(buffer.to_accesses())
+    """Full serialised results of ``run_buffer`` and of one ``access()``
+    per row."""
+    via_buffer = _paper_system(predictor).run_trace(buffer, "crafted")
+    via_records = run_by_access(_paper_system(predictor), buffer, "crafted")
+    assert serialize_result(via_buffer) == serialize_result(via_records)
 
 
 class TestReplayBoundaries:
@@ -356,86 +329,11 @@ class TestReplayBoundaries:
                                       predictor=predictor)
 
 
-class TestDiskSpill:
-    def test_generate_spill_load_cycle(self, tmp_path):
-        cold = TraceCache(spill_dir=tmp_path)
-        buffer = cold.get("gapbs.bfs", 300, seed=7)
-        assert cold.disk_spills == 1 and cold.disk_hits == 0
-        key = trace_key("gapbs.bfs", 300, seed=7)
-        assert (tmp_path / f"{key}.npz").is_file()
-
-        warm = TraceCache(spill_dir=tmp_path)
-        loaded = warm.get("gapbs.bfs", 300, seed=7)
-        assert warm.disk_hits == 1 and warm.disk_spills == 0
-        assert loaded == buffer
-        # Second lookup is an in-memory hit, not another disk read.
-        assert warm.get("gapbs.bfs", 300, seed=7) is loaded
-        assert warm.disk_hits == 1
-
-    def test_env_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-        cache = TraceCache()
-        cache.get("stream", 100)
-        assert cache.disk_spills == 1
-
-        # Empty REPRO_TRACE_DIR disables spilling even with a store named.
-        monkeypatch.setenv("REPRO_TRACE_DIR", "")
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
-        cache = TraceCache()
-        cache.get("stream", 100)
-        assert cache.disk_spills == 0
-
-        # REPRO_STORE alone spills under <store>/traces.
-        monkeypatch.delenv("REPRO_TRACE_DIR")
-        cache = TraceCache()
-        cache.get("stream", 100)
-        assert cache.disk_spills == 1
-        assert list((tmp_path / "store" / "traces").glob("*.npz"))
-
-    @pytest.mark.parametrize("corruption", ("garbage", "truncated-zip",
-                                            "foreign-npz"))
-    def test_corrupt_spill_regenerates(self, tmp_path, caplog, corruption):
-        key = trace_key("stream", 120, seed=0)
-        path = tmp_path / f"{key}.npz"
-        if corruption == "garbage":
-            path.write_bytes(b"not an npz file")
-        elif corruption == "truncated-zip":
-            path.write_bytes(b"PK\x03\x04truncated")  # BadZipFile
-        else:
-            np.savez(path, other=np.zeros(3))  # no 'schema' -> KeyError
-        cache = TraceCache(spill_dir=tmp_path)
-        buffer = cache.get("stream", 120, seed=0)
-        assert buffer == build_workload("stream").generate(120, seed=0)
-        assert "unreadable trace spill" in caplog.text
-
-    def test_trace_keys_stable_and_state_sensitive(self):
-        assert trace_key("gapbs.pr", 100) == trace_key("gapbs.pr", 100)
-        assert trace_key("gapbs.pr", 100) != trace_key("gapbs.pr", 101)
-        assert trace_key("gapbs.pr", 100) != trace_key("gapbs.pr", 100,
-                                                       seed=1)
-        # Name specs resolve to full generator state, so the equivalent
-        # Workload object addresses the same on-disk trace.
-        assert trace_key(build_workload("gapbs.pr"), 100) == \
-            trace_key("gapbs.pr", 100)
-
-    def test_unfingerprintable_workload_skips_disk(self, tmp_path):
-        class Opaque:
-            pass
-
-        workload = build_workload("gups")
-        workload.blob = Opaque()  # not canonicalizable
-        assert try_trace_key(workload, 50) is None
-        cache = TraceCache(spill_dir=tmp_path)
-        cache.get(workload, 50)
-        assert cache.disk_spills == 0
-        assert not list(tmp_path.glob("*.npz"))
-
-
 class TestConcurrentSpill:
-    """Regression for the daemon-era spill race: the save() temp name was
-    unique per *process* only, so two worker threads spilling the same
-    trace key shared one temp file — each truncating the other mid-write —
-    and the atomic rename could promote a torn archive."""
+    """Concurrent use of one path or one cache: ``save()`` once named its
+    temp file per *process* only, so two threads saving one path shared a
+    temp file — each truncating the other mid-write — and the atomic
+    rename could promote a torn archive."""
 
     def test_temp_names_are_unique_per_call(self, tmp_path, monkeypatch):
         import os
@@ -487,35 +385,11 @@ class TestConcurrentSpill:
         # No temp droppings left behind.
         assert [p.name for p in tmp_path.iterdir()] == ["trace.npz"]
 
-    def test_concurrent_cache_spills_of_one_key(self, tmp_path):
-        import threading
-
-        errors = []
-        barrier = threading.Barrier(4)
-
-        def warm():
-            try:
-                barrier.wait()
-                cache = TraceCache(spill_dir=tmp_path)
-                cache.get("stream", 150, seed=3)
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=warm) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not errors
-        key = trace_key("stream", 150, seed=3)
-        loaded = TraceBuffer.load(tmp_path / f"{key}.npz")
-        assert loaded == build_workload("stream").generate(150, seed=3)
-
     def test_shared_cache_threads_get_the_identical_buffer(self):
         """The thread-safe LRU hands every caller of a key one object."""
         import threading
 
-        cache = TraceCache(spill_dir=None)
+        cache = TraceCache()
         results = []
         barrier = threading.Barrier(6)
 

@@ -70,12 +70,12 @@ def _bytes(results):
 
 
 def _fresh(jobs):
-    return _bytes(execute_job(job, TraceCache(spill_dir=None))
+    return _bytes(execute_job(job, TraceCache())
                   for job in jobs)
 
 
 def _shared(jobs):
-    cache = TraceCache(spill_dir=None)
+    cache = TraceCache()
     return _bytes(execute_job(job, cache) for job in jobs), cache
 
 
@@ -117,7 +117,7 @@ class TestSharedWalks:
 
     def test_mix_system_runs_a_second_mix_after_a_shared_walk(self):
         config = SystemConfig.paper_multi_core("lp")
-        cache = TraceCache(spill_dir=None)
+        cache = TraceCache()
         first, _ = mix_traces("mix1", 100, trace_cache=cache)
         second, _ = mix_traces("mix2", 100, trace_cache=cache)
         MultiCoreSystem(config, walks=cache).run_traces(first)
@@ -133,7 +133,7 @@ class TestSharedWalks:
         spec = HierarchySpec.paper_single_core()
         config = SystemConfig(name="walk-test", hierarchy=spec,
                               predictor="lp")
-        cache = TraceCache(spill_dir=None)
+        cache = TraceCache()
         trace = cache.get("gapbs.pr", 600)
         other = cache.get("605.mcf", 300)
         shared = SimulatedSystem(config, walks=cache).hierarchy
@@ -151,7 +151,7 @@ class TestSharedWalks:
             paper.levels[1], size_bytes=2 * paper.l1.size_bytes)
         other = dataclasses.replace(
             paper, levels=(paper.l1, smaller_l2, paper.llc))
-        buffer = TraceCache(spill_dir=None).get("gapbs.pr", 3000)
+        buffer = TraceCache().get("gapbs.pr", 3000)
         workload = _Drawn(buffer)
         jobs = (_grid(workload, paper, buffer, ("lp",))
                 + _grid(workload, other, buffer, ("lp",)))
@@ -209,7 +209,7 @@ class TestReplayOnlyFields:
             paper.llc))
         other = _REPLAY_ONLY[field](base)
         assert other != base
-        buffer = TraceCache(spill_dir=None).get("623.xalan", 1500)
+        buffer = TraceCache().get("623.xalan", 1500)
         workload = _Drawn(buffer)
         predictors = ("baseline", "lp", "tage-2kb")
         jobs = (_grid(workload, base, buffer, predictors)
@@ -223,7 +223,7 @@ class TestReplayOnlyFields:
     def test_fig15_variants_walk_each_application_once(self):
         """fig15's five systems differ only in LLC timing and the core
         model, so each application is walked once for all of them."""
-        cache = TraceCache(spill_dir=None)
+        cache = TraceCache()
         engine = SimulationEngine(jobs=1, trace_cache=cache, store=False)
         jobs = EXPERIMENTS["fig15"].jobs(Scale(accesses=300, warmup=100))
         engine.run(jobs)
@@ -234,13 +234,13 @@ class TestReplayOnlyFields:
 
 class TestWalkCounters:
     def test_golden_grid_walks_each_trace_once(self):
-        cache = TraceCache(spill_dir=None)
+        cache = TraceCache()
         engine = SimulationEngine(jobs=1, trace_cache=cache, store=False)
         engine.run(EXPERIMENTS["golden"].jobs(Scale()))
         assert (cache.walk_misses, cache.walk_hits) == (6, 24)
 
     def test_clear_zeroes_the_counters_and_drops_the_walks(self):
-        cache = TraceCache(spill_dir=None)
+        cache = TraceCache()
         jobs = [SimulationJob("stream", predictor, 200, 50)
                 for predictor in ("baseline", "lp")]
         for job in jobs:
@@ -252,7 +252,7 @@ class TestWalkCounters:
         assert (cache.walk_misses, cache.walk_hits) == (1, 0)
 
     def test_an_evicted_trace_drops_its_walks(self):
-        cache = TraceCache(max_traces=1, spill_dir=None)
+        cache = TraceCache(max_traces=1)
         job = SimulationJob("stream", "lp", 200, 50)
         execute_job(job, cache)
         execute_job(SimulationJob("gups", "lp", 200, 50), cache)
@@ -260,7 +260,7 @@ class TestWalkCounters:
         assert (cache.walk_misses, cache.walk_hits) == (3, 0)
 
     def test_the_walk_bound_holds(self):
-        cache = TraceCache(spill_dir=None)
+        cache = TraceCache()
         jobs = [SimulationJob("stream", "lp", 100 + step, 20)
                 for step in range(MAX_WALKS + 1)]
         for job in jobs:
@@ -272,7 +272,7 @@ class TestWalkCounters:
         assert cache.walk_misses == MAX_WALKS + 2
 
     def test_a_buffer_the_cache_does_not_hold_is_walked_alone(self):
-        cache = TraceCache(spill_dir=None)
-        buffer = TraceCache(spill_dir=None).get("stream", 100)
+        cache = TraceCache()
+        buffer = TraceCache().get("stream", 100)
         assert cache.walk((buffer,), "key", lambda: None) is None
         assert (cache.walk_misses, cache.walk_hits) == (0, 0)

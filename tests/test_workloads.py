@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.block import AccessType
+from repro.sim.engine import TraceCache, mix_traces
+from repro.trace import KIND_LOAD, KIND_STORE
 from repro.workloads import (
     APPLICATIONS,
     HIGHLIGHTED_APPLICATIONS,
@@ -21,7 +22,6 @@ from repro.workloads import (
     ZipfWorkload,
     applications_in_suite,
     build_workload,
-    generate_mix_traces,
     get_application,
     get_mix,
     high_benefit_applications,
@@ -58,57 +58,58 @@ class TestRegistry:
     def test_every_application_builds_and_generates(self):
         for name in APPLICATIONS:
             workload = build_workload(name)
-            trace = workload.generate(64, seed=3)
+            trace = workload.generate_buffer(64, seed=3)
             assert len(trace) == 64
-            assert all(access.address >= 0 for access in trace)
 
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):
-        a = build_workload("gapbs.pr").generate(200, seed=11)
-        b = build_workload("gapbs.pr").generate(200, seed=11)
-        assert [x.address for x in a] == [y.address for y in b]
+        a = build_workload("gapbs.pr").generate_buffer(200, seed=11)
+        b = build_workload("gapbs.pr").generate_buffer(200, seed=11)
+        assert a == b
 
     def test_different_seeds_differ(self):
-        a = build_workload("gups").generate(200, seed=1)
-        b = build_workload("gups").generate(200, seed=2)
-        assert [x.address for x in a] != [y.address for y in b]
+        a = build_workload("gups").generate_buffer(200, seed=1)
+        b = build_workload("gups").generate_buffer(200, seed=2)
+        assert a.address.tolist() != b.address.tolist()
 
     def test_base_address_offsets_all_accesses(self):
         offset = 1 << 36
-        a = build_workload("stream").generate(50, seed=5)
-        b = build_workload("stream").generate(50, seed=5, base_address=offset)
-        assert all(y.address - x.address == offset for x, y in zip(a, b))
+        a = build_workload("stream").generate_buffer(50, seed=5)
+        b = build_workload("stream").generate_buffer(50, seed=5,
+                                                     base_address=offset)
+        assert all(y - x == offset for x, y in zip(a.address.tolist(),
+                                                   b.address.tolist()))
 
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
-            build_workload("gups").generate(0)
+            build_workload("gups").generate_buffer(0)
 
 
 class TestGeneratorBehaviours:
     def test_streaming_is_mostly_sequential(self):
         workload = StreamingWorkload("s", num_streams=1, irregularity=0.0,
                                      stride_bytes=64)
-        trace = workload.generate(100, seed=0)
-        deltas = [b.address - a.address for a, b in zip(trace, trace[1:])]
+        addresses = workload.generate_buffer(100, seed=0).address.tolist()
+        deltas = [b - a for a, b in zip(addresses, addresses[1:])]
         assert all(delta == 64 for delta in deltas)
 
     def test_random_access_covers_wide_range(self):
         workload = RandomAccessWorkload("r", table_bytes=1 << 24)
-        trace = workload.generate(500, seed=0)
-        blocks = {access.address // 64 for access in trace}
+        trace = workload.generate_buffer(500, seed=0)
+        blocks = set(trace.block_column().tolist())
         assert len(blocks) > 400  # almost no reuse
 
     def test_pointer_chase_marks_dependencies(self):
         workload = PointerChaseWorkload("p", chase_length=16)
-        trace = workload.generate(200, seed=0)
-        assert sum(access.depends_on_previous for access in trace) > 100
+        trace = workload.generate_buffer(200, seed=0)
+        assert int(trace.dependent.sum()) > 100
 
     def test_zipf_has_reuse_skew(self):
         workload = ZipfWorkload("z", footprint_bytes=1 << 20, zipf_alpha=1.2,
                                 spatial_run_length=1, accesses_per_block=1)
-        trace = workload.generate(2000, seed=0)
-        blocks = [access.address // 64 for access in trace]
+        trace = workload.generate_buffer(2000, seed=0)
+        blocks = trace.block_column().tolist()
         unique = len(set(blocks))
         assert unique < len(blocks) * 0.8  # popular blocks repeat
 
@@ -116,18 +117,18 @@ class TestGeneratorBehaviours:
         workload = StencilWorkload("st", reuse_probability=1.0,
                                    gather_fraction=0.0, plane_bytes=1024,
                                    accesses_per_element=1)
-        trace = workload.generate(100, seed=0)
-        backwards = [b.address - a.address for a, b in zip(trace, trace[1:])
-                     if b.address < a.address]
+        addresses = workload.generate_buffer(100, seed=0).address.tolist()
+        backwards = [b - a for a, b in zip(addresses, addresses[1:])
+                     if b < a]
         assert backwards  # plane-behind neighbour accesses exist
 
     def test_phased_workload_switches_behaviour(self):
         small = ZipfWorkload("small", footprint_bytes=1 << 16)
         big = RandomAccessWorkload("big", table_bytes=1 << 26)
         workload = PhasedWorkload("phased", [small, big], phase_length=100)
-        trace = workload.generate(400, seed=0)
-        first_phase = {a.address // 64 for a in trace[:100]}
-        second_phase = {a.address // 64 for a in trace[100:200]}
+        blocks = workload.generate_buffer(400, seed=0).block_column().tolist()
+        first_phase = set(blocks[:100])
+        second_phase = set(blocks[100:200])
         assert max(second_phase) > max(first_phase)
 
     def test_phased_requires_phases(self):
@@ -136,8 +137,8 @@ class TestGeneratorBehaviours:
 
     def test_stores_present_when_requested(self):
         workload = StreamingWorkload("s", store_fraction=0.5, num_streams=1)
-        trace = workload.generate(400, seed=0)
-        stores = sum(1 for a in trace if a.access_type is AccessType.STORE)
+        trace = workload.generate_buffer(400, seed=0)
+        stores = int((trace.kind == KIND_STORE).sum())
         assert stores > 50
 
 
@@ -155,17 +156,16 @@ class TestGraphWorkload:
 
     def test_gathers_are_dependent_and_scattered(self):
         workload = make_gapbs_workload("pr")
-        trace = workload.generate(1000, seed=0)
-        dependent = [a for a in trace if a.depends_on_previous]
-        assert len(dependent) > 200
-        gather_blocks = {a.address // 64 for a in dependent}
-        assert len(gather_blocks) > 100
+        trace = workload.generate_buffer(1000, seed=0)
+        gathers = trace.block_column()[trace.dependent].tolist()
+        assert len(gathers) > 200
+        assert len(set(gathers)) > 100
 
     def test_offset_stream_is_regular(self):
         workload = make_gapbs_workload("pr")
-        trace = workload.generate(2000, seed=0)
-        offsets = [a for a in trace if a.pc == 0x6000]
-        deltas = {b.address - a.address for a, b in zip(offsets, offsets[1:])}
+        trace = workload.generate_buffer(2000, seed=0)
+        offsets = trace.address[trace.pc == 0x6000].tolist()
+        deltas = {b - a for a, b in zip(offsets, offsets[1:])}
         assert deltas == {8}
 
 
@@ -181,20 +181,23 @@ class TestMixes:
             get_mix("mix9")
 
     def test_multiprogram_traces_use_disjoint_regions(self):
-        traces = generate_mix_traces("mix1", accesses_per_core=50, seed=0)
-        assert len(traces) == 4
-        ranges = [(min(a.address for a in t), max(a.address for a in t))
-                  for t in traces]
-        for i in range(len(ranges)):
-            for j in range(i + 1, len(ranges)):
-                assert ranges[i][1] < ranges[j][0] or ranges[j][1] < ranges[i][0]
+        """In every program mix each core's trace stays in one
+        ``address >> 36`` region, and no two cores share a region."""
+        for mix, spec in MIXES.items():
+            if spec.multithreaded:
+                continue
+            traces, _ = mix_traces(mix, 64, trace_cache=TraceCache())
+            regions = [set((trace.address >> 36).tolist())
+                       for trace in traces]
+            assert all(len(region) == 1 for region in regions), mix
+            assert len(set.union(*regions)) == len(traces) == 4, mix
 
     def test_multithreaded_traces_share_data(self):
-        traces = generate_mix_traces("MT2", accesses_per_core=400, seed=0)
-        assert len(traces) == 4
-        block_sets = [{a.address // 64 for a in t} for t in traces]
-        shared = block_sets[0] & block_sets[1]
-        assert shared  # threads touch common graph structures
+        """The threads of each multi-threaded run touch common blocks."""
+        for mix in ("MT1", "MT2"):
+            traces, _ = mix_traces(mix, 300, trace_cache=TraceCache())
+            blocks = [set(trace.block_column().tolist()) for trace in traces]
+            assert blocks[0] & blocks[1], mix
 
 
 @given(name=st.sampled_from(sorted(APPLICATIONS)),
@@ -202,9 +205,7 @@ class TestMixes:
 @settings(max_examples=25, deadline=None)
 def test_property_traces_are_wellformed(name, seed):
     """Every registered workload emits well-formed, reproducible accesses."""
-    trace = build_workload(name).generate(80, seed=seed)
+    trace = build_workload(name).generate_buffer(80, seed=seed)
     assert len(trace) == 80
-    for access in trace:
-        assert access.address >= 0
-        assert access.non_memory_instructions >= 0
-        assert access.access_type in (AccessType.LOAD, AccessType.STORE)
+    assert set(trace.kind.tolist()) <= {KIND_LOAD, KIND_STORE}
+    assert trace == build_workload(name).generate_buffer(80, seed=seed)

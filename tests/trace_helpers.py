@@ -8,12 +8,15 @@ name ``conftest``, which collides between ``tests/`` and ``benchmarks/``.
 from __future__ import annotations
 
 import dataclasses
+from typing import List
 
 from hypothesis import strategies as st
 
 from repro.memory.block import AccessType, MemoryAccess
 from repro.memory.spec import HierarchySpec, LevelSpec
-from repro.trace import KIND_LOAD, KIND_STORE, TraceBuffer
+from repro.trace import KIND_CODES, KIND_LOAD, KIND_STORE, TraceBuffer
+
+_KIND_TYPES = {code: access_type for access_type, code in KIND_CODES.items()}
 
 
 def make_load(address: int, pc: int = 0x100,
@@ -25,6 +28,28 @@ def make_load(address: int, pc: int = 0x100,
 
 def make_store(address: int, pc: int = 0x200) -> MemoryAccess:
     return MemoryAccess(address=address, access_type=AccessType.STORE, pc=pc)
+
+
+def records(buffer: TraceBuffer) -> List[MemoryAccess]:
+    """A buffer's rows as :class:`MemoryAccess` records, for the
+    one-access-at-a-time path and record-shaped assertions."""
+    return [
+        MemoryAccess(address=address, access_type=_KIND_TYPES[kind], pc=pc,
+                     size=size, depends_on_previous=dependent,
+                     non_memory_instructions=non_memory, thread_id=thread)
+        for address, pc, kind, size, dependent, non_memory, thread in zip(
+            buffer.address.tolist(), buffer.pc.tolist(),
+            buffer.kind.tolist(), buffer.size.tolist(),
+            buffer.dependent.tolist(), buffer.non_memory.tolist(),
+            buffer.thread_id.tolist())
+    ]
+
+
+def run_by_access(system, buffer: TraceBuffer, name: str = "trace"):
+    """What ``system.run_trace(buffer, name)`` returns, computed with one
+    ``hierarchy.access()`` call per row instead of one whole walk."""
+    results = [system.hierarchy.access(access) for access in records(buffer)]
+    return system._collect(name, system.core.execute(buffer, results))
 
 
 # ======================================================================
