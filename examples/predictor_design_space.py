@@ -4,9 +4,8 @@
 The level predictor has two tuning knobs the paper discusses at length: the
 LocMap metadata cache capacity (Figure 5) and the Popular Levels Detector's
 confidence threshold (which controls how often multi-way predictions are
-issued).  This example sweeps both on one workload and also runs two design
-ablations: disabling the speculative DRAM launch for memory predictions, and
-running the LocMap without the PLD (sequential fallback on metadata misses).
+issued).  This example sweeps both on one workload and also runs one design
+ablation: disabling the speculative DRAM launch for memory predictions.
 
 Run with:
 

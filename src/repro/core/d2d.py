@@ -40,7 +40,6 @@ class D2DConfig:
     """Cost parameters of the D2D baseline (Section IV.C)."""
 
     hub_bytes: int = 4096
-    hub_associativity: int = 8
     etlb_energy_overhead: float = 0.10
     prediction_latency: int = 0
 

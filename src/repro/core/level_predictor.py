@@ -37,8 +37,6 @@ _LOCMAP_PREDICTIONS = {
     level: Prediction(levels=(level,), metadata_hit=True, source="locmap")
     for level in PREDICTABLE_LEVELS
 }
-_LOCMAP_MEM_WITH_L3 = Prediction(levels=(Level.L3, Level.MEM),
-                                 metadata_hit=True, source="locmap")
 _PLD_PREDICTIONS: dict = {}
 
 
@@ -52,16 +50,12 @@ class LevelPredictorConfig:
         metadata_associativity: Metadata cache ways (2 in the paper).
         pld: Popular Levels Detector configuration.
         prediction_latency: Cycles added to the L1 miss path (1 in the paper).
-        predict_l3_and_mem_from_locmap_mem: When the LocMap says MEM, also
-            include L3 in the prediction if True.  The paper predicts exactly
-            the stored level (False); the knob exists for ablations.
     """
 
     metadata_cache_bytes: int = 2048
     metadata_associativity: int = 2
     pld: PLDConfig = None
     prediction_latency: int = 1
-    predict_l3_and_mem_from_locmap_mem: bool = False
 
     def __post_init__(self) -> None:
         if self.pld is None:
@@ -90,9 +84,6 @@ class CacheLevelPredictor(LevelPredictor):
     def predict(self, block_addr: int, pc: int = 0) -> Prediction:
         stored = self.locmap.query(block_addr)
         if stored is not None:
-            if (stored is Level.MEM
-                    and self.config.predict_l3_and_mem_from_locmap_mem):
-                return _LOCMAP_MEM_WITH_L3
             return _LOCMAP_PREDICTIONS[stored]
         levels = self.pld.predict()
         prediction = _PLD_PREDICTIONS.get(levels)

@@ -68,7 +68,8 @@ class TAGEConfig:
     #: to False reproduces the stricter reading of the paper's description
     #: ("If an entry is not found in any TAGE table, we follow a level-by-level
     #: traversal"), which performs notably worse on traces with little
-    #: block-level temporal reuse; the ablation benchmark covers both.
+    #: block-level temporal reuse.  No figure or benchmark runs False; only
+    #: the TAGE unit tests do.
     base_table_fallback: bool = True
 
     @property

@@ -40,7 +40,7 @@ class CoreConfig:
         rob_entries: Reorder-buffer capacity.
         load_queue_entries: Load-queue capacity.
         store_queue_entries: Store-queue capacity.
-        frequency_ghz: Core clock (only used for time-based reporting).
+        frequency_ghz: Core clock (read only by the Table I text).
         min_instruction_cycles: Lower bound on cycles per instruction group,
             modelling dispatch/execute latency of ALU chains.
     """
@@ -77,10 +77,6 @@ class ExecutionResult:
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def seconds(self) -> float:
-        return 0.0 if self.cycles == 0 else self.cycles
 
     def speedup_over(self, baseline: "ExecutionResult") -> float:
         """IPC of this run relative to ``baseline`` (1.0 = no change)."""

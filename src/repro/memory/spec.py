@@ -8,18 +8,19 @@ configs: :class:`~repro.memory.cache.Cache` reads a :class:`LevelSpec`,
 :class:`~repro.memory.interconnect.Interconnect` an
 :class:`InterconnectSpec`, so every config decision lives in this module
 alone.  Each cache level is a frozen
-:class:`LevelSpec` (geometry, latencies, MSHR shape, ports, optional
-per-access energy and area), and a :class:`HierarchySpec` composes an
+:class:`LevelSpec` (geometry, latencies, MSHR shape and optional
+per-access energies), and a :class:`HierarchySpec` composes an
 ordered chain of levels plus a memory backend (:class:`MemorySpec`), an
 interconnect (:class:`InterconnectSpec`) and a TLB (:class:`TLBSpec`).
 The paper's Table I topology is :meth:`HierarchySpec.paper_single_core`
 (and :meth:`~HierarchySpec.paper_multi_core` for the 8 MB quad-core LLC).
 
 Specs are validated at construction — zero ways, non-power-of-two blocks,
-shrinking capacities, non-monotone latencies, duplicate level names and
-illegal inclusivity patterns all raise a contextual ``ValueError`` — and
-round-trip *exactly* through JSON: ``HierarchySpec.from_json(s.to_json())
-== s`` and ``to_json`` is a fixed point of the round trip.
+shrinking capacities, non-monotone latencies and duplicate level names
+all raise a contextual ``ValueError`` — and round-trip *exactly* through
+JSON: ``HierarchySpec.from_json(s.to_json()) == s`` and ``to_json`` is a
+fixed point of the round trip.  Every field is read by the model
+(``tests/test_spec_liveness.py``).
 
 Topology model
 ==============
@@ -30,8 +31,8 @@ intermediate level.  The level predictor's target space stays the
 paper's (L2 / L3 / MEM): the whole private intermediate group is
 classified as ``Level.L2``, the LLC as ``Level.L3`` — so predictors,
 statistics and stored results keep their exact shapes for any depth.
-Intermediate levels must be inclusive of the levels above them; only the
-LLC may be non-inclusive (the paper's configuration).
+Every level above the LLC is inclusive of the levels above it; the LLC
+is non-inclusive (the paper's configuration).
 
 Key stability
 =============
@@ -40,14 +41,14 @@ Results stores address every job by the SHA-256 of its canonical
 config, and the golden store was keyed before specs existed, when the
 paper hierarchy was a fixed three-level dataclass.  That dataclass's
 canonical form is frozen as a key format: a *legacy-exact* spec (three
-levels named ``L1``/``L2``/``L3`` with a non-inclusive LLC, the default
-TLB, and no energy/area/port extras — everything the old dataclass could
-express) canonicalises in it via the ``__canonical__`` hook the store
-honours.  The format is frozen *data* in this module (the record names
-and the spec fields each record holds), not derived from any live type,
-so the job keys of the paper systems, and with them the golden store,
-never move.  Every other spec takes the generic dataclass canonical
-form.
+levels named ``L1``/``L2``/``L3``, the default TLB, and no energy
+overrides — everything the old dataclass could express) canonicalises in
+it via the ``__canonical__`` hook the store honours.  The format is
+frozen *data* in this module (the record names and the spec fields each
+record holds), not derived from any live type, so the job keys of the
+paper systems, and with them the golden store, never move.  Every other
+spec takes the generic dataclass form.  Both forms keep the deleted
+fields as constants (:data:`_DELETED_FIELDS`).
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ _LEGACY_CACHE_FIELDS = (
     "mshr_demand_reserve")
 _LEGACY_DRAM_FIELDS = (
     "core_frequency_ghz", "dram_frequency_mhz", "cas_latency", "trcd",
-    "trp", "tras", "burst_cycles", "num_banks", "num_ranks",
-    "row_size_bytes", "channel_capacity_gb",
+    "trp", "burst_cycles", "num_banks", "num_ranks", "row_size_bytes",
     "controller_latency_core_cycles", "refresh_penalty_core_cycles",
     "max_queue_fraction")
 _LEGACY_INTERCONNECT_FIELDS = (
@@ -90,12 +90,28 @@ _LEGACY_HIERARCHY_FIELDS = (
     "prefetch_inflight_window", "ideal_miss_latency")
 
 
-def _legacy_record(class_name: str, spec: Any, names: Tuple[str, ...],
-                   **extra: Any) -> Dict[str, Any]:
-    """One dataclass record of the frozen pre-spec key format."""
+#: Fields deleted because no model read them, with the values every key
+#: was written with: keys keep them, so no key moved when they went.
+_DELETED_FIELDS = {
+    "LevelSpec": {"ports": 1, "area_mm2": None},
+    "TLBSpec": {"l1_latency": 1},
+    "MemorySpec": {"tras": 39, "channel_capacity_gb": 16},
+}
+
+
+def _record(class_name: str, spec: Any, names: Tuple[str, ...],
+            **extra: Any) -> Dict[str, Any]:
+    """One dataclass record of a store key."""
     record = {name: getattr(spec, name) for name in names}
     record.update(extra)
     return {"__dataclass__": class_name, "fields": record}
+
+
+def _generic_record(spec: Any, **extra: Any) -> Dict[str, Any]:
+    """``spec``'s generic dataclass record, with its deleted fields."""
+    name = type(spec).__name__
+    return _record(name, spec, tuple(f.name for f in fields(spec)),
+                   **_DELETED_FIELDS.get(name, {}), **extra)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -117,17 +133,12 @@ class LevelSpec:
             (``hit = max(tag, data)``).  Either detects a miss after
             ``tag_latency``.
         mshr_entries / mshr_demand_reserve: Miss-status-holding-register
-            geometry; the reserve is the demand-only fraction.
-        ports: Tag-port count (declarative, zigzag-style; the timing
-            model's global ``parallel_port_penalty`` models port
-            pressure, so ``ports`` is data for sweeps and reports).
-        inclusive: Whether this level is inclusive of the levels above
-            it.  Intermediate levels must be inclusive; only the LLC may
-            opt out (the paper's non-inclusive L3).
+            geometry; the reserve is the demand-only fraction.  Only the
+            deepest private level's bound the prefetch issue rate.
         read_energy_nj / write_energy_nj: Optional zigzag-style
             per-access energies; ``None`` selects the role-based default
-            from :class:`~repro.energy.model.EnergyParameters`.
-        area_mm2: Optional area annotation (reporting only).
+            from :class:`~repro.energy.model.EnergyParameters`.  Only the
+            LLC's write energy is read: it prices a writeback deposit.
     """
 
     name: str
@@ -139,11 +150,8 @@ class LevelSpec:
     sequential_tag_data: bool = False
     mshr_entries: int = 16
     mshr_demand_reserve: float = 0.25
-    ports: int = 1
-    inclusive: bool = True
     read_energy_nj: Optional[float] = None
     write_energy_nj: Optional[float] = None
-    area_mm2: Optional[float] = None
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "cache level needs a non-empty name")
@@ -169,9 +177,7 @@ class LevelSpec:
         _require(0.0 <= self.mshr_demand_reserve < 1.0,
                  f"level {self.name!r}: mshr_demand_reserve must be in "
                  f"[0, 1), got {self.mshr_demand_reserve}")
-        _require(self.ports >= 1,
-                 f"level {self.name!r}: ports must be at least 1")
-        for label in ("read_energy_nj", "write_energy_nj", "area_mm2"):
+        for label in ("read_energy_nj", "write_energy_nj"):
             value = getattr(self, label)
             _require(value is None or value >= 0.0,
                      f"level {self.name!r}: {label} must be "
@@ -190,13 +196,12 @@ class TLBSpec:
     """The (possibly asymmetric) two-level TLB attached to each core.
 
     The defaults reproduce the paper hierarchy's TLB: a 64-entry 4-way
-    L1 TLB (1 cycle) over a 1536-entry 4-way L2 TLB (4 cycles) with a
-    50-cycle page walk and 4 KiB pages.
+    L1 TLB (free: it overlaps the L1 access) over a 1536-entry 4-way L2
+    TLB (4 cycles) with a 50-cycle page walk and 4 KiB pages.
     """
 
     l1_entries: int = 64
     l1_associativity: int = 4
-    l1_latency: int = 1
     l2_entries: int = 1536
     l2_associativity: int = 4
     l2_latency: int = 4
@@ -213,8 +218,8 @@ class TLBSpec:
             _require(ways > 0 and entries % ways == 0,
                      f"TLB {prefix}: entries ({entries}) must be a "
                      f"positive multiple of associativity ({ways})")
-            _require(getattr(self, f"{prefix}_latency") >= 0,
-                     f"TLB {prefix}: latency must be non-negative")
+        _require(self.l2_latency >= 0,
+                 "TLB l2: latency must be non-negative")
         _require(self.page_size > 0
                  and (self.page_size & (self.page_size - 1)) == 0,
                  f"TLB: page_size must be a power of two, "
@@ -228,8 +233,8 @@ class MemorySpec:
     """The DRAM channel :class:`~repro.memory.dram.DRAMModel` times.
 
     The defaults correspond to DDR4-2400 (tCK = 0.833 ns) with CL=17,
-    tRCD=17, tRP=17, tRAS=39 memory cycles, a 64-byte burst (BL8 on a
-    x64 channel = 4 memory clocks), 16 banks, and a 4 GHz core clock.
+    tRCD=17 and tRP=17 memory cycles, a 64-byte burst (BL8 on a x64
+    channel = 4 memory clocks), 16 banks, and a 4 GHz core clock.
     ``max_queue_fraction`` bounds bank queueing delay to that fraction of
     one bank occupancy (the functional front end has no issue
     backpressure).
@@ -240,12 +245,10 @@ class MemorySpec:
     cas_latency: int = 17
     trcd: int = 17
     trp: int = 17
-    tras: int = 39
     burst_cycles: int = 4
     num_banks: int = 16
     num_ranks: int = 1
     row_size_bytes: int = 8192
-    channel_capacity_gb: int = 16
     controller_latency_core_cycles: int = 15
     refresh_penalty_core_cycles: float = 1.0
     max_queue_fraction: float = 0.5
@@ -304,8 +307,7 @@ def _paper_levels(llc_size_bytes: int) -> Tuple[LevelSpec, ...]:
                   mshr_entries=32, mshr_demand_reserve=0.25),
         LevelSpec(name="L3", size_bytes=llc_size_bytes, associativity=16,
                   tag_latency=20, data_latency=35, sequential_tag_data=True,
-                  mshr_entries=64, mshr_demand_reserve=0.25,
-                  inclusive=False),
+                  mshr_entries=64, mshr_demand_reserve=0.25),
     )
 
 
@@ -357,11 +359,6 @@ class HierarchySpec:
                      f"{deeper.name!r} ({deeper.hit_latency} cy) is "
                      f"faster than {closer.name!r} "
                      f"({closer.hit_latency} cy)")
-        for level in levels[:-1]:
-            _require(level.inclusive,
-                     f"intermediate level {level.name!r} must be "
-                     f"inclusive of the levels above it; only the LLC "
-                     f"({levels[-1].name!r}) may be non-inclusive")
         _require(self.parallel_port_penalty >= 0.0,
                  "parallel_port_penalty must be non-negative")
         _require(self.prefetch_inflight_window > 0,
@@ -419,16 +416,14 @@ class HierarchySpec:
     def is_legacy_exact(self) -> bool:
         """True when the pre-spec key format can express this spec.
 
-        That is: 3 levels with the default names, a non-inclusive LLC,
-        the default TLB, and no energy/area/port extras.  Such specs keep
-        their historical store keys (see :meth:`__canonical__`).
+        That is: 3 levels with the default names, the default TLB, and
+        no energy overrides.  Such specs keep their historical store keys
+        (see :meth:`__canonical__`).
         """
         return (tuple(level.name for level in self.levels) == _LEGACY_NAMES
-                and not self.llc.inclusive
                 and self.tlb == TLBSpec()
-                and all(level.ports == 1 and level.read_energy_nj is None
+                and all(level.read_energy_nj is None
                         and level.write_energy_nj is None
-                        and level.area_mm2 is None
                         for level in self.levels))
 
     def __canonical__(self, canonicalize):
@@ -436,26 +431,31 @@ class HierarchySpec:
 
         Legacy-exact specs canonicalise in the frozen pre-spec key
         format, so the SHA-256 job keys of the paper systems — and the
-        golden store — never move.  The format's records hold only
-        primitives, so ``canonicalize`` is not needed.  Anything that
-        format cannot express falls through to the generic dataclass
-        canonical form.
+        golden store — never move.  Anything that format cannot express
+        takes the generic dataclass form the store would build, plus the
+        deleted fields.  Both hold only primitives, so ``canonicalize``
+        is not needed.
         """
         if not self.is_legacy_exact():
-            return NotImplemented
+            last = len(self.levels) - 1
+            return _generic_record(
+                self,
+                levels=[_generic_record(level, inclusive=index < last)
+                        for index, level in enumerate(self.levels)],
+                tlb=_generic_record(self.tlb),
+                memory=_generic_record(self.memory),
+                interconnect=_generic_record(self.interconnect))
         levels = {
-            name: _legacy_record("CacheConfig", level, _LEGACY_CACHE_FIELDS,
-                                 level=code, replacement="lru",
-                                 writeback=True)
+            name: _record("CacheConfig", level, _LEGACY_CACHE_FIELDS,
+                          level=code, replacement="lru", writeback=True)
             for code, (name, level) in enumerate(
                 zip(("l1", "l2", "l3"), self.levels), start=1)}
-        return _legacy_record(
+        return _record(
             "HierarchyConfig", self, _LEGACY_HIERARCHY_FIELDS, **levels,
-            dram=_legacy_record("DRAMConfig", self.memory,
-                                _LEGACY_DRAM_FIELDS),
-            interconnect=_legacy_record("InterconnectConfig",
-                                        self.interconnect,
-                                        _LEGACY_INTERCONNECT_FIELDS))
+            dram=_record("DRAMConfig", self.memory, _LEGACY_DRAM_FIELDS,
+                         **_DELETED_FIELDS["MemorySpec"]),
+            interconnect=_record("InterconnectConfig", self.interconnect,
+                                 _LEGACY_INTERCONNECT_FIELDS))
 
     # ------------------------------------------------------------------
     # JSON round trip

@@ -127,6 +127,10 @@ def _prefetcher_phrase(prefetcher) -> str:
     return f"{wording} prefetcher degree {inner.degree}"
 
 
+#: Table I's DRAM capacity; the model has no channel capacity.
+_TABLE1_DRAM_GB = 16
+
+
 def _size_phrase(size_bytes: int) -> str:
     if size_bytes >= 1024 * 1024 and size_bytes % (1024 * 1024) == 0:
         return f"{size_bytes // (1024 * 1024)} MB"
@@ -138,10 +142,11 @@ def table1_description(config: "SystemConfig" = None) -> Dict[str, str]:
 
     Every line is derived from the configuration itself — the cache rows
     from the (N-level) hierarchy spec, the coherency row from the levels'
-    inclusivity, the memory row from the DRAM geometry and the prefetcher
-    phrases from the prefetchers the simulator would actually build — so
-    the table stays truthful for any declarative hierarchy, not just the
-    paper's three-level one.
+    positions (every level above the LLC is inclusive), the memory row
+    from the DRAM geometry (its capacity is Table I's constant) and the
+    prefetcher phrases from the prefetchers the simulator would actually
+    build — so the table stays truthful for any declarative hierarchy,
+    not just the paper's three-level one.
     """
     from .system import _make_private_prefetchers, make_llc_prefetcher
 
@@ -177,17 +182,14 @@ def table1_description(config: "SystemConfig" = None) -> Dict[str, str]:
             parts.append(_prefetcher_phrase(mid_pf))
         table[f"{level.name} Cache"] = ", ".join(parts)
 
-    inclusive = [lvl.name for lvl in spec.levels if lvl.inclusive]
-    non_inclusive = [lvl.name for lvl in spec.levels if not lvl.inclusive]
-    coherency = f"MOESI directory; {'/'.join(inclusive)} inclusive"
-    if non_inclusive:
-        coherency += f", {'/'.join(non_inclusive)} non-inclusive"
-    table["Coherency"] = coherency
+    private = "/".join(level.name for level in spec.levels[:-1])
+    table["Coherency"] = (f"MOESI directory; {private} inclusive, "
+                          f"{spec.llc.name} non-inclusive")
 
     memory = spec.memory
     data_rate = round(memory.dram_frequency_mhz * 2)
     table["Main Memory"] = (
-        f"{memory.channel_capacity_gb} GB DDR4-{data_rate} x64, "
+        f"{_TABLE1_DRAM_GB} GB DDR4-{data_rate} x64, "
         f"{'single channel' if memory.num_ranks == 1 else f'{memory.num_ranks} ranks'}")
     table["Level Predictor"] = (
         f"LocMap + PLD, {config.metadata_cache_bytes} B "

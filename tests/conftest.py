@@ -24,8 +24,7 @@ def small_hierarchy_config() -> HierarchySpec:
         LevelSpec(name="L2", size_bytes=16 * 1024, associativity=8,
                   tag_latency=12),
         LevelSpec(name="L3", size_bytes=64 * 1024, associativity=16,
-                  tag_latency=20, data_latency=35, sequential_tag_data=True,
-                  inclusive=False),
+                  tag_latency=20, data_latency=35, sequential_tag_data=True),
     ))
 
 

@@ -61,7 +61,7 @@ _BLOCK = 64
 @st.composite
 def hierarchy_specs(draw):
     """Random valid specs: 2-5 levels, power-of-two set counts, capacities
-    and hit latencies non-decreasing down the chain, any LLC inclusivity."""
+    and hit latencies non-decreasing down the chain."""
     depth = draw(st.integers(min_value=2, max_value=5))
     ways = draw(st.lists(st.sampled_from((1, 2, 4, 8)),
                          min_size=depth, max_size=depth))
@@ -81,8 +81,7 @@ def hierarchy_specs(draw):
                                 associativity=assoc, tag_latency=latency,
                                 mshr_entries=entries))
     llc = dataclasses.replace(
-        levels[-1], inclusive=draw(st.booleans()),
-        sequential_tag_data=True,
+        levels[-1], sequential_tag_data=True,
         data_latency=draw(st.integers(min_value=0, max_value=40)))
     return HierarchySpec(levels=tuple(levels[:-1]) + (llc,))
 
