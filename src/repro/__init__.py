@@ -9,9 +9,9 @@ The package is organised as:
 * :mod:`repro.prefetch` — the baseline prefetch scheme and the Figure-3 sweep.
 * :mod:`repro.cpu` — the out-of-order core timing model.
 * :mod:`repro.energy` — per-access energy accounting.
-* :mod:`repro.trace` — the columnar, numpy-backed trace substrate
-  (:class:`~repro.trace.TraceBuffer`) every layer above generates into
-  and replays from, in memory.
+* :mod:`repro.trace` — the columnar trace substrate on stdlib ``array``
+  columns (:class:`~repro.trace.TraceBuffer`) every layer above generates
+  into and replays from, in memory.
 * :mod:`repro.workloads` — synthetic traces for every evaluated application.
 * :mod:`repro.sim` — system assembly, single/multi-core drivers, the
   batched/parallel :mod:`simulation engine <repro.sim.engine>` (trace cache +

@@ -1,37 +1,40 @@
-"""Columnar, numpy-backed trace substrate.
+"""Columnar trace substrate on stdlib ``array`` columns.
 
 Every figure in the paper is trace driven: the synthetic workloads generate
 their memory references from a seeded state machine, in memory, and the
 hierarchy replays them.  :class:`TraceBuffer` is the one trace form, a
-struct-of-arrays layout of about 23 bytes per access:
+struct-of-arrays layout of about 23 bytes per access.  Each column is a
+``memoryview`` over packed machine values (:mod:`array` typecodes):
 
-======================  ==========  ========================================
-column                  dtype       meaning
-======================  ==========  ========================================
-``address``             uint64      byte address of the reference
-``pc``                  uint64      program counter of the issuing load/store
-``kind``                uint8       :data:`KIND_LOAD` / :data:`KIND_STORE` /
-                                    :data:`KIND_PREFETCH` / :data:`KIND_WRITEBACK`
-``size``                uint8       bytes accessed
-``dependent``           bool        pointer-chasing dependence flag
-``non_memory``          uint16      non-memory instructions before the access
-``thread_id``           uint16      issuing logical thread
-======================  ==========  ========================================
+======================  ========  ==========================================
+column                  typecode  meaning
+======================  ========  ==========================================
+``address``             ``Q``     byte address of the reference
+``pc``                  ``Q``     program counter of the issuing load/store
+``kind``                ``B``     :data:`KIND_LOAD` / :data:`KIND_STORE` /
+                                  :data:`KIND_PREFETCH` / :data:`KIND_WRITEBACK`
+``size``                ``B``     bytes accessed
+``dependent``           ``?``     pointer-chasing dependence flag
+``non_memory``          ``H``     non-memory instructions before the access
+``thread_id``           ``H``     issuing logical thread
+======================  ========  ==========================================
 
-On top of the packed columns the buffer derives (lazily, and caches) the two
-decompositions every simulation layer needs per access: the block-aligned
-address column (consumed by the cache hierarchy) and the page-number column
-(consumed by the TLB).  Replay therefore performs **no** per-access address
-arithmetic — see :meth:`TraceBuffer.replay_columns`.
+A value that does not fit its column (a negative address, a 300-byte size)
+raises :class:`OverflowError` when the buffer is built.
 
-Buffers slice without copying (``buffer[warmup:]`` is a numpy view), compare
-exactly, pickle compactly, and round-trip losslessly through ``.npz`` files
-(:meth:`save` / :meth:`load`, what ``python -m repro trace --save`` writes).
-Nothing in a simulation reads or writes trace files: generating a
-default-scale trace (5,200 accesses) takes about 15 ms.
+On top of the packed columns the buffer derives (lazily, once per root
+trace, and caches) the two decompositions every simulation layer needs per
+access: the block-aligned address column (consumed by the cache hierarchy)
+and the page-number column (consumed by the TLB).  Replay therefore performs
+**no** per-access address arithmetic — see :meth:`TraceBuffer.replay_columns`.
 
-The whole reproduction depends on numpy; the import error below says so
-explicitly instead of failing deep inside a simulation.
+Buffers slice without copying (``buffer[warmup:]`` slices the memoryviews),
+compare exactly, pickle as their packed bytes, and round-trip losslessly
+through ``.npz`` files (:meth:`save` / :meth:`load`, what
+``python -m repro trace --save`` writes).  Nothing in a simulation reads or
+writes trace files: generating a default-scale trace (5,200 accesses) takes
+about 15 ms.  numpy is imported by :meth:`save` and :meth:`load` alone, so
+importing :mod:`repro` and running any simulation never loads it.
 """
 
 from __future__ import annotations
@@ -39,16 +42,9 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+from array import array
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - exercised only without numpy
-    raise ImportError(
-        "repro's columnar trace substrate requires numpy (declared in "
-        "pyproject.toml). Install it with 'pip install numpy' and retry."
-    ) from exc
 
 from .memory.block import (
     AccessType,
@@ -58,7 +54,7 @@ from .memory.block import (
 )
 
 #: ``kind`` column codes.  Demand accesses are the two low codes, so a
-#: demand-only trace satisfies ``kind.max() <= KIND_STORE``.
+#: demand-only trace satisfies ``max(kind) <= KIND_STORE``.
 KIND_LOAD = 0
 KIND_STORE = 1
 KIND_PREFETCH = 2
@@ -81,28 +77,35 @@ NPZ_SCHEMA = "repro-trace-npz/1"
 #: unique (``itertools.count`` is atomic under the GIL).
 _SAVE_SERIAL = itertools.count()
 
-#: (name, dtype) of every packed column, in canonical order.
-_COLUMNS: Tuple[Tuple[str, object], ...] = (
-    ("address", np.uint64),
-    ("pc", np.uint64),
-    ("kind", np.uint8),
-    ("size", np.uint8),
-    ("dependent", np.bool_),
-    ("non_memory", np.uint16),
-    ("thread_id", np.uint16),
+#: (name, typecode) of every packed column, in canonical order.  The
+#: typecodes are also numpy dtype codes (``Q`` is uint64, ``?`` bool), which
+#: is all :meth:`TraceBuffer.save` / :meth:`TraceBuffer.load` need.
+_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("address", "Q"),
+    ("pc", "Q"),
+    ("kind", "B"),
+    ("size", "B"),
+    ("dependent", "?"),
+    ("non_memory", "H"),
+    ("thread_id", "H"),
 )
 
+#: The demand ``kind`` codes, as bytes for :meth:`bytes.translate`.
+_DEMAND_KINDS = bytes((KIND_LOAD, KIND_STORE))
 
-def _shift_for(size: int) -> int:
-    """log2(size) for powers of two, -1 otherwise."""
-    return size.bit_length() - 1 if size > 0 and (size & (size - 1)) == 0 \
-        else -1
+
+def _pack(typecode: str, values) -> memoryview:
+    """``values`` packed into a column (``?`` is bytes holding 0 or 1)."""
+    if typecode == "?":
+        return memoryview(array("B", [bool(value) for value in values])
+                          ).cast("?")
+    return memoryview(array(typecode, values))
 
 
 class TraceBuffer:
     """A packed, columnar memory-access trace.
 
-    Construct one from arrays, from a hand-made access list
+    Construct one from columns of values, from a hand-made access list
     (:meth:`from_accesses`), from a generator stream (:meth:`from_stream` —
     what :meth:`repro.workloads.base.Workload.generate_buffer` uses), or
     from an ``.npz`` file (:meth:`load`).
@@ -113,25 +116,32 @@ class TraceBuffer:
 
     def __init__(self, address, pc, kind, size, dependent, non_memory,
                  thread_id) -> None:
-        self.address = np.asarray(address, dtype=np.uint64)
-        self.pc = np.asarray(pc, dtype=np.uint64)
-        self.kind = np.asarray(kind, dtype=np.uint8)
-        self.size = np.asarray(size, dtype=np.uint8)
-        self.dependent = np.asarray(dependent, dtype=np.bool_)
-        self.non_memory = np.asarray(non_memory, dtype=np.uint16)
-        self.thread_id = np.asarray(thread_id, dtype=np.uint16)
-        length = len(self.address)
-        for name, _ in _COLUMNS[1:]:
-            if len(getattr(self, name)) != length:
+        self._adopt([_pack(typecode, values) for (_, typecode), values in
+                     zip(_COLUMNS, (address, pc, kind, size, dependent,
+                                    non_memory, thread_id))])
+
+    def _adopt(self, columns: Sequence[memoryview]) -> None:
+        """Take ``columns`` (in :data:`_COLUMNS` order) as this buffer's."""
+        length = len(columns[0])
+        for (name, _), column in zip(_COLUMNS, columns):
+            if len(column) != length:
                 raise ValueError(
-                    f"column {name!r} has {len(getattr(self, name))} rows, "
+                    f"column {name!r} has {len(column)} rows, "
                     f"expected {length}")
-        #: Cached derived columns: ("block"|"page", size) -> ndarray.
-        self._derived: Dict[Tuple[str, int], np.ndarray] = {}
+            setattr(self, name, column)
+        #: Cached derived columns: ("block"|"page", size) -> memoryview.
+        self._derived: Dict[Tuple[str, int], memoryview] = {}
         #: The buffer this one is a contiguous view of (None: itself),
         #: and the view's first row in it (see :attr:`origin`).
         self._root: Optional["TraceBuffer"] = None
         self._start = 0
+
+    @classmethod
+    def _of(cls, columns: Sequence[memoryview]) -> "TraceBuffer":
+        """A buffer over already-packed ``columns`` (no copy)."""
+        buffer = cls.__new__(cls)
+        buffer._adopt(columns)
+        return buffer
 
     # ------------------------------------------------------------------
     # Construction
@@ -139,7 +149,12 @@ class TraceBuffer:
     @classmethod
     def from_stream(cls, stream: Iterator[MemoryAccess],
                     num_accesses: int) -> "TraceBuffer":
-        """Pack the next ``num_accesses`` records of a generator stream."""
+        """Pack the next ``num_accesses`` records of a generator stream.
+
+        Raises:
+            ValueError: if ``num_accesses`` is not positive, or the stream
+                ends before yielding that many records.
+        """
         if num_accesses <= 0:
             raise ValueError("num_accesses must be positive")
         address: List[int] = [0] * num_accesses
@@ -150,8 +165,9 @@ class TraceBuffer:
         non_memory: List[int] = [0] * num_accesses
         thread_id: List[int] = [0] * num_accesses
         codes = KIND_CODES
-        for index in range(num_accesses):
-            access = next(stream)
+        index = -1
+        for index, access in enumerate(
+                itertools.islice(stream, num_accesses)):
             address[index] = access.address
             pc[index] = access.pc
             kind[index] = codes[access.access_type]
@@ -159,6 +175,9 @@ class TraceBuffer:
             dependent[index] = access.depends_on_previous
             non_memory[index] = access.non_memory_instructions
             thread_id[index] = access.thread_id
+        if index + 1 < num_accesses:
+            raise ValueError(f"stream ended after {index + 1} records, "
+                             f"expected {num_accesses}")
         return cls(address, pc, kind, size, dependent, non_memory, thread_id)
 
     @classmethod
@@ -180,8 +199,8 @@ class TraceBuffer:
         return sum(getattr(self, name).nbytes for name, _ in _COLUMNS)
 
     def __getitem__(self, index: slice) -> "TraceBuffer":
-        view = TraceBuffer(*(getattr(self, name)[index]
-                             for name, _ in _COLUMNS))
+        view = TraceBuffer._of([getattr(self, name)[index]
+                                for name, _ in _COLUMNS])
         # Derived columns slice to views too, so a warmup/measure split
         # never recomputes block/page decompositions.
         for key, column in self._derived.items():
@@ -204,35 +223,32 @@ class TraceBuffer:
     # ------------------------------------------------------------------
     # Derived columns
     # ------------------------------------------------------------------
-    def block_column(self, block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-        """Block-aligned address per access (cached per block size)."""
-        key = ("block", block_size)
+    def _derive(self, key: Tuple[str, int], build) -> memoryview:
+        """The cached derived column ``key``: ``build(addresses)`` on the
+        root trace, which a contiguous slice then views."""
         column = self._derived.get(key)
         if column is None:
-            shift = _shift_for(block_size)
-            if shift >= 0:
-                column = (self.address >> shift) << shift
+            root = self._root
+            if root is None:
+                column = memoryview(array("Q", build(self.address.tolist())))
             else:
-                # Mirror block.block_address exactly (mask semantics, even
-                # for non-power-of-two sizes), so replay stays bit-identical
-                # to the per-record path.
-                mask = np.uint64(~(block_size - 1) & ((1 << 64) - 1))
-                column = self.address & mask
+                column = root._derive(key, build)[
+                    self._start:self._start + len(self)]
             self._derived[key] = column
         return column
 
-    def page_column(self, page_size: int = DEFAULT_PAGE_SIZE) -> np.ndarray:
+    def block_column(self, block_size: int = DEFAULT_BLOCK_SIZE) -> memoryview:
+        """Block-aligned address per access (cached per block size)."""
+        # block.block_address's mask, even for non-power-of-two sizes, so
+        # replay stays bit-identical to the per-record path.
+        mask = ~(block_size - 1)
+        return self._derive(("block", block_size), lambda addresses: [
+            address & mask for address in addresses])
+
+    def page_column(self, page_size: int = DEFAULT_PAGE_SIZE) -> memoryview:
         """Page number per access (cached per page size)."""
-        key = ("page", page_size)
-        column = self._derived.get(key)
-        if column is None:
-            shift = _shift_for(page_size)
-            if shift >= 0:
-                column = self.address >> shift
-            else:
-                column = self.address // np.uint64(page_size)
-            self._derived[key] = column
-        return column
+        return self._derive(("page", page_size), lambda addresses: [
+            address // page_size for address in addresses])
 
     def replay_columns(self, block_size: int = DEFAULT_BLOCK_SIZE,
                        page_size: int = DEFAULT_PAGE_SIZE
@@ -242,21 +258,24 @@ class TraceBuffer:
 
         Returns ``(addresses, blocks, pages, is_store, pcs)`` as plain Python
         lists — native ints are what the simulator's integer-heavy hot path
-        wants (numpy scalars are several times slower in scalar arithmetic).
-        The block/page decompositions come from the vectorised columns, so no
-        per-access masking or shifting remains in the replay loop.
+        wants.  The block/page decompositions come from the cached derived
+        columns, so no per-access masking or shifting remains in the replay
+        loop.
 
         Raises:
             ValueError: if the buffer contains non-demand records (prefetch
                 or writeback kinds), which the demand path must not replay.
         """
-        if len(self) and int(self.kind.max()) > KIND_STORE:
+        kinds = self.kind.tobytes()
+        # What is left once the demand codes are deleted is non-demand.
+        if kinds.translate(None, _DEMAND_KINDS):
             raise ValueError("trace contains non-demand accesses; the "
                              "demand replay path only services loads/stores")
         return (self.address.tolist(),
                 self.block_column(block_size).tolist(),
                 self.page_column(page_size).tolist(),
-                (self.kind == KIND_STORE).tolist(),
+                # Every code is now 0 or 1, which reads as a bool.
+                memoryview(kinds).cast("?").tolist(),
                 self.pc.tolist())
 
     # ------------------------------------------------------------------
@@ -265,11 +284,11 @@ class TraceBuffer:
     def summary(self, block_size: int = DEFAULT_BLOCK_SIZE,
                 page_size: int = DEFAULT_PAGE_SIZE) -> Dict[str, object]:
         """Footprint / mix statistics (what ``python -m repro trace`` prints)."""
-        kinds = self.kind
-        loads = int(np.count_nonzero(kinds == KIND_LOAD))
-        stores = int(np.count_nonzero(kinds == KIND_STORE))
-        unique_blocks = int(np.unique(self.block_column(block_size)).size)
-        unique_pages = int(np.unique(self.page_column(page_size)).size)
+        kinds = self.kind.tolist()
+        loads = kinds.count(KIND_LOAD)
+        stores = kinds.count(KIND_STORE)
+        unique_blocks = len(set(self.block_column(block_size).tolist()))
+        unique_pages = len(set(self.page_column(page_size).tolist()))
         total = len(self)
         return {
             "accesses": total,
@@ -277,12 +296,12 @@ class TraceBuffer:
             "stores": stores,
             "store_fraction": stores / total if total else 0.0,
             "dependent_fraction":
-                int(np.count_nonzero(self.dependent)) / total if total else 0.0,
+                sum(self.dependent.tolist()) / total if total else 0.0,
             "unique_blocks": unique_blocks,
             "unique_pages": unique_pages,
             "footprint_bytes": unique_blocks * block_size,
             "buffer_bytes": self.nbytes,
-            "non_memory_instructions": int(self.non_memory.sum()),
+            "non_memory_instructions": sum(self.non_memory.tolist()),
         }
 
     # ------------------------------------------------------------------
@@ -291,8 +310,7 @@ class TraceBuffer:
     def __eq__(self, other: object) -> bool:
         """Exact, field-for-field comparison with another buffer."""
         if isinstance(other, TraceBuffer):
-            return all(np.array_equal(getattr(self, name),
-                                      getattr(other, name))
+            return all(getattr(self, name) == getattr(other, name)
                        for name, _ in _COLUMNS)
         return NotImplemented
 
@@ -302,20 +320,16 @@ class TraceBuffer:
     # Pickling (slots classes have no default __dict__ state)
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # Ship only the packed columns; derived columns are recomputed
+        # Ship only the packed bytes; derived columns are recomputed
         # cheaply on the other side and would double the payload.
-        return tuple(np.ascontiguousarray(getattr(self, name))
-                     for name, _ in _COLUMNS)
+        return tuple(getattr(self, name).tobytes() for name, _ in _COLUMNS)
 
     def __setstate__(self, state) -> None:
-        for (name, _), column in zip(_COLUMNS, state):
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "_derived", {})
-        object.__setattr__(self, "_root", None)
-        object.__setattr__(self, "_start", 0)
+        self._adopt([memoryview(data).cast(typecode)
+                     for (_, typecode), data in zip(_COLUMNS, state)])
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Persistence (the only numpy users; numpy is imported on call)
     # ------------------------------------------------------------------
     def save(self, path: Union[str, Path]) -> Path:
         """Write the packed columns to ``path`` as an uncompressed ``.npz``.
@@ -324,13 +338,16 @@ class TraceBuffer:
         unique per (process, thread, call), so concurrent savers of one
         path never promote a torn archive: last rename wins.
         """
+        import numpy as np
+
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / (
             f".{path.stem}.{os.getpid()}.{threading.get_ident()}."
             f"{next(_SAVE_SERIAL)}.tmp.npz")
-        columns = {name: np.ascontiguousarray(getattr(self, name))
-                   for name, _ in _COLUMNS}
+        columns = {name: np.frombuffer(getattr(self, name).tobytes(),
+                                       dtype=typecode)
+                   for name, typecode in _COLUMNS}
         try:
             with tmp.open("wb") as handle:
                 np.savez(handle, schema=np.array(NPZ_SCHEMA), **columns)
@@ -343,13 +360,17 @@ class TraceBuffer:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TraceBuffer":
         """Read a buffer written by :meth:`save` (exact round-trip)."""
+        import numpy as np
+
         with np.load(Path(path)) as archive:
             schema = str(archive["schema"])
             if schema != NPZ_SCHEMA:
                 raise ValueError(
                     f"{path}: unsupported trace schema {schema!r} "
                     f"(expected {NPZ_SCHEMA!r})")
-            return cls(*(archive[name] for name, _ in _COLUMNS))
+            return cls._of([memoryview(np.ascontiguousarray(
+                archive[name], dtype=typecode).tobytes()).cast(typecode)
+                for name, typecode in _COLUMNS])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"TraceBuffer(len={len(self)}, "

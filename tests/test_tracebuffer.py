@@ -405,3 +405,74 @@ class TestConcurrentSpill:
         assert len(results) == 6
         first = results[0]
         assert all(buffer is first for buffer in results)
+
+
+class TestStdlibColumns:
+    """The packed columns are stdlib ``array`` memory: what numpy's fixed
+    dtypes did (overflow, stepped views, compact pickles) still holds,
+    and no simulation imports numpy."""
+
+    @pytest.mark.parametrize("access", [
+        MemoryAccess(address=-1), MemoryAccess(address=64, size=300)],
+        ids=["negative-address", "size-300"])
+    def test_value_outside_its_column_overflows(self, access):
+        with pytest.raises(OverflowError):
+            TraceBuffer.from_accesses([access])
+
+    def test_stepped_slice_values(self):
+        buffer = build_workload("605.mcf").generate_buffer(300, seed=2)
+        for index in (slice(7, 250, 9), slice(None, None, -4)):
+            view = buffer[index]
+            for name in ("address", "pc", "kind", "size", "dependent",
+                         "non_memory", "thread_id"):
+                assert getattr(view, name).tolist() == \
+                    getattr(buffer, name).tolist()[index], name
+            assert view.block_column().tolist() == \
+                buffer.block_column().tolist()[index]
+            assert view.page_column().tolist() == \
+                buffer.page_column().tolist()[index]
+            assert view.origin == (view, 0)
+            assert view == TraceBuffer.from_accesses(records(buffer)[index])
+
+    def test_pickle_ships_the_packed_bytes(self):
+        import pickle
+
+        buffer = build_workload("gapbs.pr").generate_buffer(2000, seed=0)
+        buffer.replay_columns()
+        for view in (buffer, buffer[500:], buffer[::3]):
+            payload = pickle.dumps(view)
+            assert len(payload) <= view.nbytes + 512
+            assert pickle.loads(payload) == view
+
+    def test_short_stream_raises_value_error(self):
+        def one_record():
+            yield MemoryAccess(address=64)
+
+        with pytest.raises(ValueError, match="after 1 records, expected 3"):
+            TraceBuffer.from_stream(one_record(), 3)
+
+    def test_fresh_interpreter_never_imports_numpy(self):
+        """Importing the package, its CLI and service, and running a
+        golden-scale job leaves numpy unimported."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro, repro.cli, repro.service\n"
+            "from repro.experiments import GOLDEN_SCALE\n"
+            "from repro.sim.engine import SimulationEngine, SimulationJob\n"
+            "job = SimulationJob(workload='gapbs.pr', predictor='lp',"
+            " num_accesses=GOLDEN_SCALE.accesses,"
+            " warmup_accesses=GOLDEN_SCALE.warmup, seed=0)\n"
+            "[result] = SimulationEngine(jobs=1, store=False).run([job])\n"
+            "assert result.ipc > 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        output = subprocess.run(
+            [sys.executable, "-c", script], check=True, text=True,
+            capture_output=True, env=env).stdout.split()
+        assert output == ["False"]
