@@ -37,7 +37,7 @@ def test_table1_system_configuration(benchmark):
     # Core parameters.
     assert config.core.rob_entries == 192
     assert config.core.fetch_width == 4
-    assert config.core.frequency_ghz == 4.0
+    assert hierarchy.memory.core_frequency_ghz == 4.0
     # Multi-core variant uses the 8 MB shared LLC.
     multi = SystemConfig.paper_multi_core()
     assert multi.hierarchy.llc.size_bytes == 8 * 1024 * 1024

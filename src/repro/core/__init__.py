@@ -8,7 +8,7 @@ from .base import (
     SequentialPredictor,
     classify_prediction,
 )
-from .d2d import D2DConfig, DirectToDataPredictor, IdealPredictor
+from .d2d import DirectToDataPredictor, IdealPredictor
 from .level_predictor import CacheLevelPredictor, LevelPredictorConfig
 from .locmap import LocMap, MetadataCache, locmap_block_address
 from .pld import PLDConfig, PopularLevelsDetector
@@ -17,7 +17,6 @@ from .tage import TAGEConfig, TAGELevelPredictor, make_tage_2kb, make_tage_8kb
 
 __all__ = [
     "CacheLevelPredictor",
-    "D2DConfig",
     "DirectToDataPredictor",
     "IdealPredictor",
     "LevelPredictor",

@@ -23,10 +23,9 @@ traffic — is modelled explicitly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from ..energy.model import EnergyParameters
+from ..energy.model import TLB_ACCESS_NJ, sram_access_energy
 from ..memory.block import Level
 from .base import LevelPredictor, Prediction
 
@@ -34,14 +33,10 @@ from .base import LevelPredictor, Prediction
 _D2D_PREDICTIONS = {level: Prediction(levels=(level,), source="d2d")
                     for level in (Level.L2, Level.L3, Level.MEM)}
 
-
-@dataclass
-class D2DConfig:
-    """Cost parameters of the D2D baseline (Section IV.C)."""
-
-    hub_bytes: int = 4096
-    etlb_energy_overhead: float = 0.10
-    prediction_latency: int = 0
+#: D2D's cost model (Section IV.C): a 4 KB Hub, and eTLB entries whose
+#: extra length costs 10 % more energy per TLB access.
+HUB_BYTES = 4096
+ETLB_ENERGY_OVERHEAD = 0.10
 
 
 class DirectToDataPredictor(LevelPredictor):
@@ -55,22 +50,18 @@ class DirectToDataPredictor(LevelPredictor):
     hierarchy communicates by reporting LLC fills separately.
     """
 
-    def __init__(self, config: Optional[D2DConfig] = None,
-                 energy_params: Optional[EnergyParameters] = None) -> None:
+    prediction_latency = 0
+
+    def __init__(self) -> None:
         super().__init__()
-        self.config = config or D2DConfig()
-        self.prediction_latency = self.config.prediction_latency
-        self._energy_params = energy_params or EnergyParameters()
-        self._hub_access_energy = self._energy_params.sram_access_energy(
-            self.config.hub_bytes)
-        self._etlb_overhead = (self._energy_params.tlb_access_nj
-                               * self.config.etlb_energy_overhead)
+        self._hub_access_energy = sram_access_energy(HUB_BYTES)
+        self._etlb_overhead = TLB_ACCESS_NJ * ETLB_ENERGY_OVERHEAD
         # Precise location state: which levels currently hold each block.
         self._in_l2: Dict[int, bool] = {}
         self._in_l3: Dict[int, bool] = {}
         # Hub: a small cache of per-page location groups; misses cost energy.
         self._hub: "OrderedDict[int, bool]" = OrderedDict()
-        self._hub_entries = self.config.hub_bytes // 8
+        self._hub_entries = HUB_BYTES // 8
         self.hub_hits = 0
         self.hub_misses = 0
 
@@ -124,7 +115,7 @@ class DirectToDataPredictor(LevelPredictor):
     # Costs
     # ------------------------------------------------------------------
     def storage_bits(self) -> int:
-        return self.config.hub_bytes * 8
+        return HUB_BYTES * 8
 
     def energy_per_prediction_nj(self) -> float:
         # Every prediction accesses the eTLB (10 % longer entries) and the

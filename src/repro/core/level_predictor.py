@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..energy.model import EnergyParameters
+from ..energy.model import sram_access_energy
 from ..memory.block import Level, PREDICTABLE_LEVELS
 from .base import LevelPredictor, Prediction
 from .locmap import LocMap
@@ -44,18 +44,19 @@ _PLD_PREDICTIONS: dict = {}
 class LevelPredictorConfig:
     """Configuration of the proposed level predictor.
 
+    The paper fixes the rest of LP's cost: a
+    :data:`~repro.core.locmap.METADATA_ASSOCIATIVITY`-way metadata cache
+    and one cycle added to the L1 miss path
+    (:attr:`CacheLevelPredictor.prediction_latency`).
+
     Attributes:
         metadata_cache_bytes: Metadata cache capacity (2 KiB in the paper;
             Figure 5 sweeps 1-8 KiB).
-        metadata_associativity: Metadata cache ways (2 in the paper).
         pld: Popular Levels Detector configuration.
-        prediction_latency: Cycles added to the L1 miss path (1 in the paper).
     """
 
     metadata_cache_bytes: int = 2048
-    metadata_associativity: int = 2
     pld: PLDConfig = None
-    prediction_latency: int = 1
 
     def __post_init__(self) -> None:
         if self.pld is None:
@@ -65,17 +66,15 @@ class LevelPredictorConfig:
 class CacheLevelPredictor(LevelPredictor):
     """LocMap + Popular Levels Detector level predictor (the paper's LP)."""
 
-    def __init__(self, config: Optional[LevelPredictorConfig] = None,
-                 energy_params: Optional[EnergyParameters] = None) -> None:
+    prediction_latency = 1
+
+    def __init__(self, config: Optional[LevelPredictorConfig] = None) -> None:
         super().__init__()
         self.config = config or LevelPredictorConfig()
-        self.prediction_latency = self.config.prediction_latency
         self.locmap = LocMap(
-            metadata_cache_bytes=self.config.metadata_cache_bytes,
-            metadata_associativity=self.config.metadata_associativity)
+            metadata_cache_bytes=self.config.metadata_cache_bytes)
         self.pld = PopularLevelsDetector(self.config.pld)
-        self._energy_params = energy_params or EnergyParameters()
-        self._metadata_access_energy = self._energy_params.sram_access_energy(
+        self._metadata_access_energy = sram_access_energy(
             self.config.metadata_cache_bytes)
 
     # ------------------------------------------------------------------

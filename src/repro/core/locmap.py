@@ -34,6 +34,9 @@ BITS_PER_BLOCK = 2
 #: Data blocks whose metadata fits in one 64-byte LocMap block.
 BLOCKS_PER_LOCMAP_ENTRY = (DEFAULT_BLOCK_SIZE * 8) // BITS_PER_BLOCK
 
+#: Ways of the metadata cache (2 in the paper).
+METADATA_ASSOCIATIVITY = 2
+
 #: Encoding of levels into the 2-bit metadata field.
 _LEVEL_TO_CODE = {Level.L2: 1, Level.L3: 2, Level.MEM: 0}
 _CODE_TO_LEVEL = {code: level for level, code in _LEVEL_TO_CODE.items()}
@@ -135,8 +138,8 @@ class LocMap:
     state (nothing is cached before first touch).
 
     Args:
-        metadata_cache_bytes: Capacity of the on-chip metadata cache.
-        metadata_associativity: Ways of the metadata cache.
+        metadata_cache_bytes: Capacity of the on-chip metadata cache
+            (:data:`METADATA_ASSOCIATIVITY` ways).
         block_size: Data cache block size.
         base_address: Base physical address of the reserved LocMap region.
     """
@@ -146,14 +149,13 @@ class LocMap:
                  "locmap_fetches_from_memory")
 
     def __init__(self, metadata_cache_bytes: int = 2048,
-                 metadata_associativity: int = 2,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  base_address: int = 0) -> None:
         self.block_size = block_size
         self.base_address = base_address
         self.metadata_cache = MetadataCache(
             size_bytes=metadata_cache_bytes,
-            associativity=metadata_associativity,
+            associativity=METADATA_ASSOCIATIVITY,
             block_size=block_size)
         self._table: Dict[int, int] = {}
         # Statistics on the update policy.

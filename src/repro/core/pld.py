@@ -7,8 +7,8 @@ supplies the level instead.
 
 The PLD keeps one 32-bit counter per predictable level (L2, L3, MEM).  On a
 hit to a level, that level's counter is incremented and the others are
-decremented (never below zero), which makes the counters track the *recently*
-popular levels and prevents saturation.  When a prediction is needed the
+decremented by one (never below zero), which makes the counters track the
+*recently* popular levels and prevents saturation.  When a prediction is needed the
 counters are sorted:
 
 * the top level is always a target;
@@ -30,23 +30,22 @@ from typing import Dict, Tuple
 from ..memory.block import Level
 
 
+#: Width of each counter (32 in the paper).  It matters only for the
+#: storage report: the update rule prevents saturation in practice.
+COUNTER_BITS = 32
+_MAX_COUNTER = (1 << COUNTER_BITS) - 1
+
+
 @dataclass
 class PLDConfig:
-    """Tuning knobs of the Popular Levels Detector.
+    """Tuning knob of the Popular Levels Detector.
 
     Attributes:
-        counter_bits: Width of each counter (32 in the paper; the width only
-            matters for the storage report since the update rule prevents
-            saturation in practice).
         confidence_threshold: Fraction of the total counter mass the selected
             level(s) must reach before the prediction stops adding levels.
-        decrement_on_other: How much the non-hitting counters are decremented
-            per update (1 in the paper).
     """
 
-    counter_bits: int = 32
     confidence_threshold: float = 0.6
-    decrement_on_other: int = 1
 
 
 #: Shared result tuples for every level subset predict() can return,
@@ -68,13 +67,11 @@ class PopularLevelsDetector:
     iteration showed up in simulation profiles.
     """
 
-    __slots__ = ("config", "_max_value", "_decrement", "_l2", "_l3", "_mem",
-                 "updates", "predictions", "multi_way_predictions")
+    __slots__ = ("config", "_l2", "_l3", "_mem", "updates", "predictions",
+                 "multi_way_predictions")
 
     def __init__(self, config: PLDConfig | None = None) -> None:
         self.config = config or PLDConfig()
-        self._max_value = (1 << self.config.counter_bits) - 1
-        self._decrement = self.config.decrement_on_other
         self._l2 = 0
         self._l3 = 0
         self._mem = 0
@@ -89,19 +86,18 @@ class PopularLevelsDetector:
         """Update the counters after a demand access resolved at ``level``."""
         if level is Level.L1:
             return
-        decrement = self._decrement
         if level is Level.L2:
-            self._l2 = min(self._l2 + 1, self._max_value)
-            self._l3 = l3 if (l3 := self._l3 - decrement) > 0 else 0
-            self._mem = mem if (mem := self._mem - decrement) > 0 else 0
+            self._l2 = min(self._l2 + 1, _MAX_COUNTER)
+            self._l3 = l3 if (l3 := self._l3 - 1) > 0 else 0
+            self._mem = mem if (mem := self._mem - 1) > 0 else 0
         elif level is Level.L3:
-            self._l3 = min(self._l3 + 1, self._max_value)
-            self._l2 = l2 if (l2 := self._l2 - decrement) > 0 else 0
-            self._mem = mem if (mem := self._mem - decrement) > 0 else 0
+            self._l3 = min(self._l3 + 1, _MAX_COUNTER)
+            self._l2 = l2 if (l2 := self._l2 - 1) > 0 else 0
+            self._mem = mem if (mem := self._mem - 1) > 0 else 0
         elif level is Level.MEM:
-            self._mem = min(self._mem + 1, self._max_value)
-            self._l2 = l2 if (l2 := self._l2 - decrement) > 0 else 0
-            self._l3 = l3 if (l3 := self._l3 - decrement) > 0 else 0
+            self._mem = min(self._mem + 1, _MAX_COUNTER)
+            self._l2 = l2 if (l2 := self._l2 - 1) > 0 else 0
+            self._l3 = l3 if (l3 := self._l3 - 1) > 0 else 0
         else:  # pragma: no cover - Level has no other members
             raise ValueError(f"PLD does not track level {level}")
         self.updates += 1
@@ -155,8 +151,8 @@ class PopularLevelsDetector:
         return {Level.L2: self._l2, Level.L3: self._l3, Level.MEM: self._mem}
 
     def storage_bits(self) -> int:
-        """Three counters of ``counter_bits`` bits each (96 bits total)."""
-        return self.config.counter_bits * 3
+        """Three counters of :data:`COUNTER_BITS` bits each (96 bits)."""
+        return COUNTER_BITS * 3
 
     @property
     def multi_way_fraction(self) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..energy.model import EnergyParameters
+from ..energy.model import sram_access_energy
 from ..memory.block import Level, PREDICTABLE_LEVELS
 from .base import LevelPredictor, Prediction, PredictionOutcome
 
@@ -142,14 +142,10 @@ class TAGELevelPredictor(LevelPredictor):
     per counter triple, so a prediction costs a few list reads.
     """
 
-    def __init__(self, config: Optional[TAGEConfig] = None,
-                 energy_params: Optional[EnergyParameters] = None) -> None:
+    def __init__(self, config: Optional[TAGEConfig] = None) -> None:
         super().__init__()
         self.config = config = config or TAGEConfig()
-        self.prediction_latency = 1
-        self._energy_params = energy_params or EnergyParameters()
-        self._access_energy = self._energy_params.sram_access_energy(
-            config.storage_bytes)
+        self._access_energy = sram_access_energy(config.storage_bytes)
         entries = config.entries_per_table
         tables = config.num_tagged_tables
         self._entries = entries

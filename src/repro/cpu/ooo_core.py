@@ -24,7 +24,7 @@ level-predicted), exactly how the paper reports Figure 11.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Deque, Iterable, Sequence
 
 from ..memory.block import AccessResult
@@ -35,22 +35,21 @@ from ..trace import TraceBuffer
 class CoreConfig:
     """Core microarchitecture parameters (Table I defaults).
 
+    Only what the timing model reads.  Every in-flight access is bounded
+    by the load queue and the ROB (:meth:`OutOfOrderCore.mlp_limit`), so
+    there is no separate store-queue depth, and the core clock is
+    :attr:`~repro.memory.spec.MemorySpec.core_frequency_ghz`, which the
+    DRAM model converts with.
+
     Attributes:
         fetch_width: Instructions fetched/committed per cycle.
         rob_entries: Reorder-buffer capacity.
         load_queue_entries: Load-queue capacity.
-        store_queue_entries: Store-queue capacity.
-        frequency_ghz: Core clock (read only by the Table I text).
-        min_instruction_cycles: Lower bound on cycles per instruction group,
-            modelling dispatch/execute latency of ALU chains.
     """
 
     fetch_width: int = 4
     rob_entries: int = 192
     load_queue_entries: int = 32
-    store_queue_entries: int = 32
-    frequency_ghz: float = 4.0
-    min_instruction_cycles: float = 0.25
 
     @staticmethod
     def paper_baseline() -> "CoreConfig":
@@ -61,8 +60,21 @@ class CoreConfig:
                    load_queue_entries: int = 96) -> "CoreConfig":
         """The more aggressive cores of the sensitivity study (Figure 15)."""
         return CoreConfig(rob_entries=rob_entries,
-                          load_queue_entries=load_queue_entries,
-                          store_queue_entries=load_queue_entries)
+                          load_queue_entries=load_queue_entries)
+
+    def __canonical__(self, canonicalize):
+        """Store-canonicalisation hook (see ``repro.sim.store``).
+
+        The generic dataclass record plus the fields deleted because no
+        model read them, with the values every key was written with: the
+        store queue was always as deep as the load queue, the clock 4 GHz
+        and the per-access front-end floor a quarter cycle.  So no key
+        moved when they went.
+        """
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record.update(store_queue_entries=self.load_queue_entries,
+                      frequency_ghz=4.0, min_instruction_cycles=0.25)
+        return {"__dataclass__": "CoreConfig", "fields": record}
 
 
 @dataclass
@@ -134,7 +146,6 @@ class OutOfOrderCore:
 
         # Hot loop: bind everything to locals (this runs once per access).
         fetch_width = cfg.fetch_width
-        min_cycles = cfg.min_instruction_cycles
         popleft = outstanding.popleft
         push = outstanding.append
 
@@ -142,8 +153,6 @@ class OutOfOrderCore:
             # Front-end: the non-memory instructions ahead of this access plus
             # the memory instruction itself, fetched at the commit width.
             front_end = (non_mem + 1) / fetch_width
-            if front_end < min_cycles:
-                front_end = min_cycles
             issue_cycle = current_cycle + front_end
             ideal_cycles += front_end
 

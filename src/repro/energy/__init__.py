@@ -1,5 +1,5 @@
 """CACTI-like per-access energy model and per-category accounting."""
 
-from .model import EnergyAccount, EnergyParameters, normalized_energy
+from .model import EnergyAccount, normalized_energy, sram_access_energy
 
-__all__ = ["EnergyAccount", "EnergyParameters", "normalized_energy"]
+__all__ = ["EnergyAccount", "normalized_energy", "sram_access_energy"]

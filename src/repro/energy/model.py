@@ -3,8 +3,9 @@
 The paper uses CACTI to obtain per-access energies and accumulates total
 cache-hierarchy energy (Section V.B).  CACTI itself is a large circuit-level
 tool that is not available offline, so this module embeds a table of per-access
-energies (in nanojoules) with the magnitudes and, critically, the *relative
-ordering* CACTI produces for the paper's structures at 22 nm-class nodes:
+energies (in nanojoules, module constants) with the magnitudes and,
+critically, the *relative ordering* CACTI produces for the paper's
+structures at 22 nm-class nodes:
 
     L1 (32 KB) < metadata cache (2 KB) < L2 (256 KB)
     < LLC tag < LLC tag+data (2-8 MB) << DRAM access
@@ -26,54 +27,33 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..memory.block import Level
+#: Per-access energies, in nanojoules.  They are constants: every figure
+#: normalises to the baseline, so only their ordering matters.
+L1_ACCESS_NJ = 0.010
+L2_ACCESS_NJ = 0.035
+LLC_TAG_ACCESS_NJ = 0.020
+LLC_DATA_ACCESS_NJ = 0.110
+DRAM_ACCESS_NJ = 6.0
+DIRECTORY_ACCESS_NJ = 0.015
+BUS_TRANSFER_NJ = 0.008
+TLB_ACCESS_NJ = 0.004
+#: Reference point for sqrt-capacity SRAM scaling: a 2 KB structure.
+SRAM_REFERENCE_BYTES = 2048
+SRAM_REFERENCE_NJ = 0.006
 
 
-@dataclass
-class EnergyParameters:
-    """Per-access and static energy constants, in nanojoules.
+def sram_access_energy(capacity_bytes: int) -> float:
+    """Per-access energy of a small SRAM of the given capacity.
 
-    The SRAM energies follow an approximately sqrt-capacity scaling law which
-    :meth:`sram_access_energy` exposes for arbitrary structure sizes (used to
-    size the metadata cache sweep in Figure 5 and the TAGE variants).
+    Scales with the square root of capacity relative to the 2 KB
+    reference, which is the first-order behaviour CACTI reports for small
+    tag/data arrays (the metadata cache sweep of Figure 5, the TAGE
+    variants and D2D's Hub).
     """
-
-    l1_access_nj: float = 0.010
-    l2_access_nj: float = 0.035
-    llc_tag_access_nj: float = 0.020
-    llc_data_access_nj: float = 0.110
-    dram_access_nj: float = 6.0
-    directory_access_nj: float = 0.015
-    mshr_access_nj: float = 0.002
-    bus_transfer_nj: float = 0.008
-    tlb_access_nj: float = 0.004
-    # Reference point for sqrt-capacity SRAM scaling: a 2 KB structure.
-    sram_reference_bytes: int = 2048
-    sram_reference_nj: float = 0.006
-
-    def sram_access_energy(self, capacity_bytes: int) -> float:
-        """Per-access energy of a small SRAM of the given capacity.
-
-        Scales with the square root of capacity relative to the 2 KB
-        reference, which is the first-order behaviour CACTI reports for small
-        tag/data arrays.
-        """
-        if capacity_bytes <= 0:
-            return 0.0
-        ratio = capacity_bytes / self.sram_reference_bytes
-        return self.sram_reference_nj * math.sqrt(ratio)
-
-    def cache_access_energy(self, level: Level, tag_only: bool = False) -> float:
-        """Per-access energy of a hierarchy level lookup."""
-        if level is Level.L1:
-            return self.l1_access_nj
-        if level is Level.L2:
-            return self.l2_access_nj
-        if level is Level.L3:
-            if tag_only:
-                return self.llc_tag_access_nj
-            return self.llc_tag_access_nj + self.llc_data_access_nj
-        return self.dram_access_nj
+    if capacity_bytes <= 0:
+        return 0.0
+    ratio = capacity_bytes / SRAM_REFERENCE_BYTES
+    return SRAM_REFERENCE_NJ * math.sqrt(ratio)
 
 
 @dataclass(slots=True)
@@ -84,7 +64,6 @@ class EnergyAccount:
     structure energy, and misprediction-recovery energy.
     """
 
-    params: EnergyParameters = field(default_factory=EnergyParameters)
     by_category: Dict[str, float] = field(default_factory=dict)
 
     def charge(self, category: str, nanojoules: float) -> None:

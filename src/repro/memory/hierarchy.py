@@ -87,7 +87,10 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
-from ..energy.model import EnergyAccount, EnergyParameters
+from ..energy.model import (BUS_TRANSFER_NJ, DIRECTORY_ACCESS_NJ,
+                            DRAM_ACCESS_NJ, L1_ACCESS_NJ, L2_ACCESS_NJ,
+                            LLC_DATA_ACCESS_NJ, LLC_TAG_ACCESS_NJ,
+                            TLB_ACCESS_NJ, EnergyAccount)
 from ..prefetch.base import NullPrefetcher, PrefetchAccess, Prefetcher
 from .block import (
     AccessResult,
@@ -284,15 +287,13 @@ class SharedMemorySystem:
     LLC prefetcher."""
 
     def __init__(self, config: HierarchySpec, num_cores: int = 1,
-                 llc_prefetcher: Optional[Prefetcher] = None,
-                 energy_params: Optional[EnergyParameters] = None) -> None:
+                 llc_prefetcher: Optional[Prefetcher] = None) -> None:
         self.config = config
         self.num_cores = num_cores
         self.l3 = Cache(config.levels[-1])
         self.dram = DRAMModel(config.memory)
         self.directory = Directory(num_cores=num_cores)
         self.llc_prefetcher = llc_prefetcher or NullPrefetcher()
-        self.energy_params = energy_params or EnergyParameters()
         self.dram_writebacks = 0
 
     def l3_eviction_to_memory(self, eviction: EvictionInfo) -> bool:
@@ -403,7 +404,7 @@ class CoreMemoryHierarchy:
         self.l2_prefetcher = l2_prefetcher or NullPrefetcher()
         self.interconnect = Interconnect(spec.interconnect,
                                          active_cores=active_cores)
-        self.energy = EnergyAccount(params=self.shared.energy_params)
+        self.energy = EnergyAccount()
         self.stats = HierarchyStats()
         self.core_id = core_id
         self.walk_source: Optional[Callable[["TraceBuffer"],
@@ -440,38 +441,32 @@ class CoreMemoryHierarchy:
         self._ic_recovery = ic_spec.recovery_transaction + contention
         self._ic_cache_to_cache = ic_spec.l2_to_llc + ic_spec.l1_to_l2 \
             + contention
-        params = self.shared.energy_params
         # Spec-level read_energy_nj overrides replace the role-based default
         # for the full per-access energy of that level (for the LLC it also
         # stands in for the tag-only probe — a documented simplification);
         # write_energy_nj prices the dirty-writeback deposit into the LLC.
         l1_read = l1_spec.read_energy_nj
-        self._l1_nj = params.l1_access_nj if l1_read is None else l1_read
-        self._tlb_l1_nj = params.tlb_access_nj + self._l1_nj
+        self._l1_nj = L1_ACCESS_NJ if l1_read is None else l1_read
+        self._tlb_l1_nj = TLB_ACCESS_NJ + self._l1_nj
         self._chain_nj = tuple([
-            params.l2_access_nj if level.read_energy_nj is None
+            L2_ACCESS_NJ if level.read_energy_nj is None
             else level.read_energy_nj
             for level in inter_specs])
         llc_read = llc_spec.read_energy_nj
         if llc_read is None:
-            self._l3_nj = params.llc_tag_access_nj \
-                + params.llc_data_access_nj
-            self._l3_tag_nj = params.llc_tag_access_nj
+            self._l3_nj = LLC_TAG_ACCESS_NJ + LLC_DATA_ACCESS_NJ
+            self._l3_tag_nj = LLC_TAG_ACCESS_NJ
         else:
             self._l3_nj = llc_read
             self._l3_tag_nj = llc_read
         llc_write = llc_spec.write_energy_nj
         self._l3_wb_nj = self._l3_nj if llc_write is None else llc_write
-        self._dram_nj = params.dram_access_nj
-        self._bus_nj = params.bus_transfer_nj
-        self._directory_nj = params.directory_access_nj
-        # The walker and the replay add these constants straight into the
-        # energy account's categories, so they are checked once here
-        # instead of by EnergyAccount.charge on every access.
-        if min((self._tlb_l1_nj, self._l1_nj, self._l3_nj, self._l3_tag_nj,
-                self._l3_wb_nj, self._dram_nj, self._bus_nj,
-                self._directory_nj) + self._chain_nj) < 0:
-            raise ValueError("cannot charge negative energy")
+        self._dram_nj = DRAM_ACCESS_NJ
+        self._bus_nj = BUS_TRANSFER_NJ
+        self._directory_nj = DIRECTORY_ACCESS_NJ
+        # The walker and the replay add these straight into the energy
+        # account's categories, not through EnergyAccount.charge: none can
+        # be negative, since LevelSpec rejects a negative override.
         budget = inter_specs[-1] if inter_specs else l1_spec
         self._prefetch_budget = (1.0 - budget.mshr_demand_reserve) \
             * budget.mshr_entries

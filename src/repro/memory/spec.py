@@ -137,7 +137,7 @@ class LevelSpec:
             deepest private level's bound the prefetch issue rate.
         read_energy_nj / write_energy_nj: Optional zigzag-style
             per-access energies; ``None`` selects the role-based default
-            from :class:`~repro.energy.model.EnergyParameters`.  Only the
+            among the constants of :mod:`repro.energy.model`.  Only the
             LLC's write energy is read: it prices a writeback deposit.
     """
 

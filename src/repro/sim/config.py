@@ -20,6 +20,9 @@ PREDICTOR_NAMES: List[str] = [
     "baseline", "tage-2kb", "tage-8kb", "d2d", "lp", "ideal",
 ]
 
+#: The prefetch schemes a system can run.
+PREFETCH_SCHEMES = ("paper", "none")
+
 
 @dataclass
 class SystemConfig:
@@ -34,7 +37,7 @@ class SystemConfig:
             :data:`PREDICTOR_NAMES`.
         prefetch_scheme: ``paper`` for the baseline prefetchers of
             Section IV.A (tagged next-line at L1/L2, throttled DCPT at L3),
-            ``none`` to disable prefetching.
+            ``none`` to disable prefetching; any other name is refused.
         num_cores: Cores sharing the LLC.
         metadata_cache_bytes: LP metadata cache capacity (Figure 5 sweep).
         prefetch_epoch_accesses: Epoch length of the accuracy-gated throttling.
@@ -49,6 +52,12 @@ class SystemConfig:
     num_cores: int = 1
     metadata_cache_bytes: int = 2048
     prefetch_epoch_accesses: int = 50_000
+
+    def __post_init__(self) -> None:
+        if self.prefetch_scheme not in PREFETCH_SCHEMES:
+            raise ValueError(f"unknown prefetch scheme "
+                             f"{self.prefetch_scheme!r}; known: "
+                             f"{', '.join(PREFETCH_SCHEMES)}")
 
     def with_predictor(self, predictor: str) -> "SystemConfig":
         """A copy of this configuration using a different predictor."""
@@ -99,8 +108,7 @@ class SystemConfig:
             "parallel-llc-lsq96": replace(
                 base, name="parallel-llc-lsq96",
                 hierarchy=parallel_llc,
-                core=CoreConfig(rob_entries=192, load_queue_entries=96,
-                                store_queue_entries=96)),
+                core=CoreConfig(rob_entries=192, load_queue_entries=96)),
             "aggressive-core": replace(
                 base, name="aggressive-core",
                 hierarchy=parallel_llc,
@@ -129,6 +137,8 @@ def _prefetcher_phrase(prefetcher) -> str:
 
 #: Table I's DRAM capacity; the model has no channel capacity.
 _TABLE1_DRAM_GB = 16
+#: Table I's store queue; the core model bounds accesses by the load queue.
+_TABLE1_SQ_ENTRIES = 32
 
 
 def _size_phrase(size_bytes: int) -> str:
@@ -143,7 +153,8 @@ def table1_description(config: "SystemConfig" = None) -> Dict[str, str]:
     Every line is derived from the configuration itself — the cache rows
     from the (N-level) hierarchy spec, the coherency row from the levels'
     positions (every level above the LLC is inclusive), the memory row
-    from the DRAM geometry (its capacity is Table I's constant) and the
+    from the DRAM geometry (its capacity is Table I's constant), the
+    clock from the spec's memory (the store queue is Table I's) and the
     prefetcher phrases from the prefetchers the simulator would actually
     build — so the table stays truthful for any declarative hierarchy,
     not just the paper's three-level one.
@@ -155,13 +166,13 @@ def table1_description(config: "SystemConfig" = None) -> Dict[str, str]:
     l1_pf, mid_pf = _make_private_prefetchers(config)
     llc_pf = make_llc_prefetcher(config)
 
+    core = config.core
     table = {
         "Processor": (f"{config.num_cores}-core, "
-                      f"{config.core.frequency_ghz:.1f} GHz, ROB "
-                      f"{config.core.rob_entries}, LQ "
-                      f"{config.core.load_queue_entries}, SQ "
-                      f"{config.core.store_queue_entries}, fetch width "
-                      f"{config.core.fetch_width}"),
+                      f"{spec.memory.core_frequency_ghz:.1f} GHz, ROB "
+                      f"{core.rob_entries}, LQ {core.load_queue_entries}, "
+                      f"SQ {_TABLE1_SQ_ENTRIES}, fetch width "
+                      f"{core.fetch_width}"),
     }
     last = len(spec.levels) - 1
     for index, level in enumerate(spec.levels):

@@ -4,29 +4,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.energy import EnergyAccount, EnergyParameters, normalized_energy
-from repro.memory.block import Level
+from repro.energy import EnergyAccount, normalized_energy, sram_access_energy
+from repro.energy.model import (DRAM_ACCESS_NJ, L1_ACCESS_NJ, L2_ACCESS_NJ,
+                                LLC_DATA_ACCESS_NJ, LLC_TAG_ACCESS_NJ)
+
+#: A full LLC access: the tag and the data array.
+LLC_ACCESS_NJ = LLC_TAG_ACCESS_NJ + LLC_DATA_ACCESS_NJ
 
 
 class TestParameters:
     def test_relative_ordering_of_structures(self):
         """The CACTI-style ordering the paper's energy results depend on."""
-        params = EnergyParameters()
-        assert params.l1_access_nj < params.l2_access_nj
-        assert params.l2_access_nj < params.cache_access_energy(Level.L3)
-        assert params.cache_access_energy(Level.L3) < params.dram_access_nj
-        assert params.sram_access_energy(2048) < params.l2_access_nj
+        assert L1_ACCESS_NJ < L2_ACCESS_NJ
+        assert L2_ACCESS_NJ < LLC_ACCESS_NJ
+        assert LLC_ACCESS_NJ < DRAM_ACCESS_NJ
+        assert sram_access_energy(2048) < L2_ACCESS_NJ
 
     def test_sram_scaling_is_monotone(self):
-        params = EnergyParameters()
-        assert params.sram_access_energy(1024) < params.sram_access_energy(2048)
-        assert params.sram_access_energy(2048) < params.sram_access_energy(8192)
-        assert params.sram_access_energy(0) == 0.0
+        assert sram_access_energy(1024) < sram_access_energy(2048)
+        assert sram_access_energy(2048) < sram_access_energy(8192)
+        assert sram_access_energy(0) == 0.0
 
     def test_llc_tag_only_cheaper_than_full_access(self):
-        params = EnergyParameters()
-        assert params.cache_access_energy(Level.L3, tag_only=True) \
-            < params.cache_access_energy(Level.L3)
+        assert LLC_TAG_ACCESS_NJ < LLC_ACCESS_NJ
 
 
 class TestAccount:
@@ -44,9 +44,8 @@ class TestAccount:
 
     def test_cache_hierarchy_energy_excludes_dram(self):
         account = EnergyAccount()
-        params = account.params
-        account.charge("hierarchy", params.cache_access_energy(Level.L2))
-        account.charge("dram", params.cache_access_energy(Level.MEM))
+        account.charge("hierarchy", L2_ACCESS_NJ)
+        account.charge("dram", DRAM_ACCESS_NJ)
         assert account.cache_hierarchy_energy() < account.total
         assert "dram" in account.by_category
 

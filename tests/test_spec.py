@@ -230,6 +230,16 @@ _FOUR_LEVEL_KEY = (
     'e35c7435c8e3f521e41c48f7e39a6cb7'
     'ebe6e42189667039136c361f4fe95d8b')
 
+#: The keys of fig15's two LSQ-96 systems on one default-scale job.  The
+#: fixture file holds no core whose store queue is 96 entries deep, so
+#: these pin the store-queue depth ``CoreConfig`` writes into a key.
+_LSQ96_KEYS = {
+    "parallel-llc-lsq96": ('553f9ea7783a936d2cb9c70ce69ab49c'
+                           '6f4265734f7faf17e7b840fec2897a6e'),
+    "aggressive-core": ('9a0ce4f6dab7075ddd3fb10a72b5bd57'
+                        '462292f284bc736be9ae57e3ff48466c'),
+}
+
 
 # ======================================================================
 # Key stability (the golden store must never move)
@@ -269,6 +279,14 @@ class TestKeyStability:
         canonical = job_spec(job)
         assert json.dumps(canonical, sort_keys=True) == _FOUR_LEVEL_CANONICAL
         assert spec_key(canonical) == _FOUR_LEVEL_KEY
+
+    @pytest.mark.parametrize("variant", sorted(_LSQ96_KEYS))
+    def test_fig15_lsq96_keys_pinned(self, variant):
+        config = SystemConfig.sensitivity_variants("lp")[variant]
+        job = SimulationJob(workload="gapbs.pr", predictor="baseline",
+                            num_accesses=4000, warmup_accesses=1200, seed=0,
+                            config=config)
+        assert spec_key(job_spec(job)) == _LSQ96_KEYS[variant]
 
     def test_mix_key_pinned(self, fixture_data):
         job = MixJob(mix="mix1", predictor="lp", accesses_per_core=240,

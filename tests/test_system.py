@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.base import SequentialPredictor
@@ -83,6 +85,16 @@ class TestSystemConfig:
         none_config = SystemConfig.paper_single_core()
         none_config.prefetch_scheme = "none"
         assert isinstance(make_llc_prefetcher(none_config), NullPrefetcher)
+
+    @pytest.mark.parametrize("scheme", ["paperx", "", "None"])
+    def test_unknown_prefetch_scheme_rejected(self, scheme):
+        """Any name but ``paper`` and ``none`` used to run the paper
+        prefetchers under a job key of its own."""
+        with pytest.raises(ValueError, match="prefetch scheme"):
+            SystemConfig(prefetch_scheme=scheme)
+        with pytest.raises(ValueError, match="prefetch scheme"):
+            dataclasses.replace(SystemConfig.paper_single_core(),
+                                prefetch_scheme=scheme)
 
 
 class TestSimulatedSystem:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import LevelPredictor, Prediction
-from repro.core.d2d import D2DConfig, DirectToDataPredictor, IdealPredictor
+from repro.core.d2d import DirectToDataPredictor, IdealPredictor
 from repro.core.tage import (
     TAGEConfig,
     TAGELevelPredictor,
@@ -131,13 +131,12 @@ class TestD2D:
         assert predictor.stats.accuracy == 1.0
 
     def test_hub_energy_grows_with_miss_ratio(self):
-        config = D2DConfig(hub_bytes=4096)
-        predictor = DirectToDataPredictor(config)
+        predictor = DirectToDataPredictor()
         # Scattered pages: many Hub misses -> higher per-prediction energy.
         for i in range(2000):
             predictor.predict(i * 8192)
         scattered = predictor.energy_per_prediction_nj()
-        dense = DirectToDataPredictor(config)
+        dense = DirectToDataPredictor()
         for _ in range(2000):
             dense.predict(0x1000)
         assert scattered > dense.energy_per_prediction_nj()
