@@ -13,6 +13,8 @@ no prefetcher covers more than ~60 % of LLC misses.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis import format_table
 from repro.prefetch import FIGURE3_PREFETCHERS, make_prefetcher
 from repro.sim.config import SystemConfig
@@ -35,8 +37,9 @@ def _run_prefetcher_sweep():
         total_misses = 0
         useful = useless = 0
         for app, trace in traces.items():
-            config = SystemConfig.paper_single_core("baseline")
-            config.prefetch_scheme = "none"   # isolate the LLC prefetcher
+            # No private prefetchers: isolate the LLC prefetcher.
+            config = replace(SystemConfig.paper_single_core("baseline"),
+                             prefetch_scheme="none")
             system = SimulatedSystem(config, llc_prefetcher=llc_prefetcher)
             system.hierarchy.run_buffer(trace)
             total_misses += system.hierarchy.stats.memory_accesses

@@ -30,8 +30,8 @@ def run_with_predictor(app: str, accesses: int, seed: int,
                        speculative_dram: bool = True):
     """Run one system with an explicitly configured level predictor."""
     system_config = SystemConfig.paper_single_core("lp")
-    system_config.hierarchy = replace(system_config.hierarchy,
-                                      memory_speculative_launch=speculative_dram)
+    system_config = replace(system_config, hierarchy=replace(
+        system_config.hierarchy, memory_speculative_launch=speculative_dram))
     system = SimulatedSystem(system_config)
     # Swap in the custom-configured predictor before running.
     predictor = CacheLevelPredictor(predictor_config)

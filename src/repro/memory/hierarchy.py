@@ -35,19 +35,24 @@ therefore serviced in two stages:
   does not depend on the prediction — the TLBs, L1, locating the block,
   the private intermediates, the LLC, the directory, DRAM row state, fills
   and evictions, prefetcher training and issue, and the prefetch-budget
-  window — and records a :class:`Walk`: per access its translation
-  latency, whether L1 hit, and for an L1 miss the level that held the
-  block, the holding intermediate, whether another core supplied it and
-  the DRAM latency; plus, in their original order, the predictor
-  notifications (``on_fill``/``on_eviction``) and the
-  prediction-independent energy charges, each stream cut at every miss's
-  predict point.
-* **The replay** (:meth:`CoreMemoryHierarchy.replay`) runs the predictor
-  (``predict``/``train``/``on_hit``), the timed-path arithmetic, the
-  prediction-dependent statistics and energy, and the recorded
-  notifications and charges in their original positions, so every float
-  sum adds the same terms in the same order whether the walk and the
-  replay run together or apart.
+  window — and records a :class:`Walk`: per L1 miss the level that held
+  the block, the holding intermediate, whether another core supplied it,
+  the translation and the DRAM latency; per L1 hit that missed the
+  first-level TLB its translation latency; plus, in their original
+  order, the predictor notifications (``on_fill``/``on_eviction``) and
+  the prediction-independent energy charges, each stream cut at every
+  miss's predict point.  A walk keeps all of it the way
+  :class:`~repro.trace.TraceBuffer` keeps a trace: one typed :mod:`array`
+  column per field (the table in :class:`Walk`'s docstring), 65–135 bytes
+  per default-scale access, and no Python object per access or per miss.
+* **The replay** (:meth:`CoreMemoryHierarchy.replay`) reads slices of
+  those columns and runs the predictor (``predict``/``train``/``on_hit``),
+  the timed-path arithmetic, the prediction-dependent statistics and
+  energy, and the recorded notifications and charges in their original
+  positions, so every float sum adds the same terms in the same order
+  whether the walk and the replay run together or apart.  It builds the
+  :class:`AccessResult` of every L1 miss in its range, and shares one
+  L1-hit result per distinct translation latency.
 
 Because the walk is the same for every predictor, the six systems a figure
 compares on one trace can share one walk: a system built with a walk source
@@ -81,8 +86,10 @@ For a block found at level ``A`` with prediction set ``P``:
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
@@ -151,8 +158,24 @@ _PATH_RECOVERY = (Level.L3, Level.L2)
 #: Values a :class:`Walk` marks at every access boundary (see Walk.marks).
 _MARK_FIELDS = 7
 
+#: (name, typecode) of a :class:`Walk`'s per-miss columns, in the order
+#: :meth:`CoreMemoryHierarchy.replay` reads them.
+_MISS_COLUMNS = (("index", "I"), ("block", "Q"), ("pc", "Q"), ("where", "B"),
+                 ("translation", "d"), ("dram_latency", "d"), ("hier_at", "I"),
+                 ("dram_at", "I"), ("notes_at", "I"))
+#: (name, typecode) of every :class:`Walk` column.
+_WALK_COLUMNS = (_MISS_COLUMNS
+                 + (("hit_index", "I"), ("hit_translation", "d"),
+                    ("hier", "d"), ("dram", "d"), ("note_code", "B"),
+                    ("note_block", "Q"), ("marks", "I")))
+#: Where an L1 miss found its block, as a walk's ``where`` column codes
+#: it: the LLC, another core's private cache (through the directory; an
+#: LLC-level hit for prediction), memory, or — from _WHERE_L2 on, plus the
+#: intermediate's index — a private intermediate (Level.L2).
+_WHERE_L3, _WHERE_REMOTE, _WHERE_MEM, _WHERE_L2 = range(4)
+
 #: Predictor notifications, as a walk records them: a code (an index
-#: into _NOTE_CALLS) followed by the block.
+#: into _NOTE_CALLS) and the block.
 _FILL_L2, _FILL_L3, _PREFETCH_L2, _PREFETCH_L3, _EVICT_L2, _EVICT_L2_DIRTY, \
     _EVICT_L3, _EVICT_L3_DIRTY = range(8)
 #: Per code: (is a fill, level, third argument) — ``on_fill(block, level,
@@ -236,50 +259,73 @@ class Walk:
     """What a run of accesses did in one core's hierarchy, independent of
     the level prediction (the output of :meth:`CoreMemoryHierarchy.walk`).
 
-    Attributes:
-        results: Per access, its :class:`AccessResult` when it hit in L1
-            (prediction-independent), ``None`` for an L1 miss.
-        misses: Per L1 miss, ``(index, block, pc, translation_latency,
-            actual, holder, remote, dram_latency, hier_at, dram_at,
-            notes_at)`` — the last three are the stream positions at the
-            miss's predict point.
-        hier / dram: The prediction-independent ``"hierarchy"`` and
-            ``"dram"`` energy charges, in the order they were made.
-        notes: Predictor notifications in order, two items each: a code
-            naming ``on_fill(block, level, from_prefetch)`` or
-            ``on_eviction(block, level, dirty)`` with its level and flag,
-            then the block.
-        marks: At every access boundary (one more than there are
-            accesses): the ``hier``/``dram``/``notes``/``misses`` lengths
-            and the running load, prefetch-issued and prefetch-dropped
-            counts, so any contiguous range replays on its own.
+    A walk is a set of typed :mod:`array` columns, one per field, that
+    only grow while the walk is recorded:
 
-    A finished walk is never modified, so any number of replays (and
-    threads) may read it at once.
+    ===================  ========  ========================================
+    column               typecode  one value per ... : meaning
+    ===================  ========  ========================================
+    ``index``            ``I``     L1 miss: the access's position in the
+                                   walk
+    ``block``            ``Q``     L1 miss: the block address
+    ``pc``               ``Q``     L1 miss: the issuing instruction's PC
+    ``where``            ``B``     L1 miss: where the block was — 0 the
+                                   LLC, 1 another core's private cache,
+                                   2 memory, 3 + *i* private intermediate
+                                   *i*
+    ``translation``      ``d``     L1 miss: its translation latency
+    ``dram_latency``     ``d``     L1 miss: the DRAM access's latency (0
+                                   unless the block was in memory)
+    ``hier_at``          ``I``     L1 miss: the ``hier``, ``dram`` and
+    ``dram_at``                    ``note_code`` lengths at its predict
+    ``notes_at``                   point
+    ``hit_index``        ``I``     L1 hit whose translation latency is not
+                                   0 (it missed the first-level TLB): its
+                                   position in the walk
+    ``hit_translation``  ``d``     that L1 hit: its translation latency
+    ``hier``             ``d``     ``"hierarchy"`` energy charge, in order
+    ``dram``             ``d``     ``"dram"`` energy charge, in order
+    ``note_code``        ``B``     predictor notification: an index into
+                                   ``_NOTE_CALLS`` naming
+                                   ``on_fill(block, level, from_prefetch)``
+                                   or ``on_eviction(block, level, dirty)``
+    ``note_block``       ``Q``     predictor notification: its block
+    ``marks``            ``I``     access boundary (one more than there
+                                   are accesses), seven values: the
+                                   ``hier``, ``dram``, ``note_code`` and
+                                   ``index`` lengths and the running load,
+                                   prefetch-issued and prefetch-dropped
+                                   counts
+    ===================  ========  ========================================
+
+    The marks let any contiguous range replay on its own.  An L1 hit's
+    result depends on its translation latency alone, which is 0 (a
+    first-level TLB hit) for all but a few hits, so only those few are
+    recorded and the replay rebuilds every hit's result.  A finished walk
+    (sealed by its final mark) is never modified, so any number of
+    replays (and threads) may read it at once, and it pickles as its
+    packed bytes.
     """
 
-    __slots__ = ("results", "misses", "hier", "dram", "notes", "marks",
-                 "loads", "issued", "dropped")
+    __slots__ = tuple(name for name, _ in _WALK_COLUMNS) \
+        + ("loads", "issued", "dropped")
 
     def __init__(self) -> None:
-        self.results: List[Optional[AccessResult]] = []
-        self.misses: List[tuple] = []
-        self.hier: List[float] = []
-        self.dram: List[float] = []
-        self.notes: List[tuple] = []
-        self.marks = array("i")
+        for name, typecode in _WALK_COLUMNS:
+            setattr(self, name, array(typecode))
         self.loads = 0
         self.issued = 0
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self.results)
+        """Accesses walked (a sealed walk marks one boundary more)."""
+        return len(self.marks) // _MARK_FIELDS - 1
 
     def mark(self) -> None:
         """Record the stream positions at the current access boundary."""
-        self.marks.extend((len(self.hier), len(self.dram), len(self.notes),
-                           len(self.misses), self.loads, self.issued,
-                           self.dropped))
+        self.marks.extend((len(self.hier), len(self.dram),
+                           len(self.note_code), len(self.index), self.loads,
+                           self.issued, self.dropped))
 
 
 class SharedMemorySystem:
@@ -350,11 +396,12 @@ class CoreMemoryHierarchy:
         "_l1_nj", "_tlb_l1_nj", "_l3_nj", "_l3_tag_nj",
         "_l3_wb_nj",
         "_dram_nj", "_bus_nj", "_directory_nj", "_prefetch_budget",
-        "_l1_hit_result", "_pf_access",
+        "_l1_hits", "_pf_access",
         "_recent_prefetches", "_recent_prefetch_count",
         "_prefetches_this_access",
-        "_recording", "_hier_add", "_dram_add", "_note",
-        "_paths", "_follow", "_walked",
+        "_recording", "_hier_add", "_dram_add", "_note_code",
+        "_note_block",
+        "_outcomes", "_paths", "_follow", "_walked",
     )
 
     def __init__(
@@ -470,11 +517,12 @@ class CoreMemoryHierarchy:
         budget = inter_specs[-1] if inter_specs else l1_spec
         self._prefetch_budget = (1.0 - budget.mshr_demand_reserve) \
             * budget.mshr_entries
-        # Shared result object for the overwhelmingly common outcome: an L1
-        # hit with a first-level TLB hit (translation latency 0).  The object
-        # is read-only by every consumer (the core model reads .latency).
-        self._l1_hit_result = AccessResult(Level.L1, self._l1_hit_latency,
-                                           _LOOKED_L1)
+        # One shared result per L1-hit translation latency, made on first
+        # use by the replay; translation latency 0 (a first-level TLB hit)
+        # is the overwhelmingly common one.  The objects are read-only by
+        # every consumer (the core model reads .latency).
+        self._l1_hits: Dict[float, AccessResult] = {
+            0: AccessResult(Level.L1, self._l1_hit_latency, _LOOKED_L1)}
         # One mutable PrefetchAccess record reused for every prefetcher
         # observation; no prefetcher retains the record past _generate().
         self._pf_access = PrefetchAccess(0, 0, False, True)
@@ -486,9 +534,15 @@ class CoreMemoryHierarchy:
         self._prefetches_this_access = 0
         # The Walk being recorded and its bound appenders (see _record).
         self._recording: Optional[Walk] = None
-        self._hier_add = self._dram_add = self._note = None
-        # Replay memo: one timed-path shape per (predicted levels, actual
-        # level, holder, remote) outcome.
+        self._hier_add = self._dram_add = None
+        self._note_code = self._note_block = None
+        # Per walk ``where`` code, the outcome it names: (level, holder,
+        # remote).
+        self._outcomes = ((_L3, -1, False), (_L3, -1, True),
+                          (_MEM, -1, False)) + tuple([
+                              (_L2, index, False) for index, _ in probe_order])
+        # Replay memo: one timed-path shape per (predicted levels, where)
+        # outcome.
         self._paths: Dict[tuple, tuple] = {}
         # (walk, trace, position) while replaying a walk made elsewhere;
         # whether this hierarchy's own caches have walked anything.
@@ -589,13 +643,15 @@ class CoreMemoryHierarchy:
         self._recording = walk
         self._hier_add = walk.hier.append
         self._dram_add = walk.dram.append
-        self._note = walk.notes.extend
+        self._note_code = walk.note_code.append
+        self._note_block = walk.note_block.append
 
     def _seal(self) -> None:
         """Close the walk being recorded (its final boundary mark)."""
         self._recording.mark()
         self._recording = None
-        self._hier_add = self._dram_add = self._note = None
+        self._hier_add = self._dram_add = None
+        self._note_code = self._note_block = None
 
     def _step(self, address: int, block: int, page: int,
               atype: AccessType, pc: int) -> None:
@@ -635,46 +691,49 @@ class CoreMemoryHierarchy:
         if l1_hit:
             if l1_was_prefetched:
                 self.l1_prefetcher.record_useful()
-            walk.results.append(
-                self._l1_hit_result if translation_latency == 0
-                else AccessResult(_L1,
-                                  self._l1_hit_latency + translation_latency,
-                                  _LOOKED_L1))
+            if translation_latency:
+                walk.hit_index.append(len(walk.marks) // _MARK_FIELDS - 1)
+                walk.hit_translation.append(translation_latency)
             return
 
         # L1 miss: the predict point, then the prediction-independent rest.
-        actual, remote_core, holder = self._locate(block)
-        point = (len(walk.hier), len(walk.dram), len(walk.notes))
+        actual, holder, where = self._locate(block)
+        hier_at, dram_at = len(walk.hier), len(walk.dram)
+        notes_at = len(walk.note_code)
         dram_latency = self._serve(address, block, atype, pc, actual, holder)
         self._fill_on_response(block, atype, actual, holder)
-        results = walk.results
-        walk.misses.append((len(results), block, pc, translation_latency,
-                            actual, holder, remote_core is not None,
-                            dram_latency) + point)
-        results.append(None)
+        walk.index.append(len(walk.marks) // _MARK_FIELDS - 1)
+        walk.block.append(block)
+        walk.pc.append(pc)
+        walk.where.append(where)
+        walk.translation.append(translation_latency)
+        walk.dram_latency.append(dram_latency)
+        walk.hier_at.append(hier_at)
+        walk.dram_at.append(dram_at)
+        walk.notes_at.append(notes_at)
 
-    def _locate(self, block: int
-                ) -> Tuple[Level, Optional[int], Optional[int]]:
+    def _locate(self, block: int) -> Tuple[Level, int, int]:
         """Find where the block currently resides (after the L1 miss).
 
-        Returns ``(level, remote_core, holder)`` where ``holder`` is the
-        index of the private intermediate that holds the block (``None``
-        unless ``level`` is the private group ``Level.L2``).
+        Returns ``(level, holder, where)``: ``holder`` is the index of the
+        private intermediate that holds the block (``-1`` unless ``level``
+        is the private group ``Level.L2``), and ``where`` is the walk's
+        code for the outcome (see ``_WHERE_L3``).
         """
         for index, cache in self._probe_order:
             if cache.contains_block(block):
-                return _L2, None, index
+                return _L2, index, _WHERE_L2 + index
         if self.shared.l3.contains_block(block):
-            return _L3, None, None
-        remote = self.shared.directory.remote_holder(block, self.core_id)
-        if remote is not None:
+            return _L3, -1, _WHERE_L3
+        if self.shared.directory.remote_holder(block, self.core_id) \
+                is not None:
             # Supplied by another core's private cache through the directory;
             # classified as an LLC-level hit for prediction purposes.
-            return _L3, remote, None
-        return _MEM, None, None
+            return _L3, -1, _WHERE_REMOTE
+        return _MEM, -1, _WHERE_MEM
 
     def _serve(self, address: int, block: int, atype: AccessType, pc: int,
-               actual: Level, holder: Optional[int]):
+               actual: Level, holder: int):
         """The prediction-independent part of an L1 miss's path: the
         access at the level that holds the block, the L2 and LLC
         prefetchers' training on it, and the DRAM access of a block in
@@ -697,7 +756,7 @@ class CoreMemoryHierarchy:
                 self.l2_prefetcher.record_useful()
             self._train_prefetcher(self.l2_prefetcher, _L2, address, pc,
                                    is_load, True)
-            return 0
+            return 0.0
         shared = self.shared
         _, was_prefetched = shared.l3.access_block(block, atype)
         if was_prefetched:
@@ -707,7 +766,7 @@ class CoreMemoryHierarchy:
         if actual is _L3:
             self._train_prefetcher(shared.llc_prefetcher, _L3, address, pc,
                                    is_load, True)
-            return 0
+            return 0.0
         self._train_prefetcher(shared.llc_prefetcher, _L3, address, pc,
                                is_load, False)
         dram_latency = shared.dram.access(address)
@@ -718,7 +777,7 @@ class CoreMemoryHierarchy:
     # Data movement (fills, evictions, writebacks)
     # ------------------------------------------------------------------
     def _fill_on_response(self, block: int, atype: AccessType,
-                          actual: Level, holder: Optional[int]) -> None:
+                          actual: Level, holder: int) -> None:
         """Move the block up the hierarchy after the response returns.
 
         Fills propagate deepest-first through every private intermediate
@@ -730,7 +789,7 @@ class CoreMemoryHierarchy:
         """
         dirty = atype is _STORE
         state = _MODIFIED if dirty else _EXCLUSIVE
-        note = self._note
+        note_code, note_block = self._note_code, self._note_block
 
         if actual is _MEM:
             # Memory fills also populate the (non-inclusive) LLC.
@@ -738,7 +797,8 @@ class CoreMemoryHierarchy:
                                                     dirty=False, state=state)
             if l3_eviction is not None:
                 self._handle_l3_eviction(l3_eviction)
-            note((_FILL_L3, block))
+            note_code(_FILL_L3)
+            note_block(block)
 
         if actual is _MEM or actual is _L3:
             fill_order = self._fill_order
@@ -748,7 +808,8 @@ class CoreMemoryHierarchy:
                                                 dirty=dirty, state=state)
                     if eviction is not None:
                         self._handle_intermediate_eviction(eviction, index)
-                note((_FILL_L2, block))
+                note_code(_FILL_L2)
+                note_block(block)
             self.shared.directory.record_private_fill(block, self.core_id,
                                                       dirty=dirty)
         elif actual is _L2:
@@ -756,7 +817,8 @@ class CoreMemoryHierarchy:
             # private bus, so the predictor's location metadata is refreshed
             # with the truth (this is what repairs stale LocMap entries left
             # by unrecorded prefetch fills).
-            note((_FILL_L2, block))
+            note_code(_FILL_L2)
+            note_block(block)
             if dirty:
                 self._intermediates[holder].mark_dirty(block)
             # Inclusion upward: levels between the holder and L1 also fill.
@@ -806,8 +868,9 @@ class CoreMemoryHierarchy:
             # core's private group entirely.
             self.shared.directory.record_private_eviction(block_addr,
                                                           self.core_id)
-            self._note((_EVICT_L2_DIRTY if eviction.dirty else _EVICT_L2,
-                        block_addr))
+            self._note_code(_EVICT_L2_DIRTY if eviction.dirty
+                            else _EVICT_L2)
+            self._note_block(block_addr)
             if eviction.dirty:
                 # Dirty victims are written back into the non-inclusive LLC.
                 l3_eviction = self.shared.l3.fill_block(
@@ -823,8 +886,8 @@ class CoreMemoryHierarchy:
             return
         if self.shared.l3_eviction_to_memory(eviction):
             self._dram_add(self._dram_nj)
-        self._note((_EVICT_L3_DIRTY if eviction.dirty else _EVICT_L3,
-                    eviction.block_addr))
+        self._note_code(_EVICT_L3_DIRTY if eviction.dirty else _EVICT_L3)
+        self._note_block(eviction.block_addr)
 
     # ------------------------------------------------------------------
     # Prefetching
@@ -884,7 +947,8 @@ class CoreMemoryHierarchy:
                 return
             if l3_eviction is not None:
                 self._handle_l3_eviction(l3_eviction)
-            self._note((_PREFETCH_L3, block))
+            self._note_code(_PREFETCH_L3)
+            self._note_block(block)
             self._hier_add(self._l3_nj)
             return
         intermediates = self._intermediates
@@ -903,7 +967,8 @@ class CoreMemoryHierarchy:
             if l1_eviction is not None:
                 self._handle_l1_eviction(l1_eviction)
         if intermediates:
-            self._note((_PREFETCH_L2, block))
+            self._note_code(_PREFETCH_L2)
+            self._note_block(block)
         self.shared.directory.record_private_fill(block, self.core_id)
         self._hier_add(self._l1_nj if target_l1 else self._chain_nj[0])
 
@@ -919,10 +984,23 @@ class CoreMemoryHierarchy:
         hierarchy already (the warm-up split replays ``[0, w)``, resets
         the statistics, then replays ``[w, n)``).
         """
-        results = walk.results[start:stop]
         count = stop - start
         if not count:
-            return results
+            return []
+        # Every access's L1-hit result, one shared object per translation
+        # latency; the range's misses overwrite their slots below.
+        hit_results = self._l1_hits
+        results = [hit_results[0]] * count
+        hit_index = walk.hit_index
+        at = bisect_left(hit_index, start)
+        end = bisect_left(hit_index, stop, at)
+        for index, latency in zip(hit_index[at:end],
+                                  walk.hit_translation[at:end]):
+            result = hit_results.get(latency)
+            if result is None:
+                result = hit_results[latency] = AccessResult(
+                    _L1, self._l1_hit_latency + latency, _LOOKED_L1)
+            results[index - start] = result
         marks = walk.marks
         at = start * _MARK_FIELDS
         hier_at, dram_at, notes_at, first, loads, issued, dropped = \
@@ -939,7 +1017,6 @@ class CoreMemoryHierarchy:
         energy["hierarchy"] = hierarchy
         hier = walk.hier
         dram = walk.dram
-        notes = walk.notes
         predictor = self.predictor
         predictor_type = type(predictor)
         # Per notification code, the predictor call and its two arguments;
@@ -950,6 +1027,9 @@ class CoreMemoryHierarchy:
                 is not _LevelPredictor.on_eviction):
             calls = [(predictor.on_fill if fill else predictor.on_eviction,
                       level, flag) for fill, level, flag in _NOTE_CALLS]
+            # The range's notifications, consumed in order.
+            notes = zip(walk.note_code[notes_at:notes_end],
+                        walk.note_block[notes_at:notes_end])
         predict = predictor.predict
         train = predictor.train
         on_hit = predictor.on_hit
@@ -957,14 +1037,16 @@ class CoreMemoryHierarchy:
         miss_detect = self._l1_miss_detect
         l3_tag_latency = self._l3_tag_latency
         paths = self._paths
+        outcomes = self._outcomes
         miss_latency = stats.miss_latency
         l2_hits = l3_hits = memory = remote_hits = 0
         recoveries = parallel = cancelled = speculative = 0
-        transfers = recovery_transactions = 0
+        transfers = 0
 
-        for (index, block, pc, translation_latency, actual, holder, remote,
-             dram_latency, hier_point, dram_point, notes_point) \
-                in walk.misses[first:last]:
+        for (index, block, pc, where, translation_latency, dram_latency,
+             hier_point, dram_point, notes_point) in zip(*[
+                getattr(walk, name)[first:last]
+                for name, _ in _MISS_COLUMNS]):
             # The prediction-independent charges and notifications since
             # the previous miss's predict point, in their original order.
             if hier_point != hier_at:
@@ -978,12 +1060,13 @@ class CoreMemoryHierarchy:
                 energy["dram"] = total
                 dram_at = dram_point
             if calls is not None and notes_point != notes_at:
-                run = iter(notes[notes_at:notes_point])
-                for code, note_block in zip(run, run):
+                for code, note_block in islice(notes,
+                                               notes_point - notes_at):
                     call, level, flag = calls[code]
                     call(note_block, level, flag)
                 notes_at = notes_point
 
+            actual, holder, remote = outcomes[where]
             latency = miss_detect + translation_latency
             if ideal:
                 # The paper's Ideal system: a perfect, zero-cost level
@@ -1003,10 +1086,10 @@ class CoreMemoryHierarchy:
             on_hit(actual)
 
             levels = prediction.levels
-            key = (levels, actual, holder, remote)
+            key = (levels, where)
             path = paths.get(key)
             if path is None:
-                path = paths[key] = self._path(*key)
+                path = paths[key] = self._path(levels, actual, holder, remote)
             (path_latency, memory_hop, port_penalty, looked_up, bypassed,
              hier_adds, recovery_nj, cancel, path_transfers, probes,
              recovered) = path
@@ -1062,8 +1145,7 @@ class CoreMemoryHierarchy:
                 total += value
             energy["dram"] = total
         if calls is not None:
-            run = iter(notes[notes_at:notes_end])
-            for code, note_block in zip(run, run):
+            for code, note_block in notes:
                 call, level, flag = calls[code]
                 call(note_block, level, flag)
 
@@ -1096,7 +1178,7 @@ class CoreMemoryHierarchy:
         return results
 
     def _path(self, levels: Tuple[Level, ...], actual: Level,
-              holder: Optional[int], remote: bool) -> tuple:
+              holder: int, remote: bool) -> tuple:
         """The prediction-dependent shape of one L1 miss's post-L1 path.
 
         Returns ``(latency, memory_hop, port_penalty, looked_up,

@@ -24,7 +24,7 @@ PREDICTOR_NAMES: List[str] = [
 PREFETCH_SCHEMES = ("paper", "none")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Complete configuration of one simulated system.
 

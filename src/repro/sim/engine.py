@@ -87,8 +87,9 @@ WorkloadSpec = Union[str, Workload]
 #: case; fig15 runs its eight applications once per system variant, and
 #: the variants share one walk per application (only replay-only fields
 #: tell them apart, see :func:`repro.sim.system.walk_config`), so the
-#: bound keeps eight without letting walks (a few hundred bytes per
-#: access) pile up.
+#: bound keeps eight without letting walks (typed columns of 65-135
+#: bytes per default-scale access, about 0.5 MB per 5,200-access walk)
+#: pile up.
 MAX_WALKS = 8
 
 

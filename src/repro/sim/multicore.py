@@ -166,20 +166,17 @@ class MultiCoreSystem:
             # Each core records into its own walk.
             core._record(walk)
             if len(trace):
-                addresses, blocks, pages, is_store, pcs = \
-                    trace.replay_columns(core._block_size,
-                                         core._l1_page_size)
-                rows = list(zip(addresses, blocks, pages,
-                                [store if stored else load
-                                 for stored in is_store], pcs))
-            else:
-                rows = []
-            plan.append((core._step, rows))
+                plan.append((core._step, len(trace)) + trace.replay_columns(
+                    core._block_size, core._l1_page_size))
         longest = max(len(trace) for trace in traces)
         for position in range(longest):
-            for step, rows in plan:
-                if position < len(rows):
-                    step(*rows[position])
+            for step, length, addresses, blocks, pages, is_store, pcs \
+                    in plan:
+                if position < length:
+                    step(addresses[position], blocks[position],
+                         pages[position],
+                         store if is_store[position] else load,
+                         pcs[position])
         for core in self.cores[:len(walks)]:
             core._seal()
         return tuple(walks)

@@ -44,8 +44,8 @@ class TestPredictorFactory:
             make_predictor("oracle9000")
 
     def test_metadata_cache_size_flows_from_config(self):
-        config = SystemConfig.paper_single_core()
-        config.metadata_cache_bytes = 4096
+        config = dataclasses.replace(SystemConfig.paper_single_core(),
+                                     metadata_cache_bytes=4096)
         predictor = make_predictor("lp", config)
         assert predictor.locmap.metadata_cache.size_bytes == 4096
 
@@ -82,8 +82,8 @@ class TestSystemConfig:
     def test_prefetcher_factory(self):
         paper = make_llc_prefetcher(SystemConfig.paper_single_core())
         assert isinstance(paper, ThrottledPrefetcher)
-        none_config = SystemConfig.paper_single_core()
-        none_config.prefetch_scheme = "none"
+        none_config = dataclasses.replace(SystemConfig.paper_single_core(),
+                                          prefetch_scheme="none")
         assert isinstance(make_llc_prefetcher(none_config), NullPrefetcher)
 
     @pytest.mark.parametrize("scheme", ["paperx", "", "None"])
@@ -95,6 +95,14 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="prefetch scheme"):
             dataclasses.replace(SystemConfig.paper_single_core(),
                                 prefetch_scheme=scheme)
+
+    def test_config_is_frozen(self):
+        """Assigning a field skipped __post_init__'s scheme check, so an
+        unknown scheme still built the paper prefetchers."""
+        config = SystemConfig.paper_single_core()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.prefetch_scheme = "paperx"
+        assert config.prefetch_scheme == "paper"
 
 
 class TestSimulatedSystem:

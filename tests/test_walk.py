@@ -5,12 +5,16 @@ trace cache holds for it (see ``repro.memory.hierarchy``, "Walk and
 replay").  These tests run randomised hierarchies and traffic, and a
 Table II mix, through one shared cache in grid order and in reverse, and
 compare every result with a fresh cache per job and with a system that
-walks on its own.  They also pin the cache's walk counters.
+walks on its own.  They also pin the cache's walk counters, the bytes a
+walk holds per access, and a walk's pickle round trip.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -276,3 +280,53 @@ class TestWalkCounters:
         buffer = TraceCache().get("stream", 100)
         assert cache.walk((buffer,), "key", lambda: None) is None
         assert (cache.walk_misses, cache.walk_hits) == (0, 0)
+
+
+def _walk_of(app: str, accesses: int):
+    trace = TraceCache().get(app, accesses)
+    return trace, SimulatedSystem(
+        SystemConfig.paper_single_core()).hierarchy.walk(trace)
+
+
+class TestWalkRecord:
+    #: Bytes per access a default-scale walk may hold: 45% of what the
+    #: tuple-per-miss record held (261 B for gapbs.pr, 451 B for 605.mcf).
+    @pytest.mark.parametrize("app, bound", [("gapbs.pr", 117),
+                                            ("605.mcf", 203)])
+    def test_bytes_per_access_of_a_walk(self, app, bound):
+        """Only what the walk holds once its walker hierarchy is freed."""
+        accesses = Scale().accesses + Scale().warmup
+        trace, _ = _walk_of(app, accesses)  # derived columns, lazy state
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            system = SimulatedSystem(SystemConfig.paper_single_core())
+            walk = system.hierarchy.walk(trace)
+            del system
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(walk) == accesses
+        assert held / accesses <= bound
+
+    def test_an_unpickled_walk_replays_the_same_bytes(self):
+        trace, walk = _walk_of("605.mcf", 1200)
+        copy = pickle.loads(pickle.dumps(walk))
+        assert len(copy) == len(walk)
+        warmup = len(trace) // 4
+        for predictor in ("baseline", "lp", "tage-2kb", "ideal"):
+            replays = []
+            for source in (walk, copy):
+                served = []
+                system = SimulatedSystem(
+                    SystemConfig.paper_single_core(predictor))
+                system.hierarchy.walk_source = \
+                    lambda root, source=source: served.append(root) or source
+                system.hierarchy.run_buffer(trace[:warmup])
+                system.reset_statistics()
+                replays.append(serialize_result(
+                    system.run_trace(trace[warmup:], "605.mcf")))
+                assert served == [trace]  # the system walked nothing itself
+            assert replays[0] == replays[1]
