@@ -5,7 +5,7 @@ The package is organised as:
 * :mod:`repro.core` — the paper's contribution: the LocMap + Popular-Levels-
   Detector level predictor and the TAGE / D2D / Ideal comparison points.
 * :mod:`repro.memory` — the memory-hierarchy substrate: caches, TLBs, the
-  coherence directory, DRAM and the level-predicted lookup path.
+  sharer directory, DRAM and the level-predicted lookup path.
 * :mod:`repro.prefetch` — the baseline prefetch scheme and the Figure-3 sweep.
 * :mod:`repro.cpu` — the out-of-order core timing model.
 * :mod:`repro.energy` — per-access energy accounting.

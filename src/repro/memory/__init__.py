@@ -3,8 +3,6 @@
 from .block import (
     AccessResult,
     AccessType,
-    CacheLine,
-    CoherenceState,
     DEFAULT_BLOCK_SIZE,
     Level,
     MemoryAccess,
@@ -12,7 +10,7 @@ from .block import (
     block_address,
 )
 from .cache import Cache, CacheStats, EvictionInfo
-from .directory import Directory, DirectoryEntry
+from .directory import Directory
 from .dram import DRAMModel
 from .hierarchy import (
     CoreMemoryHierarchy,
@@ -34,13 +32,10 @@ __all__ = [
     "AccessResult",
     "AccessType",
     "Cache",
-    "CacheLine",
     "CacheStats",
-    "CoherenceState",
     "CoreMemoryHierarchy",
     "DEFAULT_BLOCK_SIZE",
     "Directory",
-    "DirectoryEntry",
     "DRAMModel",
     "EvictionInfo",
     "HierarchySpec",

@@ -126,59 +126,6 @@ class MemoryAccess:
         return self.access_type is AccessType.STORE
 
 
-class CoherenceState(enum.Enum):
-    """MOESI coherence states used by caches and the directory."""
-
-    MODIFIED = "M"
-    OWNED = "O"
-    EXCLUSIVE = "E"
-    SHARED = "S"
-    INVALID = "I"
-
-    @property
-    def is_valid(self) -> bool:
-        return self is not CoherenceState.INVALID
-
-    @property
-    def is_dirty(self) -> bool:
-        """States that require a writeback when evicted."""
-        return self in (CoherenceState.MODIFIED, CoherenceState.OWNED)
-
-    @property
-    def can_write(self) -> bool:
-        return self in (CoherenceState.MODIFIED, CoherenceState.EXCLUSIVE)
-
-
-@dataclass(slots=True, eq=False)
-class CacheLine:
-    """One cache line (block) stored in a set-associative cache.
-
-    A line is a slot of the cache that the cache recycles in place, so it
-    compares by identity: a free-way scan (``list.index(None)``) then runs
-    without a Python-level ``__eq__`` call per occupied way.
-
-    Attributes:
-        tag: Tag bits of the block address.
-        block_addr: Full block-aligned address (kept for convenience; real
-            hardware reconstructs it from the tag and set index).
-        state: MOESI coherence state.
-        dirty: True when the line holds data newer than the next level.
-        prefetched: True when the line was brought in by a prefetcher and has
-            not yet been referenced by a demand access.  Used for prefetcher
-            accuracy accounting.
-    """
-
-    tag: int
-    block_addr: int
-    state: CoherenceState = CoherenceState.EXCLUSIVE
-    dirty: bool = False
-    prefetched: bool = False
-
-    @property
-    def valid(self) -> bool:
-        return self.state.is_valid
-
-
 @dataclass(slots=True)
 class AccessResult:
     """Outcome of sending one access through the memory hierarchy.

@@ -17,26 +17,50 @@ Features modelled, matching Table I of the paper:
 * write-back, write-allocate;
 * a prefetched bit per line so prefetcher accuracy can be measured.
 
+Set layout
+==========
+
+A set is one plain ``dict`` from block address to the line's flag bits
+(``_DIRTY``, ``_PREFETCHED``), and block ``b`` lives in set
+``(b >> log2(block_size)) % num_sets`` for every geometry.  The block
+address is the key, so no tag is stored.  A dict that holds only ints is
+never tracked by the cyclic garbage collector, so a cache adds nothing to
+the collector's work however many lines it holds.
+
+Replacement is true LRU (Table I), kept by the dict's insertion order:
+the first key is the least recently used line.  A hit or a refill of a
+resident block moves it to the end (pop, then insert again), a full set
+evicts its first key, and marking a resident line dirty or prefetching a
+resident block leaves the order alone.
+
 Sets are allocated on first fill.  Every job builds fresh caches and the
 traces touch a few dozen kilobytes, so almost every set of a megabyte-class
-LLC is never used: an untouched set shares one read-only empty tag index
-(probes, invalidations and ``mark_dirty`` need nothing more), and its way
-list, tag index and LRU stamps are created by the first fill that lands in
-it.
+LLC is never used: an untouched set shares one read-only empty mapping
+(probes, invalidations and ``mark_dirty`` need nothing more) until the first
+fill that lands in it gives it a dict of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
-from .block import AccessType, CacheLine, CoherenceState, block_address
+from .block import AccessType
 from .spec import LevelSpec
 
-#: The tag index of every never-filled set: read-only, so a stray write
-#: fails loudly instead of leaking state into every untouched set.
+#: The lines of every never-filled set: read-only, so a stray write fails
+#: loudly instead of leaking state into every untouched set.
 _EMPTY_SET: Mapping[int, int] = MappingProxyType({})
+
+#: A line's flag bits: it holds data newer than the next level; it was
+#: brought in by a prefetcher and no demand access has used it yet.
+_DIRTY = 1
+_PREFETCHED = 2
+
+_LOAD = AccessType.LOAD
+_STORE = AccessType.STORE
+_PREFETCH = AccessType.PREFETCH
 
 
 @dataclass(slots=True)
@@ -46,7 +70,13 @@ class EvictionInfo:
     block_addr: int
     dirty: bool
     prefetched_unused: bool
-    state: CoherenceState
+
+
+class LineFlags(NamedTuple):
+    """A snapshot of one resident line's flags (see :meth:`Cache.peek_line`)."""
+
+    dirty: bool
+    prefetched: bool
 
 
 @dataclass(slots=True)
@@ -95,102 +125,59 @@ class Cache:
       recency on a hit.
     * :meth:`fill_block` / :meth:`prefetch_install` — install a block,
       returning the eviction it caused.
-    * :meth:`invalidate` — remove a block (coherence or inclusion victims).
+    * :meth:`invalidate` — remove a block (an inclusion victim).
     * :meth:`contains_block` / :meth:`peek_line` — probe without side effects
-      (used by the walker's locate step and by the oracle/ideal predictors).
-
-    Replacement is true LRU (Table I): a per-cache logical clock stamps each
-    way on every touch, and the victim of a full set is its
-    smallest-stamped way.
+      (used by the walker's locate step and by tests).
     """
 
-    __slots__ = ("spec", "name", "_num_sets", "_associativity", "_lines",
-                 "_tag_to_way", "_block_shift", "_set_mask", "_tag_shift",
-                 "_addr_mask", "_clock", "_stamps", "stats")
+    __slots__ = ("spec", "name", "_num_sets", "_associativity", "_sets",
+                 "_block_shift", "_addr_mask", "stats")
 
     def __init__(self, spec: LevelSpec, name: Optional[str] = None) -> None:
         self.spec = spec
         self.name = name or spec.name
-        self._num_sets = spec.size_bytes \
-            // (spec.block_size * spec.associativity)
-        self._associativity = spec.associativity
-        # Per-set way lists, ``None`` until the set's first fill.
-        self._lines: List[Optional[List[Optional[CacheLine]]]] = \
-            [None] * self._num_sets
-        # Per-set index from tag to way for O(1) lookups; kept in sync by
-        # fill_block() and invalidate().  Purely an implementation
-        # accelerator — real hardware compares all tags in parallel.
-        # Never-filled sets share the read-only empty index.
-        self._tag_to_way: List[Mapping[int, int]] = \
-            [_EMPTY_SET] * self._num_sets
-        # Precomputed shift/mask address decomposition for the (universal in
-        # practice) power-of-two geometries; ``_block_shift < 0`` selects the
-        # general divide/modulo fallback.
         block_size = spec.block_size
-        if (self._num_sets & (self._num_sets - 1)) == 0:
-            self._block_shift = block_size.bit_length() - 1
-            self._set_mask = self._num_sets - 1
-            self._tag_shift = self._block_shift + self._num_sets.bit_length() - 1
-            self._addr_mask = ~(block_size - 1)
-        else:  # pragma: no cover - no paper configuration is non-power-of-two
-            self._block_shift = -1
-            self._set_mask = 0
-            self._tag_shift = 0
-            self._addr_mask = 0
-        # LRU state: the logical clock and, per set, one stamp per way
-        # (``None`` until the set's first fill, like its way list).
-        self._clock = 0
-        self._stamps: List[Optional[List[int]]] = [None] * self._num_sets
+        self._num_sets = spec.size_bytes // (block_size * spec.associativity)
+        self._associativity = spec.associativity
+        # Per set, block address -> flag bits in LRU order; never-filled
+        # sets share the read-only empty mapping.
+        self._sets: List[Mapping[int, int]] = [_EMPTY_SET] * self._num_sets
+        # LevelSpec requires a power-of-two block size.
+        self._block_shift = block_size.bit_length() - 1
+        self._addr_mask = ~(block_size - 1)
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     # Address decomposition
     # ------------------------------------------------------------------
     def set_index(self, block_addr: int) -> int:
-        if self._block_shift >= 0:
-            return (block_addr >> self._block_shift) & self._set_mask
-        return (block_addr // self.spec.block_size) % self._num_sets
-
-    def tag_of(self, block_addr: int) -> int:
-        if self._block_shift >= 0:
-            return block_addr >> self._tag_shift
-        return block_addr // (self.spec.block_size * self._num_sets)
+        return (block_addr >> self._block_shift) % self._num_sets
 
     def block_of(self, address: int) -> int:
-        """Block-aligned address of ``address`` (precomputed mask)."""
-        if self._block_shift >= 0:
-            return address & self._addr_mask
-        return block_address(address, self.spec.block_size)
+        """Block-aligned address of ``address``."""
+        return address & self._addr_mask
 
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def _find(self, block_addr: int) -> Tuple[int, Optional[int]]:
-        """Return (set_index, way) of the block, way is None on a miss."""
-        set_index = self.set_index(block_addr)
-        tag = self.tag_of(block_addr)
-        return set_index, self._tag_to_way[set_index].get(tag)
-
     def contains_block(self, block_addr: int) -> bool:
         """Whether the block is resident (no replacement-state update)."""
-        if self._block_shift >= 0:
-            return (block_addr >> self._tag_shift) in self._tag_to_way[
-                (block_addr >> self._block_shift) & self._set_mask]
-        set_index, way = self._find(block_addr)
-        return way is not None
+        return block_addr in self._sets[
+            (block_addr >> self._block_shift) % self._num_sets]
 
-    def peek_line(self, block_addr: int) -> Optional[CacheLine]:
-        """The resident line of the block, or ``None`` (no side effects)."""
-        set_index, way = self._find(block_addr)
-        if way is None:
+    def peek_line(self, block_addr: int) -> Optional[LineFlags]:
+        """The resident line's flags, or ``None`` (no side effects)."""
+        flags = self._sets[(block_addr >> self._block_shift)
+                           % self._num_sets].get(block_addr)
+        if flags is None:
             return None
-        return self._lines[set_index][way]
+        return LineFlags(bool(flags & _DIRTY), bool(flags & _PREFETCHED))
 
     # ------------------------------------------------------------------
     # Main operations
     # ------------------------------------------------------------------
     def access_block(
-        self, block_addr: int, access_type: AccessType = AccessType.LOAD
+        self, block_addr: int, access_type: AccessType = _LOAD
     ) -> Tuple[bool, bool]:
         """Probe the cache for a demand or prefetch access.
 
@@ -202,111 +189,72 @@ class Cache:
         accounting.
         """
         stats = self.stats
-        if self._block_shift >= 0:
-            set_index = (block_addr >> self._block_shift) & self._set_mask
-            way = self._tag_to_way[set_index].get(block_addr >> self._tag_shift)
-        else:
-            set_index, way = self._find(block_addr)
-        was_prefetched = False
-        if way is not None:
-            line = self._lines[set_index][way]
-            self._clock += 1
-            self._stamps[set_index][way] = self._clock
-            if access_type is AccessType.STORE:
-                line.dirty = True
-                line.state = CoherenceState.MODIFIED
-            if line.prefetched:
-                was_prefetched = True
-                if (access_type is AccessType.LOAD
-                        or access_type is AccessType.STORE):
-                    line.prefetched = False
-                    stats.prefetched_lines_used += 1
-            if access_type is AccessType.PREFETCH:
-                stats.prefetch_hits += 1
+        lines = self._sets[(block_addr >> self._block_shift) % self._num_sets]
+        flags = lines.get(block_addr)
+        if flags is None:
+            if access_type is _PREFETCH:
+                stats.prefetch_misses += 1
             else:
-                stats.demand_hits += 1
-            return True, was_prefetched
-        if access_type is AccessType.PREFETCH:
-            stats.prefetch_misses += 1
+                stats.demand_misses += 1
+            return False, False
+        del lines[block_addr]
+        if access_type is _STORE:
+            flags |= _DIRTY
+        was_prefetched = False
+        if flags & _PREFETCHED:
+            was_prefetched = True
+            if access_type is _LOAD or access_type is _STORE:
+                flags &= _DIRTY
+                stats.prefetched_lines_used += 1
+        lines[block_addr] = flags
+        if access_type is _PREFETCH:
+            stats.prefetch_hits += 1
         else:
-            stats.demand_misses += 1
-        return False, False
+            stats.demand_hits += 1
+        return True, was_prefetched
 
     def fill_block(
         self,
         block_addr: int,
-        access_type: AccessType = AccessType.LOAD,
+        access_type: AccessType = _LOAD,
         dirty: bool = False,
-        state: CoherenceState = CoherenceState.EXCLUSIVE,
     ) -> Optional[EvictionInfo]:
         """Install a block, evicting the LRU line if the set is full.
 
         Returns the evicted line's :class:`EvictionInfo`, or ``None`` when
-        a free way was available or the block was already resident.
-        Evicted :class:`CacheLine` objects are recycled in place for the new
-        block — per-access allocation on the fill path is limited to the
-        :class:`EvictionInfo` snapshot of the victim.  The first fill of a
-        set allocates the set.  ``state`` must be a valid coherence state:
-        a resident line never holds ``CoherenceState.INVALID``.
+        a free way was available or the block was already resident (a
+        refill keeps the line's flags, adds ``dirty``, and makes it the
+        most recently used).  The first fill of a set allocates the set.
         """
-        if self._block_shift >= 0:
-            set_index = (block_addr >> self._block_shift) & self._set_mask
-            tag = block_addr >> self._tag_shift
-        else:
-            set_index = self.set_index(block_addr)
-            tag = self.tag_of(block_addr)
-        tag_to_way = self._tag_to_way[set_index]
-        way = tag_to_way.get(tag)
-        if way is not None:
+        index = (block_addr >> self._block_shift) % self._num_sets
+        lines = self._sets[index]
+        flags = lines.get(block_addr)
+        if flags is not None:
             # Already resident (e.g. a prefetch raced a demand fill); refresh.
-            line = self._lines[set_index][way]
-            line.dirty = line.dirty or dirty
-            self._clock += 1
-            self._stamps[set_index][way] = self._clock
+            del lines[block_addr]
+            lines[block_addr] = flags | dirty
             return None
 
         stats = self.stats
-        lines = self._lines[set_index]
-        prefetched = access_type is AccessType.PREFETCH
         eviction: Optional[EvictionInfo] = None
-        if lines is None:
-            # First fill of this set: allocate it.
-            lines = self._lines[set_index] = [None] * self._associativity
-            tag_to_way = self._tag_to_way[set_index] = {}
-            self._stamps[set_index] = [0] * self._associativity
-            victim_way = 0
-            lines[0] = CacheLine(tag, block_addr, state, dirty, prefetched)
-        elif len(tag_to_way) == self._associativity:
-            # index(min(...)) keeps the first-minimum tie-break while
-            # running both passes at C speed.
-            stamps = self._stamps[set_index]
-            victim_way = stamps.index(min(stamps))
-            victim = lines[victim_way]
-            eviction = EvictionInfo(victim.block_addr, victim.dirty,
-                                    victim.prefetched, victim.state)
+        if lines is _EMPTY_SET:
+            lines = self._sets[index] = {}
+        elif len(lines) == self._associativity:
+            victim = next(iter(lines))
+            flags = lines.pop(victim)
+            eviction = EvictionInfo(victim, bool(flags & _DIRTY),
+                                    bool(flags & _PREFETCHED))
             stats.evictions += 1
-            if victim.dirty:
+            if flags & _DIRTY:
                 stats.dirty_evictions += 1
-            if victim.prefetched:
+            if flags & _PREFETCHED:
                 stats.prefetched_lines_evicted_unused += 1
-            del tag_to_way[victim.tag]
-            # Recycle the victim line object for the incoming block.
-            victim.tag = tag
-            victim.block_addr = block_addr
-            victim.state = state
-            victim.dirty = dirty
-            victim.prefetched = prefetched
-        else:
-            # A free way exists: fill the first one.
-            victim_way = lines.index(None)
-            lines[victim_way] = CacheLine(tag, block_addr, state, dirty,
-                                          prefetched)
-        tag_to_way[tag] = victim_way
-        self._clock += 1
-        self._stamps[set_index][victim_way] = self._clock
         stats.fills += 1
-        if prefetched:
+        flags = _DIRTY if dirty else 0
+        if access_type is _PREFETCH:
             stats.prefetch_fills += 1
+            flags |= _PREFETCHED
+        lines[block_addr] = flags
         return eviction
 
     def prefetch_install(self, block_addr: int
@@ -318,62 +266,43 @@ class Cache:
         behaviour the hierarchy's prefetch-issue path requires.  Returns
         ``(installed, eviction)``.
         """
-        if self._block_shift >= 0:
-            set_index = (block_addr >> self._block_shift) & self._set_mask
-            tag = block_addr >> self._tag_shift
-        else:
-            set_index = self.set_index(block_addr)
-            tag = self.tag_of(block_addr)
-        if tag in self._tag_to_way[set_index]:
+        if block_addr in self._sets[
+                (block_addr >> self._block_shift) % self._num_sets]:
             return False, None
-        return True, self.fill_block(block_addr, AccessType.PREFETCH)
+        return True, self.fill_block(block_addr, _PREFETCH)
 
     def invalidate(self, address: int) -> Optional[EvictionInfo]:
-        """Remove a block (coherence invalidation or inclusion victim)."""
-        block_addr = self.block_of(address)
-        set_index, way = self._find(block_addr)
-        if way is None:
+        """Remove a block (an inclusion victim)."""
+        block_addr = address & self._addr_mask
+        lines = self._sets[(block_addr >> self._block_shift) % self._num_sets]
+        flags = lines.get(block_addr)
+        if flags is None:
             return None
-        line = self._lines[set_index][way]
-        info = EvictionInfo(
-            block_addr=line.block_addr,
-            dirty=line.dirty,
-            prefetched_unused=line.prefetched,
-            state=line.state,
-        )
-        # The freed way's LRU stamp goes stale harmlessly: fills take the
-        # first free way and restamp it before the set can be full again.
-        self._lines[set_index][way] = None
-        del self._tag_to_way[set_index][line.tag]
+        del lines[block_addr]
         self.stats.invalidations += 1
-        return info
+        return EvictionInfo(block_addr, bool(flags & _DIRTY),
+                            bool(flags & _PREFETCHED))
 
     def mark_dirty(self, address: int) -> bool:
         """Mark a resident block dirty (used when a store hits)."""
-        if self._block_shift >= 0:
-            set_index = (address >> self._block_shift) & self._set_mask
-            way = self._tag_to_way[set_index].get(address >> self._tag_shift)
-        else:
-            set_index, way = self._find(self.block_of(address))
-        if way is None:
+        block_addr = address & self._addr_mask
+        lines = self._sets[(block_addr >> self._block_shift) % self._num_sets]
+        flags = lines.get(block_addr)
+        if flags is None:
             return False
-        line = self._lines[set_index][way]
-        line.dirty = True
-        line.state = CoherenceState.MODIFIED
+        lines[block_addr] = flags | _DIRTY
         return True
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def resident_blocks(self) -> List[int]:
-        """Block addresses of every valid line (used by tests and D2D)."""
-        return [line.block_addr for cache_set in self._lines
-                if cache_set is not None
-                for line in cache_set if line is not None]
+        """Block addresses of every valid line, set by set in LRU order."""
+        return [block for lines in self._sets for block in lines]
 
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
-        return sum([len(index) for index in self._tag_to_way])
+        return sum(map(len, self._sets))
 
     def reset_statistics(self) -> None:
         self.stats.reset()

@@ -1,230 +1,77 @@
-"""Cache-coherence directory collocated with the LLC tags.
+"""Sharer directory collocated with the LLC tags.
 
-The directory tracks, for every block cached anywhere on chip, which cores
-hold it in their private caches (L1/L2) and which single core, if any, owns a
-dirty copy.  The paper relies on this structure for two things:
+The directory tracks, for every block cached in some core's private levels,
+which cores hold it: one ``dict`` from block address to a sharer bitmask
+(bit ``c`` set while core ``c`` holds the block).  A dict that holds only
+ints is never tracked by the cyclic garbage collector.
 
-1. normal MOESI coherence between private caches, and
-2. **misprediction detection** for level prediction (Section III.E): when a
-   request bypasses L2 and reaches the LLC, the collocated directory reveals
-   whether the block actually lives in a private cache above, and when main
-   memory is (wrongly) predicted, the directory is consulted before the memory
-   access anyway, so the misprediction is caught "for free".
+The hierarchy walker asks three things of it:
 
-Because the directory sits next to the LLC tags, its lookup latency is folded
-into the LLC tag latency by the hierarchy model; this module only provides the
-tracking state, the decision logic and statistics.
+* :meth:`~Directory.record_private_fill` and
+  :meth:`~Directory.record_private_eviction` keep the masks current as
+  blocks enter and leave a core's deepest private level;
+* :meth:`~Directory.remote_holder` names the core that supplies a block
+  another core misses on (a cache-to-cache transfer, classified as an
+  LLC-level hit for prediction);
+* :attr:`DirectoryStats.misprediction_detections` counts the harmful
+  level predictions the directory catches (Section III.E): a request that
+  bypassed the private levels and reaches the LLC finds the block tracked
+  in its own core's private caches, and a recovery transaction re-issues
+  it there.  The replay counts these; the walk never needs the lookup.
+
+The model runs no MOESI transactions: data movement is functional, a
+store never invalidates another core's copy, and whether a line is dirty
+is the caches' business (their flag bits), not the directory's.  Because
+the directory sits next to the LLC tags, its lookup latency is folded into
+the LLC tag latency by the hierarchy model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
-
-from .block import CoherenceState
-from .coherence import (
-    BusRequest,
-    CoherenceDecision,
-    decide_read,
-    decide_write,
-)
-
-
-@dataclass(slots=True)
-class DirectoryEntry:
-    """Tracking state for one block."""
-
-    sharers: Set[int] = field(default_factory=set)
-    owner: Optional[int] = None
-
-    @property
-    def cached_anywhere(self) -> bool:
-        return bool(self.sharers) or self.owner is not None
-
-    def holders(self) -> Set[int]:
-        holders = set(self.sharers)
-        if self.owner is not None:
-            holders.add(self.owner)
-        return holders
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 
 @dataclass
 class DirectoryStats:
-    lookups: int = 0
-    reads: int = 0
-    writes: int = 0
-    invalidations_sent: int = 0
-    owner_forwards: int = 0
     misprediction_detections: int = 0
-    writebacks: int = 0
-
-    def reset(self) -> None:
-        for name in vars(self):
-            setattr(self, name, 0)
 
 
 class Directory:
     """Full-map directory keyed by block address."""
 
-    __slots__ = ("num_cores", "_entries", "stats")
+    __slots__ = ("num_cores", "_sharers", "stats")
 
     def __init__(self, num_cores: int = 1) -> None:
         if num_cores <= 0:
             raise ValueError("directory needs at least one core")
         self.num_cores = num_cores
-        self._entries: Dict[int, DirectoryEntry] = {}
+        # Block address -> sharer bitmask; a block no core holds has no key.
+        self._sharers: Dict[int, int] = {}
         self.stats = DirectoryStats()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def entry(self, block_addr: int) -> Optional[DirectoryEntry]:
-        return self._entries.get(block_addr)
-
-    def holders(self, block_addr: int) -> Set[int]:
-        """Cores currently holding the block in a private cache."""
-        entry = self._entries.get(block_addr)
-        return entry.holders() if entry else set()
-
-    def is_cached_privately(self, block_addr: int, exclude_core: Optional[int] = None
-                            ) -> bool:
-        """True when any private cache (optionally excluding one core) holds it."""
-        holders = self.holders(block_addr)
-        if exclude_core is not None:
-            holders = holders - {exclude_core}
-        return bool(holders)
-
-    def owner_of(self, block_addr: int) -> Optional[int]:
-        entry = self._entries.get(block_addr)
-        return entry.owner if entry else None
 
     def remote_holder(self, block_addr: int,
                       exclude_core: int) -> Optional[int]:
-        """Lowest-numbered core other than ``exclude_core`` holding the block.
-
-        Allocation-free equivalent of ``min(holders(b) - {core})`` used on the
-        per-access location path.
-        """
-        entry = self._entries.get(block_addr)
-        if entry is None:
+        """Lowest-numbered core other than ``exclude_core`` holding the
+        block, or ``None``."""
+        others = self._sharers.get(block_addr, 0) & ~(1 << exclude_core)
+        if not others:
             return None
-        best: Optional[int] = None
-        for core in entry.sharers:
-            if core != exclude_core and (best is None or core < best):
-                best = core
-        owner = entry.owner
-        if owner is not None and owner != exclude_core \
-                and (best is None or owner < best):
-            best = owner
-        return best
+        return (others & -others).bit_length() - 1
 
-    # ------------------------------------------------------------------
-    # Coherence transactions
-    # ------------------------------------------------------------------
-    def handle_request(
-        self, block_addr: int, requestor: int, request: BusRequest
-    ) -> CoherenceDecision:
-        """Apply a coherence request and return the resulting decision."""
-        self.stats.lookups += 1
-        entry = self._entries.get(block_addr)
-        if entry is None:
-            entry = DirectoryEntry()
-            self._entries[block_addr] = entry
-
-        if request is BusRequest.GET_SHARED:
-            self.stats.reads += 1
-            decision = decide_read(requestor, entry.sharers, entry.owner)
-            if decision.owner_to_downgrade is not None:
-                self.stats.owner_forwards += 1
-                # MOESI: dirty owner keeps an Owned copy and becomes a sharer.
-                entry.sharers.add(decision.owner_to_downgrade)
-                entry.owner = decision.owner_to_downgrade
-            entry.sharers.add(requestor)
-            return decision
-
-        if request is BusRequest.GET_MODIFIED:
-            self.stats.writes += 1
-            decision = decide_write(requestor, entry.sharers, entry.owner)
-            self.stats.invalidations_sent += len(decision.sharers_to_invalidate)
-            if decision.owner_to_downgrade is not None:
-                self.stats.owner_forwards += 1
-            entry.sharers = {requestor}
-            entry.owner = requestor
-            return decision
-
-        if request is BusRequest.PUT_MODIFIED:
-            self.stats.writebacks += 1
-            if entry.owner == requestor:
-                entry.owner = None
-            entry.sharers.discard(requestor)
-            self._drop_if_empty(block_addr, entry)
-            return CoherenceDecision(
-                sharers_to_invalidate=frozenset(),
-                owner_to_downgrade=None,
-                new_requestor_state=CoherenceState.INVALID,
-                data_from_owner=False,
-            )
-
-        # PUT_SHARED: clean eviction notification.
-        entry.sharers.discard(requestor)
-        if entry.owner == requestor:
-            entry.owner = None
-        self._drop_if_empty(block_addr, entry)
-        return CoherenceDecision(
-            sharers_to_invalidate=frozenset(),
-            owner_to_downgrade=None,
-            new_requestor_state=CoherenceState.INVALID,
-            data_from_owner=False,
-        )
-
-    def _drop_if_empty(self, block_addr: int, entry: DirectoryEntry) -> None:
-        if not entry.cached_anywhere:
-            self._entries.pop(block_addr, None)
-
-    # ------------------------------------------------------------------
-    # Level-prediction support
-    # ------------------------------------------------------------------
-    def detect_bypass_misprediction(
-        self, block_addr: int, requestor: int
-    ) -> bool:
-        """Check whether a bypassed private level actually holds the block.
-
-        Called when a level-predicted request that skipped L2 reaches the LLC.
-        Returns True when the requestor's own private hierarchy holds the
-        block (the bypass was wrong and recovery must re-issue to L2).
-        """
-        entry = self._entries.get(block_addr)
-        detected = entry is not None and requestor in entry.holders()
-        if detected:
-            self.stats.misprediction_detections += 1
-        return detected
-
-    def record_private_fill(self, block_addr: int, core: int,
-                            dirty: bool = False) -> None:
+    def record_private_fill(self, block_addr: int, core: int) -> None:
         """Track that ``core`` now holds the block in its private caches."""
-        entry = self._entries.get(block_addr)
-        if entry is None:
-            # Avoid dict.setdefault here: its default argument would build a
-            # DirectoryEntry (and its sharer set) on every call, present or
-            # not, and this runs once per fill.
-            entry = DirectoryEntry()
-            self._entries[block_addr] = entry
-        entry.sharers.add(core)
-        if dirty:
-            entry.owner = core
+        sharers = self._sharers
+        sharers[block_addr] = sharers.get(block_addr, 0) | (1 << core)
 
     def record_private_eviction(self, block_addr: int, core: int) -> None:
         """Track that ``core`` no longer holds the block privately."""
-        entry = self._entries.get(block_addr)
-        if entry is None:
+        sharers = self._sharers
+        mask = sharers.get(block_addr)
+        if mask is None:
             return
-        entry.sharers.discard(core)
-        if entry.owner == core:
-            entry.owner = None
-        self._drop_if_empty(block_addr, entry)
-
-    def tracked_blocks(self) -> int:
-        return len(self._entries)
-
-    def reset_statistics(self) -> None:
-        self.stats.reset()
+        mask &= ~(1 << core)
+        if mask:
+            sharers[block_addr] = mask
+        else:
+            del sharers[block_addr]

@@ -43,7 +43,7 @@ therefore serviced in two stages:
   the prediction-independent energy charges, each stream cut at every
   miss's predict point.  A walk keeps all of it the way
   :class:`~repro.trace.TraceBuffer` keeps a trace: one typed :mod:`array`
-  column per field (the table in :class:`Walk`'s docstring), 65–135 bytes
+  column per field (the table in :class:`Walk`'s docstring), 63–125 bytes
   per default-scale access, and no Python object per access or per miss.
 * **The replay** (:meth:`CoreMemoryHierarchy.replay`) reads slices of
   those columns and runs the predictor (``predict``/``train``/``on_hit``),
@@ -102,7 +102,6 @@ from ..prefetch.base import NullPrefetcher, PrefetchAccess, Prefetcher
 from .block import (
     AccessResult,
     AccessType,
-    CoherenceState,
     Level,
     MemoryAccess,
     block_address,
@@ -134,8 +133,6 @@ _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
 _PREFETCH = AccessType.PREFETCH
 _WRITEBACK = AccessType.WRITEBACK
-_MODIFIED = CoherenceState.MODIFIED
-_EXCLUSIVE = CoherenceState.EXCLUSIVE
 _L1 = Level.L1
 _L2 = Level.L2
 _L3 = Level.L3
@@ -166,7 +163,7 @@ _MISS_COLUMNS = (("index", "I"), ("block", "Q"), ("pc", "Q"), ("where", "B"),
 #: (name, typecode) of every :class:`Walk` column.
 _WALK_COLUMNS = (_MISS_COLUMNS
                  + (("hit_index", "I"), ("hit_translation", "d"),
-                    ("hier", "d"), ("dram", "d"), ("note_code", "B"),
+                    ("hier", "d"), ("note_code", "B"),
                     ("note_block", "Q"), ("marks", "I")))
 #: Where an L1 miss found its block, as a walk's ``where`` column codes
 #: it: the LLC, another core's private cache (through the directory; an
@@ -276,15 +273,14 @@ class Walk:
     ``translation``      ``d``     L1 miss: its translation latency
     ``dram_latency``     ``d``     L1 miss: the DRAM access's latency (0
                                    unless the block was in memory)
-    ``hier_at``          ``I``     L1 miss: the ``hier``, ``dram`` and
-    ``dram_at``                    ``note_code`` lengths at its predict
-    ``notes_at``                   point
+    ``hier_at``          ``I``     L1 miss: the ``hier`` length, the
+    ``dram_at``                    DRAM charge count and the ``note_code``
+    ``notes_at``                   length at its predict point
     ``hit_index``        ``I``     L1 hit whose translation latency is not
                                    0 (it missed the first-level TLB): its
                                    position in the walk
     ``hit_translation``  ``d``     that L1 hit: its translation latency
     ``hier``             ``d``     ``"hierarchy"`` energy charge, in order
-    ``dram``             ``d``     ``"dram"`` energy charge, in order
     ``note_code``        ``B``     predictor notification: an index into
                                    ``_NOTE_CALLS`` naming
                                    ``on_fill(block, level, from_prefetch)``
@@ -292,11 +288,16 @@ class Walk:
     ``note_block``       ``Q``     predictor notification: its block
     ``marks``            ``I``     access boundary (one more than there
                                    are accesses), seven values: the
-                                   ``hier``, ``dram``, ``note_code`` and
-                                   ``index`` lengths and the running load,
-                                   prefetch-issued and prefetch-dropped
-                                   counts
+                                   ``hier`` length, the DRAM charge count,
+                                   the ``note_code`` and ``index`` lengths
+                                   and the running load, prefetch-issued
+                                   and prefetch-dropped counts
     ===================  ========  ========================================
+
+    Every ``"dram"`` energy charge of a walk is one DRAM access at
+    ``DRAM_ACCESS_NJ``, so the walk keeps only their running count
+    (``dram_charges``) and the replay adds the constant once per charge,
+    in the same order.
 
     The marks let any contiguous range replay on its own.  An L1 hit's
     result depends on its translation latency alone, which is 0 (a
@@ -308,7 +309,7 @@ class Walk:
     """
 
     __slots__ = tuple(name for name, _ in _WALK_COLUMNS) \
-        + ("loads", "issued", "dropped")
+        + ("loads", "issued", "dropped", "dram_charges")
 
     def __init__(self) -> None:
         for name, typecode in _WALK_COLUMNS:
@@ -316,6 +317,7 @@ class Walk:
         self.loads = 0
         self.issued = 0
         self.dropped = 0
+        self.dram_charges = 0
 
     def __len__(self) -> int:
         """Accesses walked (a sealed walk marks one boundary more)."""
@@ -323,7 +325,7 @@ class Walk:
 
     def mark(self) -> None:
         """Record the stream positions at the current access boundary."""
-        self.marks.extend((len(self.hier), len(self.dram),
+        self.marks.extend((len(self.hier), self.dram_charges,
                            len(self.note_code), len(self.index), self.loads,
                            self.issued, self.dropped))
 
@@ -399,7 +401,7 @@ class CoreMemoryHierarchy:
         "_l1_hits", "_pf_access",
         "_recent_prefetches", "_recent_prefetch_count",
         "_prefetches_this_access",
-        "_recording", "_hier_add", "_dram_add", "_note_code",
+        "_recording", "_hier_add", "_note_code",
         "_note_block",
         "_outcomes", "_paths", "_follow", "_walked",
     )
@@ -534,7 +536,7 @@ class CoreMemoryHierarchy:
         self._prefetches_this_access = 0
         # The Walk being recorded and its bound appenders (see _record).
         self._recording: Optional[Walk] = None
-        self._hier_add = self._dram_add = None
+        self._hier_add = None
         self._note_code = self._note_block = None
         # Per walk ``where`` code, the outcome it names: (level, holder,
         # remote).
@@ -642,7 +644,6 @@ class CoreMemoryHierarchy:
         """Start recording this hierarchy's walk into ``walk``."""
         self._recording = walk
         self._hier_add = walk.hier.append
-        self._dram_add = walk.dram.append
         self._note_code = walk.note_code.append
         self._note_block = walk.note_block.append
 
@@ -650,7 +651,7 @@ class CoreMemoryHierarchy:
         """Close the walk being recorded (its final boundary mark)."""
         self._recording.mark()
         self._recording = None
-        self._hier_add = self._dram_add = None
+        self._hier_add = None
         self._note_code = self._note_block = None
 
     def _step(self, address: int, block: int, page: int,
@@ -698,7 +699,7 @@ class CoreMemoryHierarchy:
 
         # L1 miss: the predict point, then the prediction-independent rest.
         actual, holder, where = self._locate(block)
-        hier_at, dram_at = len(walk.hier), len(walk.dram)
+        hier_at, dram_at = len(walk.hier), walk.dram_charges
         notes_at = len(walk.note_code)
         dram_latency = self._serve(address, block, atype, pc, actual, holder)
         self._fill_on_response(block, atype, actual, holder)
@@ -770,7 +771,7 @@ class CoreMemoryHierarchy:
         self._train_prefetcher(shared.llc_prefetcher, _L3, address, pc,
                                is_load, False)
         dram_latency = shared.dram.access(address)
-        self._dram_add(self._dram_nj)
+        self._recording.dram_charges += 1
         return dram_latency
 
     # ------------------------------------------------------------------
@@ -788,13 +789,11 @@ class CoreMemoryHierarchy:
         empty.
         """
         dirty = atype is _STORE
-        state = _MODIFIED if dirty else _EXCLUSIVE
         note_code, note_block = self._note_code, self._note_block
 
         if actual is _MEM:
             # Memory fills also populate the (non-inclusive) LLC.
-            l3_eviction = self.shared.l3.fill_block(block, atype,
-                                                    dirty=False, state=state)
+            l3_eviction = self.shared.l3.fill_block(block, atype)
             if l3_eviction is not None:
                 self._handle_l3_eviction(l3_eviction)
             note_code(_FILL_L3)
@@ -804,14 +803,12 @@ class CoreMemoryHierarchy:
             fill_order = self._fill_order
             if fill_order:
                 for index, cache in fill_order:
-                    eviction = cache.fill_block(block, atype,
-                                                dirty=dirty, state=state)
+                    eviction = cache.fill_block(block, atype, dirty)
                     if eviction is not None:
                         self._handle_intermediate_eviction(eviction, index)
                 note_code(_FILL_L2)
                 note_block(block)
-            self.shared.directory.record_private_fill(block, self.core_id,
-                                                      dirty=dirty)
+            self.shared.directory.record_private_fill(block, self.core_id)
         elif actual is _L2:
             # The L1 fill from the holder is a demand fill observed on the
             # private bus, so the predictor's location metadata is refreshed
@@ -823,13 +820,11 @@ class CoreMemoryHierarchy:
                 self._intermediates[holder].mark_dirty(block)
             # Inclusion upward: levels between the holder and L1 also fill.
             for index, cache in self._above[holder]:
-                eviction = cache.fill_block(block, atype,
-                                            dirty=dirty, state=state)
+                eviction = cache.fill_block(block, atype, dirty)
                 if eviction is not None:
                     self._handle_intermediate_eviction(eviction, index)
 
-        l1_eviction = self.l1.fill_block(block, atype,
-                                         dirty=dirty, state=state)
+        l1_eviction = self.l1.fill_block(block, atype, dirty)
         if l1_eviction is not None:
             self._handle_l1_eviction(l1_eviction)
 
@@ -848,8 +843,8 @@ class CoreMemoryHierarchy:
         self.shared.directory.record_private_eviction(eviction.block_addr,
                                                       self.core_id)
         if eviction.dirty:
-            l3_eviction = self.shared.l3.fill_block(
-                eviction.block_addr, _WRITEBACK, dirty=True, state=_MODIFIED)
+            l3_eviction = self.shared.l3.fill_block(eviction.block_addr,
+                                                    _WRITEBACK, True)
             self._hier_add(self._l3_wb_nj)
             self._handle_l3_eviction(l3_eviction)
 
@@ -873,8 +868,8 @@ class CoreMemoryHierarchy:
             self._note_block(block_addr)
             if eviction.dirty:
                 # Dirty victims are written back into the non-inclusive LLC.
-                l3_eviction = self.shared.l3.fill_block(
-                    block_addr, _WRITEBACK, dirty=True, state=_MODIFIED)
+                l3_eviction = self.shared.l3.fill_block(block_addr,
+                                                        _WRITEBACK, True)
                 self._hier_add(self._l3_wb_nj)
                 self._handle_l3_eviction(l3_eviction)
         elif eviction.dirty:
@@ -885,7 +880,7 @@ class CoreMemoryHierarchy:
         if eviction is None:
             return
         if self.shared.l3_eviction_to_memory(eviction):
-            self._dram_add(self._dram_nj)
+            self._recording.dram_charges += 1
         self._note_code(_EVICT_L3_DIRTY if eviction.dirty else _EVICT_L3)
         self._note_block(eviction.block_addr)
 
@@ -1016,7 +1011,7 @@ class CoreMemoryHierarchy:
         hierarchy = energy.get("hierarchy", 0.0)
         energy["hierarchy"] = hierarchy
         hier = walk.hier
-        dram = walk.dram
+        dram_nj = self._dram_nj
         predictor = self.predictor
         predictor_type = type(predictor)
         # Per notification code, the predictor call and its two arguments;
@@ -1055,8 +1050,8 @@ class CoreMemoryHierarchy:
                 hier_at = hier_point
             if dram_point != dram_at:
                 total = energy.get("dram", 0.0)
-                for value in dram[dram_at:dram_point]:
-                    total += value
+                for _ in range(dram_point - dram_at):
+                    total += dram_nj
                 energy["dram"] = total
                 dram_at = dram_point
             if calls is not None and notes_point != notes_at:
@@ -1109,7 +1104,7 @@ class CoreMemoryHierarchy:
                 # A speculative DRAM access was launched and must be
                 # cancelled by the return-path address-matching logic:
                 # energy, no time.
-                energy["dram"] = energy.get("dram", 0.0) + self._dram_nj
+                energy["dram"] = energy.get("dram", 0.0) + dram_nj
                 cancelled += 1
             for value in hier_adds:
                 hierarchy += value
@@ -1141,8 +1136,8 @@ class CoreMemoryHierarchy:
         energy["hierarchy"] = hierarchy
         if dram_end != dram_at:
             total = energy.get("dram", 0.0)
-            for value in dram[dram_at:dram_end]:
-                total += value
+            for _ in range(dram_end - dram_at):
+                total += dram_nj
             energy["dram"] = total
         if calls is not None:
             for code, note_block in notes:

@@ -11,16 +11,22 @@ translation, which the TLB model provides, plus the eTLB cost hook used by the
 D2D/D2M baseline (which enlarges TLB entries and charges 10 % extra energy per
 access, Section IV.C).
 
-TLB sets are allocated on first insert, as cache sets are on first fill
-(:mod:`repro.memory.cache`).  Every job builds fresh TLBs and most of them
-never fill more than a handful of second-level sets, so an untouched set
-shares one read-only empty mapping (a probe needs nothing more) until its
-first insert gives it an ordered dict of its own.
+A TLB set is laid out as a cache set is (:mod:`repro.memory.cache`): one
+plain ``dict`` whose keys are the resident page numbers in LRU order, the
+first key the least recently used.  A hit moves its page to the end (pop,
+then insert again) and a full set evicts its first key.  A dict of ints is
+never tracked by the cyclic garbage collector, unlike an ``OrderedDict``,
+and it is less than half the size.
+
+TLB sets are allocated on first insert, as cache sets are on first fill.
+Every job builds fresh TLBs and most of them never fill more than a
+handful of second-level sets, so an untouched set shares one read-only
+empty mapping (a probe needs nothing more) until its first insert gives it
+a dict of its own.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -51,7 +57,7 @@ class TLBStats:
 
 
 class TLB:
-    """A set-associative TLB modelled with per-set LRU ordered dicts, each
+    """A set-associative TLB modelled with per-set LRU-ordered dicts, each
     built by the first insert into its set."""
 
     __slots__ = ("associativity", "page_size", "name", "_num_sets", "_sets",
@@ -80,7 +86,8 @@ class TLB:
         entries = self._sets[page % self._num_sets]
         stats = self.stats
         if page in entries:
-            entries.move_to_end(page)
+            del entries[page]
+            entries[page] = True
             stats.hits += 1
             return True
         stats.misses += 1
@@ -92,12 +99,11 @@ class TLB:
         index = page % self._num_sets
         entries = self._sets[index]
         if page in entries:
-            entries.move_to_end(page)
-            return
-        if entries is _EMPTY_SET:
-            entries = self._sets[index] = OrderedDict()
-        if len(entries) >= self.associativity:
-            entries.popitem(last=False)
+            del entries[page]
+        elif entries is _EMPTY_SET:
+            entries = self._sets[index] = {}
+        elif len(entries) >= self.associativity:
+            del entries[next(iter(entries))]
         entries[page] = True
 
 
@@ -135,7 +141,8 @@ class TLBHierarchy:
         l1 = self.l1
         entries = l1._sets[page % l1._num_sets]
         if page in entries:
-            entries.move_to_end(page)
+            del entries[page]
+            entries[page] = True
             l1.stats.hits += 1
             return 0
         l1.stats.misses += 1

@@ -6,8 +6,6 @@ import pytest
 
 from repro.memory.block import (
     AccessType,
-    CacheLine,
-    CoherenceState,
     DEFAULT_BLOCK_SIZE,
     Level,
     MemoryAccess,
@@ -17,6 +15,8 @@ from repro.memory.block import (
     page_number,
     page_offset,
 )
+from repro.memory.cache import Cache
+from repro.memory.spec import LevelSpec
 
 
 class TestLevel:
@@ -85,31 +85,24 @@ class TestMemoryAccess:
         assert access.is_store and not access.is_load
 
 
-class TestCoherenceState:
-    def test_validity(self):
-        assert CoherenceState.MODIFIED.is_valid
-        assert not CoherenceState.INVALID.is_valid
-
-    def test_dirtiness(self):
-        assert CoherenceState.MODIFIED.is_dirty
-        assert CoherenceState.OWNED.is_dirty
-        assert not CoherenceState.SHARED.is_dirty
-        assert not CoherenceState.EXCLUSIVE.is_dirty
-
-    def test_writability(self):
-        assert CoherenceState.MODIFIED.can_write
-        assert CoherenceState.EXCLUSIVE.can_write
-        assert not CoherenceState.SHARED.can_write
-
-
 class TestCacheLine:
+    """A cache line is one entry of its set: the block address and its
+    dirty and prefetched flag bits."""
+
+    @staticmethod
+    def _cache() -> Cache:
+        return Cache(LevelSpec(name="L1", size_bytes=1024, associativity=2))
+
     def test_valid_tracks_state(self):
-        line = CacheLine(tag=1, block_addr=64)
-        assert line.valid
-        line.state = CoherenceState.INVALID
-        assert not line.valid
+        cache = self._cache()
+        cache.fill_block(64)
+        assert cache.peek_line(64) is not None
+        cache.invalidate(64)
+        assert cache.peek_line(64) is None
 
     def test_prefetched_flag_default(self):
-        line = CacheLine(tag=1, block_addr=64)
-        assert not line.prefetched
-        assert not line.dirty
+        cache = self._cache()
+        cache.fill_block(64)
+        assert cache.peek_line(64) == (False, False)
+        assert not cache.peek_line(64).prefetched
+        assert not cache.peek_line(64).dirty

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
-from collections import OrderedDict
+import tracemalloc
+from collections import Counter, OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.block import AccessType, CoherenceState
+from repro.memory.block import AccessType
 from repro.memory.cache import Cache, CacheStats, EvictionInfo
-from repro.memory.spec import LevelSpec
+from repro.memory.directory import Directory
+from repro.memory.spec import HierarchySpec, LevelSpec
 
 
 def make_cache(size=1024, assoc=2, **kwargs) -> Cache:
@@ -45,7 +48,23 @@ class TestGeometry:
         for block in (0, 64, 512, 4096, 65536):
             set_index = cache.set_index(block)
             assert 0 <= set_index < 8
-            assert (cache.tag_of(block) * 8 + set_index) * 64 == block
+            assert ((block // 64 // 8) * 8 + set_index) * 64 == block
+
+    def test_three_sets_map_blocks_round_robin(self):
+        """A set count that is not a power of two: blocks 0-6 land in sets
+        0, 1, 2, 0, 1, 2, 0, and each set evicts its own LRU line."""
+        cache = make_cache(size=3 * 2 * 64, assoc=2)
+        assert [cache.set_index(number * 64) for number in range(7)] \
+            == [0, 1, 2, 0, 1, 2, 0]
+        for number in range(6):
+            assert cache.fill_block(number * 64) is None
+        assert cache.occupancy() == 6
+        assert cache.access_block(0) == (True, False)  # block 3 is now LRU
+        eviction = cache.fill_block(6 * 64)
+        assert eviction == EvictionInfo(3 * 64, False, False)
+        assert sorted(cache.resident_blocks()) \
+            == [number * 64 for number in (0, 1, 2, 4, 5, 6)]
+        assert cache.fill_block(7 * 64).block_addr == 1 * 64
 
 
 class TestLookupAndFill:
@@ -68,9 +87,7 @@ class TestLookupAndFill:
         cache = make_cache()
         cache.fill_block(0x2000)
         cache.access_block(0x2000, AccessType.STORE)
-        line = cache.peek_line(0x2000)
-        assert line.dirty
-        assert line.state is CoherenceState.MODIFIED
+        assert cache.peek_line(0x2000).dirty
 
     def test_fill_of_resident_block_does_not_evict(self):
         cache = make_cache()
@@ -183,30 +200,34 @@ def test_property_contains_matches_fill_history(addresses):
                           min_size=1, max_size=300))
 @settings(max_examples=50, deadline=None)
 def test_property_tag_index_consistency(addresses):
-    """The internal tag->way index always agrees with the stored lines."""
+    """Every resident block is found where its set index says, once, and
+    no set holds more lines than its ways."""
     cache = make_cache(size=1024, assoc=2)
     for address in addresses:
         cache.fill_block(cache.block_of(address))
-    for block in cache.resident_blocks():
+    resident = cache.resident_blocks()
+    assert len(set(resident)) == len(resident) == cache.occupancy()
+    for block in resident:
         assert cache.contains_block(block)
-        line = cache.peek_line(block)
-        assert line.block_addr == block
+        assert cache.peek_line(block) is not None
+    assert max(Counter(map(cache.set_index, resident)).values()) <= 2
 
 
 # ----------------------------------------------------------------------
 # Differential test: the set-on-first-fill Cache against a plain model
 # ----------------------------------------------------------------------
 class ReferenceCache:
-    """Eagerly allocated per-set ordered dicts, in recency order.
+    """Eagerly allocated per-set way lists and ordered dicts, in recency
+    order.
 
-    LRU victims come from the dict order, independently of the cache's
-    timestamp lists; a free way is always filled before any line is
-    evicted.
+    LRU victims come from the ordered dict's explicit ``move_to_end``
+    bookkeeping, independently of the cache's plain-dict order; a free way
+    is always filled before any line is evicted.
     """
 
     def __init__(self, num_sets: int, associativity: int):
         self.num_sets = num_sets
-        # Per set: tag -> [way, block, state, dirty, prefetched].
+        # Per set: tag -> [way, block, dirty, prefetched].
         self.sets = [OrderedDict() for _ in range(num_sets)]
         self.ways = [[None] * associativity for _ in range(num_sets)]
         self.stats = {name: 0 for name in CacheStats.__dataclass_fields__}
@@ -225,20 +246,19 @@ class ReferenceCache:
         self.stats[f"{kind}_hits"] += 1
         self.sets[index].move_to_end(tag)
         if atype is AccessType.STORE:
-            line[3] = True
-            line[2] = CoherenceState.MODIFIED
-        was_prefetched = line[4]
+            line[2] = True
+        was_prefetched = line[3]
         if was_prefetched and atype is not AccessType.PREFETCH:
-            line[4] = False
+            line[3] = False
             self.stats["prefetched_lines_used"] += 1
         return True, was_prefetched
 
-    def fill(self, block, atype, dirty, state):
+    def fill(self, block, atype, dirty):
         index, tag = self._locate(block)
         lines, ways = self.sets[index], self.ways[index]
         line = lines.get(tag)
         if line is not None:
-            line[3] = line[3] or dirty
+            line[2] = line[2] or dirty
             lines.move_to_end(tag)
             return None
         if None in ways:
@@ -247,18 +267,15 @@ class ReferenceCache:
             way = next(iter(lines.values()))[0]
         eviction = None
         if ways[way] is not None:
-            _, victim, victim_state, victim_dirty, victim_prefetched = \
-                lines.pop(ways[way])
-            eviction = EvictionInfo(victim, victim_dirty, victim_prefetched,
-                                    victim_state)
+            _, victim, victim_dirty, victim_prefetched = lines.pop(ways[way])
+            eviction = EvictionInfo(victim, victim_dirty, victim_prefetched)
             self.stats["evictions"] += 1
             self.stats["dirty_evictions"] += victim_dirty
             self.stats["prefetched_lines_evicted_unused"] += victim_prefetched
         self.stats["fills"] += 1
         self.stats["prefetch_fills"] += atype is AccessType.PREFETCH
         ways[way] = tag
-        lines[tag] = [way, block, state, dirty,
-                      atype is AccessType.PREFETCH]
+        lines[tag] = [way, block, dirty, atype is AccessType.PREFETCH]
         return eviction
 
     def invalidate(self, block):
@@ -268,15 +285,14 @@ class ReferenceCache:
             return None
         self.ways[index][line[0]] = None
         self.stats["invalidations"] += 1
-        return EvictionInfo(line[1], line[3], line[4], line[2])
+        return EvictionInfo(line[1], line[2], line[3])
 
     def mark_dirty(self, block):
         index, tag = self._locate(block)
         line = self.sets[index].get(tag)
         if line is None:
             return False
-        line[3] = True
-        line[2] = CoherenceState.MODIFIED
+        line[2] = True
         return True
 
     def resident_blocks(self):
@@ -287,12 +303,10 @@ class ReferenceCache:
 
 _ATYPES = (AccessType.LOAD, AccessType.STORE, AccessType.PREFETCH,
            AccessType.WRITEBACK)
-_STATES = (CoherenceState.EXCLUSIVE, CoherenceState.SHARED,
-           CoherenceState.MODIFIED)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(num_sets=st.sampled_from((1, 2, 8)),
+@given(num_sets=st.sampled_from((1, 2, 3, 8)),
        associativity=st.sampled_from((1, 2, 4)),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_lazy_cache_matches_reference(num_sets, associativity, seed):
@@ -312,21 +326,64 @@ def test_lazy_cache_matches_reference(num_sets, associativity, seed):
                 == reference.access(block, atype)
         elif operation == "fill":
             atype, dirty = rng.choice(_ATYPES), rng.random() < 0.5
-            state = rng.choice(_STATES)
-            assert cache.fill_block(block, atype, dirty=dirty, state=state) \
-                == reference.fill(block, atype, dirty, state)
+            assert cache.fill_block(block, atype, dirty=dirty) \
+                == reference.fill(block, atype, dirty)
         elif operation == "invalidate":
             assert cache.invalidate(block) == reference.invalidate(block)
         else:
             assert cache.mark_dirty(block) == reference.mark_dirty(block)
-        resident = cache.resident_blocks()
-        assert resident == reference.resident_blocks()
+        resident = sorted(cache.resident_blocks())
+        assert resident == sorted(reference.resident_blocks())
         assert cache.occupancy() == len(resident)
     assert dataclasses.asdict(cache.stats) == reference.stats
     for block in cache.resident_blocks():
         line = cache.peek_line(block)
-        assert line.state is not CoherenceState.INVALID
         index, tag = reference._locate(block)
-        _, _, state, dirty, prefetched = reference.sets[index][tag]
-        assert (line.state, line.dirty, line.prefetched) \
-            == (state, dirty, prefetched)
+        _, _, dirty, prefetched = reference.sets[index][tag]
+        assert (line.dirty, line.prefetched) == (dirty, prefetched)
+
+
+# ----------------------------------------------------------------------
+# Memory held by the walker's state
+# ----------------------------------------------------------------------
+def _traced_bytes(build):
+    """Bytes still allocated by ``build()`` once it returns (its result
+    kept alive)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del kept
+    return held
+
+
+def test_bytes_per_resident_line_of_a_full_l1():
+    """A full paper L1 holds each line in a few dozen bytes: one dict entry
+    of small ints per line, not a line object."""
+    spec = HierarchySpec.paper_single_core().levels[0]
+    lines = spec.size_bytes // spec.block_size
+
+    def full_l1():
+        cache = Cache(spec)
+        for number in range(lines):
+            cache.fill_block(number * 64, AccessType.STORE, dirty=True)
+        assert cache.occupancy() == lines
+        return cache
+
+    assert _traced_bytes(full_l1) / lines <= 120
+
+
+def test_bytes_per_tracked_block_of_the_directory():
+    blocks = 4096
+
+    def directory():
+        tracked = Directory(num_cores=4)
+        for number in range(blocks):
+            tracked.record_private_fill((1 << 40) + number * 64, number % 4)
+        return tracked
+
+    assert _traced_bytes(directory) / blocks <= 150

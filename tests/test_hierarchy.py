@@ -115,7 +115,8 @@ class TestDataMovement:
     def test_directory_tracks_private_fills(self):
         hierarchy = build_hierarchy()
         hierarchy.access(make_load(0x9000))
-        assert hierarchy.shared.directory.is_cached_privately(0x9000 & ~63)
+        directory = hierarchy.shared.directory
+        assert directory.remote_holder(0x9000 & ~63, exclude_core=1) == 0
 
     def test_dirty_l3_eviction_writes_back_to_dram(self):
         config = HierarchySpec.paper_single_core()

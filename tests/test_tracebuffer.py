@@ -212,14 +212,9 @@ class TestReplayEquivalence:
         hierarchy = _paper_system().hierarchy
         kinds = [KIND_LOAD] + [KIND_STORE] * 3
         hierarchy.run_buffer(_crafted([0x9000] * 4, kinds=kinds))
-        l1 = hierarchy.l1
-        if l1._block_shift >= 0:
-            set_index = (0x9000 >> l1._block_shift) & l1._set_mask
-            way = l1._tag_to_way[set_index].get(0x9000 >> l1._tag_shift)
-        else:
-            set_index, way = l1._find(0x9000)
-        assert way is not None
-        assert l1._lines[set_index][way].dirty
+        line = hierarchy.l1.peek_line(0x9000)
+        assert line is not None
+        assert line.dirty
 
     @pytest.mark.parametrize("app", APPLICATIONS)
     def test_grid_bit_identity(self, app):
