@@ -56,8 +56,6 @@ def locmap_block_address(physical_address: int, base_address: int = 0) -> int:
 class MetadataCacheStats:
     hits: int = 0
     misses: int = 0
-    fills: int = 0
-    evictions: int = 0
 
     @property
     def accesses(self) -> int:
@@ -70,8 +68,6 @@ class MetadataCacheStats:
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.fills = 0
-        self.evictions = 0
 
 
 class MetadataCache:
@@ -122,9 +118,7 @@ class MetadataCache:
             return
         if len(entries) >= self.associativity:
             entries.popitem(last=False)
-            self.stats.evictions += 1
         entries[locmap_block] = True
-        self.stats.fills += 1
 
     def reset_statistics(self) -> None:
         self.stats.reset()
@@ -144,9 +138,7 @@ class LocMap:
         base_address: Base physical address of the reserved LocMap region.
     """
 
-    __slots__ = ("block_size", "base_address", "metadata_cache", "_table",
-                 "updates_applied", "prefetch_updates_skipped",
-                 "locmap_fetches_from_memory")
+    __slots__ = ("block_size", "base_address", "metadata_cache", "_table")
 
     def __init__(self, metadata_cache_bytes: int = 2048,
                  block_size: int = DEFAULT_BLOCK_SIZE,
@@ -158,10 +150,6 @@ class LocMap:
             associativity=METADATA_ASSOCIATIVITY,
             block_size=block_size)
         self._table: Dict[int, int] = {}
-        # Statistics on the update policy.
-        self.updates_applied = 0
-        self.prefetch_updates_skipped = 0
-        self.locmap_fetches_from_memory = 0
 
     # ------------------------------------------------------------------
     # Address helpers
@@ -195,7 +183,6 @@ class LocMap:
             return _CODE_TO_LEVEL[code]
         stats.misses += 1
         # Metadata miss: fetch the LocMap block through the data hierarchy.
-        self.locmap_fetches_from_memory += 1
         cache.fill(locmap_block)
         return None
 
@@ -226,13 +213,10 @@ class LocMap:
         cache = self.metadata_cache
         if from_prefetch:
             if locmap_block not in cache._sets[locmap_block % cache.num_sets]:
-                self.prefetch_updates_skipped += 1
                 return False
             self._table[address // self.block_size] = code
-            self.updates_applied += 1
             return True
         self._table[address // self.block_size] = code
-        self.updates_applied += 1
         # Demand updates also warm the metadata cache for the region.
         cache.fill(locmap_block)
         return True
@@ -257,7 +241,6 @@ class LocMap:
 
     def _apply(self, address: int, level: Level) -> None:
         self._table[self._block_number(address)] = _LEVEL_TO_CODE[level]
-        self.updates_applied += 1
 
     # ------------------------------------------------------------------
     # Reporting
@@ -272,6 +255,3 @@ class LocMap:
 
     def reset_statistics(self) -> None:
         self.metadata_cache.reset_statistics()
-        self.updates_applied = 0
-        self.prefetch_updates_skipped = 0
-        self.locmap_fetches_from_memory = 0

@@ -67,17 +67,13 @@ class PopularLevelsDetector:
     iteration showed up in simulation profiles.
     """
 
-    __slots__ = ("config", "_l2", "_l3", "_mem", "updates", "predictions",
-                 "multi_way_predictions")
+    __slots__ = ("config", "_l2", "_l3", "_mem")
 
     def __init__(self, config: PLDConfig | None = None) -> None:
         self.config = config or PLDConfig()
         self._l2 = 0
         self._l3 = 0
         self._mem = 0
-        self.updates = 0
-        self.predictions = 0
-        self.multi_way_predictions = 0
 
     # ------------------------------------------------------------------
     # Training
@@ -100,7 +96,6 @@ class PopularLevelsDetector:
             self._l3 = l3 if (l3 := self._l3 - 1) > 0 else 0
         else:  # pragma: no cover - Level has no other members
             raise ValueError(f"PLD does not track level {level}")
-        self.updates += 1
 
     # ------------------------------------------------------------------
     # Prediction
@@ -111,7 +106,6 @@ class PopularLevelsDetector:
         With no history at all (all counters zero) the detector falls back to
         the conservative sequential choice, L2.
         """
-        self.predictions += 1
         l2, l3, mem = self._l2, self._l3, self._mem
         total = l2 + l3 + mem
         if total == 0:
@@ -132,7 +126,6 @@ class PopularLevelsDetector:
                 break
         if mask == 1 << ranked[0][1]:
             return ranked[0][2]
-        self.multi_way_predictions += 1
         # Report targets in hierarchy order so the hierarchy knows which
         # levels are being probed in parallel.
         if mask == 0b01100:
@@ -154,16 +147,7 @@ class PopularLevelsDetector:
         """Three counters of :data:`COUNTER_BITS` bits each (96 bits)."""
         return COUNTER_BITS * 3
 
-    @property
-    def multi_way_fraction(self) -> float:
-        if not self.predictions:
-            return 0.0
-        return self.multi_way_predictions / self.predictions
-
     def reset(self) -> None:
         self._l2 = 0
         self._l3 = 0
         self._mem = 0
-        self.updates = 0
-        self.predictions = 0
-        self.multi_way_predictions = 0

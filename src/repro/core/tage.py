@@ -181,9 +181,6 @@ class TAGELevelPredictor(LevelPredictor):
         # Bookkeeping for training: which table/index provided the
         # prediction (table -1 is the base table).
         self._last_provider: Dict[int, Optional[Tuple[int, int]]] = {}
-        self.allocations = 0
-        self.provider_hits = 0
-        self.base_predictions = 0
 
     # ------------------------------------------------------------------
     # History
@@ -261,11 +258,9 @@ class TAGELevelPredictor(LevelPredictor):
                 self._probes):
             index = (block_hash ^ index_hash) % entries
             if tags[index] == (high ^ tag_hash) & tag_mask:
-                self.provider_hits += 1
                 self._last_provider[block_addr] = (table, index)
                 return self._memoised(self._tagged_memo, counters, 3 * index,
                                       "tage")
-        self.base_predictions += 1
         if not self.config.base_table_fallback:
             # No matching entry: follow the sequential level-by-level
             # traversal, exactly as the paper's TAGE baseline does.
@@ -323,7 +318,6 @@ class TAGELevelPredictor(LevelPredictor):
             at = 3 * index
             counters[at] = counters[at + 1] = counters[at + 2] = 0
             counters[at + actual - 2] = min(2, self._max_counter)
-            self.allocations += 1
             return
 
     # ------------------------------------------------------------------

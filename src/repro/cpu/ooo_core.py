@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass, fields
 from typing import Deque, Iterable, Sequence
 
-from ..memory.block import AccessResult
 from ..trace import TraceBuffer
 
 
@@ -118,14 +117,15 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------
     # Read by perfbench until ROADMAP item 6 (its ``cpu.execute`` span).
     def execute(self, accesses: TraceBuffer,
-                results: Sequence[AccessResult]) -> ExecutionResult:
-        """Time a trace given the hierarchy's per-access latencies.
+                latencies: Sequence[float]) -> ExecutionResult:
+        """Time a trace given the hierarchy's per-access load latencies.
 
         The timing loop reads two of the buffer's columns: the non-memory
         instruction count and the pointer-dependence flag.
         """
-        if len(accesses) != len(results):
-            raise ValueError("accesses and results must have the same length")
+        if len(accesses) != len(latencies):
+            raise ValueError("accesses and latencies must have the same "
+                             "length")
         if not len(accesses):
             return ExecutionResult(cycles=0.0, instructions=0,
                                    memory_accesses=0, stall_cycles=0.0)
@@ -149,7 +149,8 @@ class OutOfOrderCore:
         popleft = outstanding.popleft
         push = outstanding.append
 
-        for non_mem, depends, result in zip(non_memory, dependent, results):
+        for non_mem, depends, latency in zip(non_memory, dependent,
+                                             latencies):
             # Front-end: the non-memory instructions ahead of this access plus
             # the memory instruction itself, fetched at the commit width.
             front_end = (non_mem + 1) / fetch_width
@@ -169,7 +170,7 @@ class OutOfOrderCore:
                 if oldest > issue_cycle:
                     issue_cycle = oldest
 
-            completion = issue_cycle + result.latency
+            completion = issue_cycle + latency
             push(completion)
             last_completion = completion
             current_cycle = issue_cycle

@@ -1,4 +1,4 @@
-"""Memory-hierarchy substrate: caches, TLBs, DRAM, directory, bus."""
+"""Memory-hierarchy substrate: caches, TLBs, DRAM, directory."""
 
 from .block import (
     AccessResult,
@@ -9,7 +9,7 @@ from .block import (
     PREDICTABLE_LEVELS,
     block_address,
 )
-from .cache import Cache, CacheStats, EvictionInfo
+from .cache import Cache, EvictionInfo
 from .directory import Directory
 from .dram import DRAMModel
 from .hierarchy import (
@@ -18,7 +18,6 @@ from .hierarchy import (
     SharedMemorySystem,
     Walk,
 )
-from .interconnect import Interconnect
 from .spec import (
     HierarchySpec,
     InterconnectSpec,
@@ -32,7 +31,6 @@ __all__ = [
     "AccessResult",
     "AccessType",
     "Cache",
-    "CacheStats",
     "CoreMemoryHierarchy",
     "DEFAULT_BLOCK_SIZE",
     "Directory",
@@ -40,7 +38,6 @@ __all__ = [
     "EvictionInfo",
     "HierarchySpec",
     "HierarchyStats",
-    "Interconnect",
     "InterconnectSpec",
     "Level",
     "LevelSpec",

@@ -128,28 +128,15 @@ class MemoryAccess:
 
 @dataclass(slots=True)
 class AccessResult:
-    """Outcome of sending one access through the memory hierarchy.
+    """Outcome of one access serviced on its own
+    (:meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.access`).
 
     Attributes:
         hit_level: The level at which the data was found.
         latency: Total load-to-use latency in core cycles.
-        levels_looked_up: Levels whose tag arrays were accessed while servicing
-            this request (for energy accounting).
-        bypassed_levels: Levels skipped on the way down due to level
-            prediction.
-        predicted_levels: The set of levels predicted (empty when the
-            prediction machinery was not involved, e.g. on an L1 hit).
         misprediction: True when recovery through the directory was required.
-        used_pld: True when the Popular Levels Detector produced the
-            prediction (metadata cache miss path).
-        energy_nj: Energy charged to this access, in nanojoules.
     """
 
     hit_level: Level
     latency: float
-    levels_looked_up: tuple = ()
-    bypassed_levels: tuple = ()
-    predicted_levels: tuple = ()
     misprediction: bool = False
-    used_pld: bool = False
-    energy_nj: float = 0.0

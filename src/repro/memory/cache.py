@@ -4,7 +4,10 @@ Each cache level in the simulated hierarchy is an instance of :class:`Cache`.
 The model is functional (it tracks exactly which blocks are resident) with
 per-access latency constants, which is what the level-prediction study needs:
 the paper's results depend on *where* a block is found and *how many lookups*
-were performed on the way, not on bank conflicts or port arbitration.
+were performed on the way, not on bank conflicts or port arbitration.  A
+cache keeps no counters of its own: the hierarchy walker records what each
+access did (:class:`~repro.memory.hierarchy.Walk`), and the results count
+from that.
 
 Features modelled, matching Table I of the paper:
 
@@ -15,7 +18,9 @@ Features modelled, matching Table I of the paper:
   ``tag_latency`` (see :attr:`~repro.memory.spec.LevelSpec.hit_latency`,
   which the hierarchy walker charges);
 * write-back, write-allocate;
-* a prefetched bit per line so prefetcher accuracy can be measured.
+* a prefetched bit per line, so the first demand use of a prefetched line
+  and the eviction of an unused one reach the prefetcher that brought it
+  in.
 
 Set layout
 ==========
@@ -79,41 +84,6 @@ class LineFlags(NamedTuple):
     prefetched: bool
 
 
-@dataclass(slots=True)
-class CacheStats:
-    """Per-cache hit/miss counters, split by demand and prefetch traffic."""
-
-    demand_hits: int = 0
-    demand_misses: int = 0
-    prefetch_hits: int = 0
-    prefetch_misses: int = 0
-    writebacks_received: int = 0
-    fills: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-    prefetch_fills: int = 0
-    prefetched_lines_used: int = 0
-    prefetched_lines_evicted_unused: int = 0
-    invalidations: int = 0
-
-    @property
-    def demand_accesses(self) -> int:
-        return self.demand_hits + self.demand_misses
-
-    @property
-    def accesses(self) -> int:
-        return self.demand_accesses + self.prefetch_hits + self.prefetch_misses
-
-    @property
-    def demand_miss_ratio(self) -> float:
-        total = self.demand_accesses
-        return self.demand_misses / total if total else 0.0
-
-    def reset(self) -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, 0)
-
-
 class Cache:
     """A single set-associative, write-back, LRU cache level.
 
@@ -131,7 +101,7 @@ class Cache:
     """
 
     __slots__ = ("spec", "name", "_num_sets", "_associativity", "_sets",
-                 "_block_shift", "_addr_mask", "stats")
+                 "_block_shift", "_addr_mask")
 
     def __init__(self, spec: LevelSpec, name: Optional[str] = None) -> None:
         self.spec = spec
@@ -145,7 +115,6 @@ class Cache:
         # LevelSpec requires a power-of-two block size.
         self._block_shift = block_size.bit_length() - 1
         self._addr_mask = ~(block_size - 1)
-        self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     # Address decomposition
@@ -188,14 +157,9 @@ class Cache:
         it — the signal the hierarchy feeds back to the prefetcher's accuracy
         accounting.
         """
-        stats = self.stats
         lines = self._sets[(block_addr >> self._block_shift) % self._num_sets]
         flags = lines.get(block_addr)
         if flags is None:
-            if access_type is _PREFETCH:
-                stats.prefetch_misses += 1
-            else:
-                stats.demand_misses += 1
             return False, False
         del lines[block_addr]
         if access_type is _STORE:
@@ -205,12 +169,7 @@ class Cache:
             was_prefetched = True
             if access_type is _LOAD or access_type is _STORE:
                 flags &= _DIRTY
-                stats.prefetched_lines_used += 1
         lines[block_addr] = flags
-        if access_type is _PREFETCH:
-            stats.prefetch_hits += 1
-        else:
-            stats.demand_hits += 1
         return True, was_prefetched
 
     def fill_block(
@@ -235,7 +194,6 @@ class Cache:
             lines[block_addr] = flags | dirty
             return None
 
-        stats = self.stats
         eviction: Optional[EvictionInfo] = None
         if lines is _EMPTY_SET:
             lines = self._sets[index] = {}
@@ -244,15 +202,8 @@ class Cache:
             flags = lines.pop(victim)
             eviction = EvictionInfo(victim, bool(flags & _DIRTY),
                                     bool(flags & _PREFETCHED))
-            stats.evictions += 1
-            if flags & _DIRTY:
-                stats.dirty_evictions += 1
-            if flags & _PREFETCHED:
-                stats.prefetched_lines_evicted_unused += 1
-        stats.fills += 1
         flags = _DIRTY if dirty else 0
         if access_type is _PREFETCH:
-            stats.prefetch_fills += 1
             flags |= _PREFETCHED
         lines[block_addr] = flags
         return eviction
@@ -279,7 +230,6 @@ class Cache:
         if flags is None:
             return None
         del lines[block_addr]
-        self.stats.invalidations += 1
         return EvictionInfo(block_addr, bool(flags & _DIRTY),
                             bool(flags & _PREFETCHED))
 
@@ -303,6 +253,3 @@ class Cache:
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
         return sum(map(len, self._sets))
-
-    def reset_statistics(self) -> None:
-        self.stats.reset()

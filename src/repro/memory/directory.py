@@ -5,19 +5,21 @@ which cores hold it: one ``dict`` from block address to a sharer bitmask
 (bit ``c`` set while core ``c`` holds the block).  A dict that holds only
 ints is never tracked by the cyclic garbage collector.
 
-The hierarchy walker asks three things of it:
+The hierarchy walker asks two things of it:
 
 * :meth:`~Directory.record_private_fill` and
   :meth:`~Directory.record_private_eviction` keep the masks current as
   blocks enter and leave a core's deepest private level;
 * :meth:`~Directory.remote_holder` names the core that supplies a block
   another core misses on (a cache-to-cache transfer, classified as an
-  LLC-level hit for prediction);
-* :attr:`DirectoryStats.misprediction_detections` counts the harmful
-  level predictions the directory catches (Section III.E): a request that
-  bypassed the private levels and reaches the LLC finds the block tracked
-  in its own core's private caches, and a recovery transaction re-issues
-  it there.  The replay counts these; the walk never needs the lookup.
+  LLC-level hit for prediction).
+
+It also catches the harmful level predictions (Section III.E): a request
+that bypassed the private levels and reaches the LLC finds the block
+tracked in its own core's private caches, and a recovery transaction
+re-issues it there.  The walk already knows where each block was, so the
+replay prices those recoveries (``HierarchyStats.recoveries``) without a
+lookup here.
 
 The model runs no MOESI transactions: data movement is functional, a
 store never invalidates another core's copy, and whether a line is dirty
@@ -28,19 +30,13 @@ the LLC tag latency by the hierarchy model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
-
-
-@dataclass
-class DirectoryStats:
-    misprediction_detections: int = 0
 
 
 class Directory:
     """Full-map directory keyed by block address."""
 
-    __slots__ = ("num_cores", "_sharers", "stats")
+    __slots__ = ("num_cores", "_sharers")
 
     def __init__(self, num_cores: int = 1) -> None:
         if num_cores <= 0:
@@ -48,7 +44,6 @@ class Directory:
         self.num_cores = num_cores
         # Block address -> sharer bitmask; a block no core holds has no key.
         self._sharers: Dict[int, int] = {}
-        self.stats = DirectoryStats()
 
     def remote_holder(self, block_addr: int,
                       exclude_core: int) -> Optional[int]:

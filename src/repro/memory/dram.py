@@ -18,49 +18,16 @@ with the core-to-memory frequency ratio (4 GHz core vs 1200 MHz DRAM clock).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .spec import MemorySpec
-
-
-@dataclass
-class DRAMStats:
-    reads: int = 0
-    writes: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-    row_conflicts: int = 0
-    total_latency_core_cycles: float = 0.0
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    @property
-    def row_hit_ratio(self) -> float:
-        return self.row_hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def average_latency(self) -> float:
-        return (
-            self.total_latency_core_cycles / self.accesses if self.accesses else 0.0
-        )
-
-    def reset(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
-        self.total_latency_core_cycles = 0.0
 
 
 class DRAMModel:
     """Open-page DRAM channel with per-bank row-buffer state."""
 
     __slots__ = ("spec", "_ratio", "_num_banks", "_open_row",
-                 "_bank_free_at", "stats", "_now")
+                 "_bank_free_at", "_now")
 
     def __init__(self, spec: MemorySpec = MemorySpec()) -> None:
         self.spec = spec
@@ -70,7 +37,6 @@ class DRAMModel:
         # indexed by bank id (lists beat dicts for this dense, small space).
         self._open_row: List[Optional[int]] = [None] * self._num_banks
         self._bank_free_at: List[float] = [0.0] * self._num_banks
-        self.stats = DRAMStats()
         self._now = 0.0
 
     # ------------------------------------------------------------------
@@ -87,13 +53,14 @@ class DRAMModel:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def access(self, address: int, is_write: bool = False,
+    def access(self, address: int,
                current_cycle: float | None = None) -> float:
         """Service one 64-byte access and return its latency in core cycles.
 
+        A read and a writeback open rows and occupy banks alike.
+
         Args:
             address: Physical byte address.
-            is_write: True for writebacks.
             current_cycle: Core-cycle timestamp of the request; when omitted an
                 internal monotonically advancing clock is used.
         """
@@ -113,19 +80,15 @@ class DRAMModel:
         bank = row_index % banks
         row = row_index // banks
 
-        stats = self.stats
         open_row = self._open_row[bank]
         if open_row is None:
             # Bank closed: activate then read/write.
             dram_cycles = spec.trcd + spec.cas_latency + spec.burst_cycles
-            stats.row_misses += 1
         elif open_row == row:
             dram_cycles = spec.cas_latency + spec.burst_cycles
-            stats.row_hits += 1
         else:
             # Row conflict: precharge, activate, access.
             dram_cycles = spec.trp + spec.trcd + spec.cas_latency + spec.burst_cycles
-            stats.row_conflicts += 1
         self._open_row[bank] = row
 
         access_core_cycles = dram_cycles * ratio
@@ -141,19 +104,12 @@ class DRAMModel:
         finish = current_cycle + queue_delay + access_core_cycles
         self._bank_free_at[bank] = finish
 
-        latency = (
+        return (
             spec.controller_latency_core_cycles
             + queue_delay
             + access_core_cycles
             + spec.refresh_penalty_core_cycles
         )
-
-        if is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-        stats.total_latency_core_cycles += latency
-        return latency
 
     def idle_latency(self) -> float:
         """Latency of an access to an idle, closed bank (used for reporting)."""
@@ -164,6 +120,3 @@ class DRAMModel:
             + dram_cycles * spec.core_cycles_per_dram_cycle
             + spec.refresh_penalty_core_cycles
         )
-
-    def reset_statistics(self) -> None:
-        self.stats.reset()

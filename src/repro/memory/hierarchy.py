@@ -18,11 +18,12 @@ paper's — the whole private intermediate group is classified as
 ``Level.L2`` and the shared LLC as ``Level.L3`` — so predictors, statistics
 and stored results keep their exact shapes at any depth.
 
-The model is trace driven: :meth:`CoreMemoryHierarchy.access` services one
-memory reference, returning an :class:`AccessResult` with the load latency,
-the levels looked up (for energy), the predicted levels and the misprediction
-outcome.  The out-of-order core model (``repro.cpu``) converts these per-access
-latencies into cycles and IPC.
+The model is trace driven: :meth:`CoreMemoryHierarchy.run_buffer` services
+a trace buffer and returns one load latency per access, which the
+out-of-order core model (``repro.cpu``) converts into cycles and IPC;
+:meth:`CoreMemoryHierarchy.access` services one memory reference and
+returns an :class:`AccessResult` with its hit level, latency and whether it
+mispredicted.
 
 Walk and replay
 ===============
@@ -50,9 +51,11 @@ therefore serviced in two stages:
   the timed-path arithmetic, the prediction-dependent statistics and
   energy, and the recorded notifications and charges in their original
   positions, so every float sum adds the same terms in the same order
-  whether the walk and the replay run together or apart.  It builds the
-  :class:`AccessResult` of every L1 miss in its range, and shares one
-  L1-hit result per distinct translation latency.
+  whether the walk and the replay run together or apart.  It returns the
+  range's load latencies as one list of floats: an L1 hit's is the L1 hit
+  latency plus its translation latency, an L1 miss's its timed path.
+  Which level served each access is the walk's alone
+  (:meth:`CoreMemoryHierarchy.hit_levels`).
 
 Because the walk is the same for every predictor, the six systems a figure
 compares on one trace can share one walk: a system built with a walk source
@@ -109,7 +112,6 @@ from .block import (
 from .cache import Cache, EvictionInfo
 from .directory import Directory
 from .dram import DRAMModel
-from .interconnect import Interconnect
 from .spec import HierarchySpec
 from .tlb import TLBHierarchy
 
@@ -121,7 +123,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 # would be circular: repro.core imports Level from this package).  Bound once
 # by the first CoreMemoryHierarchy construction instead of re-importing on
 # every access() call, which showed up in profiles.
-_HARMFUL = None
 _SequentialPredictor = None
 _LevelPredictor = None
 #: Per-level singletons for the Ideal system's oracle predictions.
@@ -137,20 +138,8 @@ _L1 = Level.L1
 _L2 = Level.L2
 _L3 = Level.L3
 _MEM = Level.MEM
-
-#: Shared per-access tuples (avoid re-allocating on every access).
-_LOOKED_L1 = (Level.L1,)
-_NO_LEVELS: tuple = ()
-_BYPASSED_L2 = (Level.L2,)
-_BYPASSED_L3 = (Level.L3,)
-_BYPASSED_L2_L3 = (Level.L2, Level.L3)
-#: The six fixed shapes of the post-L1 lookup path (see _path).
-_PATH_L2 = (Level.L2,)
-_PATH_L3 = (Level.L3,)
-_PATH_L2_L3 = (Level.L2, Level.L3)
-_PATH_L3_MEM = (Level.L3, Level.MEM)
-_PATH_L2_L3_MEM = (Level.L2, Level.L3, Level.MEM)
-_PATH_RECOVERY = (Level.L3, Level.L2)
+#: The sequential fallback an empty prediction stands for (see _path).
+_SEQUENTIAL = (Level.L2,)
 
 #: Values a :class:`Walk` marks at every access boundary (see Walk.marks).
 _MARK_FIELDS = 7
@@ -184,16 +173,10 @@ _NOTE_CALLS = ((True, Level.L2, False), (True, Level.L3, False),
 
 
 def _bind_core_types() -> None:
-    global _HARMFUL, _SequentialPredictor, _LevelPredictor
-    if _HARMFUL is None:
-        from ..core.base import (
-            LevelPredictor,
-            Prediction,
-            PredictionOutcome,
-            SequentialPredictor,
-        )
+    global _SequentialPredictor, _LevelPredictor
+    if _LevelPredictor is None:
+        from ..core.base import LevelPredictor, Prediction, SequentialPredictor
 
-        _HARMFUL = PredictionOutcome.HARMFUL
         _SequentialPredictor = SequentialPredictor
         _LevelPredictor = LevelPredictor
         for level in (Level.L2, Level.L3, Level.MEM):
@@ -342,7 +325,6 @@ class SharedMemorySystem:
         self.dram = DRAMModel(config.memory)
         self.directory = Directory(num_cores=num_cores)
         self.llc_prefetcher = llc_prefetcher or NullPrefetcher()
-        self.dram_writebacks = 0
 
     def l3_eviction_to_memory(self, eviction: EvictionInfo) -> bool:
         """Handle an LLC eviction: dirty lines are written back to DRAM.
@@ -353,8 +335,7 @@ class SharedMemorySystem:
             self.llc_prefetcher.record_useless()
         if not eviction.dirty:
             return False
-        self.dram.access(eviction.block_addr, is_write=True)
-        self.dram_writebacks += 1
+        self.dram.access(eviction.block_addr)
         return True
 
 
@@ -384,7 +365,7 @@ class CoreMemoryHierarchy:
 
     __slots__ = (
         "config", "shared", "predictor", "l1", "l2", "tlb",
-        "l1_prefetcher", "l2_prefetcher", "interconnect", "energy", "stats",
+        "l1_prefetcher", "l2_prefetcher", "energy", "stats",
         "core_id", "walk_source", "_block_size", "_block_mask",
         "_page_shift", "_l1_page_size",
         "_intermediates", "_probe_order", "_fill_order", "_above",
@@ -398,7 +379,7 @@ class CoreMemoryHierarchy:
         "_l1_nj", "_tlb_l1_nj", "_l3_nj", "_l3_tag_nj",
         "_l3_wb_nj",
         "_dram_nj", "_bus_nj", "_directory_nj", "_prefetch_budget",
-        "_l1_hits", "_pf_access",
+        "_pf_access",
         "_recent_prefetches", "_recent_prefetch_count",
         "_prefetches_this_access",
         "_recording", "_hier_add", "_note_code",
@@ -416,7 +397,7 @@ class CoreMemoryHierarchy:
         core_id: int = 0,
         active_cores: int = 1,
     ) -> None:
-        if _HARMFUL is None:
+        if _LevelPredictor is None:
             _bind_core_types()
         self.config = spec = config or HierarchySpec.paper_single_core()
         self.shared = shared or SharedMemorySystem(spec, num_cores=1)
@@ -451,8 +432,6 @@ class CoreMemoryHierarchy:
         self._bypass_hops = intermediates[1:]
         self.l1_prefetcher = l1_prefetcher or NullPrefetcher()
         self.l2_prefetcher = l2_prefetcher or NullPrefetcher()
-        self.interconnect = Interconnect(spec.interconnect,
-                                         active_cores=active_cores)
         self.energy = EnergyAccount()
         self.stats = HierarchyStats()
         self.core_id = core_id
@@ -479,11 +458,13 @@ class CoreMemoryHierarchy:
         self._port_penalty = spec.parallel_port_penalty
         self._memory_speculative = spec.memory_speculative_launch
         self._ideal_miss_latency = spec.ideal_miss_latency
-        # Interconnect hop latencies are constant per instance (contention
-        # depends only on active_cores); the replay precomputes them and
-        # bumps the transfer counters itself instead of calling per hop.
+        # Bus hop latencies are constant per instance.  Every hop into a
+        # shared resource (the LLC, memory, a recovery or a cache-to-cache
+        # forward) also pays the contention of each active core beyond the
+        # first, a stand-in for LLC queueing and bus arbitration.
         ic_spec = spec.interconnect
-        contention = self.interconnect.contention
+        contention = (max(1, active_cores) - 1) \
+            * ic_spec.contention_per_extra_core
         self._ic_l1_l2 = float(ic_spec.l1_to_l2)
         self._ic_l2_llc = ic_spec.l2_to_llc + contention
         self._ic_llc_mem = ic_spec.llc_to_memory + contention
@@ -519,12 +500,6 @@ class CoreMemoryHierarchy:
         budget = inter_specs[-1] if inter_specs else l1_spec
         self._prefetch_budget = (1.0 - budget.mshr_demand_reserve) \
             * budget.mshr_entries
-        # One shared result per L1-hit translation latency, made on first
-        # use by the replay; translation latency 0 (a first-level TLB hit)
-        # is the overwhelmingly common one.  The objects are read-only by
-        # every consumer (the core model reads .latency).
-        self._l1_hits: Dict[float, AccessResult] = {
-            0: AccessResult(Level.L1, self._l1_hit_latency, _LOOKED_L1)}
         # One mutable PrefetchAccess record reused for every prefetcher
         # observation; no prefetcher retains the record past _generate().
         self._pf_access = PrefetchAccess(0, 0, False, True)
@@ -559,6 +534,7 @@ class CoreMemoryHierarchy:
         outcome: a one-access walk on this hierarchy's own caches, then
         its replay — the same two stages :meth:`run_buffer` runs, so
         servicing a buffer's rows one by one gives bit-identical results.
+        The access mispredicted if its replay ran a recovery.
         """
         atype = access.access_type
         if atype is not _LOAD and atype is not _STORE:
@@ -572,17 +548,21 @@ class CoreMemoryHierarchy:
             else address // self._l1_page_size
         walk = self._walk_own(((address,), (block,), (page,),
                                (atype is _STORE,), (access.pc,)))
-        return self.replay(walk, 0, 1)[0]
+        recoveries = self.stats.recoveries
+        latency, = self.replay(walk, 0, 1)
+        level, = self.hit_levels(walk)
+        return AccessResult(level, latency,
+                            self.stats.recoveries != recoveries)
 
     # Read by perfbench until ROADMAP item 6 (its ``hierarchy.run_buffer``
     # span).
-    def run_buffer(self, buffer: "TraceBuffer") -> List[AccessResult]:
+    def run_buffer(self, buffer: "TraceBuffer") -> List[float]:
         """Service a whole columnar trace buffer: its walk, then the replay.
 
         The walk is this hierarchy's own (:meth:`walk` on its caches), or
         — for the consecutive slices of a trace that :attr:`walk_source`
         has a shared walk for — that shared walk.  Returns the per-access
-        :class:`AccessResult` list the core model consumes.
+        load latencies the core model consumes.
 
         Raises:
             ValueError: if the buffer contains non-demand records.
@@ -610,6 +590,17 @@ class CoreMemoryHierarchy:
         one) and return the record its replays need."""
         return self._walk_own(buffer.replay_columns(self._block_size,
                                                     self._l1_page_size))
+
+    def hit_levels(self, walk: Walk) -> List[Level]:
+        """The level that served each access of ``walk``, in order: L1
+        for an L1 hit, otherwise the level its ``where`` code names (a
+        private intermediate is ``Level.L2``, another core's private
+        cache ``Level.L3``)."""
+        levels = [_L1] * len(walk)
+        outcomes = self._outcomes
+        for index, where in zip(walk.index, walk.where):
+            levels[index] = outcomes[where][0]
+        return levels
 
     # ==================================================================
     # Stage one: the walk
@@ -839,11 +830,16 @@ class CoreMemoryHierarchy:
             return
         # 2-level hierarchy: L1 is the deepest private level — the
         # directory tracked this block, and dirty victims write back
-        # straight into the (non-inclusive) LLC.
-        self.shared.directory.record_private_eviction(eviction.block_addr,
+        # straight into the (non-inclusive) LLC.  The predictor hears of
+        # the move through the note a deeper chain's last private level
+        # records (_handle_intermediate_eviction), before the LLC fill.
+        block_addr = eviction.block_addr
+        self.shared.directory.record_private_eviction(block_addr,
                                                       self.core_id)
         if eviction.dirty:
-            l3_eviction = self.shared.l3.fill_block(eviction.block_addr,
+            self._note_code(_EVICT_L2_DIRTY)
+            self._note_block(block_addr)
+            l3_eviction = self.shared.l3.fill_block(block_addr,
                                                     _WRITEBACK, True)
             self._hier_add(self._l3_wb_nj)
             self._handle_l3_eviction(l3_eviction)
@@ -970,10 +966,10 @@ class CoreMemoryHierarchy:
     # ==================================================================
     # Stage two: the replay
     # ==================================================================
-    def replay(self, walk: Walk, start: int, stop: int
-               ) -> List[AccessResult]:
+    def replay(self, walk: Walk, start: int, stop: int) -> List[float]:
         """Replay accesses ``[start, stop)`` of ``walk`` through this
-        hierarchy's predictor, timing, statistics and energy (stage two).
+        hierarchy's predictor, timing, statistics and energy (stage two),
+        and return their load latencies.
 
         The accesses before ``start`` must have been replayed by this
         hierarchy already (the warm-up split replays ``[0, w)``, resets
@@ -982,20 +978,17 @@ class CoreMemoryHierarchy:
         count = stop - start
         if not count:
             return []
-        # Every access's L1-hit result, one shared object per translation
-        # latency; the range's misses overwrite their slots below.
-        hit_results = self._l1_hits
-        results = [hit_results[0]] * count
+        # Every access's L1-hit latency; the few hits that missed the
+        # first-level TLB add their translation, and the range's misses
+        # overwrite their slots below.
+        l1_hit = self._l1_hit_latency
+        latencies = [l1_hit] * count
         hit_index = walk.hit_index
         at = bisect_left(hit_index, start)
         end = bisect_left(hit_index, stop, at)
-        for index, latency in zip(hit_index[at:end],
-                                  walk.hit_translation[at:end]):
-            result = hit_results.get(latency)
-            if result is None:
-                result = hit_results[latency] = AccessResult(
-                    _L1, self._l1_hit_latency + latency, _LOOKED_L1)
-            results[index - start] = result
+        for index, translation_latency in zip(hit_index[at:end],
+                                              walk.hit_translation[at:end]):
+            latencies[index - start] = l1_hit + translation_latency
         marks = walk.marks
         at = start * _MARK_FIELDS
         hier_at, dram_at, notes_at, first, loads, issued, dropped = \
@@ -1036,7 +1029,6 @@ class CoreMemoryHierarchy:
         miss_latency = stats.miss_latency
         l2_hits = l3_hits = memory = remote_hits = 0
         recoveries = parallel = cancelled = speculative = 0
-        transfers = 0
 
         for (index, block, pc, where, translation_latency, dram_latency,
              hier_point, dram_point, notes_point) in zip(*[
@@ -1077,7 +1069,7 @@ class CoreMemoryHierarchy:
                     raise ValueError("cannot charge negative energy")
                 energy["predictor"] = energy.get("predictor", 0.0) \
                     + predictor_nj
-            outcome = train(block, pc, prediction, actual)
+            train(block, pc, prediction, actual)
             on_hit(actual)
 
             levels = prediction.levels
@@ -1085,9 +1077,8 @@ class CoreMemoryHierarchy:
             path = paths.get(key)
             if path is None:
                 path = paths[key] = self._path(levels, actual, holder, remote)
-            (path_latency, memory_hop, port_penalty, looked_up, bypassed,
-             hier_adds, recovery_nj, cancel, path_transfers, probes,
-             recovered) = path
+            (path_latency, memory_hop, port_penalty, hier_adds, recovery_nj,
+             cancel, probes, recovered) = path
             if memory_hop is not None:
                 # Block in main memory: the DRAM access either follows
                 # the LLC tag check or, launched speculatively, overlaps
@@ -1112,7 +1103,6 @@ class CoreMemoryHierarchy:
                 energy["recovery"] = energy.get("recovery", 0.0) \
                     + recovery_nj
                 recoveries += 1
-            transfers += path_transfers
             parallel += probes
             latency += path_latency
 
@@ -1125,9 +1115,7 @@ class CoreMemoryHierarchy:
             else:
                 memory += 1
             miss_latency += latency
-            results[index - start] = AccessResult(
-                actual, latency, looked_up, bypassed, levels,
-                outcome is _HARMFUL, prediction.used_pld)
+            latencies[index - start] = latency
 
         # The charges and notifications after the range's last predict
         # point.
@@ -1162,39 +1150,31 @@ class CoreMemoryHierarchy:
         stats.prefetches_dropped_mshr += dropped_end - dropped
         stats.miss_latency = miss_latency
         total_latency = stats.total_demand_latency
-        for result in results:
-            total_latency += result.latency
+        for latency in latencies:
+            total_latency += latency
         stats.total_demand_latency = total_latency
-        self.interconnect.transfers += transfers
-        if recoveries:
-            self.interconnect.recovery_transactions += recoveries
-            self.shared.directory.stats.misprediction_detections += \
-                recoveries
-        return results
+        return latencies
 
     def _path(self, levels: Tuple[Level, ...], actual: Level,
               holder: int, remote: bool) -> tuple:
         """The prediction-dependent shape of one L1 miss's post-L1 path.
 
-        Returns ``(latency, memory_hop, port_penalty, looked_up,
-        bypassed, hier_adds, recovery_nj, cancel, transfers, probes,
-        recovered)``.  For a block in memory ``latency`` stops at the LLC
-        tag and :meth:`replay` adds the DRAM part (``memory_hop`` is the
-        LLC-to-memory hop, ``cancel`` marks a speculative launch);
-        otherwise ``memory_hop`` is ``None`` and ``cancel`` marks a
-        speculative DRAM launch to cancel.
+        Returns ``(latency, memory_hop, port_penalty, hier_adds,
+        recovery_nj, cancel, probes, recovered)``.  For a block in memory
+        ``latency`` stops at the LLC tag and :meth:`replay` adds the DRAM
+        part (``memory_hop`` is the LLC-to-memory hop, ``cancel`` marks a
+        speculative launch); otherwise ``memory_hop`` is ``None`` and
+        ``cancel`` marks a speculative DRAM launch to cancel.
 
         A ``Level.L2`` prediction probes the whole private intermediate
         group in order; the private-only sequential fallback serialises
         each level's miss detection before forwarding.  Hop latencies:
         ``l1_to_l2`` per hop between private levels, ``l2_to_llc`` into
-        the shared LLC (a 2-level hierarchy pays only the LLC hop).  The
-        probed-level sequence is one of six fixed shapes, so shared tuples
-        are returned.  Every float is summed in the order of a single
-        pass over the path.
+        the shared LLC (a 2-level hierarchy pays only the LLC hop).
+        Every float is summed in the order of a single pass over the
+        path.
         """
-        bypassed = self._bypassed(levels, actual)
-        levels = levels or _BYPASSED_L2
+        levels = levels or _SEQUENTIAL
         probe_l2 = _L2 in levels
         probe_l3 = _L3 in levels
         probe_mem = _MEM in levels
@@ -1211,12 +1191,10 @@ class CoreMemoryHierarchy:
 
         # "hierarchy"-category energy is accumulated locally and charged once
         # per path.
-        transfers = 0
         if not self._intermediates:
             latency = 0.0
             hierarchy_nj = 0.0
         else:
-            transfers += 1
             latency = self._ic_l1_l2
             hierarchy_nj = self._bus_nj
 
@@ -1225,16 +1203,14 @@ class CoreMemoryHierarchy:
                 sequential = not (probe_l3 or probe_mem)
                 for index, _ in self._probe_order:
                     if index:
-                        transfers += 1
                         latency += self._ic_l1_l2
                         hierarchy_nj += self._bus_nj
                     hierarchy_nj += self._chain_nj[index]
                     if index == holder:
                         latency += self._chain_hit_latency[index] \
                             + port_penalty
-                        return (latency, None, port_penalty, _PATH_L2,
-                                bypassed, (hierarchy_nj,), 0.0, False,
-                                transfers, probes, False)
+                        return (latency, None, port_penalty, (hierarchy_nj,),
+                                0.0, False, probes, False)
                     if sequential:
                         # Wait for this level's miss before forwarding.
                         latency += self._chain_miss_detect[index]
@@ -1252,20 +1228,17 @@ class CoreMemoryHierarchy:
                 latency += port_penalty
                 hier_adds = (hierarchy_nj, self._bus_nj, self._l3_tag_nj,
                              self._directory_nj, self._chain_nj[holder])
-                return (latency, None, port_penalty, _PATH_RECOVERY,
-                        bypassed, hier_adds,
-                        self._bus_nj + self._directory_nj, False,
-                        transfers + 1, probes, True)
+                return (latency, None, port_penalty, hier_adds,
+                        self._bus_nj + self._directory_nj, False, probes,
+                        True)
             else:
                 # Bypassed but absent: the request still traverses the
                 # private chain's bus on the way to the LLC.
                 for _ in self._bypass_hops:
-                    transfers += 1
                     latency += self._ic_l1_l2
                     hierarchy_nj += self._bus_nj
 
         # ---------------- LLC / directory stage ----------------
-        transfers += 1
         latency += self._ic_l2_llc
         hierarchy_nj += self._bus_nj + self._directory_nj
         speculative = probe_mem and self._memory_speculative
@@ -1274,32 +1247,15 @@ class CoreMemoryHierarchy:
             llc_latency = self._l3_hit_latency
             if remote:
                 # Data forwarded from another core's private cache.
-                transfers += 1
                 llc_latency = self._l3_tag_latency + self._ic_cache_to_cache
             latency += llc_latency + port_penalty
-            return (latency, None, port_penalty,
-                    _PATH_L2_L3 if probe_l2 else _PATH_L3, bypassed,
-                    (hierarchy_nj,), 0.0, speculative, transfers, probes,
-                    False)
+            return (latency, None, port_penalty, (hierarchy_nj,), 0.0,
+                    speculative, probes, False)
 
         # Block is in main memory.
         hierarchy_nj += self._l3_tag_nj
-        transfers += 1
-        return (latency, self._ic_llc_mem, port_penalty,
-                _PATH_L2_L3_MEM if probe_l2 else _PATH_L3_MEM, bypassed,
-                (hierarchy_nj,), 0.0, speculative, transfers, probes, False)
-
-    @staticmethod
-    def _bypassed(levels: Tuple[Level, ...], actual: Level
-                  ) -> Tuple[Level, ...]:
-        levels = levels or _BYPASSED_L2
-        l2_bypassed = Level.L2 not in levels and Level.L2 < actual
-        l3_bypassed = Level.L3 not in levels and Level.L3 < actual
-        if l2_bypassed:
-            return _BYPASSED_L2_L3 if l3_bypassed else _BYPASSED_L2
-        if l3_bypassed:
-            return _BYPASSED_L3
-        return _NO_LEVELS
+        return (latency, self._ic_llc_mem, port_penalty, (hierarchy_nj,), 0.0,
+                speculative, probes, False)
 
     # ==================================================================
     # Reporting
@@ -1315,9 +1271,4 @@ class CoreMemoryHierarchy:
     def reset_statistics(self) -> None:
         self.stats.reset()
         self.energy.reset()
-        self.l1.reset_statistics()
-        for cache in self._intermediates:
-            cache.reset_statistics()
         self.predictor.reset_statistics()
-        self.tlb.reset_statistics()
-        self.interconnect.reset_statistics()

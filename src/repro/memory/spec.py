@@ -5,9 +5,9 @@
 configs: :class:`~repro.memory.cache.Cache` reads a :class:`LevelSpec`,
 :class:`~repro.memory.tlb.TLBHierarchy` a :class:`TLBSpec`,
 :class:`~repro.memory.dram.DRAMModel` a :class:`MemorySpec` and
-:class:`~repro.memory.interconnect.Interconnect` an
-:class:`InterconnectSpec`, so every config decision lives in this module
-alone.  Each cache level is a frozen
+:class:`~repro.memory.hierarchy.CoreMemoryHierarchy` times its bus hops
+from an :class:`InterconnectSpec`, so every config decision lives in this
+module alone.  Each cache level is a frozen
 :class:`LevelSpec` (geometry, latencies, MSHR shape and optional
 per-access energies), and a :class:`HierarchySpec` composes an
 ordered chain of levels plus a memory backend (:class:`MemorySpec`), an

@@ -27,7 +27,6 @@ a dict of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,30 +37,12 @@ from .spec import TLBSpec
 _EMPTY_SET: Mapping[int, bool] = MappingProxyType({})
 
 
-@dataclass
-class TLBStats:
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
 class TLB:
     """A set-associative TLB modelled with per-set LRU-ordered dicts, each
     built by the first insert into its set."""
 
     __slots__ = ("associativity", "page_size", "name", "_num_sets", "_sets",
-                 "_page_shift", "stats")
+                 "_page_shift")
 
     def __init__(self, entries: int, associativity: int, page_size: int,
                  name: str = "tlb") -> None:
@@ -76,7 +57,6 @@ class TLB:
         self._sets = [_EMPTY_SET] * self._num_sets
         self._page_shift = (page_size.bit_length() - 1
                             if (page_size & (page_size - 1)) == 0 else -1)
-        self.stats = TLBStats()
 
     def lookup(self, address: int) -> bool:
         """Probe the TLB for the page containing ``address``."""
@@ -84,13 +64,10 @@ class TLB:
         page = (address >> shift) if shift >= 0 \
             else address // self.page_size
         entries = self._sets[page % self._num_sets]
-        stats = self.stats
         if page in entries:
             del entries[page]
             entries[page] = True
-            stats.hits += 1
             return True
-        stats.misses += 1
         return False
 
     def insert(self, address: int) -> None:
@@ -118,7 +95,7 @@ class TLBHierarchy:
     are rare for the synthetic traces.
     """
 
-    __slots__ = ("l1", "l2", "l2_latency", "page_walk_latency", "page_walks")
+    __slots__ = ("l1", "l2", "l2_latency", "page_walk_latency")
 
     def __init__(self, spec: TLBSpec) -> None:
         self.l1 = TLB(spec.l1_entries, spec.l1_associativity, spec.page_size,
@@ -127,7 +104,6 @@ class TLBHierarchy:
                       name="L2TLB")
         self.l2_latency = spec.l2_latency
         self.page_walk_latency = spec.page_walk_latency
-        self.page_walks = 0
 
     def translate_latency_page(self, page: int, address: int) -> int:
         """Translate one address and return the latency it contributes.
@@ -143,24 +119,10 @@ class TLBHierarchy:
         if page in entries:
             del entries[page]
             entries[page] = True
-            l1.stats.hits += 1
             return 0
-        l1.stats.misses += 1
         if self.l2.lookup(address):
             l1.insert(address)
             return self.l2_latency
-        self.page_walks += 1
         self.l2.insert(address)
         l1.insert(address)
         return self.l2_latency + self.page_walk_latency
-
-    @property
-    def miss_ratio(self) -> float:
-        """Combined miss ratio (page walks per translation)."""
-        total = self.l1.stats.accesses
-        return self.page_walks / total if total else 0.0
-
-    def reset_statistics(self) -> None:
-        self.l1.stats.reset()
-        self.l2.stats.reset()
-        self.page_walks = 0

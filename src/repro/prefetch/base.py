@@ -44,7 +44,6 @@ class PrefetcherStats:
     issued: int = 0
     useful: int = 0
     useless: int = 0
-    late: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -55,7 +54,6 @@ class PrefetcherStats:
         self.issued = 0
         self.useful = 0
         self.useless = 0
-        self.late = 0
 
 
 class Prefetcher(ABC):

@@ -141,11 +141,11 @@ class MultiCoreSystem:
             walks = self.walk(traces)
         else:
             self._borrowed = list(traces)
-        per_core_results = [core.replay(walk, 0, len(walk))
-                            for core, walk in zip(self.cores, walks)]
+        per_core_latencies = [core.replay(walk, 0, len(walk))
+                              for core, walk in zip(self.cores, walks)]
         executions = [
-            self.core_model.execute(trace, results)
-            for trace, results in zip(traces, per_core_results)
+            self.core_model.execute(trace, latencies)
+            for trace, latencies in zip(traces, per_core_latencies)
         ]
         return self._collect(mix_name, names, executions)
 

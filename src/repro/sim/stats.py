@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..memory.block import AccessResult, Level
+from ..memory.block import Level
 from ..memory.hierarchy import CoreMemoryHierarchy
 from ..trace import TraceBuffer
 
@@ -82,7 +82,7 @@ class MissTraceWindow:
 class WindowedMissTracker:
     """Tracks per-window miss counts while a trace is replayed.
 
-    Feed every access's result to :meth:`record`; the tracker counts,
+    Feed every access's hit level to :meth:`record`; the tracker counts,
     per fixed-size window of demand accesses, how many of them missed L1,
     missed L2 and went to memory — the series plotted in Figure 2.
     """
@@ -97,13 +97,13 @@ class WindowedMissTracker:
         self._l2 = 0
         self._l3 = 0
 
-    def record(self, result: AccessResult) -> None:
+    def record(self, level: Level) -> None:
         self._accesses_in_window += 1
-        if result.hit_level is not Level.L1:
+        if level is not Level.L1:
             self._l1 += 1
-        if result.hit_level in (Level.L3, Level.MEM):
+        if level is Level.L3 or level is Level.MEM:
             self._l2 += 1
-        if result.hit_level is Level.MEM:
+        if level is Level.MEM:
             self._l3 += 1
         if self._accesses_in_window >= self.window_size:
             self._flush()
@@ -126,8 +126,10 @@ class WindowedMissTracker:
 
 def run_with_windows(hierarchy: CoreMemoryHierarchy, trace: TraceBuffer,
                      window_size: int = 10_000) -> List[MissTraceWindow]:
-    """Replay a trace and return its windowed miss profile."""
+    """Walk a trace through ``hierarchy`` and return its windowed miss
+    profile.  Which level serves an access does not depend on the level
+    prediction, so the walk alone gives it; nothing is replayed."""
     tracker = WindowedMissTracker(window_size=window_size)
-    for result in hierarchy.run_buffer(trace):
-        tracker.record(result)
+    for level in hierarchy.hit_levels(hierarchy.walk(trace)):
+        tracker.record(level)
     return tracker.finalize()

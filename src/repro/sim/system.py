@@ -152,8 +152,8 @@ class SimulatedSystem:
         """Run a pre-generated trace through the hierarchy
         (:meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.run_buffer`)
         and the core model."""
-        results = self.hierarchy.run_buffer(trace)
-        execution = self.core.execute(trace, results)
+        latencies = self.hierarchy.run_buffer(trace)
+        execution = self.core.execute(trace, latencies)
         return self._collect(workload_name, execution)
 
     def run_workload(self, workload: Workload, num_accesses: int,

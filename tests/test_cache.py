@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import random
 import tracemalloc
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.block import AccessType
-from repro.memory.cache import Cache, CacheStats, EvictionInfo
+from repro.memory.cache import Cache, EvictionInfo
 from repro.memory.directory import Directory
 from repro.memory.spec import HierarchySpec, LevelSpec
 
@@ -73,8 +72,6 @@ class TestLookupAndFill:
         assert cache.access_block(0x1000) == (False, False)
         cache.fill_block(0x1000)
         assert cache.access_block(0x1000) == (True, False)
-        assert cache.stats.demand_hits == 1
-        assert cache.stats.demand_misses == 1
 
     def test_sub_block_addresses_share_a_line(self):
         cache = make_cache()
@@ -112,7 +109,6 @@ class TestLookupAndFill:
         cache.fill_block(512)
         eviction = cache.fill_block(1024)
         assert eviction.dirty
-        assert cache.stats.dirty_evictions == 1
 
 
 class TestPrefetchTracking:
@@ -122,7 +118,6 @@ class TestPrefetchTracking:
         assert cache.peek_line(0x80).prefetched
         assert cache.access_block(0x80) == (True, True)
         assert not cache.peek_line(0x80).prefetched
-        assert cache.stats.prefetched_lines_used == 1
 
     def test_unused_prefetch_eviction_counted(self):
         cache = make_cache(size=1024, assoc=2)
@@ -130,13 +125,16 @@ class TestPrefetchTracking:
         cache.fill_block(512)
         eviction = cache.fill_block(1024)
         assert eviction.prefetched_unused
-        assert cache.stats.prefetched_lines_evicted_unused == 1
 
     def test_prefetch_lookup_counted_separately(self):
+        """A prefetch probe is not a demand use: it neither installs an
+        absent block nor consumes a prefetched line's bit."""
         cache = make_cache()
-        cache.access_block(0x40, AccessType.PREFETCH)
-        assert cache.stats.prefetch_misses == 1
-        assert cache.stats.demand_misses == 0
+        assert cache.access_block(0x40, AccessType.PREFETCH) == (False, False)
+        assert not cache.contains_block(0x40)
+        cache.fill_block(0x40, access_type=AccessType.PREFETCH)
+        assert cache.access_block(0x40, AccessType.PREFETCH) == (True, True)
+        assert cache.peek_line(0x40).prefetched
 
 
 class TestInvalidate:
@@ -146,7 +144,6 @@ class TestInvalidate:
         info = cache.invalidate(0x100)
         assert info is not None
         assert not cache.contains_block(0x100)
-        assert cache.stats.invalidations == 1
 
     def test_invalidate_absent_block_is_noop(self):
         cache = make_cache()
@@ -171,14 +168,6 @@ class TestCapacityInvariants:
         cache = make_cache()
         cache.fill_block(cache.block_of(0x1234))
         assert cache.resident_blocks() == [0x1200]
-
-    def test_reset_statistics(self):
-        cache = make_cache()
-        cache.access_block(0)
-        cache.fill_block(0)
-        cache.reset_statistics()
-        assert cache.stats.accesses == 0
-        assert cache.stats.fills == 0
 
 
 @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 20),
@@ -230,7 +219,6 @@ class ReferenceCache:
         # Per set: tag -> [way, block, dirty, prefetched].
         self.sets = [OrderedDict() for _ in range(num_sets)]
         self.ways = [[None] * associativity for _ in range(num_sets)]
-        self.stats = {name: 0 for name in CacheStats.__dataclass_fields__}
 
     def _locate(self, block):
         number = block // 64
@@ -239,18 +227,14 @@ class ReferenceCache:
     def access(self, block, atype):
         index, tag = self._locate(block)
         line = self.sets[index].get(tag)
-        kind = "prefetch" if atype is AccessType.PREFETCH else "demand"
         if line is None:
-            self.stats[f"{kind}_misses"] += 1
             return False, False
-        self.stats[f"{kind}_hits"] += 1
         self.sets[index].move_to_end(tag)
         if atype is AccessType.STORE:
             line[2] = True
         was_prefetched = line[3]
         if was_prefetched and atype is not AccessType.PREFETCH:
             line[3] = False
-            self.stats["prefetched_lines_used"] += 1
         return True, was_prefetched
 
     def fill(self, block, atype, dirty):
@@ -269,11 +253,6 @@ class ReferenceCache:
         if ways[way] is not None:
             _, victim, victim_dirty, victim_prefetched = lines.pop(ways[way])
             eviction = EvictionInfo(victim, victim_dirty, victim_prefetched)
-            self.stats["evictions"] += 1
-            self.stats["dirty_evictions"] += victim_dirty
-            self.stats["prefetched_lines_evicted_unused"] += victim_prefetched
-        self.stats["fills"] += 1
-        self.stats["prefetch_fills"] += atype is AccessType.PREFETCH
         ways[way] = tag
         lines[tag] = [way, block, dirty, atype is AccessType.PREFETCH]
         return eviction
@@ -284,7 +263,6 @@ class ReferenceCache:
         if line is None:
             return None
         self.ways[index][line[0]] = None
-        self.stats["invalidations"] += 1
         return EvictionInfo(line[1], line[2], line[3])
 
     def mark_dirty(self, block):
@@ -335,7 +313,6 @@ def test_lazy_cache_matches_reference(num_sets, associativity, seed):
         resident = sorted(cache.resident_blocks())
         assert resident == sorted(reference.resident_blocks())
         assert cache.occupancy() == len(resident)
-    assert dataclasses.asdict(cache.stats) == reference.stats
     for block in cache.resident_blocks():
         line = cache.peek_line(block)
         index, tag = reference._locate(block)

@@ -10,7 +10,7 @@ from repro.cpu.ooo_core import (
     OutOfOrderCore,
     geometric_mean,
 )
-from repro.memory.block import AccessResult, Level, MemoryAccess
+from repro.memory.block import MemoryAccess
 from repro.trace import TraceBuffer
 
 
@@ -21,10 +21,6 @@ def load(address: int, dependent: bool = False, non_mem: int = 4) -> MemoryAcces
 
 def pack(accesses) -> TraceBuffer:
     return TraceBuffer.from_accesses(accesses)
-
-
-def result(latency: float, level: Level = Level.L1) -> AccessResult:
-    return AccessResult(hit_level=level, latency=latency)
 
 
 class TestConfig:
@@ -58,8 +54,8 @@ class TestExecution:
     def test_all_hits_bounded_by_fetch_width(self):
         core = OutOfOrderCore()
         trace = [load(i * 64, non_mem=4) for i in range(100)]
-        results = [result(4.0) for _ in trace]
-        execution = core.execute(pack(trace), results)
+        latencies = [4.0] * len(trace)
+        execution = core.execute(pack(trace), latencies)
         # 5 instructions per access at width 4 -> at least 1.25 cycles/access.
         assert execution.cycles >= 100 * 1.25 * 0.99
         assert 0 < execution.ipc <= 4.0
@@ -68,8 +64,8 @@ class TestExecution:
         """Independent long-latency loads must overlap (MLP)."""
         core = OutOfOrderCore()
         trace = [load(i * 64, non_mem=2) for i in range(64)]
-        results = [result(200.0, Level.MEM) for _ in trace]
-        execution = core.execute(pack(trace), results)
+        latencies = [200.0] * len(trace)
+        execution = core.execute(pack(trace), latencies)
         serialized = 64 * 200.0
         assert execution.cycles < serialized / 4
 
@@ -78,9 +74,9 @@ class TestExecution:
         core = OutOfOrderCore()
         independent = [load(i * 64, dependent=False) for i in range(64)]
         dependent = [load(i * 64, dependent=True) for i in range(64)]
-        results = [result(200.0, Level.MEM) for _ in range(64)]
-        t_indep = core.execute(pack(independent), results).cycles
-        t_dep = core.execute(pack(dependent), results).cycles
+        latencies = [200.0] * 64
+        t_indep = core.execute(pack(independent), latencies).cycles
+        t_dep = core.execute(pack(dependent), latencies).cycles
         assert t_dep > 2 * t_indep
 
     def test_window_limits_overlap(self):
@@ -89,16 +85,16 @@ class TestExecution:
         large = OutOfOrderCore(CoreConfig(load_queue_entries=64,
                                           rob_entries=512))
         trace = [load(i * 64, non_mem=1) for i in range(128)]
-        results = [result(300.0, Level.MEM) for _ in trace]
-        assert small.execute(pack(trace), results).cycles \
-            > large.execute(pack(trace), results).cycles
+        latencies = [300.0] * len(trace)
+        assert small.execute(pack(trace), latencies).cycles \
+            > large.execute(pack(trace), latencies).cycles
 
     def test_lower_latency_gives_higher_ipc(self):
         """The property Figure 11 relies on: faster loads -> higher IPC."""
         core = OutOfOrderCore()
         trace = [load(i * 64, dependent=i % 3 == 0) for i in range(200)]
-        slow = [result(250.0, Level.MEM) for _ in trace]
-        fast = [result(200.0, Level.MEM) for _ in trace]
+        slow = [250.0] * len(trace)
+        fast = [200.0] * len(trace)
         slow_run = core.execute(pack(trace), slow)
         fast_run = core.execute(pack(trace), fast)
         assert fast_run.ipc > slow_run.ipc
@@ -107,8 +103,8 @@ class TestExecution:
     def test_stall_cycles_reported(self):
         core = OutOfOrderCore()
         trace = [load(i * 64, dependent=True) for i in range(32)]
-        results = [result(100.0, Level.MEM) for _ in trace]
-        execution = core.execute(pack(trace), results)
+        latencies = [100.0] * len(trace)
+        execution = core.execute(pack(trace), latencies)
         assert execution.stall_cycles > 0
         assert execution.memory_accesses == 32
 

@@ -94,13 +94,13 @@ class TestMispredictionDetection:
         assert hierarchy.l2.contains_block(0x100)
         result = hierarchy.access(make_load(0x100))
         assert result.hit_level is Level.L2 and result.misprediction
-        assert hierarchy.shared.directory.stats.misprediction_detections == 1
+        assert hierarchy.stats.recoveries == 1
 
     def test_no_detection_for_untracked_block(self):
         hierarchy = _bypassing_hierarchy()
         result = hierarchy.access(make_load(0x100))
         assert result.hit_level is Level.MEM and not result.misprediction
-        assert hierarchy.shared.directory.stats.misprediction_detections == 0
+        assert hierarchy.stats.recoveries == 0
 
     def test_no_detection_after_eviction(self):
         hierarchy = _bypassing_hierarchy()
@@ -112,7 +112,7 @@ class TestMispredictionDetection:
         assert hierarchy.shared.directory.remote_holder(0x100, 1) is None
         result = hierarchy.access(make_load(0x100))
         assert result.hit_level is Level.L3 and not result.misprediction
-        assert hierarchy.shared.directory.stats.misprediction_detections == 0
+        assert hierarchy.stats.recoveries == 0
 
     def test_is_cached_privately_excludes_core(self):
         directory = Directory(num_cores=2)

@@ -4,8 +4,32 @@ from __future__ import annotations
 
 import pytest
 
+from typing import List
+
 from repro.memory.dram import DRAMModel
-from repro.memory.spec import MemorySpec
+from repro.memory.hierarchy import CoreMemoryHierarchy
+from repro.memory.spec import HierarchySpec, MemorySpec
+
+from trace_helpers import make_load
+
+
+def row_outcomes(dram: DRAMModel, addresses) -> List[str]:
+    """Each access's row-buffer outcome, read off its latency: the
+    accesses are spaced far apart, so no queueing adds to it."""
+    spec = dram.spec
+    burst = spec.cas_latency + spec.burst_cycles
+    names = {burst: "hit", spec.trcd + burst: "miss",
+             spec.trp + spec.trcd + burst: "conflict"}
+    outcomes = []
+    for number, address in enumerate(addresses, start=1):
+        latency = dram.access(address, current_cycle=number * 1e6)
+        cycles = (latency - spec.controller_latency_core_cycles
+                  - spec.refresh_penalty_core_cycles) \
+            / spec.core_cycles_per_dram_cycle
+        outcome = min(names, key=lambda known: abs(known - cycles))
+        assert cycles == pytest.approx(outcome)
+        outcomes.append(names[outcome])
+    return outcomes
 
 
 class TestTiming:
@@ -20,8 +44,7 @@ class TestTiming:
         first = dram.access(0x0)          # row miss (activate)
         second = dram.access(0x40)        # same row: row hit
         assert second < first
-        assert dram.stats.row_hits == 1
-        assert dram.stats.row_misses == 1
+        assert row_outcomes(DRAMModel(), (0x0, 0x40)) == ["miss", "hit"]
 
     def test_row_conflict_slowest(self):
         spec = MemorySpec()
@@ -32,8 +55,9 @@ class TestTiming:
         bank1, row1 = dram.map_address(conflict_addr)
         assert bank0 == bank1 and row0 != row1
         latency = dram.access(conflict_addr)
-        assert dram.stats.row_conflicts == 1
         assert latency >= dram.idle_latency()
+        assert row_outcomes(DRAMModel(spec), (0x0, conflict_addr)) \
+            == ["miss", "conflict"]
 
     def test_core_cycle_conversion(self):
         spec = MemorySpec(core_frequency_ghz=4.0, dram_frequency_mhz=1200.0)
@@ -53,28 +77,10 @@ class TestAddressMapping:
 
 
 class TestStatistics:
-    def test_read_write_counters(self):
-        dram = DRAMModel()
-        dram.access(0x0)
-        dram.access(0x40, is_write=True)
-        assert dram.stats.reads == 1
-        assert dram.stats.writes == 1
-        assert dram.stats.accesses == 2
-        assert dram.stats.average_latency > 0
-
     def test_row_hit_ratio(self):
-        dram = DRAMModel()
-        dram.access(0x0)
-        dram.access(0x40)
-        dram.access(0x80)
-        assert dram.stats.row_hit_ratio == pytest.approx(2.0 / 3.0)
-
-    def test_reset(self):
-        dram = DRAMModel()
-        dram.access(0x0)
-        dram.reset_statistics()
-        assert dram.stats.accesses == 0
-        assert dram.stats.total_latency_core_cycles == 0.0
+        outcomes = row_outcomes(DRAMModel(), (0x0, 0x40, 0x80))
+        assert outcomes.count("hit") / len(outcomes) \
+            == pytest.approx(2.0 / 3.0)
 
     def test_queueing_delay_is_bounded(self):
         """Back-to-back same-bank accesses must not accumulate unbounded
@@ -91,47 +97,34 @@ class TestRowBufferTransitions:
 
     def test_conflict_reopens_the_new_row(self):
         spec = MemorySpec()
-        dram = DRAMModel(spec)
         stride = spec.row_size_bytes * spec.num_banks  # same bank
-        dram.access(0x0)                 # miss: opens row 0
-        dram.access(stride)              # conflict: opens row 1
-        dram.access(stride + 0x40)       # same new row: hit
-        assert dram.stats.row_misses == 1
-        assert dram.stats.row_conflicts == 1
-        assert dram.stats.row_hits == 1
+        # Opens row 0, conflicts to open row 1, then hits the new row.
+        assert row_outcomes(DRAMModel(spec), (0x0, stride, stride + 0x40)) \
+            == ["miss", "conflict", "hit"]
 
     def test_hit_conflict_hit_round_trip(self):
         spec = MemorySpec()
-        dram = DRAMModel(spec)
         stride = spec.row_size_bytes * spec.num_banks
         sequence = [0x0, 0x80, stride, 0x0, 0x100]
-        for address in sequence:
-            dram.access(address)
-        # miss, hit, conflict (row 1), conflict (back to row 0), hit
-        assert dram.stats.row_misses == 1
-        assert dram.stats.row_hits == 2
-        assert dram.stats.row_conflicts == 2
+        # Row 1 conflicts, and so does going back to row 0.
+        assert row_outcomes(DRAMModel(spec), sequence) \
+            == ["miss", "hit", "conflict", "conflict", "hit"]
 
     def test_banks_keep_independent_open_rows(self):
         spec = MemorySpec()
-        dram = DRAMModel(spec)
         bank1 = spec.row_size_bytes                    # bank 1, row 0
-        dram.access(0x0)                                 # bank 0 opens
-        dram.access(bank1)                               # bank 1 opens
         conflict = spec.row_size_bytes * spec.num_banks
-        dram.access(conflict)                            # bank 0 conflicts
-        dram.access(bank1 + 0x40)                        # bank 1 still open
-        assert dram.stats.row_conflicts == 1
-        assert dram.stats.row_hits == 1
+        # Banks 0 and 1 open, bank 0 conflicts, bank 1 is still open.
+        assert row_outcomes(DRAMModel(spec),
+                            (0x0, bank1, conflict, bank1 + 0x40)) \
+            == ["miss", "miss", "conflict", "hit"]
 
     def test_first_access_to_every_bank_is_a_miss(self):
         spec = MemorySpec()
-        dram = DRAMModel(spec)
-        for bank in range(spec.num_banks):
-            dram.access(bank * spec.row_size_bytes)
-        assert dram.stats.row_misses == spec.num_banks
-        assert dram.stats.row_hits == 0
-        assert dram.stats.row_conflicts == 0
+        assert row_outcomes(DRAMModel(spec),
+                            [bank * spec.row_size_bytes
+                             for bank in range(spec.num_banks)]) \
+            == ["miss"] * spec.num_banks
 
     def test_latency_ordering_hit_miss_conflict(self):
         """tCL+burst < tRCD+tCL+burst < tRP+tRCD+tCL+burst, spaced far
@@ -146,22 +139,28 @@ class TestRowBufferTransitions:
         assert hit < miss < conflict
 
     def test_writes_update_row_state_like_reads(self):
-        dram = DRAMModel()
-        dram.access(0x0, is_write=True)
-        dram.access(0x40)
-        assert dram.stats.row_misses == 1
-        assert dram.stats.row_hits == 1
-        assert dram.stats.writes == 1 and dram.stats.reads == 1
+        """A dirty LLC victim's writeback opens its row as a read does:
+        the next demand miss to that row hits it."""
+        spec = HierarchySpec.paper_single_core()
+        hierarchy = CoreMemoryHierarchy(spec)
+        victim = hierarchy.shared.l3
+        victim.fill_block(0x0, dirty=True)
+        stride = spec.llc.size_bytes // spec.llc.associativity
+        for way in range(1, spec.llc.associativity):
+            victim.fill_block(way * stride)
+        eviction = victim.fill_block(spec.llc.associativity * stride)
+        assert eviction is not None and eviction.block_addr == 0x0
+        assert hierarchy.shared.l3_eviction_to_memory(eviction)
+        dram = hierarchy.shared.dram
+        assert row_outcomes(dram, (0x40,)) == ["hit"]
 
     def test_open_rows_survive_statistics_reset(self):
-        """reset_statistics clears counters, not the row-buffer state —
+        """Resetting a hierarchy's statistics keeps the row-buffer state —
         warm-up then measure must not re-pay activates."""
-        dram = DRAMModel()
-        dram.access(0x0)
-        dram.reset_statistics()
-        dram.access(0x40)
-        assert dram.stats.row_hits == 1
-        assert dram.stats.row_misses == 0
+        hierarchy = CoreMemoryHierarchy(HierarchySpec.paper_single_core())
+        hierarchy.access(make_load(0x10000))
+        hierarchy.reset_statistics()
+        assert row_outcomes(hierarchy.shared.dram, (0x10040,)) == ["hit"]
 
 
 class TestClockAndQueueing:
@@ -205,17 +204,6 @@ class TestClockAndQueueing:
 
 
 class TestStatisticsEdges:
-    def test_empty_model_reports_zero_ratios(self):
-        dram = DRAMModel()
-        assert dram.stats.accesses == 0
-        assert dram.stats.row_hit_ratio == 0.0
-        assert dram.stats.average_latency == 0.0
-
-    def test_average_latency_is_total_over_accesses(self):
-        dram = DRAMModel()
-        total = sum(dram.access(i * 0x40) for i in range(4))
-        assert dram.stats.average_latency == pytest.approx(total / 4)
-
     def test_rank_count_multiplies_the_bank_pool(self):
         spec = MemorySpec(num_ranks=2)
         dram = DRAMModel(spec)

@@ -13,12 +13,18 @@ from repro.core.base import SequentialPredictor
 from repro.core.d2d import DirectToDataPredictor
 from repro.core.level_predictor import CacheLevelPredictor
 from repro.memory.block import AccessType, Level, MemoryAccess
-from repro.memory.hierarchy import CoreMemoryHierarchy, SharedMemorySystem
+from repro.memory.hierarchy import (
+    _EVICT_L3_DIRTY,
+    _WHERE_MEM,
+    CoreMemoryHierarchy,
+    SharedMemorySystem,
+)
 from repro.memory.spec import HierarchySpec
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.nextline import TaggedNextLinePrefetcher
 from repro.sim.config import SystemConfig
 from repro.sim.system import SimulatedSystem
+from repro.trace import TraceBuffer
 from repro.workloads.suite import build_workload
 
 from trace_helpers import hierarchy_specs, make_load, make_store, records, \
@@ -123,9 +129,14 @@ class TestDataMovement:
         hierarchy = build_hierarchy(config)
         # Write far more dirty blocks than the LLC can hold.
         blocks = (config.llc.size_bytes // 64) + 4096
-        for i in range(blocks):
-            hierarchy.access(make_store(i * 64))
-        assert hierarchy.shared.dram.stats.writes > 0
+        walk = hierarchy.walk(TraceBuffer.from_accesses(
+            [make_store(i * 64) for i in range(blocks)]))
+        dirty_victims = walk.note_code.count(_EVICT_L3_DIRTY)
+        assert dirty_victims > 0
+        # Every DRAM access is a demand miss to memory or the writeback
+        # of a dirty LLC victim.
+        assert walk.dram_charges == walk.where.count(_WHERE_MEM) \
+            + dirty_victims
 
 
 class TestStatistics:
@@ -300,7 +311,7 @@ class TestWalkerInvariants:
            predictor=st.sampled_from(("baseline", "lp", "d2d", "ideal")))
     def test_random_hierarchies_and_traffic(self, spec, buffer, predictor):
         hierarchy = _walker(spec, predictor)
-        results = hierarchy.run_buffer(buffer)
+        latencies = hierarchy.run_buffer(buffer)
 
         # Every demand access is served by exactly one level.
         stats = hierarchy.stats
@@ -323,11 +334,12 @@ class TestWalkerInvariants:
 
         # No access is faster than an L1 hit.
         l1_hit = spec.l1.hit_latency
-        assert all(result.latency >= l1_hit for result in results)
+        assert all(latency >= l1_hit for latency in latencies)
 
         # One access() per row replays identically.
         by_access = _walker(spec, predictor)
-        assert [by_access.access(a) for a in records(buffer)] == results
+        assert [by_access.access(a).latency for a in records(buffer)] \
+            == latencies
         assert by_access.stats == stats
         assert by_access.energy.breakdown() == hierarchy.energy.breakdown()
 

@@ -1,16 +1,19 @@
-"""Unit tests for the interconnect latency/contention model.
+"""Unit tests for the bus hop latencies and their contention.
 
-The walker charges the L1-to-L2 and LLC-to-memory hops inline from the
-interconnect's spec and contention, so those hops are checked through
-:meth:`CoreMemoryHierarchy.access`.
+The walker precomputes every hop from the spec's
+:class:`~repro.memory.spec.InterconnectSpec` and its active core count:
+each hop into a shared resource (the LLC, memory, a recovery, a
+cache-to-cache forward) pays ``contention_per_extra_core`` per active
+core beyond the first.  The L1-to-L2 and LLC-to-memory hops are also
+checked end to end through :meth:`CoreMemoryHierarchy.access`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Dict
 
 from repro.memory.hierarchy import CoreMemoryHierarchy, SharedMemorySystem
-from repro.memory.interconnect import Interconnect
 from repro.memory.spec import HierarchySpec, InterconnectSpec
 
 from trace_helpers import make_load
@@ -23,6 +26,14 @@ def walker(active_cores: int = 1, **hops) -> CoreMemoryHierarchy:
     return CoreMemoryHierarchy(
         spec, shared=SharedMemorySystem(spec, num_cores=active_cores),
         active_cores=active_cores)
+
+
+def shared_hops(hierarchy: CoreMemoryHierarchy) -> Dict[str, float]:
+    """The walker's latency of each hop into a shared resource."""
+    return {"l2_to_llc": hierarchy._ic_l2_llc,
+            "llc_to_memory": hierarchy._ic_llc_mem,
+            "recovery": hierarchy._ic_recovery,
+            "cache_to_cache": hierarchy._ic_cache_to_cache}
 
 
 def l2_hit_latency(hierarchy: CoreMemoryHierarchy) -> float:
@@ -40,15 +51,18 @@ def memory_latency(hierarchy: CoreMemoryHierarchy) -> float:
 
 class TestLatencies:
     def test_single_core_has_no_contention(self):
-        ic = Interconnect(active_cores=1)
-        assert ic.contention == 0
-        assert ic.l2_to_llc_latency() == ic.spec.l2_to_llc
+        spec = InterconnectSpec()
+        assert shared_hops(walker(active_cores=1)) == {
+            "l2_to_llc": spec.l2_to_llc,
+            "llc_to_memory": spec.llc_to_memory,
+            "recovery": spec.recovery_transaction,
+            "cache_to_cache": spec.l2_to_llc + spec.l1_to_l2}
 
     def test_contention_grows_with_cores(self):
-        single = Interconnect(active_cores=1)
-        quad = Interconnect(active_cores=4)
-        assert quad.l2_to_llc_latency() > single.l2_to_llc_latency()
-        assert quad.recovery_latency() > single.recovery_latency()
+        single = shared_hops(walker(active_cores=1))
+        quad = shared_hops(walker(active_cores=4))
+        assert quad["l2_to_llc"] > single["l2_to_llc"]
+        assert quad["recovery"] > single["recovery"]
 
     def test_private_hop_unaffected_by_contention(self):
         # L1 tag 4 + the L1-to-L2 hop 2 + L2 hit 12, at any core count.
@@ -56,27 +70,15 @@ class TestLatencies:
             == l2_hit_latency(walker(active_cores=1)) == 4 + 2 + 12
 
     def test_cache_to_cache_costs_both_hops(self):
-        ic = Interconnect()
-        assert ic.cache_to_cache_latency() >= (ic.spec.l1_to_l2
-                                               + ic.spec.l2_to_llc)
-
-    def test_transfer_counters(self):
-        ic = Interconnect()
-        ic.cache_to_cache_latency()
-        ic.l2_to_llc_latency()
-        ic.recovery_latency()
-        assert ic.transfers == 2
-        assert ic.recovery_transactions == 1
-        ic.reset_statistics()
-        assert ic.transfers == 0
+        spec = InterconnectSpec()
+        assert shared_hops(walker())["cache_to_cache"] \
+            >= spec.l1_to_l2 + spec.l2_to_llc
 
     def test_custom_configuration(self):
-        ic = Interconnect(InterconnectSpec(l1_to_l2=5, l2_to_llc=9,
-                                           llc_to_memory=11,
-                                           recovery_transaction=13))
-        assert ic.l2_to_llc_latency() == 9
-        assert ic.recovery_latency() == 13
-        assert ic.cache_to_cache_latency() == 14
+        hops = shared_hops(walker(l1_to_l2=5, l2_to_llc=9, llc_to_memory=11,
+                                  recovery_transaction=13))
+        assert (hops["l2_to_llc"], hops["llc_to_memory"], hops["recovery"],
+                hops["cache_to_cache"]) == (9, 11, 13, 14)
         assert l2_hit_latency(walker(l1_to_l2=5)) == 4 + 5 + 12
         assert memory_latency(walker(llc_to_memory=11)) \
             == memory_latency(walker()) + 11 - 6
@@ -86,70 +88,47 @@ class TestContention:
     """Arbitration/queueing edges of the shared-bus contention model."""
 
     def test_contention_is_linear_in_extra_cores(self):
-        spec = InterconnectSpec()
-        per_core = spec.contention_per_extra_core
-        latencies = [Interconnect(spec, active_cores=cores)
-                     .l2_to_llc_latency() for cores in (1, 2, 3, 4)]
+        per_core = InterconnectSpec().contention_per_extra_core
+        latencies = [shared_hops(walker(active_cores=cores))["l2_to_llc"]
+                     for cores in (1, 2, 3, 4)]
         deltas = [b - a for a, b in zip(latencies, latencies[1:])]
         assert deltas == [per_core] * 3
 
     def test_every_shared_hop_sees_the_same_contention(self):
-        quad = Interconnect(active_cores=4)
-        single = Interconnect(active_cores=1)
-        penalty = quad.spec.contention_per_extra_core * 3
-        assert quad.l2_to_llc_latency() - single.l2_to_llc_latency() \
-            == penalty
-        assert quad.recovery_latency() - single.recovery_latency() \
-            == penalty
-        assert quad.cache_to_cache_latency() \
-            - single.cache_to_cache_latency() == penalty
+        quad = shared_hops(walker(active_cores=4))
+        single = shared_hops(walker(active_cores=1))
+        penalty = InterconnectSpec().contention_per_extra_core * 3
+        assert {hop: quad[hop] - single[hop] for hop in quad} \
+            == dict.fromkeys(quad, penalty)
         # A miss to memory crosses two shared hops: into the LLC and on
         # to the memory controller.
         assert memory_latency(walker(active_cores=4)) \
             - memory_latency(walker(active_cores=1)) == 2 * penalty
 
     def test_non_positive_core_count_clamps_to_one(self):
+        spec = HierarchySpec.paper_single_core()
         for cores in (0, -3):
-            ic = Interconnect(active_cores=cores)
-            assert ic.active_cores == 1
-            assert ic.l2_to_llc_latency() == ic.spec.l2_to_llc
+            hierarchy = CoreMemoryHierarchy(spec, active_cores=cores)
+            assert shared_hops(hierarchy) == shared_hops(walker())
 
     def test_custom_contention_weight(self):
-        spec = InterconnectSpec(l2_to_llc=4, contention_per_extra_core=2.5)
-        ic = Interconnect(spec, active_cores=3)
-        assert ic.l2_to_llc_latency() == 4 + 2 * 2.5
+        hops = shared_hops(walker(active_cores=3, l2_to_llc=4,
+                                  contention_per_extra_core=2.5))
+        assert hops["l2_to_llc"] == 4 + 2 * 2.5
 
     def test_zero_contention_weight_makes_hops_core_independent(self):
-        spec = InterconnectSpec(contention_per_extra_core=0.0)
-        single = Interconnect(spec, active_cores=1)
-        many = Interconnect(spec, active_cores=8)
-        assert many.l2_to_llc_latency() == single.l2_to_llc_latency()
-        assert many.recovery_latency() == single.recovery_latency()
+        assert shared_hops(walker(active_cores=8,
+                                  contention_per_extra_core=0.0)) \
+            == shared_hops(walker(active_cores=1,
+                                  contention_per_extra_core=0.0))
 
 
 class TestCounters:
-    def test_recovery_is_not_counted_as_a_transfer(self):
-        ic = Interconnect()
-        ic.recovery_latency()
-        assert ic.transfers == 0
-        assert ic.recovery_transactions == 1
-
     def test_cache_to_cache_and_memory_hops_count_as_transfers(self):
-        ic = Interconnect()
-        ic.cache_to_cache_latency()
-        assert ic.transfers == 1
-        assert ic.recovery_transactions == 0
-        # A cold miss crosses L1->L2, L2->LLC and LLC->memory.
-        hierarchy = walker()
-        hierarchy.access(make_load(0x10000))
-        assert hierarchy.interconnect.transfers == 3
-
-    def test_reset_clears_both_counters(self):
-        ic = Interconnect()
-        ic.l2_to_llc_latency()
-        ic.recovery_latency()
-        ic.reset_statistics()
-        assert ic.transfers == 0
-        assert ic.recovery_transactions == 0
-        # Latencies are unaffected by the reset.
-        assert ic.l2_to_llc_latency() == ic.spec.l2_to_llc
+        """A cold miss crosses L1->L2, L2->LLC and LLC->memory once
+        each: a cycle more on any one hop is a cycle more on the miss."""
+        base = memory_latency(walker())
+        spec = InterconnectSpec()
+        for hop in ("l1_to_l2", "l2_to_llc", "llc_to_memory"):
+            slower = walker(**{hop: getattr(spec, hop) + 1})
+            assert memory_latency(slower) == base + 1, hop

@@ -151,7 +151,8 @@ class TestCacheLevelPredictor:
         predictor.train(0x40, 0, prediction, Level.L3)
         predictor.reset_statistics()
         assert predictor.stats.predictions == 0
-        assert predictor.pld.predictions == 0
+        assert predictor.locmap.metadata_cache.stats.accesses == 0
+        assert set(predictor.pld.counters().values()) == {0}
 
 
 class TestPredictorStats:

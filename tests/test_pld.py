@@ -30,7 +30,7 @@ class TestTraining:
     def test_l1_hits_ignored(self):
         pld = PopularLevelsDetector()
         pld.record_hit(Level.L1)
-        assert pld.updates == 0
+        assert set(pld.counters().values()) == {0}
 
     def test_unknown_level_rejected(self):
         pld = PopularLevelsDetector()
@@ -58,7 +58,6 @@ class TestPrediction:
         # Counters are now L2=1, L3=1, MEM=0: no single level reaches 90 %.
         prediction = pld.predict()
         assert len(prediction) >= 2
-        assert pld.multi_way_fraction > 0
 
     def test_prediction_ordered_from_closest_level(self):
         pld = PopularLevelsDetector(PLDConfig(confidence_threshold=0.95))
@@ -87,8 +86,6 @@ class TestReporting:
         pld.record_hit(Level.L2)
         pld.predict()
         pld.reset()
-        assert pld.updates == 0
-        assert pld.predictions == 0
         assert all(value == 0 for value in pld.counters().values())
 
 

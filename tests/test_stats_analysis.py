@@ -11,7 +11,7 @@ from repro.analysis import (
     geomean_row,
 )
 from repro.core.recovery import summarize_recovery
-from repro.memory.block import AccessResult, Level, MemoryAccess
+from repro.memory.block import Level, MemoryAccess
 from repro.memory.hierarchy import CoreMemoryHierarchy
 from repro.memory.spec import HierarchySpec
 from repro.sim.stats import (
@@ -53,9 +53,7 @@ class TestWindowedTracker:
     def test_window_counts(self):
         tracker = WindowedMissTracker(window_size=10)
         for i in range(25):
-            result = AccessResult(hit_level=Level.MEM if i % 2 else Level.L1,
-                                  latency=10.0)
-            tracker.record(result)
+            tracker.record(Level.MEM if i % 2 else Level.L1)
         windows = tracker.finalize()
         assert len(windows) == 3
         assert windows[0].l1_misses == 5

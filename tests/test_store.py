@@ -16,10 +16,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.base import PredictionOutcome, PredictorStats
+from repro.core.recovery import RecoverySummary
+from repro.cpu.ooo_core import ExecutionResult
+from repro.memory.block import PREDICTABLE_LEVELS
+from repro.memory.hierarchy import HierarchyStats
 from repro.sim.config import SystemConfig
 from repro.sim.engine import MixJob, SimulationEngine, SimulationJob
+from repro.sim.multicore import MultiCoreResult
 from repro.sim.store import (
     ResultStore,
     UncacheableJobError,
@@ -31,6 +41,7 @@ from repro.sim.store import (
     shard_for_key,
     try_job_key,
 )
+from repro.sim.system import SimulationResult
 from repro.workloads import build_workload
 from repro.workloads.base import Workload
 
@@ -178,6 +189,79 @@ class TestRoundTrip:
         result = SimulationEngine(jobs=1, store=False).run([MIX_JOB])[0]
         encoded = json.loads(json.dumps(serialize_result(result)))
         assert deserialize_result(encoded) == result
+
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(result=st.one_of(st.deferred(lambda: _simulation_results()),
+                            st.deferred(lambda: _mix_results())))
+    def test_random_results_roundtrip_to_the_same_bytes(self, result):
+        """Any result, non-finite, signed-zero and subnormal floats
+        included, is stored and read back to the same bytes (NaN is not
+        equal to itself, so the bytes are compared, not the objects)."""
+        line = json.dumps(serialize_result(result), sort_keys=True,
+                          separators=(",", ":"))
+        again = serialize_result(deserialize_result(json.loads(line)))
+        assert json.dumps(again, sort_keys=True,
+                          separators=(",", ":")) == line
+
+
+#: Every float a stored result can hold, the awkward ones drawn often.
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from((float("nan"), float("inf"),
+                                     float("-inf"), -0.0, 5e-324,
+                                     2.2250738585072e-308)))
+_COUNTS = st.integers(min_value=0, max_value=2**53)
+_NAMES = st.text(max_size=12)
+
+
+def _executions():
+    return st.builds(ExecutionResult, cycles=_FLOATS, instructions=_COUNTS,
+                     memory_accesses=_COUNTS, stall_cycles=_FLOATS)
+
+
+@st.composite
+def _simulation_results(draw):
+    stats = HierarchyStats(**{
+        f.name: draw(_FLOATS if isinstance(f.default, float) else _COUNTS)
+        for f in dataclasses.fields(HierarchyStats)})
+    predictor = PredictorStats()
+    for name in ("predictions", "multi_way_predictions", "pld_predictions",
+                 "pld_mispredictions", "metadata_hits", "metadata_misses",
+                 "updates"):
+        setattr(predictor, name, draw(_COUNTS))
+    predictor.outcomes = {outcome: draw(_COUNTS)
+                          for outcome in PredictionOutcome}
+    predictor.level_histogram = draw(st.dictionaries(
+        st.lists(st.sampled_from(PREDICTABLE_LEVELS), min_size=1,
+                 max_size=3, unique=True).map(lambda levels: tuple(
+                     sorted(levels))), _COUNTS, max_size=4))
+    recovery = RecoverySummary(**{
+        f.name: draw(_FLOATS if f.type == "float" else _COUNTS)
+        for f in dataclasses.fields(RecoverySummary)})
+    return SimulationResult(
+        workload=draw(_NAMES), system=draw(_NAMES), predictor=draw(_NAMES),
+        execution=draw(_executions()), hierarchy_stats=stats,
+        predictor_stats=predictor,
+        energy_breakdown=draw(st.dictionaries(_NAMES, _FLOATS, max_size=5)),
+        cache_hierarchy_energy_nj=draw(_FLOATS), recovery=recovery,
+        metadata_miss_ratio=draw(_FLOATS),
+        pld_misprediction_ratio=draw(_FLOATS))
+
+
+@st.composite
+def _mix_results(draw):
+    cores = draw(st.integers(min_value=0, max_value=4))
+    return MultiCoreResult(
+        mix=draw(_NAMES), predictor=draw(_NAMES),
+        per_core_execution=draw(st.lists(_executions(), min_size=cores,
+                                         max_size=cores)),
+        per_core_workloads=draw(st.lists(_NAMES, min_size=cores,
+                                         max_size=cores)),
+        accuracy_breakdown=draw(st.dictionaries(
+            st.sampled_from([outcome.value
+                             for outcome in PredictionOutcome]), _FLOATS)),
+        cache_hierarchy_energy_nj=draw(_FLOATS),
+        total_predictions=draw(_COUNTS), total_recoveries=draw(_COUNTS))
 
 
 # ======================================================================

@@ -20,6 +20,10 @@ from repro.core.tage import (
     make_tage_8kb,
 )
 from repro.memory.block import Level, PREDICTABLE_LEVELS
+from repro.sim.config import SystemConfig
+from repro.sim.system import SimulatedSystem
+
+from trace_helpers import hierarchy_specs, traffic
 
 
 class TestTAGEConfig:
@@ -78,10 +82,9 @@ class TestTAGELearning:
         block = 0x77 * 64
         prediction = predictor.predict(block)
         predictor.train(block, 0, prediction, Level.MEM)
-        assert predictor.allocations >= 0  # allocation only when wrong
         prediction = predictor.predict(block)
         predictor.train(block, 0, prediction, Level.L2)
-        assert predictor.allocations >= 1
+        assert any(tag != -1 for tags in predictor._tags for tag in tags)
 
     def test_prefetch_coordination_updates_matching_entries(self):
         predictor = make_tage_8kb()
@@ -146,6 +149,30 @@ class TestD2D:
         assert DirectToDataPredictor().storage_bits() == 4096 * 8
 
 
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(spec=hierarchy_specs(), buffer=traffic())
+def test_d2d_predicts_the_walks_level_on_every_miss(spec, buffer):
+    """Section IV.C: D2D never mispredicts.  On any hierarchy and
+    stimulus, with and without the paper's prefetchers, its prediction
+    names exactly the level the walk found the block at."""
+    for scheme in ("paper", "none"):
+        system = SimulatedSystem(SystemConfig(
+            name="d2d-exact", hierarchy=spec, predictor="d2d",
+            prefetch_scheme=scheme))
+        predictor = system.predictor
+        train = predictor.train
+        wrong = []
+
+        def checked(block, pc, prediction, actual):
+            if prediction.levels != (actual,):
+                wrong.append((hex(block), prediction.levels, actual))
+            return train(block, pc, prediction, actual)
+        predictor.train = checked
+        system.hierarchy.run_buffer(buffer)
+        assert predictor.stats.predictions == system.hierarchy.stats.l1_misses
+        assert not wrong, (scheme, len(spec.levels), wrong[:3])
+
+
 class TestIdealPredictor:
     def test_is_free_and_sequential(self):
         predictor = IdealPredictor()
@@ -186,9 +213,6 @@ class ReferenceTAGE(LevelPredictor):
         self.history_bits = 2 * max(self.lengths)
         self.entries = entries
         self.last_provider: Dict[int, Optional[Tuple[int, int]]] = {}
-        self.allocations = 0
-        self.provider_hits = 0
-        self.base_predictions = 0
 
     def folded(self, table: int) -> int:
         history = self.history & ((1 << (2 * self.lengths[table])) - 1)
@@ -228,11 +252,9 @@ class ReferenceTAGE(LevelPredictor):
             index = self.index(block_addr, table)
             entry = self.tables[table][index]
             if entry is not None and entry.tag == self.tag(block_addr, table):
-                self.provider_hits += 1
                 self.last_provider[block_addr] = (table, index)
                 return Prediction(levels=self.levels(entry.counters),
                                   source="tage")
-        self.base_predictions += 1
         if not self.config.base_table_fallback:
             self.last_provider[block_addr] = None
             return Prediction(levels=(Level.L2,), source="tage-miss")
@@ -273,7 +295,6 @@ class ReferenceTAGE(LevelPredictor):
                 entry = _ReferenceEntry(tag=self.tag(block_addr, table))
                 entry.counters[actual] = 2
                 self.tables[table][index] = entry
-                self.allocations += 1
                 break
         self.history = ((self.history << 2) | _HISTORY_CODES[actual]) & (
             (1 << self.history_bits) - 1)
@@ -343,8 +364,6 @@ def test_flat_tage_matches_reference(storage, fallback, update_on_prefetch,
             level, dirty = rng.choice((Level.L2, Level.L3)), rng.random() < 0.7
             flat.on_eviction(block, level, dirty)
             reference.on_eviction(block, level, dirty)
-    for name in ("allocations", "provider_hits", "base_predictions"):
-        assert getattr(flat, name) == getattr(reference, name)
     assert dataclasses.asdict(flat.stats) == dataclasses.asdict(
         reference.stats)
     assert flat.stats.predictions > 0
@@ -403,4 +422,4 @@ def test_one_bit_counters_never_exceed_their_width():
                               rng.random() < 0.5)
         assert max(predictor._base) <= 1
         assert all(max(counters) <= 1 for counters in predictor._counters)
-    assert predictor.allocations > 0
+    assert any(tag != -1 for tags in predictor._tags for tag in tags)

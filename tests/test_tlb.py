@@ -43,24 +43,22 @@ class TestSingleTLB:
 
     def test_miss_ratio(self):
         tlb = TLB(16, 4, 4096)
-        tlb.lookup(0x1000)
+        hits = [tlb.lookup(0x1000)]
         tlb.insert(0x1000)
-        tlb.lookup(0x1000)
-        assert tlb.stats.miss_ratio == pytest.approx(0.5)
+        hits.append(tlb.lookup(0x1000))
+        assert hits.count(False) / len(hits) == pytest.approx(0.5)
 
 
 class TestHierarchy:
     def test_first_translation_walks(self):
         tlbs = TLBHierarchy(TLBSpec(page_walk_latency=50))
         assert translate(tlbs, 0x1000) == 4 + 50
-        assert tlbs.page_walks == 1
 
     def test_l1_hit_is_free(self):
         """The L1 TLB is accessed in parallel with the VIPT L1 cache."""
         tlbs = TLBHierarchy(TLBSpec())
         translate(tlbs, 0x1000)
         assert translate(tlbs, 0x1000) == 0
-        assert tlbs.l1.stats.hits == 1
 
     def test_l2_hit_costs_l2_latency(self):
         tlbs = TLBHierarchy(TLBSpec(l2_latency=7))
@@ -68,10 +66,9 @@ class TestHierarchy:
         # TLB while keeping it in the much larger L2 TLB.
         for page in range(80):
             translate(tlbs, page * 4096)
-        walks = tlbs.page_walks
+        # An L2 hit walks no page table, and it refills the L1 TLB.
         assert translate(tlbs, 0) == 7
-        assert tlbs.page_walks == walks
-        assert tlbs.l2.stats.hits == 1
+        assert translate(tlbs, 0) == 0
 
     def test_paper_configuration_defaults(self):
         tlbs = TLBHierarchy(TLBSpec())
@@ -82,13 +79,14 @@ class TestHierarchy:
         assert translate(tlbs, 64 * 4096) == 4 + 50
 
     def test_miss_ratio_and_reset(self):
-        tlbs = TLBHierarchy(TLBSpec())
-        for page in range(10):
-            translate(tlbs, page * 4096)
-        assert 0.0 < tlbs.miss_ratio <= 1.0
-        tlbs.reset_statistics()
-        assert tlbs.page_walks == 0
-        assert tlbs.l1.stats.accesses == 0
+        """The page-walk ratio of a stream: each new page walks once."""
+        spec = TLBSpec()
+        tlbs = TLBHierarchy(spec)
+        latencies = [translate(tlbs, page * 4096)
+                     for page in list(range(10)) * 2]
+        walks = sum(latency >= spec.page_walk_latency
+                    for latency in latencies)
+        assert walks / len(latencies) == pytest.approx(0.5)
 
 
 class TestSetsOnFirstInsert:
@@ -116,19 +114,16 @@ class TestSetsOnFirstInsert:
                           max_size=400),
            small=st.booleans())
     def test_translation_matches_eager_sets(self, pages, small):
-        """A random translate stream: the same latencies and hit, miss and
-        page-walk counts as eagerly built sets, and every set no insert
-        reached is still the shared empty."""
+        """A random translate stream: the same latencies and LRU order as
+        eagerly built sets, and every set no insert reached is still the
+        shared empty."""
         spec = (TLBSpec(l1_entries=8, l1_associativity=2, l2_entries=32,
                         l2_associativity=4) if small else TLBSpec())
         lazy, eager = TLBHierarchy(spec), self.eager(spec)
         for page in pages:
             address = page * spec.page_size + page % 64
             assert translate(lazy, address) == translate(eager, address)
-        assert lazy.page_walks == eager.page_walks
         for ours, theirs in ((lazy.l1, eager.l1), (lazy.l2, eager.l2)):
-            assert (ours.stats.hits, ours.stats.misses) \
-                == (theirs.stats.hits, theirs.stats.misses)
             touched = {page % ours._num_sets for page in pages}
             for index, entries in enumerate(ours._sets):
                 if index not in touched:

@@ -205,7 +205,8 @@ class TestReplayEquivalence:
         buffer = _crafted([0x5000] * 6 + [0x6000, 0x5000, 0x5008])
         via_buffer = _paper_system().hierarchy.run_buffer(buffer)
         hierarchy = _paper_system().hierarchy
-        via_records = [hierarchy.access(access) for access in records(buffer)]
+        via_records = [hierarchy.access(access).latency
+                       for access in records(buffer)]
         assert via_buffer == via_records
 
     def test_store_access_marks_line_dirty(self):

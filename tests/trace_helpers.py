@@ -48,8 +48,9 @@ def records(buffer: TraceBuffer) -> List[MemoryAccess]:
 def run_by_access(system, buffer: TraceBuffer, name: str = "trace"):
     """What ``system.run_trace(buffer, name)`` returns, computed with one
     ``hierarchy.access()`` call per row instead of one whole walk."""
-    results = [system.hierarchy.access(access) for access in records(buffer)]
-    return system._collect(name, system.core.execute(buffer, results))
+    latencies = [system.hierarchy.access(access).latency
+                 for access in records(buffer)]
+    return system._collect(name, system.core.execute(buffer, latencies))
 
 
 # ======================================================================
