@@ -6,7 +6,9 @@ D2D precise scheme and the Ideal oracle) implements the
 :class:`LevelPredictor` interface defined here.  The memory hierarchy is
 written against this interface, so swapping predictors is a one-line change in
 the system configuration — exactly how the paper's comparison experiments are
-structured.
+structured.  D2D and Ideal are *oracles* (:attr:`LevelPredictor.oracle`): the
+hierarchy hands them the level each L1 miss found its block at instead of
+asking :meth:`LevelPredictor.predict`.
 
 The module also defines :class:`PredictionOutcome`, the four-way
 classification used in Figure 7 (sequential / skip / lost opportunity /
@@ -209,6 +211,13 @@ class LevelPredictor(ABC):
 
     #: Extra cycles the predictor adds to the L1 miss path.
     prediction_latency: int = 1
+    #: True for a predictor that knows every block's level (D2D, Ideal):
+    #: the replay then predicts the level the walk found the block at and
+    #: never calls :meth:`predict`.
+    oracle: bool = False
+    #: True for a prediction that costs nothing (Ideal): the replay then
+    #: charges neither :attr:`prediction_latency` nor predictor energy.
+    free: bool = False
 
     def __init__(self) -> None:
         self.stats = PredictorStats()

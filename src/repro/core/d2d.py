@@ -1,37 +1,39 @@
-"""Direct-to-Data (D2D / D2M) baseline: precise single-lookup location.
+"""The location oracles: the Ideal system and the Direct-to-Data baseline.
 
-Sembrant, Hagersten and Black-Schaffer's D2D [26] and D2M [27] navigate the
-cache hierarchy with a single lookup by keeping *precise* location pointers in
-an extended TLB (eTLB) and a "Hub" structure, at the cost of enlarging TLB
-entries, adding a new metadata hierarchy and changing the coherence scheme.
-The paper uses D2D/D2M as the high-implementation-cost comparison point
-(Section IV.C): it never mispredicts, but it pays
+The paper compares the proposed predictor with two schemes that always
+know where a block is (Section IV.C):
 
-* a Hub modelled as an 8-way, 4 KB cache, and
-* 10 % higher energy per TLB access because of the longer entries,
+* **Ideal** gives every L1 miss a perfect level prediction that costs
+  nothing: no predictor latency and no predictor energy.
+* **Direct-to-Data** (D2D / D2M, Sembrant, Hagersten and Black-Schaffer
+  [26, 27]) navigates the hierarchy with a single lookup by keeping
+  *precise* location pointers in an extended TLB (eTLB) and a "Hub"
+  structure, at the cost of enlarging TLB entries, adding a new metadata
+  hierarchy and changing the coherence scheme.  The paper uses it as the
+  high-implementation-cost comparison point: it never mispredicts, but it
+  pays
 
-and applications with high TLB miss rates (e.g. nas.is) access the Hub more
-often, raising its energy.
+  * a Hub modelled as an 8-way, 4 KB cache, and
+  * 10 % higher energy per TLB access because of the longer entries,
 
-Because D2D is precise *by construction*, this reproduction implements it as a
-tracker that mirrors every fill and eviction event exactly (including clean
-evictions, which the paper's LP deliberately ignores) and therefore always
-reports the true level.  The cost side — Hub and eTLB energy, Hub miss
-traffic — is modelled explicitly.
+  and applications with high TLB miss rates (e.g. nas.is) access the Hub
+  more often, raising its energy.
+
+Both are precise *by construction*, so neither keeps location state of
+its own: they are oracles (:attr:`~repro.core.base.LevelPredictor.oracle`),
+and the replay predicts exactly the level the walk found each L1 miss's
+block at — on any hierarchy, single-core or in a mix.  D2D is Ideal's
+timing plus D2D's cost side (Hub and eTLB energy, Hub misses), which is
+modelled explicitly.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
 
 from ..energy.model import TLB_ACCESS_NJ, sram_access_energy
 from ..memory.block import Level
-from .base import LevelPredictor, Prediction
-
-#: D2D's exact predictions, one shared (frozen) instance per level.
-_D2D_PREDICTIONS = {level: Prediction(levels=(level,), source="d2d")
-                    for level in (Level.L2, Level.L3, Level.MEM)}
+from .base import LevelPredictor, Prediction, PredictionOutcome
 
 #: D2D's cost model (Section IV.C): a 4 KB Hub, and eTLB entries whose
 #: extra length costs 10 % more energy per TLB access.
@@ -39,44 +41,55 @@ HUB_BYTES = 4096
 ETLB_ENERGY_OVERHEAD = 0.10
 
 
-class DirectToDataPredictor(LevelPredictor):
-    """Precise location tracker with D2D's cost model.
+class IdealPredictor(LevelPredictor):
+    """The paper's Ideal system: a perfect, zero-cost level prediction.
 
-    The tracker maintains an exact block -> level map driven by the fill and
-    eviction events the hierarchy reports.  Unlike the LocMap it also applies
-    clean evictions, so it never goes stale: a block evicted (clean) from L2
-    is known to live wherever its next copy is — in this functional model the
-    destination is main memory unless the LLC also holds it, which the
-    hierarchy communicates by reporting LLC fills separately.
+    An oracle that is also free: the replay predicts the level the walk
+    found the block at and charges no predictor latency or energy, so the
+    request goes straight to the level that holds the block with no
+    wasted lookups.  Its statistics still record the (always correct)
+    outcomes, and Figure 10's "Ideal is L2+L3 cache energy only"
+    reference holds.  Outside a replay the level is unknown, so a direct
+    :meth:`predict` falls back to sequential lookup.
     """
 
+    oracle = True
+    free = True
     prediction_latency = 0
+
+    def predict(self, block_addr: int, pc: int = 0) -> Prediction:
+        return Prediction.sequential()
+
+    @property
+    def name(self) -> str:
+        return "Ideal"
+
+
+class DirectToDataPredictor(IdealPredictor):
+    """Ideal's exact, zero-latency prediction with D2D's cost model.
+
+    Every prediction looks its page up in the Hub (in miss order) and
+    pays the eTLB and Hub energy.  D2D updates its location pointers on
+    every fill and eviction, clean ones included (unlike the LocMap);
+    ``stats.updates`` counts those notifications.
+    """
+
+    free = False
 
     def __init__(self) -> None:
         super().__init__()
         self._hub_access_energy = sram_access_energy(HUB_BYTES)
         self._etlb_overhead = TLB_ACCESS_NJ * ETLB_ENERGY_OVERHEAD
-        # Precise location state: which levels currently hold each block.
-        self._in_l2: Dict[int, bool] = {}
-        self._in_l3: Dict[int, bool] = {}
         # Hub: a small cache of per-page location groups; misses cost energy.
         self._hub: "OrderedDict[int, bool]" = OrderedDict()
         self._hub_entries = HUB_BYTES // 8
         self.hub_hits = 0
         self.hub_misses = 0
 
-    # ------------------------------------------------------------------
-    # Prediction (always exact)
-    # ------------------------------------------------------------------
-    def predict(self, block_addr: int, pc: int = 0) -> Prediction:
+    def train(self, block_addr: int, pc: int, prediction: Prediction,
+              actual: Level) -> PredictionOutcome:
         self._touch_hub(block_addr)
-        if self._in_l2.get(block_addr, False):
-            level = Level.L2
-        elif self._in_l3.get(block_addr, False):
-            level = Level.L3
-        else:
-            level = Level.MEM
-        return _D2D_PREDICTIONS[level]
+        return super().train(block_addr, pc, prediction, actual)
 
     def _touch_hub(self, block_addr: int) -> None:
         """Model Hub locality: one entry per 4 KiB page of tracked blocks."""
@@ -90,25 +103,11 @@ class DirectToDataPredictor(LevelPredictor):
             self._hub.popitem(last=False)
         self._hub[page] = True
 
-    # ------------------------------------------------------------------
-    # Precise tracking of fills and evictions
-    # ------------------------------------------------------------------
     def on_fill(self, block_addr: int, level: Level,
                 from_prefetch: bool = False) -> None:
-        if level is Level.L2:
-            self._in_l2[block_addr] = True
-        elif level is Level.L3:
-            self._in_l3[block_addr] = True
         self.stats.updates += 1
 
     def on_eviction(self, block_addr: int, level: Level, dirty: bool) -> None:
-        # Precise: clean evictions are tracked too (unlike the LocMap).
-        if level is Level.L2:
-            self._in_l2.pop(block_addr, None)
-            if dirty:
-                self._in_l3[block_addr] = True
-        elif level is Level.L3:
-            self._in_l3.pop(block_addr, None)
         self.stats.updates += 1
 
     # ------------------------------------------------------------------
@@ -130,24 +129,3 @@ class DirectToDataPredictor(LevelPredictor):
     @property
     def name(self) -> str:
         return "D2D"
-
-
-class IdealPredictor(LevelPredictor):
-    """Placeholder predictor used with the Ideal system configuration.
-
-    The paper's Ideal system gives every L1 miss a perfect, zero-cost level
-    prediction; the hierarchy implements that with its ``ideal_miss_latency``
-    configuration flag (the oracle needs the actual block location, which only
-    the hierarchy knows).  This predictor therefore adds no latency and no
-    energy of its own; its statistics still record the (always correct)
-    outcomes so Figure 10's "Ideal is L2+L3 cache energy only" reference holds.
-    """
-
-    prediction_latency = 0
-
-    def predict(self, block_addr: int, pc: int = 0) -> Prediction:
-        return Prediction.sequential()
-
-    @property
-    def name(self) -> str:
-        return "Ideal"

@@ -125,8 +125,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 # every access() call, which showed up in profiles.
 _SequentialPredictor = None
 _LevelPredictor = None
-#: Per-level singletons for the Ideal system's oracle predictions.
-_IDEAL_PREDICTIONS: Dict[Level, "Prediction"] = {}
+#: Per-level singletons of an oracle predictor's predictions (see
+#: LevelPredictor.oracle).
+_ORACLE_PREDICTIONS: Dict[Level, "Prediction"] = {}
 
 #: Module-level bindings of the hot enum members (LOAD_GLOBAL is cheaper
 #: than the two-step attribute chain in the per-access paths).
@@ -180,8 +181,8 @@ def _bind_core_types() -> None:
         _SequentialPredictor = SequentialPredictor
         _LevelPredictor = LevelPredictor
         for level in (Level.L2, Level.L3, Level.MEM):
-            _IDEAL_PREDICTIONS[level] = Prediction(levels=(level,),
-                                                   source="ideal")
+            _ORACLE_PREDICTIONS[level] = Prediction(levels=(level,),
+                                                    source="oracle")
 
 
 @dataclass(slots=True)
@@ -373,7 +374,7 @@ class CoreMemoryHierarchy:
         "_chain_hit_latency", "_chain_miss_detect", "_chain_nj",
         "_l1_hit_latency", "_l1_miss_detect", "_l3_hit_latency",
         "_l3_tag_latency",
-        "_port_penalty", "_memory_speculative", "_ideal_miss_latency",
+        "_port_penalty", "_memory_speculative",
         "_ic_l1_l2", "_ic_l2_llc", "_ic_llc_mem", "_ic_recovery",
         "_ic_cache_to_cache",
         "_l1_nj", "_tlb_l1_nj", "_l3_nj", "_l3_tag_nj",
@@ -457,7 +458,6 @@ class CoreMemoryHierarchy:
         self._l3_tag_latency = float(shared_llc.tag_latency)
         self._port_penalty = spec.parallel_port_penalty
         self._memory_speculative = spec.memory_speculative_launch
-        self._ideal_miss_latency = spec.ideal_miss_latency
         # Bus hop latencies are constant per instance.  Every hop into a
         # shared resource (the LLC, memory, a recovery or a cache-to-cache
         # forward) also pays the contention of each active core beyond the
@@ -1021,7 +1021,8 @@ class CoreMemoryHierarchy:
         predict = predictor.predict
         train = predictor.train
         on_hit = predictor.on_hit
-        ideal = self._ideal_miss_latency
+        oracle = predictor.oracle
+        free = predictor.free
         miss_detect = self._l1_miss_detect
         l3_tag_latency = self._l3_tag_latency
         paths = self._paths
@@ -1054,23 +1055,20 @@ class CoreMemoryHierarchy:
                 notes_at = notes_point
 
             actual, holder, remote = outcomes[where]
+            prediction = (_ORACLE_PREDICTIONS[actual] if oracle
+                          else predict(block, pc))
+            train(block, pc, prediction, actual)
+            on_hit(actual)
             latency = miss_detect + translation_latency
-            if ideal:
-                # The paper's Ideal system: a perfect, zero-cost level
-                # prediction on every L1 miss — the request goes straight
-                # to the level that holds the block with no predictor
-                # latency and no wasted lookups.
-                prediction = _IDEAL_PREDICTIONS[actual]
-            else:
-                prediction = predict(block, pc)
+            if not free:
+                # Charged after train: D2D's energy reads the Hub lookup
+                # its train makes.
                 latency += predictor.prediction_latency
                 predictor_nj = predictor.energy_per_prediction_nj()
                 if predictor_nj < 0:
                     raise ValueError("cannot charge negative energy")
                 energy["predictor"] = energy.get("predictor", 0.0) \
                     + predictor_nj
-            train(block, pc, prediction, actual)
-            on_hit(actual)
 
             levels = prediction.levels
             key = (levels, where)

@@ -87,15 +87,16 @@ _LEGACY_INTERCONNECT_FIELDS = (
     "contention_per_extra_core")
 _LEGACY_HIERARCHY_FIELDS = (
     "memory_speculative_launch", "parallel_port_penalty",
-    "prefetch_inflight_window", "ideal_miss_latency")
+    "prefetch_inflight_window")
 
 
-#: Fields deleted because no model read them, with the values every key
-#: was written with: keys keep them, so no key moved when they went.
+#: Fields deleted from the specs, with the values every key was written
+#: with: keys keep them, so no key moved when they went.
 _DELETED_FIELDS = {
     "LevelSpec": {"ports": 1, "area_mm2": None},
     "TLBSpec": {"l1_latency": 1},
     "MemorySpec": {"tras": 39, "channel_capacity_gb": 16},
+    "HierarchySpec": {"ideal_miss_latency": False},
 }
 
 
@@ -329,7 +330,6 @@ class HierarchySpec:
     memory_speculative_launch: bool = True
     parallel_port_penalty: float = 2.0
     prefetch_inflight_window: int = 32
-    ideal_miss_latency: bool = False
 
     def __post_init__(self) -> None:
         levels = tuple(self.levels)
@@ -452,6 +452,7 @@ class HierarchySpec:
                 zip(("l1", "l2", "l3"), self.levels), start=1)}
         return _record(
             "HierarchyConfig", self, _LEGACY_HIERARCHY_FIELDS, **levels,
+            **_DELETED_FIELDS["HierarchySpec"],
             dram=_record("DRAMConfig", self.memory, _LEGACY_DRAM_FIELDS,
                          **_DELETED_FIELDS["MemorySpec"]),
             interconnect=_record("InterconnectConfig", self.interconnect,
@@ -478,7 +479,6 @@ class HierarchySpec:
             "memory_speculative_launch": self.memory_speculative_launch,
             "parallel_port_penalty": self.parallel_port_penalty,
             "prefetch_inflight_window": self.prefetch_inflight_window,
-            "ideal_miss_latency": self.ideal_miss_latency,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -499,7 +499,7 @@ class HierarchySpec:
                 f"(expected {HIERARCHY_SCHEMA!r})")
         known = {"schema", "levels", "tlb", "memory", "interconnect",
                  "memory_speculative_launch", "parallel_port_penalty",
-                 "prefetch_inflight_window", "ideal_miss_latency"}
+                 "prefetch_inflight_window"}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown hierarchy spec field(s): "
@@ -523,9 +523,7 @@ class HierarchySpec:
             parallel_port_penalty=float(
                 payload.get("parallel_port_penalty", 2.0)),
             prefetch_inflight_window=int(
-                payload.get("prefetch_inflight_window", 32)),
-            ideal_miss_latency=bool(
-                payload.get("ideal_miss_latency", False)))
+                payload.get("prefetch_inflight_window", 32)))
 
     def describe(self) -> str:
         """A one-line human summary (used by CLI/reporting)."""

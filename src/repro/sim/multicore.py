@@ -28,7 +28,7 @@ from ..memory.hierarchy import (
 from ..trace import TraceBuffer
 from .config import SystemConfig
 from .system import make_llc_prefetcher, make_predictor, walk_config, \
-    _make_private_prefetchers, _with_ideal_latency
+    _make_private_prefetchers
 
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
@@ -87,17 +87,14 @@ class MultiCoreSystem:
     def __init__(self, config: Optional[SystemConfig] = None,
                  walks=None) -> None:
         self.config = config or SystemConfig.paper_multi_core()
-        hierarchy_config = self.config.hierarchy
-        if self.config.predictor == "ideal":
-            hierarchy_config = _with_ideal_latency(hierarchy_config)
         self.shared = SharedMemorySystem(
-            hierarchy_config, num_cores=self.config.num_cores,
+            self.config.hierarchy, num_cores=self.config.num_cores,
             llc_prefetcher=make_llc_prefetcher(self.config))
         self.cores: List[CoreMemoryHierarchy] = []
         for core_id in range(self.config.num_cores):
             l1_prefetcher, l2_prefetcher = _make_private_prefetchers(self.config)
             self.cores.append(CoreMemoryHierarchy(
-                config=hierarchy_config, shared=self.shared,
+                config=self.config.hierarchy, shared=self.shared,
                 predictor=make_predictor(self.config.predictor, self.config),
                 l1_prefetcher=l1_prefetcher, l2_prefetcher=l2_prefetcher,
                 core_id=core_id, active_cores=self.config.num_cores))

@@ -122,17 +122,13 @@ class SimulatedSystem:
                  llc_prefetcher: Optional[Prefetcher] = None,
                  walks=None) -> None:
         self.config = config or SystemConfig.paper_single_core()
-        hierarchy_config = self.config.hierarchy
-        if self.config.predictor == "ideal":
-            # The Ideal system charges no miss latency (Section IV.C).
-            hierarchy_config = _with_ideal_latency(hierarchy_config)
         self.predictor = make_predictor(self.config.predictor, self.config)
         self.shared = SharedMemorySystem(
-            hierarchy_config, num_cores=1,
+            self.config.hierarchy, num_cores=1,
             llc_prefetcher=llc_prefetcher or make_llc_prefetcher(self.config))
         l1_prefetcher, l2_prefetcher = _make_private_prefetchers(self.config)
         self.hierarchy = CoreMemoryHierarchy(
-            config=hierarchy_config, shared=self.shared,
+            config=self.config.hierarchy, shared=self.shared,
             predictor=self.predictor, l1_prefetcher=l1_prefetcher,
             l2_prefetcher=l2_prefetcher, core_id=0, active_cores=1)
         self.core = OutOfOrderCore(self.config.core)
@@ -205,15 +201,6 @@ class SimulatedSystem:
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _with_ideal_latency(hierarchy: HierarchySpec) -> HierarchySpec:
-    """Set ideal_miss_latency on a hierarchy spec (memoised: specs are
-    immutable, and every Ideal job would otherwise re-validate one)."""
-    if hierarchy.ideal_miss_latency:
-        return hierarchy
-    return replace(hierarchy, ideal_miss_latency=True)
-
-
 def _shared_walk(walks, config: SystemConfig, root: TraceBuffer):
     """The walk of the cached trace ``root`` shared through ``walks`` by
     every single-core system that walks like ``config``."""
@@ -229,9 +216,9 @@ def walk_config(config: SystemConfig) -> Tuple[SystemConfig, HierarchySpec]:
 
     The walk reads neither the predictor nor the spec's replay-only
     fields (see :func:`_walk_spec`), so every compared system of one
-    hierarchy, Ideal and the latency variants of one chain included,
-    shares it; the normalised spec, the prefetch scheme and its epoch,
-    and the core count are what a walk's key must name.
+    hierarchy, and the latency variants of one chain, share it; the
+    normalised spec, the prefetch scheme and its epoch, and the core
+    count are what a walk's key must name.
     """
     spec = _walk_spec(config.hierarchy)
     return replace(config, predictor="baseline", hierarchy=spec), spec
@@ -240,10 +227,10 @@ def walk_config(config: SystemConfig) -> Tuple[SystemConfig, HierarchySpec]:
 @functools.lru_cache(maxsize=64)
 def _walk_spec(hierarchy: HierarchySpec) -> HierarchySpec:
     """``hierarchy`` with the fields only the replay reads set to fixed
-    values: ``ideal_miss_latency``, ``parallel_port_penalty``,
-    ``memory_speculative_launch`` and the tag/data latencies and
-    ``sequential_tag_data`` of every level below L1 (the walk charges
-    only the L1 hit latency; the replay times the rest of the path).
+    values: ``parallel_port_penalty``, ``memory_speculative_launch``
+    and the tag/data latencies and ``sequential_tag_data`` of every
+    level below L1 (the walk charges only the L1 hit latency; the replay
+    times the rest of the path).
 
     Those levels take L1's timing, which keeps the chain's hit latencies
     non-decreasing, so the result is a valid spec.  Memoised: specs are
@@ -253,7 +240,7 @@ def _walk_spec(hierarchy: HierarchySpec) -> HierarchySpec:
     timing = {"tag_latency": l1.tag_latency, "data_latency": l1.data_latency,
               "sequential_tag_data": l1.sequential_tag_data}
     return replace(
-        hierarchy, ideal_miss_latency=False, parallel_port_penalty=0.0,
+        hierarchy, parallel_port_penalty=0.0,
         memory_speculative_launch=True,
         levels=(l1,) + tuple(replace(level, **timing)
                              for level in hierarchy.levels[1:]))

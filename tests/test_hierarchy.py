@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import SequentialPredictor
-from repro.core.d2d import DirectToDataPredictor
+from repro.core.d2d import DirectToDataPredictor, IdealPredictor
 from repro.core.level_predictor import CacheLevelPredictor
 from repro.memory.block import AccessType, Level, MemoryAccess
 from repro.memory.hierarchy import (
@@ -213,10 +213,8 @@ class TestLevelPredictedPath:
         assert hierarchy.stats.predictions > 0
 
     def test_ideal_configuration_never_slower_than_baseline(self):
-        config = HierarchySpec.paper_single_core()
-        ideal_config = dataclasses.replace(config, ideal_miss_latency=True)
-        baseline = build_hierarchy(config)
-        ideal = build_hierarchy(ideal_config)
+        baseline = build_hierarchy()
+        ideal = build_hierarchy(predictor=IdealPredictor())
         total_base = total_ideal = 0.0
         for i in range(500):
             address = (i * 7919) % 50000 * 64

@@ -968,12 +968,26 @@ class TestKeepAlive:
         before = _handler_threads()
         client = ServiceClient(server.address, timeout=10.0)
         client.health()
-        helpers = [threading.Thread(target=client.health) for _ in range(2)]
-        for helper in helpers:
-            helper.start()
-        for helper in helpers:
-            helper.join(timeout=10.0)
-        opened = _handler_threads() - before
+        # Each helper keeps its own connection; it stays alive until the
+        # handler threads are counted, since the client sweeps the
+        # connections of threads that have exited.
+        connected = threading.Barrier(3, timeout=10.0)
+        counted = threading.Event()
+
+        def helper():
+            client.health()
+            connected.wait()
+            counted.wait(timeout=10.0)
+        helpers = [threading.Thread(target=helper) for _ in range(2)]
+        for thread in helpers:
+            thread.start()
+        try:
+            connected.wait()
+            opened = _handler_threads() - before
+        finally:
+            counted.set()
+            for thread in helpers:
+                thread.join(timeout=10.0)
         assert len(opened) == 3
         client.close()
         deadline = time.monotonic() + 10.0

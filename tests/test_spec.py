@@ -130,6 +130,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"unknown field.*{name}"):
             load_hierarchy(path)
 
+    def test_spec_file_naming_ideal_miss_latency_is_refused(self):
+        # The Ideal system is an oracle predictor, not a spec flag.
+        payload = json.loads(HierarchySpec.paper_single_core().to_json())
+        payload["ideal_miss_latency"] = False
+        with pytest.raises(ValueError,
+                           match="unknown hierarchy spec field.*"
+                                 "ideal_miss_latency"):
+            HierarchySpec.from_json(json.dumps(payload))
+
     def test_bad_schema_tag_rejected(self):
         payload = json.loads(HierarchySpec.paper_single_core().to_json())
         payload["schema"] = "repro-hierarchy/999"

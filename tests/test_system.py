@@ -123,9 +123,15 @@ class TestSimulatedSystem:
                                      warmup_accesses=500)
         assert result.hierarchy_stats.demand_accesses == 1000
 
-    def test_ideal_system_uses_ideal_latency_flag(self):
-        system = SimulatedSystem(SystemConfig.paper_single_core("ideal"))
-        assert system.hierarchy.config.ideal_miss_latency
+    def test_ideal_charges_no_predictor_energy_and_d2d_does(self):
+        workload = build_workload("gups")
+        ideal = SimulatedSystem(SystemConfig.paper_single_core("ideal")) \
+            .run_workload(workload, 600, seed=2)
+        d2d = SimulatedSystem(SystemConfig.paper_single_core("d2d")) \
+            .run_workload(workload, 600, seed=2)
+        assert ideal.predictor_stats.predictions > 0
+        assert "predictor" not in ideal.energy_breakdown
+        assert d2d.energy_breakdown["predictor"] > 0.0
 
     def test_comparison_runs_same_trace_for_all_systems(self):
         results = run_predictor_comparison(

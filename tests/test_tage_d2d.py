@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -20,7 +21,9 @@ from repro.core.tage import (
     make_tage_8kb,
 )
 from repro.memory.block import Level, PREDICTABLE_LEVELS
+from repro.memory.spec import load_hierarchy
 from repro.sim.config import SystemConfig
+from repro.sim.multicore import MultiCoreSystem
 from repro.sim.system import SimulatedSystem
 
 from trace_helpers import hierarchy_specs, traffic
@@ -105,43 +108,15 @@ class TestTAGELearning:
 
 
 class TestD2D:
-    def test_tracks_exact_location(self):
-        predictor = DirectToDataPredictor()
-        assert predictor.predict(0x40).levels == (Level.MEM,)
-        predictor.on_fill(0x40, Level.L2)
-        assert predictor.predict(0x40).levels == (Level.L2,)
-        predictor.on_eviction(0x40, Level.L2, dirty=False)
-        assert predictor.predict(0x40).levels == (Level.MEM,)
-
-    def test_clean_evictions_tracked_unlike_locmap(self):
-        predictor = DirectToDataPredictor()
-        predictor.on_fill(0x80, Level.L3)
-        predictor.on_fill(0x80, Level.L2)
-        predictor.on_eviction(0x80, Level.L2, dirty=False)
-        # Still cached in the LLC.
-        assert predictor.predict(0x80).levels == (Level.L3,)
-
-    def test_never_mispredicts_when_tracking_is_complete(self):
-        predictor = DirectToDataPredictor()
-        blocks = [i * 64 for i in range(64)]
-        for block in blocks[:32]:
-            predictor.on_fill(block, Level.L2)
-        for block in blocks:
-            expected = Level.L2 if block < 32 * 64 else Level.MEM
-            prediction = predictor.predict(block)
-            outcome = predictor.train(block, 0, prediction, expected)
-            assert prediction.levels == (expected,)
-        assert predictor.stats.accuracy == 1.0
-
     def test_hub_energy_grows_with_miss_ratio(self):
         predictor = DirectToDataPredictor()
         # Scattered pages: many Hub misses -> higher per-prediction energy.
         for i in range(2000):
-            predictor.predict(i * 8192)
+            predictor.train(i * 8192, 0, Prediction.sequential(), Level.MEM)
         scattered = predictor.energy_per_prediction_nj()
         dense = DirectToDataPredictor()
         for _ in range(2000):
-            dense.predict(0x1000)
+            dense.train(0x1000, 0, Prediction.sequential(), Level.MEM)
         assert scattered > dense.energy_per_prediction_nj()
 
     def test_zero_prediction_latency(self):
@@ -171,6 +146,36 @@ def test_d2d_predicts_the_walks_level_on_every_miss(spec, buffer):
         system.hierarchy.run_buffer(buffer)
         assert predictor.stats.predictions == system.hierarchy.stats.l1_misses
         assert not wrong, (scheme, len(spec.levels), wrong[:3])
+
+
+_HIERARCHIES = Path(__file__).resolve().parent.parent / "examples" \
+    / "hierarchies"
+
+
+@pytest.mark.parametrize("spec_file", [None, "scaled.json"])
+@pytest.mark.parametrize("mix", ["MT1", "MT2"])
+def test_d2d_predicts_the_walks_level_in_mixes(mix, spec_file):
+    """D2D is exact in a mix too (the paper's quad-core spec, and one
+    whose LLC evicts), where another core's LLC fills and evictions and
+    the blocks another core holds privately (a remote hit is an L3 hit)
+    also decide the level a miss finds."""
+    config = SystemConfig.paper_multi_core("d2d")
+    if spec_file is not None:
+        config = dataclasses.replace(
+            config, hierarchy=load_hierarchy(_HIERARCHIES / spec_file))
+    system = MultiCoreSystem(config)
+    wrong = []
+    for core in system.cores:
+        train = core.predictor.train
+
+        def checked(block, pc, prediction, actual, train=train):
+            if prediction.levels != (actual,):
+                wrong.append((hex(block), prediction.levels, actual))
+            return train(block, pc, prediction, actual)
+        core.predictor.train = checked
+    result = system.run_mix(mix, 300)
+    assert result.total_predictions > 0
+    assert not wrong, (len(wrong), result.total_predictions, wrong[:3])
 
 
 class TestIdealPredictor:
