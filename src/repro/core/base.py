@@ -168,11 +168,6 @@ class PredictorStats:
         return 1.0 - harmful / self.predictions
 
     @property
-    def useful_fraction(self) -> float:
-        """Fraction of predictions that correctly skipped at least one level."""
-        return self.fraction(PredictionOutcome.SKIP)
-
-    @property
     def metadata_miss_ratio(self) -> float:
         total = self.metadata_hits + self.metadata_misses
         return self.metadata_misses / total if total else 0.0

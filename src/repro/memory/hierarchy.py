@@ -58,9 +58,11 @@ therefore serviced in two stages:
   (:meth:`CoreMemoryHierarchy.hit_levels`).
 
 Because the walk is the same for every predictor, the six systems a figure
-compares on one trace can share one walk: a system built with a walk source
-(the engine's :class:`~repro.sim.engine.TraceCache`) replays the cached
-walk of a cached trace instead of walking it again.  Residency is
+compares on one trace can share one walk: the engine
+(:func:`~repro.sim.engine.execute_job`) looks the trace's walk up in its
+:class:`~repro.sim.engine.TraceCache` and hands it to each system's
+:meth:`CoreMemoryHierarchy.run_buffer`, which replays it instead of walking
+the trace again.  Residency is
 prediction-independent by construction — the walk never reads the
 predictor — and the shared-versus-fresh property tests in
 ``tests/test_walk.py`` check the results bit for bit.  The only state that
@@ -93,7 +95,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -226,11 +228,6 @@ class HierarchyStats:
             return 0.0
         return self.total_demand_latency / self.demand_accesses
 
-    @property
-    def average_miss_latency(self) -> float:
-        misses = self.l1_misses
-        return self.miss_latency / misses if misses else 0.0
-
     def reset(self) -> None:
         for name, f in self.__dataclass_fields__.items():
             setattr(self, name, 0.0 if isinstance(f.default, float) else 0)
@@ -356,18 +353,12 @@ class CoreMemoryHierarchy:
             prefetcher trains for the first private intermediate; deeper
             intermediates carry no prefetcher.
         core_id: This core's index in the directory.
-
-    :attr:`walk_source`, when set, maps a root trace buffer to a shared
-    :class:`Walk` of it (or ``None``): :meth:`run_buffer` then replays that
-    walk instead of walking the trace itself, as long as this hierarchy
-    has walked nothing of its own and is handed the trace's consecutive
-    slices from its first row on.
     """
 
     __slots__ = (
         "config", "shared", "predictor", "l1", "l2", "tlb",
         "l1_prefetcher", "l2_prefetcher", "energy", "stats",
-        "core_id", "walk_source", "_block_size", "_block_mask",
+        "core_id", "_block_size", "_block_mask",
         "_page_shift", "_l1_page_size",
         "_intermediates", "_probe_order", "_fill_order", "_above",
         "_deepest", "_bypass_hops",
@@ -385,7 +376,7 @@ class CoreMemoryHierarchy:
         "_prefetches_this_access",
         "_recording", "_hier_add", "_note_code",
         "_note_block",
-        "_outcomes", "_paths", "_follow", "_walked",
+        "_outcomes", "_paths",
     )
 
     def __init__(
@@ -436,8 +427,6 @@ class CoreMemoryHierarchy:
         self.energy = EnergyAccount()
         self.stats = HierarchyStats()
         self.core_id = core_id
-        self.walk_source: Optional[Callable[["TraceBuffer"],
-                                            Optional[Walk]]] = None
         self._block_size = l1_spec.block_size
         # Hot-path precomputation: block mask (power-of-two line sizes),
         # per-level latencies as floats and per-structure energies, so
@@ -521,10 +510,6 @@ class CoreMemoryHierarchy:
         # Replay memo: one timed-path shape per (predicted levels, where)
         # outcome.
         self._paths: Dict[tuple, tuple] = {}
-        # (walk, trace, position) while replaying a walk made elsewhere;
-        # whether this hierarchy's own caches have walked anything.
-        self._follow: Optional[Tuple[Walk, "TraceBuffer", int]] = None
-        self._walked = False
 
     # ==================================================================
     # Public API
@@ -546,8 +531,8 @@ class CoreMemoryHierarchy:
         shift = self._page_shift
         page = (address >> shift) if shift >= 0 \
             else address // self._l1_page_size
-        walk = self._walk_own(((address,), (block,), (page,),
-                               (atype is _STORE,), (access.pc,)))
+        walk = self._walk_columns(((address,), (block,), (page,),
+                                   (atype is _STORE,), (access.pc,)))
         recoveries = self.stats.recoveries
         latency, = self.replay(walk, 0, 1)
         level, = self.hit_levels(walk)
@@ -556,40 +541,36 @@ class CoreMemoryHierarchy:
 
     # Read by perfbench until ROADMAP item 6 (its ``hierarchy.run_buffer``
     # span).
-    def run_buffer(self, buffer: "TraceBuffer") -> List[float]:
+    def run_buffer(self, buffer: "TraceBuffer",
+                   walk: Optional[Walk] = None) -> List[float]:
         """Service a whole columnar trace buffer: its walk, then the replay.
 
-        The walk is this hierarchy's own (:meth:`walk` on its caches), or
-        — for the consecutive slices of a trace that :attr:`walk_source`
-        has a shared walk for — that shared walk.  Returns the per-access
-        load latencies the core model consumes.
+        Given ``walk`` — a walk of the buffer's root trace, made elsewhere —
+        this replays the buffer's rows of it (``buffer.origin`` names where
+        they start) and walks nothing; otherwise it walks the buffer on
+        this hierarchy's own caches (:meth:`walk`) first.  Returns the
+        per-access load latencies the core model consumes.
 
         Raises:
-            ValueError: if the buffer contains non-demand records.
+            ValueError: if the buffer contains non-demand records, or runs
+                past the end of ``walk``.
         """
-        root, offset = buffer.origin
+        if walk is None:
+            walk = self.walk(buffer)
+            return self.replay(walk, 0, len(walk))
+        _, offset = buffer.origin
         stop = offset + len(buffer)
-        follow = self._follow
-        if follow is not None:
-            walk, trace, position = follow
-            if trace is root and position == offset and stop <= len(walk):
-                self._follow = (walk, trace, stop)
-                return self.replay(walk, offset, stop)
-        elif not self._walked and offset == 0 \
-                and self.walk_source is not None:
-            walk = self.walk_source(root)
-            if walk is not None:
-                self._follow = (walk, root, stop)
-                return self.replay(walk, 0, stop)
-        walk = self._walk_own(buffer.replay_columns(self._block_size,
-                                                    self._l1_page_size))
-        return self.replay(walk, 0, len(walk))
+        if stop > len(walk):
+            raise ValueError(
+                f"a {len(buffer)}-access buffer at row {offset} runs past "
+                f"the end of a {len(walk)}-access walk")
+        return self.replay(walk, offset, stop)
 
     def walk(self, buffer: "TraceBuffer") -> Walk:
         """Walk a whole buffer through this hierarchy's own caches (stage
         one) and return the record its replays need."""
-        return self._walk_own(buffer.replay_columns(self._block_size,
-                                                    self._l1_page_size))
+        return self._walk_columns(buffer.replay_columns(self._block_size,
+                                                        self._l1_page_size))
 
     def hit_levels(self, walk: Walk) -> List[Level]:
         """The level that served each access of ``walk``, in order: L1
@@ -605,23 +586,9 @@ class CoreMemoryHierarchy:
     # ==================================================================
     # Stage one: the walk
     # ==================================================================
-    def _walk_own(self, columns: Sequence[Sequence]) -> Walk:
-        """Walk ``(addresses, blocks, pages, is_store, pcs)`` columns on
-        this hierarchy's own caches.
-
-        A hierarchy that replayed a walk made elsewhere first walks that
-        trace's replayed prefix itself, so its caches stand where the
-        replayed accesses left them."""
-        follow = self._follow
-        if follow is not None:
-            self._follow = None
-            _, trace, position = follow
-            self._walk_columns(trace[:position].replay_columns(
-                self._block_size, self._l1_page_size))
-        self._walked = True
-        return self._walk_columns(columns)
-
     def _walk_columns(self, columns: Sequence[Sequence]) -> Walk:
+        """Walk ``(addresses, blocks, pages, is_store, pcs)`` columns on
+        this hierarchy's own caches."""
         walk = Walk()
         self._record(walk)
         step = self._step

@@ -13,8 +13,9 @@ provides the shared substrate the drivers and benchmarks run on:
   traces, so a six-system comparison generates each (workload, seed, length)
   trace **once** instead of once per system — and walks it through the
   hierarchy once: the cache also holds each trace's
-  :class:`~repro.memory.hierarchy.Walk`, which the compared systems replay
-  (see :mod:`repro.memory.hierarchy`, "Walk and replay");
+  :class:`~repro.memory.hierarchy.Walk`, which :func:`execute_job` hands
+  to every compared system to replay (see :mod:`repro.memory.hierarchy`,
+  "Walk and replay");
 * :class:`SimulationEngine` — runs a job list serially or over a worker
   pool, reading through the results store.
 
@@ -110,8 +111,9 @@ class TraceCache:
     buffers as immutable.
 
     Next to the traces the cache holds up to :data:`MAX_WALKS` hierarchy
-    walks of them (:meth:`walk`, least recently used out first).  A walk
-    leaves with any trace it walked, and :meth:`clear` drops them all.
+    walks of them (:meth:`walk`, least recently used out first), which
+    :func:`execute_job` hands to the systems it builds.  A walk leaves
+    with any trace it walked, and :meth:`clear` drops them all.
 
     Args:
         max_traces: LRU capacity.
@@ -204,22 +206,25 @@ class TraceCache:
 
         ``key`` names everything the walk depends on besides the traces
         (see :func:`repro.sim.system.walk_config`); ``build()`` makes the
-        walk on a miss.  Returns ``None`` when a buffer in ``traces`` is
-        not one this cache holds — its caller walks on its own.
+        walk on a miss.  When a buffer in ``traces`` is not one this cache
+        holds, the walk ``build()`` makes is returned without being kept
+        or counted.
         """
         with self._lock:
             buffer_keys = tuple(self._buffer_keys.get(id(buffer))
                                 for buffer in traces)
-            if None in buffer_keys:
-                return None
-            entry_key = (buffer_keys, key)
-            walk = self._walks.get(entry_key)
-            if walk is not None:
-                self.walk_hits += 1
-                self._walks.move_to_end(entry_key)
-                return walk
-            self.walk_misses += 1
+            held = None not in buffer_keys
+            if held:
+                entry_key = (buffer_keys, key)
+                walk = self._walks.get(entry_key)
+                if walk is not None:
+                    self.walk_hits += 1
+                    self._walks.move_to_end(entry_key)
+                    return walk
+                self.walk_misses += 1
         walk = build()
+        if not held:
+            return walk
         with self._lock:
             if any(self._buffer_keys.get(id(buffer)) != buffer_key
                    for buffer, buffer_key in zip(traces, buffer_keys)):
@@ -358,8 +363,9 @@ def execute_job(job: Job, trace_cache: Optional[TraceCache] = None):
     This is the single entry point used by both the serial fallback and the
     pool workers; it builds a fresh system, pulls the trace(s) through
     ``trace_cache`` (the process-local :data:`TRACE_CACHE` by default),
-    replays their shared hierarchy walk from the same cache, and returns
-    the picklable result.
+    looks up their shared hierarchy walk in the same cache (the only place
+    that does), hands it to the system to replay, and returns the
+    picklable result.
     """
     # Fault site: a worker crashing (or being killed) while holding a job.
     # Sits before any system state is built, so a retried job replays from
@@ -369,30 +375,34 @@ def execute_job(job: Job, trace_cache: Optional[TraceCache] = None):
     # Imported here, not at module scope: system.py/multicore.py import this
     # module for their comparison drivers.
     from .multicore import MultiCoreSystem
-    from .system import SimulatedSystem
+    from .system import SimulatedSystem, walk_config
 
     # Explicit None check: an empty TraceCache has len() == 0 and is falsy.
     cache = TRACE_CACHE if trace_cache is None else trace_cache
     if isinstance(job, MixJob):
         base_config = job.config or SystemConfig.paper_multi_core()
-        system = MultiCoreSystem(base_config.with_predictor(job.predictor),
-                                 walks=cache)
+        system = MultiCoreSystem(base_config.with_predictor(job.predictor))
         traces, names = mix_traces(job.mix, job.accesses_per_core,
                                    seed=job.seed, trace_cache=cache)
-        return system.run_traces(traces, workload_names=names,
-                                 mix_name=job.mix)
+        walker, key = walk_config(system.config)
+        walks = cache.walk(tuple(traces), ("mix",) + key,
+                           lambda: MultiCoreSystem(walker).walk(traces))
+        return system.run_traces(traces, names, job.mix, walks=walks)
 
     base_config = job.config or SystemConfig.paper_single_core()
-    system = SimulatedSystem(base_config.with_predictor(job.predictor),
-                             walks=cache)
+    system = SimulatedSystem(base_config.with_predictor(job.predictor))
     workload = cache.resolve(job.workload)
     total = job.num_accesses + job.warmup_accesses
     buffer = cache.get(job.workload, total, seed=job.seed)
-    if job.warmup_accesses:
-        # Zero-copy split: both halves are views into the cached buffer.
-        system.hierarchy.run_buffer(buffer[:job.warmup_accesses])
+    walker, key = walk_config(system.config)
+    walk = cache.walk((buffer,), ("core",) + key,
+                      lambda: SimulatedSystem(walker).hierarchy.walk(buffer))
+    # Zero-copy split: both halves are views into the cached buffer.
+    warmup = job.warmup_accesses
+    if warmup:
+        system.hierarchy.run_buffer(buffer[:warmup], walk)
         system.reset_statistics()
-    return system.run_trace(buffer[job.warmup_accesses:], workload.name)
+    return system.run_trace(buffer[warmup:], workload.name, walk)
 
 
 # ======================================================================

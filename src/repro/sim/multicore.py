@@ -27,7 +27,7 @@ from ..memory.hierarchy import (
 )
 from ..trace import TraceBuffer
 from .config import SystemConfig
-from .system import make_llc_prefetcher, make_predictor, walk_config, \
+from .system import make_llc_prefetcher, make_predictor, \
     _make_private_prefetchers
 
 _LOAD = AccessType.LOAD
@@ -78,14 +78,13 @@ class MultiCoreResult:
 class MultiCoreSystem:
     """A quad-core (or N-core) system sharing one LLC and DRAM channel.
 
-    ``walks`` (the engine's :class:`~repro.sim.engine.TraceCache`) lets
-    the system replay the shared walk of a mix of cached traces instead
-    of walking it again (see :mod:`repro.memory.hierarchy`, "Walk and
-    replay").
+    :meth:`run_traces` walks its traces' round-robin interleaving on this
+    system's caches, or replays walks of it that the caller hands in (the
+    engine shares them between the systems it compares, see
+    :mod:`repro.memory.hierarchy`, "Walk and replay").
     """
 
-    def __init__(self, config: Optional[SystemConfig] = None,
-                 walks=None) -> None:
+    def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config or SystemConfig.paper_multi_core()
         self.shared = SharedMemorySystem(
             self.config.hierarchy, num_cores=self.config.num_cores,
@@ -99,12 +98,6 @@ class MultiCoreSystem:
                 l1_prefetcher=l1_prefetcher, l2_prefetcher=l2_prefetcher,
                 core_id=core_id, active_cores=self.config.num_cores))
         self.core_model = OutOfOrderCore(self.config.core)
-        self.walks = walks
-        # Traces replayed from a walk made elsewhere (their accesses are
-        # not in this system's caches yet), and whether the caches have
-        # walked anything.
-        self._borrowed: List[TraceBuffer] = []
-        self._walked = False
 
     # ------------------------------------------------------------------
     # Running
@@ -113,31 +106,23 @@ class MultiCoreSystem:
     # ``multicore.run_traces`` span).
     def run_traces(self, traces: Sequence[TraceBuffer],
                    workload_names: Optional[Sequence[str]] = None,
-                   mix_name: str = "mix") -> MultiCoreResult:
+                   mix_name: str = "mix",
+                   walks: Optional[Sequence[Walk]] = None) -> MultiCoreResult:
         """Interleave per-core traces round-robin and time each core.
 
-        The round-robin interleaving is walked once (:meth:`walk`, or the
-        shared walk of these cached traces), then each core replays its
-        own accesses through its predictor and timing model.
+        The round-robin interleaving is walked once (:meth:`walk`, unless
+        ``walks`` hands in one walk per trace of it), then each core
+        replays its own accesses through its predictor and timing model.
         """
         if len(traces) > len(self.cores):
             raise ValueError("more traces than cores")
+        if walks is not None and len(walks) != len(traces):
+            raise ValueError(f"{len(walks)} walks for {len(traces)} traces")
         if not traces:
             return self._collect(mix_name, [], [])
         names = list(workload_names or [f"core{i}" for i in range(len(traces))])
-        walks = None
-        if self.walks is not None and not self._walked \
-                and not self._borrowed:
-            config, spec = walk_config(self.config)
-            key = ("mix", spec, config.prefetch_scheme,
-                   config.prefetch_epoch_accesses, config.num_cores)
-            walks = self.walks.walk(
-                tuple(traces), key,
-                lambda: MultiCoreSystem(config).walk(traces))
         if walks is None:
             walks = self.walk(traces)
-        else:
-            self._borrowed = list(traces)
         per_core_latencies = [core.replay(walk, 0, len(walk))
                               for core, walk in zip(self.cores, walks)]
         executions = [
@@ -149,11 +134,6 @@ class MultiCoreSystem:
     def walk(self, traces: Sequence[TraceBuffer]) -> Tuple[Walk, ...]:
         """Walk the round-robin interleaving of per-core trace buffers
         through this system's caches; one :class:`Walk` per trace."""
-        if self._borrowed:
-            # Bring the caches to where the replayed traces left them.
-            borrowed, self._borrowed = self._borrowed, []
-            self.walk(borrowed)
-        self._walked = True
         plan = []
         walks = []
         load, store = _LOAD, _STORE

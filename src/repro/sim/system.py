@@ -24,6 +24,7 @@ from ..memory.hierarchy import (
     CoreMemoryHierarchy,
     HierarchyStats,
     SharedMemorySystem,
+    Walk,
 )
 from ..memory.spec import HierarchySpec
 from ..prefetch.base import NullPrefetcher, Prefetcher
@@ -111,16 +112,14 @@ def make_llc_prefetcher(config: SystemConfig) -> Prefetcher:
 class SimulatedSystem:
     """A single-core system: hierarchy + predictor + core timing model.
 
-    ``walks`` (the engine's :class:`~repro.sim.engine.TraceCache`) lets
-    the hierarchy replay the shared walk of a cached trace instead of
-    walking it again (see :mod:`repro.memory.hierarchy`, "Walk and
-    replay").  A system given its own ``llc_prefetcher`` walks on its
-    own: the walk's key cannot name an arbitrary prefetcher.
+    :meth:`run_trace` walks its trace on this system's own caches, or
+    replays a :class:`~repro.memory.hierarchy.Walk` of it that the caller
+    hands in (the engine shares one walk between the systems it compares,
+    see :mod:`repro.memory.hierarchy`, "Walk and replay").
     """
 
     def __init__(self, config: Optional[SystemConfig] = None,
-                 llc_prefetcher: Optional[Prefetcher] = None,
-                 walks=None) -> None:
+                 llc_prefetcher: Optional[Prefetcher] = None) -> None:
         self.config = config or SystemConfig.paper_single_core()
         self.predictor = make_predictor(self.config.predictor, self.config)
         self.shared = SharedMemorySystem(
@@ -132,23 +131,17 @@ class SimulatedSystem:
             predictor=self.predictor, l1_prefetcher=l1_prefetcher,
             l2_prefetcher=l2_prefetcher, core_id=0, active_cores=1)
         self.core = OutOfOrderCore(self.config.core)
-        if walks is not None and llc_prefetcher is None:
-            # Bound to the config, not to this system: the hierarchy keeps
-            # the source, and a cycle back to the system would leave every
-            # finished system to the cyclic garbage collector.
-            self.hierarchy.walk_source = functools.partial(
-                _shared_walk, walks, self.config)
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     # Read by perfbench until ROADMAP item 6 (its ``system.run_trace`` span).
-    def run_trace(self, trace: TraceBuffer,
-                  workload_name: str = "trace") -> SimulationResult:
+    def run_trace(self, trace: TraceBuffer, workload_name: str = "trace",
+                  walk: Optional[Walk] = None) -> SimulationResult:
         """Run a pre-generated trace through the hierarchy
-        (:meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.run_buffer`)
-        and the core model."""
-        latencies = self.hierarchy.run_buffer(trace)
+        (:meth:`~repro.memory.hierarchy.CoreMemoryHierarchy.run_buffer`,
+        which replays ``walk`` when one is given) and the core model."""
+        latencies = self.hierarchy.run_buffer(trace, walk)
         execution = self.core.execute(trace, latencies)
         return self._collect(workload_name, execution)
 
@@ -201,27 +194,20 @@ class SimulatedSystem:
         )
 
 
-def _shared_walk(walks, config: SystemConfig, root: TraceBuffer):
-    """The walk of the cached trace ``root`` shared through ``walks`` by
-    every single-core system that walks like ``config``."""
-    config, spec = walk_config(config)
-    key = ("core", spec, config.prefetch_scheme,
-           config.prefetch_epoch_accesses)
-    return walks.walk((root,), key,
-                      lambda: SimulatedSystem(config).hierarchy.walk(root))
-
-
-def walk_config(config: SystemConfig) -> Tuple[SystemConfig, HierarchySpec]:
-    """The configuration that walks exactly like ``config``, and its spec.
+def walk_config(config: SystemConfig) -> Tuple[SystemConfig, tuple]:
+    """The configuration that walks exactly like ``config``, and the key
+    of that walk.
 
     The walk reads neither the predictor nor the spec's replay-only
     fields (see :func:`_walk_spec`), so every compared system of one
-    hierarchy, and the latency variants of one chain, share it; the
-    normalised spec, the prefetch scheme and its epoch, and the core
-    count are what a walk's key must name.
+    hierarchy, and the latency variants of one chain, share it; the key
+    names what it does read: the normalised spec, the prefetch scheme
+    and its epoch, and the core count.
     """
     spec = _walk_spec(config.hierarchy)
-    return replace(config, predictor="baseline", hierarchy=spec), spec
+    return (replace(config, predictor="baseline", hierarchy=spec),
+            (spec, config.prefetch_scheme, config.prefetch_epoch_accesses,
+             config.num_cores))
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,12 +1,13 @@
 """A shared hierarchy walk gives the same results as a fresh one.
 
 Every compared system of one trace replays the one walk the engine's
-trace cache holds for it (see ``repro.memory.hierarchy``, "Walk and
-replay").  These tests run randomised hierarchies and traffic, and a
-Table II mix, through one shared cache in grid order and in reverse, and
-compare every result with a fresh cache per job and with a system that
-walks on its own.  They also pin the cache's walk counters, the bytes a
-walk holds per access, and a walk's pickle round trip.
+trace cache holds for it, which ``execute_job`` hands to the system (see
+``repro.memory.hierarchy``, "Walk and replay").  These tests run
+randomised hierarchies and traffic, and a Table II mix, through one
+shared cache in grid order and in reverse, and compare every result with
+a fresh cache per job and with a system that walks on its own.  They also
+pin the cache's walk counters, the bytes a walk holds per access, a
+walk's pickle round trip, and the checks on a handed-in walk.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import gc
 import pickle
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -95,7 +98,7 @@ class TestSharedWalks:
         backward, _ = _shared(jobs[::-1])
         assert backward[::-1] == fresh
 
-        # A system without a walk source walks the trace itself.
+        # A system handed no walk walks the trace itself.
         for job, expected in zip(jobs, fresh):
             system = SimulatedSystem(job.config.with_predictor(job.predictor))
             system.hierarchy.run_buffer(buffer[:job.warmup_accesses])
@@ -118,36 +121,6 @@ class TestSharedWalks:
             assert (cache.walk_misses, cache.walk_hits) == (1, 2)
             backward, _ = _shared(jobs[::-1])
             assert backward[::-1] == fresh
-
-    def test_mix_system_runs_a_second_mix_after_a_shared_walk(self):
-        config = SystemConfig.paper_multi_core("lp")
-        cache = TraceCache()
-        first, _ = mix_traces("mix1", 100, trace_cache=cache)
-        second, _ = mix_traces("mix2", 100, trace_cache=cache)
-        MultiCoreSystem(config, walks=cache).run_traces(first)
-        shared = MultiCoreSystem(config, walks=cache)
-        own = MultiCoreSystem(config)
-        for traces in (first, second):
-            assert shared.run_traces(traces) == own.run_traces(traces)
-        assert cache.walk_hits == 1
-
-    def test_hierarchy_leaving_a_shared_walk_catches_up(self):
-        """A system that replayed a shared walk and then runs another
-        buffer walks the replayed prefix first."""
-        spec = HierarchySpec.paper_single_core()
-        config = SystemConfig(name="walk-test", hierarchy=spec,
-                              predictor="lp")
-        cache = TraceCache()
-        trace = cache.get("gapbs.pr", 600)
-        other = cache.get("605.mcf", 300)
-        shared = SimulatedSystem(config, walks=cache).hierarchy
-        own = SimulatedSystem(config).hierarchy
-        for hierarchy in (shared, own):
-            hierarchy.run_buffer(trace[:200])
-            hierarchy.run_buffer(trace[200:400])
-        assert shared.run_buffer(other) == own.run_buffer(other)
-        assert shared.stats == own.stats
-        assert shared.l1.resident_blocks() == own.l1.resident_blocks()
 
     def test_specs_that_walk_differently_never_share_a_walk(self):
         paper = HierarchySpec.paper_single_core()
@@ -275,10 +248,52 @@ class TestWalkCounters:
         execute_job(jobs[0], cache)  # the oldest one was dropped
         assert cache.walk_misses == MAX_WALKS + 2
 
+    def test_threads_sharing_one_cache_replay_the_fresh_bytes(self):
+        """Threads that share one cache race on its walk lookups: every
+        job still returns a fresh walk's bytes, and each lookup counts
+        once."""
+        jobs = [SimulationJob("stream", predictor, 300, 100)
+                for predictor in COMPARED_SYSTEMS]
+        fresh = _fresh(jobs)
+        cache = TraceCache()
+        results = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def run(index):
+            barrier.wait(timeout=30)
+            results[index] = serialize_result(execute_job(jobs[index],
+                                                          cache))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(index,))
+                       for index in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == fresh
+        assert cache.walk_misses >= 1
+        assert cache.walk_misses + cache.walk_hits == len(jobs)
+
     def test_a_buffer_the_cache_does_not_hold_is_walked_alone(self):
+        """``build()``'s walk is returned but not kept: a second lookup
+        builds again, and neither counts as a hit or a miss."""
         cache = TraceCache()
         buffer = TraceCache().get("stream", 100)
-        assert cache.walk((buffer,), "key", lambda: None) is None
+        built = []
+
+        def build():
+            built.append(object())
+            return built[-1]
+
+        for _ in range(2):
+            assert cache.walk((buffer,), "key", build) is built[-1]
+        assert len(built) == 2
         assert (cache.walk_misses, cache.walk_hits) == (0, 0)
 
 
@@ -318,15 +333,39 @@ class TestWalkRecord:
         warmup = len(trace) // 4
         for predictor in ("baseline", "lp", "tage-2kb", "ideal"):
             replays = []
-            for source in (walk, copy):
-                served = []
+            for handed in (walk, copy):
                 system = SimulatedSystem(
                     SystemConfig.paper_single_core(predictor))
-                system.hierarchy.walk_source = \
-                    lambda root, source=source: served.append(root) or source
-                system.hierarchy.run_buffer(trace[:warmup])
+                system.hierarchy.run_buffer(trace[:warmup], handed)
                 system.reset_statistics()
                 replays.append(serialize_result(
-                    system.run_trace(trace[warmup:], "605.mcf")))
-                assert served == [trace]  # the system walked nothing itself
+                    system.run_trace(trace[warmup:], "605.mcf", handed)))
+                # The system walked nothing itself.
+                assert not system.hierarchy.l1.resident_blocks()
             assert replays[0] == replays[1]
+
+
+class TestHandedWalks:
+    def test_a_buffer_past_the_end_of_its_walk_is_refused(self):
+        trace, walk = _walk_of("stream", 300)
+        longer = TraceCache().get("stream", 400)
+        hierarchy = SimulatedSystem(
+            SystemConfig.paper_single_core()).hierarchy
+        with pytest.raises(ValueError, match="400-access buffer.*"
+                                             "300-access walk"):
+            hierarchy.run_buffer(longer, walk)
+        with pytest.raises(ValueError, match="101-access buffer at row "
+                                             "200.*300-access walk"):
+            hierarchy.run_buffer(longer[200:301], walk)
+        assert hierarchy.run_buffer(trace[200:], walk)
+
+    def test_a_mix_refuses_a_walk_count_other_than_its_trace_count(self):
+        config = SystemConfig.paper_multi_core()
+        traces, _ = mix_traces("mix1", 100, trace_cache=TraceCache())
+        walks = MultiCoreSystem(config).walk(traces)
+        system = MultiCoreSystem(config)
+        for count in (len(traces) - 1, len(traces) + 1):
+            with pytest.raises(ValueError, match=f"{count} walks for "
+                                                 f"{len(traces)} traces"):
+                system.run_traces(traces, walks=(walks * 2)[:count])
+        assert system.run_traces(traces, walks=walks).total_predictions
