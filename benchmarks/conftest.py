@@ -6,7 +6,8 @@ figure and checks the paper's claims about it.  The benchmarks here cover
 what has no registry grid (Figures 1-3, Tables I-II, the storage overhead).
 Each prints its table, writes it to ``benchmarks/results/`` and asserts
 the qualitative shape.  How fast the simulator and its serving tier run
-is measured by ``perfbench/`` alone.
+is measured by ``perfbench/`` alone; ``serve_pairs.py`` runs it on a
+parent and a change in alternating pairs and writes the ledger.
 
 Simulation volume is controlled with environment variables:
 

@@ -407,24 +407,51 @@ class _RequestState:
         return data
 
 
+def wire_json(value: Any) -> bytes:
+    """``value`` as the protocol encodes it: compact, sorted-key JSON."""
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+class _WireStats(dict):
+    """A figure's summarised stats, carrying their :func:`wire_json`
+    encoding in ``wire``.
+
+    The stats are encoded once, when a request summarises the grid, and
+    every response that carries them has those bytes written into its
+    line (see :meth:`_ServiceHandler._respond`).  ``wire`` would go stale
+    if the dict changed, so nothing may mutate it.
+    """
+
+    __slots__ = ("wire",)
+
+    def __init__(self, stats: Dict[str, Any]) -> None:
+        super().__init__(stats)
+        self.wire = wire_json(self)
+
+
 class _Grid:
     """One grid's jobs and job keys, plus its stats once summarised.
 
-    ``summary`` is ``(stats, canonical_bytes)``: the figure's stats and
-    their stats-file encoding, set by the latest request that completed
-    the grid with no failed job.  Results are content-addressed and
+    ``keyset`` holds the keys as one set (with ``None`` for an
+    uncacheable job, which no store holds), so whether the store still
+    holds the whole grid is one subset test.  ``summary`` is ``(stats,
+    canonical_bytes)``: the figure's :class:`_WireStats` and their
+    stats-file encoding, set by the latest request that completed the
+    grid with no failed job.  Results are content-addressed and
     deterministic, so once every key is stored the stats depend only on
     the keys, and a later request whose keys are all still in the store
     is answered from ``summary`` without reading a single result.
     """
 
-    __slots__ = ("jobs", "keys", "summary")
+    __slots__ = ("jobs", "keys", "keyset", "summary")
 
     def __init__(self, jobs: Tuple[Job, ...],
                  keys: Tuple[Optional[str], ...]) -> None:
         self.jobs = jobs
         self.keys = keys
-        self.summary: Optional[Tuple[Dict[str, Any], bytes]] = None
+        self.keyset = frozenset(keys)
+        self.summary: Optional[Tuple[_WireStats, bytes]] = None
 
 
 # ======================================================================
@@ -585,9 +612,10 @@ class SimulationService:
         ``result``.  A figure grid whose memoised stats still hold (see
         :meth:`_serve_summary`) is answered inline either way, with no
         request thread.  The response carries the payload (``stats`` /
-        ``results``) whenever the request is already ``done``; a
-        memo-served ``stats`` dict is shared by every such response, so
-        in-process callers must not mutate it.
+        ``results``) whenever the request is already ``done``.  A figure's
+        ``stats`` dict is shared by every response served from the same
+        summary and carries its own wire encoding (:class:`_WireStats`),
+        so in-process callers must not mutate it.
         """
         if self._closed:
             raise ServiceError("service is shutting down",
@@ -764,7 +792,10 @@ class SimulationService:
 
         Returns ``False``, having changed nothing, when the grid has no
         summary or any key is missing from the store (cleared, say): the
-        caller then runs the grid normally.  A served request counts as
+        caller then runs the grid normally.  The check is one subset test
+        of ``grid.keyset`` against the store, and the stats are the
+        memoised :class:`_WireStats`, so nothing here loops over the
+        grid's cells or encodes the stats.  A served request counts as
         a store hit per cell, exactly like a warm grid run the long way,
         and rewrites the stats file only if its bytes differ.  The
         caller skips this for ``force``.
@@ -774,7 +805,7 @@ class SimulationService:
             return False
         start = time.perf_counter()
         with self._lock:
-            if not all(key in self.store for key in grid.keys):
+            if not self.store.holds_all(grid.keyset):
                 return False
             self._count(state, "stored", state.total)
         state.completed = state.total
@@ -807,7 +838,8 @@ class SimulationService:
                                  for result in results]
             else:
                 experiment = EXPERIMENTS[state.name]
-                state.stats = experiment.summarize(results, scale)
+                state.stats = _WireStats(
+                    experiment.summarize(results, scale))
                 payload = canonical_json(state.stats).encode("utf-8")
                 state.stats_path = self._write_stats(state.name, payload)
                 grid.summary = (state.stats, payload)
@@ -1391,16 +1423,32 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
                 return
 
     def _respond(self, response: Dict[str, Any]) -> bool:
-        """Write one response line; False when the connection died."""
-        payload = json.dumps(response, sort_keys=True,
-                             separators=(",", ":")) + "\n"
+        """Write one response line; False when the connection died.
+
+        The line is ``wire_json(response)`` plus a newline, byte for
+        byte.  Figure stats already hold that encoding (their ``wire``),
+        so the rest of the response is encoded and the stats bytes go in
+        at their sorted place: just before ``"stats_path"``, which every
+        response carrying stats has.
+        """
+        stats_wire = getattr(response.get("stats"), "wire", None)
+        if stats_wire is None:
+            payload = wire_json(response) + b"\n"
+        else:
+            rest = dict(response)
+            del rest["stats"]
+            # An encoded string never holds ',"' (its quotes are escaped),
+            # so this splits at the top-level key.
+            head, tail = wire_json(rest).split(b',"stats_path":', 1)
+            payload = b"".join((head, b',"stats":', stats_wire,
+                                b',"stats_path":', tail, b"\n"))
         try:
             # Fault site: the response connection dying under the daemon.
             # An injected drop raises the same ConnectionResetError a real
             # torn socket would; the handler then closes the connection,
             # so the client sees EOF and drives its reconnect path.
             fault_point("service.response")
-            self.wfile.write(payload.encode("utf-8"))
+            self.wfile.write(payload)
         except (BrokenPipeError, ConnectionResetError):
             return False  # client went away; nothing to report to
         return True
@@ -1648,8 +1696,7 @@ class ServiceClient:
         """
         payload = {"op": op, **{key: value for key, value in params.items()
                                 if value is not None}}
-        line = (json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")) + "\n").encode("utf-8")
+        line = wire_json(payload) + b"\n"
         timeout = self.timeout if io_timeout is None else io_timeout
         connection = getattr(self._local, "connection", None)
         raw = b""

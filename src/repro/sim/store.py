@@ -76,7 +76,16 @@ import time
 import uuid
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 # POSIX-only on purpose: the store's concurrency guarantees rest on
 # fcntl.flock and os.pread, so a platform without them must fail loudly
@@ -800,6 +809,11 @@ class ResultStore:
 
     def __contains__(self, key: Optional[str]) -> bool:
         return key is not None and key in self._entries
+
+    def holds_all(self, keys: AbstractSet[Optional[str]]) -> bool:
+        """Whether every key in ``keys`` is stored, as one subset test;
+        ``None`` (an uncacheable job's key) never is."""
+        return self._entries.keys() >= keys
 
     def keys(self) -> List[str]:
         return list(self._entries)

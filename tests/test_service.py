@@ -303,6 +303,12 @@ def _spy(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def _encode(value) -> bytes:
+    """``value``'s wire encoding, computed afresh."""
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 class TestGridMemo:
     @pytest.mark.parametrize("scale", [Scale(), BENCH_SCALE],
                              ids=["default", "bench"])
@@ -381,6 +387,19 @@ class TestGridMemo:
             again["total_jobs"]
         assert canonical_json(again["stats"]) == \
             canonical_json(cold["stats"])
+        # The rerun summarised the grid again, with its own wire bytes.
+        stats = service._grid("fig13", TINY).summary[0]
+        assert stats is again["stats"]
+        assert stats.wire == _encode(stats)
+
+    def test_store_holds_a_grid_only_with_every_key(self, service):
+        service.submit(experiment="fig13", scale=TINY_WIRE, wait=True)
+        keyset = service._grid("fig13", TINY).keyset
+        assert service.store.holds_all(keyset)
+        assert service.store.holds_all(frozenset())
+        # An uncacheable job's key (None) and an unstored key never are.
+        assert not service.store.holds_all(keyset | {None})
+        assert not service.store.holds_all(keyset | {"0" * 64})
 
     def test_memoised_stats_match_a_fresh_summary(self, service):
         """Every figure's memo-served stats are byte-equal to summarising
@@ -418,6 +437,8 @@ class TestGridMemo:
         assert grid.summary is not summary
         assert grid.summary[1] == summary[1]
         assert forced["stats"] == cold["stats"]
+        stats = grid.summary[0]
+        assert stats.wire == _encode(stats) == summary[0].wire
 
     def test_grid_with_a_failed_job_is_never_memoised(self, service,
                                                       monkeypatch):
@@ -783,6 +804,67 @@ class TestSocketServer:
         final = server.result(submitted["id"], wait=True, timeout=60.0)
         assert final["state"] == "done"
         assert final["stats"] is not None
+
+    def test_every_response_line_is_its_canonical_encoding(self, service,
+                                                            server):
+        """Each line the daemon writes is byte-identical to its decode
+        re-encoded compactly with sorted keys: every figure read by the
+        run path and memo-served, a ``result`` poll, an ad-hoc grid and
+        an error."""
+        family, location = parse_address(server.address)
+        with socket.create_connection(location, timeout=60.0) as sock:
+            reader = sock.makefile("rb")
+
+            def exchange(**request) -> dict:
+                sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
+                line = reader.readline()
+                decoded = json.loads(line)
+                assert line == _encode(decoded) + b"\n", request
+                return decoded
+
+            for name in EXPERIMENTS:
+                grid = service._grid(name, TINY)
+                assert grid.summary is None, name
+                ran = exchange(op="submit", experiment=name,
+                               scale=TINY_WIRE, wait=True)
+                assert ran["state"] == "done", name
+                assert grid.summary is not None, name
+                hits = service.store.hits
+                served = exchange(op="submit", experiment=name,
+                                  scale=TINY_WIRE, wait=True)
+                assert service.store.hits == hits, name  # memo-served
+                assert served["stats"] == ran["stats"], name
+            unseen = {"accesses": 90, "warmup": 30, "mix_accesses": 60}
+            submitted = exchange(op="submit", experiment="fig13",
+                                 scale=unseen)
+            polled = exchange(op="result", id=submitted["id"], wait=True,
+                              timeout=60)
+            assert polled["state"] == "done" and polled["stats"]
+            adhoc = exchange(op="submit", wait=True, jobs=[
+                {"workload": "gups", "predictor": "lp",
+                 "num_accesses": 80, "warmup_accesses": 20}])
+            assert adhoc["state"] == "done" and adhoc["results"]
+            error = exchange(op="submit", experiment="fig99")
+            assert error["ok"] is False and error["code"]
+
+    def test_memo_served_read_encodes_no_stats_and_checks_no_key(
+            self, service, server, monkeypatch):
+        cold = server.submit(experiment="fig11", scale=TINY_WIRE,
+                             wait=True)
+        encoded = _spy(monkeypatch, service_module, "wire_json")
+        checked = []
+        contains = ResultStore.__contains__
+        monkeypatch.setattr(ResultStore, "__contains__",
+                            lambda store, key: checked.append(key)
+                            or contains(store, key))
+        warm = server.submit(experiment="fig11", scale=TINY_WIRE,
+                             wait=True)
+        assert warm["stats"] == cold["stats"]
+        assert warm["stored"] == warm["total_jobs"]
+        assert checked == []
+        # Two encodes, both without stats: the request and the response.
+        assert len(encoded) == 2
+        assert not any("stats" in value for (value,) in encoded)
 
     def test_error_responses_do_not_kill_the_daemon(self, server):
         with pytest.raises(ServiceError, match="unknown experiment"):
