@@ -27,6 +27,11 @@ Both steps run on one thread: ``dispatch_us`` and ``encode_us`` are
 their wall time per request, ``cpu_us`` the process CPU per request
 (the daemon's CPU per warm read minus the socket and the request
 decode).
+
+``fleet-start --checkout DIR`` prints the fleet start-up alone: the
+seconds from exec'ing ``python -m repro fleet --members 2`` on an empty
+store to its combined ``--ready-file``, over 10 starts.  The pairs
+ledger records it too, as 10 alternating starts per side.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ SEEDS = (0, 1)
 LAYER_REQUESTS = 2000
 LAYER_REPEATS = 5
 LAYER_PAIRS = 3
+#: Fleet start-ups a side, alternating, and the members in each fleet.
+FLEET_STARTS = 10
+FLEET_MEMBERS = 2
 
 
 def spread(values: Sequence[float]) -> Dict[str, float]:
@@ -116,6 +124,39 @@ def layers(checkout: Path) -> Dict[str, Any]:
     if simulations:
         raise RuntimeError(f"the warm mix simulated {simulations} jobs")
     return {name: spread(values) for name, values in samples.items()}
+
+
+# ----------------------------------------------------------------------
+# Fleet start-up
+# ----------------------------------------------------------------------
+def fleet_start(checkout: Path) -> float:
+    """Seconds from exec'ing ``repro fleet`` in ``checkout`` to its
+    combined ready file (on an empty store)."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(checkout / "src")
+    with tempfile.TemporaryDirectory(prefix="serve-pairs-") as scratch:
+        ready = Path(scratch) / "fleet.addr"
+        began = time.perf_counter()
+        launcher = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", "--members",
+             str(FLEET_MEMBERS), "--store", str(Path(scratch) / "store"),
+             "--ready-file", str(ready)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            while not ready.is_file():
+                if launcher.poll() is not None:
+                    raise RuntimeError(f"repro fleet exited with code "
+                                       f"{launcher.returncode}")
+                time.sleep(0.002)
+            return time.perf_counter() - began
+        finally:
+            launcher.terminate()
+            launcher.wait()
+
+
+def start_spread(values: List[float]) -> Dict[str, Any]:
+    return {"runs_s": values, **spread(values)}
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +233,15 @@ def pairs(parent: Path, change: Path) -> Dict[str, Any]:
                 f"{LAYER_REQUESTS} requests a pass, {LAYER_REPEATS} passes "
                 f"a run, {LAYER_PAIRS} alternating runs a side",
         **layer_runs}
+    starts: Dict[str, List[float]] = {"parent": [], "change": []}
+    for pair in range(FLEET_STARTS):
+        for side in in_order(pair):
+            starts[side].append(fleet_start(sides[side]))
+    ledger["fleet_start"] = {
+        "what": f"seconds from exec'ing 'python -m repro fleet --members "
+                f"{FLEET_MEMBERS}' on an empty store to its combined "
+                f"--ready-file, {FLEET_STARTS} alternating starts a side",
+        **{side: start_spread(values) for side, values in starts.items()}}
     return ledger
 
 
@@ -223,15 +273,22 @@ def summarise(runs: List[Dict[str, Any]]) -> Dict[str, Any]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("mode", nargs="?", default="pairs",
-                        choices=("pairs", "layers"))
+                        choices=("pairs", "layers", "fleet-start"))
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path, default=Path("."))
     parser.add_argument("--checkout", type=Path, default=Path("."),
-                        help="the checkout 'layers' measures")
+                        help="the checkout 'layers' or 'fleet-start' "
+                             "measures")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.mode == "layers":
         print(json.dumps(layers(args.checkout.resolve()), sort_keys=True))
+        return 0
+    if args.mode == "fleet-start":
+        checkout = args.checkout.resolve()
+        print(json.dumps(start_spread([fleet_start(checkout)
+                                       for _ in range(FLEET_STARTS)]),
+                         sort_keys=True))
         return 0
     if args.parent is None:
         parser.error("pairs needs --parent")

@@ -56,6 +56,9 @@ Subcommands
     ephemeral port), print the combined comma-separated address list
     (and write it to ``--ready-file``), forward SIGTERM/SIGINT to the
     members, and stop the whole fleet if any member dies unexpectedly.
+    The members are forked from the launcher after its one import of
+    ``repro``, so they show the launcher's command line in ``ps``;
+    ``serve`` still starts a member by hand.
 
 ``run/status/figures/stats --remote ADDR``
     Point the experiment commands at a running daemon instead of
@@ -471,20 +474,19 @@ def cmd_figures(args: argparse.Namespace) -> int:
 # ======================================================================
 # serve
 # ======================================================================
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the persistent simulation daemon (see :mod:`repro.service`)."""
-    if args.port is not None and args.socket is not None:
-        print("repro: serve takes --port or --socket, not both",
-              file=sys.stderr)
-        return 2
-    port, socket_path = args.port, args.socket
-    if port is None and socket_path is None:
-        port = DEFAULT_SERVICE_PORT
+def _serve(args: argparse.Namespace, port: Optional[int],
+           socket_path: Optional[str], ready_file: Optional[str]) -> int:
+    """Run the daemon behind ``serve`` and behind every ``fleet`` member.
+
+    ``args`` carries the store, pool and job options.  A bad fault
+    schedule or hierarchy spec exits 2; an address that cannot be bound
+    exits 1.
+    """
     try:
         with _faults_env(args):
             return main_serve(args.store, port=port,
                               socket_path=socket_path, jobs=args.jobs,
-                              ready_file=args.ready_file,
+                              ready_file=ready_file,
                               job_retries=args.job_retries,
                               job_timeout=args.job_timeout,
                               max_queue=args.max_queue,
@@ -501,65 +503,92 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 1
 
 
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the persistent simulation daemon (see :mod:`repro.service`)."""
+    if args.port is not None and args.socket is not None:
+        print("repro: serve takes --port or --socket, not both",
+              file=sys.stderr)
+        return 2
+    port = args.port
+    if port is None and args.socket is None:
+        port = DEFAULT_SERVICE_PORT
+    return _serve(args, port, args.socket, args.ready_file)
+
+
 # ======================================================================
 # fleet
 # ======================================================================
+#: How often the launcher looks for its members' ready files.
+FLEET_STARTUP_POLL_S = 0.005
+
+
+def _fleet_member(args: argparse.Namespace, port: int,
+                  ready_file: str) -> None:
+    """Body of a forked ``fleet`` member: the ``serve`` daemon on ``port``."""
+    import signal
+
+    # Like an exec'd ``serve``, die of a SIGINT that lands before the
+    # daemon's own handlers are up (exit code -SIGINT, not a traceback).
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    sys.exit(_serve(args, port, None, ready_file))
+
+
 def _stop_fleet_members(children: List[Any], grace: float = 5.0) -> None:
     """Terminate fleet members, escalating to SIGKILL after ``grace``."""
-    import subprocess
-
     for child in children:
-        if child.poll() is None:
+        if child.exitcode is None:
             child.terminate()
     deadline = time.monotonic() + grace
+    while any(child.exitcode is None for child in children) and \
+            time.monotonic() < deadline:
+        time.sleep(0.05)
     for child in children:
-        try:
-            child.wait(timeout=max(0.1, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
+        if child.exitcode is None:
             child.kill()
-            child.wait()
+            child.join()
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Launch N daemons over one shared store and babysit them.
 
-    Each member is a ``serve`` subprocess on its own ephemeral port (or
-    ``--base-port + index``).  Once every member has written its ready
-    file the combined comma-separated address list is printed (and
+    Each member is forked from this process, which has already imported
+    ``repro``, and runs the ``serve`` daemon on its own ephemeral port
+    (or ``--base-port + index``).  Once every member has written its
+    ready file the combined comma-separated address list is printed (and
     written to ``--ready-file``) — paste it straight into ``--remote``.
     SIGTERM/SIGINT are forwarded to the members; an unexpected member
     death brings the fleet down.
     """
+    import multiprocessing
+    import shutil
     import signal
-    import subprocess
     import tempfile
+    import threading
 
     members = args.members
     if members < 1:
         print("repro: fleet needs at least one member", file=sys.stderr)
         return 2
+    # A forked child inherits only the forking thread: a lock another
+    # thread held at the fork would stay held in every member for good.
+    assert threading.active_count() == 1, \
+        "fleet members must be forked before the launcher starts a thread"
+    fork = multiprocessing.get_context("fork")
     ready_dir = Path(tempfile.mkdtemp(prefix="repro-fleet-"))
-    base_cmd = [sys.executable, "-m", "repro", "serve",
-                "--store", args.store]
-    for flag, value in (("--jobs", args.jobs), ("--pool", args.pool),
-                        ("--job-retries", args.job_retries),
-                        ("--job-timeout", args.job_timeout),
-                        ("--max-queue", args.max_queue),
-                        ("--hierarchy", args.hierarchy)):
-        if value is not None:
-            base_cmd += [flag, str(value)]
     children = []
     ready_files = []
     try:
         for index in range(members):
             ready = ready_dir / f"member-{index}.addr"
             port = args.base_port + index if args.base_port else 0
-            children.append(subprocess.Popen(
-                base_cmd + ["--port", str(port),
-                            "--ready-file", str(ready)]))
+            # Not daemonic: a member owns a process pool of its own.
+            child = fork.Process(target=_fleet_member,
+                                 args=(args, port, str(ready)))
+            child.start()
+            children.append(child)
             ready_files.append(ready)
     except OSError as exc:
-        print(f"repro: cannot spawn fleet member: {exc}", file=sys.stderr)
+        print(f"repro: cannot fork fleet member: {exc}", file=sys.stderr)
         _stop_fleet_members(children)
         return 1
 
@@ -567,9 +596,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + args.startup_timeout
     for child, ready in zip(children, ready_files):
         while not ready.is_file():
-            if child.poll() is not None:
+            if child.exitcode is not None:
                 print(f"repro: fleet member exited with code "
-                      f"{child.returncode} during startup",
+                      f"{child.exitcode} during startup",
                       file=sys.stderr)
                 _stop_fleet_members(children)
                 return 1
@@ -578,8 +607,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                       f"{args.startup_timeout:.0f}s", file=sys.stderr)
                 _stop_fleet_members(children)
                 return 1
-            time.sleep(0.05)
+            time.sleep(FLEET_STARTUP_POLL_S)
         addresses.append(ready.read_text(encoding="utf-8").strip())
+    shutil.rmtree(ready_dir, ignore_errors=True)
 
     fleet_address = ",".join(addresses)
     print(f"repro.fleet: {members} members sharing store {args.store}: "
@@ -597,21 +627,17 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         del frame
         stopping["signalled"] = True
         for child in children:
-            if child.poll() is None:
-                try:
-                    child.send_signal(signal.SIGTERM)
-                except OSError:  # pragma: no cover - exited in between
-                    pass
+            if child.exitcode is None:
+                child.terminate()
 
     previous = {sig: signal.signal(sig, _forward)
                 for sig in (signal.SIGTERM, signal.SIGINT)}
     exit_code = 0
     try:
-        while any(child.poll() is None for child in children):
+        while any(child.exitcode is None for child in children):
             if not stopping["signalled"]:
-                dead = [child.returncode for child in children
-                        if child.poll() is not None
-                        and child.returncode != 0]
+                dead = [child.exitcode for child in children
+                        if child.exitcode not in (None, 0)]
                 if dead:
                     print(f"repro: fleet member died (exit {dead[0]}); "
                           f"stopping the fleet", file=sys.stderr)
@@ -624,7 +650,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
         _stop_fleet_members(children)
-    if not exit_code and any(child.returncode
+    if not exit_code and any(child.exitcode
                              not in (0, -signal.SIGTERM, -signal.SIGINT)
                              for child in children):
         exit_code = 1

@@ -85,7 +85,6 @@ schedules and asserts the final stats are bit-identical to
 from __future__ import annotations
 
 import errno
-import multiprocessing
 import os
 import random
 import threading
@@ -323,7 +322,7 @@ class FaultPlane:
             # pool's post-kill thread fallback completes instead of
             # re-dying on the same rule.  Use ``crash`` to fail
             # thread-pool workers.
-            if _in_worker_child():
+            if _WORKER_CHILD:
                 os._exit(KILL_EXIT_STATUS)
             return None
         if kind == "crash":
@@ -356,9 +355,16 @@ class TornWrite(Exception):
         self.prefix = prefix
 
 
-def _in_worker_child() -> bool:
-    """True in a process spawned by a worker pool (never the daemon)."""
-    return multiprocessing.parent_process() is not None
+#: True in a worker-pool child, the one kind of process a ``kill`` rule
+#: may end.  Set by the pool's initializer, not inferred from the process
+#: tree: a ``fleet`` member is a forked child too, and it is a daemon.
+_WORKER_CHILD = False
+
+
+def mark_worker_child() -> None:
+    """Arm ``kill`` rules in this process: it is a worker-pool child."""
+    global _WORKER_CHILD
+    _WORKER_CHILD = True
 
 
 # ======================================================================

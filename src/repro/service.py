@@ -430,6 +430,12 @@ class _WireStats(dict):
         self.wire = wire_json(self)
 
 
+def _file_identity(stat: os.stat_result) -> Tuple[int, int, int]:
+    """Inode, size and mtime: a file whose identity is unchanged still
+    holds the bytes it held when the identity was taken."""
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
 class _Grid:
     """One grid's jobs and job keys, plus its stats once summarised.
 
@@ -592,6 +598,11 @@ class SimulationService:
         #: and summarising stored results.
         self._grid = functools.lru_cache(maxsize=GRID_MEMO_SIZE)(
             self._build_grid)
+        #: experiment -> ``(stats path, bytes, identity)``: the file at
+        #: that path held those bytes when it had that identity
+        #: (:func:`_file_identity`); see :meth:`_write_stats`.
+        self._stats_files: Dict[
+            str, Tuple[str, bytes, Tuple[int, int, int]]] = {}
 
     @property
     def pool_kind(self) -> str:
@@ -871,21 +882,42 @@ class SimulationService:
         unwritable media the request still succeeds — the stats are in
         the response payload; only the on-disk copy is lost — and the
         daemon flips to degraded read-only mode.  A file that already
-        holds these exact bytes (every warm repeat) is left alone.
+        holds these exact bytes (every warm repeat) is left alone: the
+        daemon keeps the ``os.stat`` identity of the file it last wrote
+        or read with them, so a repeat costs one ``stat``, and a file
+        replaced, edited or deleted since is read (and rewritten) again.
+        An in-place edit that keeps the size within one tick of the
+        file system's mtime clock goes unseen.
         """
+        known = self._stats_files.get(name)
+        if known is not None and known[1] == payload:
+            try:
+                if _file_identity(os.stat(known[0])) == known[2]:
+                    return known[0]
+            except OSError:
+                pass  # deleted: rewrite it below
         stats_path = self.store.root / "stats" / f"{name}.json"
+        path = str(stats_path)
         try:
-            if stats_path.read_bytes() == payload:
-                return str(stats_path)
+            with open(stats_path, "rb") as handle:
+                if handle.read() == payload:
+                    identity = _file_identity(os.fstat(handle.fileno()))
+                    self._stats_files[name] = (path, payload, identity)
+                    return path
         except OSError:
             pass  # missing or unreadable: (re)write it below
         # Temp + rename: concurrent same-experiment requests (or a kill
-        # mid-write) must never leave a torn stats file.
+        # mid-write) must never leave a torn stats file.  The identity is
+        # the temp file's own, so a rename racing ours cannot vouch for
+        # bytes it does not hold.
         tmp = stats_path.with_name(
             f".{stats_path.name}.{threading.get_ident()}.tmp")
         try:
             stats_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(payload)
+            with open(tmp, "wb") as handle:
+                handle.write(payload)
+                handle.flush()
+                identity = _file_identity(os.fstat(handle.fileno()))
             os.replace(tmp, stats_path)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
@@ -893,7 +925,8 @@ class SimulationService:
                          "read-only mode", stats_path, exc)
             self._enter_degraded(str(exc))
             return None
-        return str(stats_path)
+        self._stats_files[name] = (path, payload, identity)
+        return path
 
     def _enter_degraded(self, reason: str) -> None:
         with self._lock:

@@ -40,6 +40,8 @@ from concurrent.futures import CancelledError, Future, InvalidStateError, \
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Deque, Dict, Optional, Set
 
+from ..faults import mark_worker_child
+
 _log = logging.getLogger(__name__)
 
 #: How often a pool worker checks that its parent process is still alive.
@@ -68,6 +70,14 @@ def exit_with_parent() -> None:
     """
     threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
                      name="repro-parent-watch", daemon=True).start()
+
+
+def _init_worker() -> None:
+    """Process-pool ``initializer`` of :class:`WorkerPool`: mark this
+    process as a pool worker for :mod:`repro.faults` and end it once its
+    parent dies."""
+    mark_worker_child()
+    exit_with_parent()
 
 
 def _settle(future: "Future[Any]", result: Any = None,
@@ -114,7 +124,7 @@ class WorkerPool:
     def _build(self):
         if self.kind == "process":
             executor = ProcessPoolExecutor(max_workers=self.workers,
-                                           initializer=exit_with_parent)
+                                           initializer=_init_worker)
             try:
                 executor.submit(os.getpid).result()
                 return executor

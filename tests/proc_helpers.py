@@ -26,6 +26,27 @@ def children(pid: int) -> List[int]:
     return found
 
 
+def parent_of(pid: int) -> Optional[int]:
+    """The parent pid of ``pid``, or None once it is gone."""
+    fields = _stat_fields(pid)
+    return None if fields is None else int(fields[1])
+
+
+def running_with_argument(text: str) -> List[int]:
+    """Live PIDs one of whose command-line arguments contains ``text``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                arguments = (entry / "cmdline").read_bytes().split(b"\0")
+            except OSError:
+                continue
+            if any(text.encode() in argument for argument in arguments) \
+                    and alive(int(entry.name)):
+                found.append(int(entry.name))
+    return found
+
+
 def alive(pid: int) -> bool:
     """True unless ``pid`` is gone or a zombie awaiting its reaper."""
     fields = _stat_fields(pid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
 import os
 import socket
 import subprocess
@@ -258,6 +259,18 @@ class TestEngineFaults:
         # Must not exit this process; must not raise either.
         (result,) = SimulationEngine(jobs=1, store=False).run([job])
         assert result is not None
+
+    def test_kill_is_inert_in_a_forked_daemon(self):
+        """A ``fleet`` member is a forked child but no pool worker: a
+        ``kill`` rule must not end it."""
+        faults.install("worker.job:kill@times=1")
+        job = SimulationJob(workload="gups", predictor="lp",
+                            num_accesses=40)
+        child = multiprocessing.get_context("fork").Process(
+            target=SimulationEngine(jobs=1, store=False).run, args=([job],))
+        child.start()
+        child.join(timeout=60.0)
+        assert child.exitcode == 0
 
     @pytest.mark.slow
     def test_killed_pool_workers_fail_over_to_serial(self, monkeypatch):

@@ -50,6 +50,8 @@ from repro.sim.store import (
     job_spec,
 )
 
+from proc_helpers import alive, parent_of, running_with_argument
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
@@ -798,6 +800,138 @@ class TestFleetClient:
 
 
 # ======================================================================
+# The fleet launcher (``repro fleet``)
+# ======================================================================
+def _consecutive_free_ports() -> int:
+    """A localhost port ``p`` with ``p`` and ``p + 1`` both free."""
+    for _ in range(50):
+        with socket_module.socket() as first, \
+                socket_module.socket() as second:
+            first.bind(("127.0.0.1", 0))
+            port = first.getsockname()[1]
+            try:
+                second.bind(("127.0.0.1", port + 1))
+            except OSError:
+                continue
+        return port
+    raise AssertionError("no two consecutive free ports")
+
+
+def _launch_fleet(tmp_path: Path, *options: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("REPRO_STORE", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "fleet", "--members", "2",
+         "--store", str(tmp_path / "store"),
+         "--ready-file", str(tmp_path / "fleet-ready.txt"), *options],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _fleet_address(launcher: subprocess.Popen, tmp_path: Path) -> str:
+    ready = tmp_path / "fleet-ready.txt"
+    deadline = time.monotonic() + 60.0
+    while not ready.is_file():
+        assert launcher.poll() is None, \
+            launcher.stderr.read().decode()  # type: ignore
+        assert time.monotonic() < deadline, \
+            "launcher never wrote the combined ready file"
+        time.sleep(0.01)
+    return ready.read_text().strip()
+
+
+def _stop_launcher(launcher: subprocess.Popen) -> None:
+    if launcher.poll() is None:
+        launcher.send_signal(signal.SIGTERM)
+        try:
+            launcher.wait(timeout=30.0)
+        except subprocess.TimeoutExpired:
+            launcher.kill()
+            raise
+    launcher.stdout.close()  # type: ignore
+    launcher.stderr.close()  # type: ignore
+
+
+def _await_gone(pids, timeout: float = 10.0) -> list:
+    """The pids of ``pids`` still alive after up to ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        living = [pid for pid in pids if alive(pid)]
+        if not living or time.monotonic() >= deadline:
+            return living
+        time.sleep(0.05)
+
+
+class TestFleetLauncher:
+    def test_process_pool_fleet_on_base_ports_leaves_nothing_running(
+            self, tmp_path):
+        port = _consecutive_free_ports()
+        launcher = _launch_fleet(tmp_path, "--base-port", str(port),
+                                 "--pool", "process", "--jobs", "1")
+        try:
+            address = _fleet_address(launcher, tmp_path)
+            assert address == f"127.0.0.1:{port},127.0.0.1:{port + 1}"
+            stats = FleetClient(address, timeout=30.0).stats()
+            assert stats["fleet"] == {"size": 2, "reachable": 2}
+            pids = [member["pid"] for member in stats["members"]]
+            workers = [pid for member in stats["members"]
+                       for pid in member["pool"]["children"]]
+            assert all(member["pool"]["type"] == "process"
+                       for member in stats["members"])
+            assert len(workers) == 2
+        finally:
+            launcher.send_signal(signal.SIGTERM)
+            returncode = launcher.wait(timeout=30.0)
+            _stop_launcher(launcher)
+        assert returncode == 0
+        assert _await_gone(pids + workers) == []
+
+    def test_killed_member_brings_the_fleet_down(self, tmp_path):
+        launcher = _launch_fleet(tmp_path, "--pool", "thread", "--jobs", "1")
+        try:
+            address = _fleet_address(launcher, tmp_path)
+            pids = [member["pid"] for member in
+                    FleetClient(address, timeout=30.0).stats()["members"]]
+            os.kill(pids[0], signal.SIGKILL)
+            assert launcher.wait(timeout=30.0) == 1
+            assert b"fleet member died" in launcher.stderr.read()
+        finally:
+            _stop_launcher(launcher)
+        assert _await_gone(pids) == []
+
+    def test_member_that_cannot_bind_fails_the_startup(self, tmp_path):
+        port = _consecutive_free_ports()
+        with socket_module.socket() as held:
+            held.bind(("127.0.0.1", port + 1))
+            held.listen()
+            launcher = _launch_fleet(tmp_path, "--base-port", str(port),
+                                     "--pool", "thread", "--jobs", "1")
+            try:
+                assert launcher.wait(timeout=60.0) == 1
+                stderr = launcher.stderr.read()
+            finally:
+                _stop_launcher(launcher)
+        assert b"exited with code 1 during startup" in stderr
+        assert b"cannot start the daemon" in stderr
+        assert not (tmp_path / "fleet-ready.txt").exists()
+        # Whatever started with the fleet's command line is gone again.
+        assert _await_gone(running_with_argument(str(tmp_path))) == []
+
+    def test_members_are_forked_from_the_launcher(self, tmp_path):
+        launcher = _launch_fleet(tmp_path, "--pool", "thread", "--jobs", "1")
+        try:
+            address = _fleet_address(launcher, tmp_path)
+            pids = [member["pid"] for member in
+                    FleetClient(address, timeout=30.0).stats()["members"]]
+            command = Path(f"/proc/{launcher.pid}/cmdline").read_bytes()
+            for pid in pids:
+                assert parent_of(pid) == launcher.pid
+                # One interpreter: no member exec'd a command of its own.
+                assert Path(f"/proc/{pid}/cmdline").read_bytes() == command
+        finally:
+            _stop_launcher(launcher)
+
+
+# ======================================================================
 # Daemon subprocesses: real fleets, SIGKILL failover, the launcher
 # ======================================================================
 def _spawn_fleet_daemon(tmp_path: Path, store: Path,
@@ -930,24 +1064,9 @@ class TestFleetDaemons:
         assert final.active_claims() == []
 
     def test_fleet_launcher_end_to_end(self, tmp_path):
-        store = tmp_path / "store"
-        combined = tmp_path / "fleet-ready.txt"
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        env.pop("REPRO_STORE", None)
-        launcher = subprocess.Popen(
-            [sys.executable, "-m", "repro", "fleet", "--members", "2",
-             "--store", str(store), "--pool", "thread", "--jobs", "2",
-             "--ready-file", str(combined)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        launcher = _launch_fleet(tmp_path, "--pool", "thread", "--jobs", "2")
         try:
-            deadline = time.monotonic() + 60.0
-            while not combined.is_file():
-                assert launcher.poll() is None, \
-                    launcher.stderr.read().decode()  # type: ignore
-                assert time.monotonic() < deadline, \
-                    "launcher never wrote the combined ready file"
-                time.sleep(0.05)
-            address = combined.read_text().strip()
+            address = _fleet_address(launcher, tmp_path)
             assert address.count(",") == 1  # two members
             client = FleetClient(address, timeout=60.0)
             client.wait_healthy(timeout=30.0)
@@ -967,5 +1086,6 @@ class TestFleetDaemons:
             except subprocess.TimeoutExpired:
                 launcher.kill()
                 raise
-        final = ResultStore(store)
+        final = ResultStore(tmp_path / "store")
         assert final.total_lines() == len(final)
+

@@ -528,6 +528,19 @@ class TestGridMemo:
         assert json.loads(path.read_text()) == {"value": 2}
         assert sorted(p.name for p in path.parent.iterdir()) == \
             ["memo.json"]
+        # A file deleted or edited behind the daemon's back is rewritten
+        # on the next write of the same bytes.
+        path.unlink()
+        assert service._write_stats("memo", encoded(2)) == str(path)
+        assert json.loads(path.read_text()) == {"value": 2}
+        path.write_text('{"value": "edited"}')
+        assert service._write_stats("memo", encoded(2)) == str(path)
+        assert json.loads(path.read_text()) == {"value": 2}
+        replaced = path.with_name("other.json")
+        replaced.write_bytes(encoded(3))
+        os.replace(replaced, path)
+        assert service._write_stats("memo", encoded(2)) == str(path)
+        assert json.loads(path.read_text()) == {"value": 2}
 
 
 # ======================================================================
