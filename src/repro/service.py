@@ -11,8 +11,11 @@ it already persisted.
 
 A local ``python -m repro run`` (and :func:`repro.api.run_figure`) is a
 daemon of one: an in-process service with no socket, so it claims keys,
-writes stats and reports exactly like the daemon.  Jobs run on a
-:class:`~repro.sim.pool.WorkerPool`.
+writes stats and reports exactly like the daemon.  A parallel
+:class:`~repro.sim.engine.SimulationEngine` runs its grid on one too
+(:meth:`SimulationService.run_jobs`).  Jobs run on a
+:class:`~repro.sim.pool.WorkerPool`, and this module is the only one
+that submits them to it.
 
 In-flight deduplication
 =======================
@@ -147,10 +150,12 @@ import socketserver
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from .experiments import EXPERIMENTS, Scale, canonical_json
 from .faults import fault_point
@@ -179,10 +184,9 @@ PROTOCOL_SCHEMA = "repro-service/1"
 #: Longest accepted request line (a figure submit is well under this).
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
-#: Finished requests retained for ``status``/``result`` polling; older
-#: ones are evicted so a long-lived daemon's memory stays bounded.
-#: Eviction runs in batches: up to ``MAX_FINISHED_REQUESTS // 8`` more
-#: may be retained between two trims.
+#: Finished requests retained for ``status``/``result`` polling; the
+#: longest-finished ones are evicted so a long-lived daemon's memory stays
+#: bounded.
 MAX_FINISHED_REQUESTS = 512
 
 #: Per-job retry budget (attempts, including the first) and env override.
@@ -375,9 +379,6 @@ class _RequestState:
         #: "error"}, ...]`` — one entry per grid cell that exhausted its
         #: retry budget (the rest of the grid still completed).
         self.failed_jobs: List[Dict[str, Any]] = []
-        #: Monotonic completion stamp (set just before ``done``); the
-        #: eviction policy drops the *longest-finished* requests first.
-        self.finished_at: Optional[float] = None
         self.done = threading.Event()
 
     def snapshot(self, include_payload: bool = False) -> Dict[str, Any]:
@@ -473,6 +474,8 @@ class SimulationService:
 
     Args:
         store: Results-store root directory (or an opened store).
+            ``None`` keys no job, so nothing touches a store: only
+            :meth:`run_jobs` may be used then.
         jobs: Worker count; ``None`` reads ``REPRO_JOBS`` from the
             environment, defaulting to 1.
         job_retries: Attempts per job (including the first) before it is
@@ -503,7 +506,7 @@ class SimulationService:
     CLAIM_POLL_BASE = 0.02
     CLAIM_POLL_MAX = 0.5
 
-    def __init__(self, store: Union[str, Path, ResultStore],
+    def __init__(self, store: Union[str, Path, ResultStore, None],
                  jobs: Optional[int] = None,
                  job_retries: Optional[int] = None,
                  job_timeout: Optional[float] = None,
@@ -511,9 +514,9 @@ class SimulationService:
                  pool: Optional[str] = None,
                  hierarchy: Union[str, Path, HierarchySpec, None] = None,
                  fleet: Optional[bool] = None) -> None:
-        if not isinstance(store, ResultStore):
+        if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
-        self.store = store
+        self.store: Optional[ResultStore] = store
         # Load the hierarchy spec once at startup: a bad file must refuse
         # the daemon, not poison every submitted experiment later.
         self.hierarchy_spec: Optional[HierarchySpec] = None
@@ -555,6 +558,12 @@ class SimulationService:
         #: job key -> Future resolving to the finished result object.
         self._inflight: Dict[str, "Future[Any]"] = {}
         self._requests: Dict[str, _RequestState] = {}
+        #: Ids of the finished requests in ``_requests``, longest-finished
+        #: first: :meth:`submit` evicts from the left beyond
+        #: ``MAX_FINISHED_REQUESTS``.  A request submitted early but
+        #: finished recently is the one a client most likely still polls,
+        #: so eviction follows completion, not submission, order.
+        self._finished: Deque[str] = deque()
         self._request_threads: List[threading.Thread] = []
         self._next_request = 0
         self.started_at = time.time()
@@ -657,7 +666,8 @@ class SimulationService:
                 request_id = f"req-{self._next_request}-{name}"
                 state = _RequestState(request_id, name, total, explicit)
                 self._requests[request_id] = state
-                self._evict_finished_requests()
+                while len(self._finished) > MAX_FINISHED_REQUESTS:
+                    del self._requests[self._finished.popleft()]
                 self.counters["submissions"] += 1
                 self.counters["jobs"] += total
             if not force and self._serve_summary(state, grid):
@@ -689,12 +699,31 @@ class SimulationService:
 
     def _new_grid(self, job_list: Sequence[Job]) -> _Grid:
         """``job_list`` on this daemon's hierarchy override, if any, with
-        each job's store key (``None`` for jobs the store cannot hold)."""
+        each job's store key (``None`` for jobs the store cannot hold,
+        and for every job when there is no store)."""
         if self.hierarchy_spec is not None:
             job_list = apply_hierarchy(job_list, self.hierarchy_spec,
                                        self.hierarchy_name)
-        return _Grid(tuple(job_list),
-                     tuple(try_job_key(job) for job in job_list))
+        return _Grid(tuple(job_list), tuple(
+            None if self.store is None else try_job_key(job)
+            for job in job_list))
+
+    def run_jobs(self, jobs: Sequence[Job], force: bool = False) -> List[Any]:
+        """Run ``jobs`` on this core and return their results in job order.
+
+        :class:`~repro.sim.engine.SimulationEngine`'s parallel path: one
+        private request's classify and collect phases, with no request
+        record, admission check or stats file.  Raises the first failed
+        job's :class:`ServiceError` once every healthy job is persisted.
+        """
+        grid = self._new_grid(jobs)
+        state = _RequestState("run-jobs", "adhoc", len(grid.jobs), True)
+        results = self._collect(state, grid,
+                                self._classify(state, grid, force, reserved=0))
+        if state.failed_jobs:
+            failure = state.failed_jobs[0]
+            raise ServiceError(failure["error"], code=failure["code"])
+        return results
 
     def _build_grid(self, experiment: str, scale: Scale) -> _Grid:
         """One figure grid's record (see ``self._grid``): its job list,
@@ -772,32 +801,6 @@ class SimulationService:
                         f"and this grid has unstored jobs; only warm "
                         f"requests are served", code="degraded")
 
-    def _evict_finished_requests(self) -> None:
-        """Drop the longest-finished requests beyond the retention cap.
-
-        Caller holds the lock.  Eviction order is *completion* time, not
-        submission order: a request submitted early but finished recently
-        is exactly the one a client is most likely still polling, so it
-        must outlive requests that have been done (and pollable) longer.
-        Running requests are never evicted; a ``status``/``result`` poll
-        for an evicted id gets the same "unknown request id" as a
-        mistyped one.  Trimming is batched: nothing is scanned or sorted
-        until the finished requests exceed the cap by more than an
-        eighth, and then they are trimmed back to the cap.
-        """
-        slack = MAX_FINISHED_REQUESTS // 8
-        if len(self._requests) <= MAX_FINISHED_REQUESTS + slack:
-            return
-        finished = [(state.finished_at or 0.0, request_id)
-                    for request_id, state in self._requests.items()
-                    if state.done.is_set()]
-        if len(finished) <= MAX_FINISHED_REQUESTS + slack:
-            return
-        finished.sort()
-        for _, request_id in finished[:len(finished)
-                                      - MAX_FINISHED_REQUESTS]:
-            del self._requests[request_id]
-
     def _serve_summary(self, state: _RequestState, grid: _Grid) -> bool:
         """Answer ``state`` from ``grid.summary`` if every key is stored.
 
@@ -819,12 +822,15 @@ class SimulationService:
             if not self.store.holds_all(grid.keyset):
                 return False
             self._count(state, "stored", state.total)
+            # Listed as finished a few lines early, in the lock hold the
+            # warm read takes anyway: as the newest entry it is evicted
+            # only after MAX_FINISHED_REQUESTS later requests finish.
+            self._finished.append(state.id)
         state.completed = state.total
         state.stats, payload = summary
         state.stats_path = self._write_stats(state.name, payload)
         state.seconds = time.perf_counter() - start
         state.state = "done"
-        state.finished_at = time.monotonic()
         state.done.set()
         return True
 
@@ -872,7 +878,8 @@ class SimulationService:
             if not isinstance(exc, Exception):
                 raise
         finally:
-            state.finished_at = time.monotonic()
+            with self._lock:
+                self._finished.append(state.id)
             state.done.set()
 
     def _write_stats(self, name: str, payload: bytes) -> Optional[str]:

@@ -3,9 +3,11 @@
 The package's execution substrate is :mod:`repro.sim.engine`: a batched
 simulation driver that expands (workload, predictor, config, seed) grids
 into picklable jobs, reuses generated traces through a process-local
-:class:`~repro.sim.engine.TraceCache`, and fans jobs out over worker
-processes when the ``REPRO_JOBS`` environment variable (or an explicit
-``SimulationEngine(jobs=N)``) asks for parallelism.  Serial and parallel
+:class:`~repro.sim.engine.TraceCache`, and runs the jobs inline in the
+caller's thread.  When the ``REPRO_JOBS`` environment variable (or an
+explicit ``SimulationEngine(jobs=N)``) asks for parallelism, it hands the
+grid to an in-process daemon core (:class:`~repro.service.SimulationService`),
+which fans the jobs out over worker processes.  Serial and parallel
 execution are bit-identical; see the engine module docstring.
 
 Results persist through :mod:`repro.sim.store`, a content-addressed store

@@ -16,17 +16,23 @@ provides the shared substrate the drivers and benchmarks run on:
   :class:`~repro.memory.hierarchy.Walk`, which :func:`execute_job` hands
   to every compared system to replay (see :mod:`repro.memory.hierarchy`,
   "Walk and replay");
-* :class:`SimulationEngine` — runs a job list serially or over a worker
-  pool, reading through the results store.
+* :class:`SimulationEngine` — runs a job list, reading through the
+  results store: serially in the caller's thread, or on an in-process
+  daemon core when it has more than one worker.
 
 Parallelism
 ===========
 
 The worker count comes from, in order: the ``jobs=`` constructor argument,
-the ``REPRO_JOBS`` environment variable, and finally 1 (serial).  More
-workers submit each job on its own to a :class:`~repro.sim.pool.WorkerPool`,
-the daemon's pool.  Results are returned in job order regardless of
-completion order, and every job builds its own fresh system state, so
+the ``REPRO_JOBS`` environment variable, and finally 1 (serial).  One
+worker runs the jobs one by one in the caller's thread, loading neither
+the daemon nor a worker pool.  More hand the grid to a fresh in-process
+:class:`~repro.service.SimulationService`
+(:meth:`~repro.service.SimulationService.run_jobs`), the one code that
+submits jobs to a worker pool (:mod:`repro.sim.pool`); there a failing
+job gets the daemon's retry budget, and keyed jobs take the store's
+claims.  Results are returned in job order regardless of completion
+order, and every job builds its own fresh system state, so
 **serial and parallel execution produce bit-identical results**: workload
 traces are derived deterministically from (workload name, seed) — see
 :meth:`repro.workloads.base.Workload.generate_buffer` — and no mutable state
@@ -72,7 +78,6 @@ from ..workloads.mixes import get_mix, mix_core_plan
 from ..workloads.suite import build_workload
 from .config import SystemConfig
 from .options import EngineOptions
-from .pool import WorkerPool
 from .store import (
     ResultStore,
     UncacheableJobError,
@@ -360,12 +365,12 @@ def mix_traces(mix_name: str, accesses_per_core: int, seed: int = 0,
 def execute_job(job: Job, trace_cache: Optional[TraceCache] = None):
     """Run one job to completion in the current process.
 
-    This is the single entry point used by both the serial fallback and the
-    pool workers; it builds a fresh system, pulls the trace(s) through
-    ``trace_cache`` (the process-local :data:`TRACE_CACHE` by default),
-    looks up their shared hierarchy walk in the same cache (the only place
-    that does), hands it to the system to replay, and returns the
-    picklable result.
+    This is the single entry point of the engine's serial loop and the
+    daemon's pool workers; it builds a fresh system, pulls the trace(s)
+    through ``trace_cache`` (the process-local :data:`TRACE_CACHE` by
+    default), looks up their shared hierarchy walk in the same cache (the
+    only place that does), hands it to the system to replay, and returns
+    the picklable result.
     """
     # Fault site: a worker crashing (or being killed) while holding a job.
     # Sits before any system state is built, so a retried job replays from
@@ -409,17 +414,15 @@ def execute_job(job: Job, trace_cache: Optional[TraceCache] = None):
 # Engine
 # ======================================================================
 class SimulationEngine:
-    """Runs simulation jobs serially or across a worker pool.
+    """Runs simulation jobs in the caller's thread or on a daemon core.
 
     Args:
         jobs: Worker count.  ``None`` reads ``REPRO_JOBS`` from the
             environment, defaulting to 1 (serial).  Any value <= 1 selects
-            the deterministic in-process path; more uses a worker pool of
-            the options' ``pool`` kind, with bit-identical results.  A job
-            that kills its worker process makes :meth:`run` raise (see
-            :mod:`repro.sim.pool`).
-        trace_cache: Cache used by the serial path (pool workers always
-            use their process's :data:`TRACE_CACHE`).
+            the deterministic in-process loop; more hands the grid to an
+            in-process :class:`~repro.service.SimulationService` with
+            workers of the options' ``pool`` kind, with bit-identical
+            results.
         store: Content-addressed results store the engine reads through
             (see :mod:`repro.sim.store`).  ``None`` or ``True`` (the
             default) consults the ``REPRO_STORE`` environment variable;
@@ -434,7 +437,6 @@ class SimulationEngine:
     """
 
     def __init__(self, jobs: Optional[int] = None,
-                 trace_cache: Optional[TraceCache] = None,
                  store: Union[None, bool, str, Path, ResultStore] = None,
                  options: Optional[EngineOptions] = None) -> None:
         # All environment resolution (REPRO_JOBS, REPRO_POOL, REPRO_STORE)
@@ -445,8 +447,6 @@ class SimulationEngine:
             options = options.with_overrides(jobs=jobs)
         self.options = options
         self.num_workers = options.jobs
-        # Explicit None check: an empty TraceCache has len() == 0, is falsy.
-        self.trace_cache = TRACE_CACHE if trace_cache is None else trace_cache
         if store is None or store is True:
             store = open_store(options.store)
         elif store is False:
@@ -454,17 +454,6 @@ class SimulationEngine:
         elif isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store: Optional[ResultStore] = store
-        #: Store appends retried after a transient failure.
-        self.put_retries = 0
-        #: Store appends abandoned after the retry budget (results were
-        #: still returned — the store is a cache, not the ground truth).
-        self.put_failures = 0
-        #: Broken worker pools replaced mid-run (see WorkerPool).
-        self.pool_failovers = 0
-
-    @property
-    def parallel(self) -> bool:
-        return self.num_workers > 1
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Job], force: bool = False) -> List:
@@ -472,67 +461,54 @@ class SimulationEngine:
 
         With a store attached, jobs whose key is already stored are served
         from disk and only the missing ones are simulated.  Fresh results
-        are persisted as they arrive — still in job order, so the store
-        file is deterministic regardless of worker parallelism, but an
-        interrupted grid keeps everything that finished before the
-        interruption and resumes from there.  ``force=True`` recomputes
-        every job and refreshes its store entry.
+        are persisted in job order, so the store file is deterministic
+        regardless of worker parallelism, and an interrupted grid keeps
+        everything that finished before the interruption and resumes from
+        there.  ``force=True`` recomputes every job and refreshes its
+        store entry.
+
+        One worker (or one job) runs the jobs one by one in this thread.
+        More run on a fresh :class:`~repro.service.SimulationService`,
+        which claims keyed jobs, retries a failing job within its budget
+        and raises :class:`~repro.service.ServiceError` for the first job
+        that still fails once its healthy siblings are persisted.
         """
         jobs = list(jobs)
-        if not jobs:
-            return []
-        if self.store is None:
-            return list(self._execute(jobs))
-
-        specs: List[Optional[dict]] = []
-        keys: List[Optional[str]] = []
-        for job in jobs:
+        if self.num_workers > 1 and len(jobs) > 1:
+            # Imported here: a serial run never loads the daemon core, its
+            # worker pool or multiprocessing.
+            from ..service import SimulationService
+            service = SimulationService(
+                self.store, jobs=min(self.num_workers, len(jobs)),
+                pool=self.options.pool, hierarchy="")
             try:
-                spec = job_spec(job)
-            except UncacheableJobError:
-                spec = None
-            specs.append(spec)
-            keys.append(None if spec is None else spec_key(spec))
-        results: List = [None] * len(jobs)
-        missing: List[int] = []
-        for index, key in enumerate(keys):
-            cached = None if force else self.store.get(key)
-            if cached is None:
-                missing.append(index)
-            else:
-                results[index] = cached
-        if missing:
-            if force:
-                # get() was skipped; keep the counters meaningful anyway
-                # (unkeyed jobs are tallied apart from true misses).
-                keyed = sum(1 for index in missing
-                            if keys[index] is not None)
-                self.store.misses += keyed
-                self.store.unkeyed += len(missing) - keyed
-            fresh = self._execute([jobs[i] for i in missing])
-            # Persist each fresh result as it arrives (still in job order),
-            # so an interrupted grid keeps its completed jobs on disk.
-            for index, result in zip(missing, fresh):
-                results[index] = result
-                if keys[index] is not None:
-                    retries, error = self.store.put_with_retry(
-                        keys[index], specs[index], result)
-                    self.put_retries += retries
-                    self.put_failures += error is not None
+                return service.run_jobs(jobs, force)
+            finally:
+                service.close()
+        store = self.store
+        results: List = []
+        for job in jobs:
+            key = spec = None
+            if store is not None:
+                try:
+                    spec = job_spec(job)
+                    key = spec_key(spec)
+                except UncacheableJobError:
+                    pass
+                if force:
+                    # get() is skipped; keep the counters meaningful anyway
+                    # (unkeyed jobs are tallied apart from true misses).
+                    if key is None:
+                        store.unkeyed += 1
+                    else:
+                        store.misses += 1
+                else:
+                    cached = store.get(key)
+                    if cached is not None:
+                        results.append(cached)
+                        continue
+            result = execute_job(job)
+            if key is not None:
+                store.put_with_retry(key, spec, result)
+            results.append(result)
         return results
-
-    def _execute(self, jobs: List[Job]):
-        """Yield results for ``jobs`` in order: in-process, or one pool
-        submission per job."""
-        if self.num_workers <= 1 or len(jobs) == 1:
-            yield from (execute_job(job, self.trace_cache) for job in jobs)
-            return
-        pool = WorkerPool(min(self.num_workers, len(jobs)),
-                          self.options.pool)
-        try:
-            futures = [pool.submit(execute_job, job) for job in jobs]
-            for future in futures:
-                yield future.result()
-        finally:
-            pool.shutdown()
-            self.pool_failovers += pool.failovers

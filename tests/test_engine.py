@@ -106,7 +106,6 @@ class TestEngineConfiguration:
     def test_defaults_to_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert SimulationEngine().num_workers == 1
-        assert not SimulationEngine().parallel
 
     def test_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
@@ -117,16 +116,6 @@ class TestEngineConfiguration:
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(ValueError):
             SimulationEngine()
-
-    def test_custom_trace_cache_is_used(self):
-        # Regression: an *empty* TraceCache is falsy (len() == 0), so a
-        # `trace_cache or TRACE_CACHE` default would silently ignore it.
-        cache = TraceCache()
-        engine = SimulationEngine(jobs=1, trace_cache=cache)
-        engine.run(expand_grid(["stream"], ("baseline", "lp"),
-                               num_accesses=200))
-        assert cache.misses == 1
-        assert cache.hits == 1
 
     def test_expand_grid_shape_and_order(self):
         jobs = expand_grid(APPS, SYSTEMS, num_accesses=100,
@@ -172,6 +161,61 @@ class TestSerialParallelEquivalence:
             workload="gapbs.bfs", predictor="lp", num_accesses=400,
             warmup_accesses=100, seed=0))
         assert_results_identical(direct, via_engine)
+
+
+#: A serial engine run in a fresh interpreter; prints which of the daemon
+#: core, the worker pool and multiprocessing it loaded.
+_SERIAL_RUN = """
+import sys
+from repro.sim.engine import SimulationEngine, SimulationJob
+SimulationEngine(jobs=1, store=sys.argv[1]).run(
+    [SimulationJob(workload=workload, predictor="lp", num_accesses=60)
+     for workload in ("gups", "stream")])
+print(" ".join(module for module in
+               ("repro.service", "repro.sim.pool", "multiprocessing")
+               if module in sys.modules))
+"""
+
+
+class TestEngineRunners:
+    """One worker runs inline; more run on an in-process daemon core."""
+
+    JOBS = expand_grid(["gups", "stream"], ("baseline", "lp"),
+                       num_accesses=60, warmup_accesses=20)
+
+    def test_serial_run_loads_no_daemon_pool_or_multiprocessing(
+            self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parent.parent / "src"))
+        run = subprocess.run(
+            [sys.executable, "-c", _SERIAL_RUN, str(tmp_path / "store")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == []
+
+    def test_parallel_run_retries_a_crash_and_releases_its_claims(
+            self, tmp_path):
+        from repro import faults
+        reference = SimulationEngine(jobs=1, store=False).run(self.JOBS)
+        faults.install("worker.job:crash@times=1")
+        try:
+            results = SimulationEngine(
+                jobs=2, options=EngineOptions(jobs=2, pool="thread"),
+                store=tmp_path / "store").run(self.JOBS)
+        finally:
+            faults.uninstall()
+        assert results == reference
+        assert list((tmp_path / "store" / "claims").iterdir()) == []
+
+    def test_parallel_run_without_a_store_writes_nothing(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        results = SimulationEngine(
+            jobs=2, options=EngineOptions(jobs=2, pool="thread"),
+            store=False).run(self.JOBS)
+        assert results == SimulationEngine(jobs=1, store=False).run(
+            self.JOBS)
+        assert list(tmp_path.iterdir()) == []
 
 
 #: Builds a one-worker pool the way the engine and the daemon do, records

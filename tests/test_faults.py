@@ -227,13 +227,12 @@ class TestStoreFaults:
         assert fresh.get("cc" * 32) == result
 
     def test_engine_retries_the_put_and_loses_nothing(self, tmp_path):
-        faults.install("store.append:eio@times=1")
+        plane = faults.install("store.append:eio@times=1")
         engine = SimulationEngine(jobs=1, store=tmp_path / "store")
         job = SimulationJob(workload="gups", predictor="lp",
                             num_accesses=60, warmup_accesses=20)
         (result,) = engine.run([job])
-        assert engine.put_retries == 1
-        assert engine.put_failures == 0
+        assert plane.total_fired() == 1
         # The retried append landed: a rerun is a pure store hit.
         faults.uninstall()
         rerun = SimulationEngine(jobs=1, store=tmp_path / "store")
@@ -287,13 +286,9 @@ class TestEngineFaults:
         monkeypatch.setenv(faults.REPRO_FAULTS_ENV,
                            "worker.job:kill@p=1.0")
         faults.uninstall()  # re-resolve from the env (children inherit)
-        engine = SimulationEngine(jobs=2, store=False)
-        results = engine.run(jobs)
-        # Replaced pools: a first break with two jobs on it (unless the
-        # first job died before the second started), the first job dying
-        # alone twice, then the thread fallback when a second job dies
-        # alone.
-        assert engine.pool_failovers in (3, 4)
+        results = SimulationEngine(jobs=2, store=False).run(jobs)
+        # The failover count is checked on the daemon, which runs this
+        # grid: see test_killed_daemon_workers_fall_back_to_threads.
         assert results == reference
 
 
@@ -330,7 +325,11 @@ class TestServiceRecovery:
                                       for result in reference]
         assert pool["type"] == "thread"
         assert "keep dying" in pool["fallback_reason"]
-        assert pool["failovers"] in (3, 4)  # see the engine test above
+        # Replaced pools: a first break with two jobs on it (unless the
+        # first job died before the second started), the first job dying
+        # alone twice, then the thread fallback when a second job dies
+        # alone.
+        assert pool["failovers"] in (3, 4)
         assert service.counters["quarantined"] == 0
 
     def test_a_job_that_kills_its_worker_is_quarantined(

@@ -1219,25 +1219,36 @@ class TestClientClock:
         import repro.service as service_module
 
         monkeypatch.setattr(service_module, "MAX_FINISHED_REQUESTS", 2)
-        svc = SimulationService(tmp_path / "store", jobs=1, pool="thread")
+        release = threading.Event()
+        real_execute = service_module.execute_job
+
+        def gated(job, trace_cache=None):
+            # The seed-0 job holds its worker until released, so its
+            # request finishes after the two submitted behind it.
+            if job.seed == 0:
+                assert release.wait(30.0)
+            return real_execute(job, trace_cache)
+
+        monkeypatch.setattr(service_module, "execute_job", gated)
+        svc = SimulationService(tmp_path / "store", jobs=2, pool="thread")
         try:
             spec = {"workload": "gups", "predictor": "baseline",
                     "num_accesses": 40, "seed": 0}
-            ids = []
-            for seed in range(3):
-                spec_n = dict(spec, seed=seed)
-                ids.append(svc.submit(jobs=[spec_n], wait=True)["id"])
-            # Forge completion order that disagrees with both insertion
-            # and request-id order: ids[1] finished first.
-            for request_id, finished_at in zip(ids, (300.0, 100.0, 200.0)):
-                svc._requests[request_id].finished_at = finished_at
-            # The next submit trips eviction down to MAX_FINISHED_REQUESTS.
+            ids = [svc.submit(jobs=[spec])["id"]]
+            for seed in (1, 2):
+                ids.append(svc.submit(jobs=[dict(spec, seed=seed)],
+                                      wait=True)["id"])
+            release.set()
+            assert svc.result(ids[0], wait=True)["state"] == "done"
+            # Completion order is ids[1], ids[2], ids[0]: the next submit
+            # trims the finished requests down to MAX_FINISHED_REQUESTS.
             svc.submit(jobs=[dict(spec, seed=9)], wait=True)
             with pytest.raises(ServiceError, match="unknown request"):
                 svc.result(ids[1])
             assert svc.result(ids[0])["state"] == "done"
             assert svc.result(ids[2])["state"] == "done"
         finally:
+            release.set()
             svc.close(wait=True)
 
 

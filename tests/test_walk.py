@@ -33,7 +33,6 @@ from repro.sim.config import SystemConfig
 from repro.sim.engine import (
     MAX_WALKS,
     MixJob,
-    SimulationEngine,
     SimulationJob,
     TraceCache,
     execute_job,
@@ -201,9 +200,9 @@ class TestReplayOnlyFields:
         """fig15's five systems differ only in LLC timing and the core
         model, so each application is walked once for all of them."""
         cache = TraceCache()
-        engine = SimulationEngine(jobs=1, trace_cache=cache, store=False)
         jobs = EXPERIMENTS["fig15"].jobs(Scale(accesses=300, warmup=100))
-        engine.run(jobs)
+        for job in jobs:
+            execute_job(job, cache)
         apps = {job.workload for job in jobs}
         assert (cache.walk_misses, cache.walk_hits) \
             == (len(apps), len(jobs) - len(apps))
@@ -212,8 +211,8 @@ class TestReplayOnlyFields:
 class TestWalkCounters:
     def test_golden_grid_walks_each_trace_once(self):
         cache = TraceCache()
-        engine = SimulationEngine(jobs=1, trace_cache=cache, store=False)
-        engine.run(EXPERIMENTS["golden"].jobs(Scale()))
+        for job in EXPERIMENTS["golden"].jobs(Scale()):
+            execute_job(job, cache)
         assert (cache.walk_misses, cache.walk_hits) == (6, 24)
 
     def test_clear_zeroes_the_counters_and_drops_the_walks(self):
